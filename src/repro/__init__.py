@@ -69,7 +69,7 @@ from repro.protocols import (
     OpenNestedNaiveProtocol,
     PageLockingProtocol,
 )
-from repro.runtime import Scheduler, ThreadedRuntime
+from repro.runtime import Scheduler
 from repro.txn.timeline import render_lock_waits, render_timeline
 from repro.recovery import WriteAheadLog, recover
 from repro.orderentry import (
@@ -127,7 +127,6 @@ __all__ = [
     "ObjectRW2PLProtocol",
     "PageLockingProtocol",
     "Scheduler",
-    "ThreadedRuntime",
     # checker & rendering
     "is_semantically_serializable",
     "render_timeline",

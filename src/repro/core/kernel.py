@@ -25,7 +25,6 @@ machinery is a discrete-event performance simulation.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Iterable, Mapping, Optional, Union
 
@@ -49,7 +48,7 @@ from repro.obs import MetricsRegistry
 from repro.obs.cases import CASE2_WAIT, CASE_COMMUTATIVE, CASE_TOPLEVEL_WAIT
 from repro.protocols.base import CCProtocol, LockSpec
 from repro.core.protocol import SemanticLockingProtocol
-from repro.runtime.scheduler import Pause, Scheduler, Task
+from repro.runtime.scheduler import Pause, Scheduler, SchedulerAPI, Task
 from repro.semantics.generic import (
     GET,
     INSERT,
@@ -65,7 +64,7 @@ from repro.semantics.invocation import Invocation
 from repro.txn.compensation import UndoEntry, UndoLog
 from repro.txn.retry import RetryPolicy
 from repro.txn.history import History, HistoryRecorder
-from repro.txn.locks import LockTable, PendingRequest
+from repro.txn.locks import LockTable, LockTableAPI, PendingRequest
 from repro.txn.transaction import NodeStatus, TransactionNode
 from repro.txn.waits import WaitsForGraph
 from repro.util.ids import IdGenerator
@@ -272,15 +271,14 @@ class TransactionManager:
         self,
         db: Database,
         protocol: Optional[CCProtocol] = None,
-        scheduler: Optional[Scheduler] = None,
+        scheduler: Optional[SchedulerAPI] = None,
         cost_model: Optional[CostModel] = None,
         deadlock_policy: str = "detect",
         wal=None,
         obs: Optional[MetricsRegistry] = None,
-        lock_table_cls: Optional[type[LockTable]] = None,
+        lock_table_cls: Optional[Callable[..., LockTableAPI]] = None,
         faults=None,
         retry_policy: Optional[RetryPolicy] = None,
-        max_subtxn_restarts: Optional[int] = None,
         lock_timeout: Optional[float] = None,
     ) -> None:
         if deadlock_policy not in ("detect", "wait-die", "wound-wait", "timeout"):
@@ -296,13 +294,15 @@ class TransactionManager:
         self.protocol = protocol if protocol is not None else SemanticLockingProtocol()
         self.protocol.bind(db)
         self.protocol.bind_metrics(self.obs)
-        self.scheduler = scheduler if scheduler is not None else Scheduler()
+        # The two runtime seams (SchedulerAPI, LockTableAPI): the kernel
+        # has one code path over them and probes for nothing else.
+        self.scheduler: SchedulerAPI = scheduler if scheduler is not None else Scheduler()
         self.scheduler.on_stall = self._on_stall
         self.scheduler.bind_metrics(self.obs)
-        # lock_table_cls is a test seam: the differential suite swaps in
-        # the scan-based reference implementation to prove the indexed
-        # table behaves identically.
-        self.locks = (lock_table_cls or LockTable)(
+        # lock_table_cls: the threaded runtime passes its striped table;
+        # the differential suite swaps in the scan-based reference
+        # implementation to prove the indexed table behaves identically.
+        self.locks: LockTableAPI = (lock_table_cls or LockTable)(
             metrics=self.obs, clock=lambda: self.scheduler.clock
         )
         self.locks.on_waits_changed = self._on_waits_changed
@@ -310,20 +310,6 @@ class TransactionManager:
         # with decision caches keyed on owner nodes must hear about it.
         self.locks.on_locks_reassigned = self.protocol.on_locks_reassigned
         self.protocol.bind_lock_table(self.locks)
-        # Sharded-runtime seams.  A scheduler that steps tasks on
-        # concurrent execution shards exposes coordination(): the kernel
-        # wraps its multi-structure phases (commit/abort processing,
-        # re-evaluation, deadlock resolution, timeouts) in it so they
-        # serialise with each other.  A striped lock table exposes
-        # try_acquire/enqueue_if_blocked (test+grant/enqueue in one
-        # stripe-lock hold) and stripe_guard (per-target serialisation
-        # of physical state mutation).  Under the virtual-time scheduler
-        # all three are absent and every wrapper is a no-op, keeping the
-        # oracle path bit-identical.
-        coordination = getattr(self.scheduler, "coordination", None)
-        self._coordinated = coordination if coordination is not None else nullcontext
-        self._object_guard = getattr(self.locks, "stripe_guard", None)
-        self._atomic_acquire = hasattr(self.locks, "try_acquire")
         # Baseline protocols do not classify Fig. 9 outcomes themselves;
         # the kernel bins their conflict-test results coarsely so the
         # breakdown table is populated for every protocol.
@@ -359,31 +345,14 @@ class TransactionManager:
         # waiting out the full uniform budget.  Returning None falls
         # back to ``lock_timeout``.
         self.lock_timeout_fn: Optional[Callable[[TransactionNode], Optional[float]]] = None
-        # Restart budgeting: RetryPolicy subsumes the historical
-        # ``max_subtxn_restarts`` cap (exposed as a property kept in
-        # lockstep).  Both knobs may be passed, but must agree.
-        if retry_policy is None:
-            retry_policy = RetryPolicy(
-                max_restarts=max_subtxn_restarts
-                if max_subtxn_restarts is not None
-                else RetryPolicy.max_restarts
-            )
-        elif (
-            max_subtxn_restarts is not None
-            and max_subtxn_restarts != retry_policy.max_restarts
-        ):
-            raise ValueError(
-                f"max_subtxn_restarts={max_subtxn_restarts} contradicts "
-                f"retry_policy.max_restarts={retry_policy.max_restarts}"
-            )
-        self.retry_policy = retry_policy
+        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         # Optional write-ahead log (repro.recovery.wal.WriteAheadLog):
         # when set, physical updates, non-read-only subtransaction
         # commits, and transaction outcomes are logged for multi-level
         # crash recovery.  File-backed logs meter themselves (group
         # commit syncs, bytes) into the kernel's registry.
         self.wal = wal
-        if wal is not None and hasattr(wal, "bind_metrics"):
+        if wal is not None:
             wal.bind_metrics(self.obs)
         self.waits = WaitsForGraph(self.obs)
         self.recorder = HistoryRecorder(db)
@@ -429,21 +398,6 @@ class TransactionManager:
             self.scheduler.on_step = faults.on_step
         return faults
 
-    @property
-    def max_subtxn_restarts(self) -> int:
-        """Historical alias for ``retry_policy.max_restarts``.
-
-        A property (with a replacing setter) rather than an attribute so
-        the two knobs can never disagree.
-        """
-        return self.retry_policy.max_restarts
-
-    @max_subtxn_restarts.setter
-    def max_subtxn_restarts(self, value: int) -> None:
-        from dataclasses import replace
-
-        self.retry_policy = replace(self.retry_policy, max_restarts=value)
-
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
@@ -467,6 +421,20 @@ class TransactionManager:
 
     def history(self) -> History:
         return self.recorder.history()
+
+    def interrupt_transaction(self, name: str, exc: TransactionAborted) -> bool:
+        """Abort the named in-flight transaction with *exc* (deadline
+        expiry, server drain); it ends through the normal
+        compensation/abort path.  False — and nothing happens — when the
+        name is unknown, finished, or already aborting."""
+        with self.scheduler.coordination():
+            handle = self.handles.get(name)
+            if handle is None or handle.task is None or handle.task.finished:
+                return False
+            if handle.committed or handle.aborted or handle.aborting:
+                return False
+            self._interrupt(handle, exc)
+            return True
 
     # ------------------------------------------------------------------
     # Top-level execution
@@ -614,7 +582,7 @@ class TransactionManager:
         # Coordinated from here down: discarding records, releasing the
         # subtree's locks, and re-evaluating the queues is one logical
         # step against concurrent commits/aborts on other shards.
-        with self._coordinated():
+        with self.scheduler.coordination():
             discarded = {n.node_id for n in node.descendants(include_self=True)}
             # Compensations spawned by the rollback attach to the root; their
             # records net out against the discarded do-records, so drop them
@@ -754,17 +722,14 @@ class TransactionManager:
         args: tuple[Any, ...],
     ) -> Any:
         if operation in _GENERIC_OPS:
-            if self._object_guard is not None:
-                # Sharded runtime: two granted-and-commuting operations
-                # on the same object may step on different shards at the
-                # same wall-clock instant; the target's stripe guard
-                # serialises the physical read-modify-write.  Generic
-                # leaves are synchronous, so the guard never spans an
-                # await (method bodies mutate state only through nested
-                # generic leaves, each guarded here).
-                with self._object_guard(target.oid):
-                    return self._execute_generic(node, target, operation, args)
-            return self._execute_generic(node, target, operation, args)
+            # Two granted-and-commuting operations on the same object
+            # may step on different shards at the same wall-clock
+            # instant; the target's guard serialises the physical
+            # read-modify-write.  Generic leaves are synchronous, so the
+            # guard never spans an await (method bodies mutate state
+            # only through nested generic leaves, each guarded here).
+            with self.locks.guard(target.oid):
+                return self._execute_generic(node, target, operation, args)
         if isinstance(target, EncapsulatedObject):
             spec = target.spec.method_spec(operation)
             ctx = TransactionContext(self, node)
@@ -913,61 +878,25 @@ class TransactionManager:
 
     async def _acquire(self, node: TransactionNode, spec: LockSpec) -> None:
         self._trace(node, "request", target=str(spec.target), mode=str(spec.invocation))
-        if self._atomic_acquire:
-            # Sharded runtime: the conflict test and the grant must be
-            # one stripe-atomic step, or a competing request can be
-            # granted a conflicting lock in the window between them.
-            blockers = self.locks.try_acquire(
-                node, spec.target, spec.invocation, self._tester
-            )
-        else:
-            blockers = self.locks.compute_blockers(
-                node, spec.target, spec.invocation, self._tester
-            )
-            if not blockers:
-                self.locks.grant(node, spec.target, spec.invocation)
+        # Test and grant are one step of the table: between them no
+        # competing request can be granted a conflicting lock.
+        blockers = self.locks.try_acquire(node, spec.target, spec.invocation, self._tester)
         if not blockers:
             self._trace(node, "grant", target=str(spec.target), mode=str(spec.invocation))
             return
 
-        with self._coordinated():
+        with self.scheduler.coordination():
             blockers = self._apply_prevention_policy(node, blockers)
-        if not blockers:
-            # wound-wait may have cleared the way synchronously; retest.
-            if self._atomic_acquire:
-                blockers = self.locks.try_acquire(
-                    node, spec.target, spec.invocation, self._tester
-                )
-            else:
-                blockers = self.locks.compute_blockers(
-                    node, spec.target, spec.invocation, self._tester
-                )
-                if not blockers:
-                    self.locks.grant(node, spec.target, spec.invocation)
-            if not blockers:
-                self._trace(node, "grant", target=str(spec.target), mode=str(spec.invocation))
-                return
-
         signal = self.scheduler.create_signal(f"grant-{node.node_id}")
-        if self._atomic_acquire:
-            # Re-test and enqueue under one stripe-lock hold: either the
-            # request is granted outright (blockers finished meanwhile),
-            # or it is queued with its blockers registered before any
-            # holder can complete unseen — a holder completing after
-            # this call re-tests the queue under notify_node_completed.
-            pending, blockers = self.locks.enqueue_if_blocked(
-                node, spec.target, spec.invocation, signal, self._tester
-            )
-            if pending is None:
-                self._trace(
-                    node, "grant", target=str(spec.target), mode=str(spec.invocation)
-                )
-                return
-        else:
-            pending = self.locks.enqueue(node, spec.target, spec.invocation, signal)
-            # set_blockers keeps the reverse blocker index current and fires
-            # the waits-changed hook, so the waits-for graph needs no rebuild.
-            self.locks.set_blockers(pending, blockers)
+        # Queued with its blockers registered (reverse index, waits-for
+        # hook) before any holder can complete unseen — or, when the
+        # blockers finished since the test above, granted after all.
+        pending, blockers = self.locks.enqueue_if_blocked(
+            node, spec.target, spec.invocation, signal, blockers, self._tester
+        )
+        if pending is None:
+            self._trace(node, "grant", target=str(spec.target), mode=str(spec.invocation))
+            return
         self.metrics.inc("blocks")
         self._trace(
             node,
@@ -984,7 +913,7 @@ class TransactionManager:
             )
         try:
             if self.deadlock_policy == "detect":
-                with self._coordinated():
+                with self.scheduler.coordination():
                     self._resolve_deadlocks(requester=node)
             await signal
         except BaseException:
@@ -1024,7 +953,7 @@ class TransactionManager:
         to completion (the stall-time detection pass remains as their
         backstop).
         """
-        with self._coordinated():
+        with self.scheduler.coordination():
             self._on_lock_timeout_locked(pending, waited)
 
     def _on_lock_timeout_locked(self, pending: PendingRequest, waited: float) -> None:
@@ -1042,7 +971,6 @@ class TransactionManager:
             if victim.aborting:
                 return  # keep waiting; compensation may not be sacrificed
             resolution = LockTimeout(victim.name, str(pending.target), waited)
-            victim.aborting = True
             self._timeout_aborts.inc()
         else:
             self._timeout_restarts.inc()
@@ -1055,8 +983,18 @@ class TransactionManager:
             if isinstance(resolution, SubtransactionRestart)
             else "abort",
         )
+        self._interrupt(victim, resolution)
+
+    def _interrupt(self, victim: TxnHandle, exc: BaseException) -> None:
+        """The one way a transaction is interrupted from outside its own
+        coroutine (caller holds coordination): an abort marks the victim
+        aborting, the exception is delivered to its task, and every
+        queued request of its tree is cancelled — which clears its
+        waits-for edges through the lock-table hook."""
+        if isinstance(exc, TransactionAborted):
+            victim.aborting = True
         assert victim.task is not None
-        self.scheduler.interrupt(victim.task, resolution)
+        self.scheduler.interrupt(victim.task, exc)
         for queued in self.locks.pending_of_tree(victim.root):
             self.locks.cancel(queued)
 
@@ -1065,9 +1003,9 @@ class TransactionManager:
     ) -> set[TransactionNode]:
         """Wait-die / wound-wait timestamp checks before waiting.
 
-        Returns the (possibly reduced) blocker set the requester should
-        wait for; raises :class:`DeadlockError` when wait-die sacrifices
-        the requester.  Under "detect" this is a no-op.
+        Returns the blocker set the requester should wait for; raises
+        :class:`DeadlockError` when wait-die sacrifices the requester.
+        Under "detect" this is a no-op.
         """
         if self.deadlock_policy in ("detect", "timeout") or not blockers:
             # Detection resolves cycles after the fact; the timeout
@@ -1108,15 +1046,10 @@ class TransactionManager:
                 survivors.add(blocker)  # wait for elders / the already-dying
                 continue
             self.metrics.inc("deadlocks")
-            victim.aborting = True
             self._trace(node, "wound", victim=victim_name)
-            assert victim.task is not None
-            self.scheduler.interrupt(
-                victim.task,
-                DeadlockError(victim_name, (my_root.top_level_name, victim_name)),
+            self._interrupt(
+                victim, DeadlockError(victim_name, (my_root.top_level_name, victim_name))
             )
-            for pending in self.locks.pending_of_tree(victim.root):
-                self.locks.cancel(pending)
             survivors.add(blocker)  # its abort completion is the wake event
         return survivors
 
@@ -1142,7 +1075,7 @@ class TransactionManager:
         return result
 
     def _after_lock_change(self) -> None:
-        with self._coordinated():
+        with self.scheduler.coordination():
             granted = self.locks.reevaluate(self._tester)
             for pending in granted:
                 self._trace(pending.node, "regrant", target=str(pending.target))
@@ -1181,7 +1114,7 @@ class TransactionManager:
         itself is chosen, the deadlock error is raised in its coroutine
         directly; otherwise the victim's task is interrupted.
         """
-        with self._coordinated():
+        with self.scheduler.coordination():
             self._resolve_deadlocks_locked(requester)
 
     def _resolve_deadlocks_locked(self, requester: Optional[TransactionNode]) -> None:
@@ -1205,22 +1138,17 @@ class TransactionManager:
                 if isinstance(error, SubtransactionRestart)
                 else "abort",
             )
-            if isinstance(error, TransactionAborted):
-                victim.aborting = True
-            # The victim's queued request is cancelled below (or in the
-            # requester's except handler), which clears its outgoing
-            # edges through the lock-table hook and breaks the cycle.
-            # Edges *to* the victim stay until its locks are actually
+            # The victim's queued request is cancelled right away (here,
+            # or in the requester's except handler), which clears its
+            # outgoing edges through the lock-table hook, so the cycle
+            # check on the next iteration sees the cycle broken.  Edges
+            # *to* the victim stay until its locks are actually
             # released — they are still truthful waits.
             if requester is not None and victim_name == requester.top_level_name:
+                if isinstance(error, TransactionAborted):
+                    victim.aborting = True
                 raise error
-            assert victim.task is not None
-            self.scheduler.interrupt(victim.task, error)
-            # Cancel the victim's queued request right away so the cycle
-            # check below sees the updated queues (cancel clears its
-            # waits-for edges through the lock-table hook).
-            for pending in self.locks.pending_of_tree(victim.root):
-                self.locks.cancel(pending)
+            self._interrupt(victim, error)
 
     def _pick_victim_and_resolution(
         self, cycle: list[str]
@@ -1274,7 +1202,7 @@ class TransactionManager:
         scope = blocked_node.parent if blocked_node is not None else None
         # Compensating transactions must run to completion, so their
         # restart budget is not capped.
-        within_budget = victim.aborting or victim.restarts < self.max_subtxn_restarts
+        within_budget = victim.aborting or victim.restarts < self.retry_policy.max_restarts
         can_restart = (
             scope is not None
             and not scope.is_top_level
@@ -1299,7 +1227,7 @@ class TransactionManager:
     # Completion
     # ------------------------------------------------------------------
     def _complete_node(self, node: TransactionNode) -> None:
-        with self._coordinated():
+        with self.scheduler.coordination():
             self._complete_node_locked(node)
 
     def _complete_node_locked(self, node: TransactionNode) -> None:
@@ -1353,7 +1281,7 @@ class TransactionManager:
         # other shards.  (The compensations above ran as ordinary
         # subtransactions and cannot be held under the coordinator —
         # they await locks themselves.)
-        with self._coordinated():
+        with self.scheduler.coordination():
             root.mark_aborted(self.seq.tick())
             self.protocol.on_node_event(root, "abort")
             self.recorder.on_node_end(root)
@@ -1442,7 +1370,6 @@ def run_transactions(
     deadlock_policy: str = "detect",
     faults=None,
     retry_policy: Optional[RetryPolicy] = None,
-    max_subtxn_restarts: Optional[int] = None,
     lock_timeout: Optional[float] = None,
 ) -> TransactionManager:
     """Convenience: run a set of named transaction programs to completion.
@@ -1459,7 +1386,6 @@ def run_transactions(
         deadlock_policy=deadlock_policy,
         faults=faults,
         retry_policy=retry_policy,
-        max_subtxn_restarts=max_subtxn_restarts,
         lock_timeout=lock_timeout,
     )
     for name, program in programs.items():

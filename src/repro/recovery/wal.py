@@ -101,6 +101,10 @@ class WriteAheadLog:
         """
         return self._next_lsn
 
+    def bind_metrics(self, registry) -> None:
+        """Meter log activity into *registry* (nothing to meter here; the
+        file-backed subclass records its ``wal.*`` instruments)."""
+
     def sync(self) -> None:
         """Force durability of everything appended so far (no-op here)."""
 

@@ -2,8 +2,7 @@
 
 :mod:`repro.runtime.scheduler` provides the deterministic cooperative
 scheduler (with an optional virtual clock for discrete-event simulation)
-on which all kernel executions run; :mod:`repro.runtime.threads` runs
-the same coroutines under real OS threads (one thread per transaction);
+on which all kernel executions run;
 :mod:`repro.runtime.threaded` is the real-concurrency engine — a
 bounded worker pool over a striped :class:`ConcurrentLockTable` with
 wall-clock timers — and :mod:`repro.runtime.differential` replays
@@ -17,14 +16,12 @@ from repro.runtime.threaded import (
     WallClockScheduler,
     run_threaded_transactions,
 )
-from repro.runtime.threads import ThreadedRuntime
 
 __all__ = [
     "Pause",
     "Scheduler",
     "Signal",
     "Task",
-    "ThreadedRuntime",
     "ConcurrentLockTable",
     "ThreadedKernel",
     "WallClockScheduler",

@@ -29,7 +29,8 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from typing import Any, Callable, Coroutine, Iterable, Optional
+from contextlib import nullcontext
+from typing import Any, Callable, ContextManager, Coroutine, Iterable, Optional, Protocol
 
 from repro.errors import RuntimeEngineError
 
@@ -159,6 +160,37 @@ class Task:
         return f"<Task {self.name} {self.state}>"
 
 
+class SchedulerAPI(Protocol):
+    """The scheduler seam: everything the kernel asks of its runtime.
+
+    :class:`Scheduler` (virtual time, one step at a time) and the
+    threaded runtime's ``WallClockScheduler`` (worker pool) both provide
+    exactly this surface; the kernel probes for nothing beyond it.
+    """
+
+    clock: float
+    on_stall: Optional[Callable[[list[Task]], bool]]
+    on_step: Optional[Callable[[int], None]]
+
+    def bind_metrics(self, registry) -> None: ...
+
+    def spawn(self, name: str, coro: Coroutine[Any, Any, Any]) -> Task: ...
+
+    def run(self) -> Any: ...
+
+    def create_signal(self, name: str = "") -> Signal: ...
+
+    def call_later(self, delay: float, callback: Callable[[], None]) -> Any: ...
+
+    def interrupt(self, task: Task, exc: BaseException) -> None: ...
+
+    def coordination(self) -> ContextManager: ...
+
+
+# Steps never overlap under virtual time: coordination is free.
+_NO_COORDINATION = nullcontext()
+
+
 class Scheduler:
     """Drives tasks deterministically; see module docstring."""
 
@@ -257,6 +289,11 @@ class Scheduler:
         """
         if self._ready_gauge is not None:
             self._ready_gauge.set(len(self._ready))
+
+    def coordination(self) -> ContextManager:
+        """Context manager serialising the kernel's multi-structure
+        phases (commit, abort, re-evaluation, deadlock resolution)."""
+        return _NO_COORDINATION
 
     def interrupt(self, task: Task, exc: BaseException) -> None:
         """Inject an exception into a (possibly blocked) task.

@@ -22,8 +22,7 @@ Three pieces:
   hook, and cycle detection runs exactly as it does under virtual time.
 
 * :class:`WallClockScheduler` — a scheduler facade satisfying the
-  kernel's full scheduler surface (``spawn`` / ``create_signal`` /
-  ``call_later`` / ``interrupt`` / ``on_stall`` / ``clock`` / ``run``)
+  kernel's scheduler seam (:class:`~repro.runtime.scheduler.SchedulerAPI`)
   with a bounded worker pool.  Coroutine steps (the synchronous code
   between two awaits) run under per-task *execution shard* locks
   (``hash(task.name) % n_shards``) rather than one global step mutex,
@@ -32,9 +31,9 @@ Three pieces:
   striped lock table, the locked waits-for graph / sequence counter /
   id generator / history recorder / undo log, the armed decision
   caches), and object-state mutation is serialised per target by the
-  lock table's stripe guard.  Cross-shard kernel phases — commit and
-  abort processing, lock re-evaluation, deadlock detection, lock-wait
-  timeouts — run under a small *coordinator* lock
+  lock table's :meth:`~ConcurrentLockTable.guard`.  Cross-shard kernel
+  phases — commit and abort processing, lock re-evaluation, deadlock
+  detection, lock-wait timeouts — run under a small *coordinator* lock
   (:meth:`WallClockScheduler.coordination`), taken after any shard
   lock and before stripe locks, so the lock order
 
@@ -105,16 +104,13 @@ class _Stripe:
 class ConcurrentLockTable:
     """The indexed lock table, striped by ``hash(oid) % n_stripes``.
 
-    API-compatible with :class:`~repro.txn.locks.LockTable` (the kernel
-    uses it through the same ``lock_table_cls`` seam as the reference
-    table).  Thread safety contract: any single call is atomic.  The
-    kernel additionally serialises all calls under its step mutex, so
-    the stripes mostly buy *fine-grained safety for direct users* (the
-    stress tests hammer the table without a kernel) and keep the design
-    honest about which operations are per-object and which are global.
+    Provides :class:`~repro.txn.locks.LockTableAPI` (the kernel takes it
+    through the same ``lock_table_cls`` seam as the reference table).
+    Thread safety contract: any single call is atomic — per-object
+    calls under their stripe's lock, tree-wide calls under every stripe
+    lock — and nothing above the table serialises calls for it:
+    coroutine steps on different execution shards call in concurrently.
     """
-
-    HOLD_TIME_BUCKETS = LockTable.HOLD_TIME_BUCKETS
 
     def __init__(
         self,
@@ -140,8 +136,6 @@ class ConcurrentLockTable:
         for stripe in self._stripes:
             stripe.table.on_waits_changed = self._fire_waits_changed
             stripe.table.on_locks_reassigned = self._fire_locks_reassigned
-        self.max_locks_held = 0
-        self._agg_lock = threading.Lock()
         self._grant_counter = None
         self._block_counter = None
         self._test_counter = None
@@ -196,11 +190,9 @@ class ConcurrentLockTable:
         """Mirror a stripe's counter growth into the shared registry.
 
         Called while holding *stripe.lock*, so the stripe's totals are
-        stable; the aggregate gauges are refreshed under the small
-        aggregate lock.
+        stable.
         """
         if self._grant_counter is None:
-            self._update_max_locks_held()
             return
         table = stripe.table
         mirrored = self._mirrored[stripe.index]
@@ -216,24 +208,14 @@ class ConcurrentLockTable:
             if delta:
                 counter.inc(delta)
                 mirrored[slot] = total
-        self._update_max_locks_held()
         self._held_gauge.set(self.lock_count)
         self._queue_gauge.set(self.pending_count)
-
-    def _update_max_locks_held(self) -> None:
-        total = self.lock_count
-        with self._agg_lock:
-            if total > self.max_locks_held:
-                self.max_locks_held = total
 
     # ------------------------------------------------------------------
     # Striping
     # ------------------------------------------------------------------
     def stripe_index_of(self, target) -> int:
         return hash(target) % self._n_stripes
-
-    def _stripe_for(self, target) -> _Stripe:
-        return self._stripes[hash(target) % self._n_stripes]
 
     class _AllStripes:
         """Acquire every stripe lock in index order (cross-stripe ops)."""
@@ -255,24 +237,43 @@ class ConcurrentLockTable:
     def _all_stripes(self) -> "ConcurrentLockTable._AllStripes":
         return self._AllStripes(self._stripes)
 
+    def _on_stripe(self, target, op, *args, counted: bool = True):
+        """Run ``op(table, *args)`` on *target*'s stripe under its lock.
+
+        Mutating operations are *counted*: one ``stripe.ops`` tick, and
+        the stripe's counter growth mirrored into the registry.
+        """
+        stripe = self._stripes[hash(target) % self._n_stripes]
+        with stripe.lock:
+            result = op(stripe.table, *args)
+            if counted:
+                if self._stripe_ops is not None:
+                    self._stripe_ops.inc()
+                self._sync_stripe_metrics(stripe)
+        return result
+
+    def _on_all_stripes(self, op, *args, sync: bool = True) -> list:
+        """Run ``op(table, *args)`` on every stripe under all stripe
+        locks (one ``stripe.cross_ops`` tick), concatenating the lists
+        the stripes return."""
+        results: list = []
+        with self._all_stripes():
+            for stripe in self._stripes:
+                results.extend(op(stripe.table, *args) or ())
+                if sync:
+                    self._sync_stripe_metrics(stripe)
+            if self._stripe_cross_ops is not None:
+                self._stripe_cross_ops.inc()
+        return results
+
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
     def locks_on(self, target) -> tuple[Lock, ...]:
-        stripe = self._stripe_for(target)
-        with stripe.lock:
-            return stripe.table.locks_on(target)
+        return self._on_stripe(target, LockTable.locks_on, target, counted=False)
 
     def queue_on(self, target) -> tuple[PendingRequest, ...]:
-        stripe = self._stripe_for(target)
-        with stripe.lock:
-            return stripe.table.queue_on(target)
-
-    def iter_pending(self) -> list[PendingRequest]:
-        with self._all_stripes():
-            pending = [p for s in self._stripes for p in s.table.iter_pending()]
-        pending.sort(key=lambda p: p.enqueue_seq)
-        return pending
+        return self._on_stripe(target, LockTable.queue_on, target, counted=False)
 
     def pending_of_tree(self, root) -> list[PendingRequest]:
         with self._all_stripes():
@@ -283,10 +284,6 @@ class ConcurrentLockTable:
     def locks_held_by_tree(self, root) -> list[Lock]:
         with self._all_stripes():
             return [lock for s in self._stripes for lock in s.table.locks_held_by_tree(root)]
-
-    def locks_held_by_node(self, node) -> list[Lock]:
-        with self._all_stripes():
-            return [lock for s in self._stripes for lock in s.table.locks_held_by_node(node)]
 
     @property
     def lock_count(self) -> int:
@@ -300,189 +297,74 @@ class ConcurrentLockTable:
     def total_grants(self) -> int:
         return sum(s.table.total_grants for s in self._stripes)
 
-    @property
-    def total_blocks(self) -> int:
-        return sum(s.table.total_blocks for s in self._stripes)
-
-    @property
-    def total_conflict_tests(self) -> int:
-        return sum(s.table.total_conflict_tests for s in self._stripes)
-
-    @property
-    def total_release_ops(self) -> int:
-        return sum(s.table.total_release_ops for s in self._stripes)
-
-    @property
-    def n_stripes(self) -> int:
-        return self._n_stripes
-
     # ------------------------------------------------------------------
-    # Acquisition (per-object: one stripe)
-    # ------------------------------------------------------------------
-    def compute_blockers(self, node, target, invocation, tester, before_seq=None):
-        stripe = self._stripe_for(target)
-        with stripe.lock:
-            blockers = stripe.table.compute_blockers(
-                node, target, invocation, tester, before_seq=before_seq
-            )
-            self._count_stripe_op()
-            self._sync_stripe_metrics(stripe)
-        return blockers
-
-    def grant(self, node, target, invocation) -> Lock:
-        stripe = self._stripe_for(target)
-        with stripe.lock:
-            lock = stripe.table.grant(node, target, invocation)
-            self._count_stripe_op()
-            self._sync_stripe_metrics(stripe)
-        return lock
-
-    def enqueue(self, node, target, invocation, signal) -> PendingRequest:
-        stripe = self._stripe_for(target)
-        with stripe.lock:
-            pending = stripe.table.enqueue(node, target, invocation, signal)
-            self._count_stripe_op()
-            self._sync_stripe_metrics(stripe)
-        return pending
-
-    def set_blockers(self, pending: PendingRequest, blockers) -> None:
-        stripe = self._stripe_for(pending.target)
-        with stripe.lock:
-            stripe.table.set_blockers(pending, blockers)
-            self._count_stripe_op()
-
-    def cancel(self, pending: PendingRequest) -> None:
-        stripe = self._stripe_for(pending.target)
-        with stripe.lock:
-            stripe.table.cancel(pending)
-            self._count_stripe_op()
-            self._sync_stripe_metrics(stripe)
-
-    def release_lock(self, lock: Lock) -> None:
-        stripe = self._stripe_for(lock.target)
-        with stripe.lock:
-            stripe.table.release_lock(lock)
-            self._count_stripe_op()
-            self._sync_stripe_metrics(stripe)
-
-    def _count_stripe_op(self) -> None:
-        if self._stripe_ops is not None:
-            self._stripe_ops.inc()
-
-    # ------------------------------------------------------------------
-    # Atomic acquisition (test + grant/enqueue in one stripe-lock hold)
+    # Per-object operations (one stripe)
     # ------------------------------------------------------------------
     def try_acquire(self, node, target, invocation, tester) -> set:
-        """Conflict-test and, if clear, grant — atomically on the stripe.
+        """Conflict-test and, if clear, grant — in one stripe-lock hold,
+        so no competing request can slip between the test and the grant."""
+        return self._on_stripe(target, LockTable.try_acquire, node, target, invocation, tester)
 
-        Returns the blocker set; empty means the lock was granted before
-        the stripe lock was released, so no competing request can slip
-        between the test and the grant.  Without a global step mutex the
-        two-call ``compute_blockers`` + ``grant`` sequence would leave
-        exactly that window open.
+    def enqueue_if_blocked(self, node, target, invocation, signal, blockers, tester):
+        """Re-test and either grant or enqueue, in one stripe-lock hold.
+
+        *blockers* was computed before the caller's prevention phase and
+        may be stale — holders complete concurrently here — so the
+        request is tested afresh.  Returns ``(None, set())`` when it
+        was granted after all, otherwise the enqueued request with its
+        fresh blockers already registered: the waits-for hook has fired
+        before any blocker can complete unseen, and a holder completing
+        right after this call re-tests the queue under
+        :meth:`notify_node_completed`.
         """
-        stripe = self._stripe_for(target)
-        with stripe.lock:
-            blockers = stripe.table.compute_blockers(node, target, invocation, tester)
-            if not blockers:
-                stripe.table.grant(node, target, invocation)
-            self._count_stripe_op()
-            self._sync_stripe_metrics(stripe)
-        return blockers
 
-    def enqueue_if_blocked(self, node, target, invocation, signal, tester):
-        """Re-test and either grant or enqueue, atomically on the stripe.
+        def retest_then_enqueue(table: LockTable):
+            fresh = table.try_acquire(node, target, invocation, tester)
+            if not fresh:
+                return None, fresh
+            return table.enqueue_if_blocked(node, target, invocation, signal, fresh, tester)
 
-        Returns ``(pending, blockers)``: ``(None, set())`` when the
-        request was granted outright (the earlier blockers completed in
-        the meantime), otherwise the enqueued request with its blockers
-        already registered — so the waits-for hook has fired before any
-        blocker can complete unseen, and a holder completing right after
-        this call re-tests the queue under :meth:`notify_node_completed`.
-        """
-        stripe = self._stripe_for(target)
-        with stripe.lock:
-            blockers = stripe.table.compute_blockers(node, target, invocation, tester)
-            if not blockers:
-                stripe.table.grant(node, target, invocation)
-                self._count_stripe_op()
-                self._sync_stripe_metrics(stripe)
-                return None, set()
-            pending = stripe.table.enqueue(node, target, invocation, signal)
-            stripe.table.set_blockers(pending, blockers)
-            self._count_stripe_op()
-            self._sync_stripe_metrics(stripe)
-        return pending, blockers
+        return self._on_stripe(target, retest_then_enqueue)
 
-    def stripe_guard(self, target) -> threading.RLock:
+    def guard(self, target) -> threading.RLock:
         """The reentrant stripe lock guarding *target* (as a context
         manager).
 
-        The threaded kernel runs an operation's body under its target's
-        stripe guard: two granted-and-commuting operations on the same
-        object (different execution shards) must still serialise their
+        The kernel runs a generic operation's body under its target's
+        guard: two granted-and-commuting operations on the same object
+        (different execution shards) must still serialise their
         physical state mutation, while operations on different stripes
         proceed in parallel.
         """
-        return self._stripe_for(target).lock
+        return self._stripes[hash(target) % self._n_stripes].lock
+
+    def cancel(self, pending: PendingRequest) -> None:
+        self._on_stripe(pending.target, LockTable.cancel, pending)
+
+    def release_lock(self, lock: Lock) -> None:
+        self._on_stripe(lock.target, LockTable.release_lock, lock)
 
     # ------------------------------------------------------------------
-    # Cross-stripe operations (all stripe locks, index order)
+    # Tree-wide operations (all stripe locks, index order)
     # ------------------------------------------------------------------
-    def _count_cross_op(self) -> None:
-        if self._stripe_cross_ops is not None:
-            self._stripe_cross_ops.inc()
-
     def notify_node_completed(self, node) -> None:
-        with self._all_stripes():
-            for stripe in self._stripes:
-                stripe.table.notify_node_completed(node)
-            self._count_cross_op()
+        # Only dirty marks change: no counter growth to mirror.
+        self._on_all_stripes(LockTable.notify_node_completed, node, sync=False)
 
     def reevaluate(self, tester) -> list[PendingRequest]:
-        granted: list[PendingRequest] = []
-        with self._all_stripes():
-            for stripe in self._stripes:
-                granted.extend(stripe.table.reevaluate(tester))
-                self._sync_stripe_metrics(stripe)
-            self._count_cross_op()
-        return granted
+        return self._on_all_stripes(LockTable.reevaluate, tester)
 
     def release_tree(self, root) -> list[Lock]:
-        released: list[Lock] = []
-        with self._all_stripes():
-            for stripe in self._stripes:
-                released.extend(stripe.table.release_tree(root))
-                self._sync_stripe_metrics(stripe)
-            self._count_cross_op()
-        return released
+        return self._on_all_stripes(LockTable.release_tree, root)
 
     def release_descendant_locks(self, node) -> list[Lock]:
-        released: list[Lock] = []
-        with self._all_stripes():
-            for stripe in self._stripes:
-                released.extend(stripe.table.release_descendant_locks(node))
-                self._sync_stripe_metrics(stripe)
-            self._count_cross_op()
-        return released
+        return self._on_all_stripes(LockTable.release_descendant_locks, node)
 
     def release_subtree(self, node) -> list[Lock]:
-        released: list[Lock] = []
-        with self._all_stripes():
-            for stripe in self._stripes:
-                released.extend(stripe.table.release_subtree(node))
-                self._sync_stripe_metrics(stripe)
-            self._count_cross_op()
-        return released
+        return self._on_all_stripes(LockTable.release_subtree, node)
 
     def reassign_locks_to_parent(self, node) -> list[Lock]:
-        moved: list[Lock] = []
-        with self._all_stripes():
-            for stripe in self._stripes:
-                moved.extend(stripe.table.reassign_locks_to_parent(node))
-                self._sync_stripe_metrics(stripe)
-            self._count_cross_op()
-        return moved
+        return self._on_all_stripes(LockTable.reassign_locks_to_parent, node)
 
     # ------------------------------------------------------------------
     # Invariants
@@ -619,10 +501,10 @@ class _LockedSignal(Signal):
 class WallClockScheduler:
     """Kernel scheduler facade running coroutines on a worker pool.
 
-    Satisfies every part of the scheduler surface the kernel touches:
-    ``spawn``, ``create_signal``, ``call_later``/``call_at``,
-    ``interrupt``, ``on_stall``, ``on_step``, ``bind_metrics``,
-    ``clock`` (wall seconds since construction), ``tasks``, ``run``.
+    Provides :class:`~repro.runtime.scheduler.SchedulerAPI` — the whole
+    surface the kernel touches — with ``clock`` in wall seconds since
+    construction, plus the serve-mode lifecycle (``start`` / ``stop`` /
+    ``reap``) the transaction server drives.
 
     ``n_threads`` bounds the multiprogramming level: each worker drives
     one transaction coroutine at a time to completion, so at most
@@ -693,16 +575,6 @@ class WallClockScheduler:
     def clock(self) -> float:
         """Wall-clock seconds since the scheduler was created."""
         return time.monotonic() - self._t0
-
-    @property
-    def kernel_mutex(self) -> threading.RLock:
-        """The scheduler lock (exposed for tests that poke task state).
-
-        Historically this was the one big step mutex; with sharded
-        execution it only guards scheduler state — holding it no longer
-        excludes coroutine steps on other shards.
-        """
-        return self._sched_lock
 
     def coordination(self) -> _Coordinator:
         """The cross-shard coordinator, as a reusable context manager.
@@ -798,9 +670,6 @@ class WallClockScheduler:
         handle._timer = timer
         timer.start()
         return handle
-
-    def call_at(self, deadline: float, callback: Callable[[], None]) -> _WallTimer:
-        return self.call_later(deadline - self.clock, callback)
 
     # ------------------------------------------------------------------
     # Worker pool
@@ -1143,14 +1012,6 @@ class WallClockScheduler:
                 return None, exc
             return task.resume_value, None
 
-    # ------------------------------------------------------------------
-    # Introspection (parity with Scheduler)
-    # ------------------------------------------------------------------
-    @property
-    def blocked_tasks(self) -> list[Task]:
-        with self._sched_lock:
-            return [t for t in self.tasks.values() if t.state == Task.BLOCKED]
-
     @property
     def all_finished(self) -> bool:
         with self._sched_lock:
@@ -1188,7 +1049,6 @@ class ThreadedKernel:
         deadlock_policy: str = "detect",
         obs: Optional[MetricsRegistry] = None,
         retry_policy=None,
-        max_subtxn_restarts: Optional[int] = None,
         lock_timeout: Optional[float] = None,
         n_shards: Optional[int] = None,
         faults=None,
@@ -1225,7 +1085,6 @@ class ThreadedKernel:
             obs=obs,
             lock_table_cls=make_table,
             retry_policy=retry_policy,
-            max_subtxn_restarts=max_subtxn_restarts,
             lock_timeout=lock_timeout,
             faults=faults,
             wal=wal,

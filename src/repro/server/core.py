@@ -510,29 +510,13 @@ class TransactionServer:
                     t for t in self._inflight.values() if t.deadline_at <= now
                 ]
             for ticket in overdue:
-                if self._interrupt_request(
+                # The kernel's external-interrupt path (the same one
+                # lock timeouts and wound-wait use); False if the
+                # transaction already finished or is already aborting.
+                if self.tk.kernel.interrupt_transaction(
                     ticket.name, DeadlineExceeded(ticket.name, ticket.budget)
                 ):
                     self._deadline_interrupts.inc()
-
-    def _interrupt_request(self, name: str, exc: TransactionAborted) -> bool:
-        """Abort one in-flight transaction through the kernel's normal
-        external-interrupt path (the lock-timeout/wound-wait mechanism):
-        mark it aborting, deliver the exception, cancel its queued lock
-        requests.  No-op if it already finished or is already aborting.
-        """
-        kernel = self.tk.kernel
-        with self.tk.scheduler.coordination():
-            handle = kernel.handles.get(name)
-            if handle is None or handle.task is None or handle.task.finished:
-                return False
-            if handle.committed or handle.aborted or handle.aborting:
-                return False
-            handle.aborting = True
-            kernel.scheduler.interrupt(handle.task, exc)
-            for queued in kernel.locks.pending_of_tree(handle.root):
-                kernel.locks.cancel(queued)
-            return True
 
     # ------------------------------------------------------------------
     # Drain
@@ -564,7 +548,7 @@ class TransactionServer:
         with self._lock:
             stragglers = list(self._inflight.values())
         for ticket in stragglers:
-            if self._interrupt_request(
+            if self.tk.kernel.interrupt_transaction(
                 ticket.name, TransactionAborted(ticket.name, "server draining")
             ):
                 report.stragglers_aborted += 1

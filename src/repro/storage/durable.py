@@ -320,16 +320,6 @@ class DurableStorageManager(StorageManager):
     # ------------------------------------------------------------------
     # Write-through allocation
     # ------------------------------------------------------------------
-    def allocate(self, owner: Oid):
-        rid = super().allocate(owner)
-        self._write_page_image(rid.page_no)
-        return rid
-
-    def release(self, owner: Oid) -> None:
-        rid = self.record_of(owner)
-        super().release(owner)
-        self._write_page_image(rid.page_no)
-
     def _page_payload(self, page: Page) -> bytes:
         slots = [
             (oid.type_name, oid.number) if (oid := page.owner_of(i)) is not None else None

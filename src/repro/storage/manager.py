@@ -9,6 +9,8 @@ false conflicts between logically independent objects.
 
 from __future__ import annotations
 
+import threading
+
 from repro.errors import DuplicateRecordError, UnknownObjectError
 from repro.objects.oid import Oid
 from repro.storage.page import Page
@@ -26,26 +28,39 @@ class StorageManager:
         self.records_per_page = records_per_page
         self._pages: list[Page] = []
         self._record_of: dict[Oid, RecordId] = {}
+        # Transactions stepping on different execution shards allocate
+        # concurrently: slot choice, the record map and the page's
+        # persisted image change as one step under this lock.
+        self._alloc_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Allocation
     # ------------------------------------------------------------------
     def allocate(self, owner: Oid) -> RecordId:
         """Back *owner* with a new record; returns its RID."""
-        if owner in self._record_of:
-            raise DuplicateRecordError(f"{owner} already has a record")
-        page = self._find_page_with_space()
-        slot = page.allocate(owner)
-        rid = RecordId(page.number, slot)
-        self._record_of[owner] = rid
+        with self._alloc_lock:
+            if owner in self._record_of:
+                raise DuplicateRecordError(f"{owner} already has a record")
+            page = self._find_page_with_space()
+            slot = page.allocate(owner)
+            rid = RecordId(page.number, slot)
+            self._record_of[owner] = rid
+            self._write_page_image(rid.page_no)
         return rid
 
     def release(self, owner: Oid) -> None:
         """Free the record backing *owner* (object deletion)."""
-        rid = self._record_of.pop(owner, None)
-        if rid is None:
-            raise UnknownObjectError(f"{owner} has no record")
-        self._pages[rid.page_no].release(rid.slot)
+        with self._alloc_lock:
+            rid = self._record_of.pop(owner, None)
+            if rid is None:
+                raise UnknownObjectError(f"{owner} has no record")
+            self._pages[rid.page_no].release(rid.slot)
+            self._write_page_image(rid.page_no)
+
+    def _write_page_image(self, page_no: int) -> None:
+        """Persist the page's changed slot directory (caller holds the
+        allocation lock).  In-memory pages have no image; the durable
+        subclass writes through its buffer pool."""
 
     def _find_page_with_space(self) -> Page:
         # Fill the most recent page first; older pages with holes are

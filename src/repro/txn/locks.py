@@ -42,7 +42,8 @@ the scan-based reference implementation kept in ``tests/helpers.py``.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Optional, TYPE_CHECKING
+from contextlib import nullcontext
+from typing import Callable, ContextManager, Optional, Protocol, TYPE_CHECKING
 
 from repro.errors import ProtocolViolation
 from repro.objects.oid import Oid
@@ -127,6 +128,67 @@ class PendingRequest:
 
     def __repr__(self) -> str:
         return f"<Pending {self.invocation} on {self.target} by {self.node.node_id}>"
+
+
+class LockTableAPI(Protocol):
+    """The lock-table seam: what the kernel and the CC protocols call.
+
+    :class:`LockTable` (virtual time), the scan-based reference table of
+    the differential tests, and the threaded runtime's striped
+    ``ConcurrentLockTable`` all provide exactly this surface.  Lock
+    acquisition goes through :meth:`try_acquire` /
+    :meth:`enqueue_if_blocked` only, so a table that needs the test and
+    the grant (or enqueue) to be one atomic step can make them so.
+    """
+
+    on_waits_changed: Optional[Callable[["PendingRequest"], None]]
+    on_locks_reassigned: Optional[Callable[[set[TransactionNode]], None]]
+
+    def try_acquire(
+        self, node: TransactionNode, target: Oid, invocation: Invocation, tester: ConflictTester
+    ) -> set[TransactionNode]: ...
+
+    def enqueue_if_blocked(
+        self,
+        node: TransactionNode,
+        target: Oid,
+        invocation: Invocation,
+        signal: "Signal",
+        blockers: set[TransactionNode],
+        tester: ConflictTester,
+    ) -> tuple[Optional["PendingRequest"], set[TransactionNode]]: ...
+
+    def guard(self, target: Oid) -> ContextManager: ...
+
+    def cancel(self, pending: "PendingRequest") -> None: ...
+
+    def locks_on(self, target: Oid) -> tuple["Lock", ...]: ...
+
+    def pending_of_tree(self, root: TransactionNode) -> list["PendingRequest"]: ...
+
+    def notify_node_completed(self, node: TransactionNode) -> None: ...
+
+    def reevaluate(self, tester: ConflictTester) -> list["PendingRequest"]: ...
+
+    def release_tree(self, root: TransactionNode) -> list["Lock"]: ...
+
+    def release_subtree(self, node: TransactionNode) -> list["Lock"]: ...
+
+    def release_descendant_locks(self, node: TransactionNode) -> list["Lock"]: ...
+
+    def reassign_locks_to_parent(self, node: TransactionNode) -> list["Lock"]: ...
+
+    @property
+    def lock_count(self) -> int: ...
+
+    @property
+    def pending_count(self) -> int: ...
+
+    def check_invariants(self) -> None: ...
+
+
+# One task steps at a time under virtual time: nothing to guard against.
+_NO_GUARD = nullcontext()
 
 
 class LockTable:
@@ -391,6 +453,47 @@ class LockTable:
         self._index_sizes_changed()
         if self.on_waits_changed is not None:
             self.on_waits_changed(pending)
+
+    def try_acquire(
+        self,
+        node: TransactionNode,
+        target: Oid,
+        invocation: Invocation,
+        tester: ConflictTester,
+    ) -> set[TransactionNode]:
+        """Conflict-test a request and grant it when nothing blocks it.
+
+        Returns the blocker set; empty means the lock is now held.
+        """
+        blockers = self.compute_blockers(node, target, invocation, tester)
+        if not blockers:
+            self.grant(node, target, invocation)
+        return blockers
+
+    def enqueue_if_blocked(
+        self,
+        node: TransactionNode,
+        target: Oid,
+        invocation: Invocation,
+        signal: "Signal",
+        blockers: set[TransactionNode],
+        tester: ConflictTester,
+    ) -> tuple[Optional[PendingRequest], set[TransactionNode]]:
+        """Queue a request that :meth:`try_acquire` found blocked.
+
+        Returns ``(pending, blockers)`` with the blocker set registered
+        (reverse index, waits-for hook).  Nothing can have changed since
+        the caller's test here, so *blockers* is taken as is and
+        *tester* goes unused; a table shared between threads re-tests
+        and may answer ``(None, set())`` — granted after all.
+        """
+        pending = self.enqueue(node, target, invocation, signal)
+        self.set_blockers(pending, blockers)
+        return pending, blockers
+
+    def guard(self, target: Oid) -> ContextManager:
+        """Context manager serialising physical access to *target*'s state."""
+        return _NO_GUARD
 
     def notify_node_completed(self, node: TransactionNode) -> None:
         """Tell the table a node committed: flag its recorded waiters for

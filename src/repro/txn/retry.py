@@ -8,11 +8,9 @@ restarts a single action may suffer and spaces the retries out in
 *virtual* time with exponential backoff, so the discrete-event
 performance study charges retries realistically.
 
-The policy subsumes the kernel's historical ``max_subtxn_restarts``
-attribute: the kernel keeps both knobs in lockstep and rejects
-contradictory configuration.  The default policy reproduces the
-historical behaviour exactly (25 restarts, no backoff), so runs without
-explicit configuration are bit-identical to before.
+The policy is the kernel's only restart-budget setting.  The default
+(25 restarts, no backoff) reproduces the seed kernel's behaviour
+exactly, so runs without explicit configuration are bit-identical to it.
 """
 
 from __future__ import annotations

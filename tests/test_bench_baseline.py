@@ -180,6 +180,13 @@ class TestCommittedBaseline:
         result = compare(committed, fresh_doc)
         assert result.ok, result.summary()
 
+    def test_committed_file_is_exactly_a_fresh_run(self, fresh_doc):
+        # The virtual path is deterministic: one extra conflict test or
+        # cache lookup must fail here, not drift inside the tolerances.
+        assert fresh_doc == load_baseline(COMMITTED)
+        with open(COMMITTED) as fh:
+            assert json.dumps(fresh_doc, indent=2, sort_keys=True) + "\n" == fh.read()
+
     def test_committed_file_is_current_schema(self):
         committed = load_baseline(COMMITTED)
         assert committed["schema"] == SCHEMA

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -200,3 +202,36 @@ class TestDurableStorageRoundTrip:
         decoded = pickle.loads(images[1])
         assert decoded["capacity"] == 2
         assert decoded["slots"][0] is None  # released slot persisted as free
+
+    def test_concurrent_allocation_is_serialised(self, tmp_path):
+        # `place` requests stepping on different execution shards
+        # allocate at once; unserialised, the pool's eviction races
+        # (KeyError in _evict_one) and slots are handed out twice.
+        from repro.objects.oid import Oid
+
+        durable = DurableStorageManager(str(tmp_path / "store"), pool_capacity=4)
+        errors: list[BaseException] = []
+
+        def allocate(worker: int) -> None:
+            try:
+                for n in range(300):
+                    durable.allocate(Oid("Atom", worker * 1000 + n))
+            except BaseException as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        workers = [threading.Thread(target=allocate, args=(w,)) for w in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        durable.pool.check_invariants()
+        placed = [(rid.page_no, rid.slot) for rid in durable._record_of.values()]
+        assert len(placed) == len(set(placed)) == 1200
+        durable.close()

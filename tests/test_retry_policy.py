@@ -1,4 +1,4 @@
-"""RetryPolicy: backoff math, knob agreement, exhaustion escalation."""
+"""RetryPolicy: backoff math, the one restart budget, exhaustion escalation."""
 
 from __future__ import annotations
 
@@ -7,7 +7,10 @@ import pytest
 from repro.core.kernel import TransactionManager, run_transactions
 from repro.errors import RetryExhausted, WorkloadError
 from repro.faults import FaultPlan, FaultSpec
+from repro.objects.database import Database
+from repro.objects.encapsulated import TypeSpec
 from repro.orderentry.transactions import make_t1, make_t2
+from repro.runtime.threaded import ThreadedKernel
 from repro.txn.retry import DEFAULT_MAX_RESTARTS, RetryPolicy
 
 
@@ -44,34 +47,58 @@ class TestBackoffMath:
             RetryPolicy(backoff_factor=0.5)
 
 
-class TestKnobAgreement:
-    def test_max_subtxn_restarts_builds_a_policy(self, db):
-        kernel = TransactionManager(db, max_subtxn_restarts=7)
-        assert kernel.retry_policy == RetryPolicy(max_restarts=7)
-        assert kernel.max_subtxn_restarts == 7
+class TestOneRestartBudget:
+    def test_policy_sets_the_budget(self, db):
+        kernel = TransactionManager(db, retry_policy=RetryPolicy(max_restarts=7))
+        assert kernel.retry_policy.max_restarts == 7
 
     def test_default_matches_historical_constant(self, db):
         kernel = TransactionManager(db)
-        assert kernel.max_subtxn_restarts == DEFAULT_MAX_RESTARTS
         assert kernel.retry_policy == RetryPolicy()
+        assert kernel.retry_policy.max_restarts == DEFAULT_MAX_RESTARTS
 
-    def test_agreeing_knobs_accepted(self, db):
-        kernel = TransactionManager(
-            db, retry_policy=RetryPolicy(max_restarts=9), max_subtxn_restarts=9
-        )
-        assert kernel.max_subtxn_restarts == 9
+    def test_second_spelling_is_gone(self, db):
+        with pytest.raises(TypeError):
+            TransactionManager(db, max_subtxn_restarts=7)
+        with pytest.raises(TypeError):
+            run_transactions(db, {}, max_subtxn_restarts=7)
+        with pytest.raises(TypeError):
+            ThreadedKernel(db, max_subtxn_restarts=7)
+        assert not hasattr(TransactionManager(db), "max_subtxn_restarts")
 
-    def test_contradicting_knobs_rejected(self, db):
-        with pytest.raises(ValueError, match="contradicts"):
-            TransactionManager(
-                db, retry_policy=RetryPolicy(max_restarts=9), max_subtxn_restarts=10
-            )
+    def test_victim_resolution_reads_the_policy(self):
+        # Two commuting Adds deadlock on the counter's value atom; the
+        # victim's Add is restarted while the budget allows, aborted
+        # once it does not.
+        def outcome(policy):
+            spec = TypeSpec("RCounter")
 
-    def test_setter_keeps_knobs_in_lockstep(self, db):
-        kernel = TransactionManager(db)
-        kernel.max_subtxn_restarts = 3
-        assert kernel.retry_policy.max_restarts == 3
-        assert kernel.max_subtxn_restarts == 3
+            @spec.method
+            async def Add(ctx, counter, amount):
+                atom = counter.impl_component("value")
+                await ctx.put(atom, await ctx.get(atom) + amount)
+
+            spec.matrix.allow("Add", "Add")
+            db = Database()
+            obj = db.new_encapsulated(spec, "c")
+            db.attach_child(obj)
+            impl = db.new_tuple("impl")
+            impl.add_component("value", db.new_atom("value", 0))
+            obj.set_implementation(impl)
+
+            def adder(amount):
+                async def program(tx):
+                    await tx.call(obj, "Add", amount)
+
+                return program
+
+            kernel = run_transactions(db, {"A": adder(2), "B": adder(3)}, retry_policy=policy)
+            return kernel.metrics.subtxn_restarts, kernel.metrics.aborts
+
+        restarts, aborts = outcome(RetryPolicy())
+        assert restarts >= 1 and aborts == 0
+        restarts, aborts = outcome(RetryPolicy(max_restarts=0))
+        assert restarts == 0 and aborts == 1
 
 
 class TestExhaustionEscalation:

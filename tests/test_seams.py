@@ -1,0 +1,366 @@
+"""Conformance tests for the kernel's two runtime seams.
+
+The kernel has one code path over ``SchedulerAPI`` and ``LockTableAPI``;
+these tests hold every implementation to the same observable behaviour:
+a table-level scenario suite run against all four lock tables, a check
+that each implementation provides every member the protocols name, an
+AST check that the kernel probes for nothing, and the external
+interrupt primitive under both runtimes.
+"""
+
+from __future__ import annotations
+
+import ast
+import inspect
+import time
+
+import pytest
+
+import repro.core.kernel as kernel_module
+from repro.core.kernel import TransactionManager
+from repro.errors import TransactionAborted
+from repro.objects.database import Database
+from repro.objects.oid import Oid
+from repro.runtime.scheduler import Scheduler, SchedulerAPI
+from repro.runtime.threaded import ConcurrentLockTable, ThreadedKernel, WallClockScheduler
+from repro.semantics.invocation import Invocation
+from repro.txn.locks import LockTable, LockTableAPI
+from repro.txn.transaction import TransactionNode
+
+from tests.helpers import ReferenceLockTable
+
+X = Oid("Atom", 1)
+Y = Oid("Atom", 2)
+
+TABLES = {
+    "indexed": LockTable,
+    "reference": ReferenceLockTable,
+    "striped-1": lambda: ConcurrentLockTable(n_stripes=1),
+    "striped-4": lambda: ConcurrentLockTable(n_stripes=4),
+}
+
+
+# ----------------------------------------------------------------------
+# (a) One scenario suite, four tables
+# ----------------------------------------------------------------------
+def rw_tester(holder, holder_inv, requester, requester_inv, target):
+    """Read/write modes between different trees; wait for the top level."""
+    if holder.root() is requester.root():
+        return None
+    if holder_inv.operation == "R" and requester_inv.operation == "R":
+        return None
+    return holder.root()
+
+
+class Tree:
+    """A top-level transaction whose actions are made on demand."""
+
+    def __init__(self, name: str) -> None:
+        self.root = TransactionNode(
+            name, None, Oid("Database", 0), Invocation("Transaction", (name,))
+        )
+        self._n = 0
+
+    def action(self, mode: str, target: Oid, parent: TransactionNode | None = None):
+        self._n += 1
+        return TransactionNode(
+            f"{self.root.node_id}.{self._n}", parent or self.root, target, Invocation(mode)
+        )
+
+
+class Driver:
+    """Drives a table through the acquire seam only, logging outcomes."""
+
+    def __init__(self, table) -> None:
+        self.table = table
+        self.scheduler = Scheduler()
+        self.log: list = []
+        self.pending: dict[str, object] = {}
+
+    def acquire(self, node: TransactionNode, target: Oid) -> None:
+        blockers = self.table.try_acquire(node, target, node.invocation, rw_tester)
+        if blockers:
+            signal = self.scheduler.create_signal(node.node_id)
+            pending, blockers = self.table.enqueue_if_blocked(
+                node, target, node.invocation, signal, blockers, rw_tester
+            )
+            assert pending is not None and pending.blockers == blockers
+            self.pending[node.node_id] = pending
+        self.log.append(("acquire", node.node_id, sorted(b.node_id for b in blockers)))
+        self.observe()
+
+    def step(self, label: str, result=None) -> None:
+        self.log.append((label, sorted(self._describe(item) for item in result or ())))
+        self.observe()
+
+    def reevaluate(self) -> None:
+        self.step("reevaluate", self.table.reevaluate(rw_tester))
+
+    @staticmethod
+    def _describe(item) -> tuple:
+        return (item.node.node_id, item.invocation.operation, str(item.target))
+
+    def observe(self) -> None:
+        self.table.check_invariants()
+        for target in (X, Y):
+            self.log.append(
+                (
+                    str(target),
+                    [self._describe(lock) for lock in self.table.locks_on(target)],
+                    [
+                        (*self._describe(p), sorted(b.node_id for b in p.blockers))
+                        for p in self.table.queue_on(target)
+                    ],
+                )
+            )
+        self.log.append(("counts", self.table.lock_count, self.table.pending_count))
+        self.log.append(
+            ("woken", sorted(name for name, p in self.pending.items() if p.signal.done))
+        )
+
+
+def scenario_grant_block_release(d: Driver) -> None:
+    t1, t2, t3 = Tree("T1"), Tree("T2"), Tree("T3")
+    d.acquire(t1.action("W", X), X)
+    d.acquire(t2.action("R", X), X)  # blocked by T1
+    d.acquire(t3.action("R", Y), Y)  # unrelated object: granted
+    d.acquire(t1.action("R", Y), Y)  # readers share
+    d.step("release_tree", d.table.release_tree(t1.root))
+    d.reevaluate()  # T2's read is granted and woken
+    d.step("release_tree", d.table.release_tree(t2.root))
+    d.step("release_tree", d.table.release_tree(t3.root))
+    d.reevaluate()
+
+
+def scenario_fcfs_no_overtaking(d: Driver) -> None:
+    t1, t2, t3 = Tree("T1"), Tree("T2"), Tree("T3")
+    d.acquire(t1.action("R", X), X)
+    d.acquire(t2.action("W", X), X)  # waits for the reader
+    d.acquire(t3.action("R", X), X)  # compatible with T1, but queued behind T2
+    d.step("release_tree", d.table.release_tree(t1.root))
+    d.reevaluate()  # T2 first; T3 keeps waiting, now for T2
+    d.step("release_tree", d.table.release_tree(t2.root))
+    d.reevaluate()  # now T3
+    d.step("release_tree", d.table.release_tree(t3.root))
+
+
+def scenario_cancel(d: Driver) -> None:
+    t1, t2, t3 = Tree("T1"), Tree("T2"), Tree("T3")
+    d.acquire(t1.action("W", X), X)
+    victim = t2.action("W", X)
+    d.acquire(victim, X)
+    d.acquire(t3.action("W", X), X)  # blocked by T1 and by T2's queued request
+    d.table.cancel(d.pending.pop(victim.node_id))
+    d.step("cancel")
+    d.reevaluate()  # T3 re-tested: only T1 blocks it now
+    d.step("release_tree", d.table.release_tree(t1.root))
+    d.reevaluate()  # T3 is granted; the cancelled request never is
+    d.step("release_tree", d.table.release_tree(t3.root))
+
+
+def scenario_subtree_operations(d: Driver) -> None:
+    t1, t2 = Tree("T1"), Tree("T2")
+    method = t1.action("W", X)
+    leaf = t1.action("W", Y, parent=method)
+    d.acquire(method, X)
+    d.acquire(leaf, Y)
+    d.acquire(t2.action("W", Y), Y)  # blocked by T1
+    d.step("release_descendant_locks", d.table.release_descendant_locks(method))
+    d.reevaluate()  # T2 gets Y; T1 keeps X
+    d.step("release_tree", d.table.release_tree(t2.root))
+    again = t1.action("W", Y, parent=method)
+    d.acquire(again, Y)
+    d.step("reassign", d.table.reassign_locks_to_parent(method))  # root owns both
+    d.step("release_subtree", d.table.release_subtree(method))  # nothing left below
+    d.acquire(t2.action("R", X), X)  # still blocked: the root holds X
+    d.step("release_tree", d.table.release_tree(t1.root))
+    d.reevaluate()
+    d.step("release_tree", d.table.release_tree(t2.root))
+
+
+def scenario_completion_notice(d: Driver) -> None:
+    t1, t2 = Tree("T1"), Tree("T2")
+    holder = t1.action("W", X)
+    d.acquire(holder, X)
+    d.acquire(t2.action("W", X), X)
+    d.reevaluate()  # nothing changed: still blocked
+    d.table.notify_node_completed(t1.root)
+    d.reevaluate()  # re-tested because its recorded blocker completed
+    d.table.release_lock(d.table.locks_on(X)[0])
+    d.step("release_lock")
+    d.reevaluate()
+    d.step("release_tree", d.table.release_tree(t2.root))
+
+
+SCENARIOS = [
+    scenario_grant_block_release,
+    scenario_fcfs_no_overtaking,
+    scenario_cancel,
+    scenario_subtree_operations,
+    scenario_completion_notice,
+]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__)
+@pytest.mark.parametrize("kind", [k for k in TABLES if k != "indexed"])
+def test_tables_agree_through_the_acquire_seam(scenario, kind):
+    expected = Driver(LockTable())
+    scenario(expected)
+    actual = Driver(TABLES[kind]())
+    scenario(actual)
+    assert actual.log == expected.log
+    assert actual.table.lock_count == actual.table.pending_count == 0
+    # the scenario did exercise blocking and waking
+    assert any(entry[0] == "woken" and entry[1] for entry in expected.log)
+
+
+@pytest.mark.parametrize("kind", TABLES)
+def test_guard_is_a_reentrant_context_manager(kind):
+    table = TABLES[kind]()
+    with table.guard(X):
+        with table.guard(X):
+            assert table.locks_on(X) == ()
+
+
+# ----------------------------------------------------------------------
+# (b) Every implementation provides every protocol member
+# ----------------------------------------------------------------------
+def protocol_members(protocol) -> dict[str, object]:
+    members = {name: None for name in protocol.__annotations__}
+    members.update(
+        (name, value) for name, value in vars(protocol).items() if not name.startswith("_")
+    )
+    return members
+
+
+def assert_provides(instance, protocol) -> None:
+    members = protocol_members(protocol)
+    assert members, protocol
+    for name, declared in members.items():
+        assert hasattr(instance, name), f"{type(instance).__name__} lacks {name}"
+        if not inspect.isfunction(declared):
+            continue
+        wanted = list(inspect.signature(declared).parameters)[1:]  # drop self
+        offered = list(inspect.signature(getattr(instance, name)).parameters)
+        assert offered[: len(wanted)] == wanted, (type(instance).__name__, name, offered)
+
+
+@pytest.mark.parametrize("make", [Scheduler, WallClockScheduler])
+def test_schedulers_provide_the_scheduler_seam(make):
+    assert_provides(make(), SchedulerAPI)
+
+
+@pytest.mark.parametrize("kind", TABLES)
+def test_tables_provide_the_lock_table_seam(kind):
+    assert_provides(TABLES[kind](), LockTableAPI)
+
+
+def test_seam_protocols_name_the_acquire_path():
+    assert {"try_acquire", "enqueue_if_blocked", "guard"} <= set(protocol_members(LockTableAPI))
+    assert "coordination" in protocol_members(SchedulerAPI)
+
+
+# ----------------------------------------------------------------------
+# (c) The kernel probes for nothing
+# ----------------------------------------------------------------------
+def test_kernel_does_not_probe_its_collaborators():
+    with open(inspect.getsourcefile(kernel_module)) as fh:
+        tree = ast.parse(fh.read())
+    seams = {"self.scheduler", "self.locks", "self.wal", "wal"}
+    probes = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert "nullcontext" not in {alias.name for alias in node.names}
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+            and node.args
+            and ast.unparse(node.args[0]) in seams
+        ):
+            probes.append(ast.unparse(node))
+    assert probes == []
+
+
+# ----------------------------------------------------------------------
+# (d) interrupt_transaction under both runtimes
+# ----------------------------------------------------------------------
+class VirtualRun:
+    def __init__(self, db) -> None:
+        self.kernel = TransactionManager(db)
+
+    def spawn(self, name, program) -> None:
+        self.kernel.spawn(name, program)
+
+    def until(self, condition) -> None:
+        for __ in range(1000):
+            if condition():
+                return
+            self.kernel.scheduler.run(max_steps=1)
+        raise AssertionError("condition never held")
+
+    def finish(self) -> None:
+        self.kernel.run()
+
+
+class ThreadedRun:
+    def __init__(self, db) -> None:
+        self.threaded = ThreadedKernel(db, n_threads=2)
+        self.kernel = self.threaded.kernel
+        self.threaded.start()
+
+    def spawn(self, name, program) -> None:
+        self.threaded.spawn(name, program)
+
+    def until(self, condition) -> None:
+        deadline = time.monotonic() + 10.0
+        while not condition():
+            assert time.monotonic() < deadline, "condition never held"
+            time.sleep(0.002)
+
+    def finish(self) -> None:
+        try:
+            self.until(lambda: self.threaded.runtime.all_finished)
+        finally:
+            assert self.threaded.stop() == []
+
+
+@pytest.mark.parametrize("make_run", [VirtualRun, ThreadedRun])
+def test_interrupt_transaction(make_run):
+    db = Database()
+    atom = db.new_atom("a", 0)
+    db.attach_child(atom)
+    run = make_run(db)
+    kernel = run.kernel
+    gate = kernel.scheduler.create_signal("gate")
+
+    async def holder(tx):
+        await tx.put(atom, 1)
+        await gate
+
+    async def waiter(tx):
+        await tx.put(atom, 2)
+
+    try:
+        run.spawn("holder", holder)
+        run.until(lambda: atom.raw_get() == 1)
+        run.spawn("waiter", waiter)
+        run.until(lambda: kernel.locks.pending_count == 1)
+
+        reason = TransactionAborted("waiter", "interrupted by the test")
+        assert kernel.interrupt_transaction("nobody", reason) is False
+        assert kernel.interrupt_transaction("waiter", reason) is True
+        assert kernel.locks.pending_count == 0  # its queued request went with it
+        assert kernel.interrupt_transaction("waiter", reason) is False  # aborting
+    finally:
+        gate.fire()
+        run.finish()
+
+    assert kernel.handles["holder"].committed
+    waiter_handle = kernel.handles["waiter"]
+    assert waiter_handle.aborted and waiter_handle.error is reason
+    assert kernel.interrupt_transaction("holder", reason) is False  # finished
+    assert kernel.interrupt_transaction("waiter", reason) is False
+    assert atom.raw_get() == 1
+    assert kernel.locks.lock_count == 0 and kernel.locks.pending_count == 0
+    kernel.locks.check_invariants()

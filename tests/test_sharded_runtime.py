@@ -22,7 +22,6 @@ from repro.errors import AggregateWorkerError, RuntimeEngineError
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.scheduler import Scheduler, Task
 from repro.runtime.threaded import ThreadedKernel, WallClockScheduler
-from repro.runtime.threads import ThreadedRuntime
 
 from tests.test_threaded_runtime import make_counter_db
 
@@ -63,29 +62,6 @@ class TestErrorAggregation:
             sched.run()
         assert len(excinfo.value.errors) == 2
         assert excinfo.value.__cause__ is excinfo.value.errors[0]
-        messages = sorted(str(e) for e in excinfo.value.errors)
-        assert messages == ["boom-a", "boom-b"]
-
-    def test_threaded_runtime_concurrent_errors_all_surface(self):
-        # Same pinning for the one-thread-per-transaction runtime.
-        runtime = ThreadedRuntime(stall_timeout=5.0)
-        barrier = threading.Barrier(2)
-
-        def make_boom(tag):
-            async def boom():
-                try:
-                    barrier.wait(timeout=1.5)
-                except threading.BrokenBarrierError:
-                    pass
-                raise RuntimeError(f"boom-{tag}")
-
-            return boom
-
-        runtime.scheduler.spawn("a", make_boom("a")())
-        runtime.scheduler.spawn("b", make_boom("b")())
-        with pytest.raises(AggregateWorkerError) as excinfo:
-            runtime.run()
-        assert len(excinfo.value.errors) == 2
         messages = sorted(str(e) for e in excinfo.value.errors)
         assert messages == ["boom-a", "boom-b"]
 

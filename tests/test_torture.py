@@ -231,5 +231,3 @@ class TestZeroCostWhenOff:
             self.run_once(faults=FaultPlan(), retry_policy=RetryPolicy())
         )
         assert plumbed == bare
-        legacy_knob = self.fingerprint(self.run_once(max_subtxn_restarts=25))
-        assert legacy_knob == bare
