@@ -12,7 +12,9 @@ Expected shape (asserted):
   think-time overlap on the pool, while a W lock held to commit
   serialises the whole transaction lifetime;
 * the semantic protocol actually scales: more threads => more committed
-  transactions per second on the contention-free spread.
+  transactions per second on the contention-free spread;
+* sharded execution scales: on the fully commuting hot ledger, 8 workers
+  beat 1 (think-time dominates, so this holds even on a 2-core runner).
 """
 
 from bench_common import print_rows
@@ -20,6 +22,8 @@ from bench_common import print_rows
 from repro.bench.parallelism import (
     parallelism_rows,
     run_parallelism_grid,
+    run_scaling_sweep,
+    scaling_rows,
     semantic_speedup,
 )
 
@@ -52,6 +56,20 @@ def test_t1_parallelism(benchmark):
     spread = {
         p.n_threads: p.throughput
         for p in points
-        if p.protocol == "semantic" and p.n_counters == COUNTER_COUNTS[-1]
+        if p.protocol == "semantic" and p.n_objects == COUNTER_COUNTS[-1]
     }
     assert spread[4] > spread[1], spread
+
+
+def test_t1_thread_scaling(benchmark):
+    points = benchmark.pedantic(run_scaling_sweep, rounds=1, iterations=1)
+
+    rows = scaling_rows(points)
+    print_rows(rows, "T1 — hot-ledger throughput (committed/s) by worker count")
+    benchmark.extra_info["sweep"] = [p.to_dict() for p in points]
+
+    for p in points:
+        assert p.consistent, p
+    first, last = points[0], points[-1]
+    assert (first.n_threads, last.n_threads) == (1, 8)
+    assert last.throughput > first.throughput, rows

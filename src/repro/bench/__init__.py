@@ -1,32 +1,19 @@
 """Benchmark harness: closed-loop workload runs, sweeps, reporting."""
 
-from repro.bench.metrics import RunMetrics, aggregate
+from repro.bench.metrics import RunMetrics, aggregate, percentile
 from repro.bench.harness import DEFAULT_COST_MODEL, run_closed_loop, sweep_protocols
-from repro.bench.parallelism import (
-    ParallelismPoint,
-    parallelism_rows,
-    run_parallelism_grid,
-    run_parallelism_point,
-    semantic_speedup,
-    write_parallelism_jsonl,
-)
 from repro.bench.baseline import (
     BASELINE_WORKLOADS,
-    BaselineComparison,
     collect_baseline,
-    compare,
+    diff,
     load_baseline,
     write_baseline,
 )
 from repro.bench.openloop import (
     OpenLoopConfig,
     OpenLoopResult,
-    collect_server_baseline,
-    compare_server,
     generate_arrivals,
     run_open_loop,
-    sweep_rates,
-    write_server_baseline,
 )
 from repro.bench.report import (
     format_conflict_breakdown,
@@ -40,29 +27,19 @@ from repro.bench.report import (
 __all__ = [
     "RunMetrics",
     "aggregate",
+    "percentile",
     "DEFAULT_COST_MODEL",
     "run_closed_loop",
     "sweep_protocols",
-    "ParallelismPoint",
-    "parallelism_rows",
-    "run_parallelism_grid",
-    "run_parallelism_point",
-    "semantic_speedup",
-    "write_parallelism_jsonl",
     "BASELINE_WORKLOADS",
-    "BaselineComparison",
     "collect_baseline",
-    "compare",
+    "diff",
     "load_baseline",
     "write_baseline",
     "OpenLoopConfig",
     "OpenLoopResult",
     "generate_arrivals",
     "run_open_loop",
-    "sweep_rates",
-    "collect_server_baseline",
-    "compare_server",
-    "write_server_baseline",
     "format_conflict_breakdown",
     "format_counters",
     "format_gauges",

@@ -1,27 +1,22 @@
-"""Committed benchmark baseline and the CI regression gate.
+"""The committed virtual-path baseline and its exact diff.
 
 ``repro bench --baseline`` runs a fixed set of P1/P2-shaped closed-loop
 workloads under the semantic protocol and writes a schema-versioned
-``BENCH_baseline.json`` that gets committed to the repository.  The CI
-``bench-regression`` job re-runs the same workloads on every push and
-diffs the fresh numbers against the committed file with
-:func:`compare` — failing on a >25 % throughput regression, a cache hit
-rate below the recorded floor, or a >25 % latency / conflict-test-cost
-regression.
+``BENCH_baseline.json`` that gets committed to the repository.
 
 Everything measured here is **virtual-time deterministic**: the
 scheduler is seeded, the clock is discrete-event, and the cost model is
 fixed, so throughput, percentiles, and cache hit rates reproduce
-exactly for a given workload spec.  The tolerances exist to absorb
-*intentional* cross-PR drift (a faster lock manager changes nothing
-here, but a legitimate protocol change may move blocking behaviour a
-little), not run-to-run noise — there is none.
+exactly for a given workload spec.  There is no run-to-run noise to
+absorb, so the gate is equality: Tier-1 requires a fresh run to be
+byte-identical to the committed file, and :func:`diff`
+(``repro bench --compare PATH``) names every value that moved.  A PR
+that changes blocking behaviour on purpose re-commits the file.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.bench.harness import DEFAULT_COST_MODEL, run_closed_loop
@@ -42,9 +37,7 @@ BASELINE_WORKLOADS: dict[str, dict] = {
     "p2_cold": {"n_items": 8, "orders_per_item": 3, "seed": 31, "mpl": 6, "n_transactions": 30},
 }
 
-#: Metrics recorded per workload.  Only the ones with a tolerance below
-#: gate the CI job; the rest are informational context for humans
-#: reading the diff.
+#: Metrics recorded per workload; every one of them is compared exactly.
 RECORDED_METRICS = (
     "throughput",
     "committed",
@@ -62,42 +55,6 @@ RECORDED_METRICS = (
     "relief_cache_hit_rate",
     "relief_invalidations",
 )
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """How far a fresh metric may drift from the recorded baseline.
-
-    ``higher_is_better`` metrics fail when fresh < allowed floor;
-    ``lower_is_better`` metrics fail when fresh > allowed ceiling.
-    ``rel`` is a fraction of the baseline value, ``abs_`` an absolute
-    slack; the allowance is baseline ± (rel * |baseline| + abs_).
-    """
-
-    direction: str  # "higher_is_better" | "lower_is_better"
-    rel: float = 0.0
-    abs_: float = 0.0
-
-    def check(self, base: float, fresh: float) -> tuple[bool, float]:
-        slack = self.rel * abs(base) + self.abs_
-        if self.direction == "higher_is_better":
-            bound = base - slack
-            return fresh >= bound, bound
-        bound = base + slack
-        return fresh <= bound, bound
-
-
-#: The CI gate: >25 % throughput regression fails, cache hit rates may
-#: not drop below the recorded floor (2 % absolute slack for intentional
-#: workload drift), and latency / conflict-test cost may not grow >25 %.
-DEFAULT_TOLERANCES: dict[str, Tolerance] = {
-    "throughput": Tolerance("higher_is_better", rel=0.25),
-    "commute_cache_hit_rate": Tolerance("higher_is_better", abs_=0.02),
-    "relief_cache_hit_rate": Tolerance("higher_is_better", abs_=0.02),
-    "p50_response": Tolerance("lower_is_better", rel=0.25),
-    "p95_response": Tolerance("lower_is_better", rel=0.25),
-    "conflict_tests_per_release": Tolerance("lower_is_better", rel=0.25),
-}
 
 
 def run_baseline_workload(name: str, spec: Optional[dict] = None) -> RunMetrics:
@@ -166,111 +123,42 @@ def load_baseline(path: str) -> dict:
         return json.load(fh)
 
 
-@dataclass
-class ComparisonRow:
-    """One (workload, metric) check of a baseline diff."""
+def diff(baseline: dict, fresh: dict) -> list[str]:
+    """Every way *fresh* differs from the committed *baseline*; empty = equal.
 
-    workload: str
-    metric: str
-    baseline: float
-    fresh: float
-    gated: bool
-    ok: bool
-    bound: Optional[float] = None
-
-    @property
-    def status(self) -> str:
-        if not self.gated:
-            return "info"
-        return "ok" if self.ok else "FAIL"
-
-
-@dataclass
-class BaselineComparison:
-    """The result of diffing a fresh run against the committed baseline."""
-
-    rows: list[ComparisonRow] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors and all(row.ok for row in self.rows if row.gated)
-
-    @property
-    def regressions(self) -> list[ComparisonRow]:
-        return [row for row in self.rows if row.gated and not row.ok]
-
-    def summary(self) -> str:
-        lines = []
-        for error in self.errors:
-            lines.append(f"ERROR: {error}")
-        width = max((len(r.workload) for r in self.rows), default=8)
-        for row in self.rows:
-            if not row.gated:
-                continue
-            bound = f" (bound {row.bound:.4f})" if row.bound is not None else ""
-            lines.append(
-                f"[{row.status:>4}] {row.workload:<{width}} "
-                f"{row.metric}: baseline {row.baseline:.4f} -> fresh "
-                f"{row.fresh:.4f}{bound}"
-            )
-        verdict = "PASS" if self.ok else "FAIL"
-        gated = [r for r in self.rows if r.gated]
-        lines.append(
-            f"{verdict}: {len(gated) - len(self.regressions)}/{len(gated)} "
-            f"gated checks passed"
-        )
-        return "\n".join(lines)
-
-
-def compare(
-    baseline: dict,
-    fresh: dict,
-    tolerances: Optional[dict[str, Tolerance]] = None,
-) -> BaselineComparison:
-    """Diff a fresh baseline document against the committed one.
-
-    Both documents must carry the current schema version, and the fresh
-    run must cover every workload the baseline records (extra fresh
-    workloads are ignored — a future PR may widen the set before
-    re-committing the baseline).
+    One line per problem: a schema or version mismatch (nothing else is
+    compared then), a baseline workload the fresh run lacks, a workload
+    whose config drifted, a missing metric, and
+    ``workload.metric: committed -> fresh`` for each value that moved.
+    Extra fresh workloads are ignored — a PR may widen the set before
+    re-committing the baseline.
     """
-    tolerances = tolerances if tolerances is not None else DEFAULT_TOLERANCES
-    result = BaselineComparison()
+    problems = []
     for doc, label in ((baseline, "baseline"), (fresh, "fresh")):
         if doc.get("schema") != SCHEMA:
-            result.errors.append(f"{label}: not a {SCHEMA!r} document")
+            problems.append(f"{label}: not a {SCHEMA!r} document")
         elif doc.get("schema_version") != SCHEMA_VERSION:
-            result.errors.append(
+            problems.append(
                 f"{label}: schema_version {doc.get('schema_version')!r} != "
                 f"{SCHEMA_VERSION} — regenerate with 'repro bench --baseline'"
             )
-    if result.errors:
-        return result
+    if problems:
+        return problems
     for name, entry in baseline["workloads"].items():
         fresh_entry = fresh["workloads"].get(name)
         if fresh_entry is None:
-            result.errors.append(f"fresh run is missing workload {name!r}")
+            problems.append(f"fresh run is missing workload {name!r}")
             continue
         if fresh_entry.get("config") != entry.get("config"):
-            result.errors.append(
+            problems.append(
                 f"workload {name!r} config drifted: baseline "
                 f"{entry.get('config')} != fresh {fresh_entry.get('config')}"
             )
             continue
-        for metric, base_value in entry["metrics"].items():
-            fresh_value = fresh_entry["metrics"].get(metric)
-            if fresh_value is None:
-                result.errors.append(f"{name}: fresh run lacks metric {metric!r}")
-                continue
-            tolerance = tolerances.get(metric)
-            if tolerance is None:
-                result.rows.append(
-                    ComparisonRow(name, metric, base_value, fresh_value, False, True)
-                )
-                continue
-            ok, bound = tolerance.check(base_value, fresh_value)
-            result.rows.append(
-                ComparisonRow(name, metric, base_value, fresh_value, True, ok, bound)
-            )
-    return result
+        for metric, committed in entry["metrics"].items():
+            value = fresh_entry["metrics"].get(metric)
+            if value is None:
+                problems.append(f"{name}: fresh run lacks metric {metric!r}")
+            elif value != committed:
+                problems.append(f"{name}.{metric}: {committed} -> {value}")
+    return problems

@@ -10,77 +10,42 @@ commuting single-item traffic (place / restock / pay / ship /
 stock-check, uniform across a wide item range) with a configurable
 fraction of cross-shard two-line places and total-payments, so goodput
 should rise with the shard count until the offered rate is absorbed;
-``goodput_monotonic`` is the acceptance check and the committed
-``BENCH_cluster.json`` document gates regressions via the same
-:class:`~repro.bench.baseline.Tolerance` machinery as the other benches.
+``goodput_monotonic`` is the acceptance check.
 
 Open-loop semantics: a dispatcher pool fires requests at their
 scheduled wall-clock offsets whether or not earlier ones have finished;
 the router's blocking calls ride on the pool, sheds come back fast with
 ``retry_after``, and the schedule never stretches to fit the cluster.
 
-Since schema v2 the document also carries a **branch-count latency
-sweep** (:func:`run_branch_latency_sweep`): closed-loop p50/p95 of a
-k-branch cross-shard read at 4 shards, once with the router's parallel
-prepare fan-out and once sequential.  ``parallel_beats_sequential`` is
-a hard compare gate — sequential prepare is linear in the branch count
-by construction, the fan-out must stay flat-ish at the slowest branch.
+The **branch-count latency sweep** (:func:`run_branch_latency_sweep`)
+measures closed-loop p50/p95 of a k-branch cross-shard read at 4
+shards, once with the router's parallel prepare fan-out and once
+sequential — sequential prepare is linear in the branch count by
+construction, the fan-out must stay flat-ish at the slowest branch.
+
+Service time is a simulated sleep, so none of these numbers is
+committed or gated; the relations they must satisfy (monotonic goodput,
+no shard down, parallel p95 beats sequential at 4 branches) are the
+``slow`` tests in ``tests/test_bench_cluster.py`` (CI ``cluster-smoke``).
 """
 
 from __future__ import annotations
 
-import json
 import random
 import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
-from repro.bench.baseline import BaselineComparison, ComparisonRow, Tolerance
-from repro.bench.openloop import percentile
+from repro.bench.metrics import percentile
 from repro.cluster.process import LocalCluster
 from repro.cluster.router import ClusterRouter
 from repro.obs.registry import MetricsRegistry
 from repro.server.requests import Request
 
-CLUSTER_SCHEMA = "repro-bench-cluster"
-#: v2 added the ``branch_latency`` section (parallel vs. sequential
-#: prepare fan-out at 4 shards) and its compare gate.
-CLUSTER_SCHEMA_VERSION = 2
-
-#: The committed sweep: the same offered load against 1, 2, 4 shards.
-BASELINE_SHARD_COUNTS: tuple[int, ...] = (1, 2, 4)
-
-#: The branch-count latency sweep: k-branch cross-shard reads at a
-#: fixed shard count, parallel vs. sequential prepare.
-BRANCH_SWEEP_SHARDS = 4
-BRANCH_SWEEP_COUNTS: tuple[int, ...] = (1, 2, 4)
-
-#: Only goodput gates (wall-clock noise), loosely; shard-down must stay
-#: zero — a flaky cluster boot is a real regression, not noise.
-CLUSTER_TOLERANCES: dict[str, Tolerance] = {
-    "goodput": Tolerance("higher_is_better", rel=0.6, abs_=2.0),
-    "shard_down": Tolerance("lower_is_better", abs_=0.0),
-}
-
-#: The branch sweep's only gated metric: parallel-prepare p95 at each
-#: branch count, very loosely (service time dominates and is pinned by
-#: think_cost, so only a gross regression — e.g. fan-out silently going
-#: sequential — should trip it).
-BRANCH_TOLERANCES: dict[str, Tolerance] = {
-    "parallel_p95": Tolerance("lower_is_better", rel=1.5, abs_=0.05),
-}
-
 __all__ = [
-    "CLUSTER_SCHEMA",
-    "CLUSTER_SCHEMA_VERSION",
-    "BASELINE_SHARD_COUNTS",
-    "BRANCH_SWEEP_SHARDS",
-    "BRANCH_SWEEP_COUNTS",
-    "CLUSTER_TOLERANCES",
-    "BRANCH_TOLERANCES",
     "ClusterBenchConfig",
     "ClusterLoopResult",
     "BranchLatencyPoint",
@@ -88,11 +53,7 @@ __all__ = [
     "run_cluster_open_loop",
     "sweep_shards",
     "run_branch_latency_sweep",
-    "branch_latency_section",
     "goodput_monotonic",
-    "collect_cluster_baseline",
-    "write_cluster_baseline",
-    "compare_cluster",
 ]
 
 
@@ -349,18 +310,12 @@ def run_cluster_open_loop(
 
 
 def sweep_shards(
-    shard_counts: tuple[int, ...] = BASELINE_SHARD_COUNTS,
+    shard_counts: tuple[int, ...] = (1, 2, 4),
     base: Optional[ClusterBenchConfig] = None,
-    progress: Optional[Callable[[str], None]] = None,
 ) -> list[ClusterLoopResult]:
     """Run the shard-count sweep; the scaling curve's raw data."""
     base = base if base is not None else ClusterBenchConfig()
-    results = []
-    for n_shards in shard_counts:
-        if progress is not None:
-            progress(f"{n_shards} shard(s) @ {base.rate:g} req/s")
-        results.append(run_cluster_open_loop(base, n_shards))
-    return results
+    return [run_cluster_open_loop(base, n_shards) for n_shards in shard_counts]
 
 
 @dataclass
@@ -378,24 +333,15 @@ class BranchLatencyPoint:
     def parallel_beats_sequential(self) -> bool:
         return self.parallel_p95 < self.sequential_p95
 
-    def metrics_record(self) -> dict[str, float]:
-        return {
-            "parallel_p50": round(self.parallel_p50, 6),
-            "parallel_p95": round(self.parallel_p95, 6),
-            "sequential_p50": round(self.sequential_p50, 6),
-            "sequential_p95": round(self.sequential_p95, 6),
-        }
-
 
 def run_branch_latency_sweep(
-    n_shards: int = BRANCH_SWEEP_SHARDS,
-    branch_counts: tuple[int, ...] = BRANCH_SWEEP_COUNTS,
+    n_shards: int = 4,
+    branch_counts: tuple[int, ...] = (1, 2, 4),
     samples: int = 30,
     warmup: int = 5,
     think_cost: float = 20.0,
     time_scale: float = 0.001,
     n_items: int = 64,
-    progress: Optional[Callable[[str], None]] = None,
 ) -> list[BranchLatencyPoint]:
     """Closed-loop latency of k-branch reads, parallel vs. sequential.
 
@@ -471,8 +417,6 @@ def run_branch_latency_sweep(
                     router.close()
 
             for k in branch_counts:
-                if progress is not None:
-                    progress(f"{k}-branch read @ {n_shards} shards")
                 par_p50, par_p95 = measure(True, k)
                 seq_p50, seq_p95 = measure(False, k)
                 points.append(
@@ -486,27 +430,6 @@ def run_branch_latency_sweep(
                     )
                 )
     return points
-
-
-def branch_latency_section(points: list[BranchLatencyPoint]) -> dict:
-    """The ``branch_latency`` document section for a sweep's points.
-
-    ``parallel_beats_sequential`` is the acceptance bit: at the largest
-    branch count, parallel-prepare p95 must beat sequential's.
-    """
-    widest = max(points, key=lambda p: p.branches)
-    return {
-        "n_shards": BRANCH_SWEEP_SHARDS,
-        "samples": widest.samples,
-        "parallel_beats_sequential": widest.parallel_beats_sequential,
-        "points": {
-            f"b{point.branches}": {
-                "config": {"branches": point.branches},
-                "metrics": point.metrics_record(),
-            }
-            for point in points
-        },
-    }
 
 
 def goodput_monotonic(results: list[ClusterLoopResult], slack: float = 0.95) -> bool:
@@ -523,114 +446,3 @@ def goodput_monotonic(results: list[ClusterLoopResult], slack: float = 0.95) -> 
             return False
         best = max(best, result.goodput)
     return True
-
-
-def collect_cluster_baseline(
-    shard_counts: tuple[int, ...] = BASELINE_SHARD_COUNTS,
-    base: Optional[ClusterBenchConfig] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> dict:
-    """Run the sweeps and assemble the ``repro-bench-cluster`` document."""
-    base = base if base is not None else ClusterBenchConfig()
-    results = sweep_shards(shard_counts, base, progress)
-    doc: dict = {
-        "schema": CLUSTER_SCHEMA,
-        "schema_version": CLUSTER_SCHEMA_VERSION,
-        "base_config": base.to_dict(),
-        "goodput_monotonic": goodput_monotonic(results),
-        "workloads": {},
-    }
-    for result in results:
-        doc["workloads"][f"s{result.n_shards}"] = {
-            "config": {"n_shards": result.n_shards, "rate": result.config.rate},
-            "metrics": result.metrics_record(),
-        }
-    doc["branch_latency"] = branch_latency_section(
-        run_branch_latency_sweep(progress=progress)
-    )
-    return doc
-
-
-def write_cluster_baseline(path: str, doc: Optional[dict] = None) -> dict:
-    doc = doc if doc is not None else collect_cluster_baseline()
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return doc
-
-
-def compare_cluster(
-    baseline: dict,
-    fresh: dict,
-    tolerances: Optional[dict[str, Tolerance]] = None,
-) -> BaselineComparison:
-    """Diff a fresh sweep against the committed ``BENCH_cluster.json``."""
-    tolerances = tolerances if tolerances is not None else CLUSTER_TOLERANCES
-    result = BaselineComparison()
-    for doc, label in ((baseline, "baseline"), (fresh, "fresh")):
-        if doc.get("schema") != CLUSTER_SCHEMA:
-            result.errors.append(f"{label}: not a {CLUSTER_SCHEMA!r} document")
-        elif doc.get("schema_version") != CLUSTER_SCHEMA_VERSION:
-            result.errors.append(
-                f"{label}: schema_version {doc.get('schema_version')!r} != "
-                f"{CLUSTER_SCHEMA_VERSION} — regenerate with "
-                "'repro bench --cluster --baseline'"
-            )
-    if not fresh.get("goodput_monotonic", False):
-        result.errors.append("fresh sweep: goodput is not monotonic in shard count")
-    if not fresh.get("branch_latency", {}).get("parallel_beats_sequential", False):
-        result.errors.append(
-            "fresh branch sweep: parallel prepare does not beat sequential "
-            "p95 at the largest branch count"
-        )
-    if result.errors:
-        return result
-
-    def diff_section(
-        section: str,
-        base_entries: dict,
-        fresh_entries: dict,
-        gates: dict[str, Tolerance],
-    ) -> None:
-        for name, entry in base_entries.items():
-            label = name if section == "workloads" else f"{section}:{name}"
-            fresh_entry = fresh_entries.get(name)
-            if fresh_entry is None:
-                result.errors.append(f"fresh sweep is missing workload {label!r}")
-                continue
-            if fresh_entry.get("config") != entry.get("config"):
-                result.errors.append(
-                    f"workload {label!r} config drifted: baseline "
-                    f"{entry.get('config')} != fresh {fresh_entry.get('config')}"
-                )
-                continue
-            for metric, base_value in entry["metrics"].items():
-                fresh_value = fresh_entry["metrics"].get(metric)
-                if fresh_value is None:
-                    result.errors.append(
-                        f"{label}: fresh sweep lacks metric {metric!r}"
-                    )
-                    continue
-                tolerance = gates.get(metric)
-                if tolerance is None:
-                    result.rows.append(
-                        ComparisonRow(
-                            label, metric, base_value, fresh_value, False, True
-                        )
-                    )
-                    continue
-                ok, bound = tolerance.check(base_value, fresh_value)
-                result.rows.append(
-                    ComparisonRow(
-                        label, metric, base_value, fresh_value, True, ok, bound
-                    )
-                )
-
-    diff_section("workloads", baseline["workloads"], fresh["workloads"], tolerances)
-    diff_section(
-        "branch",
-        baseline.get("branch_latency", {}).get("points", {}),
-        fresh.get("branch_latency", {}).get("points", {}),
-        BRANCH_TOLERANCES,
-    )
-    return result

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.obs import Snapshot
 from repro.obs.cases import (
@@ -24,6 +24,19 @@ from repro.obs.cases import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.kernel import TransactionManager
+
+
+def percentile(values: Sequence[float], p: float) -> float:
+    """Nearest-rank percentile (p in [0, 100]); 0.0 on empty input.
+
+    The value at 1-based rank ``ceil(p/100 * n)`` of the sorted input —
+    always an observed sample, never an interpolation.
+    """
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = math.ceil(p / 100.0 * len(ordered)) - 1
+    return ordered[min(len(ordered) - 1, max(0, rank))]
 
 
 @dataclass
@@ -44,7 +57,7 @@ class RunMetrics:
     max_locks_held: int = 0
     # Virtual response time of every committed transaction, sorted
     # ascending — percentiles over virtual time are exactly reproducible,
-    # which is what lets the CI regression gate bound p50/p95.
+    # which is what lets BENCH_baseline.json pin p50/p95 exactly.
     response_times: tuple[float, ...] = ()
     snapshot: Optional[Snapshot] = field(default=None, repr=False, compare=False)
 
@@ -129,21 +142,13 @@ class RunMetrics:
         """Transactions escalated to abort after burning the retry budget."""
         return self._case("retry.exhausted")
 
-    def _percentile(self, q: float) -> float:
-        """Nearest-rank percentile of committed response times."""
-        if not self.response_times:
-            return 0.0
-        rank = math.ceil(q * len(self.response_times)) - 1
-        index = min(len(self.response_times) - 1, max(0, rank))
-        return self.response_times[index]
-
     @property
     def p50_response(self) -> float:
-        return self._percentile(0.50)
+        return percentile(self.response_times, 50)
 
     @property
     def p95_response(self) -> float:
-        return self._percentile(0.95)
+        return percentile(self.response_times, 95)
 
     # ------------------------------------------------------------------
     # Conflict-test decision caches (from the snapshot; 0 when absent)

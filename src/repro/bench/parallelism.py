@@ -21,22 +21,22 @@ the parallelism the pool can actually exploit) and reports committed
 transactions per wall-clock second plus the threaded runtime's
 ``thread.*``/``stripe.*``/``lock.*`` counters.
 
-Used by ``benchmarks/bench_t1_parallelism.py`` and
-``python -m repro bench --parallelism``.
+The thread-scaling sweep (:func:`run_scaling_sweep`) runs the same
+loop on a fully commuting hot ledger to ask whether sharded execution
+scales with the worker count.  Both are driven and asserted by
+``benchmarks/bench_t1_parallelism.py``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.bench.harness import DEFAULT_COST_MODEL
-from repro.core.kernel import CostModel
-from repro.core.protocol import SemanticLockingProtocol
 from repro.objects.database import Database
 from repro.objects.encapsulated import TypeSpec
-from repro.protocols.two_phase_object import ObjectRW2PLProtocol
+from repro.protocols import protocol_by_name
 from repro.runtime.scheduler import Pause
 from repro.runtime.threaded import ThreadedKernel
 
@@ -54,11 +54,14 @@ async def Bump(ctx, tally, amount):
 
 TALLY.matrix.allow("Bump", "Bump")
 
-#: The two protocols the study contrasts (label -> factory).
-PARALLELISM_PROTOCOLS = {
-    "semantic": SemanticLockingProtocol,
-    "object-rw-2pl": ObjectRW2PLProtocol,
-}
+#: The two protocols the T1 grid contrasts.
+GRID_PROTOCOLS = ("semantic", "object-rw-2pl")
+
+#: Every transaction makes this many calls, sleeping ``THINK_COST *
+#: TIME_SCALE`` real seconds (outside all locks) after each.
+CALLS_PER_TXN = 4
+THINK_COST = 4.0
+TIME_SCALE = 0.002
 
 
 def build_tally_database(n_counters: int):
@@ -74,179 +77,6 @@ def build_tally_database(n_counters: int):
         counters.append(counter)
     return db, counters
 
-
-@dataclass(frozen=True)
-class ParallelismPoint:
-    """One (protocol, threads, contention) cell of the grid."""
-
-    protocol: str
-    n_threads: int
-    n_counters: int
-    n_transactions: int
-    bumps_per_txn: int
-    committed: int
-    aborted: int
-    elapsed_s: float
-    throughput: float  # committed transactions per wall-clock second
-    final_total: int
-    expected_total: int
-    thread_steps: int
-    stripe_ops: int
-    lock_grants: int
-    lock_blocks: int
-
-    @property
-    def consistent(self) -> bool:
-        """No lost or phantom updates: the tallies add up exactly."""
-        return (
-            self.committed + self.aborted == self.n_transactions
-            and self.final_total == self.expected_total
-        )
-
-    def to_dict(self) -> dict:
-        record = asdict(self)
-        record["consistent"] = self.consistent
-        return record
-
-
-def run_parallelism_point(
-    protocol: str,
-    n_threads: int,
-    n_counters: int,
-    n_transactions: int = 8,
-    bumps_per_txn: int = 4,
-    think_cost: float = 4.0,
-    time_scale: float = 0.002,
-    cost_model: Optional[CostModel] = None,
-    stall_timeout: float = 30.0,
-    n_shards: Optional[int] = None,
-) -> ParallelismPoint:
-    """Run one grid cell and measure wall-clock throughput.
-
-    Transaction ``i`` bumps counter ``i % n_counters`` — so
-    ``n_counters=1`` is the hottest possible contention (everyone
-    updates the same object) and ``n_counters=n_transactions`` is
-    contention-free.
-    """
-    factory = PARALLELISM_PROTOCOLS[protocol]
-    db, counters = build_tally_database(n_counters)
-    kernel = ThreadedKernel(
-        db,
-        protocol=factory(),
-        n_threads=n_threads,
-        time_scale=time_scale,
-        cost_model=cost_model if cost_model is not None else DEFAULT_COST_MODEL,
-        stall_timeout=stall_timeout,
-        n_shards=n_shards,
-    )
-
-    def make_program(counter):
-        async def program(tx):
-            for __ in range(bumps_per_txn):
-                await tx.call(counter, "Bump", 1)
-                await Pause(think_cost)  # think-time: no locks acquired
-
-        return program
-
-    for i in range(n_transactions):
-        kernel.spawn(f"B{i}", make_program(counters[i % n_counters]))
-
-    start = time.monotonic()
-    kernel.run()
-    elapsed = time.monotonic() - start
-
-    committed = sum(1 for h in kernel.handles.values() if h.committed)
-    aborted = sum(1 for h in kernel.handles.values() if h.aborted)
-    final_total = sum(c.impl_component("value").raw_get() for c in counters)
-    kernel.locks.check_invariants()
-    snap = kernel.obs.snapshot()
-    return ParallelismPoint(
-        protocol=protocol,
-        n_threads=n_threads,
-        n_counters=n_counters,
-        n_transactions=n_transactions,
-        bumps_per_txn=bumps_per_txn,
-        committed=committed,
-        aborted=aborted,
-        elapsed_s=elapsed,
-        throughput=committed / elapsed if elapsed > 0 else 0.0,
-        final_total=final_total,
-        expected_total=committed * bumps_per_txn,
-        thread_steps=snap.counters.get("thread.steps", 0),
-        stripe_ops=snap.counters.get("stripe.ops", 0),
-        lock_grants=snap.counters.get("lock.grants", 0),
-        lock_blocks=snap.counters.get("lock.blocks", 0),
-    )
-
-
-def run_parallelism_grid(
-    thread_counts: Sequence[int] = (1, 2, 4),
-    counter_counts: Sequence[int] = (1, 8),
-    n_transactions: int = 8,
-    bumps_per_txn: int = 4,
-    think_cost: float = 4.0,
-    time_scale: float = 0.002,
-    protocols: Optional[Sequence[str]] = None,
-) -> list[ParallelismPoint]:
-    """The full threads x contention x protocol grid."""
-    points = []
-    for n_counters in counter_counts:
-        for n_threads in thread_counts:
-            for protocol in protocols or PARALLELISM_PROTOCOLS:
-                points.append(
-                    run_parallelism_point(
-                        protocol,
-                        n_threads=n_threads,
-                        n_counters=n_counters,
-                        n_transactions=n_transactions,
-                        bumps_per_txn=bumps_per_txn,
-                        think_cost=think_cost,
-                        time_scale=time_scale,
-                    )
-                )
-    return points
-
-
-def parallelism_rows(points: Sequence[ParallelismPoint]) -> list[dict]:
-    """Pivot the grid into table rows: one per (counters, threads) cell."""
-    rows: dict[tuple[int, int], dict] = {}
-    for p in points:
-        key = (p.n_counters, p.n_threads)
-        row = rows.setdefault(
-            key, {"counters": p.n_counters, "threads": p.n_threads}
-        )
-        row[p.protocol] = round(p.throughput, 2)
-    return [rows[key] for key in sorted(rows)]
-
-
-def write_parallelism_jsonl(points: Sequence[ParallelismPoint], fp) -> int:
-    """One JSON object per grid point; returns the line count."""
-    import json
-
-    for point in points:
-        fp.write(json.dumps(point.to_dict(), sort_keys=True) + "\n")
-    return len(points)
-
-
-def semantic_speedup(
-    points: Sequence[ParallelismPoint], n_threads: int, n_counters: int = 1
-) -> float:
-    """Semantic over 2PL wall-clock throughput ratio at one grid cell."""
-    by_protocol = {
-        p.protocol: p
-        for p in points
-        if p.n_threads == n_threads and p.n_counters == n_counters
-    }
-    semantic = by_protocol["semantic"]
-    baseline = by_protocol["object-rw-2pl"]
-    if baseline.throughput == 0:
-        return float("inf")
-    return semantic.throughput / baseline.throughput
-
-
-# ----------------------------------------------------------------------
-# Thread-scaling study: does sharded execution actually scale?
-# ----------------------------------------------------------------------
 
 LEDGER = TypeSpec("BenchLedger")
 
@@ -275,46 +105,67 @@ LEDGER.matrix.allow_if_distinct_arg("Deposit", "Retract")
 LEDGER.matrix.allow_if_distinct_arg("Retract", "Retract")
 
 
-def build_ledger_database():
-    """A database with one hot ledger object backed by a set."""
+def build_ledger_database(n_ledgers: int):
+    """A database of ``n_ledgers`` ledger objects, each backed by a set."""
     db = Database()
-    ledger = db.new_encapsulated(LEDGER, "ledger")
-    db.attach_child(ledger)
-    impl = db.new_tuple("ledger-impl")
-    impl.add_component("entries", db.new_set("entries"))
-    ledger.set_implementation(impl)
-    return db, ledger
+    ledgers = []
+    for i in range(n_ledgers):
+        ledger = db.new_encapsulated(LEDGER, f"ledger-{i}")
+        db.attach_child(ledger)
+        impl = db.new_tuple(f"ledger-{i}-impl")
+        impl.add_component("entries", db.new_set("entries"))
+        ledger.set_implementation(impl)
+        ledgers.append(ledger)
+    return db, ledgers
 
 
 @dataclass(frozen=True)
-class ScalingPoint:
-    """One worker-count cell of the thread-scaling sweep.
+class _Workload:
+    """What distinguishes the two studies: objects, the call, the total."""
 
-    The workload is fully commuting (every transaction deposits
-    uniquely-tagged entries into the same hot ledger under the semantic
-    protocol), so with sharded execution throughput should grow with
-    the worker count until the pool covers the think-time; under the
-    old single kernel mutex every step serialised and extra workers
-    bought nothing.
-    """
+    build: Callable[[int], tuple[Database, list]]
+    method: str
+    argument: Callable[[int, int], Any]  # (transaction index, call index)
+    total: Callable[[Any], int]  # updates visible on one object afterwards
 
+
+WORKLOADS = {
+    "tally": _Workload(
+        build_tally_database,
+        "Bump",
+        lambda i, j: 1,
+        lambda counter: counter.impl_component("value").raw_get(),
+    ),
+    "ledger": _Workload(
+        build_ledger_database,
+        "Deposit",
+        lambda i, j: f"{i}.{j}",
+        lambda ledger: ledger.impl_component("entries").raw_size(),
+    ),
+}
+
+
+@dataclass(frozen=True)
+class ThinkTimePoint:
+    """One (workload, protocol, threads, contention) wall-clock run."""
+
+    workload: str
+    protocol: str
     n_threads: int
     n_shards: int
+    n_objects: int
     n_transactions: int
-    bumps_per_txn: int
     committed: int
     aborted: int
     elapsed_s: float
     throughput: float  # committed transactions per wall-clock second
     final_total: int
     expected_total: int
-    shard_steps: int
-    shard_contended: int
-    coordinations: int
+    counters: dict[str, int]  # the run's ``thread.*``/``shard.*``/``lock.*`` counters
 
     @property
     def consistent(self) -> bool:
-        """No lost or phantom updates: the tally adds up exactly."""
+        """No lost or phantom updates: the totals add up exactly."""
         return (
             self.committed + self.aborted == self.n_transactions
             and self.final_total == self.expected_total
@@ -326,46 +177,44 @@ class ScalingPoint:
         return record
 
 
-def run_scaling_point(
+def run_think_time_point(
+    workload: str,
+    protocol: str,
     n_threads: int,
-    n_shards: Optional[int] = None,
-    n_transactions: int = 32,
-    bumps_per_txn: int = 4,
-    think_cost: float = 4.0,
-    time_scale: float = 0.002,
-    cost_model: Optional[CostModel] = None,
-    stall_timeout: float = 60.0,
-) -> ScalingPoint:
-    """Run the hot-ledger commuting workload with one worker count.
+    n_objects: int = 1,
+    n_transactions: int = 8,
+) -> ThinkTimePoint:
+    """Run one batch on the threaded runtime and measure wall-clock throughput.
 
-    Every transaction deposits into *the same* ledger — the worst case
-    for a global mutex and the best case for semantic commutativity.
-    The think-time (``think_cost * time_scale`` real seconds per
-    deposit) is slept outside all locks, so the sweep measures how much
-    of that sleep the worker pool can overlap; it scales with the
-    thread count even on a single core.
+    Transaction ``i`` calls the workload's method on object
+    ``i % n_objects`` — so ``n_objects=1`` is the hottest possible
+    contention (everyone updates the same object) and
+    ``n_objects=n_transactions`` is contention-free.  The think-time is
+    slept outside all locks, so throughput measures how much of that
+    sleep the worker pool can overlap; it scales with the thread count
+    even on a single core.
     """
-    db, ledger = build_ledger_database()
+    spec = WORKLOADS[workload]
+    db, objects = spec.build(n_objects)
     kernel = ThreadedKernel(
         db,
-        protocol=SemanticLockingProtocol(),
+        protocol=protocol_by_name(protocol)(),
         n_threads=n_threads,
-        time_scale=time_scale,
-        cost_model=cost_model if cost_model is not None else DEFAULT_COST_MODEL,
-        stall_timeout=stall_timeout,
-        n_shards=n_shards,
+        time_scale=TIME_SCALE,
+        cost_model=DEFAULT_COST_MODEL,
+        stall_timeout=60.0,
     )
 
-    def make_program(txn_id):
+    def make_program(i):
         async def program(tx):
-            for j in range(bumps_per_txn):
-                await tx.call(ledger, "Deposit", f"{txn_id}.{j}")
-                await Pause(think_cost)  # think-time: no locks acquired
+            for j in range(CALLS_PER_TXN):
+                await tx.call(objects[i % n_objects], spec.method, spec.argument(i, j))
+                await Pause(THINK_COST)  # think-time: no locks acquired
 
         return program
 
     for i in range(n_transactions):
-        kernel.spawn(f"S{i}", make_program(i))
+        kernel.spawn(f"B{i}", make_program(i))
 
     start = time.monotonic()
     kernel.run()
@@ -373,49 +222,87 @@ def run_scaling_point(
 
     committed = sum(1 for h in kernel.handles.values() if h.committed)
     aborted = sum(1 for h in kernel.handles.values() if h.aborted)
-    final_total = ledger.impl_component("entries").raw_size()
     kernel.locks.check_invariants()
     snap = kernel.obs.snapshot()
-    return ScalingPoint(
+    return ThinkTimePoint(
+        workload=workload,
+        protocol=protocol,
         n_threads=n_threads,
         n_shards=int(snap.gauge("shard.count", 0)),
+        n_objects=n_objects,
         n_transactions=n_transactions,
-        bumps_per_txn=bumps_per_txn,
         committed=committed,
         aborted=aborted,
         elapsed_s=elapsed,
         throughput=committed / elapsed if elapsed > 0 else 0.0,
-        final_total=final_total,
-        expected_total=committed * bumps_per_txn,
-        shard_steps=snap.counters.get("shard.steps", 0),
-        shard_contended=snap.counters.get("shard.contended", 0),
-        coordinations=snap.counters.get("shard.coordinations", 0),
+        final_total=sum(spec.total(obj) for obj in objects),
+        expected_total=committed * CALLS_PER_TXN,
+        counters={
+            name: value
+            for name, value in snap.counters.items()
+            if name.startswith(("thread.", "shard.", "stripe.", "lock."))
+        },
     )
+
+
+def run_parallelism_grid(
+    thread_counts: Sequence[int] = (1, 2, 4),
+    counter_counts: Sequence[int] = (1, 8),
+) -> list[ThinkTimePoint]:
+    """T1: the threads x contention x protocol grid on the tally."""
+    return [
+        run_think_time_point("tally", protocol, n_threads, n_objects=n_counters)
+        for n_counters in counter_counts
+        for n_threads in thread_counts
+        for protocol in GRID_PROTOCOLS
+    ]
+
+
+def parallelism_rows(points: Sequence[ThinkTimePoint]) -> list[dict]:
+    """Pivot the grid into table rows: one per (counters, threads) cell."""
+    rows: dict[tuple[int, int], dict] = {}
+    for p in points:
+        key = (p.n_objects, p.n_threads)
+        row = rows.setdefault(key, {"counters": p.n_objects, "threads": p.n_threads})
+        row[p.protocol] = round(p.throughput, 2)
+    return [rows[key] for key in sorted(rows)]
+
+
+def semantic_speedup(
+    points: Sequence[ThinkTimePoint], n_threads: int, n_counters: int = 1
+) -> float:
+    """Semantic over 2PL wall-clock throughput ratio at one grid cell."""
+    by_protocol = {
+        p.protocol: p
+        for p in points
+        if p.n_threads == n_threads and p.n_objects == n_counters
+    }
+    semantic = by_protocol["semantic"]
+    baseline = by_protocol["object-rw-2pl"]
+    if baseline.throughput == 0:
+        return float("inf")
+    return semantic.throughput / baseline.throughput
 
 
 def run_scaling_sweep(
     thread_counts: Sequence[int] = (1, 4, 8),
-    n_shards: Optional[int] = None,
     n_transactions: int = 32,
-    bumps_per_txn: int = 4,
-    think_cost: float = 4.0,
-    time_scale: float = 0.002,
-) -> list[ScalingPoint]:
-    """One :class:`ScalingPoint` per worker count, same workload."""
+) -> list[ThinkTimePoint]:
+    """Thread scaling: the fully commuting hot ledger, one point per worker count.
+
+    Every transaction deposits uniquely-tagged entries into *the same*
+    ledger under the semantic protocol — the worst case for a global
+    mutex and the best case for semantic commutativity — so with sharded
+    execution throughput should grow with the worker count until the
+    pool covers the think-time.
+    """
     return [
-        run_scaling_point(
-            n_threads,
-            n_shards=n_shards,
-            n_transactions=n_transactions,
-            bumps_per_txn=bumps_per_txn,
-            think_cost=think_cost,
-            time_scale=time_scale,
-        )
+        run_think_time_point("ledger", "semantic", n_threads, n_transactions=n_transactions)
         for n_threads in thread_counts
     ]
 
 
-def scaling_rows(points: Sequence[ScalingPoint]) -> list[dict]:
+def scaling_rows(points: Sequence[ThinkTimePoint]) -> list[dict]:
     """Table rows for the sweep: one per worker count."""
     return [
         {
@@ -423,26 +310,9 @@ def scaling_rows(points: Sequence[ScalingPoint]) -> list[dict]:
             "shards": p.n_shards,
             "throughput": round(p.throughput, 2),
             "elapsed_s": round(p.elapsed_s, 3),
-            "contended": p.shard_contended,
-            "coordinations": p.coordinations,
+            "contended": p.counters.get("shard.contended", 0),
+            "coordinations": p.counters.get("shard.coordinations", 0),
             "consistent": p.consistent,
         }
         for p in points
     ]
-
-
-def scaling_is_monotone(points: Sequence[ScalingPoint]) -> bool:
-    """True if throughput strictly grows with the worker count."""
-    ordered = sorted(points, key=lambda p: p.n_threads)
-    return all(
-        b.throughput > a.throughput for a, b in zip(ordered, ordered[1:])
-    )
-
-
-def write_scaling_json(points: Sequence[ScalingPoint], fp) -> int:
-    """One JSON object per sweep point; returns the line count."""
-    import json
-
-    for point in points:
-        fp.write(json.dumps(point.to_dict(), sort_keys=True) + "\n")
-    return len(points)

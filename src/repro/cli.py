@@ -16,18 +16,13 @@ Commands:
   the four-way Fig. 9 conflict-case table, kernel / lock / scheduler /
   waits-for counters, and histograms; ``--jsonl`` exports the snapshot
   as JSON Lines, ``--from-jsonl`` prints a previously exported one;
-* ``bench`` — the committed-baseline workloads: ``--baseline`` writes a
-  schema-versioned ``BENCH_baseline.json``; ``--compare PATH`` re-runs
-  them and diffs against the committed baseline with per-metric
-  tolerances (the CI ``bench-regression`` gate), exiting non-zero on a
-  regression; ``--json`` saves the fresh results (the CI artifact);
-  ``--parallelism`` instead runs the wall-clock threads x contention
-  grid on the threaded runtime (``--jsonl`` exports the grid points);
-  ``--openloop`` runs the open-loop saturation sweep against the
-  transaction server (``BENCH_server.json`` via ``--baseline`` /
-  ``--compare``); ``--cluster`` runs the 1/2/4-shard cluster sweep
-  (``BENCH_cluster.json`` via ``--baseline`` / ``--compare``), failing
-  when goodput stops scaling with shard count;
+* ``bench`` — run the committed-baseline workloads (deterministic
+  virtual time) and print them; ``--baseline`` writes the
+  schema-versioned ``BENCH_baseline.json`` (``--out``); ``--compare
+  PATH`` re-runs them and prints every value that differs from the
+  committed file, exiting non-zero if any does; ``--json`` saves the
+  fresh results.  Wall-clock performance is ``perfbench/run.py``
+  (``BENCHMARK.json``), not this command;
 * ``torture`` — the crash-torture sweep: crash a seeded workload at
   every scheduler step and WAL-record boundary, recover each crash from
   the pickled log, and verify state equivalence, committed-result
@@ -64,26 +59,13 @@ from repro.bench import (
     run_closed_loop,
 )
 from repro.core.kernel import run_transactions
-from repro.core.protocol import SemanticLockingProtocol, SemanticNoReliefProtocol
 from repro.core.serializability import is_semantically_serializable
 from repro.orderentry.schema import ITEM_TYPE, ORDER_TYPE, build_order_entry_database
 from repro.orderentry.transactions import make_t1, make_t2
 from repro.orderentry.workload import OrderEntryWorkload, WorkloadConfig
-from repro.protocols.closed_nested import ClosedNestedProtocol
-from repro.protocols.open_nested_naive import OpenNestedNaiveProtocol
-from repro.protocols.two_phase_object import ObjectRW2PLProtocol
-from repro.protocols.two_phase_page import PageLockingProtocol
+from repro.protocols import protocol_by_name, protocols_by_name
 from repro.semantics.lockmodes import LockModeTable
 from repro.txn.timeline import render_timeline
-
-PROTOCOLS = {
-    "semantic": SemanticLockingProtocol,
-    "semantic-no-relief": SemanticNoReliefProtocol,
-    "open-nested-naive": OpenNestedNaiveProtocol,
-    "closed-nested": ClosedNestedProtocol,
-    "object-rw-2pl": ObjectRW2PLProtocol,
-    "page-2pl": PageLockingProtocol,
-}
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -117,7 +99,7 @@ def cmd_matrices(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
-    for label, factory in PROTOCOLS.items():
+    for factory in protocols_by_name().values():
         metrics = run_closed_loop(
             factory,
             WorkloadConfig(
@@ -152,7 +134,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         kernel = run_threaded_transactions(
             workload.db,
             programs,
-            protocol=PROTOCOLS[args.protocol](),
+            protocol=protocol_by_name(args.protocol)(),
             n_threads=args.threads,
             n_shards=args.shards,
         )
@@ -161,7 +143,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         kernel = run_transactions(
             workload.db,
             programs,
-            protocol=PROTOCOLS[args.protocol](),
+            protocol=protocol_by_name(args.protocol)(),
             policy="random",
             seed=args.seed,
         )
@@ -238,7 +220,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         return 0
 
     metrics = run_closed_loop(
-        PROTOCOLS[args.protocol],
+        protocol_by_name(args.protocol),
         WorkloadConfig(
             n_items=args.items, orders_per_item=args.orders, seed=args.seed
         ),
@@ -267,114 +249,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.baseline import (
-        collect_baseline,
-        compare,
-        load_baseline,
-        write_baseline,
-    )
+    from repro.bench.baseline import collect_baseline, diff, load_baseline, write_baseline
 
-    if args.openloop:
-        return cmd_bench_openloop(args)
-    if args.cluster:
-        return cmd_bench_cluster(args)
-    if args.durability:
-        from repro.bench.durability import durability_rows, run_durability_bench
-
-        print("running the durability bench (memory / fsync / group commit) ...")
-        doc = run_durability_bench()
-        print(format_table(
-            durability_rows(doc),
-            "commit throughput and recovery time per WAL mode",
-        ))
-        group = next(m for m in doc["modes"] if m["mode"] == "group")
-        print(f"\ngroup commit: {group['commits_per_sync']} commits per fsync "
-              f"(window {doc['group_commit']['window_seconds'] * 1e3:.0f} ms, "
-              f"batch cap {doc['group_commit']['max_batch']})")
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fp:
-                import json as _json
-
-                _json.dump(doc, fp, indent=2, sort_keys=True)
-                fp.write("\n")
-            print(f"wrote durability bench results to {args.json}")
-        if not doc["consistent"]:
-            print("!! recovered states diverge across WAL modes")
-            return 1
-        return 0
-    if args.scaling:
-        from repro.bench.parallelism import (
-            run_scaling_sweep,
-            scaling_is_monotone,
-            scaling_rows,
-            write_scaling_json,
-        )
-
-        thread_counts = (1, 4, 8)
-        print("running the thread-scaling sweep on the hot-ledger workload ...")
-        points = run_scaling_sweep(thread_counts, n_shards=args.shards)
-        print(format_table(
-            scaling_rows(points),
-            "commuting-workload throughput (committed/s) by worker count",
-        ))
-        if args.jsonl:
-            with open(args.jsonl, "w", encoding="utf-8") as fp:
-                lines = write_scaling_json(points, fp)
-            print(f"wrote {lines} sweep points to {args.jsonl}")
-        failed = False
-        for p in points:
-            if not p.consistent:
-                print(f"!! inconsistent point: {p.to_dict()}")
-                failed = True
-        first, last = points[0], points[-1]
-        if last.throughput <= first.throughput:
-            print(
-                f"!! no scaling: {last.n_threads} workers "
-                f"({last.throughput:.2f}/s) did not beat "
-                f"{first.n_threads} worker ({first.throughput:.2f}/s)"
-            )
-            failed = True
-        elif not scaling_is_monotone(points):
-            print("note: throughput not strictly monotone across the sweep")
-        return 1 if failed else 0
-    if args.parallelism:
-        from repro.bench.parallelism import (
-            parallelism_rows,
-            run_parallelism_grid,
-            semantic_speedup,
-            write_parallelism_jsonl,
-        )
-
-        print("running the threads x contention grid on the threaded runtime ...")
-        points = run_parallelism_grid()
-        print(format_table(
-            parallelism_rows(points),
-            "wall-clock throughput (committed/s): semantic vs object R/W 2PL",
-        ))
-        speedup = semantic_speedup(points, n_threads=4, n_counters=1)
-        print(f"\nsemantic over 2PL at 4 threads on the hot counter: {speedup:.2f}x")
-        if args.jsonl:
-            with open(args.jsonl, "w", encoding="utf-8") as fp:
-                lines = write_parallelism_jsonl(points, fp)
-            print(f"wrote {lines} grid points to {args.jsonl}")
-        bad = [p for p in points if not p.consistent]
-        for p in bad:
-            print(f"!! inconsistent point: {p.to_dict()}")
-        return 1 if bad else 0
-    if args.baseline:
-        doc = write_baseline(
-            args.out, collect_baseline(progress=lambda n: print(f"running {n} ..."))
-        )
-        print(f"wrote baseline ({len(doc['workloads'])} workloads) to {args.out}")
-        return 0
-    print("running baseline workloads ...")
     fresh = collect_baseline(progress=lambda n: print(f"running {n} ..."))
+    if args.baseline:
+        write_baseline(args.out, fresh)
+        print(f"wrote baseline ({len(fresh['workloads'])} workloads) to {args.out}")
+        return 0
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fp:
-            import json as _json
-
-            _json.dump(fresh, fp, indent=2, sort_keys=True)
-            fp.write("\n")
+        write_baseline(args.json, fresh)
         print(f"wrote fresh bench results to {args.json}")
     if args.compare is None:
         for name, entry in fresh["workloads"].items():
@@ -386,9 +269,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"relief hit rate {record['relief_cache_hit_rate']:.3f}"
             )
         return 0
-    result = compare(load_baseline(args.compare), fresh)
-    print(result.summary())
-    return 0 if result.ok else 1
+    problems = diff(load_baseline(args.compare), fresh)
+    for line in problems:
+        print(line)
+    if problems:
+        print(f"FAIL: {len(problems)} difference(s) from {args.compare}")
+        return 1
+    print(f"PASS: fresh run is identical to {args.compare}")
+    return 0
 
 
 def cmd_torture(args: argparse.Namespace) -> int:
@@ -446,7 +334,7 @@ def cmd_torture(args: argparse.Namespace) -> int:
             seed=args.seed,
             n_transactions=args.transactions,
             n_items=items,
-            protocol=PROTOCOLS[args.protocol],
+            protocol=protocol_by_name(args.protocol),
         )
         report = run_torture(
             scenario,
@@ -463,7 +351,6 @@ def cmd_torture(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.bench.openloop import _protocol_factory
     from repro.errors import AddressInUseError
     from repro.server import AdmissionConfig, TransactionServer, WireServer
 
@@ -471,7 +358,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         built=build_order_entry_database(
             n_items=args.items, orders_per_item=args.orders
         ),
-        protocol_factory=_protocol_factory(args.protocol),
+        protocol_factory=protocol_by_name(args.protocol),
         n_threads=args.threads,
         time_scale=args.time_scale,
         think_cost=args.think_cost,
@@ -508,71 +395,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         report = server.shutdown()
         print(f"drain: {report.to_dict()}")
     return 0 if report.clean else 1
-
-
-def cmd_bench_cluster(args: argparse.Namespace) -> int:
-    from repro.bench.baseline import load_baseline
-    from repro.bench.cluster import (
-        collect_cluster_baseline,
-        compare_cluster,
-        write_cluster_baseline,
-    )
-
-    out = args.out if args.out != "BENCH_baseline.json" else "BENCH_cluster.json"
-    if args.baseline:
-        doc = write_cluster_baseline(
-            out,
-            collect_cluster_baseline(progress=lambda n: print(f"running {n} ...")),
-        )
-        print(f"wrote cluster baseline ({len(doc['workloads'])} points) to {out}")
-        return 0
-    print("running the cluster shard-count sweep (fsync per commit) ...")
-    fresh = collect_cluster_baseline(progress=lambda n: print(f"running {n} ..."))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fp:
-            import json as _json
-
-            _json.dump(fresh, fp, indent=2, sort_keys=True)
-            fp.write("\n")
-        print(f"wrote fresh cluster results to {args.json}")
-    rows = []
-    for name, entry in sorted(fresh["workloads"].items()):
-        record = entry["metrics"]
-        rows.append({
-            "shards": entry["config"]["n_shards"],
-            "goodput/s": f"{record['goodput']:.1f}",
-            "shed rate": f"{record['shed_rate']:.3f}",
-            "p95 (s)": f"{record['p95_latency']:.3f}",
-            "2pc ok/abort": f"{record['2pc_committed']:g}/{record['2pc_aborted']:g}",
-            "shard down": f"{record['shard_down']:g}",
-        })
-    print(format_table(rows, "cluster goodput scaling by shard count"))
-    branch = fresh.get("branch_latency", {})
-    branch_rows = []
-    for name, entry in sorted(branch.get("points", {}).items()):
-        record = entry["metrics"]
-        branch_rows.append({
-            "branches": entry["config"]["branches"],
-            "parallel p95 (s)": f"{record['parallel_p95']:.3f}",
-            "sequential p95 (s)": f"{record['sequential_p95']:.3f}",
-        })
-    if branch_rows:
-        print()
-        print(format_table(
-            branch_rows,
-            f"cross-shard prepare fan-out at {branch.get('n_shards', '?')} shards",
-        ))
-    if not fresh["goodput_monotonic"]:
-        print("!! goodput did not scale monotonically with the shard count")
-        return 1
-    if not branch.get("parallel_beats_sequential", False):
-        print("!! parallel prepare fan-out did not beat sequential p95")
-        return 1
-    if args.compare is None:
-        return 0
-    result = compare_cluster(load_baseline(args.compare), fresh)
-    print(result.summary())
-    return 0 if result.ok else 1
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -629,50 +451,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_openloop(args: argparse.Namespace) -> int:
-    from repro.bench.openloop import (
-        collect_server_baseline,
-        compare_server,
-        write_server_baseline,
-    )
-
-    out = args.out if args.out != "BENCH_baseline.json" else "BENCH_server.json"
-    if args.baseline:
-        doc = write_server_baseline(
-            out,
-            collect_server_baseline(progress=lambda n: print(f"running {n} ...")),
-        )
-        print(f"wrote server baseline ({len(doc['workloads'])} points) to {out}")
-        return 0
-    print("running the open-loop saturation sweep ...")
-    fresh = collect_server_baseline(progress=lambda n: print(f"running {n} ..."))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fp:
-            import json as _json
-
-            _json.dump(fresh, fp, indent=2, sort_keys=True)
-            fp.write("\n")
-        print(f"wrote fresh open-loop results to {args.json}")
-    rows = []
-    for name, entry in sorted(fresh["workloads"].items()):
-        record = entry["metrics"]
-        rows.append({
-            "point": name,
-            "goodput/s": f"{record['goodput']:.1f}",
-            "shed rate": f"{record['shed_rate']:.3f}",
-            "p95 (s)": f"{record['p95_latency']:.3f}",
-            "drain": "clean" if record["drain_clean"] else "DIRTY",
-        })
-    print(format_table(rows, "open-loop saturation sweep (semantic vs object R/W 2PL)"))
-    if args.compare is None:
-        return 0
-    from repro.bench.baseline import load_baseline
-
-    result = compare_server(load_baseline(args.compare), fresh)
-    print(result.summary())
-    return 0 if result.ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -693,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(fn=cmd_compare)
 
     check = sub.add_parser("check", help="run a workload and check serializability")
-    check.add_argument("--protocol", choices=sorted(PROTOCOLS), default="semantic")
+    check.add_argument("--protocol", choices=sorted(protocols_by_name()), default="semantic")
     check.add_argument("--transactions", type=int, default=6)
     check.add_argument("--items", type=int, default=2)
     check.add_argument("--seed", type=int, default=0)
@@ -716,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser(
         "stats", help="run a workload and print the metrics breakdown"
     )
-    stats.add_argument("--protocol", choices=sorted(PROTOCOLS), default="semantic")
+    stats.add_argument("--protocol", choices=sorted(protocols_by_name()), default="semantic")
     stats.add_argument("--transactions", type=int, default=40)
     stats.add_argument("--mpl", type=int, default=6)
     stats.add_argument("--items", type=int, default=2)
@@ -733,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="run the baseline workloads; --baseline writes BENCH_baseline.json, "
-        "--compare diffs a fresh run against a committed baseline",
+        "--compare diffs a fresh run against a committed baseline exactly",
     )
     bench.add_argument(
         "--baseline", action="store_true",
@@ -745,55 +523,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--compare", metavar="PATH",
-        help="committed baseline to diff against; exits non-zero on regression",
+        help="committed baseline to diff against; exits non-zero on any difference",
     )
     bench.add_argument(
         "--json", metavar="PATH",
-        help="also write the fresh results as JSON (the CI artifact)",
-    )
-    bench.add_argument(
-        "--parallelism", action="store_true",
-        help="run the wall-clock threads x contention grid on the threaded "
-        "runtime (semantic vs object R/W 2PL) instead of the baselines",
-    )
-    bench.add_argument(
-        "--jsonl", metavar="PATH",
-        help="with --parallelism/--scaling: write one JSON line per point",
-    )
-    bench.add_argument(
-        "--scaling", action="store_true",
-        help="run the 1/4/8-worker thread-scaling sweep on the commuting "
-        "hot-ledger workload; exits non-zero if 8 workers do not beat 1",
-    )
-    bench.add_argument(
-        "--shards", type=int, default=None,
-        help="execution shards for --scaling "
-        "(default: match the lock-table stripe count)",
-    )
-    bench.add_argument(
-        "--durability", action="store_true",
-        help="run the durable-WAL bench (in-memory vs fsync-per-commit vs "
-        "group commit) and recovery-from-disk timings instead of the baselines",
-    )
-    bench.add_argument(
-        "--openloop", action="store_true",
-        help="run the open-loop saturation sweep against the transaction "
-        "server (semantic vs object R/W 2PL); --baseline writes "
-        "BENCH_server.json, --compare diffs against a committed one",
-    )
-    bench.add_argument(
-        "--cluster", action="store_true",
-        help="run the cluster shard-count sweep (1/2/4 shard processes, "
-        "open-loop with cross-shard 2PC); --baseline writes "
-        "BENCH_cluster.json, --compare diffs against a committed one and "
-        "fails if goodput stops scaling",
+        help="also write the fresh results as JSON",
     )
     bench.set_defaults(fn=cmd_bench)
 
     torture = sub.add_parser(
         "torture", help="crash at every point and verify every recovery"
     )
-    torture.add_argument("--protocol", choices=sorted(PROTOCOLS), default="semantic")
+    torture.add_argument("--protocol", choices=sorted(protocols_by_name()), default="semantic")
     torture.add_argument("--transactions", type=int, default=5)
     torture.add_argument(
         "--items", type=int, default=None,

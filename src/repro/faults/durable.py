@@ -54,6 +54,7 @@ from repro.faults.torture import (
     order_entry_scenario,
     state_of,
 )
+from repro.protocols import protocol_by_name
 
 WAL_FILENAME = "wal.log"
 STORE_DIRNAME = "store"
@@ -78,30 +79,13 @@ def database_digest(db, exclude: tuple[str, ...] = ("NextOrderNo",)) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _protocol_factory(name: str):
-    from repro.core.protocol import SemanticLockingProtocol, SemanticNoReliefProtocol
-    from repro.protocols.closed_nested import ClosedNestedProtocol
-    from repro.protocols.open_nested_naive import OpenNestedNaiveProtocol
-    from repro.protocols.two_phase_object import ObjectRW2PLProtocol
-    from repro.protocols.two_phase_page import PageLockingProtocol
-
-    return {
-        "semantic": SemanticLockingProtocol,
-        "semantic-no-relief": SemanticNoReliefProtocol,
-        "open-nested-naive": OpenNestedNaiveProtocol,
-        "closed-nested": ClosedNestedProtocol,
-        "object-rw-2pl": ObjectRW2PLProtocol,
-        "page-2pl": PageLockingProtocol,
-    }[name]
-
-
 def _scenario_from_config(config: dict[str, Any]) -> TortureScenario:
     return order_entry_scenario(
         seed=config["seed"],
         n_transactions=config["n_transactions"],
         n_items=config["n_items"],
         orders_per_item=config["orders_per_item"],
-        protocol=_protocol_factory(config["protocol"]),
+        protocol=protocol_by_name(config["protocol"]),
         policy=config["policy"],
     )
 
@@ -297,7 +281,7 @@ def run_durable_torture(
         n_transactions=n_transactions,
         n_items=n_items,
         orders_per_item=orders_per_item,
-        protocol=_protocol_factory(protocol),
+        protocol=protocol_by_name(protocol),
         policy=policy,
     )
     reference, ref_wal, ref_crash = _run_instance(scenario)

@@ -49,6 +49,19 @@ def all_protocols() -> tuple[type[CCProtocol], ...]:
     )
 
 
+def protocols_by_name() -> dict[str, type[CCProtocol]]:
+    """The one name -> class table: every protocol keyed by its ``name``."""
+    return {cls.name: cls for cls in all_protocols()}
+
+
+def protocol_by_name(name: str) -> type[CCProtocol]:
+    """Look a protocol class up by its ``name``; unknown names list the valid ones."""
+    table = protocols_by_name()
+    if name not in table:
+        raise ValueError(f"unknown protocol {name!r} (know: {', '.join(table)})")
+    return table[name]
+
+
 __all__ = [
     "CCProtocol",
     "LockSpec",
@@ -59,4 +72,6 @@ __all__ = [
     "ObjectRW2PLProtocol",
     "PageLockingProtocol",
     "all_protocols",
+    "protocols_by_name",
+    "protocol_by_name",
 ]

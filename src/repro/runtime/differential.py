@@ -25,26 +25,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.kernel import run_transactions
-from repro.core.protocol import SemanticLockingProtocol, SemanticNoReliefProtocol
 from repro.core.serializability import is_semantically_serializable
 from repro.faults.torture import state_of
 from repro.orderentry.workload import OrderEntryWorkload, WorkloadConfig
-from repro.protocols.closed_nested import ClosedNestedProtocol
-from repro.protocols.open_nested_naive import OpenNestedNaiveProtocol
-from repro.protocols.two_phase_object import ObjectRW2PLProtocol
-from repro.protocols.two_phase_page import PageLockingProtocol
+from repro.protocols import protocol_by_name, protocols_by_name
 from repro.runtime.threaded import run_threaded_transactions
-
-#: The six protocol factories, keyed exactly like the CLI's registry.
-DIFFERENTIAL_PROTOCOLS = {
-    "semantic": SemanticLockingProtocol,
-    "semantic-no-relief": SemanticNoReliefProtocol,
-    "open-nested-naive": OpenNestedNaiveProtocol,
-    "closed-nested": ClosedNestedProtocol,
-    "object-rw-2pl": ObjectRW2PLProtocol,
-    "page-2pl": PageLockingProtocol,
-}
-
 
 @dataclass(frozen=True)
 class RuntimeOutcome:
@@ -141,7 +126,7 @@ def run_differential(
     deadlock_policy: str = "detect",
 ) -> DifferentialReport:
     """Replay one seeded workload through both runtimes and cross-check."""
-    factory = DIFFERENTIAL_PROTOCOLS[protocol]
+    factory = protocol_by_name(protocol)
     config = _workload_config(seed, n_items, orders_per_item, mix)
 
     virtual_workload = OrderEntryWorkload(config)
@@ -185,7 +170,7 @@ def run_differential_sweep(
 ) -> list[DifferentialReport]:
     """One report per (protocol, seed) pair; see :func:`run_differential`."""
     reports = []
-    for protocol in protocols if protocols is not None else DIFFERENTIAL_PROTOCOLS:
+    for protocol in protocols if protocols is not None else protocols_by_name():
         for seed in seeds:
             reports.append(run_differential(protocol, seed, **kwargs))
     return reports

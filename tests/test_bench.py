@@ -5,11 +5,39 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import DEFAULT_COST_MODEL, run_closed_loop, sweep_protocols
-from repro.bench.metrics import RunMetrics, aggregate
+from repro.bench.metrics import RunMetrics, aggregate, percentile
 from repro.bench.report import format_markdown_table, format_table
 from repro.core.protocol import SemanticLockingProtocol
 from repro.orderentry.workload import WorkloadConfig
 from repro.protocols.two_phase_object import ObjectRW2PLProtocol
+
+
+class TestPercentile:
+    """Nearest rank: the sample at 1-based rank ceil(p/100 * n)."""
+
+    @pytest.mark.parametrize(
+        "n, p, expected",
+        [
+            (1, 50, 1), (1, 95, 1), (1, 99, 1),
+            (4, 50, 2), (4, 95, 4), (4, 99, 4),
+            (20, 50, 10), (20, 95, 19), (20, 99, 20),
+            (100, 50, 50), (100, 95, 95), (100, 99, 99),
+        ],
+    )
+    def test_rank_table(self, n, p, expected):
+        values = [float(v) for v in range(n, 0, -1)]  # unsorted on purpose
+        assert percentile(values, p) == float(expected)
+
+    def test_edges(self):
+        assert percentile([], 95) == 0.0
+        values = [float(v) for v in range(1, 101)]
+        assert percentile(values, 0) == 1.0
+        assert percentile(values, 100) == 100.0
+
+    def test_run_metrics_uses_it(self):
+        metrics = RunMetrics(protocol="p", response_times=(1.0, 2.0, 3.0, 4.0))
+        assert metrics.p50_response == 2.0
+        assert metrics.p95_response == 4.0
 
 
 class TestRunMetrics:

@@ -1,8 +1,10 @@
-"""Tests for the committed benchmark baseline and the regression gate."""
+"""Tests for the committed benchmark baseline and its exact diff."""
 
 from __future__ import annotations
 
+import ast
 import copy
+import glob
 import json
 import os
 
@@ -10,13 +12,11 @@ import pytest
 
 from repro.bench.baseline import (
     BASELINE_WORKLOADS,
-    DEFAULT_TOLERANCES,
     RECORDED_METRICS,
     SCHEMA,
     SCHEMA_VERSION,
-    Tolerance,
     collect_baseline,
-    compare,
+    diff,
     load_baseline,
     metrics_record,
     run_baseline_workload,
@@ -30,26 +30,6 @@ COMMITTED = os.path.join(REPO_ROOT, "BENCH_baseline.json")
 @pytest.fixture(scope="module")
 def fresh_doc():
     return collect_baseline()
-
-
-class TestTolerance:
-    def test_higher_is_better_floor(self):
-        t = Tolerance("higher_is_better", rel=0.25)
-        assert t.check(1.0, 1.0) == (True, 0.75)
-        assert t.check(1.0, 0.75) == (True, 0.75)
-        assert t.check(1.0, 0.74)[0] is False
-        assert t.check(1.0, 2.0)[0] is True  # improvement always passes
-
-    def test_lower_is_better_ceiling(self):
-        t = Tolerance("lower_is_better", rel=0.25)
-        assert t.check(4.0, 5.0) == (True, 5.0)
-        assert t.check(4.0, 5.01)[0] is False
-        assert t.check(4.0, 1.0)[0] is True
-
-    def test_absolute_slack(self):
-        t = Tolerance("higher_is_better", abs_=0.02)
-        assert t.check(0.9, 0.88)[0] is True
-        assert t.check(0.9, 0.87)[0] is False
 
 
 class TestBaselineDocument:
@@ -83,106 +63,52 @@ class TestBaselineDocument:
         assert json.loads(text) == fresh_doc
 
 
-class TestCompare:
-    def test_identical_documents_pass(self, fresh_doc):
-        result = compare(fresh_doc, fresh_doc)
-        assert result.ok
-        assert not result.errors
-        gated = [row for row in result.rows if row.gated]
-        # every tolerance-gated metric is checked for every workload
-        assert len(gated) == len(DEFAULT_TOLERANCES) * len(BASELINE_WORKLOADS)
-        assert "PASS" in result.summary()
+class TestDiff:
+    def test_identical_documents_have_no_diff(self, fresh_doc):
+        assert diff(fresh_doc, fresh_doc) == []
 
-    def test_throughput_regression_fails(self, fresh_doc):
-        hurt = copy.deepcopy(fresh_doc)
-        entry = hurt["workloads"]["p1_mpl4"]["metrics"]
-        entry["throughput"] = entry["throughput"] * 0.5  # -50% > 25% budget
-        result = compare(fresh_doc, hurt)
-        assert not result.ok
-        assert [(r.workload, r.metric) for r in result.regressions] == [
-            ("p1_mpl4", "throughput")
-        ]
-        assert "FAIL" in result.summary()
-
-    def test_small_drift_within_tolerance_passes(self, fresh_doc):
-        drifted = copy.deepcopy(fresh_doc)
-        entry = drifted["workloads"]["p1_mpl4"]["metrics"]
-        entry["throughput"] = entry["throughput"] * 0.9
-        entry["p95_response"] = entry["p95_response"] * 1.1
-        assert compare(fresh_doc, drifted).ok
-
-    def test_hit_rate_floor_trips(self, fresh_doc):
-        hurt = copy.deepcopy(fresh_doc)
-        entry = hurt["workloads"]["p2_hot"]["metrics"]
-        entry["commute_cache_hit_rate"] = entry["commute_cache_hit_rate"] - 0.05
-        result = compare(fresh_doc, hurt)
-        assert not result.ok
-        assert [(r.workload, r.metric) for r in result.regressions] == [
-            ("p2_hot", "commute_cache_hit_rate")
+    def test_any_moved_value_is_named_with_both_values(self, fresh_doc):
+        moved = copy.deepcopy(fresh_doc)
+        committed = fresh_doc["workloads"]["p1_mpl4"]["metrics"]["conflict_tests"]
+        moved["workloads"]["p1_mpl4"]["metrics"]["conflict_tests"] = committed + 1.0
+        assert diff(fresh_doc, moved) == [
+            f"p1_mpl4.conflict_tests: {committed} -> {committed + 1.0}"
         ]
 
-    def test_improvements_pass(self, fresh_doc):
-        better = copy.deepcopy(fresh_doc)
-        for entry in better["workloads"].values():
-            entry["metrics"]["throughput"] *= 2
-            entry["metrics"]["p95_response"] *= 0.5
-            entry["metrics"]["commute_cache_hit_rate"] = 1.0
-        assert compare(fresh_doc, better).ok
-
-    def test_schema_version_mismatch_errors(self, fresh_doc):
+    def test_schema_mismatch_stops_the_comparison(self, fresh_doc):
         old = copy.deepcopy(fresh_doc)
         old["schema_version"] = SCHEMA_VERSION + 1
-        result = compare(old, fresh_doc)
-        assert not result.ok
-        assert any("schema_version" in e for e in result.errors)
-        result = compare(fresh_doc, {"schema": "something-else"})
-        assert not result.ok
+        (problem,) = diff(old, fresh_doc)
+        assert problem.startswith("baseline: schema_version")
+        (problem,) = diff(fresh_doc, {"schema": "something-else"})
+        assert problem.startswith("fresh: not a")
 
-    def test_missing_workload_errors(self, fresh_doc):
+    def test_missing_workload(self, fresh_doc):
         partial = copy.deepcopy(fresh_doc)
         del partial["workloads"]["p2_cold"]
-        result = compare(fresh_doc, partial)
-        assert not result.ok
-        assert any("p2_cold" in e for e in result.errors)
+        assert diff(fresh_doc, partial) == ["fresh run is missing workload 'p2_cold'"]
         # extra fresh workloads are fine (baseline widens later)
-        assert compare(partial, fresh_doc).ok
+        assert diff(partial, fresh_doc) == []
 
-    def test_config_drift_errors(self, fresh_doc):
+    def test_config_drift(self, fresh_doc):
         drifted = copy.deepcopy(fresh_doc)
         drifted["workloads"]["p1_mpl4"]["config"]["mpl"] = 5
-        result = compare(fresh_doc, drifted)
-        assert not result.ok
-        assert any("config drifted" in e for e in result.errors)
+        (problem,) = diff(fresh_doc, drifted)
+        assert "'p1_mpl4' config drifted" in problem
 
-    def test_missing_metric_errors(self, fresh_doc):
+    def test_missing_metric(self, fresh_doc):
         partial = copy.deepcopy(fresh_doc)
         del partial["workloads"]["p1_mpl4"]["metrics"]["throughput"]
-        result = compare(fresh_doc, partial)
-        assert not result.ok
-        assert any("throughput" in e for e in result.errors)
-
-    def test_ungated_metrics_are_informational(self, fresh_doc):
-        noisy = copy.deepcopy(fresh_doc)
-        # 'committed' carries no tolerance: huge drift is info, not FAIL
-        noisy["workloads"]["p1_mpl4"]["metrics"]["committed"] = 1.0
-        result = compare(fresh_doc, noisy)
-        assert result.ok
-        info = [r for r in result.rows if not r.gated]
-        assert any(r.metric == "committed" for r in info)
-        assert all(r.status == "info" for r in info)
+        assert diff(fresh_doc, partial) == ["p1_mpl4: fresh run lacks metric 'throughput'"]
 
 
 class TestCommittedBaseline:
-    """The in-repo gate the CI bench-regression job replays."""
-
-    def test_committed_file_matches_fresh_run(self, fresh_doc):
-        committed = load_baseline(COMMITTED)
-        result = compare(committed, fresh_doc)
-        assert result.ok, result.summary()
+    """The virtual-path gate: the committed file *is* a fresh run."""
 
     def test_committed_file_is_exactly_a_fresh_run(self, fresh_doc):
         # The virtual path is deterministic: one extra conflict test or
-        # cache lookup must fail here, not drift inside the tolerances.
+        # cache lookup must fail here, and the diff says which.
+        assert diff(load_baseline(COMMITTED), fresh_doc) == []
         assert fresh_doc == load_baseline(COMMITTED)
         with open(COMMITTED) as fh:
             assert json.dumps(fresh_doc, indent=2, sort_keys=True) + "\n" == fh.read()
@@ -198,3 +124,42 @@ class TestCommittedBaseline:
         for name, entry in committed["workloads"].items():
             assert entry["metrics"]["commute_cache_hit_rate"] > 0.5, name
             assert entry["metrics"]["relief_cache_hits"] > 0, name
+
+
+class TestTwoGates:
+    """Guards against a third gate growing back beside the two we keep.
+
+    ``BENCH_baseline.json`` (exact, virtual time) and ``BENCHMARK.json``
+    (wall clock, ``perfbench``) are the gates; anything timed against a
+    simulated sleep is asserted as a relation in a ``slow`` test instead.
+    """
+
+    def definitions(self, root):
+        for path in sorted(glob.glob(os.path.join(root, "**", "*.py"), recursive=True)):
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    yield os.path.relpath(path, REPO_ROOT), node.name
+
+    def test_only_two_committed_bench_documents(self):
+        paths = glob.glob(os.path.join(REPO_ROOT, "BENCH*.json"))
+        found = sorted(os.path.basename(path) for path in paths)
+        assert found == ["BENCHMARK.json", "BENCH_baseline.json"]
+
+    def test_bench_package_has_no_compare_loop_or_tolerance_table(self):
+        bench = os.path.join(REPO_ROOT, "src", "repro", "bench")
+        offenders = [
+            (path, name)
+            for path, name in self.definitions(bench)
+            if name.lower().startswith(("compare", "toleran"))
+        ]
+        assert offenders == []
+
+    def test_exactly_one_percentile_under_src(self):
+        found = [
+            (path, name)
+            for path, name in self.definitions(os.path.join(REPO_ROOT, "src"))
+            if name.strip("_") == "percentile"
+        ]
+        assert found == [(os.path.join("src", "repro", "bench", "metrics.py"), "percentile")]

@@ -1,9 +1,10 @@
-"""Unit tests for the cluster-sweep bench machinery (no cluster boot).
+"""Tests for the cluster-sweep bench machinery.
 
-The expensive path — booting 1/2/4 real shard processes — is the CI
-``cluster-smoke`` job; here we pin the deterministic pieces: schedule
-generation, the monotonic-goodput verdict, and the ``BENCH_cluster.json``
-compare gate including its drift and schema guards.
+Tier-1 pins the deterministic pieces without booting a cluster:
+schedule generation and the monotonic-goodput verdict.  The ``slow``
+class boots 1/2/4 real shard processes and asserts the relations the
+retired cluster baseline recorded as timings (CI ``cluster-smoke`` runs
+it with ``-m slow``).
 """
 
 from __future__ import annotations
@@ -11,28 +12,13 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.cluster import (
-    BASELINE_SHARD_COUNTS,
-    BRANCH_SWEEP_COUNTS,
-    BRANCH_SWEEP_SHARDS,
-    BranchLatencyPoint,
     ClusterBenchConfig,
     ClusterLoopResult,
-    branch_latency_section,
-    compare_cluster,
     generate_cluster_arrivals,
     goodput_monotonic,
+    run_branch_latency_sweep,
+    sweep_shards,
 )
-
-
-def branch_point(branches: int, parallel_p95: float, sequential_p95: float) -> BranchLatencyPoint:
-    return BranchLatencyPoint(
-        branches=branches,
-        samples=30,
-        parallel_p50=parallel_p95 * 0.9,
-        parallel_p95=parallel_p95,
-        sequential_p50=sequential_p95 * 0.9,
-        sequential_p95=sequential_p95,
-    )
 
 
 def result_with(n_shards: int, ok: int, elapsed: float = 1.0) -> ClusterLoopResult:
@@ -89,117 +75,19 @@ class TestMonotonicVerdict:
         assert goodput_monotonic(results)
 
 
-class TestCompareGate:
-    def synthetic_doc(self) -> dict:
-        doc = {
-            "schema": "repro-bench-cluster",
-            "schema_version": 2,
-            "base_config": ClusterBenchConfig().to_dict(),
-            "goodput_monotonic": True,
-            "workloads": {},
-        }
-        for n_shards, goodput in zip(BASELINE_SHARD_COUNTS, (50.0, 80.0, 140.0)):
-            result = result_with(n_shards, int(goodput))
-            doc["workloads"][f"s{n_shards}"] = {
-                "config": {"n_shards": n_shards, "rate": 280.0},
-                "metrics": result.metrics_record(),
-            }
-        doc["branch_latency"] = branch_latency_section(
-            [
-                branch_point(1, 0.025, 0.024),
-                branch_point(2, 0.028, 0.050),
-                branch_point(4, 0.035, 0.100),
-            ]
-        )
-        return doc
+@pytest.mark.slow
+class TestClusterRelations:
+    def test_goodput_scales_with_shards_and_no_shard_drops(self):
+        results = sweep_shards((1, 2, 4))
+        records = [result.to_dict() for result in results]
+        print("goodput 1/2/4 shards: "
+              + " / ".join(f"{result.goodput:.1f}" for result in results))
+        assert goodput_monotonic(results), records
+        for result in results:
+            assert result.router_stats.get("shard_down", 0) == 0, records
 
-    def test_identical_docs_pass(self):
-        doc = self.synthetic_doc()
-        comparison = compare_cluster(doc, doc)
-        assert comparison.ok, comparison.summary()
-        gated = [row for row in comparison.rows if row.gated]
-        assert {row.metric for row in gated} == {
-            "goodput", "shard_down", "parallel_p95",
-        }
-
-    def test_goodput_collapse_fails_the_gate(self):
-        baseline = self.synthetic_doc()
-        fresh = self.synthetic_doc()
-        fresh["workloads"]["s4"]["metrics"]["goodput"] = 10.0
-        comparison = compare_cluster(baseline, fresh)
-        assert not comparison.ok
-
-    def test_nonmonotonic_fresh_sweep_is_an_error(self):
-        baseline = self.synthetic_doc()
-        fresh = self.synthetic_doc()
-        fresh["goodput_monotonic"] = False
-        comparison = compare_cluster(baseline, fresh)
-        assert not comparison.ok
-        assert any("monotonic" in error for error in comparison.errors)
-
-    def test_shard_down_regression_fails_the_gate(self):
-        baseline = self.synthetic_doc()
-        fresh = self.synthetic_doc()
-        fresh["workloads"]["s2"]["metrics"]["shard_down"] = 3.0
-        comparison = compare_cluster(baseline, fresh)
-        assert not comparison.ok
-
-    def test_config_drift_is_an_error(self):
-        baseline = self.synthetic_doc()
-        fresh = self.synthetic_doc()
-        fresh["workloads"]["s2"]["config"]["rate"] = 999.0
-        comparison = compare_cluster(baseline, fresh)
-        assert not comparison.ok
-        assert any("drifted" in error for error in comparison.errors)
-
-    def test_schema_mismatch_is_an_error(self):
-        baseline = self.synthetic_doc()
-        fresh = self.synthetic_doc()
-        fresh["schema_version"] = 99
-        comparison = compare_cluster(baseline, fresh)
-        assert not comparison.ok
-
-    def test_sequential_parity_is_an_error(self):
-        # The whole point of the fan-out: at the widest branch count,
-        # parallel prepare must beat sequential p95.
-        baseline = self.synthetic_doc()
-        fresh = self.synthetic_doc()
-        fresh["branch_latency"]["parallel_beats_sequential"] = False
-        comparison = compare_cluster(baseline, fresh)
-        assert not comparison.ok
-        assert any("parallel" in error for error in comparison.errors)
-
-    def test_parallel_p95_blowup_fails_the_gate(self):
-        baseline = self.synthetic_doc()
-        fresh = self.synthetic_doc()
-        # Fan-out silently gone sequential-and-then-some: far past the
-        # generous rel=1.5 / abs=0.05 tolerance band.
-        fresh["branch_latency"]["points"]["b4"]["metrics"]["parallel_p95"] = 0.25
-        comparison = compare_cluster(baseline, fresh)
-        assert not comparison.ok
-        bad = [r for r in comparison.rows if r.gated and not r.ok]
-        assert [r.workload for r in bad] == ["branch:b4"]
-
-    def test_committed_baseline_matches_the_collector_shape(self):
-        import json
-        import os
-
-        path = os.path.join(
-            os.path.dirname(__file__), os.pardir, "BENCH_cluster.json"
-        )
-        with open(path) as fh:
-            committed = json.load(fh)
-        assert committed["schema"] == "repro-bench-cluster"
-        assert committed["schema_version"] == 2
-        assert committed["goodput_monotonic"] is True
-        assert set(committed["workloads"]) == {
-            f"s{n}" for n in BASELINE_SHARD_COUNTS
-        }
-        branch = committed["branch_latency"]
-        assert branch["n_shards"] == BRANCH_SWEEP_SHARDS
-        assert set(branch["points"]) == {f"b{k}" for k in BRANCH_SWEEP_COUNTS}
-        # The committed evidence for the acceptance criterion: a 4-branch
-        # cross-shard request is faster under parallel prepare.
-        assert branch["parallel_beats_sequential"] is True
-        widest = branch["points"][f"b{max(BRANCH_SWEEP_COUNTS)}"]["metrics"]
-        assert widest["parallel_p95"] < widest["sequential_p95"]
+    def test_parallel_prepare_beats_sequential_at_four_branches(self):
+        widest = run_branch_latency_sweep(branch_counts=(4,))[0]
+        print(f"4-branch p95: parallel {widest.parallel_p95 * 1e3:.1f} ms, "
+              f"sequential {widest.sequential_p95 * 1e3:.1f} ms")
+        assert widest.parallel_beats_sequential, widest

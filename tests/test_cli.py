@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from repro.cli import main
+
+COMMITTED_BASELINE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_baseline.json"
+)
 
 
 class TestCli:
@@ -106,3 +113,46 @@ class TestCli:
         )
         assert result.returncode == 0
         assert "Item" in result.stdout
+
+
+class TestBench:
+    """``repro bench``: one shape, and ``--compare`` is an exact gate."""
+
+    def test_compare_against_committed_baseline_passes(self, capsys):
+        assert main(["bench", "--compare", COMMITTED_BASELINE]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def edited_copy(self, tmp_path, edit):
+        with open(COMMITTED_BASELINE) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_one_edited_metric_fails_and_is_named(self, tmp_path, capsys):
+        def edit(doc):
+            doc["workloads"]["p2_hot"]["metrics"]["conflict_tests"] = 1.0
+
+        with open(COMMITTED_BASELINE) as fh:
+            fresh = json.load(fh)["workloads"]["p2_hot"]["metrics"]["conflict_tests"]
+        assert main(["bench", "--compare", self.edited_copy(tmp_path, edit)]) == 1
+        out = capsys.readouterr().out
+        assert f"p2_hot.conflict_tests: 1.0 -> {fresh}" in out
+        assert "FAIL: 1 difference(s)" in out
+
+    def test_schema_version_bump_fails(self, tmp_path, capsys):
+        def edit(doc):
+            doc["schema_version"] += 1
+
+        assert main(["bench", "--compare", self.edited_copy(tmp_path, edit)]) == 1
+        assert "schema_version" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "mode", ["openloop", "cluster", "durability", "scaling", "parallelism"]
+    )
+    def test_retired_mode_flags_are_rejected(self, mode, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", f"--{mode}"])
+        assert exit_info.value.code == 2
+        assert f"--{mode}" in capsys.readouterr().err

@@ -94,8 +94,9 @@ class TestRecoveryDeterminism:
         assert report.all_ok
         # ... but recover here ourselves, with a metrics registry, from
         # the surviving file of a *later* fixed point we create now:
-        from repro.faults.durable import _protocol_factory, _run_child
+        from repro.faults.durable import _run_child
         from repro.faults.torture import order_entry_scenario
+        from repro.protocols import protocol_by_name
 
         point_dir = os.path.join(workdir, "fixed-point")
         os.makedirs(point_dir, exist_ok=True)
@@ -116,7 +117,7 @@ class TestRecoveryDeterminism:
         scan = load_wal_file(os.path.join(point_dir, WAL_FILENAME))
         scenario = order_entry_scenario(
             seed=3, n_transactions=3, n_items=2, orders_per_item=2,
-            protocol=_protocol_factory("semantic"),
+            protocol=protocol_by_name("semantic"),
         )
         restored, __ = scenario.instantiate()
         metrics = MetricsRegistry()

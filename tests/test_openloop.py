@@ -7,6 +7,11 @@ across runs and machines; (2) admission control is *bounded* no matter
 what sequence of arrivals, completions, and mode flips hits it — queue
 depth never exceeds the configured cap, in-flight never exceeds the
 slot count, and every shed tells the client a positive ``retry_after``.
+
+The ``slow`` class at the bottom is what the retired server-baseline
+sweep asserted, kept as relations rather than committed timings: it
+drives a real server past saturation in wall time, so it stays out of
+Tier-1 and runs in the CI ``server-smoke`` job (``-m slow``).
 """
 
 from __future__ import annotations
@@ -14,16 +19,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.baseline import Tolerance
-from repro.bench.openloop import (
-    SERVER_SCHEMA,
-    SERVER_SCHEMA_VERSION,
-    OpenLoopConfig,
-    compare_server,
-    generate_arrivals,
-    percentile,
-    run_open_loop,
-)
+from repro.bench.openloop import OpenLoopConfig, generate_arrivals, run_open_loop
 from repro.errors import RequestShed
 from repro.server.admission import AdmissionConfig, AdmissionController
 from repro.server.requests import READ_OPS, WRITE_OPS, op_class
@@ -77,17 +73,6 @@ class TestGeneratorDeterminism:
             generate_arrivals(OpenLoopConfig(rate=0))
         with pytest.raises(ValueError):
             generate_arrivals(OpenLoopConfig(n_items=0))
-
-
-class TestPercentile:
-    def test_empty(self):
-        assert percentile([], 95) == 0.0
-
-    def test_nearest_rank(self):
-        values = [float(v) for v in range(1, 101)]
-        assert percentile(values, 0) == 1.0
-        assert percentile(values, 100) == 100.0
-        assert abs(percentile(values, 50) - 50.0) <= 1.0
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +159,7 @@ class TestAdmissionProperties:
 
 
 # ----------------------------------------------------------------------
-# A short real run plus the baseline comparison plumbing
+# Real runs: a short underload smoke, and the 2x-saturation relations
 # ----------------------------------------------------------------------
 class TestOpenLoopRun:
     def test_underload_run_commits_everything(self):
@@ -191,42 +176,31 @@ class TestOpenLoopRun:
         assert record["p95_latency"] >= record["p50_latency"] >= 0
 
 
-def _doc(goodput: float, drain_clean: float = 1.0) -> dict:
-    return {
-        "schema": SERVER_SCHEMA,
-        "schema_version": SERVER_SCHEMA_VERSION,
-        "workloads": {
-            "semantic_r40": {
-                "config": {"protocol": "semantic", "rate": 40.0},
-                "metrics": {"goodput": goodput, "drain_clean": drain_clean},
-            }
-        },
-    }
+@pytest.mark.slow
+class TestSaturationBurst:
+    """~2x saturation: max_inflight 4 / 50 ms of service is ~80 req/s."""
 
+    @pytest.fixture(scope="class")
+    def bursts(self):
+        config = OpenLoopConfig(rate=160.0, duration=1.5, seed=42)
+        return {
+            protocol: run_open_loop(config, protocol=protocol)
+            for protocol in ("semantic", "object-rw-2pl")
+        }
 
-class TestCompareServer:
-    def test_matching_docs_pass(self):
-        result = compare_server(_doc(30.0), _doc(30.0))
-        assert result.ok, result.summary()
+    @pytest.mark.parametrize("protocol", ["semantic", "object-rw-2pl"])
+    def test_overload_sheds_bounds_latency_and_drains(self, bursts, protocol):
+        burst = bursts[protocol]
+        record = burst.to_dict()
+        assert burst.shed > 0, record
+        assert len(burst.shed_retry_after) == burst.shed
+        assert all(hint > 0 for hint in burst.shed_retry_after), burst.shed_retry_after
+        assert record["p95_latency"] <= 1.5 * burst.config.deadline, record
+        assert burst.drain_clean, record
+        assert burst.unanswered == 0, record
 
-    def test_goodput_collapse_fails(self):
-        result = compare_server(_doc(30.0), _doc(1.0))
-        assert not result.ok
-        assert any(row.metric == "goodput" for row in result.regressions)
-
-    def test_dirty_drain_fails(self):
-        result = compare_server(_doc(30.0), _doc(30.0, drain_clean=0.0))
-        assert not result.ok
-
-    def test_schema_mismatch_is_an_error(self):
-        bad = _doc(30.0)
-        bad["schema"] = "something-else"
-        result = compare_server(bad, _doc(30.0))
-        assert result.errors and not result.ok
-
-    def test_custom_tolerance_applies(self):
-        result = compare_server(
-            _doc(30.0), _doc(29.0),
-            tolerances={"goodput": Tolerance("higher_is_better", abs_=0.5)},
-        )
-        assert not result.ok
+    def test_semantic_out_serves_object_rw_2pl(self, bursts):
+        semantic, rw2pl = bursts["semantic"], bursts["object-rw-2pl"]
+        print(f"goodput: semantic {semantic.goodput:.1f}/s, "
+              f"object-rw-2pl {rw2pl.goodput:.1f}/s")
+        assert semantic.goodput > rw2pl.goodput, (semantic.to_dict(), rw2pl.to_dict())

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.protocols import protocols_by_name
 from repro.runtime.differential import (
-    DIFFERENTIAL_PROTOCOLS,
     run_differential,
     run_differential_sweep,
 )
@@ -28,7 +28,7 @@ NO_BYPASS_MIX = {"T1": 1.0, "T2": 1.0, "T5": 1.0}
 PROTOCOL_MIX = {"open-nested-naive": NO_BYPASS_MIX}
 
 
-@pytest.mark.parametrize("protocol", sorted(DIFFERENTIAL_PROTOCOLS))
+@pytest.mark.parametrize("protocol", sorted(protocols_by_name()))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_runtimes_agree(protocol: str, seed: int) -> None:
     report = run_differential(

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.bench.parallelism import run_scaling_point
+from repro.bench.parallelism import run_think_time_point
 from repro.core.protocol import SemanticLockingProtocol
 from repro.errors import AggregateWorkerError, RuntimeEngineError
 from repro.obs.registry import MetricsRegistry
@@ -216,7 +216,7 @@ class TestShardMetrics:
         assert snap.counter("shard.steps") == snap.counter("thread.steps")
 
     def test_scaling_point_is_consistent(self):
-        point = run_scaling_point(4, n_transactions=8)
+        point = run_think_time_point("ledger", "semantic", 4, n_transactions=8)
         assert point.consistent
         assert point.committed == 8
         assert point.n_shards > 0
