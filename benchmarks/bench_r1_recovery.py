@@ -13,9 +13,8 @@ committed subtransactions of losers are undone by logical compensation,
 never by physically erasing concurrent committed effects.
 """
 
-from repro.core.kernel import TransactionManager, run_transactions
-from repro.objects.atoms import AtomicObject
-from repro.objects.sets import SetObject
+from repro.core.kernel import TransactionManager
+from repro.faults.torture import serial_replay, state_of
 from repro.orderentry.schema import ITEM_TYPE, ORDER_TYPE, build_order_entry_database
 from repro.orderentry.transactions import make_new_order_txn, make_t1, make_t2
 from repro.recovery import WriteAheadLog, recover
@@ -38,21 +37,9 @@ def programs(built):
     }
 
 
-def state_of(db, exclude=("NextOrderNo",)):
-    state = {}
-    for obj in db.subtree():
-        if isinstance(obj, AtomicObject) and obj.name not in exclude:
-            state[obj.path] = obj.raw_get()
-        elif isinstance(obj, SetObject):
-            state[obj.path + "/keys"] = tuple(sorted(str(k) for k, __ in obj.raw_scan()))
-    return state
-
-
 def oracle(winners):
     fresh = build()
-    progs = programs(fresh)
-    for winner in winners:
-        run_transactions(fresh.db, {winner: progs[winner]})
+    serial_replay(fresh.db, winners, programs(fresh).__getitem__)
     return state_of(fresh.db)
 
 

@@ -45,8 +45,8 @@ def test_r2_torture_semantic_all_points(benchmark):
     rows = [
         {
             "seed": report.seed,
-            "steps": report.total_steps,
-            "wal_records": report.wal_records,
+            "steps": report.config["total_steps"],
+            "wal_records": report.config["wal_records"],
             "crash_points": report.crash_points,
             "anomalies": len(report.anomalies),
             "recover_ms": round(
@@ -60,7 +60,7 @@ def test_r2_torture_semantic_all_points(benchmark):
     for report in reports:
         assert report.all_ok, report.summary()
         # every step of the reference run was actually crashed
-        assert report.crash_points >= report.total_steps
+        assert report.crash_points >= report.config["total_steps"]
 
 
 def test_r2_torture_catches_bypass_anomaly(benchmark):

@@ -140,8 +140,8 @@ def _run_mode(
     recovery_started = time.perf_counter()
     recover(restored_db, survivor, scenario.type_specs)
     result["recovery_seconds"] = round(time.perf_counter() - recovery_started, 6)
-    result["digest"] = database_digest(restored_db, scenario.exclude_paths)
-    result["live_digest"] = database_digest(db, scenario.exclude_paths)
+    result["digest"] = database_digest(restored_db)
+    result["live_digest"] = database_digest(db)
     return result
 
 

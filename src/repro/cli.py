@@ -280,42 +280,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_torture(args: argparse.Namespace) -> int:
-    from repro.faults.torture import order_entry_scenario, run_torture
-
+    items = args.items if args.items is not None else (8 if args.cluster else 2)
     if args.cluster:
-        import json as _json
-
         from repro.faults.cluster import run_cluster_torture
 
-        sites = tuple(args.sites.split(",")) if args.sites else None
         report = run_cluster_torture(
             seed=args.seed,
             n_requests=args.requests,
             n_shards=args.shards,
-            n_items=args.items if args.items is not None else 8,
-            sites=sites,
+            n_items=items,
+            sites=tuple(args.sites.split(",")) if args.sites else None,
             workdir=args.workdir,
             max_seconds=args.max_seconds,
         )
-        summary = report.summary()
-        for outcome in summary["outcomes"]:
-            verdict = "ok" if outcome["ok"] else "FAIL"
-            print(f"shard {outcome['victim']} @ {outcome['site']}: {verdict} "
-                  f"(killed={outcome['process_killed']}, "
-                  f"lost={len(outcome['lost_committed'])}, "
-                  f"dangling={len(outcome['dangling_branches'])}, "
-                  f"serial_equiv={all(outcome['state_ok'])})")
-        print(f"{summary['run_points']}/{summary['planned_points']} crash points, "
-              f"all_ok={summary['all_ok']}"
-              + (" (truncated)" if summary["truncated"] else ""))
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fp:
-                _json.dump(summary, fp, indent=2, sort_keys=True)
-                fp.write("\n")
-            print(f"wrote cluster torture report to {args.json}")
-        return 0 if report.all_ok else 1
-    items = args.items if args.items is not None else 2
-    if args.durable:
+    elif args.durable:
         from repro.faults.durable import run_durable_torture
 
         report = run_durable_torture(
@@ -330,6 +308,8 @@ def cmd_torture(args: argparse.Namespace) -> int:
             max_seconds=args.max_seconds,
         )
     else:
+        from repro.faults.torture import order_entry_scenario, run_torture
+
         scenario = order_entry_scenario(
             seed=args.seed,
             n_transactions=args.transactions,
@@ -561,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     torture.add_argument(
         "--workdir", metavar="DIR", default=None,
-        help="with --durable: keep each crash point's files under DIR "
-        "(default: a temp dir, removed afterwards)",
+        help="with --durable or --cluster: keep each crash point's files "
+        "under DIR (default: a temp dir, removed afterwards)",
     )
     torture.add_argument(
         "--max-seconds", type=float, default=None, dest="max_seconds",
@@ -586,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     torture.add_argument(
         "--sites", metavar="SITE[,SITE...]", default=None,
         help="with --cluster: comma-separated crash sites to sweep "
-        "(default: all eight 2PC sites)",
+        "(default: all nine 2PC sites)",
     )
     torture.set_defaults(fn=cmd_torture)
 

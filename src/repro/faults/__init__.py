@@ -4,9 +4,9 @@
   the pure-configuration description of what to inject where.
 - :mod:`repro.faults.injector` — :class:`FaultInjector`, the runtime
   interpreter the kernel consults at its injection sites.
-- :mod:`repro.faults.torture` — the crash-torture harness: sweep crash
-  points, recover from the pickled WAL, verify state equivalence,
-  semantic serializability of the surviving history, and lock hygiene.
+- :mod:`repro.faults.torture` — the crash-torture harness (report, sweep
+  loop, replay oracle, in-process sweep); :mod:`~repro.faults.durable` and
+  :mod:`~repro.faults.cluster` are its SIGKILL and shard-kill point-runners.
 """
 
 from repro.faults.plan import FaultPlan, FaultPlanError, FaultSpec

@@ -25,6 +25,12 @@ cluster, shuts everything down cleanly, and audits the wreckage:
    original sub-requests, with compensations re-derived from the WAL's
    own inverse records): the surviving cluster history is equivalent to
    a serial one, crash or no crash.
+
+A point that misses one carries the named failure on its
+:class:`~repro.faults.torture.CrashOutcome` — ``site-never-fired``,
+``not-sigkill``, ``marker-mismatch``, ``lost-committed``,
+``dangling-branch``, ``state-divergence`` — and the sweep is
+:func:`repro.faults.torture.sweep` over ``v{victim}-{site}`` points.
 """
 
 from __future__ import annotations
@@ -32,11 +38,8 @@ from __future__ import annotations
 import json
 import os
 import signal
-import tempfile
-import time
-from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.cluster.files import CRASH_MARKER_FILENAME, WAL_FILENAME
 from repro.cluster.hashring import HashRing
@@ -47,96 +50,22 @@ from repro.cluster.participant import (
 )
 from repro.cluster.process import LocalCluster
 from repro.cluster.router import plan_request
-from repro.core.kernel import run_transactions
-from repro.faults.torture import _durable_winners, state_of
+from repro.faults.torture import (
+    CrashOutcome,
+    TortureReport,
+    _durable_winners,
+    recovered_matches,
+    serial_replay,
+    state_of,
+    sweep,
+)
 from repro.orderentry.schema import ITEM_TYPE, ORDER_TYPE, build_order_entry_database
-from repro.recovery import recover
 from repro.server.requests import Request, Response, build_program
 from repro.storage.durable import load_wal_file
 
-__all__ = [
-    "ClusterCrashOutcome",
-    "ClusterTortureReport",
-    "cluster_workload",
-    "run_cluster_torture",
-]
+__all__ = ["cluster_workload", "run_cluster_torture"]
 
 TYPE_SPECS = {"Item": ITEM_TYPE, "Order": ORDER_TYPE}
-
-
-@dataclass
-class ClusterCrashOutcome:
-    """Verdicts for one (victim shard, crash site) point."""
-
-    site: str
-    victim: int
-    crashed: bool  # the armed site actually fired
-    process_killed: bool = False  # death really was SIGKILL
-    marker_site: str = ""  # what the victim's crash marker says
-    recovery: dict[str, Any] = field(default_factory=dict)
-    acked_ok: int = 0
-    acked_failed: int = 0
-    lost_committed: tuple[str, ...] = ()
-    dangling_branches: tuple[str, ...] = ()
-    state_ok: tuple[bool, ...] = ()  # serial equivalence, per shard
-    winners_per_shard: tuple[int, ...] = ()
-    elapsed_seconds: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.crashed
-            and self.process_killed
-            and self.marker_site == self.site
-            and not self.lost_committed
-            and not self.dangling_branches
-            and all(self.state_ok)
-        )
-
-
-@dataclass
-class ClusterTortureReport:
-    """One full sweep over (victim, site) crash points."""
-
-    seed: int
-    n_shards: int
-    n_requests: int
-    outcomes: list[ClusterCrashOutcome] = field(default_factory=list)
-    planned_points: int = 0
-    truncated: bool = False
-    elapsed_seconds: float = 0.0
-
-    @property
-    def all_ok(self) -> bool:
-        return bool(self.outcomes) and all(o.ok for o in self.outcomes)
-
-    def summary(self) -> dict[str, Any]:
-        return {
-            "schema": "repro-cluster-torture",
-            "version": 1,
-            "seed": self.seed,
-            "n_shards": self.n_shards,
-            "n_requests": self.n_requests,
-            "planned_points": self.planned_points,
-            "run_points": len(self.outcomes),
-            "truncated": self.truncated,
-            "all_ok": self.all_ok,
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-            "outcomes": [
-                {
-                    "site": o.site,
-                    "victim": o.victim,
-                    "crashed": o.crashed,
-                    "process_killed": o.process_killed,
-                    "lost_committed": list(o.lost_committed),
-                    "dangling_branches": list(o.dangling_branches),
-                    "state_ok": list(o.state_ok),
-                    "winners_per_shard": list(o.winners_per_shard),
-                    "ok": o.ok,
-                }
-                for o in self.outcomes
-            ],
-        }
 
 
 # ----------------------------------------------------------------------
@@ -224,10 +153,6 @@ def cluster_workload(
 # ----------------------------------------------------------------------
 # One crash point
 # ----------------------------------------------------------------------
-def _is_cross(request: Request, ring: HashRing) -> bool:
-    return len(plan_request(request, ring.shard_for)) > 1
-
-
 def _gtid_of(rid: str, decisions: dict[str, str]) -> Optional[str]:
     for gtid in decisions:
         if gtid.split("-", 1)[1:] == [rid]:
@@ -246,30 +171,24 @@ def _audit_shard(
     """(durable winners, serial-equivalence verdict, dangling branches)."""
     scan = load_wal_file(os.path.join(shard_dir, WAL_FILENAME))
     winners = _durable_winners(scan.log)
-
-    recovered = build_order_entry_database(**build_config)
-    recover(recovered.db, scan.log, TYPE_SPECS)
-
     oracle = build_order_entry_database(**build_config)
-    for txn in winners:
+
+    def program_for(txn: str):
+        if txn.startswith("comp-"):
+            gtid = txn[len("comp-"):]
+            return compensation_program(oracle.db, branch_inverses(scan.log, f"2pc-{gtid}"))
         if txn.startswith("rq-"):
-            request = requests_by_id[txn[len("rq-"):]]
-            sub = plan_request(request, ring.shard_for)[shard]
-            program = build_program(oracle, sub)
+            rid = txn[len("rq-"):]
         elif txn.startswith("2pc-"):
             rid = txn[len("2pc-"):].split("-", 1)[1]
-            sub = plan_request(requests_by_id[rid], ring.shard_for)[shard]
-            program = build_program(oracle, sub)
-        elif txn.startswith("comp-"):
-            gtid = txn[len("comp-"):]
-            program = compensation_program(
-                oracle.db, branch_inverses(scan.log, f"2pc-{gtid}")
-            )
         else:
             raise RuntimeError(f"shard {shard}: unexpected durable winner {txn!r}")
-        run_transactions(oracle.db, {txn: program})
+        sub = plan_request(requests_by_id[rid], ring.shard_for)[shard]
+        return build_program(oracle, sub)
 
-    state_ok = state_of(recovered.db) == state_of(oracle.db)
+    serial_replay(oracle.db, winners, program_for)
+    recovered = build_order_entry_database(**build_config)
+    state_ok, __ = recovered_matches(recovered.db, scan.log, TYPE_SPECS, state_of(oracle.db))
 
     # A committed branch of an abort-decided gtid must have a committed
     # compensation — unless it was readonly (no inverse records to run).
@@ -284,32 +203,31 @@ def _audit_shard(
     return winners, state_ok, dangling
 
 
-def run_crash_point(
+def _drive_point(
+    label: str,
     site: str,
     victim: int,
     workdir: str,
-    seed: int = 0,
-    n_requests: int = 24,
-    n_shards: int = 2,
-    n_items: int = 8,
-    orders_per_item: int = 2,
-    hits: int = 1,
-    ready_timeout: float = 30.0,
-) -> ClusterCrashOutcome:
-    """Run one (victim, site) crash point end to end; see module doc."""
-    started = time.perf_counter()
-    ring = HashRing(n_shards)
-    build_config = {"n_items": n_items, "orders_per_item": orders_per_item}
-    workload = cluster_workload(seed, n_requests, n_items, ring, victim=victim)
-    requests_by_id = {r.request_id: r for r in workload}
-    outcome = ClusterCrashOutcome(site=site, victim=victim, crashed=False)
+    workload: Sequence[Request],
+    ring: HashRing,
+    build_config: dict[str, int],
+    ready_timeout: float,
+) -> tuple[CrashOutcome, list[tuple[Request, Response]], dict[str, str]]:
+    """Drive *workload* through a cluster whose *victim* is armed at *site*.
 
+    Returns the outcome so far (did the site fire, how did the victim
+    die, what does its marker say), every (request, response) the router
+    answered — probes of the recovered cluster included — and the
+    coordinator's durable decisions.
+    """
+    outcome = CrashOutcome(label=label, crashed=False)
     acked: list[tuple[Request, Response]] = []
+    decisions: dict[str, str] = {}
     cluster = LocalCluster(
-        n_shards,
+        ring.n_shards,
         workdir,
         shard_config=build_config,
-        crash_specs={victim: {"site": site, "hits": hits}},
+        crash_specs={victim: {"site": site, "hits": 1}},
         # A deliberately tiny threshold so coordinator-log compaction
         # runs repeatedly *during* the crash workload: the audit then
         # proves in-doubt resolution and the zero-lost-commit invariant
@@ -330,56 +248,67 @@ def run_crash_point(
                 )
                 if os.path.exists(marker_path):
                     with open(marker_path, encoding="utf-8") as fh:
-                        outcome.marker_site = json.load(fh).get("site", "")
-                outcome.recovery = cluster.restart_shard(
+                        outcome.crash_site = json.load(fh).get("site", "")
+                outcome.detail["recovery"] = cluster.restart_shard(
                     victim, clear_crash=True, ready_timeout=ready_timeout
                 )["recovery"]
 
         if not outcome.crashed:
             # The armed site never fired: finish cleanly, nothing to audit.
-            return outcome
+            outcome.failures = ("site-never-fired",)
+            return outcome, acked, decisions
 
         # Post-recovery probes: the revived cluster must serve both paths.
-        probe_items = sorted(
-            (i for i in range(n_items) if ring.shard_for(i) == victim)
-        )
-        other_items = sorted(
-            (i for i in range(n_items) if ring.shard_for(i) != victim)
-        )
+        items = range(build_config["n_items"])
+        probe_item = min(i for i in items if ring.shard_for(i) == victim)
+        other_item = min(i for i in items if ring.shard_for(i) != victim)
         probes = [
-            Request(op="place", item=probe_items[0], customer_no=900,
+            Request(op="place", item=probe_item, customer_no=900,
                     quantity=1, request_id="probe-single"),
             Request(op="place", customer_no=901, request_id="probe-cross",
-                    lines=((probe_items[0], 1), (other_items[0], 1))),
+                    lines=((probe_item, 1), (other_item, 1))),
         ]
         for request in probes:
-            requests_by_id[request.request_id] = request
             acked.append((request, cluster.router.route_request(request)))
-
         decisions = cluster.log.decisions()
     finally:
         cluster.stop()
+    if not outcome.process_killed:
+        outcome.failures += ("not-sigkill",)
+    if outcome.crash_site != site:
+        outcome.failures += ("marker-mismatch",)
+    return outcome, acked, decisions
 
-    # ---- the audit: read every shard's surviving files ----
+
+def _audit_point(
+    outcome: CrashOutcome,
+    workdir: str,
+    ring: HashRing,
+    build_config: dict[str, int],
+    acked: Sequence[tuple[Request, Response]],
+    decisions: dict[str, str],
+) -> None:
+    """Read every shard's surviving files; add what they disprove to *outcome*."""
+    requests_by_id = {request.request_id: request for request, __ in acked}
     winners_by_shard: dict[int, list[str]] = {}
-    state_ok: list[bool] = []
+    diverged: list[int] = []
     dangling: list[str] = []
-    for shard in range(n_shards):
+    for shard in range(ring.n_shards):
         shard_dir = os.path.join(workdir, f"shard-{shard}")
-        winners, ok, shard_dangling = _audit_shard(
+        winners, state_ok, shard_dangling = _audit_shard(
             shard_dir, build_config, requests_by_id, decisions, ring, shard
         )
         winners_by_shard[shard] = winners
-        state_ok.append(ok)
+        if not state_ok:
+            diverged.append(shard)
         dangling.extend(shard_dangling)
 
     lost: list[str] = []
+    acked_ok = 0
     for request, response in acked:
-        if response.status == "ok":
-            outcome.acked_ok += 1
-        else:
-            outcome.acked_failed += 1
+        if response.status != "ok":
             continue
+        acked_ok += 1
         if request.op in ("stock-check", "total-payment"):
             continue  # reads cannot be "lost"
         rid = request.request_id
@@ -397,14 +326,23 @@ def run_crash_point(
             if f"2pc-{gtid}" not in winners_by_shard[shard]:
                 lost.append(f"2pc-{gtid}@s{shard}")
 
-    outcome.lost_committed = tuple(lost)
-    outcome.dangling_branches = tuple(dangling)
-    outcome.state_ok = tuple(state_ok)
-    outcome.winners_per_shard = tuple(
-        len(winners_by_shard[s]) for s in range(n_shards)
+    outcome.winners = tuple(
+        f"s{shard}:{txn}" for shard, txns in winners_by_shard.items() for txn in txns
     )
-    outcome.elapsed_seconds = time.perf_counter() - started
-    return outcome
+    outcome.detail.update(
+        acked_ok=acked_ok,
+        acked_failed=len(acked) - acked_ok,
+        winners_per_shard=[len(winners) for winners in winners_by_shard.values()],
+        lost_committed=lost,
+        dangling_branches=dangling,
+        diverged_shards=diverged,
+    )
+    if lost:
+        outcome.failures += ("lost-committed",)
+    if dangling:
+        outcome.failures += ("dangling-branch",)
+    if diverged:
+        outcome.failures += ("state-divergence",)
 
 
 # ----------------------------------------------------------------------
@@ -421,51 +359,35 @@ def run_cluster_torture(
     workdir: Optional[str] = None,
     max_seconds: Optional[float] = None,
     ready_timeout: float = 30.0,
-) -> ClusterTortureReport:
+) -> TortureReport:
     """SIGKILL a shard at every 2PC crash site; audit every recovery.
 
     Each (victim, site) point gets a fresh cluster directory and a full
-    workload/crash/restart/audit cycle.  *max_seconds* truncates the
-    sweep honestly (``report.truncated``) when the budget runs out.
+    workload/crash/restart/audit cycle, under the shared
+    :func:`~repro.faults.torture.sweep` loop.
     """
-    started = time.perf_counter()
     sites = tuple(sites) if sites is not None else CRASH_SITES
     victims = tuple(victims) if victims is not None else tuple(range(n_shards))
     unknown = [s for s in sites if s not in CRASH_SITES]
     if unknown:
         raise ValueError(f"unknown crash sites {unknown}; know {list(CRASH_SITES)}")
-    report = ClusterTortureReport(
-        seed=seed, n_shards=n_shards, n_requests=n_requests
-    )
-    points = [(victim, site) for victim in victims for site in sites]
-    report.planned_points = len(points)
+    ring = HashRing(n_shards)
+    build_config = {"n_items": n_items, "orders_per_item": orders_per_item}
 
-    own_dir = None
-    if workdir is None:
-        own_dir = tempfile.TemporaryDirectory(prefix="repro-cluster-torture-")
-        workdir = own_dir.name
-    try:
-        for victim, site in points:
-            if max_seconds is not None and time.perf_counter() - started >= max_seconds:
-                report.truncated = True
-                break
-            point_dir = os.path.join(workdir, f"v{victim}-{site}")
-            os.makedirs(point_dir, exist_ok=True)
-            report.outcomes.append(
-                run_crash_point(
-                    site,
-                    victim,
-                    point_dir,
-                    seed=seed,
-                    n_requests=n_requests,
-                    n_shards=n_shards,
-                    n_items=n_items,
-                    orders_per_item=orders_per_item,
-                    ready_timeout=ready_timeout,
-                )
-            )
-    finally:
-        if own_dir is not None:
-            own_dir.cleanup()
-    report.elapsed_seconds = time.perf_counter() - started
-    return report
+    def run_point(label: str, point: tuple[int, str], point_dir: str) -> CrashOutcome:
+        victim, site = point
+        workload = cluster_workload(seed, n_requests, n_items, ring, victim=victim)
+        outcome, acked, decisions = _drive_point(
+            label, site, victim, point_dir, workload, ring, build_config, ready_timeout
+        )
+        if outcome.crashed:
+            _audit_point(outcome, point_dir, ring, build_config, acked, decisions)
+        return outcome
+
+    report = TortureReport(
+        f"cluster(seed={seed}, shards={n_shards}, requests={n_requests})",
+        seed,
+        {"harness": "shard-kill", "n_shards": n_shards, "n_requests": n_requests},
+    )
+    points = [(f"v{victim}-{site}", (victim, site)) for victim in victims for site in sites]
+    return sweep(report, points, run_point, workdir, max_seconds)

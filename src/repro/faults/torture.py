@@ -31,16 +31,24 @@ point must pass all four.  Pointed at the unsafe
 ``OpenNestedNaiveProtocol`` with encapsulation-bypassing readers, the
 same sweep *must* find at least one crash point that fails — proving the
 harness detects real violations rather than confirming everything.
+
+This module is also the one harness core under the real-process sweeps
+(:mod:`repro.faults.durable`, :mod:`repro.faults.cluster`): they supply
+a point-runner, and share :class:`CrashOutcome` / :class:`TortureReport`,
+the :func:`sweep` loop (temp dir, per-point directory, wall-clock
+budget), the :func:`crash_points` grid and the recover-and-replay oracle
+(:func:`serial_replay` + :func:`recovered_matches`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.core.kernel import TransactionManager, TransactionProgram, run_transactions
 from repro.core.protocol import SemanticLockingProtocol
@@ -88,66 +96,63 @@ class TortureScenario:
     type_specs: Optional[Mapping[str, Any]] = None
     policy: str = "fifo"
     seed: Optional[int] = None
-    compare_results: bool = True
-    exclude_paths: tuple[str, ...] = ("NextOrderNo",)
+    _replays: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def expected(self, winners: tuple[str, ...]) -> tuple[dict, dict]:
+        """(state, results) of replaying *winners* serially on a fresh instance.
+
+        Memoised: a sweep's crash points share a handful of winner
+        prefixes, and replaying each per point instead of once slows the
+        in-process seed-0 sweep by about 15 %.
+        """
+        if winners not in self._replays:
+            db, programs = self.instantiate()
+            results = serial_replay(db, winners, programs.__getitem__)
+            self._replays[winners] = (state_of(db), results)
+        return self._replays[winners]
 
 
 @dataclass
 class CrashOutcome:
-    """Verdicts for one crash point."""
+    """Verdicts for one crash point, whichever sweep ran it.
 
-    kind: str  # "step" | "wal"
-    at: int  # step index / WAL record count
+    *failures* is the whole verdict: one named string per check that did
+    not hold (the vocabulary is tabulated in docs/FAULTS.md).  *detail*
+    carries the per-harness counts behind it — ``compensated``,
+    ``leaks``, ``torn_tail_bytes``, ``acked_ok``, ``winners_per_shard``…
+    """
+
+    label: str  # "step-12" | "wal-3" | "v0-2pc-prepare-logged"; also the point's directory
     crashed: bool  # False: the fault never fired (point beyond the run)
+    process_killed: bool = False  # a real process really died by SIGKILL
     crash_site: str = ""
     winners: tuple[str, ...] = ()
     losers: tuple[str, ...] = ()
-    state_ok: bool = True
-    results_ok: bool = True
-    serializable: bool = True
-    leaks: tuple[str, ...] = ()
-    compensated: int = 0
-    physically_undone: int = 0
+    failures: tuple[str, ...] = ()
     recovery_seconds: float = 0.0
-    # Durable (real-process) sweeps only:
-    process_killed: bool = False  # the child really died by SIGKILL
-    torn_tail_bytes: int = 0  # WAL bytes discarded by the checksum scan
-    torn_pages: int = 0  # page-file blocks found torn (detected, not read)
+    detail: dict[str, Any] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return self.state_ok and self.results_ok and self.serializable and not self.leaks
-
-    @property
-    def failures(self) -> list[str]:
-        out = []
-        if not self.state_ok:
-            out.append("state-divergence")
-        if not self.results_ok:
-            out.append("result-divergence")
-        if not self.serializable:
-            out.append("non-serializable-surviving-history")
-        if self.leaks:
-            out.append("leaked-locks")
-        return out
-
-    def label(self) -> str:
-        return f"{self.kind}@{self.at}"
+        return self.crashed and not self.failures
 
 
 @dataclass
 class TortureReport:
-    """The full sweep's verdicts, JSON-serialisable for CI artifacts."""
+    """One sweep's verdicts, JSON-serialisable for CI artifacts.
+
+    *config* is what the sweep ran over (harness, step/WAL counts of the
+    reference run, shard and request counts…); the rest is the same for
+    the in-process, SIGKILL and shard-kill sweeps.
+    """
 
     scenario: str
     seed: Optional[int]
-    total_steps: int = 0
-    wal_records: int = 0
+    config: dict[str, Any] = field(default_factory=dict)
     outcomes: list[CrashOutcome] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
-    durable: bool = False  # real-process SIGKILL sweep over on-disk files
     planned_points: int = 0  # full sweep size before any time budget
     truncated: bool = False  # stopped early by max_seconds
+    elapsed_seconds: float = 0.0
 
     @property
     def crash_points(self) -> int:
@@ -159,46 +164,52 @@ class TortureReport:
 
     @property
     def anomalies(self) -> list[CrashOutcome]:
-        return [o for o in self.outcomes if o.crashed and not o.ok]
+        return [o for o in self.outcomes if o.failures]
 
     @property
     def all_ok(self) -> bool:
-        return not self.anomalies
+        """At least one crash point was verified, and none failed.
+
+        A sweep that verified nothing (budget of zero, every fault
+        beyond the run) has shown nothing, so it does not pass.
+        """
+        return self.crash_points > 0 and not self.anomalies
 
     def to_dict(self) -> dict[str, Any]:
         return {
+            "schema": "repro-torture",
+            "version": 2,
             "scenario": self.scenario,
             "seed": self.seed,
-            "durable": self.durable,
-            "process_kills": self.process_kills,
-            "torn_tails": sum(1 for o in self.outcomes if o.torn_tail_bytes),
-            "torn_pages": sum(o.torn_pages for o in self.outcomes),
-            "total_steps": self.total_steps,
-            "wal_records": self.wal_records,
-            "crash_points": self.crash_points,
+            "config": dict(self.config),
             "planned_points": self.planned_points,
             "covered_points": len(self.outcomes),
+            "crash_points": self.crash_points,
+            "process_kills": self.process_kills,
             "truncated": self.truncated,
-            "anomalies": [
-                {"at": o.label(), "failures": o.failures, "losers": list(o.losers)}
-                for o in self.anomalies
-            ],
             "all_ok": self.all_ok,
+            "anomalies": [o.label for o in self.anomalies],
             "elapsed_seconds": round(self.elapsed_seconds, 3),
             "recovery_seconds_total": round(
                 sum(o.recovery_seconds for o in self.outcomes), 6
             ),
+            "outcomes": [asdict(o) for o in self.outcomes],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def summary(self) -> str:
-        verdict = "OK" if self.all_ok else f"{len(self.anomalies)} ANOMALIES"
-        mode = f", {self.process_kills} SIGKILLs" if self.durable else ""
+        if self.anomalies:
+            verdict = f"{len(self.anomalies)} ANOMALIES"
+        else:
+            verdict = "OK" if self.all_ok else "NOTHING VERIFIED"
+        facts = [f"{key}={value}" for key, value in self.config.items()]
+        if self.process_kills:
+            facts.append(f"{self.process_kills} SIGKILLs")
         lines = [
             f"torture[{self.scenario}]: {self.crash_points} crash points "
-            f"({self.total_steps} steps, {self.wal_records} WAL records{mode}) -> {verdict}"
+            f"({', '.join(facts)}) -> {verdict}"
         ]
         if self.truncated:
             lines.append(
@@ -207,18 +218,129 @@ class TortureReport:
                 "the points that ran"
             )
         for outcome in self.anomalies:
-            lines.append(f"  {outcome.label()}: {', '.join(outcome.failures)}")
+            lines.append(f"  {outcome.label}: {', '.join(outcome.failures)}")
         return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# The sweep driver every harness shares
+# ----------------------------------------------------------------------
+def sweep(
+    report: TortureReport,
+    points: Sequence[tuple[str, Any]],
+    run_point: Callable[[str, Any, str], CrashOutcome],
+    workdir: Optional[str] = None,
+    max_seconds: Optional[float] = None,
+) -> TortureReport:
+    """Run ``run_point(label, point, point_dir)`` over *points* into *report*.
+
+    Each ``(label, point)`` gets its own directory ``workdir/label`` (a
+    temp dir, removed afterwards, unless *workdir* is given: the files a
+    crash leaves behind are then kept for inspection).  *max_seconds* is
+    a wall-clock budget: when it runs out the sweep stops before the next
+    point and the report is partial-but-honest — ``truncated`` is set and
+    ``planned_points`` vs ``len(outcomes)`` say how much the verdict
+    covers.
+    """
+    started = time.perf_counter()
+    report.planned_points = len(points)
+    with contextlib.ExitStack() as cleanup:
+        if workdir is None:
+            workdir = cleanup.enter_context(tempfile.TemporaryDirectory(prefix="repro-torture-"))
+        for label, point in points:
+            if max_seconds is not None and time.perf_counter() - started >= max_seconds:
+                report.truncated = True
+                break
+            point_dir = os.path.join(workdir, label)
+            os.makedirs(point_dir, exist_ok=True)
+            report.outcomes.append(run_point(label, point, point_dir))
+    report.elapsed_seconds = time.perf_counter() - started
+    return report
+
+
+def crash_points(
+    scenario: TortureScenario, steps: Optional[int] = None, wal_sweep: bool = True
+) -> tuple[list[tuple[str, tuple[str, int]]], dict[str, int]]:
+    """The crash grid of *scenario*'s reference run, as labelled points.
+
+    One ``("step", k)`` per scheduler step — *steps* caps their number,
+    evenly strided when the run is longer — plus, with *wal_sweep*, one
+    ``("wal", n)`` after every WAL append: the windows invisible to step
+    granularity.  Also returns the reference run's sizes for the report.
+    """
+    reference, ref_wal, ref_crash = _run_instance(scenario)
+    assert ref_crash is None, "reference run must not crash"
+    grid = [("step", k) for k in range(reference.scheduler.steps)]
+    if steps is not None and len(grid) > steps:
+        grid = grid[:: max(1, len(grid) // steps)][:steps]
+    if wal_sweep:
+        grid += [("wal", n) for n in range(1, len(ref_wal) + 1)]
+    sizes = {"total_steps": reference.scheduler.steps, "wal_records": len(ref_wal)}
+    return [(f"{kind}-{at}", (kind, at)) for kind, at in grid], sizes
+
+
+def crash_plan(kind: str, at: int) -> FaultPlan:
+    """The fault plan that kills a run at grid point ``(kind, at)``."""
+    if kind == "step":
+        return FaultPlan.crash_at_step(at)
+    return FaultPlan.crash_at_wal_record(at)
+
+
+# ----------------------------------------------------------------------
+# The recover-and-replay oracle every harness shares
+# ----------------------------------------------------------------------
+def serial_replay(
+    fresh_db, winners: Sequence[str], program_for: Callable[[str], TransactionProgram]
+) -> dict[str, Any]:
+    """Run *winners* one at a time, in order, on *fresh_db*; their results."""
+    results: dict[str, Any] = {}
+    for winner in winners:
+        kernel = run_transactions(fresh_db, {winner: program_for(winner)})
+        results[winner] = kernel.handles[winner].result
+    return results
+
+
+def recovered_matches(fresh_db, log: WriteAheadLog, type_specs, expected_state):
+    """Recover *log* onto *fresh_db*; (state equals *expected_state*, report)."""
+    recovery = recover(fresh_db, log, type_specs)
+    return state_of(fresh_db) == expected_state, recovery
+
+
+def check_recovery(outcome: CrashOutcome, scenario: TortureScenario, log) -> dict:
+    """Recover the surviving *log* and hold it against the serial oracle.
+
+    Fills the outcome's winners, losers, recovery counts and a
+    ``state-divergence`` failure; returns the oracle's results so a
+    caller that still has the crashed run's results can compare them.
+    """
+    outcome.winners = tuple(_durable_winners(log))
+    outcome.losers = tuple(t for t in log.transactions() if log.status_of(t) == "in-flight")
+    oracle_state, oracle_results = scenario.expected(outcome.winners)
+    restored_db, __ = scenario.instantiate()
+    matches, recovery = recovered_matches(restored_db, log, scenario.type_specs, oracle_state)
+    outcome.recovery_seconds = recovery.total_seconds
+    outcome.detail["compensated"] = recovery.compensated
+    outcome.detail["physically_undone"] = recovery.physically_undone
+    if not matches:
+        outcome.failures += ("state-divergence",)
+    return oracle_results
 
 
 # ----------------------------------------------------------------------
 # Running one (possibly crashing) instance
 # ----------------------------------------------------------------------
 def _run_instance(
-    scenario: TortureScenario, faults: Optional[FaultPlan] = None
+    scenario: TortureScenario,
+    faults: Optional[FaultPlan] = None,
+    open_wal: Callable[[Any], WriteAheadLog] = lambda db: WriteAheadLog(),
 ) -> tuple[TransactionManager, WriteAheadLog, Optional[CrashPoint]]:
+    """Run the scenario to its end or to the injected crash.
+
+    *open_wal(db)* supplies the log; the SIGKILL sweep's children pass
+    one that is file-backed and re-homes ``db.storage`` onto a page file.
+    """
     db, programs = scenario.instantiate()
-    wal = WriteAheadLog()
+    wal = open_wal(db)
     kernel = TransactionManager(
         db,
         protocol=scenario.protocol(),
@@ -329,128 +451,61 @@ def _surviving_history(kernel: TransactionManager) -> History:
     )
 
 
-class _SerialOracle:
-    """Serial executions of winner sets, cached by (winners tuple)."""
+def corpse_checks(kernel: TransactionManager) -> tuple[tuple[str, ...], list[str]]:
+    """(failures, leaks): what only the crashed process's memory can answer.
 
-    def __init__(self, scenario: TortureScenario) -> None:
-        self._scenario = scenario
-        self._cache: dict[tuple[str, ...], tuple[dict, dict]] = {}
-
-    def run(self, winners: tuple[str, ...]) -> tuple[dict, dict]:
-        """(state, results) after running *winners* serially, in order."""
-        hit = self._cache.get(winners)
-        if hit is not None:
-            return hit
-        db, programs = self._scenario.instantiate()
-        results: dict[str, Any] = {}
-        for winner in winners:
-            kernel = run_transactions(db, {winner: programs[winner]})
-            results[winner] = kernel.handles[winner].result
-        answer = (state_of(db, self._scenario.exclude_paths), results)
-        self._cache[winners] = answer
-        return answer
+    Lock hygiene and surviving-history serializability, inspected on the
+    corpse before the coroutines are torn down (shutdown would run
+    cleanup handlers a crash never runs).
+    """
+    failures: tuple[str, ...] = ()
+    leaks = _leak_check(kernel)
+    if leaks:
+        failures += ("leaked-locks",)
+    verdict = is_semantically_serializable(_surviving_history(kernel), db=kernel.db)
+    if not verdict.serializable:
+        failures += ("non-serializable-surviving-history",)
+    return failures, leaks
 
 
 # ----------------------------------------------------------------------
-# The sweep
+# The in-process sweep
 # ----------------------------------------------------------------------
 def run_torture(
     scenario: TortureScenario,
     steps: Optional[int] = None,
-    step_stride: int = 1,
     wal_sweep: bool = True,
-    wal_dir: Optional[str] = None,
     max_seconds: Optional[float] = None,
 ) -> TortureReport:
     """Crash the scenario at every crash point and verify each recovery.
 
-    *steps* caps the number of step crash points (evenly strided when
-    the run is longer); *step_stride* coarsens the sweep directly.  The
-    WAL-boundary sweep (``wal_sweep``) crashes after every WAL append of
-    the reference run — the windows invisible to step granularity.
-    Every crash's log is round-tripped through a pickle file under
-    *wal_dir* (a temp dir by default): recovery reads what the disk
-    would actually hold.
-
-    *max_seconds* is a wall-clock budget: when it runs out the sweep
-    stops after the current point and the report is partial-but-honest —
-    ``truncated`` is set and ``planned_points`` vs ``covered_points``
-    say exactly how much of the sweep the verdict covers.
+    The grid is :func:`crash_points`; every crash's log is round-tripped
+    through a pickle file in the point's directory, so recovery reads
+    what the disk would actually hold.  *max_seconds* as in :func:`sweep`.
     """
-    started = time.perf_counter()
-    reference, ref_wal, ref_crash = _run_instance(scenario)
-    assert ref_crash is None, "reference run must not crash"
-    report = TortureReport(
-        scenario=scenario.name,
-        seed=scenario.seed,
-        total_steps=reference.scheduler.steps,
-        wal_records=len(ref_wal),
+    points, sizes = crash_points(scenario, steps, wal_sweep)
+    report = TortureReport(scenario.name, scenario.seed, {"harness": "in-process", **sizes})
+    return sweep(
+        report,
+        points,
+        lambda label, point, point_dir: _torture_point(
+            scenario, label, crash_plan(*point), point_dir
+        ),
+        max_seconds=max_seconds,
     )
-    oracle = _SerialOracle(scenario)
-
-    step_points = list(range(0, report.total_steps, max(1, step_stride)))
-    if steps is not None and len(step_points) > steps:
-        stride = max(1, len(step_points) // steps)
-        step_points = step_points[::stride][:steps]
-
-    points = [("step", k) for k in step_points]
-    if wal_sweep:
-        points += [("wal", n) for n in range(1, report.wal_records + 1)]
-    report.planned_points = len(points)
-
-    own_dir = None
-    if wal_dir is None:
-        own_dir = tempfile.TemporaryDirectory(prefix="repro-torture-")
-        wal_dir = own_dir.name
-    try:
-        for kind, at in points:
-            if max_seconds is not None and time.perf_counter() - started >= max_seconds:
-                report.truncated = True
-                break
-            plan = (
-                FaultPlan.crash_at_step(at)
-                if kind == "step"
-                else FaultPlan.crash_at_wal_record(at)
-            )
-            report.outcomes.append(
-                _torture_point(scenario, oracle, kind, at, plan, wal_dir)
-            )
-    finally:
-        if own_dir is not None:
-            own_dir.cleanup()
-    report.elapsed_seconds = time.perf_counter() - started
-    return report
 
 
 def _torture_point(
-    scenario: TortureScenario,
-    oracle: _SerialOracle,
-    kind: str,
-    at: int,
-    plan: FaultPlan,
-    wal_dir: str,
+    scenario: TortureScenario, label: str, plan: FaultPlan, point_dir: str
 ) -> CrashOutcome:
     kernel, wal, crash = _run_instance(scenario, faults=plan)
-    outcome = CrashOutcome(kind=kind, at=at, crashed=crash is not None)
+    outcome = CrashOutcome(label=label, crashed=crash is not None)
     if crash is None:
         # The run finished before the fault could fire (e.g. a WAL point
         # beyond a shorter-than-reference log); nothing to verify.
         return outcome
     outcome.crash_site = crash.site
-
-    # 1. Lock hygiene, inspected on the corpse before the coroutines are
-    # torn down (shutdown would run cleanup handlers a crash never runs).
-    outcome.leaks = tuple(_leak_check(kernel))
-
-    # 2. Serializability of the surviving (pretend-committed) history.
-    verdict = is_semantically_serializable(_surviving_history(kernel), db=kernel.db)
-    outcome.serializable = bool(verdict.serializable)
-
-    winners = tuple(_durable_winners(wal))
-    outcome.winners = winners
-    outcome.losers = tuple(
-        t for t in wal.transactions() if wal.status_of(t) == "in-flight"
-    )
+    outcome.failures, outcome.detail["leaks"] = corpse_checks(kernel)
     committed_results = {
         name: handle.result
         for name, handle in kernel.handles.items()
@@ -458,29 +513,19 @@ def _torture_point(
     }
     kernel.scheduler.shutdown()
 
-    # 3. Recover from the *pickled* WAL onto a fresh database.
-    path = os.path.join(wal_dir, f"{kind}-{at}.wal")
+    # Recover from the *pickled* WAL onto a fresh database.
+    path = os.path.join(point_dir, "wal.pickle")
     wal.save(path)
-    durable = WriteAheadLog.load(path)
-    restored_db, __ = scenario.instantiate()
-    recovery_started = time.perf_counter()
-    recovery = recover(restored_db, durable, scenario.type_specs)
-    outcome.recovery_seconds = time.perf_counter() - recovery_started
-    outcome.compensated = recovery.compensated
-    outcome.physically_undone = recovery.physically_undone
-
-    # 4. State and result equivalence against the serial oracle.
-    oracle_state, oracle_results = oracle.run(winners)
-    outcome.state_ok = state_of(restored_db, scenario.exclude_paths) == oracle_state
-    if scenario.compare_results:
-        # Only results the crashed run actually reported are comparable:
-        # a crash between a commit record and the in-memory commit flag
-        # leaves a durable winner whose client never saw a result.
-        outcome.results_ok = all(
-            committed_results[name] == oracle_results.get(name)
-            for name in winners
-            if name in committed_results
-        )
+    oracle_results = check_recovery(outcome, scenario, WriteAheadLog.load(path))
+    # Only results the crashed run actually reported are comparable: a
+    # crash between a commit record and the in-memory commit flag leaves
+    # a durable winner whose client never saw a result.
+    if any(
+        committed_results[name] != oracle_results.get(name)
+        for name in outcome.winners
+        if name in committed_results
+    ):
+        outcome.failures += ("result-divergence",)
     return outcome
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.kernel import TransactionManager, run_transactions
+from repro.faults.torture import state_of
 from repro.orderentry.schema import ITEM_TYPE, ORDER_TYPE, build_order_entry_database
 from repro.orderentry.transactions import make_t1, make_t2
 from repro.recovery import WriteAheadLog
@@ -16,7 +17,6 @@ from repro.recovery.checkpoint import (
 )
 from repro.runtime.scheduler import Scheduler
 
-from tests.test_recovery import snapshot_state
 
 TYPE_SPECS = {"Item": ITEM_TYPE, "Order": ORDER_TYPE}
 
@@ -38,7 +38,7 @@ class TestCheckpointLifecycle:
         run_logged(built, {"T1": make_t1(built.item(0), 1, built.item(1), 2)}, wal)
         checkpoint = take_checkpoint(built.db, wal)
         restored = restore_checkpoint(checkpoint, TYPE_SPECS)
-        assert snapshot_state(restored, exclude=()) == snapshot_state(
+        assert state_of(restored, exclude=()) == state_of(
             built.db, exclude=()
         )
 
@@ -102,7 +102,7 @@ class TestRecoveryFromCheckpoint:
         oracle = build_order_entry_database(n_items=2, orders_per_item=2)
         run_transactions(oracle.db, {"T1": make_t1(oracle.item(0), 1, oracle.item(1), 2)})
         run_transactions(oracle.db, {"T2": make_t2(oracle.item(0), 1, oracle.item(1), 2)})
-        assert snapshot_state(recovered) == snapshot_state(oracle.db)
+        assert state_of(recovered) == state_of(oracle.db)
         if wal.status_of("N1") == "in-flight":
             assert "N1" in report.losers
 
@@ -114,4 +114,4 @@ class TestRecoveryFromCheckpoint:
         recovered, report = recover_from_checkpoint(checkpoint, wal, TYPE_SPECS)
         assert report.redone == 0
         assert not report.losers
-        assert snapshot_state(recovered) == snapshot_state(built.db)
+        assert state_of(recovered) == state_of(built.db)

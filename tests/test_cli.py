@@ -156,3 +156,49 @@ class TestBench:
             main(["bench", f"--{mode}"])
         assert exit_info.value.code == 2
         assert f"--{mode}" in capsys.readouterr().err
+
+
+class TestTorture:
+    """``repro torture``: three sweeps, one report shape, one exit rule."""
+
+    REPORT_KEYS = {
+        "schema", "version", "scenario", "seed", "config", "planned_points",
+        "covered_points", "crash_points", "process_kills", "truncated", "all_ok",
+        "anomalies", "elapsed_seconds", "recovery_seconds_total", "outcomes",
+    }  # fmt: skip
+    OUTCOME_KEYS = {
+        "label", "crashed", "process_killed", "crash_site", "winners", "losers",
+        "failures", "recovery_seconds", "detail",
+    }  # fmt: skip
+
+    def test_in_process_json_has_the_one_schema(self, tmp_path, capsys):
+        path = tmp_path / "torture.json"
+        argv = ["torture", "--transactions", "3", "--steps", "3", "--no-wal-sweep"]
+        assert main(argv + ["--json", str(path)]) == 0
+        assert "3 crash points" in capsys.readouterr().out
+        doc = json.loads(path.read_text())
+        assert set(doc) == self.REPORT_KEYS
+        assert doc["schema"] == "repro-torture" and doc["all_ok"] is True
+        assert doc["config"]["harness"] == "in-process"
+        assert [o["label"] for o in doc["outcomes"]] == ["step-0", "step-11", "step-22"]
+        assert all(set(o) == self.OUTCOME_KEYS for o in doc["outcomes"])
+
+    def test_sigkill_sweep_reports_the_same_keys(self):
+        from repro.faults.durable import run_durable_torture
+
+        doc = run_durable_torture(steps=1, wal_sweep=False).to_dict()
+        assert set(doc) == self.REPORT_KEYS
+        assert doc["config"]["harness"] == "sigkill" and doc["process_kills"] == 1
+        assert [set(o) for o in doc["outcomes"]] == [self.OUTCOME_KEYS]
+
+    @pytest.mark.parametrize("mode", [[], ["--durable"], ["--cluster"]])
+    def test_zero_budget_verifies_nothing_and_fails(self, mode, tmp_path, capsys):
+        path = tmp_path / "torture.json"
+        argv = ["torture", "--max-seconds", "0", "--json", str(path)]
+        assert main(argv + mode) == 1
+        out = capsys.readouterr().out
+        assert "PARTIAL" in out and "NOTHING VERIFIED" in out
+        doc = json.loads(path.read_text())
+        assert set(doc) == self.REPORT_KEYS
+        assert doc["truncated"] and not doc["all_ok"] and doc["outcomes"] == []
+        assert doc["planned_points"] > 0

@@ -3,7 +3,7 @@
 These tests launch actual child processes, SIGKILL them at injected
 crash points, and recover from the files they leave behind — the
 closest this repo gets to pulling the power cord.  Kept small here
-(a handful of points, two seeds); CI's durability-smoke job and the
+(a handful of points, two seeds); CI's torture-smoke job and the
 nightly sweep run the full grids via ``repro torture --durable``.
 """
 
@@ -19,11 +19,15 @@ import pytest
 from repro.faults.durable import (
     CHILD_POOL_CAPACITY,
     WAL_FILENAME,
+    _analyze_point,
+    _run_child,
+    _scenario_from_config,
     database_digest,
     run_durable_torture,
 )
 from repro.obs import MetricsRegistry
-from repro.recovery import recover
+from repro.recovery import WriteAheadLog, recover
+from repro.recovery.wal import UpdateRecord
 from repro.storage.durable import (
     DurableStorageManager,
     DurableWriteAheadLog,
@@ -36,7 +40,7 @@ class TestForkSweep:
         report = run_durable_torture(
             seed=0, n_transactions=3, steps=8, wal_sweep=True, mode="fork"
         )
-        assert report.durable
+        assert report.config["harness"] == "sigkill"
         assert report.all_ok, report.summary()
         # every crashing point was a real process death
         assert report.process_kills == report.crash_points > 0
@@ -62,9 +66,45 @@ class TestForkSweep:
         assert report.all_ok
         point_dirs = sorted(os.listdir(tmp_path))
         assert point_dirs == ["step-0"]
-        survivor = os.path.join(tmp_path, "step-0", WAL_FILENAME)
-        assert os.path.exists(survivor)
-        assert not load_wal_file(survivor).torn or True  # readable either way
+        # The kept file scans, and the scan agrees with what the sweep
+        # reported for the point.
+        scan = load_wal_file(os.path.join(tmp_path, "step-0", WAL_FILENAME))
+        (outcome,) = report.outcomes
+        assert scan.torn_bytes == outcome.detail["torn_tail_bytes"]
+
+    def test_lost_redo_record_is_caught_from_the_files_alone(self, tmp_path):
+        """Detection power of the shared oracle outside the in-process
+        sweep: take a passing point's surviving files, drop one durable
+        winner's update record, and re-run the analysis.  (Dropping the
+        winner's *commit* frame instead is self-consistent on one node —
+        the log is what defines the winners — and is the cluster sweep's
+        ``lost-committed`` check, which has the router's acks to hold
+        against it.)"""
+        config = {
+            "seed": 0, "n_transactions": 4, "n_items": 2, "orders_per_item": 2,
+            "protocol": "semantic", "policy": "fifo",
+        }  # fmt: skip
+        report = run_durable_torture(
+            seed=0, n_transactions=4, wal_sweep=False, workdir=str(tmp_path)
+        )
+        assert report.all_ok, report.summary()
+        scenario = _scenario_from_config(config)
+        survivor = report.outcomes[-1]
+        point_dir = os.path.join(tmp_path, survivor.label)
+        again = _analyze_point(scenario, survivor.label, point_dir, True)
+        assert again.failures == () and again.winners == survivor.winners
+
+        wal_path = os.path.join(point_dir, WAL_FILENAME)
+        records = list(load_wal_file(wal_path).log)
+        victim = [
+            r for r in records
+            if isinstance(r, UpdateRecord) and r.txn in survivor.winners
+        ][-1]
+        records.remove(victim)
+        WriteAheadLog(records=records).save_durable(wal_path)
+        tampered = _analyze_point(scenario, survivor.label, point_dir, True)
+        assert tampered.winners == survivor.winners
+        assert tampered.failures == ("state-divergence",)
 
 
 @pytest.mark.slow
@@ -85,8 +125,7 @@ class TestRecoveryDeterminism:
         report = run_durable_torture(
             seed=3,
             n_transactions=3,
-            steps=None,
-            step_stride=10_000,  # exactly one step point: step 0 ...
+            steps=1,  # exactly one step point: step 0 ...
             wal_sweep=False,
             workdir=workdir,
             mode="fork",
@@ -94,10 +133,6 @@ class TestRecoveryDeterminism:
         assert report.all_ok
         # ... but recover here ourselves, with a metrics registry, from
         # the surviving file of a *later* fixed point we create now:
-        from repro.faults.durable import _run_child
-        from repro.faults.torture import order_entry_scenario
-        from repro.protocols import protocol_by_name
-
         point_dir = os.path.join(workdir, "fixed-point")
         os.makedirs(point_dir, exist_ok=True)
         config = {
@@ -110,15 +145,11 @@ class TestRecoveryDeterminism:
             "kind": "step",
             "at": 17,
             "point_dir": point_dir,
-            "gc_window": 0.0,
         }
-        killed = _run_child(config, "fork", 60.0)
+        killed = _run_child(config, "fork")
         assert killed
         scan = load_wal_file(os.path.join(point_dir, WAL_FILENAME))
-        scenario = order_entry_scenario(
-            seed=3, n_transactions=3, n_items=2, orders_per_item=2,
-            protocol=protocol_by_name("semantic"),
-        )
+        scenario = _scenario_from_config(config)
         restored, __ = scenario.instantiate()
         metrics = MetricsRegistry()
         recover(restored, scan.log, scenario.type_specs, metrics=metrics)
@@ -127,7 +158,7 @@ class TestRecoveryDeterminism:
             for name, value in metrics.snapshot().counters.items()
             if name.startswith("recovery.")
         }
-        return database_digest(restored, scenario.exclude_paths), counts
+        return database_digest(restored), counts
 
     def test_two_independent_runs_identical(self, tmp_path):
         digest_a, counts_a = self._crash_and_recover(str(tmp_path / "a"))

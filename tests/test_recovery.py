@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.kernel import TransactionManager, run_transactions
-from repro.objects.atoms import AtomicObject
-from repro.objects.sets import SetObject
+from repro.core.kernel import TransactionManager
+from repro.faults.torture import serial_replay, state_of
 from repro.orderentry.schema import (
     ITEM_TYPE,
     ORDER_TYPE,
@@ -25,18 +24,6 @@ from repro.recovery.wal import SubtxnCommitRecord, TxnStatusRecord, UpdateRecord
 from repro.runtime.scheduler import Scheduler
 
 TYPE_SPECS = {"Item": ITEM_TYPE, "Order": ORDER_TYPE}
-
-
-def snapshot_state(db, exclude=("NextOrderNo",)):
-    """Comparable state by logical path; order-number counters excluded
-    (compensation deliberately does not reuse order numbers)."""
-    state = {}
-    for obj in db.subtree():
-        if isinstance(obj, AtomicObject) and obj.name not in exclude:
-            state[obj.path] = obj.raw_get()
-        elif isinstance(obj, SetObject):
-            state[obj.path + "/keys"] = tuple(sorted(str(k) for k, __ in obj.raw_scan()))
-    return state
 
 
 class TestAddresses:
@@ -172,17 +159,15 @@ class TestRecovery:
 
     def oracle(self, winners):
         fresh = self.BUILDER()
-        programs = self.programs(fresh)
-        for winner in winners:
-            run_transactions(fresh.db, {winner: programs[winner]})
-        return snapshot_state(fresh.db)
+        serial_replay(fresh.db, winners, self.programs(fresh).__getitem__)
+        return state_of(fresh.db)
 
     def test_recovery_of_complete_run_reproduces_state(self):
         built, wal, __ = run_crash(self.programs, self.BUILDER, None)
         restored = self.BUILDER()
         report = recover(restored.db, wal, TYPE_SPECS)
         assert not report.losers
-        assert snapshot_state(restored.db) == snapshot_state(built.db)
+        assert state_of(restored.db) == state_of(built.db)
         assert report.redone == sum(isinstance(r, UpdateRecord) for r in wal)
 
     @pytest.mark.parametrize("crash_at", range(0, 140, 5))
@@ -197,7 +182,7 @@ class TestRecovery:
             for r in wal
             if isinstance(r, TxnStatusRecord) and r.status == "commit"
         ]
-        assert snapshot_state(restored.db) == self.oracle(winners), report
+        assert state_of(restored.db) == self.oracle(winners), report
 
     def test_loser_new_order_disappears(self):
         """Crash right after NewOrder's subtransaction committed but

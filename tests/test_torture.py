@@ -9,6 +9,10 @@ steps and the bit-identity guarantee for fault-free runs.
 
 from __future__ import annotations
 
+import ast
+import glob
+import os
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +21,6 @@ from repro.faults import FaultPlan
 from repro.faults.torture import (
     TortureScenario,
     _run_instance,
-    _SerialOracle,
     _torture_point,
     find_bypass_anomaly,
     order_entry_scenario,
@@ -63,9 +66,9 @@ class TestCrashDuringCompensation:
         report = run_torture(aborting_scenario())
         assert report.all_ok, report.summary()
         # the sweep actually crossed the compensation regime
-        assert any(o.compensated > 0 for o in report.outcomes if o.crashed)
+        assert any(o.detail["compensated"] > 0 for o in report.outcomes if o.crashed)
 
-    def test_pinned_crash_between_compensations(self):
+    def test_pinned_crash_between_compensations(self, tmp_path):
         scenario = aborting_scenario()
         __, ref_wal, __crash = _run_instance(scenario)
         comp_positions = [
@@ -74,30 +77,24 @@ class TestCrashDuringCompensation:
             if isinstance(record, SubtxnCommitRecord) and record.compensates
         ]
         assert len(comp_positions) == 2  # both ShipOrders compensated
-        oracle = _SerialOracle(scenario)
         # Crash right after the FIRST compensation committed: one
         # ShipOrder logically undone and durable, the other still live.
         # Recovery must honour the committed compensation (cover its
         # target) and compensate only the remaining one.
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmp:
-            outcome = _torture_point(
-                scenario,
-                oracle,
-                "wal",
-                comp_positions[0],
-                FaultPlan.crash_at_wal_record(comp_positions[0]),
-                tmp,
-            )
+        outcome = _torture_point(
+            scenario,
+            f"wal-{comp_positions[0]}",
+            FaultPlan.crash_at_wal_record(comp_positions[0]),
+            str(tmp_path),
+        )
         assert outcome.crashed and outcome.crash_site == "wal-append"
         assert outcome.ok, outcome.failures
-        assert outcome.compensated == 1
+        assert outcome.detail["compensated"] == 1
         assert "D" in outcome.losers
 
 
 class TestSubcommitWindow:
-    def test_crash_between_subcommit_record_and_lock_conversion(self):
+    def test_crash_between_subcommit_record_and_lock_conversion(self, tmp_path):
         # A wal-append crash on a SubtxnCommit record dies after the
         # record is durable but before _complete_node converts the
         # subtransaction's locks — the window step-granularity sweeps
@@ -110,21 +107,15 @@ class TestSubcommitWindow:
             if isinstance(record, SubtxnCommitRecord) and not record.compensates
         ]
         assert subcommits, "workload must commit subtransactions"
-        oracle = _SerialOracle(scenario)
-        import tempfile
-
-        with tempfile.TemporaryDirectory() as tmp:
-            for position in subcommits:
-                outcome = _torture_point(
-                    scenario,
-                    oracle,
-                    "wal",
-                    position,
-                    FaultPlan.crash_at_wal_record(position),
-                    tmp,
-                )
-                assert outcome.crashed, position
-                assert outcome.ok, (position, outcome.failures)
+        for position in subcommits:
+            outcome = _torture_point(
+                scenario,
+                f"wal-{position}",
+                FaultPlan.crash_at_wal_record(position),
+                str(tmp_path),
+            )
+            assert outcome.crashed, position
+            assert outcome.ok, (position, outcome.failures)
 
     def test_subcommit_crash_leaves_unconverted_locks_held(self, order_entry):
         # The crashed kernel itself proves the window: the committed
@@ -164,13 +155,10 @@ class TestCrashStepProperty:
         scenario = order_entry_scenario(seed=1, n_transactions=3)
         reference, __, __crash = _run_instance(scenario)
         at = step % reference.scheduler.steps
-        oracle = _SerialOracle(scenario)
         import tempfile
 
         with tempfile.TemporaryDirectory() as tmp:
-            outcome = _torture_point(
-                scenario, oracle, "step", at, FaultPlan.crash_at_step(at), tmp
-            )
+            outcome = _torture_point(scenario, f"step-{at}", FaultPlan.crash_at_step(at), tmp)
         assert outcome.crashed
         assert outcome.ok, (at, outcome.failures)
 
@@ -196,8 +184,19 @@ class TestAnomalyDetection:
         )
         data = json.loads(report.to_json())
         assert data["all_ok"] is True
-        assert data["crash_points"] == report.crash_points
-        assert "OK" in report.summary()
+        assert data["crash_points"] == report.crash_points == 5
+        assert [o["label"] for o in data["outcomes"]] == [o.label for o in report.outcomes]
+        assert "-> OK" in report.summary()
+
+    def test_a_sweep_that_verified_nothing_does_not_pass(self):
+        # A zero budget covers no point; "no anomalies among zero points"
+        # is not a pass, and the summary says so.
+        report = run_torture(order_entry_scenario(seed=0, n_transactions=3), max_seconds=0)
+        assert report.truncated and report.outcomes == []
+        assert report.planned_points > 0
+        assert not report.all_ok
+        assert "PARTIAL" in report.summary()
+        assert "NOTHING VERIFIED" in report.summary()
 
 
 class TestZeroCostWhenOff:
@@ -231,3 +230,47 @@ class TestZeroCostWhenOff:
             self.run_once(faults=FaultPlan(), retry_policy=RetryPolicy())
         )
         assert plumbed == bare
+
+
+class TestOneHarness:
+    """Guards against a second report, outcome or budget loop growing
+    back beside the shared ones: the SIGKILL and shard-kill sweeps are
+    point-runners over :func:`repro.faults.torture.sweep`."""
+
+    FAULTS = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro", "faults")
+
+    def nodes(self, kind):
+        for path in sorted(glob.glob(os.path.join(self.FAULTS, "*.py"))):
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            for node in ast.walk(tree):
+                if isinstance(node, kind):
+                    yield os.path.basename(path), node
+
+    def test_one_report_and_one_outcome_class(self):
+        classes = [(path, node.name) for path, node in self.nodes(ast.ClassDef)]
+        reports = [c for c in classes if c[1].endswith("Report")]
+        outcomes = [c for c in classes if c[1].endswith("Outcome")]
+        assert reports == [("torture.py", "TortureReport")]
+        assert outcomes == [("torture.py", "CrashOutcome")]
+
+    def test_one_function_spends_the_time_budget(self):
+        # Entry points may accept and forward max_seconds; only the
+        # sweep loop may compare elapsed time against it.
+        def spends_budget(function):
+            return any(
+                isinstance(node, ast.Compare)
+                and not isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                and any(
+                    isinstance(name, ast.Name) and name.id == "max_seconds"
+                    for name in ast.walk(node)
+                )
+                for node in ast.walk(function)
+            )
+
+        found = [
+            (path, node.name)
+            for path, node in self.nodes(ast.FunctionDef)
+            if spends_budget(node)
+        ]
+        assert found == [("torture.py", "sweep")]
