@@ -134,7 +134,7 @@ class RunMetrics:
 
     @property
     def timeouts_fired(self) -> int:
-        """Lock-wait timers that expired (``deadlock_policy="timeout"``)."""
+        """Lock-wait timers that expired (a wait outlived its budget)."""
         return self._case("timeout.fired")
 
     @property

@@ -285,8 +285,6 @@ class TransactionManager:
             raise ValueError(f"unknown deadlock policy {deadlock_policy!r}")
         if lock_timeout is not None and lock_timeout <= 0:
             raise ValueError("lock_timeout must be a positive virtual-time budget")
-        if lock_timeout is not None and deadlock_policy != "timeout":
-            raise ValueError('lock_timeout is only meaningful with deadlock_policy="timeout"')
         self.db = db
         # One registry per kernel: every component below records into it,
         # and ``self.obs.snapshot()`` captures the whole run.
@@ -329,10 +327,12 @@ class TransactionManager:
         # aborts the holder).  Timestamps are transaction begin
         # sequence numbers, so both schemes are starvation-free.
         self.deadlock_policy = deadlock_policy
-        # Under the "timeout" policy a blocked lock wait arms a
-        # virtual-time timer; when it fires the waiter is resolved
-        # through the victim/restart machinery (restart the blocked
-        # subtransaction if possible, else abort with LockTimeout).
+        # A lock-wait budget is independent of the policy: whenever one
+        # applies, a blocked wait arms a timer, and when it fires the
+        # waiter is resolved through the victim/restart machinery
+        # (restart the blocked subtransaction if possible, else abort
+        # with LockTimeout).  "timeout" means "timers only, no cycle
+        # detection", so only there does a budget default in.
         self.lock_timeout = (
             lock_timeout
             if lock_timeout is not None
@@ -885,8 +885,11 @@ class TransactionManager:
             self._trace(node, "grant", target=str(spec.target), mode=str(spec.invocation))
             return
 
-        with self.scheduler.coordination():
-            blockers = self._apply_prevention_policy(node, blockers)
+        if self.deadlock_policy in ("wait-die", "wound-wait"):
+            # Detection resolves cycles after the fact and "timeout" lets
+            # the armed timer resolve: neither checks before blocking.
+            with self.scheduler.coordination():
+                blockers = self._apply_prevention_policy(node, blockers)
         signal = self.scheduler.create_signal(f"grant-{node.node_id}")
         # Queued with its blockers registered (reverse index, waits-for
         # hook) before any holder can complete unseen — or, when the
@@ -914,7 +917,7 @@ class TransactionManager:
         try:
             if self.deadlock_policy == "detect":
                 with self.scheduler.coordination():
-                    self._resolve_deadlocks(requester=node)
+                    self._resolve_deadlocks_locked(node)
             await signal
         except BaseException:
             self.locks.cancel(pending)
@@ -927,21 +930,19 @@ class TransactionManager:
     def _lock_wait_timeout(self, node: TransactionNode) -> Optional[float]:
         """The timeout budget for a lock wait that is about to block.
 
-        An injected lock-wait fault takes precedence (it works under any
-        deadlock policy); otherwise the ``"timeout"`` policy applies its
-        uniform budget.  None disarms the timer entirely.
+        The same under every deadlock policy: an injected lock-wait
+        fault takes precedence, then the per-transaction override, then
+        the uniform budget.  None disarms the timer entirely.
         """
         if self.faults is not None:
             injected = self.faults.lock_wait_timeout(node)
             if injected is not None:
                 return injected
-        if self.deadlock_policy == "timeout":
-            if self.lock_timeout_fn is not None:
-                override = self.lock_timeout_fn(node)
-                if override is not None:
-                    return override
-            return self.lock_timeout
-        return None
+        if self.lock_timeout_fn is not None:
+            override = self.lock_timeout_fn(node)
+            if override is not None:
+                return override
+        return self.lock_timeout
 
     def _on_lock_timeout(self, pending: PendingRequest, waited: float) -> None:
         """Timer callback: a blocked request outlived its wait budget.
@@ -1005,13 +1006,7 @@ class TransactionManager:
 
         Returns the blocker set the requester should wait for; raises
         :class:`DeadlockError` when wait-die sacrifices the requester.
-        Under "detect" this is a no-op.
         """
-        if self.deadlock_policy in ("detect", "timeout") or not blockers:
-            # Detection resolves cycles after the fact; the timeout
-            # policy waits and lets the armed timer resolve. Neither
-            # applies timestamp checks before blocking.
-            return blockers
         my_root = node.root()
         my_ts = my_root.begin_seq or 0
 
@@ -1083,7 +1078,7 @@ class TransactionManager:
                 # Under "timeout" a cycle is not an event: every member's
                 # timer resolves it in virtual time (the stall hook stays as
                 # the backstop for all-aborting cycles, which never time out).
-                self._resolve_deadlocks()
+                self._resolve_deadlocks_locked()
 
     def _on_waits_changed(self, pending: PendingRequest) -> None:
         """Lock-table hook: mirror a request's blocker set into the graph.
@@ -1105,8 +1100,9 @@ class TransactionManager:
     # ------------------------------------------------------------------
     # Deadlock handling
     # ------------------------------------------------------------------
-    def _resolve_deadlocks(self, requester: Optional[TransactionNode] = None) -> None:
-        """Detect cycles and abort victims until the graph is acyclic.
+    def _resolve_deadlocks_locked(self, requester: Optional[TransactionNode] = None) -> None:
+        """Detect cycles and abort victims until the graph is acyclic
+        (caller holds coordination).
 
         The victim is the *youngest* transaction in the cycle (latest
         ``begin_seq``) that is not already aborting — a deterministic
@@ -1114,10 +1110,6 @@ class TransactionManager:
         itself is chosen, the deadlock error is raised in its coroutine
         directly; otherwise the victim's task is interrupted.
         """
-        with self.scheduler.coordination():
-            self._resolve_deadlocks_locked(requester)
-
-    def _resolve_deadlocks_locked(self, requester: Optional[TransactionNode]) -> None:
         while True:
             cycle = None
             if requester is not None:
@@ -1219,9 +1211,10 @@ class TransactionManager:
 
     def _on_stall(self, blocked_tasks: list[Task]) -> bool:
         """Scheduler stall hook: last-resort deadlock resolution."""
-        before = self.metrics.deadlocks
-        self._resolve_deadlocks()
-        return self.metrics.deadlocks > before
+        with self.scheduler.coordination():
+            before = self.metrics.deadlocks
+            self._resolve_deadlocks_locked()
+            return self.metrics.deadlocks > before
 
     # ------------------------------------------------------------------
     # Completion

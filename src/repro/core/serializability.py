@@ -277,7 +277,14 @@ class _Reducer:
             if parent is not None:
                 parents.setdefault(parent, []).append(node_id)
 
-        for parent, members in parents.items():
+        # Shallowest parent first, so the depth-first search pops the
+        # deepest collapse: a root collapsed while another tree still has
+        # uncollapsed subtransactions inherits leaf-level orderings that
+        # commuting parents would have dissolved, and the search then has
+        # an exponential dead subtree to exhaust before backtracking.
+        for parent, members in sorted(
+            parents.items(), key=lambda item: self.records[item[0]].depth
+        ):
             expected = self.child_ids.get(parent, ())
             if len(members) != len(expected) or set(members) != set(expected):
                 continue  # not all children are elements yet

@@ -127,8 +127,9 @@ class DeadlockError(TransactionAborted):
 class LockTimeout(TransactionAborted):
     """A lock wait exceeded the timeout budget and the waiter was sacrificed.
 
-    Raised under the ``"timeout"`` deadlock policy (and by injected
-    lock-wait timeout faults) when the waiter's blocked request cannot be
+    Raised under any deadlock policy when a lock-wait budget
+    (``lock_timeout``, a per-transaction override, an injected lock-wait
+    timeout fault) runs out and the waiter's blocked request cannot be
     resolved by restarting a subtransaction.  Semantically a timeout is
     handled exactly like a deadlock victim abort — compensation runs,
     the client may resubmit — but the distinct type keeps the two causes

@@ -136,17 +136,14 @@ class ConcurrentLockTable:
         for stripe in self._stripes:
             stripe.table.on_waits_changed = self._fire_waits_changed
             stripe.table.on_locks_reassigned = self._fire_locks_reassigned
-        self._grant_counter = None
-        self._block_counter = None
-        self._test_counter = None
-        self._release_counter = None
-        self._held_gauge = None
-        self._queue_gauge = None
+        self._reeval_counter = None
         self._stripe_ops = None
         self._stripe_cross_ops = None
-        # Per-stripe totals already mirrored into the registry counters
-        # (grants, blocks, conflict_tests, release_ops per stripe).
-        self._mirrored = [[0, 0, 0, 0] for __ in range(n_stripes)]
+        # The lock.* instruments each stripe is mirrored into (grants,
+        # blocks, conflict_tests, release_ops, held, queue_depth), and
+        # the per-stripe values already mirrored, in the same order.
+        self._mirror_instruments: tuple = ()
+        self._mirrored = [(0,) * 6 for __ in range(n_stripes)]
         if metrics is not None:
             self.bind_metrics(metrics, clock)
 
@@ -176,40 +173,44 @@ class ConcurrentLockTable:
         if clock is not None:
             for stripe in self._stripes:
                 stripe.table._clock = clock
-        self._grant_counter = registry.counter("lock.grants")
-        self._block_counter = registry.counter("lock.blocks")
-        self._test_counter = registry.counter("lock.conflict_tests")
-        self._release_counter = registry.counter("lock.release_ops")
-        self._held_gauge = registry.gauge("lock.held")
-        self._queue_gauge = registry.gauge("lock.queue_depth")
+        self._mirror_instruments = (
+            registry.counter("lock.grants"),
+            registry.counter("lock.blocks"),
+            registry.counter("lock.conflict_tests"),
+            registry.counter("lock.release_ops"),
+            registry.gauge("lock.held"),
+            registry.gauge("lock.queue_depth"),
+        )
+        self._reeval_counter = registry.counter("lock.reeval_passes")
         self._stripe_ops = registry.counter("stripe.ops")
         self._stripe_cross_ops = registry.counter("stripe.cross_ops")
         registry.gauge("stripe.count").set(self._n_stripes)
 
     def _sync_stripe_metrics(self, stripe: _Stripe) -> None:
-        """Mirror a stripe's counter growth into the shared registry.
+        """Mirror a stripe's counter growth and level changes into the
+        shared registry, as deltas: O(1) in the number of stripes.
 
-        Called while holding *stripe.lock*, so the stripe's totals are
+        Called while holding *stripe.lock*, so the stripe's values are
         stable.
         """
-        if self._grant_counter is None:
+        if not self._mirror_instruments:
             return
         table = stripe.table
+        values = (
+            table.total_grants,
+            table.total_blocks,
+            table.total_conflict_tests,
+            table.total_release_ops,
+            table.lock_count,
+            table.pending_count,
+        )
         mirrored = self._mirrored[stripe.index]
-        for slot, (counter, total) in enumerate(
-            (
-                (self._grant_counter, table.total_grants),
-                (self._block_counter, table.total_blocks),
-                (self._test_counter, table.total_conflict_tests),
-                (self._release_counter, table.total_release_ops),
-            )
-        ):
-            delta = total - mirrored[slot]
-            if delta:
-                counter.inc(delta)
-                mirrored[slot] = total
-        self._held_gauge.set(self.lock_count)
-        self._queue_gauge.set(self.pending_count)
+        if values == mirrored:
+            return  # the common case for most stripes of an all-stripes pass
+        for instrument, value, seen in zip(self._mirror_instruments, values, mirrored):
+            if value != seen:
+                instrument.inc(value - seen)
+        self._mirrored[stripe.index] = values
 
     # ------------------------------------------------------------------
     # Striping
@@ -352,6 +353,8 @@ class ConcurrentLockTable:
         self._on_all_stripes(LockTable.notify_node_completed, node, sync=False)
 
     def reevaluate(self, tester) -> list[PendingRequest]:
+        if self._reeval_counter is not None:
+            self._reeval_counter.inc()  # one pass, however many stripes
         return self._on_all_stripes(LockTable.reevaluate, tester)
 
     def release_tree(self, root) -> list[Lock]:
@@ -1029,9 +1032,9 @@ class ThreadedKernel:
     a stock kernel, arms the protocol's decision caches and the metrics
     registry for concurrent access, and re-exposes the kernel API.
 
-    ``lock_timeout`` (policy ``"timeout"``) is in *wall-clock seconds*
-    here, with a default of :attr:`DEFAULT_WALL_LOCK_TIMEOUT` — the
-    virtual-time default of 50 units would be 50 wall seconds.
+    ``lock_timeout`` (any policy) is in *wall-clock seconds* here;
+    under ``"timeout"`` it defaults to :attr:`DEFAULT_WALL_LOCK_TIMEOUT`
+    — the virtual-time default of 50 units would be 50 wall seconds.
     """
 
     #: Wall-clock lock-wait budget under ``deadlock_policy="timeout"``.

@@ -6,8 +6,8 @@ serve mode, fronted by the overload-robustness stack:
 * **admission** (:mod:`repro.server.admission`): concurrency limiter,
   bounded per-class queues, deadline-aware shedding with ``retry_after``;
 * **deadline propagation**: each admitted request's remaining deadline
-  (a) bounds its kernel lock waits through the ``"timeout"`` deadlock
-  policy's per-transaction budget seam, (b) is re-checked at dequeue,
+  (a) bounds its kernel lock waits through the kernel's
+  per-transaction lock-wait budget seam, (b) is re-checked at dequeue,
   and (c) is enforced by a reaper thread that aborts overdue in-flight
   transactions through the kernel's normal interrupt/compensation path;
 * **degradation** (:mod:`repro.server.degrade`): under sustained
@@ -159,8 +159,9 @@ class TransactionServer:
     uses the semantic default); ``time_scale``/``think_cost`` follow the
     wall-clock bench idiom (a Pause of ``think_cost`` cost units sleeps
     ``think_cost * time_scale`` real seconds inside each transaction).
-    Deadlock policy is fixed to ``"timeout"`` — that is the mechanism
-    request deadlines propagate onto.
+    Deadlock policy is fixed to ``"detect"`` — waits-for cycles are
+    resolved when the edge is recorded — and request deadlines
+    propagate onto the lock-wait budget, which no policy owns.
     """
 
     def __init__(
@@ -206,7 +207,7 @@ class TransactionServer:
             n_shards=n_shards,
             time_scale=time_scale,
             stall_timeout=stall_timeout,
-            deadlock_policy="timeout",
+            deadlock_policy="detect",
             lock_timeout=lock_timeout_cap,
             obs=obs,
             faults=faults,

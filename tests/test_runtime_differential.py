@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.protocols import protocols_by_name
+from repro.core.kernel import run_transactions
+from repro.core.serializability import is_semantically_serializable
+from repro.orderentry.workload import OrderEntryWorkload, WorkloadConfig
+from repro.protocols import protocol_by_name, protocols_by_name
 from repro.runtime.differential import (
     run_differential,
     run_differential_sweep,
@@ -43,10 +46,28 @@ def test_runtimes_agree(protocol: str, seed: int) -> None:
 
 def test_naive_protocol_anomaly_agreement() -> None:
     # Under the default mix (with T3/T4 bypass reads) the naive protocol
-    # may produce non-serializable histories; the differential guarantee
-    # is that both runtimes reach the *same* verdict on each workload.
+    # produces a non-serializable history on the deterministic virtual
+    # run.  Whether the *threaded* run hits the anomaly depends on the
+    # interleaving, so "same verdict" is not a guarantee; the threaded
+    # half is test_naive_protocol_threaded_verdict_is_self_consistent.
+    workload = OrderEntryWorkload(WorkloadConfig(n_items=2, orders_per_item=2, seed=0))
+    kernel = run_transactions(
+        workload.db,
+        dict(workload.take(6)),
+        protocol=protocol_by_name("open-nested-naive")(),
+    )
+    verdict = is_semantically_serializable(kernel.history(), db=workload.db)
+    assert not verdict.serializable and not verdict.exhausted  # a proof, not a budget
+
+
+@pytest.mark.slow
+def test_naive_protocol_threaded_verdict_is_self_consistent() -> None:
+    # Nightly (threaded-stress): whichever verdict a runtime reaches, it
+    # agrees with that runtime's own state-vs-serial-replay check.
     report = run_differential("open-nested-naive", seed=0, n_transactions=6)
-    assert report.verdicts_identical, report.summary()
+    assert not report.virtual.serializable, report.summary()
+    for outcome in (report.virtual, report.threaded):
+        assert outcome.state_matches_serial == outcome.serializable, report.summary()
 
 
 def test_report_accounts_for_every_transaction() -> None:

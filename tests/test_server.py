@@ -18,6 +18,7 @@ import pytest
 
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.orderentry.schema import build_order_entry_database
+from repro.runtime.scheduler import Pause
 from repro.server import (
     AdmissionConfig,
     DegradeConfig,
@@ -161,6 +162,80 @@ class TestDeadlines:
             assert response.ok
             # The propagation seam is installed and clamps to the floor.
             assert server.tk.kernel.lock_timeout_fn is not None
+        finally:
+            assert server.shutdown().clean
+
+
+class TestDeadlockDetection:
+    """The server's kernel detects cycles when the closing waits-for
+    edge is recorded; lock-wait budgets still bound every other wait."""
+
+    def test_crossing_places_resolved_without_the_stall_poll(self):
+        """Two two-line places in crossing item order.  A probe holds
+        each NewOrder on item 0 between its counter read and its counter
+        write until both transactions have read, so the read->write
+        upgrade cycle is certain; with the stall poll pushed out to 5 s
+        only block-time detection can resolve it inside a second."""
+        server = make_server()
+        server.tk.runtime.stall_check = 5.0
+        kernel = server.tk.kernel
+        counter = server.built.items[0].impl_component("NextOrderNo").oid
+        have_read = set()
+
+        def probe(node, phase):
+            if node.target != counter:
+                return None
+            if phase == "post" and node.invocation.operation == "Get":
+                have_read.add(node.top_level_name)
+            if phase != "pre" or node.invocation.operation != "Put":
+                return None
+
+            async def until_both_have_read():
+                give_up = time.monotonic() + 2.0
+                while len(have_read) < 2 and time.monotonic() < give_up:
+                    await Pause(0.0)
+
+            return until_both_have_read()
+
+        kernel.probe = probe
+        try:
+            started = time.monotonic()
+            pending = [
+                server.submit_async(Request(op="place", customer_no=1, lines=lines, deadline=5.0))
+                for lines in (((0, 1), (1, 1)), ((1, 1), (0, 1)))
+            ]
+            responses = [p.wait(5.0) for p in pending]
+            elapsed = time.monotonic() - started
+            assert all(r is not None and r.ok for r in responses), responses
+            assert elapsed < 1.0, elapsed
+            assert len(have_read) == 2
+            snapshot = server.tk.obs.snapshot()
+            assert kernel.metrics.deadlocks >= 1
+            assert kernel.metrics.subtxn_restarts >= 1  # victims restart, nobody aborts
+            assert snapshot.counter("thread.stall_checks") == 0
+            assert snapshot.counter("timeout.fired") == 0
+            server.tk.locks.check_invariants()
+        finally:
+            kernel.probe = None
+            assert server.shutdown().clean
+
+    def test_deadline_bounded_wait_still_ends_in_lock_timeout(self):
+        """No cycle, just a holder that outlives the waiter's deadline:
+        the wait budget (remaining deadline) fires under "detect" too.
+        The reaper is slowed so the budget, not the reaper, ends it."""
+        server = make_server(time_scale=0.002, think_cost=300.0, deadline_check=5.0)
+        try:
+            holder = server.submit_async(Request(op="place", item=0, deadline=5.0))
+            give_up = time.monotonic() + 2.0
+            while server.tk.locks.lock_count == 0 and time.monotonic() < give_up:
+                time.sleep(0.001)
+            time.sleep(0.05)  # NewOrder(item 0) is granted; its think time runs
+            blocked = server.submit(Request(op="ship", item=0, order_no=1, deadline=0.15))
+            assert blocked.status == "aborted", blocked.to_dict()
+            assert blocked.error["code"] == "lock-timeout"
+            assert server.tk.obs.snapshot().counter("timeout.fired") >= 1
+            held = holder.wait(5.0)
+            assert held is not None and held.ok
         finally:
             assert server.shutdown().clean
 

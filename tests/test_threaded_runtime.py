@@ -10,21 +10,28 @@ stress sweep is marked ``slow`` (run by the nightly workflow).
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.core.protocol import SemanticLockingProtocol
 from repro.core.serializability import is_semantically_serializable
 from repro.objects.database import Database
 from repro.objects.encapsulated import TypeSpec
+from repro.objects.oid import Oid
 from repro.obs.registry import MetricsRegistry
 from repro.orderentry.schema import PAID, SHIPPED, build_order_entry_database
 from repro.orderentry.transactions import make_t1, make_t2
 from repro.orderentry.workload import OrderEntryWorkload, WorkloadConfig
+from repro.runtime.scheduler import Scheduler
 from repro.runtime.threaded import (
     ConcurrentLockTable,
     ThreadedKernel,
     run_threaded_transactions,
 )
+from repro.semantics.invocation import Invocation
+from repro.txn.locks import LockTable
+from repro.txn.transaction import TransactionNode
 
 
 def make_counter_db(n_counters: int = 1):
@@ -88,6 +95,53 @@ class TestConcurrentLockTable:
         assert kernel.locks.total_grants > 0
 
 
+class TestRegistryMirror:
+    """The striped table mirrors its stripes into the same ``lock.*``
+    instruments the plain table keeps, by delta."""
+
+    @staticmethod
+    def _scenario(table):
+        """Three roots on two objects: one queue grants on the second
+        re-evaluation pass, one lock is still held at the end."""
+        x, y = Oid("Atom", 1), Oid("Atom", 2)
+
+        def child(name, target):
+            root = TransactionNode(
+                name, None, Oid("Database", 0), Invocation("Transaction", (name,))
+            )
+            return TransactionNode(f"{name}.1", root, target, Invocation("Op", (name,)))
+
+        def conflicts_on_x(holder, h_inv, requester, r_inv, target):
+            return holder.root() if target == x else None
+
+        a, b, c = child("A", x), child("B", x), child("C", y)
+        assert not table.try_acquire(a, x, a.invocation, conflicts_on_x)
+        assert not table.try_acquire(c, y, c.invocation, conflicts_on_x)
+        blockers = table.try_acquire(b, x, b.invocation, conflicts_on_x)
+        pending, __ = table.enqueue_if_blocked(
+            b, x, b.invocation, Scheduler().create_signal(), blockers, conflicts_on_x
+        )
+        assert pending is not None
+        assert table.reevaluate(conflicts_on_x) == []  # A still holds x
+        table.release_tree(a.root())
+        assert table.reevaluate(conflicts_on_x) == [pending]
+        table.release_tree(b.root())
+
+    def test_counters_and_gauges_match_plain_table(self):
+        plain_obs, striped_obs = MetricsRegistry(), MetricsRegistry(thread_safe=True)
+        self._scenario(LockTable(metrics=plain_obs))
+        striped = ConcurrentLockTable(n_stripes=4, metrics=striped_obs)
+        self._scenario(striped)
+        plain, mirrored = plain_obs.snapshot(), striped_obs.snapshot()
+        assert plain.counter("lock.reeval_passes") == 2
+        for name in ("lock.reeval_passes", "lock.grants", "lock.blocks"):
+            assert mirrored.counter(name) == plain.counter(name), name
+        for name in ("lock.held", "lock.queue_depth"):
+            assert mirrored.gauges[name] == plain.gauges[name], name
+        assert mirrored.gauges["lock.held"] == {"value": 1, "hwm": 2}  # C's lock on y
+        assert striped.lock_count == 1 and striped.pending_count == 0
+
+
 class TestThreadedKernel:
     def test_single_transaction(self):
         db = Database()
@@ -134,6 +188,18 @@ class TestThreadedKernel:
         assert snap.counters["lock.grants"] > 0
         assert snap.gauges["stripe.count"]["value"] == 4
         assert snap.gauges["lock.held"]["value"] == 0  # all released
+
+    def test_level_gauges_track_the_table_through_a_contended_run(self):
+        workload = OrderEntryWorkload(WorkloadConfig(n_items=1, orders_per_item=3, seed=5))
+        kernel = run_threaded_transactions(
+            workload.db, dict(workload.take(8)), n_threads=4, n_stripes=4
+        )
+        kernel.locks.check_invariants()
+        gauges = kernel.obs.snapshot().gauges
+        assert gauges["lock.held"]["value"] == kernel.locks.lock_count
+        assert gauges["lock.queue_depth"]["value"] == kernel.locks.pending_count
+        assert gauges["lock.held"]["hwm"] >= max(1, gauges["lock.held"]["value"])
+        assert gauges["lock.queue_depth"]["hwm"] >= gauges["lock.queue_depth"]["value"]
 
     def test_rejects_unsafe_registry(self):
         db = Database()
@@ -196,6 +262,49 @@ class TestDeadlockPoliciesWallClock:
         outcomes = {n: (h.committed, h.aborted) for n, h in kernel.handles.items()}
         assert all(c or a for c, a in outcomes.values()), outcomes
         assert any(c for c, __ in outcomes.values()), outcomes
+        assert kernel.locks.lock_count == 0
+        kernel.locks.check_invariants()
+
+    def test_forced_cycle_is_resolved_at_block_time_not_by_the_poll(self):
+        """a->b / b->a with each side holding its first lock until the
+        other has taken its own: the cycle is certain.  Under "detect"
+        with a wait budget it is resolved when the closing edge is
+        recorded — the stall poll (pushed out to 5 s) and the 2 s timer
+        are never needed."""
+        db = Database()
+        x = db.new_atom("x", 0)
+        y = db.new_atom("y", 0)
+        db.attach_child(x)
+        db.attach_child(y)
+        holding = set()
+
+        def crossing(name, first, second):
+            async def program(tx):
+                await tx.put(first, name)
+                holding.add(name)
+                give_up = time.monotonic() + 2.0
+                while len(holding) < 2 and time.monotonic() < give_up:
+                    await tx.pause()
+                await tx.put(second, name)
+
+            return program
+
+        kernel = ThreadedKernel(
+            db, n_threads=2, deadlock_policy="detect", lock_timeout=2.0
+        )
+        kernel.runtime.stall_check = 5.0
+        kernel.spawn("A", crossing("A", x, y))
+        kernel.spawn("B", crossing("B", y, x))
+        started = time.monotonic()
+        kernel.run()
+        assert time.monotonic() - started < 1.0
+        assert holding == {"A", "B"}
+        snapshot = kernel.obs.snapshot()
+        assert kernel.metrics.deadlocks >= 1
+        assert snapshot.counter("thread.stall_checks") == 0
+        assert snapshot.counter("timeout.fired") == 0
+        outcomes = sorted((h.committed, h.aborted) for h in kernel.handles.values())
+        assert outcomes == [(False, True), (True, False)], outcomes
         assert kernel.locks.lock_count == 0
         kernel.locks.check_invariants()
 

@@ -3,8 +3,8 @@
 ``deadlock_policy="timeout"`` arms a virtual-clock timer on every
 blocking lock wait; expiry resolves the waiter through the existing
 victim machinery (restart the blocked subtransaction if possible, abort
-with :class:`LockTimeout` otherwise).  A `lock-wait` fault spec arms the
-same timer under any policy.
+with :class:`LockTimeout` otherwise).  An explicit ``lock_timeout`` or a
+`lock-wait` fault spec arms the same timer under any policy.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from repro.errors import LockTimeout
 from repro.faults import FaultPlan, FaultSpec
 from repro.objects.database import Database
 from repro.orderentry.workload import OrderEntryWorkload, WorkloadConfig
+from repro.runtime.scheduler import Pause
 
 
 @pytest.fixture
@@ -43,6 +44,23 @@ def opposing(x, y):
         return "B"
 
     return {"A": ab, "B": ba}
+
+
+def holder_then_waiter(x, hold: float):
+    """H takes x and keeps it for *hold* virtual units; W asks for x one
+    step later, so W's wait is an ordinary wait, not a cycle."""
+
+    async def holder(tx):
+        await tx.put(x, "H")
+        await Pause(hold)
+        return "H"
+
+    async def waiter(tx):
+        await tx.pause()  # let H grab x
+        await tx.put(x, "W")
+        return "W"
+
+    return {"H": holder, "W": waiter}
 
 
 class TestTimeoutPolicy:
@@ -162,9 +180,40 @@ class TestTimeoutConfiguration:
         kernel = TransactionManager(db, deadlock_policy="timeout")
         assert kernel.lock_timeout == TransactionManager.DEFAULT_LOCK_TIMEOUT
 
-    def test_lock_timeout_requires_timeout_policy(self, db):
-        with pytest.raises(ValueError, match="timeout"):
-            TransactionManager(db, lock_timeout=10.0)
+    def test_detect_arms_budget_and_grant_cancels_it(self, two_atoms):
+        """The budget is independent of the policy: under "detect" a
+        blocked wait arms one timer, and the grant cancels it unfired."""
+        db, x, __ = two_atoms
+        kernel = TransactionManager(db, lock_timeout=50.0)
+        assert kernel.deadlock_policy == "detect"
+        armed = []
+        call_later = kernel.scheduler.call_later
+
+        def recording_call_later(delay, callback):
+            armed.append((delay, call_later(delay, callback)))
+            return armed[-1][1]
+
+        kernel.scheduler.call_later = recording_call_later
+        for name, program in holder_then_waiter(x, hold=2.0).items():
+            kernel.spawn(name, program)
+        kernel.run()
+        assert [delay for delay, __ in armed] == [50.0]
+        assert armed[0][1].cancelled and not armed[0][1].fired
+        assert kernel.handles["W"].committed
+        assert kernel.obs.snapshot().counter("timeout.fired") == 0
+
+    def test_budget_expiry_under_detect_is_lock_timeout(self, two_atoms):
+        db, x, __ = two_atoms
+        kernel = run_transactions(db, holder_then_waiter(x, hold=150.0), lock_timeout=20.0)
+        assert isinstance(kernel.handles["W"].error, LockTimeout)
+        assert kernel.handles["H"].committed
+        assert kernel.obs.snapshot().counter("timeout.aborts") == 1
+
+    def test_cycle_under_detect_with_budget_is_detected_not_timed_out(self, two_atoms):
+        db, x, y = two_atoms
+        kernel = run_transactions(db, opposing(x, y), lock_timeout=10.0)
+        assert kernel.metrics.deadlocks >= 1
+        assert kernel.obs.snapshot().counter("timeout.fired") == 0
 
     def test_lock_timeout_must_be_positive(self, db):
         with pytest.raises(ValueError, match="positive"):
