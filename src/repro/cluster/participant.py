@@ -326,18 +326,15 @@ class ClusterParticipant:
         program = compensation_program(self.server.built.db, inverses)
         name = f"comp-{gtid}"
         tk = self.server.tk
-        tk.spawn(name, program)
+        handle = tk.spawn(name, program)
         deadline = time.monotonic() + self._comp_timeout
-        handle = tk.kernel.handles.get(name)
-        while handle is not None and handle.task is not None and not handle.task.finished:
+        while not handle.task.finished:
             if time.monotonic() > deadline:
                 raise CompensationError(f"compensation {name} timed out")
             time.sleep(0.002)
-        committed = handle is not None and handle.committed
-        error = handle.error if handle is not None else None
         tk.reap(name)
-        if not committed:
-            raise CompensationError(f"compensation {name} failed: {error!r}")
+        if not handle.committed:
+            raise CompensationError(f"compensation {name} failed: {handle.error!r}")
         self._m_compensations.inc()
 
 

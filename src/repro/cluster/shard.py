@@ -197,9 +197,8 @@ def run_shard(config: dict[str, Any]) -> int:
 
         def run_program(name: str, program) -> None:
             kernel = TransactionManager(built.db, scheduler=Scheduler(), wal=wal)
-            kernel.spawn(name, program)
+            handle = kernel.spawn(name, program)
             kernel.run()
-            handle = kernel.handles[name]
             if not handle.committed:
                 raise CompensationError(
                     f"recovery compensation {name} failed: {handle.error!r}"

@@ -37,6 +37,8 @@ from repro.errors import (
     TransactionAborted,
     UnknownOperationError,
 )
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.objects.atoms import AtomicObject
 from repro.objects.base import DatabaseObject
 from repro.objects.database import Database
@@ -48,6 +50,8 @@ from repro.obs import MetricsRegistry
 from repro.obs.cases import CASE2_WAIT, CASE_COMMUTATIVE, CASE_TOPLEVEL_WAIT
 from repro.protocols.base import CCProtocol, LockSpec
 from repro.core.protocol import SemanticLockingProtocol
+from repro.recovery.addresses import address_of, snapshot
+from repro.recovery.wal import SubtxnCommitRecord, TxnStatusRecord, UpdateRecord
 from repro.runtime.scheduler import Pause, Scheduler, SchedulerAPI, Task
 from repro.semantics.generic import (
     GET,
@@ -101,9 +105,9 @@ class KernelMetrics:
     """Kernel counters, backed by the kernel's metrics registry.
 
     Keeps the historical attribute API (``kernel.metrics.commits`` and
-    friends, readable and assignable) while storing every count in the
-    shared :class:`~repro.obs.MetricsRegistry` under ``kernel.*`` names,
-    so snapshots and the ``repro stats`` breakdown see the same numbers.
+    friends, read-only) while storing every count in the shared
+    :class:`~repro.obs.MetricsRegistry` under ``kernel.*`` names, so
+    snapshots and the ``repro stats`` breakdown see the same numbers.
     """
 
     FIELDS = (
@@ -121,28 +125,14 @@ class KernelMetrics:
             field: registry.counter(f"kernel.{field}") for field in self.FIELDS
         }
 
-    def as_dict(self) -> dict[str, int]:
-        return {field: self._counters[field].value for field in self.FIELDS}
-
     def inc(self, field: str, delta: int = 1) -> None:
-        """Atomic increment — the kernel uses this instead of ``+= 1``
-        on the assignable properties, whose read-then-set is a lost
-        update waiting to happen under concurrent worker threads."""
+        """Atomic increment: the only way a count changes (a
+        read-then-set would lose updates under concurrent workers)."""
         self._counters[field].inc(delta)
 
 
-def _kernel_counter_property(field: str) -> property:
-    def fget(self: KernelMetrics) -> int:
-        return self._counters[field].value
-
-    def fset(self: KernelMetrics, value: int) -> None:
-        self._counters[field].value = value
-
-    return property(fget, fset)
-
-
 for _field in KernelMetrics.FIELDS:
-    setattr(KernelMetrics, _field, _kernel_counter_property(_field))
+    setattr(KernelMetrics, _field, property(lambda self, f=_field: self._counters[f].value))
 del _field
 
 
@@ -280,11 +270,12 @@ class TransactionManager:
         faults=None,
         retry_policy: Optional[RetryPolicy] = None,
         lock_timeout: Optional[float] = None,
+        lock_timeout_fn: Optional[Callable[[TransactionNode], Optional[float]]] = None,
     ) -> None:
         if deadlock_policy not in ("detect", "wait-die", "wound-wait", "timeout"):
             raise ValueError(f"unknown deadlock policy {deadlock_policy!r}")
         if lock_timeout is not None and lock_timeout <= 0:
-            raise ValueError("lock_timeout must be a positive virtual-time budget")
+            raise ValueError("lock_timeout must be a positive budget")
         self.db = db
         # One registry per kernel: every component below records into it,
         # and ``self.obs.snapshot()`` captures the whole run.
@@ -339,12 +330,12 @@ class TransactionManager:
             else (self.DEFAULT_LOCK_TIMEOUT if deadlock_policy == "timeout" else None)
         )
         # Per-transaction override of the uniform timeout budget.  The
-        # transaction server uses this seam for deadline propagation: a
+        # transaction server passes one for deadline propagation: a
         # request's remaining deadline bounds its lock waits, so a
         # nearly-expired request is sacrificed quickly instead of
         # waiting out the full uniform budget.  Returning None falls
         # back to ``lock_timeout``.
-        self.lock_timeout_fn: Optional[Callable[[TransactionNode], Optional[float]]] = None
+        self.lock_timeout_fn = lock_timeout_fn
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         # Optional write-ahead log (repro.recovery.wal.WriteAheadLog):
         # when set, physical updates, non-read-only subtransaction
@@ -388,9 +379,6 @@ class TransactionManager:
     def _bind_faults(self, faults):
         if faults is None:
             return None
-        from repro.faults.injector import FaultInjector
-        from repro.faults.plan import FaultPlan
-
         if isinstance(faults, FaultPlan):
             faults = FaultInjector(faults)
         faults.bind_metrics(self.obs)
@@ -639,8 +627,6 @@ class TransactionManager:
             node = node.parent
         if node is not self.db:
             return None
-        from repro.recovery.addresses import address_of
-
         return address_of(obj)
 
     def _wal_update(
@@ -651,8 +637,6 @@ class TransactionManager:
         address = self._wal_attached_address(target)
         if address is None:
             return
-        from repro.recovery.wal import UpdateRecord
-
         node_path = tuple(
             n.node_id for n in reversed(list(node.ancestors(include_self=True)))
         )
@@ -670,8 +654,6 @@ class TransactionManager:
     def _wal_txn_status(self, txn: str, status: str) -> None:
         if self.wal is None:
             return
-        from repro.recovery.wal import TxnStatusRecord
-
         self._wal_append(TxnStatusRecord(lsn=self.wal.next_lsn(), txn=txn, status=status))
 
     def _wal_subtxn_commit(self, node: TransactionNode) -> None:
@@ -685,8 +667,6 @@ class TransactionManager:
         address = self._wal_attached_address(target)
         if address is None:
             return
-        from repro.recovery.wal import SubtxnCommitRecord
-
         inverse = self.undo.inverse_for(node.node_id)
         self._wal_append(
             SubtxnCommitRecord(
@@ -768,8 +748,6 @@ class TransactionManager:
             key, member = args
             target.raw_insert(key, member)
             if self.wal is not None:
-                from repro.recovery.addresses import snapshot
-
                 self._wal_update(
                     node, "Insert", target, key=key, member_snapshot=snapshot(member)
                 )
@@ -786,8 +764,6 @@ class TransactionManager:
             key = args[0]
             member = target.raw_remove(key)
             if self.wal is not None:
-                from repro.recovery.addresses import snapshot
-
                 self._wal_update(
                     node, "Remove", target, key=key, member_snapshot=snapshot(member)
                 )
@@ -955,36 +931,33 @@ class TransactionManager:
         backstop).
         """
         with self.scheduler.coordination():
-            self._on_lock_timeout_locked(pending, waited)
-
-    def _on_lock_timeout_locked(self, pending: PendingRequest, waited: float) -> None:
-        if pending.signal.done:
-            return  # granted between arming and firing
-        node = pending.node
-        victim = self.handles.get(node.top_level_name)
-        if victim is None or victim.task is None or victim.task.finished:
-            return
-        self._timeout_fired.inc()
-        resolution: Union[SubtransactionRestart, TransactionAborted] = (
-            self._victim_resolution(victim, [victim.name])
-        )
-        if isinstance(resolution, DeadlockError):
-            if victim.aborting:
-                return  # keep waiting; compensation may not be sacrificed
-            resolution = LockTimeout(victim.name, str(pending.target), waited)
-            self._timeout_aborts.inc()
-        else:
-            self._timeout_restarts.inc()
-        self._trace(
-            node,
-            "timeout",
-            target=str(pending.target),
-            waited=waited,
-            resolution="restart"
-            if isinstance(resolution, SubtransactionRestart)
-            else "abort",
-        )
-        self._interrupt(victim, resolution)
+            if pending.signal.done:
+                return  # granted between arming and firing
+            node = pending.node
+            victim = self.handles.get(node.top_level_name)
+            if victim is None or victim.task is None or victim.task.finished:
+                return
+            self._timeout_fired.inc()
+            resolution: Union[SubtransactionRestart, TransactionAborted] = (
+                self._victim_resolution(victim, [victim.name])
+            )
+            if isinstance(resolution, DeadlockError):
+                if victim.aborting:
+                    return  # keep waiting; compensation may not be sacrificed
+                resolution = LockTimeout(victim.name, str(pending.target), waited)
+                self._timeout_aborts.inc()
+            else:
+                self._timeout_restarts.inc()
+            self._trace(
+                node,
+                "timeout",
+                target=str(pending.target),
+                waited=waited,
+                resolution="restart"
+                if isinstance(resolution, SubtransactionRestart)
+                else "abort",
+            )
+            self._interrupt(victim, resolution)
 
     def _interrupt(self, victim: TxnHandle, exc: BaseException) -> None:
         """The one way a transaction is interrupted from outside its own
@@ -1221,32 +1194,29 @@ class TransactionManager:
     # ------------------------------------------------------------------
     def _complete_node(self, node: TransactionNode) -> None:
         with self.scheduler.coordination():
-            self._complete_node_locked(node)
-
-    def _complete_node_locked(self, node: TransactionNode) -> None:
-        node.mark_committed(self.seq.tick())
-        # Before any re-testing below: a commit upgrades case-2 waits on
-        # this node to case-1 relief, so cached verdicts must go first.
-        self.protocol.on_node_event(node, "commit")
-        self.recorder.on_node_end(node)
-        self._trace(node, "commit")
-        self._wal_subtxn_commit(node)
-        if self.faults is not None and not node.is_top_level:
-            # The recovery-critical window: the subtransaction's commit
-            # record is durable, its locks not yet converted/released.
-            self.faults.fire("post-subcommit", node)
-        # Flag the requests recorded as waiting on this node (case-2
-        # waits relieved by its commit) and re-dirty its lock targets
-        # (its writes are now visible to state-dependent conflict
-        # tests), before the release below drops its owner-index entry.
-        self.locks.notify_node_completed(node)
-        if node.is_top_level:
-            released = self.locks.release_tree(node)
-            self.waits.remove_transaction(node.top_level_name)
-            self._trace(node, "release", count=len(released))
-        else:
-            self.protocol.on_node_complete(node, self.locks)
-        self._after_lock_change()
+            node.mark_committed(self.seq.tick())
+            # Before any re-testing below: a commit upgrades case-2 waits on
+            # this node to case-1 relief, so cached verdicts must go first.
+            self.protocol.on_node_event(node, "commit")
+            self.recorder.on_node_end(node)
+            self._trace(node, "commit")
+            self._wal_subtxn_commit(node)
+            if self.faults is not None and not node.is_top_level:
+                # The recovery-critical window: the subtransaction's commit
+                # record is durable, its locks not yet converted/released.
+                self.faults.fire("post-subcommit", node)
+            # Flag the requests recorded as waiting on this node (case-2
+            # waits relieved by its commit) and re-dirty its lock targets
+            # (its writes are now visible to state-dependent conflict
+            # tests), before the release below drops its owner-index entry.
+            self.locks.notify_node_completed(node)
+            if node.is_top_level:
+                released = self.locks.release_tree(node)
+                self.waits.remove_transaction(node.top_level_name)
+                self._trace(node, "release", count=len(released))
+            else:
+                self.protocol.on_node_complete(node, self.locks)
+            self._after_lock_change()
 
     # ------------------------------------------------------------------
     # Abort and compensation

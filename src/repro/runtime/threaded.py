@@ -52,8 +52,9 @@ Three pieces:
   error, and wedged workers are asked to drain (blocked waits re-check
   a shutdown flag) before the error surfaces.
 
-* :class:`ThreadedKernel` — a :class:`TransactionManager` wired to the
-  two classes above, with the decision caches
+* :class:`ThreadedKernel` — the
+  :class:`~repro.core.kernel.TransactionManager` subclass constructed
+  over the two classes above, with the decision caches
   (:class:`~repro.semantics.memo.CommutativityMemo`,
   :class:`~repro.core.reliefcache.AncestorReliefCache`) and the metrics
   registry armed for concurrent access.
@@ -66,11 +67,13 @@ against the virtual-time oracle — see
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import deque
 from typing import Any, Callable, Iterable, Mapping, Optional
 
+from repro.core.kernel import TransactionManager
 from repro.errors import AggregateWorkerError, RuntimeEngineError
 from repro.obs.registry import TIMER_BUCKETS, MetricsRegistry
 from repro.runtime.scheduler import Pause, Signal, Task
@@ -1022,23 +1025,23 @@ class WallClockScheduler:
 
 
 # ----------------------------------------------------------------------
-# Threaded kernel front-end
+# Threaded kernel
 # ----------------------------------------------------------------------
-class ThreadedKernel:
-    """A :class:`TransactionManager` on real threads.
+class ThreadedKernel(TransactionManager):
+    """The :class:`TransactionManager` on real threads.
 
-    Composition, not inheritance of behaviour: this wires a
-    :class:`WallClockScheduler` and a :class:`ConcurrentLockTable` into
-    a stock kernel, arms the protocol's decision caches and the metrics
-    registry for concurrent access, and re-exposes the kernel API.
+    The same kernel, constructed over a :class:`WallClockScheduler`
+    (``self.scheduler``) and a :class:`ConcurrentLockTable`
+    (``self.locks``), with the protocol's decision caches and the
+    metrics registry armed for concurrent access.  What it adds is the
+    serve-mode lifecycle (:meth:`start` / :meth:`stop` / :meth:`reap`).
 
-    ``lock_timeout`` (any policy) is in *wall-clock seconds* here;
-    under ``"timeout"`` it defaults to :attr:`DEFAULT_WALL_LOCK_TIMEOUT`
-    — the virtual-time default of 50 units would be 50 wall seconds.
+    ``lock_timeout`` and ``lock_timeout_fn`` budgets are in *wall-clock
+    seconds* here.
     """
 
-    #: Wall-clock lock-wait budget under ``deadlock_policy="timeout"``.
-    DEFAULT_WALL_LOCK_TIMEOUT = 2.0
+    #: Wall seconds: the virtual-time default of 50 units would be 50 s.
+    DEFAULT_LOCK_TIMEOUT = 2.0
 
     def __init__(
         self,
@@ -1056,54 +1059,40 @@ class ThreadedKernel:
         n_shards: Optional[int] = None,
         faults=None,
         wal=None,
+        lock_timeout_fn=None,
     ) -> None:
-        from repro.core.kernel import TransactionManager
-
-        if deadlock_policy == "timeout" and lock_timeout is None:
-            lock_timeout = self.DEFAULT_WALL_LOCK_TIMEOUT
-        # Execution shards default to the lock-table stripe count, so
-        # the step-level and lock-level partitions are equally fine.
-        if n_shards is None:
-            n_shards = n_stripes
-        self.runtime = WallClockScheduler(
-            n_threads=n_threads,
-            time_scale=time_scale,
-            stall_timeout=stall_timeout,
-            n_shards=n_shards,
-        )
         if obs is None:
             obs = MetricsRegistry(thread_safe=True)
         elif not obs.thread_safe:
             raise ValueError("ThreadedKernel needs a thread-safe MetricsRegistry")
 
-        def make_table(metrics=None, clock=None):
-            return ConcurrentLockTable(n_stripes=n_stripes, metrics=metrics, clock=clock)
-
-        self.kernel = TransactionManager(
+        super().__init__(
             db,
             protocol=protocol,
-            scheduler=self.runtime,
+            scheduler=WallClockScheduler(
+                n_threads=n_threads,
+                time_scale=time_scale,
+                stall_timeout=stall_timeout,
+                # Execution shards default to the lock-table stripe
+                # count, so the step-level and lock-level partitions are
+                # equally fine.
+                n_shards=n_stripes if n_shards is None else n_shards,
+            ),
             cost_model=cost_model,
             deadlock_policy=deadlock_policy,
             obs=obs,
-            lock_table_cls=make_table,
+            lock_table_cls=functools.partial(ConcurrentLockTable, n_stripes=n_stripes),
             retry_policy=retry_policy,
             lock_timeout=lock_timeout,
             faults=faults,
             wal=wal,
+            lock_timeout_fn=lock_timeout_fn,
         )
         # Concurrent conflict tests share the memo / relief cache.
-        self.kernel.protocol.make_thread_safe()
+        self.protocol.make_thread_safe()
         # Reaped transaction names pending a batched history discard.
         self._reaped_txns: list[str] = []
         self._reap_batch = 256
-
-    # Re-exposed kernel API (everything the virtual-path callers use).
-    def spawn(self, name, program):
-        return self.kernel.spawn(name, program)
-
-    def run(self) -> None:
-        self.kernel.run()
 
     # ------------------------------------------------------------------
     # Serve mode (long-running server front-end)
@@ -1111,11 +1100,11 @@ class ThreadedKernel:
     def start(self) -> None:
         """Start the worker pool in serve mode (see
         :meth:`WallClockScheduler.start`); pair with :meth:`stop`."""
-        self.runtime.start()
+        self.scheduler.start()
 
     def stop(self, timeout: Optional[float] = None) -> list[str]:
         """Stop a served pool; returns names of any wedged workers."""
-        return self.runtime.stop(timeout)
+        return self.scheduler.stop(timeout)
 
     def reap(self, name: str):
         """Drop every trace of a finished transaction (server hygiene).
@@ -1126,53 +1115,18 @@ class ThreadedKernel:
         leak one task + handle + undo/history tail per request served.
         Returns the reaped task, or None if the task is still running.
         """
-        task = self.runtime.reap(name)
+        task = self.scheduler.reap(name)
         if task is None:
             return None
-        handle = self.kernel.handles.pop(name, None)
+        handle = self.handles.pop(name, None)
         if handle is not None and handle.root is not None:
             for node in handle.root.descendants(include_self=True):
-                self.kernel.undo.discard(node.node_id)
+                self.undo.discard(node.node_id)
         self._reaped_txns.append(name)
         if len(self._reaped_txns) >= self._reap_batch:
-            self.kernel.recorder.discard_txns(set(self._reaped_txns))
+            self.recorder.discard_txns(set(self._reaped_txns))
             self._reaped_txns.clear()
         return task
-
-    def history(self):
-        return self.kernel.history()
-
-    @property
-    def db(self):
-        return self.kernel.db
-
-    @property
-    def protocol(self):
-        return self.kernel.protocol
-
-    @property
-    def obs(self) -> MetricsRegistry:
-        return self.kernel.obs
-
-    @property
-    def locks(self) -> ConcurrentLockTable:
-        return self.kernel.locks
-
-    @property
-    def handles(self):
-        return self.kernel.handles
-
-    @property
-    def metrics(self):
-        return self.kernel.metrics
-
-    @property
-    def trace(self):
-        return self.kernel.trace
-
-    @property
-    def scheduler(self) -> WallClockScheduler:
-        return self.runtime
 
 
 def run_threaded_transactions(
@@ -1190,7 +1144,7 @@ def run_threaded_transactions(
 ) -> ThreadedKernel:
     """Convenience mirror of :func:`repro.core.kernel.run_transactions`
     for the threaded runtime: spawn every program, run the pool, return
-    the kernel wrapper."""
+    the kernel."""
     kernel = ThreadedKernel(
         db,
         protocol=protocol,

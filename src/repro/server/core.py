@@ -177,7 +177,7 @@ class TransactionServer:
         degrade: Optional[DegradeConfig] = None,
         default_deadline: float = 1.0,
         max_deadline: float = 30.0,
-        lock_timeout_cap: float = ThreadedKernel.DEFAULT_WALL_LOCK_TIMEOUT,
+        lock_timeout_cap: float = ThreadedKernel.DEFAULT_LOCK_TIMEOUT,
         min_lock_wait: float = 0.005,
         deadline_check: float = 0.01,
         stall_timeout: float = 10.0,
@@ -209,6 +209,10 @@ class TransactionServer:
             stall_timeout=stall_timeout,
             deadlock_policy="detect",
             lock_timeout=lock_timeout_cap,
+            # Deadline propagation: an in-flight request's remaining
+            # deadline bounds its lock waits (clamped so a nearly-expired
+            # request still gets a short, non-zero wait).
+            lock_timeout_fn=self._lock_wait_budget,
             obs=obs,
             faults=faults,
             wal=wal,
@@ -222,11 +226,7 @@ class TransactionServer:
         self._started = False
         self._reaper: Optional[threading.Thread] = None
         self._reaper_stop = threading.Event()
-        # Deadline propagation seam: an in-flight request's remaining
-        # deadline bounds its lock waits (clamped so a nearly-expired
-        # request still gets a short, non-zero wait).
-        self.tk.kernel.lock_timeout_fn = self._lock_wait_budget
-        self.tk.runtime.on_task_done = self._task_finished
+        self.tk.scheduler.on_task_done = self._task_finished
         # server.* metrics (docs/OBSERVABILITY.md)
         self._requests = obs.counter("server.requests")
         self._ok = obs.counter("server.ok")
@@ -331,7 +331,7 @@ class TransactionServer:
             deadline = (
                 request.deadline if request.deadline is not None else self.default_deadline
             )
-            budget = min(self.max_deadline, deadline) + self.tk.runtime.stall_timeout
+            budget = min(self.max_deadline, deadline) + self.tk.scheduler.stall_timeout
         response = pending.wait(budget)
         if response is None:
             return Response(
@@ -417,7 +417,7 @@ class TransactionServer:
             return
         now = time.monotonic()
         service_time = max(0.0, now - ticket.dequeued_at)
-        handle = self.tk.kernel.handles.get(ticket.name)
+        handle = self.tk.handles.get(ticket.name)
         response = self._build_response(ticket, task, handle, now)
         self.admission.release(service_time)
         self._latency.observe(response.total_time)
@@ -514,7 +514,7 @@ class TransactionServer:
                 # The kernel's external-interrupt path (the same one
                 # lock timeouts and wound-wait use); False if the
                 # transaction already finished or is already aborting.
-                if self.tk.kernel.interrupt_transaction(
+                if self.tk.interrupt_transaction(
                     ticket.name, DeadlineExceeded(ticket.name, ticket.budget)
                 ):
                     self._deadline_interrupts.inc()
@@ -549,7 +549,7 @@ class TransactionServer:
         with self._lock:
             stragglers = list(self._inflight.values())
         for ticket in stragglers:
-            if self.tk.kernel.interrupt_transaction(
+            if self.tk.interrupt_transaction(
                 ticket.name, TransactionAborted(ticket.name, "server draining")
             ):
                 report.stragglers_aborted += 1

@@ -81,6 +81,29 @@ def test_accepts_real_code_paths_in_both_spellings(tmp_path):
     assert checker.main([str(doc)]) == 0
 
 
+def test_detects_backticked_dotted_name_that_does_not_import(tmp_path, capsys):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "the simulator is `repro.runtime.sim`; the kernel's\n"
+        "`repro.core.kernel.TransactionManager.no_such_method()` runs it\n"
+    )
+    assert checker.main([str(doc)]) == 1
+    out = capsys.readouterr().out
+    assert "repro.runtime.sim" in out and "no_such_method" in out
+    assert "2 broken link(s)" in out
+
+
+def test_accepts_dotted_names_that_import(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "a package `repro.runtime`, a module `repro.runtime.threaded`, a class\n"
+        "`repro.core.protocol.SemanticNoReliefProtocol`, a method\n"
+        "`repro.core.kernel.TransactionManager.spawn()`; `kernel.commits` and\n"
+        "`repro bench` are not dotted names under the package\n"
+    )
+    assert checker.main([str(doc)]) == 0
+
+
 def test_ignores_non_path_code_spans(tmp_path):
     doc = tmp_path / "doc.md"
     doc.write_text(

@@ -4,15 +4,21 @@ The kernel has one code path over ``SchedulerAPI`` and ``LockTableAPI``;
 these tests hold every implementation to the same observable behaviour:
 a table-level scenario suite run against all four lock tables, a check
 that each implementation provides every member the protocols name, an
-AST check that the kernel probes for nothing, and the external
-interrupt primitive under both runtimes.
+AST check that the kernel probes for nothing, that the threaded kernel
+is the same object rather than a wrapper round one (no ``.kernel.`` /
+``.runtime.`` chain, no import cycle), and the external interrupt
+primitive under both runtimes.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +34,8 @@ from repro.txn.locks import LockTable, LockTableAPI
 from repro.txn.transaction import TransactionNode
 
 from tests.helpers import ReferenceLockTable
+
+SRC_REPRO = Path(kernel_module.__file__).resolve().parents[1]
 
 X = Oid("Atom", 1)
 Y = Oid("Atom", 2)
@@ -283,34 +291,74 @@ def test_kernel_does_not_probe_its_collaborators():
 
 
 # ----------------------------------------------------------------------
-# (d) interrupt_transaction under both runtimes
+# (d) One kernel object: the threaded kernel is-a kernel
 # ----------------------------------------------------------------------
-class VirtualRun:
-    def __init__(self, db) -> None:
-        self.kernel = TransactionManager(db)
+def test_threaded_kernel_is_a_transaction_manager():
+    assert issubclass(ThreadedKernel, TransactionManager)
+    kernel = ThreadedKernel(Database())
+    assert not hasattr(kernel, "kernel") and not hasattr(kernel, "runtime")
+    assert isinstance(kernel.scheduler, WallClockScheduler)
+    assert isinstance(kernel.locks, ConcurrentLockTable)
 
-    def spawn(self, name, program) -> None:
-        self.kernel.spawn(name, program)
 
+def test_nothing_reaches_through_a_kernel_or_runtime_attribute():
+    """No ``x.kernel.y`` / ``x.runtime.y`` chain anywhere in ``src/repro``
+    (the wrapper's two names), and ``runtime/`` imports the kernel at
+    module top — a function-level import there is the old cycle back."""
+    offenders = []
+    for path in sorted(SRC_REPRO.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr in ("kernel", "runtime")
+            ):
+                offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            if (
+                path.parent.name == "runtime"
+                and isinstance(node, ast.ImportFrom)
+                and node.module == "repro.core.kernel"
+                and node.col_offset > 0
+            ):
+                offenders.append(f"{path.name}:{node.lineno} kernel import below module top")
+    assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.runtime.threaded", "repro.core.kernel", "repro.server.core"]
+)
+def test_importable_first_in_a_fresh_interpreter(module):
+    """The core.kernel -> runtime -> runtime.threaded -> core.kernel
+    cycle stays broken whichever end is imported first."""
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env={**os.environ, "PYTHONPATH": str(SRC_REPRO.parent)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+# ----------------------------------------------------------------------
+# (e) interrupt_transaction under both runtimes
+# ----------------------------------------------------------------------
+class VirtualRun(TransactionManager):
     def until(self, condition) -> None:
         for __ in range(1000):
             if condition():
                 return
-            self.kernel.scheduler.run(max_steps=1)
+            self.scheduler.run(max_steps=1)
         raise AssertionError("condition never held")
 
     def finish(self) -> None:
-        self.kernel.run()
+        self.run()
 
 
-class ThreadedRun:
+class ThreadedRun(ThreadedKernel):
     def __init__(self, db) -> None:
-        self.threaded = ThreadedKernel(db, n_threads=2)
-        self.kernel = self.threaded.kernel
-        self.threaded.start()
-
-    def spawn(self, name, program) -> None:
-        self.threaded.spawn(name, program)
+        super().__init__(db, n_threads=2)
+        self.start()
 
     def until(self, condition) -> None:
         deadline = time.monotonic() + 10.0
@@ -320,9 +368,9 @@ class ThreadedRun:
 
     def finish(self) -> None:
         try:
-            self.until(lambda: self.threaded.runtime.all_finished)
+            self.until(lambda: self.scheduler.all_finished)
         finally:
-            assert self.threaded.stop() == []
+            assert self.stop() == []
 
 
 @pytest.mark.parametrize("make_run", [VirtualRun, ThreadedRun])
@@ -330,8 +378,7 @@ def test_interrupt_transaction(make_run):
     db = Database()
     atom = db.new_atom("a", 0)
     db.attach_child(atom)
-    run = make_run(db)
-    kernel = run.kernel
+    kernel = make_run(db)
     gate = kernel.scheduler.create_signal("gate")
 
     async def holder(tx):
@@ -342,10 +389,10 @@ def test_interrupt_transaction(make_run):
         await tx.put(atom, 2)
 
     try:
-        run.spawn("holder", holder)
-        run.until(lambda: atom.raw_get() == 1)
-        run.spawn("waiter", waiter)
-        run.until(lambda: kernel.locks.pending_count == 1)
+        kernel.spawn("holder", holder)
+        kernel.until(lambda: atom.raw_get() == 1)
+        kernel.spawn("waiter", waiter)
+        kernel.until(lambda: kernel.locks.pending_count == 1)
 
         reason = TransactionAborted("waiter", "interrupted by the test")
         assert kernel.interrupt_transaction("nobody", reason) is False
@@ -354,7 +401,7 @@ def test_interrupt_transaction(make_run):
         assert kernel.interrupt_transaction("waiter", reason) is False  # aborting
     finally:
         gate.fire()
-        run.finish()
+        kernel.finish()
 
     assert kernel.handles["holder"].committed
     waiter_handle = kernel.handles["waiter"]

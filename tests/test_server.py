@@ -161,7 +161,7 @@ class TestDeadlines:
             response = server.submit(Request(op="place", item=0, deadline=0.2))
             assert response.ok
             # The propagation seam is installed and clamps to the floor.
-            assert server.tk.kernel.lock_timeout_fn is not None
+            assert server.tk.lock_timeout_fn == server._lock_wait_budget
         finally:
             assert server.shutdown().clean
 
@@ -177,8 +177,8 @@ class TestDeadlockDetection:
         upgrade cycle is certain; with the stall poll pushed out to 5 s
         only block-time detection can resolve it inside a second."""
         server = make_server()
-        server.tk.runtime.stall_check = 5.0
-        kernel = server.tk.kernel
+        server.tk.scheduler.stall_check = 5.0
+        kernel = server.tk
         counter = server.built.items[0].impl_component("NextOrderNo").oid
         have_read = set()
 

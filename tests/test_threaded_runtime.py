@@ -292,7 +292,7 @@ class TestDeadlockPoliciesWallClock:
         kernel = ThreadedKernel(
             db, n_threads=2, deadlock_policy="detect", lock_timeout=2.0
         )
-        kernel.runtime.stall_check = 5.0
+        kernel.scheduler.stall_check = 5.0
         kernel.spawn("A", crossing("A", x, y))
         kernel.spawn("B", crossing("B", y, x))
         started = time.monotonic()
@@ -311,7 +311,7 @@ class TestDeadlockPoliciesWallClock:
     def test_timeout_uses_wall_clock_default(self):
         db = Database()
         kernel = ThreadedKernel(db, deadlock_policy="timeout")
-        assert kernel.kernel.lock_timeout == ThreadedKernel.DEFAULT_WALL_LOCK_TIMEOUT
+        assert kernel.lock_timeout == ThreadedKernel.DEFAULT_LOCK_TIMEOUT == 2.0
 
 
 class TestDecisionCachesUnderThreads:

@@ -256,3 +256,39 @@ class TestInjectedTimeout:
         assert kernel.handles["W"].aborted
         assert isinstance(kernel.handles["W"].error, LockTimeout)
         assert kernel.handles["H"].committed
+
+
+class TestLockTimeoutFn:
+    """The per-transaction override passed at construction, in the order
+    ``_lock_wait_timeout`` documents: injected fault, override, uniform."""
+
+    UNIFORM = 20.0
+
+    def waited(self, two_atoms, **kernel_options) -> dict[str, float]:
+        """H holds x past every budget; W1 and W2 both wait for it.
+        Returns each waiter's virtual wait when its timer fired."""
+        db, x, __ = two_atoms
+        kernel = TransactionManager(db, lock_timeout=self.UNIFORM, **kernel_options)
+        pair = holder_then_waiter(x, hold=150.0)
+        for name, program in {"H": pair["H"], "W1": pair["W"], "W2": pair["W"]}.items():
+            kernel.spawn(name, program)
+        kernel.run()
+        assert kernel.handles["H"].committed
+        for name in ("W1", "W2"):
+            assert isinstance(kernel.handles[name].error, LockTimeout)
+        return {e.txn: e.detail["waited"] for e in kernel.trace.of_kind("timeout")}
+
+    @staticmethod
+    def five_for_w1(node):
+        return 5.0 if node.top_level_name == "W1" else None
+
+    def test_override_bounds_one_wait_and_none_falls_back(self, two_atoms):
+        waited = self.waited(two_atoms, lock_timeout_fn=self.five_for_w1)
+        assert waited == {"W1": 5.0, "W2": self.UNIFORM}
+
+    def test_injected_fault_takes_precedence_over_the_override(self, two_atoms):
+        plan = FaultPlan(
+            specs=(FaultSpec(site="lock-wait", action="timeout", txn="W1", delay=3.0),)
+        )
+        waited = self.waited(two_atoms, lock_timeout_fn=self.five_for_w1, faults=plan)
+        assert waited == {"W1": 3.0, "W2": self.UNIFORM}

@@ -16,6 +16,10 @@ carries no glob or placeholder characters — must name a file that
 exists, resolved against the repo root (with an ``src/`` fallback, so
 both ``src/repro/cli.py`` and the module-style ``repro/cli.py`` spelling
 resolve).  That is the guard against docs drifting behind a rename.
+The same goes for **backticked dotted names**: an inline code span of
+the form ``repro.<a>.<b>…`` (optionally ending in ``()``) must import
+from ``src/`` — as a module, or as an attribute path off its longest
+importable prefix.
 
 External schemes (``http://``, ``https://``, ``mailto:``) are ignored —
 CI must not depend on the network.  Anchors use GitHub's slug rules:
@@ -33,6 +37,7 @@ Exits 1 and lists every dead link if any check fails.
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -50,13 +55,16 @@ EXTERNAL_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
 #: Inline code span: `...` (no backticks inside).
 CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 #: Extensions a backticked repo path may end with; anything else
-#: (``wal.log``, ``pages.db``, dotted module names) is not checked.
+#: (``wal.log``, ``pages.db``) is not checked as a path.
 CODE_PATH_EXTENSIONS = (
     ".py", ".md", ".json", ".jsonl", ".yml", ".yaml", ".toml", ".cfg", ".txt",
 )
 #: A checkable path is plain characters only — a glob, placeholder,
 #: space, or ``..`` means the span is illustrative, not a literal path.
 CODE_PATH_RE = re.compile(r"^[\w.\-]+(/[\w.\-]+)+$")
+#: A dotted name under the package: ``repro.core.kernel``,
+#: ``repro.obs.MetricsRegistry``, ``repro.cluster.shard.main()``.
+DOTTED_NAME_RE = re.compile(r"^(repro(?:\.\w+)+)(?:\(\))?$")
 
 
 def github_slug(heading: str) -> str:
@@ -105,8 +113,8 @@ def iter_links(path: Path):
             yield lineno, match.group(1)
 
 
-def iter_code_paths(path: Path):
-    """Yield (line_number, span) for every path-shaped inline code span."""
+def iter_code_spans(path: Path):
+    """Yield (line_number, span) for every inline code span outside fences."""
     in_fence = False
     for lineno, line in enumerate(
         path.read_text(encoding="utf-8").splitlines(), start=1
@@ -117,17 +125,42 @@ def iter_code_paths(path: Path):
         if in_fence:
             continue
         for match in CODE_SPAN_RE.finditer(line):
-            span = match.group(1).strip()
-            if not CODE_PATH_RE.match(span):
-                continue
-            if ".." in span or not span.endswith(CODE_PATH_EXTENSIONS):
-                continue
-            yield lineno, span
+            yield lineno, match.group(1).strip()
+
+
+def is_code_path(span: str) -> bool:
+    """True for a span shaped like a literal repository file path."""
+    return (
+        bool(CODE_PATH_RE.match(span))
+        and ".." not in span
+        and span.endswith(CODE_PATH_EXTENSIONS)
+    )
 
 
 def code_path_resolves(span: str) -> bool:
     """True if the span names a real repo file (``src/`` fallback included)."""
     return (REPO_ROOT / span).exists() or (REPO_ROOT / "src" / span).exists()
+
+
+def dotted_name_resolves(name: str) -> bool:
+    """True if *name* imports from ``src/``: a module, or an attribute
+    path off the longest prefix that is one."""
+    src = str(REPO_ROOT / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[cut:]:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
 
 
 def display_path(path: Path) -> str:
@@ -167,11 +200,18 @@ def check_file(path: Path) -> list[str]:
                     f"{where}:{lineno}: "
                     f"{file_part!r} has no heading for anchor #{anchor}"
                 )
-    for lineno, span in iter_code_paths(path):
-        if not code_path_resolves(span):
+    for lineno, span in iter_code_spans(path):
+        dotted = DOTTED_NAME_RE.match(span)
+        if is_code_path(span):
+            if not code_path_resolves(span):
+                problems.append(
+                    f"{where}:{lineno}: "
+                    f"backticked path `{span}` names no repo file"
+                )
+        elif dotted and not dotted_name_resolves(dotted.group(1)):
             problems.append(
                 f"{where}:{lineno}: "
-                f"backticked path `{span}` names no repo file"
+                f"backticked name `{span}` does not import from src/"
             )
     return problems
 
