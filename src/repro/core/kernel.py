@@ -68,7 +68,7 @@ from repro.semantics.invocation import Invocation
 from repro.txn.compensation import UndoEntry, UndoLog
 from repro.txn.retry import RetryPolicy
 from repro.txn.history import History, HistoryRecorder
-from repro.txn.locks import LockTable, LockTableAPI, PendingRequest
+from repro.txn.locks import Disposition, LockTable, LockTableAPI, PendingRequest
 from repro.txn.transaction import NodeStatus, TransactionNode
 from repro.txn.waits import WaitsForGraph
 from repro.util.ids import IdGenerator
@@ -1044,14 +1044,17 @@ class TransactionManager:
 
     def _after_lock_change(self) -> None:
         with self.scheduler.coordination():
-            granted = self.locks.reevaluate(self._tester)
-            for pending in granted:
-                self._trace(pending.node, "regrant", target=str(pending.target))
-            if self.deadlock_policy != "timeout":
-                # Under "timeout" a cycle is not an event: every member's
-                # timer resolves it in virtual time (the stall hook stays as
-                # the backstop for all-aborting cycles, which never time out).
-                self._resolve_deadlocks_locked()
+            self._after_reevaluation(self.locks.reevaluate(self._tester))
+
+    def _after_reevaluation(self, granted: list[PendingRequest]) -> None:
+        """Caller holds coordination and has just re-evaluated the queues."""
+        for pending in granted:
+            self._trace(pending.node, "regrant", target=str(pending.target))
+        if self.deadlock_policy != "timeout":
+            # Under "timeout" a cycle is not an event: every member's
+            # timer resolves it in virtual time (the stall hook stays as
+            # the backstop for all-aborting cycles, which never time out).
+            self._resolve_deadlocks_locked()
 
     def _on_waits_changed(self, pending: PendingRequest) -> None:
         """Lock-table hook: mirror a request's blocker set into the graph.
@@ -1205,18 +1208,18 @@ class TransactionManager:
                 # The recovery-critical window: the subtransaction's commit
                 # record is durable, its locks not yet converted/released.
                 self.faults.fire("post-subcommit", node)
-            # Flag the requests recorded as waiting on this node (case-2
-            # waits relieved by its commit) and re-dirty its lock targets
-            # (its writes are now visible to state-dependent conflict
-            # tests), before the release below drops its owner-index entry.
-            self.locks.notify_node_completed(node)
             if node.is_top_level:
-                released = self.locks.release_tree(node)
+                # Fig. 8: "if t.parent = nil then release all locks".  Its
+                # edges go first: the re-evaluation inside the call records
+                # afresh every wait that outlives this commit.
                 self.waits.remove_transaction(node.top_level_name)
-                self._trace(node, "release", count=len(released))
+                disposition = Disposition.RELEASE_TREE
             else:
-                self.protocol.on_node_complete(node, self.locks)
-            self._after_lock_change()
+                disposition = self.protocol.completion
+            moved, granted = self.locks.complete_node(node, disposition, self._tester)
+            if node.is_top_level:
+                self._trace(node, "release", count=len(moved))
+            self._after_reevaluation(granted)
 
     # ------------------------------------------------------------------
     # Abort and compensation

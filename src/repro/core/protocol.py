@@ -135,7 +135,7 @@ class SemanticLockingProtocol(CCProtocol):
             relief_cache=self.relief_cache,
         )
 
-    # on_node_complete: default no-op — locks are retained, not released.
+    # completion: the default Disposition.RETAIN — locks are retained, not released.
 
     def on_node_event(self, node: TransactionNode, event: str) -> None:
         """Invalidate relief-cache verdicts the lifecycle event stales.

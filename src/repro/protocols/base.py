@@ -8,9 +8,11 @@ an action's life:
 * :meth:`CCProtocol.test_conflict` — whether a requested lock conflicts
   with a held/queued one, and if so which node's completion the
   requester must await;
-* :meth:`CCProtocol.on_node_complete` — what happens to locks when a
+* :attr:`CCProtocol.completion` — what happens to locks when a
   non-top-level action commits (retain them, release the subtree's,
-  pass them to the parent, ...).
+  pass them to the parent): a declared
+  :class:`~repro.txn.locks.Disposition` the lock table applies inside
+  its one completion call.
 
 Top-level commit is protocol-independent: the kernel releases every lock
 of the transaction tree.
@@ -27,7 +29,7 @@ from repro.objects.database import Database
 from repro.objects.oid import Oid
 from repro.semantics.generic import READONLY_GENERIC_OPS
 from repro.semantics.invocation import Invocation
-from repro.txn.locks import LockTable
+from repro.txn.locks import Disposition
 from repro.txn.transaction import TransactionNode
 
 # Lock-mode invocations used by the read/write baselines.
@@ -129,14 +131,13 @@ class CCProtocol(ABC):
     ) -> Optional[TransactionNode]:
         """None if compatible; else the node whose completion to await."""
 
-    def on_node_complete(self, node: TransactionNode, lock_table: LockTable) -> None:
-        """Hook run when a non-top-level action commits.
-
-        The default — keep every lock in place — yields the retained-lock
-        behaviour of the paper's protocol (a lock's ``retained`` property
-        derives from its node's parent's status, so no bookkeeping is
-        needed here).
-        """
+    #: What the lock table does with a non-top-level action's locks
+    #: when it commits (``LockTableAPI.complete_node`` applies it in the
+    #: same hold that re-evaluates the queues).  The default — keep
+    #: every lock in place — yields the retained-lock behaviour of the
+    #: paper's protocol: a lock's ``retained`` property derives from its
+    #: node's parent's status, so no bookkeeping is needed.
+    completion: Disposition = Disposition.RETAIN
 
     def on_node_event(self, node: TransactionNode, event: str) -> None:
         """Lifecycle notification: *node* committed, aborted, or had its
@@ -152,8 +153,8 @@ class CCProtocol(ABC):
     def on_locks_reassigned(self, nodes) -> None:
         """Locks moved away from *nodes* (closed-nested inheritance).
 
-        Fired by the lock table's ``reassign_locks_to_parent`` via the
-        kernel so decision caches can drop verdicts keyed on the old
+        Fired by the lock table (``Disposition.REASSIGN_TO_PARENT``) via
+        the kernel so decision caches can drop verdicts keyed on the old
         owners.  The default is a no-op.
         """
 

@@ -24,7 +24,7 @@ from repro.protocols.base import (
     rw_mode_for,
 )
 from repro.semantics.invocation import Invocation
-from repro.txn.locks import LockTable
+from repro.txn.locks import Disposition
 from repro.txn.transaction import TransactionNode
 
 
@@ -57,6 +57,4 @@ class ClosedNestedProtocol(CCProtocol):
         # The lock is passed upward until the holder's top-level commit.
         return holder.root()
 
-    def on_node_complete(self, node: TransactionNode, lock_table: LockTable) -> None:
-        if node.parent is not None:
-            lock_table.reassign_locks_to_parent(node)
+    completion = Disposition.REASSIGN_TO_PARENT

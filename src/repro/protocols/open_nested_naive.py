@@ -22,7 +22,7 @@ from repro.core.conflict import actions_commute
 from repro.objects.oid import Oid
 from repro.protocols.base import CCProtocol, LockSpec
 from repro.semantics.invocation import Invocation
-from repro.txn.locks import LockTable
+from repro.txn.locks import Disposition
 from repro.txn.transaction import TransactionNode
 
 
@@ -53,7 +53,6 @@ class OpenNestedNaiveProtocol(CCProtocol):
         # is the completion the requester waits for.
         return holder.parent if holder.parent is not None else holder
 
-    def on_node_complete(self, node: TransactionNode, lock_table: LockTable) -> None:
-        # Release the locks of the completed subtransaction: everything
-        # acquired by its descendants.  Its own lock stays with the parent.
-        lock_table.release_descendant_locks(node)
+    # Release the locks of the completed subtransaction: everything
+    # acquired by its descendants.  Its own lock stays with the parent.
+    completion = Disposition.RELEASE_DESCENDANTS

@@ -13,10 +13,11 @@ Three pieces:
 * :class:`ConcurrentLockTable` — the indexed lock table striped by OID
   hash.  Each stripe is a plain :class:`~repro.txn.locks.LockTable`
   guarded by its own reentrant lock; per-object operations touch
-  exactly one stripe, tree-wide operations (release, reassignment,
+  exactly one stripe, tree-wide operations (node completion, release,
   re-evaluation) take every stripe lock in index order so they observe
-  an atomic cross-stripe view.  Lock ids and enqueue sequence numbers
-  stay globally unique via per-stripe id strides.  Cross-stripe
+  an atomic cross-stripe view — a node completion once, for its whole
+  notify / dispose / re-evaluate sequence.  Lock ids and enqueue
+  sequence numbers stay globally unique via per-stripe id strides.  Cross-stripe
   deadlocks need no new machinery: the kernel's incremental waits-for
   graph is fed from every stripe through the same ``on_waits_changed``
   hook, and cycle detection runs exactly as it does under virtual time.
@@ -41,10 +42,11 @@ Three pieces:
 
   is acyclic.  Awaiting a Signal blocks the worker on a condition
   variable guarded by the scheduler lock; awaiting a Pause sleeps
-  ``cost * time_scale`` seconds *outside every lock* — that is where
-  real interleaving (and the measured parallelism) comes from.  Timers
-  are wall-clock ``threading.Timer``s whose callbacks run under the
-  coordinator; their handles have the same tri-state lifecycle as
+  ``cost * time_scale`` seconds — or, at zero cost, yields the
+  processor and the GIL without arming a timer — *outside every lock*:
+  that is where real interleaving (and the measured parallelism) comes
+  from.  Timers are wall-clock ``threading.Timer``s whose callbacks run
+  under the coordinator; their handles have the same tri-state lifecycle as
   virtual-time :class:`~repro.runtime.scheduler.TimerHandle` (armed,
   then fired XOR cancelled).  Worker failures are aggregated: when
   several workers fail in one run, ``run()`` raises
@@ -68,6 +70,7 @@ against the virtual-time oracle — see
 from __future__ import annotations
 
 import functools
+import os
 import threading
 import time
 from collections import deque
@@ -77,7 +80,7 @@ from repro.core.kernel import TransactionManager
 from repro.errors import AggregateWorkerError, RuntimeEngineError
 from repro.obs.registry import TIMER_BUCKETS, MetricsRegistry
 from repro.runtime.scheduler import Pause, Signal, Task
-from repro.txn.locks import Lock, LockTable, PendingRequest
+from repro.txn.locks import Disposition, Lock, LockTable, PendingRequest
 
 __all__ = [
     "ConcurrentLockTable",
@@ -85,6 +88,17 @@ __all__ = [
     "ThreadedKernel",
     "run_threaded_transactions",
 ]
+
+
+def _pick_yield(os_module=os) -> Callable[[], None]:
+    """What a zero-cost ``Pause`` runs: hand the processor and the GIL
+    to another runnable thread.  ``time.sleep(0)`` does that through a
+    ``clock_nanosleep`` that waits out the timer slack, so it is only
+    the fallback where the platform has no ``sched_yield``."""
+    return getattr(os_module, "sched_yield", None) or functools.partial(time.sleep, 0)
+
+
+_yield_thread = _pick_yield()
 
 
 # ----------------------------------------------------------------------
@@ -139,14 +153,17 @@ class ConcurrentLockTable:
         for stripe in self._stripes:
             stripe.table.on_waits_changed = self._fire_waits_changed
             stripe.table.on_locks_reassigned = self._fire_locks_reassigned
+        # Counted here, once per operation: a tree-wide release visits
+        # (and each stripe counts) every stripe.
+        self._release_counter = None
         self._reeval_counter = None
         self._stripe_ops = None
         self._stripe_cross_ops = None
         # The lock.* instruments each stripe is mirrored into (grants,
-        # blocks, conflict_tests, release_ops, held, queue_depth), and
-        # the per-stripe values already mirrored, in the same order.
+        # blocks, conflict_tests, held, queue_depth), and the per-stripe
+        # values already mirrored, in the same order.
         self._mirror_instruments: tuple = ()
-        self._mirrored = [(0,) * 6 for __ in range(n_stripes)]
+        self._mirrored = [(0,) * 5 for __ in range(n_stripes)]
         if metrics is not None:
             self.bind_metrics(metrics, clock)
 
@@ -180,10 +197,10 @@ class ConcurrentLockTable:
             registry.counter("lock.grants"),
             registry.counter("lock.blocks"),
             registry.counter("lock.conflict_tests"),
-            registry.counter("lock.release_ops"),
             registry.gauge("lock.held"),
             registry.gauge("lock.queue_depth"),
         )
+        self._release_counter = registry.counter("lock.release_ops")
         self._reeval_counter = registry.counter("lock.reeval_passes")
         self._stripe_ops = registry.counter("stripe.ops")
         self._stripe_cross_ops = registry.counter("stripe.cross_ops")
@@ -203,7 +220,6 @@ class ConcurrentLockTable:
             table.total_grants,
             table.total_blocks,
             table.total_conflict_tests,
-            table.total_release_ops,
             table.lock_count,
             table.pending_count,
         )
@@ -256,19 +272,23 @@ class ConcurrentLockTable:
                 self._sync_stripe_metrics(stripe)
         return result
 
-    def _on_all_stripes(self, op, *args, sync: bool = True) -> list:
+    def _on_all_stripes(self, op, *args, counter) -> list:
         """Run ``op(table, *args)`` on every stripe under all stripe
-        locks (one ``stripe.cross_ops`` tick), concatenating the lists
-        the stripes return."""
+        locks (one ``stripe.cross_ops`` tick, one tick of the front-end
+        *counter* the operation is accounted under), concatenating the
+        lists the stripes return."""
         results: list = []
         with self._all_stripes():
             for stripe in self._stripes:
-                results.extend(op(stripe.table, *args) or ())
-                if sync:
-                    self._sync_stripe_metrics(stripe)
-            if self._stripe_cross_ops is not None:
-                self._stripe_cross_ops.inc()
+                results.extend(op(stripe.table, *args))
+                self._sync_stripe_metrics(stripe)
+            self._count_cross_op(counter)
         return results
+
+    def _count_cross_op(self, counter) -> None:
+        if self._stripe_cross_ops is not None:  # bound together with *counter*
+            self._stripe_cross_ops.inc()
+            counter.inc()
 
     # ------------------------------------------------------------------
     # Inspection
@@ -319,7 +339,7 @@ class ConcurrentLockTable:
         fresh blockers already registered: the waits-for hook has fired
         before any blocker can complete unseen, and a holder completing
         right after this call re-tests the queue under
-        :meth:`notify_node_completed`.
+        :meth:`complete_node`.
         """
 
         def retest_then_enqueue(table: LockTable):
@@ -347,30 +367,39 @@ class ConcurrentLockTable:
 
     def release_lock(self, lock: Lock) -> None:
         self._on_stripe(lock.target, LockTable.release_lock, lock)
+        if self._release_counter is not None:
+            self._release_counter.inc()
 
     # ------------------------------------------------------------------
     # Tree-wide operations (all stripe locks, index order)
     # ------------------------------------------------------------------
-    def notify_node_completed(self, node) -> None:
-        # Only dirty marks change: no counter growth to mirror.
-        self._on_all_stripes(LockTable.notify_node_completed, node, sync=False)
+    def complete_node(self, node, disposition, tester) -> tuple[list[Lock], list[PendingRequest]]:
+        """The whole completion step in one all-stripes hold: every
+        stripe notes the commit and disposes of the node's locks, then
+        every stripe is re-evaluated (one without a queued request only
+        drops its dirty marks).  A stripe that neither lost a lock nor
+        had a waiter has nothing to mirror."""
+        granted: list[PendingRequest] = []
+        with self._all_stripes():
+            moved = [stripe.table.dispose(node, disposition) for stripe in self._stripes]
+            for stripe, locks in zip(self._stripes, moved):
+                waiters = stripe.table.pending_count
+                granted.extend(stripe.table.reevaluate(tester))
+                if locks or waiters:
+                    self._sync_stripe_metrics(stripe)
+            self._count_cross_op(self._reeval_counter)
+            if disposition is not Disposition.RETAIN and self._release_counter is not None:
+                self._release_counter.inc()
+        return [lock for locks in moved for lock in locks], granted
 
     def reevaluate(self, tester) -> list[PendingRequest]:
-        if self._reeval_counter is not None:
-            self._reeval_counter.inc()  # one pass, however many stripes
-        return self._on_all_stripes(LockTable.reevaluate, tester)
+        return self._on_all_stripes(LockTable.reevaluate, tester, counter=self._reeval_counter)
 
     def release_tree(self, root) -> list[Lock]:
-        return self._on_all_stripes(LockTable.release_tree, root)
-
-    def release_descendant_locks(self, node) -> list[Lock]:
-        return self._on_all_stripes(LockTable.release_descendant_locks, node)
+        return self._on_all_stripes(LockTable.release_tree, root, counter=self._release_counter)
 
     def release_subtree(self, node) -> list[Lock]:
-        return self._on_all_stripes(LockTable.release_subtree, node)
-
-    def reassign_locks_to_parent(self, node) -> list[Lock]:
-        return self._on_all_stripes(LockTable.reassign_locks_to_parent, node)
+        return self._on_all_stripes(LockTable.release_subtree, node, counter=self._release_counter)
 
     # ------------------------------------------------------------------
     # Invariants
@@ -393,11 +422,10 @@ class ConcurrentLockTable:
                         assert lock.lock_id not in seen_lock_ids, lock
                         seen_lock_ids.add(lock.lock_id)
                 for target, queue in stripe.table._queues.items():
-                    if queue:
-                        assert self.stripe_index_of(target) == stripe.index, (
-                            target,
-                            stripe.index,
-                        )
+                    assert self.stripe_index_of(target) == stripe.index, (
+                        target,
+                        stripe.index,
+                    )
                     for pending in queue:
                         assert pending.enqueue_seq not in seen_seqs, pending
                         seen_seqs.add(pending.enqueue_seq)
@@ -858,7 +886,8 @@ class WallClockScheduler:
         re-enqueued, so ``coro.send`` is single-threaded per task.  Each
         step runs under the task's shard lock only; awaitable dispatch
         runs under the scheduler lock (atomically with concurrent
-        ``fire``/``interrupt``); Pause sleeps happen outside every lock.
+        ``fire``/``interrupt``); Pause sleeps and yields happen outside
+        every lock.
         """
         shard = self._shard_locks[task.shard]
         value: Any = None
@@ -925,7 +954,7 @@ class WallClockScheduler:
                 if self.time_scale > 0 and cost > 0:
                     time.sleep(cost * self.time_scale)
                 else:
-                    time.sleep(0)  # yield the GIL
+                    _yield_thread()
                 value = None
         except BaseException as error:  # noqa: BLE001 - surfaced in run()
             with self._sched_lock:

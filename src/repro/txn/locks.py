@@ -32,8 +32,8 @@ The skip condition is sound because a conflict test's outcome is a
 function of (a) the granted locks and earlier queue entries on the
 request's target and (b) the commit status of nodes in the holders'
 trees: (a) changes mark the target dirty at the mutation site, and (b)
-changes are delivered through :meth:`LockTable.notify_node_completed`
-(which also re-dirties the completed node's own lock targets, covering
+changes are delivered through :meth:`LockTable.complete_node` (which
+first re-dirties the completed node's own lock targets, covering
 state-dependent compatibility cells that read the object's state).
 ``tests/test_lock_differential.py`` enforces behavioural equality with
 the scan-based reference implementation kept in ``tests/helpers.py``.
@@ -41,6 +41,7 @@ the scan-based reference implementation kept in ``tests/helpers.py``.
 
 from __future__ import annotations
 
+import enum
 from collections import defaultdict
 from contextlib import nullcontext
 from typing import Callable, ContextManager, Optional, Protocol, TYPE_CHECKING
@@ -130,6 +131,16 @@ class PendingRequest:
         return f"<Pending {self.invocation} on {self.target} by {self.node.node_id}>"
 
 
+class Disposition(enum.Enum):
+    """What becomes of the locks under a node when it completes: the
+    CC protocol declares it for a subtransaction."""
+
+    RETAIN = "retain"  # Fig. 8: nothing moves, the locks now count as retained
+    RELEASE_TREE = "release-tree"  # Fig. 8: "if t.parent = nil then release all locks"
+    RELEASE_DESCENDANTS = "release-descendants"  # naive open nesting (Section 3)
+    REASSIGN_TO_PARENT = "reassign-to-parent"  # Moss-style closed nesting
+
+
 class LockTableAPI(Protocol):
     """The lock-table seam: what the kernel and the CC protocols call.
 
@@ -166,17 +177,15 @@ class LockTableAPI(Protocol):
 
     def pending_of_tree(self, root: TransactionNode) -> list["PendingRequest"]: ...
 
-    def notify_node_completed(self, node: TransactionNode) -> None: ...
+    def complete_node(
+        self, node: TransactionNode, disposition: Disposition, tester: ConflictTester
+    ) -> tuple[list["Lock"], list["PendingRequest"]]: ...
 
     def reevaluate(self, tester: ConflictTester) -> list["PendingRequest"]: ...
 
     def release_tree(self, root: TransactionNode) -> list["Lock"]: ...
 
     def release_subtree(self, node: TransactionNode) -> list["Lock"]: ...
-
-    def release_descendant_locks(self, node: TransactionNode) -> list["Lock"]: ...
-
-    def reassign_locks_to_parent(self, node: TransactionNode) -> list["Lock"]: ...
 
     @property
     def lock_count(self) -> int: ...
@@ -495,15 +504,32 @@ class LockTable:
         """Context manager serialising physical access to *target*'s state."""
         return _NO_GUARD
 
-    def notify_node_completed(self, node: TransactionNode) -> None:
-        """Tell the table a node committed: flag its recorded waiters for
-        re-testing, and re-dirty the targets of its own locks (their
-        state-dependent compatibility cells may read state it changed)."""
+    def complete_node(
+        self, node: TransactionNode, disposition: Disposition, tester: ConflictTester
+    ) -> tuple[list[Lock], list[PendingRequest]]:
+        """One node completion: note the commit, dispose of the node's
+        locks as *disposition* says, re-evaluate the queues.  Returns
+        ``(locks released or moved, requests granted)``."""
+        return self.dispose(node, disposition), self.reevaluate(tester)
+
+    def dispose(self, node: TransactionNode, disposition: Disposition) -> list[Lock]:
+        """:meth:`complete_node` before its re-evaluation.  First flags
+        the requests recorded as waiting on *node* (case-2 waits its
+        commit relieves) and re-dirties the targets of its own locks
+        (state-dependent compatibility cells may read state it changed)
+        — before a release drops its owner-index entry."""
         entry = self._blocker_index.get(node)
         if entry is not None:
             self._retest.update(entry)
         for lock in self._locks_by_node.get(node, {}).values():
             self._dirty_targets.add(lock.target)
+        if disposition is Disposition.RETAIN:
+            return []
+        if disposition is Disposition.RELEASE_TREE:
+            return self.release_tree(node)
+        if disposition is Disposition.RELEASE_DESCENDANTS:
+            return self.release_descendant_locks(node)
+        return self.reassign_locks_to_parent(node)
 
     def _forget_pending(self, pending: PendingRequest) -> None:
         """Bookkeeping shared by grant-from-queue and cancel."""
@@ -525,6 +551,8 @@ class LockTable:
         queue = self._queues.get(pending.target)
         if queue and pending in queue:
             queue.remove(pending)
+            if not queue:
+                del self._queues[pending.target]
             self._forget_pending(pending)
             # Later entries of this queue were tested against the
             # cancelled one; their outcome may have changed.
@@ -544,14 +572,15 @@ class LockTable:
         Returns the requests granted in this pass; their signals are
         fired so the blocked coroutines resume.
         """
-        dirty, self._dirty_targets = self._dirty_targets, set()
-        retest, self._retest = self._retest, set()
         if self._reeval_counter is not None:
             self._reeval_counter.inc()
+        if not self._n_pending:  # and an enqueue dirties its own target
+            self._dirty_targets.clear()
+            return []
+        dirty, self._dirty_targets = self._dirty_targets, set()
+        retest, self._retest = self._retest, set()
         granted_now: list[PendingRequest] = []
-        for target, queue in self._queues.items():
-            if not queue:
-                continue
+        for target, queue in list(self._queues.items()):  # a drained queue is deleted
             if not self._queue_needs_retest(target, queue, dirty, retest):
                 if self._queues_skipped_counter is not None:
                     self._queues_skipped_counter.inc()
@@ -616,9 +645,9 @@ class LockTable:
                 self.set_blockers(pending, set())
                 granted_now.append(pending)
         if still_waiting:
-            self._queues[target][:] = still_waiting
+            queue[:] = still_waiting
         else:
-            self._queues[target].clear()
+            del self._queues[target]
 
     # ------------------------------------------------------------------
     # Release
@@ -651,9 +680,10 @@ class LockTable:
                     del self._locks_by_root[lock.tree_root]
             self._dirty_targets.add(lock.target)
         for target in {lock.target for lock in locks}:
-            held = self._granted.get(target)
-            if held:
-                held[:] = [l for l in held if l.lock_id not in dropped_ids]
+            held = self._granted[target]
+            held[:] = [l for l in held if l.lock_id not in dropped_ids]
+            if not held:
+                del self._granted[target]
         self._released(locks)
         self._index_sizes_changed()
 
@@ -746,6 +776,7 @@ class LockTable:
         """Assert the indices agree with ``_granted``/``_queues``."""
         by_scan: dict[int, Lock] = {}
         for target, locks in self._granted.items():
+            assert locks, f"empty granted entry for {target!r}"
             for lock in locks:
                 assert lock.target == target, (lock, target)
                 by_scan[lock.lock_id] = lock
@@ -769,6 +800,7 @@ class LockTable:
             assert entry, f"empty root-index entry for {root!r}"
             for lock in entry.values():
                 assert lock.tree_root is root
+        assert all(self._queues.values()), "empty queue entry"
         queued = {p.enqueue_seq: p for q in self._queues.values() for p in q}
         assert len(queued) == self._n_pending
         by_pending_root = {

@@ -8,7 +8,7 @@ from repro.errors import ProtocolViolation
 from repro.objects.oid import Oid
 from repro.runtime.scheduler import Scheduler
 from repro.semantics.invocation import Invocation
-from repro.txn.locks import LockTable
+from repro.txn.locks import Disposition, LockTable
 from repro.txn.transaction import TransactionNode
 
 X = Oid("Atom", 1)
@@ -324,9 +324,8 @@ class TestReevaluateSkipsUntouchedQueues:
         assert table.reevaluate(never_conflicts) == []
 
         # The recorded blocker completing flags the queue for re-test.
-        table.notify_node_completed(r0)
-        granted = table.reevaluate(never_conflicts)
-        assert [p.node for p in granted] == [c1]
+        moved, granted = table.complete_node(r0, Disposition.RETAIN, never_conflicts)
+        assert moved == [] and [p.node for p in granted] == [c1]
         table.check_invariants()
 
     def test_notify_node_completed_dirties_own_lock_targets(self):
@@ -338,8 +337,8 @@ class TestReevaluateSkipsUntouchedQueues:
         table.grant(c0, X, c0.invocation)
         table.enqueue(c1, X, c1.invocation, make_signal())
         assert table.reevaluate(always_conflicts) == []
-        table.notify_node_completed(c0)  # c0 holds a lock on X
-        granted = table.reevaluate(never_conflicts)
+        # c0 holds a lock on X
+        __, granted = table.complete_node(c0, Disposition.RETAIN, never_conflicts)
         assert [p.node for p in granted] == [c1]
 
 
@@ -384,6 +383,35 @@ class TestOwnerIndices:
         snapshot = registry.snapshot()
         assert snapshot.counter("lock.release_ops") == 2
         assert table.total_release_ops == 2
+
+    def test_no_entry_outlives_its_last_lock_or_request(self):
+        """``_granted`` / ``_queues`` hold no empty list for an object
+        once locked or queued on (``reevaluate`` walks ``_queues``)."""
+        table = LockTable()
+        r1, c1 = root_and_child("T1")
+        r2, c2 = root_and_child("T2")
+        r3, c3 = root_and_child("T3")
+        lock = table.grant(c1, X, c1.invocation)
+        table.grant(c1, Y, Invocation("Get"))
+        table.enqueue(c2, X, c2.invocation, make_signal())
+        cancelled = table.enqueue(c3, Y, c3.invocation, make_signal())
+        table.cancel(cancelled)  # the only request on Y
+        assert set(table._queues) == {X}
+        table.release_lock(lock)
+        assert set(table._granted) == {Y}
+        moved, granted = table.complete_node(r1, Disposition.RELEASE_TREE, never_conflicts)
+        assert len(moved) == 1 and [p.node for p in granted] == [c2]
+        assert not table._queues and set(table._granted) == {X}  # c2's grant
+        table.release_tree(r2)
+        assert not table._granted and not table._queues
+        table.check_invariants()
+
+    @pytest.mark.parametrize("index", ["_granted", "_queues"])
+    def test_invariants_reject_an_empty_entry(self, index):
+        table = LockTable()
+        getattr(table, index)[X]  # the defaultdict leaves an empty list behind
+        with pytest.raises(AssertionError, match="empty"):
+            table.check_invariants()
 
 
 class TestRetainedProperty:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.kernel import run_transactions
+from repro.core.kernel import TransactionManager, run_transactions
 from repro.core.serializability import is_semantically_serializable
 from repro.orderentry.workload import OrderEntryWorkload, WorkloadConfig
 from repro.protocols import protocol_by_name, protocols_by_name
@@ -18,6 +18,7 @@ from repro.runtime.differential import (
     run_differential,
     run_differential_sweep,
 )
+from repro.runtime.threaded import run_threaded_transactions
 
 SEEDS = (0, 1, 2, 3)
 
@@ -94,3 +95,28 @@ def test_sweep_helper_covers_grid() -> None:
     assert len(reports) == 2
     assert {r.protocol for r in reports} == {"semantic", "object-rw-2pl"}
     assert all(r.ok for r in reports), [r.summary() for r in reports]
+
+
+@pytest.mark.parametrize("protocol", sorted(protocols_by_name()))
+def test_serial_runs_count_the_same_lock_work(protocol: str) -> None:
+    """One request list, one transaction at a time, under both runtimes:
+    the striped table grants as many locks and counts one release
+    operation per operation — not one per stripe visited."""
+    config = WorkloadConfig(n_items=2, orders_per_item=2, seed=3)
+    workload = OrderEntryWorkload(config)
+    virtual = TransactionManager(workload.db, protocol=protocol_by_name(protocol)())
+    for name, program in workload.take(8):
+        virtual.spawn(name, program)
+        virtual.run()
+    workload = OrderEntryWorkload(config)
+    threaded = run_threaded_transactions(
+        workload.db, workload.take(8), protocol=protocol_by_name(protocol)(), n_threads=1
+    )
+    threaded.locks.check_invariants()
+    assert sorted(h.committed for h in virtual.handles.values()) == sorted(
+        h.committed for h in threaded.handles.values()
+    )
+    serial, striped = virtual.obs.snapshot(), threaded.obs.snapshot()
+    assert serial.counter("kernel.blocks") == striped.counter("kernel.blocks") == 0
+    for name in ("lock.grants", "lock.release_ops", "lock.reeval_passes"):
+        assert striped.counter(name) == serial.counter(name) > 0, name

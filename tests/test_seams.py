@@ -30,7 +30,7 @@ from repro.objects.oid import Oid
 from repro.runtime.scheduler import Scheduler, SchedulerAPI
 from repro.runtime.threaded import ConcurrentLockTable, ThreadedKernel, WallClockScheduler
 from repro.semantics.invocation import Invocation
-from repro.txn.locks import LockTable, LockTableAPI
+from repro.txn.locks import Disposition, LockTable, LockTableAPI
 from repro.txn.transaction import TransactionNode
 
 from tests.helpers import ReferenceLockTable
@@ -39,25 +39,33 @@ SRC_REPRO = Path(kernel_module.__file__).resolve().parents[1]
 
 X = Oid("Atom", 1)
 Y = Oid("Atom", 2)
+Z = Oid("Atom", 3)
 
 TABLES = {
     "indexed": LockTable,
     "reference": ReferenceLockTable,
     "striped-1": lambda: ConcurrentLockTable(n_stripes=1),
     "striped-4": lambda: ConcurrentLockTable(n_stripes=4),
+    "striped-8": lambda: ConcurrentLockTable(n_stripes=8),
 }
 
 
 # ----------------------------------------------------------------------
-# (a) One scenario suite, four tables
+# (a) One scenario suite, five tables
 # ----------------------------------------------------------------------
 def rw_tester(holder, holder_inv, requester, requester_inv, target):
-    """Read/write modes between different trees; wait for the top level."""
+    """Read/write modes between different trees.  A conflict waits for
+    the holder's subtransaction while that runs and is relieved once it
+    has committed (Fig. 9, cases 2 and 1); a lock held directly under
+    the root — or by it, after a reassignment — waits for the root."""
     if holder.root() is requester.root():
         return None
     if holder_inv.operation == "R" and requester_inv.operation == "R":
         return None
-    return holder.root()
+    scope = holder.parent or holder
+    if scope.is_top_level:
+        return scope
+    return None if scope.completed else scope
 
 
 class Tree:
@@ -77,13 +85,28 @@ class Tree:
 
 
 class Driver:
-    """Drives a table through the acquire seam only, logging outcomes."""
+    """Drives a table through the seam only, logging outcomes and what
+    the table told its two hooks."""
 
     def __init__(self, table) -> None:
         self.table = table
         self.scheduler = Scheduler()
         self.log: list = []
         self.pending: dict[str, object] = {}
+        self.hooks: list[tuple] = []
+        self._reported: dict[str, list[str]] = {}
+        table.on_waits_changed = self._waits_changed
+        table.on_locks_reassigned = lambda nodes: self.hooks.append(
+            ("reassigned", sorted(n.node_id for n in nodes))
+        )
+
+    def _waits_changed(self, pending) -> None:
+        blockers = sorted(b.node_id for b in pending.blockers)
+        # Only changes: the reference table re-tests (and re-reports)
+        # queues the indexed ones can prove unchanged.
+        if self._reported.get(pending.node.node_id) != blockers:
+            self._reported[pending.node.node_id] = blockers
+            self.hooks.append(("waits", str(pending.target), pending.node.node_id, blockers))
 
     def acquire(self, node: TransactionNode, target: Oid) -> None:
         blockers = self.table.try_acquire(node, target, node.invocation, rw_tester)
@@ -104,13 +127,28 @@ class Driver:
     def reevaluate(self) -> None:
         self.step("reevaluate", self.table.reevaluate(rw_tester))
 
+    def complete(self, node: TransactionNode, disposition: Disposition) -> tuple[list, list]:
+        """What the kernel's completion step asks of the table; returns
+        the targets of the locks it moved and the trees it woke."""
+        node.mark_committed(len(self.log))
+        moved, granted = self.table.complete_node(node, disposition, rw_tester)
+        self.log.append(("moved", sorted(self._describe(lock) for lock in moved)))
+        self.step(f"complete {disposition.value}", granted)
+        return sorted(str(lock.target) for lock in moved), [p.node.root().node_id for p in granted]
+
+    def drain(self) -> None:
+        """Commit, one after the other, every tree that still holds a lock."""
+        while self.table.lock_count:
+            held = (lock for target in (X, Y, Z) for lock in self.table.locks_on(target))
+            self.complete(next(held).node.root(), Disposition.RELEASE_TREE)
+
     @staticmethod
     def _describe(item) -> tuple:
         return (item.node.node_id, item.invocation.operation, str(item.target))
 
     def observe(self) -> None:
         self.table.check_invariants()
-        for target in (X, Y):
+        for target in (X, Y, Z):
             self.log.append(
                 (
                     str(target),
@@ -125,6 +163,22 @@ class Driver:
         self.log.append(
             ("woken", sorted(name for name, p in self.pending.items() if p.signal.done))
         )
+        self._observe_hooks()
+
+    def _observe_hooks(self) -> None:
+        """The hook calls since the last step: every old owner reported
+        before any re-test, and the re-tests in one order *per target*
+        (a striped table reports owners stripe by stripe and visits
+        targets in stripe order, so only that much is comparable)."""
+        hooks, self.hooks = self.hooks, []
+        kinds = [event[0] for event in hooks]
+        assert kinds == sorted(kinds), hooks  # "reassigned" < "waits"
+        owners = sorted({name for event in hooks if event[0] == "reassigned" for name in event[1]})
+        waits = sorted(
+            (event[1:] for event in hooks if event[0] == "waits"), key=lambda event: event[0]
+        )  # stable: the order within one target is the table's
+        self.last_hooks = (owners, waits)
+        self.log.append(("hooks", *self.last_hooks))
 
 
 def scenario_grant_block_release(d: Driver) -> None:
@@ -173,14 +227,15 @@ def scenario_subtree_operations(d: Driver) -> None:
     d.acquire(method, X)
     d.acquire(leaf, Y)
     d.acquire(t2.action("W", Y), Y)  # blocked by T1
-    d.step("release_descendant_locks", d.table.release_descendant_locks(method))
-    d.reevaluate()  # T2 gets Y; T1 keeps X
+    d.complete(method, Disposition.RELEASE_DESCENDANTS)  # T2 gets Y; T1 keeps X
     d.step("release_tree", d.table.release_tree(t2.root))
-    again = t1.action("W", Y, parent=method)
+    again = t1.action("W", Y)
+    retry = t1.action("W", Z, parent=again)
     d.acquire(again, Y)
-    d.step("reassign", d.table.reassign_locks_to_parent(method))  # root owns both
-    d.step("release_subtree", d.table.release_subtree(method))  # nothing left below
-    d.acquire(t2.action("R", X), X)  # still blocked: the root holds X
+    d.acquire(retry, Z)
+    d.complete(again, Disposition.REASSIGN_TO_PARENT)  # root owns both
+    d.step("release_subtree", d.table.release_subtree(again))  # nothing left below
+    d.acquire(t2.action("R", Z), Z)  # still blocked: the root holds Z
     d.step("release_tree", d.table.release_tree(t1.root))
     d.reevaluate()
     d.step("release_tree", d.table.release_tree(t2.root))
@@ -192,12 +247,74 @@ def scenario_completion_notice(d: Driver) -> None:
     d.acquire(holder, X)
     d.acquire(t2.action("W", X), X)
     d.reevaluate()  # nothing changed: still blocked
-    d.table.notify_node_completed(t1.root)
-    d.reevaluate()  # re-tested because its recorded blocker completed
+    d.complete(t1.root, Disposition.RETAIN)  # re-tested because its recorded blocker completed
     d.table.release_lock(d.table.locks_on(X)[0])
     d.step("release_lock")
     d.reevaluate()
     d.step("release_tree", d.table.release_tree(t2.root))
+
+
+# One scenario per disposition.  Each has two waiters queued on the
+# completing node (the regrant order on one target), and a bystander
+# blocked on another target by another tree, which nothing may touch.
+def _completion_setting(d: Driver):
+    t1, t2, t3, t4, t5 = (Tree(f"T{i}") for i in range(1, 6))
+    method = t1.action("W", X)
+    d.acquire(method, X)
+    d.acquire(t1.action("W", Y, parent=method), Y)
+    d.acquire(t2.action("R", Y), Y)  # waits for T1's method ...
+    d.acquire(t3.action("R", Y), Y)  # ... and so does T3, behind T2
+    d.acquire(t4.action("W", Z), Z)
+    d.acquire(t5.action("W", Z), Z)  # the bystander
+    return t1, method
+
+
+def _bystander_untouched(d: Driver) -> None:
+    assert not any(event[0] == str(Z) for event in d.last_hooks[1]), d.last_hooks
+    assert d.table.queue_on(Z)[0].blockers
+
+
+def scenario_complete_retain(d: Driver) -> None:
+    t1, method = _completion_setting(d)
+    # Nothing moves; relieved, both readers share Y with the retained lock.
+    assert d.complete(method, Disposition.RETAIN) == ([], ["T2", "T3"])
+    _bystander_untouched(d)
+    assert len(d.table.locks_on(Y)) == 3
+    d.drain()
+
+
+def scenario_complete_release_descendants(d: Driver) -> None:
+    t1, method = _completion_setting(d)
+    # The leaf's lock goes, the method's own stays.
+    assert d.complete(method, Disposition.RELEASE_DESCENDANTS) == ([str(Y)], ["T2", "T3"])
+    _bystander_untouched(d)
+    assert len(d.table.locks_on(Y)) == 2 and len(d.table.locks_on(X)) == 1
+    d.drain()
+
+
+def scenario_complete_reassign_to_parent(d: Driver) -> None:
+    t1, method = _completion_setting(d)
+    assert d.complete(method, Disposition.REASSIGN_TO_PARENT) == ([str(X), str(Y)], [])
+    owners, waits = d.last_hooks
+    assert owners == sorted(n.node_id for n in method.descendants(include_self=True))
+    # Both readers were re-tested and now wait for the root that owns Y.
+    assert waits == [(str(Y), "T2.1", ["T1"]), (str(Y), "T3.1", ["T1"])]
+    assert {lock.node for lock in d.table.locks_on(X) + d.table.locks_on(Y)} == {t1.root}
+    d.drain()
+
+
+def scenario_complete_release_tree(d: Driver) -> None:
+    t1, method = _completion_setting(d)
+    d.complete(method, Disposition.RETAIN)
+    d.acquire(t1.action("W", X), X)  # T1 already owns X through the method
+    d.acquire(Tree("T6").action("R", X), X)  # waits for T1's root ...
+    d.acquire(Tree("T7").action("W", X), X)  # ... and so does T7, and for T6
+    moved, woken = d.complete(t1.root, Disposition.RELEASE_TREE)
+    assert moved == [str(X), str(X), str(Y)] and woken == ["T6"]
+    assert d.last_hooks[1] == [(str(X), "T6.1", []), (str(X), "T7.1", ["T6"])]
+    _bystander_untouched(d)
+    assert not d.table.locks_held_by_tree(t1.root)
+    d.drain()
 
 
 SCENARIOS = [
@@ -206,6 +323,10 @@ SCENARIOS = [
     scenario_cancel,
     scenario_subtree_operations,
     scenario_completion_notice,
+    scenario_complete_retain,
+    scenario_complete_release_descendants,
+    scenario_complete_reassign_to_parent,
+    scenario_complete_release_tree,
 ]
 
 

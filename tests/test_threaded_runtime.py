@@ -10,10 +10,14 @@ stress sweep is marked ``slow`` (run by the nightly workflow).
 
 from __future__ import annotations
 
+import os
+import threading
 import time
+import types
 
 import pytest
 
+from repro.core.kernel import CostModel
 from repro.core.protocol import SemanticLockingProtocol
 from repro.core.serializability import is_semantically_serializable
 from repro.objects.database import Database
@@ -23,14 +27,16 @@ from repro.obs.registry import MetricsRegistry
 from repro.orderentry.schema import PAID, SHIPPED, build_order_entry_database
 from repro.orderentry.transactions import make_t1, make_t2
 from repro.orderentry.workload import OrderEntryWorkload, WorkloadConfig
-from repro.runtime.scheduler import Scheduler
+from repro.runtime import threaded
+from repro.runtime.scheduler import Pause, Scheduler
 from repro.runtime.threaded import (
     ConcurrentLockTable,
     ThreadedKernel,
+    WallClockScheduler,
     run_threaded_transactions,
 )
 from repro.semantics.invocation import Invocation
-from repro.txn.locks import LockTable
+from repro.txn.locks import Disposition, LockTable
 from repro.txn.transaction import TransactionNode
 
 
@@ -102,7 +108,8 @@ class TestRegistryMirror:
     @staticmethod
     def _scenario(table):
         """Three roots on two objects: one queue grants on the second
-        re-evaluation pass, one lock is still held at the end."""
+        re-evaluation pass, one lock is still held at the end.  Two
+        tree releases and one completion: three release operations."""
         x, y = Oid("Atom", 1), Oid("Atom", 2)
 
         def child(name, target):
@@ -125,7 +132,9 @@ class TestRegistryMirror:
         assert table.reevaluate(conflicts_on_x) == []  # A still holds x
         table.release_tree(a.root())
         assert table.reevaluate(conflicts_on_x) == [pending]
-        table.release_tree(b.root())
+        moved, granted = table.complete_node(b.root(), Disposition.RELEASE_TREE, conflicts_on_x)
+        assert [lock.node for lock in moved] == [b] and granted == []
+        assert table.release_tree(b.root()) == []
 
     def test_counters_and_gauges_match_plain_table(self):
         plain_obs, striped_obs = MetricsRegistry(), MetricsRegistry(thread_safe=True)
@@ -133,9 +142,13 @@ class TestRegistryMirror:
         striped = ConcurrentLockTable(n_stripes=4, metrics=striped_obs)
         self._scenario(striped)
         plain, mirrored = plain_obs.snapshot(), striped_obs.snapshot()
-        assert plain.counter("lock.reeval_passes") == 2
-        for name in ("lock.reeval_passes", "lock.grants", "lock.blocks"):
+        assert plain.counter("lock.reeval_passes") == 3
+        assert plain.counter("lock.release_ops") == 3  # per operation, not per stripe
+        for name in ("lock.reeval_passes", "lock.release_ops", "lock.grants", "lock.blocks"):
             assert mirrored.counter(name) == plain.counter(name), name
+        # One tick per all-stripes hold: two re-evaluations, two
+        # releases, and the completion (which is all three steps).
+        assert mirrored.counter("stripe.cross_ops") == 5
         for name in ("lock.held", "lock.queue_depth"):
             assert mirrored.gauges[name] == plain.gauges[name], name
         assert mirrored.gauges["lock.held"] == {"value": 1, "hwm": 2}  # C's lock on y
@@ -222,6 +235,75 @@ class TestThreadedKernel:
         committed = sum(1 for h in kernel.handles.values() if h.committed)
         assert committed == n
         assert counter.impl_component("value").raw_get() == n * (n + 1) // 2
+
+
+class TestZeroCostPause:
+    """A zero-cost ``Pause`` yields the processor; it arms no timer."""
+
+    @staticmethod
+    def _ship_and_pay(**kwargs):
+        built = build_order_entry_database(n_items=2, orders_per_item=2)
+        kernel = run_threaded_transactions(
+            built.db,
+            {
+                "T1": make_t1(built.item(0), 1, built.item(1), 2),
+                "T2": make_t2(built.item(0), 1, built.item(1), 2),
+            },
+            n_threads=2,
+            **kwargs,
+        )
+        assert kernel.handles["T1"].committed and kernel.handles["T2"].committed
+        return kernel
+
+    @pytest.mark.skipif(not hasattr(os, "sched_yield"), reason="no sched_yield: sleep(0) it is")
+    def test_no_sleep_at_time_scale_zero(self, monkeypatch):
+        def no_sleep(seconds):
+            raise AssertionError(f"time.sleep({seconds}) on a zero-cost Pause")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        kernel = self._ship_and_pay()  # a worker that slept would have failed the run
+        assert kernel.obs.snapshot().counters["thread.steps"] > 2  # it did pause
+
+    def test_a_positive_cost_still_sleeps_for_it(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        self._ship_and_pay(time_scale=0.001, cost_model=CostModel(generic_op=2.0))
+        assert 0.002 in slept and all(seconds > 0 for seconds in slept)
+
+    def test_a_yielding_task_lets_the_other_one_run(self):
+        """Liveness, not timing: the spinner only ends once the second
+        task has run, so a yield that kept the GIL would hang it."""
+        scheduler = WallClockScheduler(n_threads=2, stall_timeout=30.0)
+        flag = threading.Event()
+        spins = 0
+
+        async def spinner():
+            nonlocal spins
+            while not flag.is_set():
+                spins += 1
+                await Pause(0)
+
+        async def setter():
+            await Pause(0)
+            flag.set()
+
+        scheduler.spawn("spinner", spinner())
+        scheduler.spawn("setter", setter())
+        runner = threading.Thread(target=scheduler.run, daemon=True)
+        runner.start()
+        runner.join(timeout=30.0)
+        flag.set()  # let a hung spinner go before failing
+        assert not runner.is_alive() and scheduler.all_finished and spins >= 1
+
+    def test_the_yield_is_picked_from_what_os_provides(self, monkeypatch):
+        if hasattr(os, "sched_yield"):
+            assert threaded._yield_thread is os.sched_yield
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        fallback = threaded._pick_yield(types.SimpleNamespace())  # an os without sched_yield
+        fallback()
+        assert slept == [0]
+        assert threaded._pick_yield(types.SimpleNamespace(sched_yield=len)) is len
 
 
 class TestDeadlockPoliciesWallClock:

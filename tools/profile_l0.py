@@ -15,6 +15,11 @@ with profiling off, through ``perfbench/run.py``.
 Usage::
 
     python tools/profile_l0.py [--seed N] [--requests N] [--top N] [--out FILE]
+        [--absent NAME]
+
+``--absent time.sleep`` exits 1 if any function so named was called at
+all — a count, not a timing: a zero-cost ``Pause`` must yield, and a
+``time.sleep`` row means the timer-slack sleep is back.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--requests", type=int, default=600)
     parser.add_argument("--top", type=int, default=25)
     parser.add_argument("--out", help="also write the table to this file")
+    parser.add_argument("--absent", metavar="NAME", help="fail if a function so named was called")
     args = parser.parse_args(argv)
 
     stats = profile_l0(args.seed, args.requests)
@@ -88,6 +94,11 @@ def main(argv: list[str] | None = None) -> int:
     sys.stdout.write(text)
     if args.out:
         Path(args.out).write_text(text)
+    if args.absent:
+        calls = sum(row[1] for func, row in stats.stats.items() if args.absent in func[2])
+        if calls:
+            print(f"profile L0: {args.absent} was called {calls} times", file=sys.stderr)
+            return 1
     return 0
 
 
