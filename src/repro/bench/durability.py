@@ -13,7 +13,7 @@ Three WAL configurations run the identical seeded order-entry workload:
 Each durable mode also adopts the page-file storage manager behind the
 buffer pool, so allocations flow through the full durable stack.  After
 the run the bench recovers the database *from the on-disk file* (the
-in-memory mode recovers from a pickled log, the pre-existing path) and
+in-memory mode saves its log in the same frame format first) and
 verifies every mode digests to the identical recovered state — a
 durability knob must change throughput, never outcomes.
 
@@ -123,7 +123,7 @@ def _run_mode(
 
     # ----- recovery from what the disk holds -----
     if mode == "memory":
-        wal.save(wal_path)  # the pre-existing pickle path
+        wal.save_durable(wal_path)
         survivor = WriteAheadLog.load(wal_path)
     else:
         scan = load_wal_file(wal_path)

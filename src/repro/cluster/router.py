@@ -45,27 +45,20 @@ atomically rewrites the file keeping only un-acked decisions.
 
 from __future__ import annotations
 
-import errno
 import itertools
 import json
 import os
 import queue
-import socket
-import socketserver
 import threading
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Optional
 
 from repro.cluster.hashring import DEFAULT_VNODES, HashRing
-from repro.errors import (
-    AddressInUseError,
-    ReproError,
-    RequestShed,
-    error_to_payload,
-)
+from repro.errors import ReproError, RequestShed, error_to_payload
 from repro.obs.registry import MetricsRegistry
 from repro.server.requests import Request, Response
+from repro.server.wire import LineServer, TCPClient
 
 __all__ = [
     "CoordinatorLog",
@@ -389,7 +382,7 @@ class CoordinatorLog:
 
 
 class ShardLink:
-    """A pooled newline-JSON client for one shard address.
+    """A pool of :class:`TCPClient` connections to one shard address.
 
     A single pipelined connection would serialise the shard to one
     in-flight request; the pool creates connections on demand up to
@@ -408,11 +401,7 @@ class ShardLink:
         self._lock = threading.Lock()
         self._created = 0
 
-    def _connect(self):
-        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-        return sock, sock.makefile("rwb")
-
-    def _borrow(self):
+    def _borrow(self) -> TCPClient:
         try:
             return self._pool.get_nowait()
         except queue.Empty:
@@ -421,7 +410,7 @@ class ShardLink:
             if self._created < self.capacity:
                 self._created += 1
                 try:
-                    return self._connect()
+                    return TCPClient(self.host, self.port, timeout=self.timeout)
                 except Exception:
                     self._created -= 1
                     raise
@@ -437,41 +426,27 @@ class ShardLink:
             ) from None
 
     def request(self, message: dict[str, Any]) -> dict[str, Any]:
-        conn = self._borrow()
-        sock, fh = conn
+        client = self._borrow()
         try:
-            fh.write(json.dumps(message).encode("utf-8") + b"\n")
-            fh.flush()
-            line = fh.readline()
-            if not line:
-                raise ConnectionError(f"shard {self.host}:{self.port} closed connection")
-            # Parse before pooling: a connection whose response didn't
-            # decode is out of sync and must be discarded, not reused.
-            payload = json.loads(line)
+            # The reply is parsed before pooling: a connection whose
+            # response didn't decode is out of sync and must be
+            # discarded, not reused.
+            payload = client.request(message)
         except Exception:
             # Broken connection: drop it so a later borrow reconnects.
             with self._lock:
                 self._created -= 1
-            try:
-                fh.close()
-                sock.close()
-            except Exception:  # noqa: BLE001 - already failing
-                pass
+            client.close()
             raise
-        self._pool.put(conn)
+        self._pool.put(client)
         return payload
 
     def close(self) -> None:
         while True:
             try:
-                sock, fh = self._pool.get_nowait()
+                self._pool.get_nowait().close()
             except queue.Empty:
                 return
-            try:
-                fh.close()
-                sock.close()
-            except Exception:  # noqa: BLE001 - shutdown path
-                pass
 
 
 class ClusterRouter:
@@ -882,36 +857,7 @@ class ClusterRouter:
 # ----------------------------------------------------------------------
 # The router's own wire front (status endpoint + routed requests)
 # ----------------------------------------------------------------------
-class _RouterHandler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:
-        wire: RouterWireServer = self.server.router_wire  # type: ignore[attr-defined]
-        for raw in self.rfile:
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                message = json.loads(line)
-                if not isinstance(message, dict):
-                    raise ValueError("request must be a JSON object")
-            except ValueError as exc:
-                self._reply({"status": "failed", "error": error_to_payload(exc)})
-                continue
-            try:
-                self._reply(wire.dispatch(message))
-            except Exception as exc:  # noqa: BLE001 - surfaced to the peer
-                self._reply({"status": "failed", "error": error_to_payload(exc)})
-
-    def _reply(self, payload: dict[str, Any]) -> None:
-        self.wfile.write(json.dumps(payload).encode("utf-8") + b"\n")
-        self.wfile.flush()
-
-
-class _RouterTCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
-class RouterWireServer:
+class RouterWireServer(LineServer):
     """Serves ``2pc-status`` (and, once attached, routed requests).
 
     Built around the coordinator log *before* the router exists, because
@@ -924,18 +870,7 @@ class RouterWireServer:
     ) -> None:
         self.log = log
         self.router: Optional[ClusterRouter] = None
-        try:
-            self._tcp = _RouterTCPServer((host, port), _RouterHandler)
-        except OSError as exc:
-            if exc.errno == errno.EADDRINUSE:
-                raise AddressInUseError(host, port) from exc
-            raise
-        self._tcp.router_wire = self  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._tcp.server_address[:2]
+        super().__init__(self.dispatch, host, port)
 
     def attach_router(self, router: ClusterRouter) -> None:
         self.router = router
@@ -970,22 +905,3 @@ class RouterWireServer:
         if self.router is None:
             raise ReproError("router not attached yet")
         return self.router.route(message)
-
-    def start(self) -> "RouterWireServer":
-        if self._thread is not None:
-            raise RuntimeError("router wire server already started")
-        self._thread = threading.Thread(
-            target=self._tcp.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="cc-router-accept",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._tcp.shutdown()
-        self._tcp.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None

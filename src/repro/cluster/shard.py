@@ -36,7 +36,6 @@ import json
 import os
 import shutil
 import signal
-import socket
 import sys
 import threading
 import time
@@ -60,7 +59,7 @@ from repro.recovery.manager import recover
 from repro.runtime.scheduler import Scheduler
 from repro.server.admission import AdmissionConfig
 from repro.server.core import TransactionServer
-from repro.server.wire import WireServer
+from repro.server.wire import TCPClient, WireServer
 from repro.storage.durable import DurableStorageManager, DurableWriteAheadLog
 
 __all__ = ["CrashSwitch", "run_shard", "main", "WAL_FILENAME", "STORE_DIRNAME"]
@@ -116,19 +115,11 @@ def _query_coordinator(
     last_error: Optional[BaseException] = None
     while time.monotonic() < deadline:
         try:
-            with socket.create_connection((host, int(port)), timeout=2.0) as sock:
-                fh = sock.makefile("rwb")
-                fh.write(
-                    json.dumps({"op": "2pc-status", "gtid": gtid}).encode("utf-8")
-                    + b"\n"
-                )
-                fh.flush()
-                line = fh.readline()
-            if line:
-                answer = json.loads(line).get("result")
-                if answer in ("commit", "abort"):
-                    return answer
-                last_error = None  # pending: retry
+            with TCPClient(host, int(port), timeout=2.0) as client:
+                answer = client.request({"op": "2pc-status", "gtid": gtid}).get("result")
+            if answer in ("commit", "abort"):
+                return answer
+            last_error = None  # pending: retry
         except (OSError, ValueError) as exc:
             last_error = exc
         time.sleep(0.05)
@@ -165,11 +156,8 @@ def _send_boot_acks(
         "gtids": gtids,
     }
     try:
-        with socket.create_connection((host, int(port)), timeout=2.0) as sock:
-            fh = sock.makefile("rwb")
-            fh.write(json.dumps(message).encode("utf-8") + b"\n")
-            fh.flush()
-            fh.readline()
+        with TCPClient(host, int(port), timeout=2.0) as client:
+            client.request(message)
     except (OSError, ValueError):
         pass
 

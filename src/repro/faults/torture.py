@@ -7,8 +7,8 @@ crash point — every scheduler step, and every WAL-record boundary (which
 reaches windows step-granularity cannot, e.g. *between a
 subtransaction's commit record and its lock conversion*, both sides of
 which execute inside one scheduler step) — killing the run with an
-injected :class:`~repro.errors.CrashPoint`, recovering from the pickled
-WAL, and checking, at each point:
+injected :class:`~repro.errors.CrashPoint`, recovering from the saved
+WAL file, and checking, at each point:
 
 * **lock hygiene at the moment of death** — a transaction that
   durably finished (committed or aborted) holds no locks, no queued
@@ -480,7 +480,7 @@ def run_torture(
     """Crash the scenario at every crash point and verify each recovery.
 
     The grid is :func:`crash_points`; every crash's log is round-tripped
-    through a pickle file in the point's directory, so recovery reads
+    through a WAL file in the point's directory, so recovery reads
     what the disk would actually hold.  *max_seconds* as in :func:`sweep`.
     """
     points, sizes = crash_points(scenario, steps, wal_sweep)
@@ -513,9 +513,9 @@ def _torture_point(
     }
     kernel.scheduler.shutdown()
 
-    # Recover from the *pickled* WAL onto a fresh database.
-    path = os.path.join(point_dir, "wal.pickle")
-    wal.save(path)
+    # Recover from the *saved* WAL file onto a fresh database.
+    path = os.path.join(point_dir, "wal.log")
+    wal.save_durable(path)
     oracle_results = check_recovery(outcome, scenario, WriteAheadLog.load(path))
     # Only results the crashed run actually reported are comparable: a
     # crash between a commit record and the in-memory commit flag leaves

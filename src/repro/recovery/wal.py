@@ -16,13 +16,13 @@ Record kinds:
 * :class:`TxnStatusRecord` — transaction begin / commit / abort.
 
 The log is in-memory (this is a simulation of durable storage); it can
-be pickled to a file to simulate surviving the crash, and its list of
-records is treated as the durable truth during recovery.
+be saved to a file in the durable frame format to simulate surviving the
+crash, and its list of records is treated as the durable truth during
+recovery.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Union
 
@@ -156,42 +156,28 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # Durable media
     # ------------------------------------------------------------------
-    def save(self, path: str) -> None:
-        """Pickle the whole record list (the original simulation format)."""
-        with open(path, "wb") as fh:
-            pickle.dump(self.records, fh)
-
     def save_durable(self, path: str) -> None:
         """Write the on-disk format: magic + checksummed record frames.
 
         The same framing :class:`repro.storage.durable.DurableWriteAheadLog`
         appends incrementally; files written either way are
-        interchangeable and :meth:`load` reads both.
+        interchangeable.
         """
-        from repro.storage.walformat import WAL_MAGIC, encode_frame
+        from repro.storage.walformat import WAL_MAGIC, encode_record
 
         with open(path, "wb") as fh:
             fh.write(WAL_MAGIC)
             for record in self.records:
-                fh.write(encode_frame(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)))
+                fh.write(encode_record(record))
             fh.flush()
 
-    @classmethod
-    def load(cls, path: str) -> "WriteAheadLog":
-        """Read a saved log — pickled or durable format, auto-detected.
+    @staticmethod
+    def load(path: str) -> "WriteAheadLog":
+        """Read a saved log in LSN order; ``ValueError`` if *path* is not one.
 
-        Durable files tolerate torn tails: a partial trailing record
-        (crash mid-append) is detected by its length/checksum frame and
-        discarded, never raising.
+        A partial trailing record (crash mid-append) is detected by its
+        length/checksum frame and discarded, never raising.
         """
-        from repro.storage.walformat import is_wal_file, iter_frames
+        from repro.storage.durable import load_wal_file
 
-        with open(path, "rb") as fh:
-            data = fh.read()
-        if is_wal_file(data):
-            records = [pickle.loads(payload) for payload in iter_frames(data).payloads]
-        else:
-            records = pickle.loads(data)
-        log = cls(records=records)
-        log._next_lsn = max((r.lsn for r in records), default=0)
-        return log
+        return load_wal_file(path).log

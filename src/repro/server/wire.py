@@ -12,6 +12,16 @@ line, over a plain TCP connection.  Three message kinds:
   "result": "pong"}``;
 * ``{"op": "stats"}`` — answered with the server's operational summary.
 
+Every non-blank line gets exactly one reply.  A line that is not JSON,
+not an object, nested too deep, names no known operation or makes its
+handler raise is answered ``{"status": "failed", "error": <repro.errors
+payload>}`` and the connection stays usable.  This module is the only
+one that knows the framing: :class:`LineServer` is the server loop under
+both the shard front (:class:`WireServer`) and the router front
+(:class:`repro.cluster.router.RouterWireServer`), and :class:`TCPClient`
+is the client under the router's shard links and a booting shard's
+coordinator calls.
+
 Connections are handled by a thread-per-connection
 :class:`socketserver.ThreadingTCPServer`; each line is submitted
 *blocking* to the :class:`~repro.server.core.TransactionServer`, so a
@@ -27,83 +37,63 @@ import json
 import socket
 import socketserver
 import threading
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, TypeVar
 
 from repro.errors import AddressInUseError, error_to_payload
 from repro.server.core import TransactionServer
 from repro.server.requests import Request
 
-__all__ = ["WireServer", "TCPClient"]
+__all__ = ["LineServer", "WireServer", "TCPClient"]
 
 
-class _Handler(socketserver.StreamRequestHandler):
+Dispatch = Callable[[dict[str, Any]], dict[str, Any]]
+_Server = TypeVar("_Server", bound="LineServer")
+
+
+class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
-        server: TransactionServer = self.server.transaction_server  # type: ignore[attr-defined]
-        extra_ops = self.server.extra_ops  # type: ignore[attr-defined]
+        dispatch: Dispatch = self.server.dispatch  # type: ignore[attr-defined]
         for raw in self.rfile:
             line = raw.strip()
             if not line:
                 continue
+            # Bytes from outside the process: whatever decoding or
+            # dispatching them raises (RecursionError from a deeply
+            # nested line included) is answered, never propagated — one
+            # reply per non-blank line, and the connection lives on.
             try:
                 message = json.loads(line)
                 if not isinstance(message, dict):
                     raise ValueError("request must be a JSON object")
-            except ValueError as exc:
-                self._reply({"status": "failed", "error": error_to_payload(exc)})
-                continue
-            op = message.get("op")
-            if op == "ping":
-                self._reply({"status": "ok", "result": "pong"})
-                continue
-            if op == "stats":
-                self._reply({"status": "ok", "result": server.stats()})
-                continue
-            handler = extra_ops.get(op)
-            if handler is not None:
-                # Extension seam: the cluster's 2PC control frames and
-                # routed requests travel the same newline-JSON protocol.
-                try:
-                    self._reply(handler(message))
-                except Exception as exc:  # noqa: BLE001 - surfaced to the peer
-                    self._reply({"status": "failed", "error": error_to_payload(exc)})
-                continue
-            try:
-                request = Request.from_dict(message)
-            except (TypeError, ValueError) as exc:
-                self._reply({"status": "failed", "error": error_to_payload(exc)})
-                continue
-            response = server.submit(request)
-            self._reply(response.to_dict())
-
-    def _reply(self, payload: dict[str, Any]) -> None:
-        self.wfile.write(json.dumps(payload).encode("utf-8") + b"\n")
-        self.wfile.flush()
+                reply = json.dumps(dispatch(message))
+            except Exception as exc:  # noqa: BLE001 - surfaced to the peer
+                reply = json.dumps({"status": "failed", "error": error_to_payload(exc)})
+            self.wfile.write(reply.encode("utf-8") + b"\n")
+            self.wfile.flush()
 
 
-class _TCPServer(socketserver.ThreadingTCPServer):
+class _LineTCPServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
 
-class WireServer:
-    """Serve a :class:`TransactionServer` over TCP in a background thread."""
+class LineServer:
+    """Serve *dispatch* over newline-JSON TCP in a background thread.
 
-    def __init__(
-        self,
-        server: TransactionServer,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        extra_ops: Optional[dict[str, Callable[[dict[str, Any]], dict[str, Any]]]] = None,
-    ) -> None:
-        self.transaction_server = server
+    The one server loop of the code base: the shard front
+    (:class:`WireServer`) and the router front
+    (:class:`repro.cluster.router.RouterWireServer`) are this class with
+    their own ``dispatch(message) -> reply``.
+    """
+
+    def __init__(self, dispatch: Dispatch, host: str = "127.0.0.1", port: int = 0) -> None:
         try:
-            self._tcp = _TCPServer((host, port), _Handler)
+            self._tcp = _LineTCPServer((host, port), _LineHandler)
         except OSError as exc:
             if exc.errno == errno.EADDRINUSE:
                 raise AddressInUseError(host, port) from exc
             raise
-        self._tcp.transaction_server = server  # type: ignore[attr-defined]
-        self._tcp.extra_ops = dict(extra_ops or {})  # type: ignore[attr-defined]
+        self._tcp.dispatch = dispatch  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -111,7 +101,7 @@ class WireServer:
         """The bound (host, port) — port 0 resolves to the real port."""
         return self._tcp.server_address[:2]
 
-    def start(self) -> "WireServer":
+    def start(self: _Server) -> _Server:
         if self._thread is not None:
             raise RuntimeError("wire server already started")
         self._thread = threading.Thread(
@@ -130,6 +120,33 @@ class WireServer:
         if self._thread is not None:
             self._thread.join(timeout=2.0)
             self._thread = None
+
+
+class WireServer(LineServer):
+    """Serve a :class:`TransactionServer` over TCP in a background thread."""
+
+    def __init__(
+        self,
+        server: TransactionServer,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        extra_ops: Optional[dict[str, Dispatch]] = None,
+    ) -> None:
+        # Extension seam: the cluster's 2PC control frames and routed
+        # requests travel the same newline-JSON protocol.
+        ops: dict[str, Dispatch] = {
+            **(extra_ops or {}),
+            "ping": lambda message: {"status": "ok", "result": "pong"},
+            "stats": lambda message: {"status": "ok", "result": server.stats()},
+        }
+
+        def submit(message: dict[str, Any]) -> dict[str, Any]:
+            return server.submit(Request.from_dict(message)).to_dict()
+
+        def dispatch(message: dict[str, Any]) -> dict[str, Any]:
+            return ops.get(message.get("op"), submit)(message)
+
+        super().__init__(dispatch, host, port)
 
 
 class TCPClient:
@@ -156,6 +173,8 @@ class TCPClient:
     def close(self) -> None:
         try:
             self._file.close()
+        except OSError:
+            pass  # a broken connection has nothing left to flush
         finally:
             self._sock.close()
 

@@ -39,7 +39,7 @@ from repro.storage.manager import StorageManager
 from repro.storage.page import Page
 from repro.storage.pagefile import PageFile
 from repro.storage.record import RecordId
-from repro.storage.walformat import WAL_MAGIC, encode_frame, is_wal_file, iter_frames
+from repro.storage.walformat import WAL_MAGIC, encode_record, is_wal_file, iter_frames
 
 #: Histogram bounds for commits-per-fsync batch sizes.
 _BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
@@ -122,22 +122,14 @@ class DurableWriteAheadLog(WriteAheadLog):
             os.fsync(self._fh.fileno())
 
     def _try_resume(self, path: str) -> bool:
-        if not os.path.exists(path) or os.path.getsize(path) < len(WAL_MAGIC):
+        if not os.path.exists(path):
             return False
         with open(path, "rb") as fh:
-            data = fh.read()
-        if not is_wal_file(data):
-            return False
-        scan = iter_frames(data)
-        # Threaded appenders draw an LSN and write the frame as separate
-        # steps, so on-disk frame order can trail LSN order; replay in
-        # LSN order (same-object updates are lock-serialised, so the
-        # LSN order is the true update order).
-        for record in sorted(
-            (pickle.loads(payload) for payload in scan.payloads), key=lambda r: r.lsn
-        ):
-            super().append(record)
-        self._next_lsn = max((r.lsn for r in self.records), default=0)
+            if not is_wal_file(fh.read(len(WAL_MAGIC))):
+                return False
+        scan = load_wal_file(path)
+        self.records = scan.log.records
+        self._next_lsn = scan.log.last_lsn
         self._durable_lsn = self._appended_lsn = self._next_lsn
         if scan.torn:
             # Truncate the torn tail so appends continue from clean state.
@@ -167,7 +159,7 @@ class DurableWriteAheadLog(WriteAheadLog):
             super().append(record)
             if record.lsn > self._appended_lsn:
                 self._appended_lsn = record.lsn
-            frame = encode_frame(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+            frame = encode_record(record)
             self._fh.write(frame)
             self._pending_bytes += len(frame)
             self._appends.inc()
@@ -250,10 +242,12 @@ class WalFileScan:
 def load_wal_file(path: str) -> WalFileScan:
     """Read a durable WAL file, discarding any torn tail.
 
-    This is the analyzer's entry point after a real crash: every
-    complete, checksum-valid record frame becomes a log record; the
-    first incomplete or corrupt frame ends the scan.  Never raises on
-    torn input.
+    The one reader of the format — the analyzer's entry point after a
+    real crash, and what :meth:`WriteAheadLog.load` and a resuming
+    :class:`DurableWriteAheadLog` call: every complete, checksum-valid
+    record frame becomes a log record; the first incomplete or corrupt
+    frame ends the scan.  Never raises on torn input; ``ValueError`` if
+    *path* is not a WAL file at all.
     """
     with open(path, "rb") as fh:
         data = fh.read()

@@ -13,10 +13,11 @@ where each record frame is::
     +---------------+---------------+------------------+
 
 little-endian, with ``crc32`` covering exactly the payload bytes.  The
-payload itself is opaque at this layer (the durable WAL pickles the
-in-memory record dataclasses into it), which keeps this module free of
-imports from :mod:`repro.recovery.wal` — the two can therefore use each
-other without a cycle.
+payload is the pickled in-memory record dataclass (:func:`encode_record`
+is the one place that says so for writers; the one reader is
+:func:`repro.storage.durable.load_wal_file`), but nothing here imports
+:mod:`repro.recovery.wal` — the two can therefore use each other without
+a cycle.
 
 Crash behaviour is the whole point of the framing: a process killed
 mid-append leaves either a short header, a short payload, or a payload
@@ -29,6 +30,7 @@ indistinguishable from a torn write and handled the same way.
 
 from __future__ import annotations
 
+import pickle
 import struct
 import zlib
 from dataclasses import dataclass
@@ -52,6 +54,11 @@ def encode_frame(payload: bytes) -> bytes:
     return FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
+def encode_record(record: object) -> bytes:
+    """The frame a log *record* occupies in a durable WAL file."""
+    return encode_frame(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+
+
 @dataclass
 class ScanResult:
     """What a torn-tolerant scan of a WAL file's bytes found."""
@@ -72,7 +79,7 @@ def iter_frames(data: bytes) -> ScanResult:
     Never raises on torn input: the first incomplete or corrupt frame
     ends the scan and everything from its first byte on is reported as
     the torn tail.  *data* must start with :data:`WAL_MAGIC` (callers
-    check the magic to dispatch between formats).
+    check the magic first).
     """
     assert data.startswith(WAL_MAGIC), "caller must check the file magic first"
     payloads: list[bytes] = []

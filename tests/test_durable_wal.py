@@ -243,11 +243,17 @@ class TestResumeAndInterop:
             assert fh.read() == gh.read()  # byte-identical formats
         assert list(WriteAheadLog.load(saved)) == records
 
-    def test_load_autodetects_pickle_format(self, tmp_path):
-        records = [status(1, "T1", "commit")]
-        path = str(tmp_path / "pickled.wal")
-        WriteAheadLog(records=list(records)).save(path)
-        assert list(WriteAheadLog.load(path)) == records
+    def test_frames_out_of_lsn_order_load_sorted(self, tmp_path):
+        # Threaded appenders draw an LSN and write the frame as separate
+        # steps, so the file can hold 2, 1, 3; every entry point reads 1, 2, 3.
+        path = str(tmp_path / "wal.log")
+        shuffled = [status(2, "T1", "commit"), status(1, "T1", "begin"), status(3, "T2", "begin")]
+        WriteAheadLog(records=shuffled).save_durable(path)
+        assert [r.lsn for r in load_wal_file(path).log] == [1, 2, 3]
+        assert [r.lsn for r in WriteAheadLog.load(path)] == [1, 2, 3]
+        with DurableWriteAheadLog(path) as resumed:
+            assert [r.lsn for r in resumed] == [1, 2, 3]
+            assert resumed.next_lsn() == 4
 
     def test_load_wal_file_rejects_pickles(self, tmp_path):
         path = str(tmp_path / "pickled.wal")
@@ -255,3 +261,9 @@ class TestResumeAndInterop:
             pickle.dump([], fh)
         with pytest.raises(ValueError, match="not a durable WAL"):
             load_wal_file(path)
+        with pytest.raises(ValueError, match="not a durable WAL"):
+            WriteAheadLog.load(path)
+        # The incremental writer starts such a file fresh instead.
+        with DurableWriteAheadLog(path) as wal:
+            assert len(wal) == 0
+        assert load_wal_file(path).log.records == []

@@ -127,8 +127,8 @@ class TestWalContent:
 
     def test_save_load_roundtrip(self, tmp_path):
         __, wal, __k = self.run_logged(self.ship_pay)
-        path = str(tmp_path / "wal.pickle")
-        wal.save(path)
+        path = str(tmp_path / "wal.log")
+        wal.save_durable(path)
         loaded = WriteAheadLog.load(path)
         assert len(loaded) == len(wal)
         assert loaded.status_of("T2") == "commit"

@@ -6,8 +6,9 @@ a table-level scenario suite run against all four lock tables, a check
 that each implementation provides every member the protocols name, an
 AST check that the kernel probes for nothing, that the threaded kernel
 is the same object rather than a wrapper round one (no ``.kernel.`` /
-``.runtime.`` chain, no import cycle), and the external interrupt
-primitive under both runtimes.
+``.runtime.`` chain, no import cycle), that the wire framing and the
+WAL file each have one reader, and the external interrupt primitive
+under both runtimes.
 """
 
 from __future__ import annotations
@@ -447,11 +448,19 @@ def test_nothing_reaches_through_a_kernel_or_runtime_attribute():
 
 
 @pytest.mark.parametrize(
-    "module", ["repro.runtime.threaded", "repro.core.kernel", "repro.server.core"]
+    "module",
+    [
+        "repro.runtime.threaded",
+        "repro.core.kernel",
+        "repro.server.core",
+        "repro.cluster.router",
+        "repro.cluster.shard",
+    ],
 )
 def test_importable_first_in_a_fresh_interpreter(module):
     """The core.kernel -> runtime -> runtime.threaded -> core.kernel
-    cycle stays broken whichever end is imported first."""
+    cycle stays broken whichever end is imported first, and so does
+    cluster -> server.wire (the router imports it at module top)."""
     done = subprocess.run(
         [sys.executable, "-c", f"import {module}"],
         env={**os.environ, "PYTHONPATH": str(SRC_REPRO.parent)},
@@ -462,7 +471,51 @@ def test_importable_first_in_a_fresh_interpreter(module):
 
 
 # ----------------------------------------------------------------------
-# (e) interrupt_transaction under both runtimes
+# (e) One transport, one WAL reader: each framing has one home
+# ----------------------------------------------------------------------
+def _calls(node: ast.AST, function: str = "<module>"):
+    """Every ``(callee, enclosing function)`` below *node*."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield ast.unparse(child.func), function
+        inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _calls(child, child.name if inner else function)
+
+
+def test_each_framing_is_spelled_out_once():
+    """Newline-JSON over TCP lives in ``server/wire.py`` alone (one
+    handler, one TCP server, one connect, one ``makefile``) and nothing
+    in ``server/`` imports ``cluster/``; a WAL file is scanned and its
+    payloads unpickled by ``load_wal_file`` alone (the other
+    ``pickle.loads`` reads the page file's slot directory)."""
+    bases: list[tuple[str, str]] = []
+    calls: list[tuple[str, str]] = []
+    for path in sorted(SRC_REPRO.rglob("*.py")):
+        where = path.relative_to(SRC_REPRO).as_posix()
+        tree = ast.parse(path.read_text())
+        calls += [(callee, f"{where}:{function}") for callee, function in _calls(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases += [(ast.unparse(base), where) for base in node.bases]
+            elif isinstance(node, ast.ImportFrom) and where.startswith("server/"):
+                assert not (node.module or "").startswith("repro.cluster"), where
+
+    def homes(pairs, name):
+        return [where for found, where in pairs if found.rpartition(".")[2] == name]
+
+    assert homes(bases, "StreamRequestHandler") == ["server/wire.py"]
+    assert homes(bases, "ThreadingTCPServer") == ["server/wire.py"]
+    assert homes(calls, "create_connection") == ["server/wire.py:__init__"]
+    assert homes(calls, "makefile") == ["server/wire.py:__init__"]
+    assert homes(calls, "iter_frames") == ["storage/durable.py:load_wal_file"]
+    assert [where for found, where in calls if found == "pickle.loads"] == [
+        "storage/durable.py:load_wal_file",
+        "storage/durable.py:open",
+    ]
+
+
+# ----------------------------------------------------------------------
+# (f) interrupt_transaction under both runtimes
 # ----------------------------------------------------------------------
 class VirtualRun(TransactionManager):
     def until(self, condition) -> None:

@@ -4,6 +4,13 @@ A real :class:`WireServer` on an ephemeral port, a real
 :class:`TCPClient` over a real socket — the full path a remote client
 takes, including the stable error payloads of :mod:`repro.errors`
 crossing the wire and reconstructing on the other side.
+
+The framing contract (one reply per non-blank line, bad lines answered
+``failed``, the connection survives, bind / start / stop) belongs to the
+one :class:`~repro.server.wire.LineServer` under both fronts, so those
+tests take ``fronts`` — the shard front and a
+:class:`~repro.cluster.router.RouterWireServer` over a bare coordinator
+log — and run every input against both.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ import threading
 
 import pytest
 
-from repro.errors import RequestShed, error_from_payload
+from repro.cluster.router import CoordinatorLog, RouterWireServer
+from repro.errors import AddressInUseError, RequestShed, error_from_payload
 from repro.orderentry.schema import build_order_entry_database
 from repro.server import Request, TCPClient, TransactionServer, WireServer
 
@@ -34,9 +42,57 @@ def served():
         assert report.clean, report.to_dict()
 
 
-def client_for(wire: WireServer) -> TCPClient:
+@pytest.fixture()
+def fronts(served, tmp_path):
+    """Both line servers, each with a constructor for a sibling of its kind."""
+    server, wire = served
+    log = CoordinatorLog(str(tmp_path / "coordinator.log"))
+    router_wire = RouterWireServer(log).start()
+    try:
+        yield {
+            "shard": (wire, lambda **where: WireServer(server, **where)),
+            "router": (router_wire, lambda **where: RouterWireServer(log, **where)),
+        }
+    finally:
+        router_wire.stop()
+        log.close()
+
+
+def client_for(wire) -> TCPClient:
     host, port = wire.address
     return TCPClient(host, port, timeout=10.0)
+
+
+def raw_exchange(wire, *lines: bytes) -> list[bytes]:
+    """Pipeline raw *lines* and a ping on one connection; the replies before the pong.
+
+    Returning at all shows the connection survived every line.
+    """
+    with socket.create_connection(wire.address, timeout=10.0) as sock:
+        fh = sock.makefile("rwb")
+        fh.write(b"".join(line + b"\n" for line in (*lines, b'{"op": "ping"}')))
+        fh.flush()
+        replies = []
+        while True:
+            reply = fh.readline()
+            assert reply, "server dropped the connection"
+            if json.loads(reply).get("result") == "pong":
+                return replies
+            replies.append(reply)
+
+
+#: Lines that fail before dispatch: both fronts answer them byte-identically.
+FRAMING_FAILURES = [
+    b"this is not json",
+    b"[1, 2, 3]",
+    b"[" * 100000 + b"]" * 100000,  # RecursionError inside json.loads
+]
+#: Lines that fail inside dispatch: the reply is each front's own.
+DISPATCH_FAILURES = [
+    b'{"op": ["x"]}',  # non-hashable op
+    b'{"op": {"a": 1}}',
+    b'{"op": "frobnicate"}',
+]
 
 
 class TestWireRoundTrip:
@@ -106,38 +162,48 @@ class TestWireErrors:
             exc = error_from_payload(response["error"])
             assert "frobnicate" in str(exc)
 
-    def test_malformed_json_answers_instead_of_dropping(self, served):
-        _, wire = served
-        host, port = wire.address
-        with socket.create_connection((host, port), timeout=10.0) as sock:
-            fh = sock.makefile("rwb")
-            fh.write(b"this is not json\n")
-            fh.flush()
-            response = json.loads(fh.readline())
-            assert response["status"] == "failed"
-            assert "code" in response["error"]
-            # The connection survives a bad line.
-            fh.write(b'{"op": "ping"}\n')
-            fh.flush()
-            assert json.loads(fh.readline())["result"] == "pong"
+    def test_malformed_json_answers_instead_of_dropping(self, fronts, capfd):
+        replies = {
+            name: raw_exchange(wire, *FRAMING_FAILURES, *DISPATCH_FAILURES)
+            for name, (wire, _) in fronts.items()
+        }
+        for answered in replies.values():
+            assert len(answered) == len(FRAMING_FAILURES) + len(DISPATCH_FAILURES)
+            for line in answered:
+                response = json.loads(line)
+                assert response["status"] == "failed"
+                assert "code" in response["error"]
+        n = len(FRAMING_FAILURES)
+        assert replies["shard"][:n] == replies["router"][:n]
+        assert "Traceback" not in capfd.readouterr().err
 
-    def test_non_object_json_rejected(self, served):
-        _, wire = served
-        host, port = wire.address
-        with socket.create_connection((host, port), timeout=10.0) as sock:
-            fh = sock.makefile("rwb")
-            fh.write(b"[1, 2, 3]\n")
-            fh.flush()
-            assert json.loads(fh.readline())["status"] == "failed"
+    def test_handler_exception_answers_instead_of_dropping(self, served, monkeypatch):
+        server, _ = served
 
-    def test_blank_lines_ignored(self, served):
-        _, wire = served
-        host, port = wire.address
-        with socket.create_connection((host, port), timeout=10.0) as sock:
-            fh = sock.makefile("rwb")
-            fh.write(b"\n\n{\"op\": \"ping\"}\n")
-            fh.flush()
-            assert json.loads(fh.readline())["result"] == "pong"
+        def boom(message):
+            raise KeyError("boom")
+
+        wire = WireServer(server, extra_ops={"boom": boom}).start()
+        try:
+            (reply,) = raw_exchange(wire, b'{"op": "boom"}')
+            assert json.loads(reply)["error"]["type"] == "KeyError"
+            # An exception out of server.submit itself is answered too.
+            monkeypatch.setattr(server, "submit", boom)
+            (reply,) = raw_exchange(wire, b'{"op": "stock-check", "item": 0}')
+            assert json.loads(reply)["status"] == "failed"
+        finally:
+            wire.stop()
+
+    def test_non_object_json_rejected(self, fronts):
+        for wire, _ in fronts.values():
+            for line in (b"[1, 2, 3]", b'"ping"', b"7", b"null"):
+                (reply,) = raw_exchange(wire, line)
+                assert json.loads(reply)["status"] == "failed"
+
+    def test_blank_lines_ignored(self, fronts):
+        for wire, _ in fronts.values():
+            # Two blank lines draw no reply: the ping's pong is the first.
+            assert raw_exchange(wire, b"", b"  ") == []
 
     def test_shed_response_reconstructs_as_request_shed(self):
         server = TransactionServer(
@@ -163,19 +229,17 @@ class TestWireErrors:
 
 
 class TestWireErrorsBinding:
-    def test_bound_port_raises_address_in_use_with_stable_code(self, served):
-        from repro.errors import AddressInUseError
-
-        _, wire = served
-        host, port = wire.address
-        with pytest.raises(AddressInUseError) as excinfo:
-            WireServer(served[0], host=host, port=port).start()
-        exc = excinfo.value
-        assert exc.code == "address-in-use"
-        assert f"{host}:{port}" in str(exc)
-        # The original server is unharmed by the failed bind.
-        with client_for(wire) as client:
-            assert client.ping()
+    def test_bound_port_raises_address_in_use_with_stable_code(self, fronts):
+        for wire, sibling in fronts.values():
+            host, port = wire.address
+            with pytest.raises(AddressInUseError) as excinfo:
+                sibling(host=host, port=port)
+            exc = excinfo.value
+            assert exc.code == "address-in-use"
+            assert f"{host}:{port}" in str(exc)
+            # The original server is unharmed by the failed bind.
+            with client_for(wire) as client:
+                assert client.ping()
 
 
 class TestWireLifecycle:
@@ -184,19 +248,15 @@ class TestWireLifecycle:
                           quantity=2, deadline=0.5, request_id="x")
         assert Request.from_dict(request.to_dict()) == request
 
-    def test_double_start_rejected(self, served):
-        _, wire = served
-        with pytest.raises(RuntimeError):
-            wire.start()
+    def test_double_start_rejected(self, fronts):
+        for wire, _ in fronts.values():
+            with pytest.raises(RuntimeError):
+                wire.start()
 
-    def test_stop_closes_listener(self):
-        server = TransactionServer(
-            built=build_order_entry_database(n_items=2, orders_per_item=4),
-            n_threads=2,
-        ).start()
-        wire = WireServer(server).start()
-        host, port = wire.address
-        wire.stop()
-        with pytest.raises(OSError):
-            socket.create_connection((host, port), timeout=1.0)
-        assert server.shutdown().clean
+    def test_stop_closes_listener(self, fronts):
+        for _, sibling in fronts.values():
+            wire = sibling().start()
+            host, port = wire.address
+            wire.stop()
+            with pytest.raises(OSError):
+                socket.create_connection((host, port), timeout=1.0)
