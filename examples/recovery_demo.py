@@ -75,8 +75,7 @@ def main() -> None:
     print("surviving write-ahead log:")
     describe_wal(wal)
 
-    statuses = {txn: wal.status_of(txn) for txn in wal.transactions()}
-    print(f"\ndurable outcomes: {statuses}")
+    print(f"\ndurable outcomes: {wal.outcomes()}")
 
     # ----- recovery -----
     print("\n=== restoring backup and recovering ===\n")

@@ -391,6 +391,7 @@ def unfinished_compensations(wal: WriteAheadLog) -> list[str]:
     physically undoes the partial compensation as a WAL loser.  Boot
     must re-run the compensation for each of these, in log order.
     """
+    outcomes = wal.outcomes()
     gtids: list[str] = []
     seen: set[str] = set()
     for record in wal:
@@ -401,8 +402,8 @@ def unfinished_compensations(wal: WriteAheadLog) -> list[str]:
         ):
             seen.add(record.gtid)
             if (
-                wal.status_of(f"2pc-{record.gtid}") == "commit"
-                and wal.status_of(f"comp-{record.gtid}") != "commit"
+                outcomes.get(f"2pc-{record.gtid}") == "commit"
+                and outcomes.get(f"comp-{record.gtid}") != "commit"
             ):
                 gtids.append(record.gtid)
     return gtids

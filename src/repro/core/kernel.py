@@ -473,8 +473,11 @@ class TransactionManager:
             )
             handle.error = error
             return None
-        self._complete_node(root)
+        # Strict commit: the commit record is appended (and, on a file-backed
+        # log, forced) before Fig. 8 releases the locks, so no reader can
+        # observe — and acknowledge — a write whose commit may not survive.
         self._wal_txn_status(handle.name, "commit")
+        self._complete_node(root)
         handle.committed = True
         handle.end_clock = self.scheduler.clock
         self.metrics.inc("commits")

@@ -314,7 +314,7 @@ def check_recovery(outcome: CrashOutcome, scenario: TortureScenario, log) -> dic
     caller that still has the crashed run's results can compare them.
     """
     outcome.winners = tuple(_durable_winners(log))
-    outcome.losers = tuple(t for t in log.transactions() if log.status_of(t) == "in-flight")
+    outcome.losers = tuple(t for t, s in log.outcomes().items() if s == "in-flight")
     oracle_state, oracle_results = scenario.expected(outcome.winners)
     restored_db, __ = scenario.instantiate()
     matches, recovery = recovered_matches(restored_db, log, scenario.type_specs, oracle_state)

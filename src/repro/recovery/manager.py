@@ -7,7 +7,8 @@ write-ahead log, and brings the database to a transaction-consistent
 state:
 
 1. **Analysis** — each logged transaction is classified by its durable
-   outcome: ``commit`` / ``abort`` (winners — an aborted transaction's
+   outcome, in one walk of the log (:meth:`WriteAheadLog.outcomes`):
+   ``commit`` / ``abort`` (winners — an aborted transaction's
    compensations are themselves logged and redone, so it is already
    clean) or *in-flight* (losers).
 2. **Redo** — every physical update record is replayed in LSN order,
@@ -143,8 +144,7 @@ def recover(
 
     # ----- analysis -----
     started = time.perf_counter()
-    for txn in wal.transactions():
-        status = wal.status_of(txn)
+    for txn, status in wal.outcomes().items():
         if status == "commit":
             report.winners.append(txn)
         elif status == "abort":

@@ -135,23 +135,24 @@ class WriteAheadLog:
         clone._next_lsn = self._next_lsn
         return clone
 
-    def status_of(self, txn: str) -> str:
-        """The transaction's durable outcome: committed/aborted/in-flight."""
-        outcome = "unknown"
+    def outcomes(self) -> dict[str, str]:
+        """``{txn: "commit" | "abort" | "in-flight"}`` in first-appearance
+        order — the analysis pass, in one walk of the log."""
+        outcome: dict[str, str] = {}
         for record in self.records:
-            if isinstance(record, TxnStatusRecord) and record.txn == txn:
-                if record.status == "begin" and outcome == "unknown":
-                    outcome = "in-flight"
-                elif record.status in ("commit", "abort"):
-                    outcome = record.status
+            if isinstance(record, TxnStatusRecord):
+                if record.status == "begin":
+                    outcome.setdefault(record.txn, "in-flight")
+                else:
+                    outcome[record.txn] = record.status
         return outcome
 
+    def status_of(self, txn: str) -> str:
+        """The transaction's durable outcome: committed/aborted/in-flight."""
+        return self.outcomes().get(txn, "unknown")
+
     def transactions(self) -> list[str]:
-        seen: list[str] = []
-        for record in self.records:
-            if isinstance(record, TxnStatusRecord) and record.txn not in seen:
-                seen.append(record.txn)
-        return seen
+        return list(self.outcomes())
 
     # ------------------------------------------------------------------
     # Durable media

@@ -7,10 +7,11 @@ real process death:
   WriteAheadLog` that additionally appends every record to an
   append-only file in the checksummed frame format of
   :mod:`repro.storage.walformat`, with **group commit**: ``fsync`` is
-  issued per commit by default, but with a configurable window/batch the
-  commits arriving close together share one sync (the classical
-  throughput trade).  The ``wal.group_commit.*`` metrics family counts
-  syncs, batched commits, and bytes.
+  issued per writer commit by default (a read-only transaction forces
+  nothing), but with a configurable window/batch the commits arriving
+  close together share one sync (the classical throughput trade).  The
+  ``wal.group_commit.*`` metrics family counts syncs, batched commits,
+  and bytes.
 * :class:`DurableStorageManager` — the existing
   :class:`~repro.storage.manager.StorageManager` interface backed by a
   real page file through a :class:`~repro.storage.bufferpool.BufferPool`
@@ -33,7 +34,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.objects.oid import Oid
-from repro.recovery.wal import LogRecord, TxnStatusRecord, WriteAheadLog
+from repro.recovery.wal import (
+    LogRecord,
+    SubtxnCommitRecord,
+    TxnStatusRecord,
+    UpdateRecord,
+    WriteAheadLog,
+)
 from repro.storage.bufferpool import BufferPool
 from repro.storage.manager import StorageManager
 from repro.storage.page import Page
@@ -70,9 +77,11 @@ class DurableWriteAheadLog(WriteAheadLog):
             anything else is truncated and started fresh.
         group_commit_window: Seconds a commit may wait for companions
             before forcing its fsync.  ``0.0`` (default) syncs every
-            commit/abort record immediately — the no-surprises mode the
-            crash harness uses.
-        group_commit_max: Batch cap: once this many commit/abort records
+            forced commit/abort record immediately — the no-surprises mode
+            the crash harness uses.  Only a transaction that appended an
+            update or subcommit record forces its outcome; a read-only
+            one's is written and becomes durable with the next sync.
+        group_commit_max: Batch cap: once this many forced commit/abort records
             are pending, sync regardless of the window.
         clock: Injectable time source for the window (tests).
         buffering: User-space write-buffer size passed to :func:`open`.
@@ -103,6 +112,8 @@ class DurableWriteAheadLog(WriteAheadLog):
         self._pending_commits = 0
         self._pending_bytes = 0
         self._window_opened = 0.0
+        # Transactions with an update or subcommit record and no outcome yet.
+        self._writers: set[str] = set()
         self._appends = _NULL
         self._bytes_written = _NULL
         self._gc_syncs = _NULL
@@ -164,7 +175,18 @@ class DurableWriteAheadLog(WriteAheadLog):
             self._pending_bytes += len(frame)
             self._appends.inc()
             self._bytes_written.inc(len(frame))
-            if isinstance(record, TxnStatusRecord) and record.status in ("commit", "abort"):
+            if isinstance(record, (UpdateRecord, SubtxnCommitRecord)):
+                self._writers.add(record.txn)
+            elif (
+                isinstance(record, TxnStatusRecord)
+                and record.status in ("commit", "abort")
+                and record.txn in self._writers
+            ):
+                # Only a transaction that logged a change forces its
+                # outcome.  The kernel appends a commit record before it
+                # releases the locks, so a reader can only have seen
+                # effects already forced; its own record rides the next sync.
+                self._writers.discard(record.txn)
                 self._gc_commits.inc()
                 self._pending_commits += 1
                 if self._pending_commits == 1:

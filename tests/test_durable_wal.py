@@ -44,6 +44,12 @@ def update(lsn: int, txn: str, payload: str = "x") -> UpdateRecord:
     )
 
 
+def write_and_commit(wal, lsn: int, txn: str) -> None:
+    """A writer: one update at *lsn*, its commit at *lsn* + 1."""
+    wal.append(update(lsn, txn))
+    wal.append(status(lsn + 1, txn, "commit"))
+
+
 class TestFrameCodec:
     def test_round_trip(self):
         payloads = [b"a", b"bb" * 100, b"", b"\x00" * 9]
@@ -143,13 +149,14 @@ class TestGroupCommit:
 
         return MetricsRegistry()
 
+    # Only a transaction that logged a change forces its outcome, so each
+    # committer below writes one update first (at LSN k, committing at k+1).
     def test_window_zero_syncs_every_commit(self, tmp_path):
         registry = self._metrics()
         with DurableWriteAheadLog(str(tmp_path / "wal.log")) as wal:
             wal.bind_metrics(registry)
             for i in range(5):
-                wal.append(status(i * 2 + 1, f"T{i}", "begin"))
-                wal.append(status(i * 2 + 2, f"T{i}", "commit"))
+                write_and_commit(wal, i * 2 + 1, f"T{i}")
         assert registry.counter("wal.group_commit.commits").value == 5
         assert registry.counter("wal.group_commit.syncs").value >= 5
         assert registry.counter("wal.group_commit.deferred").value == 0
@@ -166,25 +173,25 @@ class TestGroupCommit:
         )
         wal.bind_metrics(registry)
         for i in range(3):  # three commits inside one window: all deferred
-            wal.append(status(i + 1, f"T{i}", "commit"))
+            write_and_commit(wal, i * 2 + 1, f"T{i}")
         assert registry.counter("wal.group_commit.syncs").value == 0
         assert registry.counter("wal.group_commit.deferred").value == 3
         assert wal.durable_lsn == 0  # nothing fsynced yet
 
-        wal.append(status(4, "T3", "commit"))  # 4th: batch cap forces the sync
+        write_and_commit(wal, 7, "T3")  # 4th: batch cap forces the sync
         assert registry.counter("wal.group_commit.syncs").value == 1
-        assert wal.durable_lsn == 4
+        assert wal.durable_lsn == 8
         histogram = registry.histogram(
             "wal.group_commit.batch_size", (1, 2, 4, 8, 16, 32, 64)
         )
         assert histogram.mean == 4.0
 
-        wal.append(status(5, "T4", "commit"))  # deferred again ...
+        write_and_commit(wal, 9, "T4")  # deferred again ...
         assert registry.counter("wal.group_commit.syncs").value == 1
         clock[0] = 2.0  # ... until the window expires
         wal.flush_if_due()
         assert registry.counter("wal.group_commit.syncs").value == 2
-        assert wal.durable_lsn == 5
+        assert wal.durable_lsn == 10
         wal.close()
 
     def test_expired_window_syncs_inline(self, tmp_path):
@@ -192,11 +199,11 @@ class TestGroupCommit:
         wal = DurableWriteAheadLog(
             str(tmp_path / "wal.log"), group_commit_window=1.0, clock=lambda: clock[0]
         )
-        wal.append(status(1, "T0", "commit"))
+        write_and_commit(wal, 1, "T0")
         assert wal.durable_lsn == 0
         clock[0] = 1.5
-        wal.append(status(2, "T1", "commit"))  # window long gone: sync now
-        assert wal.durable_lsn == 2
+        write_and_commit(wal, 3, "T1")  # window long gone: sync now
+        assert wal.durable_lsn == 4
         wal.close()
 
     def test_bad_parameters_rejected(self, tmp_path):
@@ -204,6 +211,56 @@ class TestGroupCommit:
             DurableWriteAheadLog(str(tmp_path / "w"), group_commit_window=-1)
         with pytest.raises(ValueError, match="max"):
             DurableWriteAheadLog(str(tmp_path / "w"), group_commit_max=0)
+
+
+class TestForceRule:
+    """A commit/abort record forces a sync only for a transaction that
+    appended an update or subcommit record; a read-only transaction's is
+    written, and made durable by whatever syncs next."""
+
+    def _open(self, tmp_path):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        wal = DurableWriteAheadLog(str(tmp_path / "wal.log"))
+        wal.bind_metrics(registry)
+        return wal, lambda name: registry.counter(f"wal.group_commit.{name}").value
+
+    @pytest.mark.parametrize("outcome", ["commit", "abort"])
+    def test_read_only_outcome_forces_nothing(self, tmp_path, outcome):
+        wal, count = self._open(tmp_path)
+        wal.append(status(1, "R", "begin"))
+        wal.append(status(2, "R", outcome))
+        assert count("syncs") == 0
+        assert count("commits") == 0 and count("deferred") == 0
+        assert wal.durable_lsn == 0
+        assert len(wal) == 2  # written all the same
+        wal.close()
+
+    def test_next_forced_commit_makes_read_only_records_durable(self, tmp_path):
+        wal, count = self._open(tmp_path)
+        wal.append(status(1, "R", "begin"))
+        wal.append(status(2, "R", "commit"))
+        wal.append(status(3, "W", "begin"))
+        write_and_commit(wal, 4, "W")
+        assert count("syncs") == 1 and count("commits") == 1
+        assert wal.durable_lsn == 5
+        assert load_wal_file(wal.path).log.outcomes() == {"R": "commit", "W": "commit"}
+        wal.close()
+
+    def test_writer_set_empties_with_cluster_records_interleaved(self, tmp_path):
+        from repro.cluster.records import ClusterDecisionRecord, ClusterPrepareRecord
+
+        wal, count = self._open(tmp_path)
+        for i in range(100):
+            lsn, gtid, txn = i * 5, f"g{i}", f"2pc-g{i}"
+            wal.append(ClusterPrepareRecord(lsn=lsn + 1, txn=txn, gtid=gtid))
+            wal.append(status(lsn + 2, txn, "begin"))
+            write_and_commit(wal, lsn + 3, txn)
+            wal.append(ClusterDecisionRecord(lsn=lsn + 5, txn=txn, gtid=gtid, decision="commit"))
+        assert wal._writers == set()
+        assert count("commits") == 100
+        wal.close()
 
 
 class TestResumeAndInterop:

@@ -248,3 +248,44 @@ class TestRecovery:
         report = recover(restored.db, wal, TYPE_SPECS)
         text = str(report)
         assert "recovery:" in text and "redone" in text
+
+
+class CountingRecords(list):
+    """A record list that counts how often it is walked."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def synthetic_log(n: int) -> WriteAheadLog:
+    """*n* transactions, a third each committed, aborted and in flight."""
+    records = CountingRecords()
+    for i in range(n):
+        records.append(TxnStatusRecord(lsn=len(records) + 1, txn=f"T{i}", status="begin"))
+        if i % 3 != 2:
+            outcome = "commit" if i % 3 == 0 else "abort"
+            records.append(TxnStatusRecord(lsn=len(records) + 1, txn=f"T{i}", status=outcome))
+    return WriteAheadLog(records=records)
+
+
+class TestAnalysisPass:
+    def test_outcomes_in_first_appearance_order(self):
+        wal = synthetic_log(4)
+        assert wal.outcomes() == {"T0": "commit", "T1": "abort", "T2": "in-flight", "T3": "commit"}
+        assert wal.transactions() == ["T0", "T1", "T2", "T3"]
+        assert [wal.status_of(t) for t in wal.transactions()] == list(wal.outcomes().values())
+        assert wal.status_of("nobody") == "unknown"
+
+    def test_recover_walks_the_log_a_constant_number_of_times(self):
+        from repro.objects.database import Database
+
+        walks = {}
+        for n in (10, 1000):
+            wal = synthetic_log(n)
+            report = recover(Database(), wal)
+            assert len(report.winners) + len(report.aborted) + len(report.losers) == n
+            walks[n] = wal.records.walks
+        assert walks[10] == walks[1000], walks

@@ -2,8 +2,9 @@
 
 The sweep itself runs in ``benchmarks/bench_r2_torture.py`` and CI's
 ``torture-smoke``; here we pin the windows the issue names — crash
-*during compensation* and crash *between a subtransaction's WAL commit
-record and its lock conversion* — plus a hypothesis property over crash
+*during compensation*, crash *between a subtransaction's WAL commit
+record and its lock conversion*, and a top-level commit record logged
+*before* the locks are released — plus a hypothesis property over crash
 steps and the bit-identity guarantee for fault-free runs.
 """
 
@@ -13,6 +14,7 @@ import ast
 import glob
 import os
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +34,7 @@ from repro.orderentry.schema import (
     build_order_entry_database,
 )
 from repro.orderentry.transactions import make_t1, make_t2
-from repro.recovery.wal import SubtxnCommitRecord
+from repro.recovery.wal import SubtxnCommitRecord, TxnStatusRecord, WriteAheadLog
 from repro.txn.retry import RetryPolicy
 
 TYPE_SPECS = {"Item": ITEM_TYPE, "Order": ORDER_TYPE}
@@ -146,6 +148,88 @@ class TestSubcommitWindow:
         assert wal.status_of("T1") == "in-flight"
         # the subtree's locks were never converted/released
         assert kernel.locks.locks_held_by_tree(kernel.handles["T1"].root)
+
+
+class LockProbeLog(WriteAheadLog):
+    """Records how many locks each transaction's tree holds at the moment
+    its top-level commit record is appended."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.kernel = None
+        self.held_at_commit: dict[str, int] = {}
+
+    def append(self, record) -> None:
+        super().append(record)
+        if isinstance(record, TxnStatusRecord) and record.status == "commit":
+            root = self.kernel.handles[record.txn].root
+            self.held_at_commit[record.txn] = len(self.kernel.locks.locks_held_by_tree(root))
+
+
+class TestCommitBeforeRelease:
+    """Strict commit: a top-level commit record is logged while the
+    transaction still holds its locks, so nothing it wrote is visible
+    before its commit can be durable (the force rule of the file-backed
+    log relies on this to skip read-only transactions' syncs)."""
+
+    @pytest.mark.parametrize("runtime", ["virtual", "threaded"])
+    def test_commit_record_is_logged_before_locks_release(self, order_entry, runtime):
+        from repro.core.kernel import TransactionManager
+        from repro.runtime.scheduler import Scheduler
+        from repro.runtime.threaded import ThreadedKernel
+
+        wal = LockProbeLog()
+        if runtime == "virtual":
+            kernel = TransactionManager(order_entry.db, scheduler=Scheduler(), wal=wal)
+        else:
+            kernel = ThreadedKernel(order_entry.db, n_threads=2, wal=wal)
+        wal.kernel = kernel
+        kernel.spawn("T1", make_t1(order_entry.item(0), 1, order_entry.item(1), 2))
+        kernel.spawn("T2", make_t2(order_entry.item(0), 1, order_entry.item(1), 2))
+        kernel.run()
+        assert all(handle.committed for handle in kernel.handles.values())
+        assert set(wal.held_at_commit) == {"T1", "T2"}
+        assert all(held > 0 for held in wal.held_at_commit.values()), wal.held_at_commit
+        assert kernel.locks.lock_count == 0  # and released right after
+
+    def test_crash_at_commit_record_leaves_locks_held(self, order_entry):
+        from repro.core.kernel import TransactionManager
+        from repro.errors import CrashPoint
+        from repro.faults import FaultSpec
+        from repro.runtime.scheduler import Scheduler
+
+        # T1's second TxnStatus visit is its commit record (the first is begin).
+        crash_at_commit = FaultSpec(
+            site="wal-append", action="crash", txn="T1", operation="TxnStatus", at_visit=2
+        )
+        plan = FaultPlan(specs=(crash_at_commit,))
+        wal = WriteAheadLog()
+        kernel = TransactionManager(order_entry.db, scheduler=Scheduler(), wal=wal, faults=plan)
+        kernel.spawn("T1", make_t1(order_entry.item(0), 1, order_entry.item(1), 2))
+        with pytest.raises(CrashPoint):
+            kernel.run()
+        assert wal.status_of("T1") == "commit"
+        assert not kernel.handles["T1"].committed
+        assert kernel.locks.locks_held_by_tree(kernel.handles["T1"].root)
+
+    def test_sweep_point_at_a_commit_record(self, tmp_path):
+        # The sweep's wal-N point on the first commit record: the corpse
+        # still holds the committer's locks, and recovery counts it a winner.
+        scenario = order_entry_scenario(seed=0, n_transactions=4)
+        __, ref_wal, __crash = _run_instance(scenario)
+        position, name = next(
+            (i + 1, r.txn)
+            for i, r in enumerate(ref_wal)
+            if isinstance(r, TxnStatusRecord) and r.status == "commit"
+        )
+        plan = FaultPlan.crash_at_wal_record(position)
+        corpse, __, crash = _run_instance(scenario, faults=plan)
+        assert crash is not None
+        assert corpse.locks.locks_held_by_tree(corpse.handles[name].root)
+        corpse.scheduler.shutdown()
+        outcome = _torture_point(scenario, f"wal-{position}", plan, str(tmp_path))
+        assert outcome.crashed and outcome.ok, outcome.failures
+        assert name in outcome.winners
 
 
 class TestCrashStepProperty:
