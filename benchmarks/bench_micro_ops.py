@@ -175,102 +175,6 @@ def test_micro_release_cost_independent_of_table_size(benchmark):
     assert benchmark(run) == 0
 
 
-def build_counting_chain_world(evals):
-    """Like :func:`build_chain_world`, but the commutativity predicate
-    counts its evaluations into *evals* and only the topmost ancestor
-    pair commutes — the worst case for the uncached chain search."""
-    spec = TypeSpec("CBox")
-
-    @spec.method
-    async def Op(ctx, obj, key):
-        return None
-
-    def both_sentinel(a, b):
-        evals["n"] += 1
-        return a.arg(0) == "GO" and b.arg(0) == "GO"
-
-    spec.matrix.allow_if("Op", "Op", both_sentinel)
-    db = Database()
-    box = db.new_encapsulated(spec, "box")
-    db.attach_child(box)
-    impl = db.new_tuple("impl")
-    box.set_implementation(impl)
-    atom = db.new_atom("a")
-    impl.add_component("a", atom)
-
-    def chain(name, keys):
-        root = TransactionNode(name, None, db.oid, Invocation("Transaction", (name,)))
-        node = root
-        for level, key in enumerate(keys):
-            node = TransactionNode(
-                f"{name}.{level}", node, box.oid, Invocation("Op", (key,))
-            )
-        return TransactionNode(f"{name}.leaf", node, atom.oid, Invocation("Put", ("v",)))
-
-    # "GO" sits at the top of both chains: the bottom-up search probes
-    # every lower (conflicting) pair before finding the commuting one.
-    holder = chain("H", ["GO", 1, 1, 1, 1, 1])
-    requester = chain("R", ["GO", 2, 2, 2, 2, 2])
-    return db, holder, requester
-
-
-def test_micro_conflict_test_cache_warm(benchmark):
-    """ISSUE acceptance: warm decision caches cut conflict-test work by
-    well over 2x on deep chains.
-
-    Cost is asserted on a deterministic work counter (compatibility-
-    predicate evaluations), not wall clock: uncached, every Fig. 9 call
-    re-walks the ancestor pairs and re-runs the predicate; with a warm
-    commutativity memo the predicate runs only on the first few misses,
-    and a warm relief cache skips the chain walk entirely.  Wall clock
-    of the fully warm path is recorded by the benchmark fixture.
-    """
-    from repro.core.reliefcache import AncestorReliefCache
-    from repro.semantics.memo import CommutativityMemo
-
-    rounds = 50
-    evals = {"n": 0}
-    db, holder, requester = build_counting_chain_world(evals)
-
-    def conflict(memo=None, relief_cache=None):
-        return fig9(
-            db,
-            holder, holder.invocation, holder.target,
-            requester, requester.invocation, requester.target,
-            memo=memo, relief_cache=relief_cache,
-        )
-
-    uncached_verdict = conflict()
-    evals["n"] = 0
-    for __ in range(rounds):
-        conflict()
-    uncached_evals = evals["n"]
-
-    memo = CommutativityMemo()
-    relief = AncestorReliefCache()
-    assert conflict(memo, relief) is uncached_verdict
-    evals["n"] = 0
-    for __ in range(rounds):
-        assert conflict(memo, relief) is uncached_verdict
-    warm_evals = evals["n"]
-
-    # Uncached pays the full chain walk every call; warm pays nothing.
-    assert uncached_evals >= rounds, uncached_evals
-    assert warm_evals == 0, warm_evals
-    assert uncached_evals >= 2 * max(warm_evals, 1)
-
-    benchmark.extra_info["predicate_evals"] = {
-        "rounds": rounds,
-        "uncached": uncached_evals,
-        "cache_warm": warm_evals,
-    }
-
-    def run():
-        return conflict(memo, relief)
-
-    assert benchmark(run) is uncached_verdict
-
-
 def test_micro_serializability_checker(benchmark):
     built = build_order_entry_database(n_items=2, orders_per_item=2)
     kernel = run_transactions(

@@ -6,7 +6,7 @@ workloads under the semantic protocol and writes a schema-versioned
 
 Everything measured here is **virtual-time deterministic**: the
 scheduler is seeded, the clock is discrete-event, and the cost model is
-fixed, so throughput, percentiles, and cache hit rates reproduce
+fixed, so throughput, percentiles, and conflict-test counts reproduce
 exactly for a given workload spec.  There is no run-to-run noise to
 absorb, so the gate is equality: Tier-1 requires a fresh run to be
 byte-identical to the committed file, and :func:`diff`
@@ -49,11 +49,6 @@ RECORDED_METRICS = (
     "conflict_tests",
     "release_ops",
     "conflict_tests_per_release",
-    "commute_cache_hits",
-    "commute_cache_hit_rate",
-    "relief_cache_hits",
-    "relief_cache_hit_rate",
-    "relief_invalidations",
 )
 
 

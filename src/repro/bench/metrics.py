@@ -150,52 +150,6 @@ class RunMetrics:
     def p95_response(self) -> float:
         return percentile(self.response_times, 95)
 
-    # ------------------------------------------------------------------
-    # Conflict-test decision caches (from the snapshot; 0 when absent)
-    # ------------------------------------------------------------------
-    @property
-    def commute_cache_hits(self) -> int:
-        """Commutativity-memo hits (``cache.commute_hits``)."""
-        return self._case("cache.commute_hits")
-
-    @property
-    def commute_cache_misses(self) -> int:
-        return self._case("cache.commute_misses")
-
-    @property
-    def commute_cache_bypasses(self) -> int:
-        """State-dependent cells that bypassed the memo."""
-        return self._case("cache.commute_bypasses")
-
-    @property
-    def commute_cache_hit_rate(self) -> float:
-        """Hits over memoisable probes (bypasses excluded)."""
-        probes = self.commute_cache_hits + self.commute_cache_misses
-        if not probes:
-            return 0.0
-        return self.commute_cache_hits / probes
-
-    @property
-    def relief_cache_hits(self) -> int:
-        """Ancestor-relief cache hits (``cache.relief_hits``)."""
-        return self._case("cache.relief_hits")
-
-    @property
-    def relief_cache_misses(self) -> int:
-        return self._case("cache.relief_misses")
-
-    @property
-    def relief_cache_hit_rate(self) -> float:
-        probes = self.relief_cache_hits + self.relief_cache_misses
-        if not probes:
-            return 0.0
-        return self.relief_cache_hits / probes
-
-    @property
-    def relief_invalidations(self) -> int:
-        """Relief-cache entries dropped (``cache.relief_invalidations``)."""
-        return self._case("cache.relief_invalidations")
-
     @property
     def conflict_tests_per_release(self) -> float:
         """Mean conflict tests paid per release operation.
@@ -222,8 +176,6 @@ class RunMetrics:
             "restarts": self.subtxn_restarts,
             "max_locks": self.max_locks_held,
             "ct_per_rel": round(self.conflict_tests_per_release, 2),
-            "memo_hit": round(self.commute_cache_hit_rate, 3),
-            "relief_hit": round(self.relief_cache_hit_rate, 3),
         }
 
 

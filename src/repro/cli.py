@@ -168,8 +168,6 @@ def _print_snapshot(snapshot, show_fault_counters: bool) -> None:
     print()
     print(format_counters(snapshot, "lock.", "lock manager"))
     print()
-    print(format_counters(snapshot, "cache.", "conflict-test decision caches"))
-    print()
     print(format_counters(snapshot, "sched.", "scheduler"))
     print()
     print(format_counters(snapshot, "waits.", "waits-for graph"))
@@ -264,9 +262,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             record = entry["metrics"]
             print(
                 f"{name}: throughput {record['throughput']:.4f}, "
-                f"p95 {record['p95_response']:.1f}, "
-                f"memo hit rate {record['commute_cache_hit_rate']:.3f}, "
-                f"relief hit rate {record['relief_cache_hit_rate']:.3f}"
+                f"p95 {record['p95_response']:.1f}"
             )
         return 0
     problems = diff(load_baseline(args.compare), fresh)

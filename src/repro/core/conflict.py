@@ -42,10 +42,8 @@ from repro.obs.cases import (
     CASE_SAME_TRANSACTION,
     CASE_TOPLEVEL_WAIT,
 )
-from repro.core.reliefcache import AncestorReliefCache
 from repro.semantics.compatibility import StateView
 from repro.semantics.invocation import Invocation
-from repro.semantics.memo import CommutativityMemo
 from repro.txn.transaction import TransactionNode
 
 # Builds a StateView of the target for state-dependent matrix cells
@@ -64,7 +62,6 @@ def actions_commute(
     target_b: Oid,
     invocation_b: Invocation,
     view_factory: Optional[ViewFactory] = None,
-    memo: Optional[CommutativityMemo] = None,
 ) -> bool:
     """Commutativity of two actions, as used by the conflict test.
 
@@ -74,39 +71,21 @@ def actions_commute(
     objects are not claimed commutative here (their interaction, if any,
     is discovered on the shared implementation objects below them).
 
-    With a *memo*, state-independent verdicts come from the
-    commutativity cache; state-dependent cells always re-evaluate
-    against a live view.
+    A live view is built only when the one cell consulted is
+    state-dependent; boolean and parameter cells never need one.
     """
-    commute, __ = _commute_ex(
-        db, target_a, invocation_a, target_b, invocation_b, view_factory, memo
-    )
-    return commute
-
-
-def _commute_ex(
-    db: Database,
-    target_a: Oid,
-    invocation_a: Invocation,
-    target_b: Oid,
-    invocation_b: Invocation,
-    view_factory: Optional[ViewFactory],
-    memo: Optional[CommutativityMemo],
-) -> tuple[bool, bool]:
-    """``(commute, state_dependent)`` — the flag marks verdicts that
-    consulted a state cell and must not be memoised further up."""
     if target_a != target_b:
-        return False, False
-    if memo is not None:
-        return memo.commute(db, target_a, invocation_a, invocation_b, view_factory)
+        return False
     matrix = db.matrix_for_oid(target_a)
     if matrix is None:
-        return False, False
+        return False
+    cell = matrix.entry(invocation_a.operation, invocation_b.operation)
+    if cell is None:
+        return False
     view = None
-    state = matrix.has_state_cells()
-    if view_factory is not None and state:
+    if cell.state_predicate is not None and view_factory is not None:
         view = view_factory(target_a)
-    return matrix.compatible(invocation_a, invocation_b, view), state
+    return cell.compatible(invocation_a, invocation_b, view)
 
 
 def test_conflict(
@@ -120,8 +99,6 @@ def test_conflict(
     ancestor_relief: bool = True,
     view_factory: Optional[ViewFactory] = None,
     on_outcome: Optional[OutcomeSink] = None,
-    memo: Optional[CommutativityMemo] = None,
-    relief_cache: Optional[AncestorReliefCache] = None,
 ) -> Optional[TransactionNode]:
     """Fig. 9: returns None, a commutative ancestor, or the holder's root.
 
@@ -131,22 +108,15 @@ def test_conflict(
     *on_outcome* receives the outcome's counter name (conflict-case
     accounting) — the return value alone cannot distinguish a
     commutative grant from a case-1 relief.
-
-    *memo* short-circuits state-independent commutativity cells;
-    *relief_cache* memoises the step-2 chain search per (holder,
-    requester) node pair.  Both default to off, and runs with and
-    without them are bit-identical (the cache differential suite).
     """
-    commute, __ = _commute_ex(
+    if actions_commute(
         db,
         holder_target,
         holder_invocation,
         requester_target,
         requester_invocation,
         view_factory,
-        memo,
-    )
-    if commute:
+    ):
         if on_outcome is not None:
             on_outcome(CASE_COMMUTATIVE)
         return None
@@ -156,27 +126,16 @@ def test_conflict(
         return None
 
     if ancestor_relief:
-        if relief_cache is not None:
-            cached = relief_cache.lookup(holder, requester)
-            if cached is not None:
-                case, awaited = cached
-                if on_outcome is not None:
-                    on_outcome(case)
-                return None if case == CASE1_RELIEF else awaited
-        state_seen = False
         for h_anc in holder.ancestors():
             for r_anc in requester.ancestors():
-                pair_commutes, state_dependent = _commute_ex(
+                if not actions_commute(
                     db,
                     h_anc.target,
                     h_anc.invocation,
                     r_anc.target,
                     r_anc.invocation,
                     view_factory,
-                    memo,
-                )
-                state_seen = state_seen or state_dependent
-                if not pair_commutes:
+                ):
                     continue
                 if h_anc.completed:
                     case, verdict = CASE1_RELIEF, None
@@ -188,24 +147,10 @@ def test_conflict(
                     # paper's case 2.
                     case = CASE_TOPLEVEL_WAIT if h_anc.is_top_level else CASE2_WAIT
                     verdict = h_anc
-                if relief_cache is not None:
-                    if state_seen:
-                        relief_cache.note_bypass()
-                    else:
-                        relief_cache.store(holder, requester, case, h_anc)
                 if on_outcome is not None:
                     on_outcome(case)
                 return verdict
 
     if on_outcome is not None:
         on_outcome(CASE_TOPLEVEL_WAIT)
-    if ancestor_relief and relief_cache is not None:
-        # No commutative ancestor pair at all (chains that never reach a
-        # common object): the fall-through verdict is structural and
-        # stable, keyed like any other entry on the holder's root so
-        # top-level completion sweeps it out.
-        if state_seen:
-            relief_cache.note_bypass()
-        else:
-            relief_cache.store(holder, requester, CASE_TOPLEVEL_WAIT, holder.root())
     return holder.root()

@@ -295,9 +295,6 @@ class TransactionManager:
             metrics=self.obs, clock=lambda: self.scheduler.clock
         )
         self.locks.on_waits_changed = self._on_waits_changed
-        # Closed-nested lock inheritance changes lock owners; protocols
-        # with decision caches keyed on owner nodes must hear about it.
-        self.locks.on_locks_reassigned = self.protocol.on_locks_reassigned
         self.protocol.bind_lock_table(self.locks)
         # Baseline protocols do not classify Fig. 9 outcomes themselves;
         # the kernel bins their conflict-test results coarsely so the
@@ -585,11 +582,6 @@ class TransactionManager:
                 self.undo.discard(node_id)
             self.recorder.discard_nodes(discarded - {node.node_id})
             released = self.locks.release_subtree(node)
-            # The discarded subtree's nodes are dead objects: cached conflict
-            # verdicts keyed on them must not survive the restart (the
-            # retried subtransaction builds fresh child nodes).
-            for dead in node.descendants():
-                self.protocol.on_node_event(dead, "discard")
             node.children.clear()
             self._trace(node, "restart-released", count=len(released))
             self._after_lock_change()
@@ -1201,9 +1193,6 @@ class TransactionManager:
     def _complete_node(self, node: TransactionNode) -> None:
         with self.scheduler.coordination():
             node.mark_committed(self.seq.tick())
-            # Before any re-testing below: a commit upgrades case-2 waits on
-            # this node to case-1 relief, so cached verdicts must go first.
-            self.protocol.on_node_event(node, "commit")
             self.recorder.on_node_end(node)
             self._trace(node, "commit")
             self._wal_subtxn_commit(node)
@@ -1252,7 +1241,6 @@ class TransactionManager:
         # they await locks themselves.)
         with self.scheduler.coordination():
             root.mark_aborted(self.seq.tick())
-            self.protocol.on_node_event(root, "abort")
             self.recorder.on_node_end(root)
             released = self.locks.release_tree(root)
             self.waits.remove_transaction(handle.name)
@@ -1310,7 +1298,6 @@ class TransactionManager:
             self._trace(node, "undo", what=entry.description)
         if node.active:
             node.mark_aborted(self.seq.tick())
-            self.protocol.on_node_event(node, "abort")
             self.recorder.on_node_end(node)
 
     # ------------------------------------------------------------------

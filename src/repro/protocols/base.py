@@ -139,33 +139,5 @@ class CCProtocol(ABC):
     #: node's parent's status, so no bookkeeping is needed.
     completion: Disposition = Disposition.RETAIN
 
-    def on_node_event(self, node: TransactionNode, event: str) -> None:
-        """Lifecycle notification: *node* committed, aborted, or had its
-        subtree discarded for a restart (``event`` is ``"commit"``,
-        ``"abort"``, or ``"discard"``).
-
-        The kernel fires this for every node transition so protocols
-        with decision caches (the semantic family's ancestor-relief
-        cache) can invalidate exactly the verdicts the event stales.
-        The default is a no-op.
-        """
-
-    def on_locks_reassigned(self, nodes) -> None:
-        """Locks moved away from *nodes* (closed-nested inheritance).
-
-        Fired by the lock table (``Disposition.REASSIGN_TO_PARENT``) via
-        the kernel so decision caches can drop verdicts keyed on the old
-        owners.  The default is a no-op.
-        """
-
-    def make_thread_safe(self) -> None:
-        """Arm any mutable protocol state for concurrent conflict tests.
-
-        The threaded kernel calls this once at construction.  Stateless
-        protocols (the R/W baselines) need nothing; the semantic family
-        overrides it to put locks around its decision caches.  Must be
-        idempotent.
-        """
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

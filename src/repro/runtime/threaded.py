@@ -30,9 +30,9 @@ Three pieces:
   so steps of different-shard transactions proceed truly concurrently;
   the shared kernel structures they touch protect themselves (the
   striped lock table, the locked waits-for graph / sequence counter /
-  id generator / history recorder / undo log, the armed decision
-  caches), and object-state mutation is serialised per target by the
-  lock table's :meth:`~ConcurrentLockTable.guard`.  Cross-shard kernel
+  id generator / history recorder / undo log), and object-state
+  mutation is serialised per target by the lock table's
+  :meth:`~ConcurrentLockTable.guard`.  Cross-shard kernel
   phases — commit and abort processing, lock re-evaluation, deadlock
   detection, lock-wait timeouts — run under a small *coordinator* lock
   (:meth:`WallClockScheduler.coordination`), taken after any shard
@@ -56,10 +56,8 @@ Three pieces:
 
 * :class:`ThreadedKernel` — the
   :class:`~repro.core.kernel.TransactionManager` subclass constructed
-  over the two classes above, with the decision caches
-  (:class:`~repro.semantics.memo.CommutativityMemo`,
-  :class:`~repro.core.reliefcache.AncestorReliefCache`) and the metrics
-  registry armed for concurrent access.
+  over the two classes above, with the metrics registry armed for
+  concurrent access.
 
 Determinism is *not* provided here — that is the point.  The threaded
 tests assert outcome invariants (serializability, state equivalence
@@ -145,14 +143,12 @@ class ConcurrentLockTable:
             )
             for i in range(n_stripes)
         ]
-        # Forward each stripe's hooks through late-binding trampolines:
-        # the kernel assigns on_waits_changed / on_locks_reassigned on
-        # *this* object after construction.
+        # Forward each stripe's hook through a late-binding trampoline:
+        # the kernel assigns on_waits_changed on *this* object after
+        # construction.
         self.on_waits_changed: Optional[Callable[[PendingRequest], None]] = None
-        self.on_locks_reassigned = None
         for stripe in self._stripes:
             stripe.table.on_waits_changed = self._fire_waits_changed
-            stripe.table.on_locks_reassigned = self._fire_locks_reassigned
         # Counted here, once per operation: a tree-wide release visits
         # (and each stripe counts) every stripe.
         self._release_counter = None
@@ -168,17 +164,12 @@ class ConcurrentLockTable:
             self.bind_metrics(metrics, clock)
 
     # ------------------------------------------------------------------
-    # Hook trampolines
+    # Hook trampoline
     # ------------------------------------------------------------------
     def _fire_waits_changed(self, pending: PendingRequest) -> None:
         hook = self.on_waits_changed
         if hook is not None:
             hook(pending)
-
-    def _fire_locks_reassigned(self, nodes) -> None:
-        hook = self.on_locks_reassigned
-        if hook is not None:
-            hook(nodes)
 
     # ------------------------------------------------------------------
     # Metrics
@@ -1061,9 +1052,9 @@ class ThreadedKernel(TransactionManager):
 
     The same kernel, constructed over a :class:`WallClockScheduler`
     (``self.scheduler``) and a :class:`ConcurrentLockTable`
-    (``self.locks``), with the protocol's decision caches and the
-    metrics registry armed for concurrent access.  What it adds is the
-    serve-mode lifecycle (:meth:`start` / :meth:`stop` / :meth:`reap`).
+    (``self.locks``), with the metrics registry armed for concurrent
+    access.  What it adds is the serve-mode lifecycle (:meth:`start` /
+    :meth:`stop` / :meth:`reap`).
 
     ``lock_timeout`` and ``lock_timeout_fn`` budgets are in *wall-clock
     seconds* here.
@@ -1117,8 +1108,6 @@ class ThreadedKernel(TransactionManager):
             wal=wal,
             lock_timeout_fn=lock_timeout_fn,
         )
-        # Concurrent conflict tests share the memo / relief cache.
-        self.protocol.make_thread_safe()
         # Reaped transaction names pending a batched history discard.
         self._reaped_txns: list[str] = []
         self._reap_batch = 256

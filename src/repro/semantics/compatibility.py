@@ -103,18 +103,8 @@ class CompatibilityMatrix:
         self.type_name = type_name
         self._operations: list[str] = []
         self._entries: dict[tuple[str, str], MatrixEntry] = {}
-        # Mutation counter: memoised commutativity verdicts record the
-        # version they were computed against and are discarded when the
-        # matrix changes underneath them (schema evolution, tests that
-        # rewrite cells mid-run).
-        self._version = 0
         for op in operations or []:
             self.add_operation(op)
-
-    @property
-    def version(self) -> int:
-        """Bumped on every mutation; guards memoised verdicts."""
-        return self._version
 
     # ------------------------------------------------------------------
     # Construction
@@ -127,7 +117,6 @@ class CompatibilityMatrix:
         """Register an operation name (idempotent)."""
         if name not in self._operations:
             self._operations.append(name)
-            self._version += 1
 
     def _require_known(self, *names: str) -> None:
         for name in names:
@@ -159,7 +148,6 @@ class CompatibilityMatrix:
                 "exactly one of value/predicate/state_predicate must be provided"
             )
         self._require_known(held_op, requested_op)
-        self._version += 1
         self._entries[(held_op, requested_op)] = MatrixEntry(
             value, predicate, state_predicate, label
         )

@@ -24,12 +24,6 @@ def _freeze(value: Any) -> Any:
     return value
 
 
-# Interning table for invocation keys: the commutativity memo keys its
-# cells on (operation, args) pairs, and interning makes repeated keys
-# share one tuple so dictionary probes compare by identity first.
-_KEY_INTERN: dict[tuple[str, tuple], tuple[str, tuple]] = {}
-
-
 @dataclass(frozen=True)
 class Invocation:
     """An operation name bound to its actual parameters.
@@ -46,8 +40,8 @@ class Invocation:
     def __post_init__(self) -> None:
         args = tuple(_freeze(a) for a in self.args)
         object.__setattr__(self, "args", args)
-        # Invocations are hashed on every conflict-test memo probe;
-        # precomputing the hash once makes them cheap dict keys.
+        # Precomputing the hash once makes invocations cheap dict and
+        # set keys.
         object.__setattr__(self, "_hash", hash((self.operation, args)))
 
     def __hash__(self) -> int:
@@ -63,21 +57,6 @@ class Invocation:
         object.__setattr__(self, "operation", operation)
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "_hash", hash((operation, args)))
-
-    @property
-    def key(self) -> tuple[str, tuple]:
-        """The interned ``(operation, args)`` identity of this invocation.
-
-        Equal invocations share one key tuple, so memo dictionaries keyed
-        on it hit the identity fast path before falling back to ``==``.
-        """
-        try:
-            return self._key  # type: ignore[attr-defined]
-        except AttributeError:
-            key = (self.operation, self.args)
-            key = _KEY_INTERN.setdefault(key, key)
-            object.__setattr__(self, "_key", key)
-            return key
 
     def arg(self, index: int, default: Any = None) -> Any:
         """The *index*-th actual parameter, or *default* if absent."""

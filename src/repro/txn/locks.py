@@ -153,7 +153,6 @@ class LockTableAPI(Protocol):
     """
 
     on_waits_changed: Optional[Callable[["PendingRequest"], None]]
-    on_locks_reassigned: Optional[Callable[[set[TransactionNode]], None]]
 
     def try_acquire(
         self, node: TransactionNode, target: Oid, invocation: Invocation, tester: ConflictTester
@@ -262,11 +261,6 @@ class LockTable:
         # (block, re-test, grant, cancel) — the kernel maintains the
         # waits-for graph incrementally from these events.
         self.on_waits_changed: Optional[Callable[[PendingRequest], None]] = None
-        # Fired by reassign_locks_to_parent with the set of nodes whose
-        # locks moved to the parent, *before* ownership mutates — the
-        # kernel forwards this to the protocol so decision caches keyed
-        # on the old owners can invalidate.
-        self.on_locks_reassigned: Optional[Callable[[set[TransactionNode]], None]] = None
         self._grant_counter = None
         self._block_counter = None
         self._held_gauge = None
@@ -748,8 +742,6 @@ class LockTable:
             raise ProtocolViolation("cannot reassign locks of a top-level transaction")
         self._count_release_op()
         moved = self._collect_subtree_locks(node, include_self=True)
-        if self.on_locks_reassigned is not None and moved:
-            self.on_locks_reassigned({lock.node for lock in moved})
         parent_entry = self._locks_by_node[node.parent]
         for lock in moved:
             owner_entry = self._locks_by_node.get(lock.node)

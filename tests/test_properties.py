@@ -10,6 +10,7 @@ the concurrent run's final state.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.protocol import SemanticLockingProtocol, SemanticNoReliefProtocol
@@ -26,6 +27,7 @@ from repro.orderentry.transactions import (
     make_t4,
     make_t5,
 )
+from repro.protocols import protocols_by_name
 from repro.protocols.closed_nested import ClosedNestedProtocol
 from repro.protocols.open_nested_naive import OpenNestedNaiveProtocol
 from repro.protocols.two_phase_object import ObjectRW2PLProtocol
@@ -194,12 +196,23 @@ class TestSemanticProtocolSoundness:
         assert kernel.locks.pending_count == 0
         assert kernel.waits.edge_count == 0
 
+    @pytest.mark.parametrize("protocol", sorted(protocols_by_name()))
+    # Overlapping T1/T2 pairs on shared items: every conflict case.
+    @example(
+        specs=[("T1", 0, 0, 1, 1), ("T2", 0, 0, 1, 0), ("T1", 1, 1, 0, 1), ("T2", 1, 0, 0, 0)],
+        seed=0,
+    )
     @settings(max_examples=30, deadline=None)
     @given(specs=workload, seed=seeds)
-    def test_determinism(self, specs, seed):
+    def test_determinism(self, protocol, specs, seed):
+        """Every protocol replays a seeded run bit for bit: same trace,
+        same history, same final state."""
+        factory = protocols_by_name()[protocol]
+
         def fingerprint():
-            built, kernel = run_workload(specs, seed, SemanticLockingProtocol())
+            built, kernel = run_workload(specs, seed, factory())
             return (
+                [event.to_dict() for event in kernel.trace],
                 [(r.txn, r.node_id, r.operation, r.begin_seq) for r in kernel.history().records],
                 snapshot(built.db),
             )

@@ -7,13 +7,15 @@ that each implementation provides every member the protocols name, an
 AST check that the kernel probes for nothing, that the threaded kernel
 is the same object rather than a wrapper round one (no ``.kernel.`` /
 ``.runtime.`` chain, no import cycle), that the wire framing and the
-WAL file each have one reader, and the external interrupt primitive
-under both runtimes.
+WAL file each have one reader, the external interrupt primitive under
+both runtimes, and that the Fig. 9 conflict test has one path, with no
+decision cache in front of it.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import os
 import subprocess
@@ -28,6 +30,7 @@ from repro.core.kernel import TransactionManager
 from repro.errors import TransactionAborted
 from repro.objects.database import Database
 from repro.objects.oid import Oid
+from repro.protocols import CCProtocol, protocols_by_name
 from repro.runtime.scheduler import Scheduler, SchedulerAPI
 from repro.runtime.threaded import ConcurrentLockTable, ThreadedKernel, WallClockScheduler
 from repro.semantics.invocation import Invocation
@@ -87,7 +90,7 @@ class Tree:
 
 class Driver:
     """Drives a table through the seam only, logging outcomes and what
-    the table told its two hooks."""
+    the table told its hook."""
 
     def __init__(self, table) -> None:
         self.table = table
@@ -97,9 +100,6 @@ class Driver:
         self.hooks: list[tuple] = []
         self._reported: dict[str, list[str]] = {}
         table.on_waits_changed = self._waits_changed
-        table.on_locks_reassigned = lambda nodes: self.hooks.append(
-            ("reassigned", sorted(n.node_id for n in nodes))
-        )
 
     def _waits_changed(self, pending) -> None:
         blockers = sorted(b.node_id for b in pending.blockers)
@@ -107,7 +107,7 @@ class Driver:
         # queues the indexed ones can prove unchanged.
         if self._reported.get(pending.node.node_id) != blockers:
             self._reported[pending.node.node_id] = blockers
-            self.hooks.append(("waits", str(pending.target), pending.node.node_id, blockers))
+            self.hooks.append((str(pending.target), pending.node.node_id, blockers))
 
     def acquire(self, node: TransactionNode, target: Oid) -> None:
         blockers = self.table.try_acquire(node, target, node.invocation, rw_tester)
@@ -167,19 +167,13 @@ class Driver:
         self._observe_hooks()
 
     def _observe_hooks(self) -> None:
-        """The hook calls since the last step: every old owner reported
-        before any re-test, and the re-tests in one order *per target*
-        (a striped table reports owners stripe by stripe and visits
-        targets in stripe order, so only that much is comparable)."""
+        """The re-tests since the last step, in one order *per target*
+        (a striped table visits targets in stripe order, so only that
+        much is comparable)."""
         hooks, self.hooks = self.hooks, []
-        kinds = [event[0] for event in hooks]
-        assert kinds == sorted(kinds), hooks  # "reassigned" < "waits"
-        owners = sorted({name for event in hooks if event[0] == "reassigned" for name in event[1]})
-        waits = sorted(
-            (event[1:] for event in hooks if event[0] == "waits"), key=lambda event: event[0]
-        )  # stable: the order within one target is the table's
-        self.last_hooks = (owners, waits)
-        self.log.append(("hooks", *self.last_hooks))
+        # stable: the order within one target is the table's
+        self.last_hooks = sorted(hooks, key=lambda event: event[0])
+        self.log.append(("hooks", self.last_hooks))
 
 
 def scenario_grant_block_release(d: Driver) -> None:
@@ -271,7 +265,7 @@ def _completion_setting(d: Driver):
 
 
 def _bystander_untouched(d: Driver) -> None:
-    assert not any(event[0] == str(Z) for event in d.last_hooks[1]), d.last_hooks
+    assert not any(event[0] == str(Z) for event in d.last_hooks), d.last_hooks
     assert d.table.queue_on(Z)[0].blockers
 
 
@@ -296,10 +290,8 @@ def scenario_complete_release_descendants(d: Driver) -> None:
 def scenario_complete_reassign_to_parent(d: Driver) -> None:
     t1, method = _completion_setting(d)
     assert d.complete(method, Disposition.REASSIGN_TO_PARENT) == ([str(X), str(Y)], [])
-    owners, waits = d.last_hooks
-    assert owners == sorted(n.node_id for n in method.descendants(include_self=True))
     # Both readers were re-tested and now wait for the root that owns Y.
-    assert waits == [(str(Y), "T2.1", ["T1"]), (str(Y), "T3.1", ["T1"])]
+    assert d.last_hooks == [(str(Y), "T2.1", ["T1"]), (str(Y), "T3.1", ["T1"])]
     assert {lock.node for lock in d.table.locks_on(X) + d.table.locks_on(Y)} == {t1.root}
     d.drain()
 
@@ -312,7 +304,7 @@ def scenario_complete_release_tree(d: Driver) -> None:
     d.acquire(Tree("T7").action("W", X), X)  # ... and so does T7, and for T6
     moved, woken = d.complete(t1.root, Disposition.RELEASE_TREE)
     assert moved == [str(X), str(X), str(Y)] and woken == ["T6"]
-    assert d.last_hooks[1] == [(str(X), "T6.1", []), (str(X), "T7.1", ["T6"])]
+    assert d.last_hooks == [(str(X), "T6.1", []), (str(X), "T7.1", ["T6"])]
     _bystander_untouched(d)
     assert not d.table.locks_held_by_tree(t1.root)
     d.drain()
@@ -585,3 +577,31 @@ def test_interrupt_transaction(make_run):
     assert atom.raw_get() == 1
     assert kernel.locks.lock_count == 0 and kernel.locks.pending_count == 0
     kernel.locks.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# (g) One Fig. 9 path: no decision cache, no switch, no cache hooks
+# ----------------------------------------------------------------------
+def test_conflict_test_has_one_path():
+    """The commutativity memo and the ancestor-relief cache, the
+    ``caching=`` switch between them and the plain path, the lifecycle
+    hooks that only fed them, and their ``cache.*`` counters stay gone."""
+    for module in ("repro.core.reliefcache", "repro.semantics.memo"):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+    for name, cls in protocols_by_name().items():
+        assert "caching" not in inspect.signature(cls).parameters, name
+    for seam in (CCProtocol, LockTableAPI):
+        for hook in ("on_node_event", "on_locks_reassigned", "make_thread_safe"):
+            assert hook not in protocol_members(seam), (seam.__name__, hook)
+            assert not hasattr(seam, hook), (seam.__name__, hook)
+    literals = []
+    for path in sorted(SRC_REPRO.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value.startswith("cache.")
+            ):
+                literals.append(f"{path.name}:{node.lineno} {node.value}")
+    assert literals == []

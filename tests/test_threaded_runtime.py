@@ -1,6 +1,6 @@
 """Tests for the real-concurrency runtime: striped lock table, threaded
-kernel, deadlock policies under wall-clock time, and thread-safety of
-the conflict-test decision caches.
+kernel, deadlock policies under wall-clock time, and concurrent Fig. 9
+conflict tests on one hot object.
 
 Threaded runs are nondeterministic by design, so the assertions are
 outcome invariants — final state, serializability, a clean lock table,
@@ -396,25 +396,15 @@ class TestDeadlockPoliciesWallClock:
         assert kernel.lock_timeout == ThreadedKernel.DEFAULT_LOCK_TIMEOUT == 2.0
 
 
-class TestDecisionCachesUnderThreads:
-    def test_kernel_arms_protocol_caches(self):
-        db = Database()
-        protocol = SemanticLockingProtocol()  # caching=True default
-        ThreadedKernel(db, protocol=protocol)
-        assert protocol.memo is not None and protocol.memo._lock is not None
-        assert (
-            protocol.relief_cache is not None
-            and protocol.relief_cache._lock is not None
-        )
-
-    def test_no_torn_memo_reads_under_concurrent_conflict_tests(self):
-        # Regression: the commutativity memo and relief cache are hit by
-        # concurrent conflict tests from every worker; a torn read would
-        # surface as a wrong verdict (lost update / false block).  Hammer
-        # one hot counter so every conflict test races on the same memo
-        # cells, then check the arithmetic and the history.
+class TestConflictUnderThreads:
+    def test_no_torn_verdicts_under_concurrent_tests(self):
+        # Regression: every worker runs the Fig. 9 test concurrently
+        # against the same held locks; a torn read would surface as a
+        # wrong verdict (lost update / false block).  Hammer one hot
+        # counter so every conflict test races on the same matrix cells,
+        # then check the arithmetic and the history.
         db, (counter,) = make_counter_db()
-        protocol = SemanticLockingProtocol(caching=True)
+        protocol = SemanticLockingProtocol()
         n, bumps = 10, 3
 
         def make():
