@@ -177,7 +177,7 @@ def _print_snapshot(snapshot, show_fault_counters: bool) -> None:
         print()
         print(format_counters(snapshot, "timeout.", "lock-wait timeouts"))
         print()
-        print(format_counters(snapshot, "retry.", "retry / backoff"))
+        print(format_counters(snapshot, "retry.", "restart budget"))
         print()
     print(format_gauges(snapshot))
     print()

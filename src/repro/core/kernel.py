@@ -66,7 +66,6 @@ from repro.semantics.generic import (
 )
 from repro.semantics.invocation import Invocation
 from repro.txn.compensation import UndoEntry, UndoLog
-from repro.txn.retry import RetryPolicy
 from repro.txn.history import History, HistoryRecorder
 from repro.txn.locks import Disposition, LockTable, LockTableAPI, PendingRequest
 from repro.txn.transaction import NodeStatus, TransactionNode
@@ -252,10 +251,13 @@ class TransactionContext:
 class TransactionManager:
     """The kernel; see module docstring."""
 
-    #: Default lock-wait budget under ``deadlock_policy="timeout"``.
-    #: Generous relative to the default cost model (whole transactions
-    #: cost ~10 virtual time units) so only genuinely stuck waiters fire.
-    DEFAULT_LOCK_TIMEOUT = 50.0
+    #: Restart budget per transaction (deadlock and timeout victims) and
+    #: per action (injected restarts); once exceeded the kernel escalates
+    #: to a top-level abort (:class:`RetryExhausted`).  FCFS queueing
+    #: makes repeated deadlocks with the *same* partner impossible, so
+    #: the cap only needs to exceed the plausible number of distinct
+    #: hot-spot partners.
+    MAX_RESTARTS = 25
 
     def __init__(
         self,
@@ -263,17 +265,13 @@ class TransactionManager:
         protocol: Optional[CCProtocol] = None,
         scheduler: Optional[SchedulerAPI] = None,
         cost_model: Optional[CostModel] = None,
-        deadlock_policy: str = "detect",
         wal=None,
         obs: Optional[MetricsRegistry] = None,
         lock_table_cls: Optional[Callable[..., LockTableAPI]] = None,
         faults=None,
-        retry_policy: Optional[RetryPolicy] = None,
         lock_timeout: Optional[float] = None,
         lock_timeout_fn: Optional[Callable[[TransactionNode], Optional[float]]] = None,
     ) -> None:
-        if deadlock_policy not in ("detect", "wait-die", "wound-wait", "timeout"):
-            raise ValueError(f"unknown deadlock policy {deadlock_policy!r}")
         if lock_timeout is not None and lock_timeout <= 0:
             raise ValueError("lock_timeout must be a positive budget")
         self.db = db
@@ -307,25 +305,13 @@ class TransactionManager:
                 self.obs.counter(CASE_TOPLEVEL_WAIT),
             )
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        # Deadlock handling: "detect" (waits-for cycle detection with
-        # victim restart/abort — the default), or the classical
-        # timestamp-based *prevention* schemes "wait-die" (a requester
-        # younger than a conflicting holder aborts itself) and
-        # "wound-wait" (a requester older than a conflicting holder
-        # aborts the holder).  Timestamps are transaction begin
-        # sequence numbers, so both schemes are starvation-free.
-        self.deadlock_policy = deadlock_policy
-        # A lock-wait budget is independent of the policy: whenever one
-        # applies, a blocked wait arms a timer, and when it fires the
-        # waiter is resolved through the victim/restart machinery
-        # (restart the blocked subtransaction if possible, else abort
-        # with LockTimeout).  "timeout" means "timers only, no cycle
-        # detection", so only there does a budget default in.
-        self.lock_timeout = (
-            lock_timeout
-            if lock_timeout is not None
-            else (self.DEFAULT_LOCK_TIMEOUT if deadlock_policy == "timeout" else None)
-        )
+        # A blocked wait is resolved one way: waits-for cycle detection
+        # restarts or aborts a victim.  A lock-wait budget, when one
+        # applies, also arms a timer; when it fires the waiter is
+        # resolved through the same victim/restart machinery (restart
+        # the blocked subtransaction if possible, else abort with
+        # LockTimeout).  None: no budget.
+        self.lock_timeout = lock_timeout
         # Per-transaction override of the uniform timeout budget.  The
         # transaction server passes one for deadline propagation: a
         # request's remaining deadline bounds its lock waits, so a
@@ -333,7 +319,6 @@ class TransactionManager:
         # waiting out the full uniform budget.  Returning None falls
         # back to ``lock_timeout``.
         self.lock_timeout_fn = lock_timeout_fn
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         # Optional write-ahead log (repro.recovery.wal.WriteAheadLog):
         # when set, physical updates, non-read-only subtransaction
         # commits, and transaction outcomes are logged for multi-level
@@ -365,8 +350,6 @@ class TransactionManager:
         self._timeout_restarts = self.obs.counter("timeout.restarts")
         self._timeout_aborts = self.obs.counter("timeout.aborts")
         self._retry_exhausted = self.obs.counter("retry.exhausted")
-        self._retry_backoffs = self.obs.counter("retry.backoff_pauses")
-        self._retry_backoff_delay = self.obs.histogram("retry.backoff_delay")
         # Optional fault-injection plane (repro.faults.FaultInjector or a
         # FaultPlan, which is wrapped).  Every kernel hook is guarded by
         # ``if self.faults is not None`` so runs without a plan take the
@@ -512,7 +495,6 @@ class TransactionManager:
         await Pause(cost)  # scheduling point (+ virtual CPU time)
         await self._run_probe(node, "pre")
 
-        attempts = 0
         while True:
             try:
                 if self.faults is not None:
@@ -526,27 +508,19 @@ class TransactionManager:
             except SubtransactionRestart as restart:
                 if restart.node is not node:
                     raise  # an enclosing subtransaction is the restart scope
-                attempts += 1
                 handle = self.handles[node.top_level_name]
                 if not restart.counted:
                     handle.restarts += 1
                 # Victim-machinery restarts pre-check the budget in
-                # _victim_resolution, so for unconfigured runs this
-                # escalation can never fire; injected restarts (which
-                # bypass that check) are capped here.  Compensating
-                # transactions must run to completion — never capped.
-                if not handle.aborting and handle.restarts > self.retry_policy.max_restarts:
+                # _victim_resolution, so this escalation never fires for
+                # them; injected restarts (which bypass that check) are
+                # capped here.  Compensating transactions must run to
+                # completion — never capped.
+                if not handle.aborting and handle.restarts > self.MAX_RESTARTS:
                     self._retry_exhausted.inc()
                     raise RetryExhausted(handle.name, node.node_id, handle.restarts)
                 await self._rollback_subtransaction(node)
-                # Let the conflicting transaction run; with backoff
-                # configured, also space retries out exponentially.
-                backoff = self.retry_policy.backoff_for(attempts)
-                if backoff:
-                    self._retry_backoffs.inc()
-                    self._retry_backoff_delay.observe(backoff)
-                    self._trace(node, "retry-backoff", attempt=attempts, delay=backoff)
-                await Pause(cost + backoff)
+                await Pause(cost)  # let the conflicting transaction run
 
         node.result = result
         self._attach_inverse(node, target, operation, args, result)
@@ -856,11 +830,6 @@ class TransactionManager:
             self._trace(node, "grant", target=str(spec.target), mode=str(spec.invocation))
             return
 
-        if self.deadlock_policy in ("wait-die", "wound-wait"):
-            # Detection resolves cycles after the fact and "timeout" lets
-            # the armed timer resolve: neither checks before blocking.
-            with self.scheduler.coordination():
-                blockers = self._apply_prevention_policy(node, blockers)
         signal = self.scheduler.create_signal(f"grant-{node.node_id}")
         # Queued with its blockers registered (reverse index, waits-for
         # hook) before any holder can complete unseen — or, when the
@@ -886,9 +855,8 @@ class TransactionManager:
                 timeout, lambda: self._on_lock_timeout(pending, timeout)
             )
         try:
-            if self.deadlock_policy == "detect":
-                with self.scheduler.coordination():
-                    self._resolve_deadlocks_locked(node)
+            with self.scheduler.coordination():
+                self._resolve_deadlocks_locked(node)
             await signal
         except BaseException:
             self.locks.cancel(pending)
@@ -901,9 +869,9 @@ class TransactionManager:
     def _lock_wait_timeout(self, node: TransactionNode) -> Optional[float]:
         """The timeout budget for a lock wait that is about to block.
 
-        The same under every deadlock policy: an injected lock-wait
-        fault takes precedence, then the per-transaction override, then
-        the uniform budget.  None disarms the timer entirely.
+        An injected lock-wait fault takes precedence, then the
+        per-transaction override, then the uniform budget.  None
+        disarms the timer entirely.
         """
         if self.faults is not None:
             injected = self.faults.lock_wait_timeout(node)
@@ -967,55 +935,6 @@ class TransactionManager:
         for queued in self.locks.pending_of_tree(victim.root):
             self.locks.cancel(queued)
 
-    def _apply_prevention_policy(
-        self, node: TransactionNode, blockers: set[TransactionNode]
-    ) -> set[TransactionNode]:
-        """Wait-die / wound-wait timestamp checks before waiting.
-
-        Returns the blocker set the requester should wait for; raises
-        :class:`DeadlockError` when wait-die sacrifices the requester.
-        """
-        my_root = node.root()
-        my_ts = my_root.begin_seq or 0
-
-        def ts(blocker: TransactionNode) -> int:
-            return blocker.root().begin_seq or 0
-
-        if self.deadlock_policy == "wait-die":
-            handle = self.handles[my_root.top_level_name]
-            if handle.aborting:
-                # Compensations must run to completion: an aborting
-                # transaction never dies, it waits.  (The detection
-                # machinery remains as the stall backstop.)
-                return blockers
-            # Younger requesters die instead of waiting on older holders.
-            older_holders = [b for b in blockers if ts(b) < my_ts]
-            if older_holders:
-                self.metrics.inc("deadlocks")
-                handle.aborting = True
-                self._trace(node, "die", holders=sorted(b.node_id for b in older_holders))
-                raise DeadlockError(
-                    my_root.top_level_name,
-                    (my_root.top_level_name, older_holders[0].top_level_name),
-                )
-            return blockers
-
-        # wound-wait: older requesters wound younger holders, then wait.
-        survivors: set[TransactionNode] = set()
-        for blocker in blockers:
-            victim_name = blocker.top_level_name
-            victim = self.handles.get(victim_name)
-            if victim is None or victim.aborting or ts(blocker) < my_ts:
-                survivors.add(blocker)  # wait for elders / the already-dying
-                continue
-            self.metrics.inc("deadlocks")
-            self._trace(node, "wound", victim=victim_name)
-            self._interrupt(
-                victim, DeadlockError(victim_name, (my_root.top_level_name, victim_name))
-            )
-            survivors.add(blocker)  # its abort completion is the wake event
-        return survivors
-
     def _tester(
         self,
         holder: TransactionNode,
@@ -1045,11 +964,7 @@ class TransactionManager:
         """Caller holds coordination and has just re-evaluated the queues."""
         for pending in granted:
             self._trace(pending.node, "regrant", target=str(pending.target))
-        if self.deadlock_policy != "timeout":
-            # Under "timeout" a cycle is not an event: every member's
-            # timer resolves it in virtual time (the stall hook stays as
-            # the backstop for all-aborting cycles, which never time out).
-            self._resolve_deadlocks_locked()
+        self._resolve_deadlocks_locked()
 
     def _on_waits_changed(self, pending: PendingRequest) -> None:
         """Lock-table hook: mirror a request's blocker set into the graph.
@@ -1165,7 +1080,7 @@ class TransactionManager:
         scope = blocked_node.parent if blocked_node is not None else None
         # Compensating transactions must run to completion, so their
         # restart budget is not capped.
-        within_budget = victim.aborting or victim.restarts < self.retry_policy.max_restarts
+        within_budget = victim.aborting or victim.restarts < self.MAX_RESTARTS
         can_restart = (
             scope is not None
             and not scope.is_top_level
@@ -1323,9 +1238,7 @@ def run_transactions(
     seed: Optional[int] = None,
     script: Optional[Iterable[str]] = None,
     cost_model: Optional[CostModel] = None,
-    deadlock_policy: str = "detect",
     faults=None,
-    retry_policy: Optional[RetryPolicy] = None,
     lock_timeout: Optional[float] = None,
 ) -> TransactionManager:
     """Convenience: run a set of named transaction programs to completion.
@@ -1339,9 +1252,7 @@ def run_transactions(
         protocol=protocol,
         scheduler=scheduler,
         cost_model=cost_model,
-        deadlock_policy=deadlock_policy,
         faults=faults,
-        retry_policy=retry_policy,
         lock_timeout=lock_timeout,
     )
     for name, program in programs.items():

@@ -127,10 +127,10 @@ class DeadlockError(TransactionAborted):
 class LockTimeout(TransactionAborted):
     """A lock wait exceeded the timeout budget and the waiter was sacrificed.
 
-    Raised under any deadlock policy when a lock-wait budget
-    (``lock_timeout``, a per-transaction override, an injected lock-wait
-    timeout fault) runs out and the waiter's blocked request cannot be
-    resolved by restarting a subtransaction.  Semantically a timeout is
+    Raised when a lock-wait budget (``lock_timeout``, a per-transaction
+    override, an injected lock-wait timeout fault) runs out and the
+    waiter's blocked request cannot be resolved by restarting a
+    subtransaction.  Semantically a timeout is
     handled exactly like a deadlock victim abort — compensation runs,
     the client may resubmit — but the distinct type keeps the two causes
     apart in handles, traces, and metrics.
@@ -160,9 +160,9 @@ class LockTimeout(TransactionAborted):
 class RetryExhausted(TransactionAborted):
     """A subtransaction's bounded retry budget ran out.
 
-    The :class:`~repro.txn.retry.RetryPolicy` escalates to a top-level
-    abort once a single action has been restarted ``max_restarts`` times;
-    the node id of the exhausted action is recorded for diagnosis.
+    The kernel escalates to a top-level abort once a transaction has been
+    restarted more than ``TransactionManager.MAX_RESTARTS`` times; the
+    node id of the exhausted action is recorded for diagnosis.
     """
 
     code = "retry-exhausted"

@@ -36,7 +36,7 @@ Injection sites (where the kernel consults the plan):
 ``lock-wait``
     When a lock request blocks.  Action: ``timeout`` — arm a
     virtual-time timer of ``delay`` that resolves the wait through the
-    victim/restart machinery, independent of the deadlock policy.
+    victim/restart machinery, whether or not a ``lock_timeout`` is set.
 """
 
 from __future__ import annotations

@@ -123,7 +123,6 @@ def run_differential(
     n_stripes: int = 8,
     n_shards: Optional[int] = None,
     time_scale: float = 0.0,
-    deadlock_policy: str = "detect",
 ) -> DifferentialReport:
     """Replay one seeded workload through both runtimes and cross-check."""
     factory = protocol_by_name(protocol)
@@ -131,12 +130,7 @@ def run_differential(
 
     virtual_workload = OrderEntryWorkload(config)
     virtual_programs = dict(virtual_workload.take(n_transactions))
-    virtual_kernel = run_transactions(
-        virtual_workload.db,
-        virtual_programs,
-        protocol=factory(),
-        deadlock_policy=deadlock_policy,
-    )
+    virtual_kernel = run_transactions(virtual_workload.db, virtual_programs, protocol=factory())
     virtual = _outcome("virtual", virtual_kernel, config, n_transactions)
 
     threaded_workload = OrderEntryWorkload(config)
@@ -149,7 +143,6 @@ def run_differential(
         n_stripes=n_stripes,
         n_shards=n_shards,
         time_scale=time_scale,
-        deadlock_policy=deadlock_policy,
     )
     threaded_kernel.locks.check_invariants()
     threaded = _outcome("threaded", threaded_kernel, config, n_transactions)

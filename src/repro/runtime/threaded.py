@@ -323,7 +323,7 @@ class ConcurrentLockTable:
     def enqueue_if_blocked(self, node, target, invocation, signal, blockers, tester):
         """Re-test and either grant or enqueue, in one stripe-lock hold.
 
-        *blockers* was computed before the caller's prevention phase and
+        *blockers* was computed by the caller's :meth:`try_acquire` and
         may be stale — holders complete concurrently here — so the
         request is tested afresh.  Returns ``(None, set())`` when it
         was granted after all, otherwise the enqueued request with its
@@ -1060,9 +1060,6 @@ class ThreadedKernel(TransactionManager):
     seconds* here.
     """
 
-    #: Wall seconds: the virtual-time default of 50 units would be 50 s.
-    DEFAULT_LOCK_TIMEOUT = 2.0
-
     def __init__(
         self,
         db,
@@ -1072,9 +1069,7 @@ class ThreadedKernel(TransactionManager):
         time_scale: float = 0.0,
         stall_timeout: float = 10.0,
         cost_model=None,
-        deadlock_policy: str = "detect",
         obs: Optional[MetricsRegistry] = None,
-        retry_policy=None,
         lock_timeout: Optional[float] = None,
         n_shards: Optional[int] = None,
         faults=None,
@@ -1099,10 +1094,8 @@ class ThreadedKernel(TransactionManager):
                 n_shards=n_stripes if n_shards is None else n_shards,
             ),
             cost_model=cost_model,
-            deadlock_policy=deadlock_policy,
             obs=obs,
             lock_table_cls=functools.partial(ConcurrentLockTable, n_stripes=n_stripes),
-            retry_policy=retry_policy,
             lock_timeout=lock_timeout,
             faults=faults,
             wal=wal,
@@ -1156,7 +1149,6 @@ def run_threaded_transactions(
     time_scale: float = 0.0,
     stall_timeout: float = 10.0,
     cost_model=None,
-    deadlock_policy: str = "detect",
     lock_timeout: Optional[float] = None,
     n_shards: Optional[int] = None,
 ) -> ThreadedKernel:
@@ -1171,7 +1163,6 @@ def run_threaded_transactions(
         time_scale=time_scale,
         stall_timeout=stall_timeout,
         cost_model=cost_model,
-        deadlock_policy=deadlock_policy,
         lock_timeout=lock_timeout,
         n_shards=n_shards,
     )

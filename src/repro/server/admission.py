@@ -95,7 +95,6 @@ class AdmissionController:
         self._seq = 0
         self._inflight = 0
         self._closed = False
-        self._degraded = False
         self._service_estimate = self.config.initial_service_estimate
         self._admitted_counter = None
         self._shed_counter = None
@@ -141,11 +140,6 @@ class AdmissionController:
         with self._lock:
             return self._closed
 
-    @property
-    def degraded(self) -> bool:
-        with self._lock:
-            return self._degraded
-
     def depth(self, klass: Optional[str] = None) -> int:
         with self._lock:
             if klass is not None:
@@ -174,12 +168,8 @@ class AdmissionController:
         return max(self.config.min_retry_after, self._estimated_wait_locked(klass))
 
     # ------------------------------------------------------------------
-    # Mode transitions
+    # Drain (degraded mode is the caller's: it is passed in per call)
     # ------------------------------------------------------------------
-    def set_degraded(self, degraded: bool) -> None:
-        with self._lock:
-            self._degraded = degraded
-
     def close(self) -> None:
         """Stop admitting (drain); queued tickets remain until flushed."""
         with self._lock:
@@ -200,20 +190,22 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def admit(self, ticket: Any, klass: str, deadline_at: float) -> Optional[RequestShed]:
+    def admit(
+        self, ticket: Any, klass: str, deadline_at: float, degraded: bool = False
+    ) -> Optional[RequestShed]:
         """Try to enqueue; returns None on success, else the shed error.
 
-        Decision order: draining beats everything; degraded mode sheds
-        the write class; a full class queue sheds; and a request whose
-        estimated wait already overruns its deadline is refused with
-        ``retry_after`` equal to that estimate.
+        Decision order: draining beats everything; in *degraded* mode
+        the write class is shed; a full class queue sheds; and a request
+        whose estimated wait already overruns its deadline is refused
+        with ``retry_after`` equal to that estimate.
         """
         if klass not in self._queues:
             raise ValueError(f"unknown admission class {klass!r}")
         with self._lock:
             if self._closed:
                 return self._shed_locked(klass, "draining")
-            if self._degraded and klass == "write":
+            if degraded and klass == "write":
                 return self._shed_locked(klass, "degraded-writes")
             queue = self._queues[klass]
             if len(queue) >= self.config.queue_cap:
@@ -240,14 +232,17 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def acquire_next(self, now: Optional[float] = None) -> tuple[Any, list[Any]]:
+    def acquire_next(
+        self, now: Optional[float] = None, degraded: bool = False
+    ) -> tuple[Any, list[Any]]:
         """Take a ticket and an in-flight slot, dropping expired heads.
 
         Returns ``(ticket, expired)``: *ticket* is None when no slot is
         free or both queues are empty; *expired* lists tickets whose
         deadline passed while queued (re-checked at dequeue so doomed
         work never reaches the kernel) — the caller must answer those
-        with an ``expired-in-queue`` shed.
+        with an ``expired-in-queue`` shed.  In *degraded* mode reads are
+        dequeued first.
         """
         if now is None:
             now = self._clock()
@@ -257,7 +252,7 @@ class AdmissionController:
                 if self._inflight >= self.config.max_inflight:
                     ticket = None
                     break
-                entry = self._pop_next_locked()
+                entry = self._pop_next_locked(degraded)
                 if entry is None:
                     ticket = None
                     break
@@ -278,9 +273,9 @@ class AdmissionController:
             self._sync_gauges_locked()
         return ticket, expired
 
-    def _pop_next_locked(self) -> Optional[tuple[Any, float, float]]:
+    def _pop_next_locked(self, degraded: bool) -> Optional[tuple[Any, float, float]]:
         reads, writes = self._queues["read"], self._queues["write"]
-        if self._degraded:
+        if degraded:
             # Degraded mode serves reads first (writes queued before the
             # transition still drain rather than starve).
             order = (reads, writes)

@@ -159,9 +159,9 @@ class TransactionServer:
     uses the semantic default); ``time_scale``/``think_cost`` follow the
     wall-clock bench idiom (a Pause of ``think_cost`` cost units sleeps
     ``think_cost * time_scale`` real seconds inside each transaction).
-    Deadlock policy is fixed to ``"detect"`` — waits-for cycles are
-    resolved when the edge is recorded — and request deadlines
-    propagate onto the lock-wait budget, which no policy owns.
+    The kernel resolves waits-for cycles when the closing edge is
+    recorded, and request deadlines propagate onto its lock-wait budget,
+    capped at ``lock_timeout_cap`` wall seconds.
     """
 
     def __init__(
@@ -177,7 +177,7 @@ class TransactionServer:
         degrade: Optional[DegradeConfig] = None,
         default_deadline: float = 1.0,
         max_deadline: float = 30.0,
-        lock_timeout_cap: float = ThreadedKernel.DEFAULT_LOCK_TIMEOUT,
+        lock_timeout_cap: float = 2.0,
         min_lock_wait: float = 0.005,
         deadline_check: float = 0.01,
         stall_timeout: float = 10.0,
@@ -207,7 +207,6 @@ class TransactionServer:
             n_shards=n_shards,
             time_scale=time_scale,
             stall_timeout=stall_timeout,
-            deadlock_policy="detect",
             lock_timeout=lock_timeout_cap,
             # Deadline propagation: an in-flight request's remaining
             # deadline bounds its lock waits (clamped so a nearly-expired
@@ -306,15 +305,17 @@ class TransactionServer:
         now = time.monotonic()
         if name is None:
             name = f"req-{next(self._names)}"
+        # One read of the mode: the response's flag and the shed decision
+        # cannot disagree.
         degraded = self.degrade.degraded
         ticket = _Ticket(request, name, klass, budget, now, pending, degraded)
-        shed = self.admission.admit(ticket, klass, ticket.deadline_at)
+        shed = self.admission.admit(ticket, klass, ticket.deadline_at, degraded)
         if shed is not None:
             self._resolve_shed(ticket, shed)
             if shed.reason_code in OVERLOAD_REASONS:
-                self._observe(True)
+                self.degrade.observe(True)
             return pending
-        self._observe(False)
+        self.degrade.observe(False)
         self._dispatch()
         return pending
 
@@ -351,10 +352,10 @@ class TransactionServer:
         """Pull queued tickets into the kernel while slots are free."""
         while True:
             now = time.monotonic()
-            ticket, expired = self.admission.acquire_next(now)
+            ticket, expired = self.admission.acquire_next(now, self.degrade.degraded)
             for doomed in expired:
                 self._shed.inc()
-                self._observe(True)
+                self.degrade.observe(True)
                 self._resolve_shed(
                     doomed,
                     RequestShed(
@@ -481,15 +482,9 @@ class TransactionServer:
                 retry_after=shed.retry_after,
                 queue_wait=max(0.0, now - ticket.admitted_at),
                 total_time=max(0.0, now - ticket.admitted_at),
-                degraded=self.degrade.degraded,
+                degraded=ticket.degraded_at_admit,
             )
         )
-
-    def _observe(self, overloaded: bool) -> None:
-        """Feed the degradation EWMA; apply transitions to admission."""
-        changed = self.degrade.observe(overloaded)
-        if changed is not None:
-            self.admission.set_degraded(changed)
 
     # ------------------------------------------------------------------
     # Deadline enforcement
@@ -512,7 +507,7 @@ class TransactionServer:
                 ]
             for ticket in overdue:
                 # The kernel's external-interrupt path (the same one
-                # lock timeouts and wound-wait use); False if the
+                # lock timeouts and deadlock victims use); False if the
                 # transaction already finished or is already aborting.
                 if self.tk.interrupt_transaction(
                     ticket.name, DeadlineExceeded(ticket.name, ticket.budget)

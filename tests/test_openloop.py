@@ -103,10 +103,11 @@ class TestAdmissionProperties:
             clock=lambda: clock[0],
         )
         inflight = 0
+        degraded = False
         for index, (kind, klass, value) in enumerate(events):
             clock[0] += 0.01
             if kind == "admit":
-                shed = control.admit(f"t{index}", klass, clock[0] + value)
+                shed = control.admit(f"t{index}", klass, clock[0] + value, degraded)
                 if shed is not None:
                     assert isinstance(shed, RequestShed)
                     assert shed.retry_after >= control.config.min_retry_after > 0
@@ -114,17 +115,17 @@ class TestAdmissionProperties:
                         "queue-full", "deadline-unmeetable", "degraded-writes",
                         "draining", "expired-in-queue",
                     }
-                ticket, expired = control.acquire_next(clock[0])
+                ticket, expired = control.acquire_next(clock[0], degraded)
                 if ticket is not None:
                     inflight += 1
             elif kind == "finish" and inflight > 0:
                 control.release(value)
                 inflight -= 1
-                ticket, expired = control.acquire_next(clock[0])
+                ticket, expired = control.acquire_next(clock[0], degraded)
                 if ticket is not None:
                     inflight += 1
             elif kind == "degrade":
-                control.set_degraded(value)
+                degraded = value
             # The two bounds, checked after every single event.
             assert control.depth("read") <= queue_cap
             assert control.depth("write") <= queue_cap
@@ -139,9 +140,9 @@ class TestAdmissionProperties:
 
     def test_degraded_sheds_writes_admits_reads(self):
         control = AdmissionController(AdmissionConfig())
-        control.set_degraded(True)
-        assert control.admit("w", "write", 1e9).reason_code == "degraded-writes"
-        assert control.admit("r", "read", 1e9) is None
+        assert control.admit("w", "write", 1e9, degraded=True).reason_code == "degraded-writes"
+        assert control.admit("r", "read", 1e9, degraded=True) is None
+        assert control.admit("w", "write", 1e9) is None
 
     def test_expired_in_queue_recheck_at_dequeue(self):
         clock = [0.0]

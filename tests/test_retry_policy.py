@@ -1,76 +1,44 @@
-"""RetryPolicy: backoff math, the one restart budget, exhaustion escalation."""
+"""The one restart budget, ``TransactionManager.MAX_RESTARTS``, and its
+escalation to a top-level abort."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.kernel import TransactionManager, run_transactions
-from repro.errors import RetryExhausted, WorkloadError
+from repro.errors import RetryExhausted
 from repro.faults import FaultPlan, FaultSpec
 from repro.objects.database import Database
 from repro.objects.encapsulated import TypeSpec
+from repro.orderentry.schema import build_order_entry_database
 from repro.orderentry.transactions import make_t1, make_t2
 from repro.runtime.threaded import ThreadedKernel
-from repro.txn.retry import DEFAULT_MAX_RESTARTS, RetryPolicy
-
-
-class TestBackoffMath:
-    def test_disabled_by_default(self):
-        policy = RetryPolicy()
-        assert policy.max_restarts == DEFAULT_MAX_RESTARTS == 25
-        assert [policy.backoff_for(a) for a in (1, 2, 10)] == [0.0, 0.0, 0.0]
-        assert policy.delay_for(3, base_cost=1.5) == 1.5
-
-    def test_exponential_growth_and_cap(self):
-        policy = RetryPolicy(initial_backoff=1.0, backoff_factor=2.0, max_backoff=10.0)
-        assert [policy.backoff_for(a) for a in (1, 2, 3, 4)] == [1.0, 2.0, 4.0, 8.0]
-        assert policy.backoff_for(5) == 10.0  # capped, not 16
-        assert policy.backoff_for(50) == 10.0
-        assert policy.delay_for(2, base_cost=1.0) == 3.0
-
-    def test_zeroth_attempt_is_free(self):
-        policy = RetryPolicy(initial_backoff=1.0)
-        assert policy.backoff_for(0) == 0.0
-
-    def test_exhaustion_predicate(self):
-        policy = RetryPolicy(max_restarts=3)
-        assert not policy.exhausted(2)
-        assert policy.exhausted(3)
-        assert policy.exhausted(4)
-
-    def test_validation(self):
-        with pytest.raises(WorkloadError):
-            RetryPolicy(max_restarts=-1)
-        with pytest.raises(WorkloadError):
-            RetryPolicy(initial_backoff=-0.5)
-        with pytest.raises(WorkloadError):
-            RetryPolicy(backoff_factor=0.5)
 
 
 class TestOneRestartBudget:
-    def test_policy_sets_the_budget(self, db):
-        kernel = TransactionManager(db, retry_policy=RetryPolicy(max_restarts=7))
-        assert kernel.retry_policy.max_restarts == 7
+    def test_policy_sets_the_budget(self, db, monkeypatch):
+        monkeypatch.setattr(TransactionManager, "MAX_RESTARTS", 7)
+        assert TransactionManager(db).MAX_RESTARTS == 7
+        assert ThreadedKernel(db).MAX_RESTARTS == 7
 
     def test_default_matches_historical_constant(self, db):
-        kernel = TransactionManager(db)
-        assert kernel.retry_policy == RetryPolicy()
-        assert kernel.retry_policy.max_restarts == DEFAULT_MAX_RESTARTS
+        assert TransactionManager(db).MAX_RESTARTS == TransactionManager.MAX_RESTARTS == 25
 
     def test_second_spelling_is_gone(self, db):
-        with pytest.raises(TypeError):
-            TransactionManager(db, max_subtxn_restarts=7)
-        with pytest.raises(TypeError):
-            run_transactions(db, {}, max_subtxn_restarts=7)
-        with pytest.raises(TypeError):
-            ThreadedKernel(db, max_subtxn_restarts=7)
-        assert not hasattr(TransactionManager(db), "max_subtxn_restarts")
+        for spelling in ("max_subtxn_restarts", "retry_policy"):
+            with pytest.raises(TypeError):
+                TransactionManager(db, **{spelling: 7})
+            with pytest.raises(TypeError):
+                run_transactions(db, {}, **{spelling: 7})
+            with pytest.raises(TypeError):
+                ThreadedKernel(db, **{spelling: 7})
+            assert not hasattr(TransactionManager(db), spelling)
 
-    def test_victim_resolution_reads_the_policy(self):
+    def test_victim_resolution_reads_the_policy(self, monkeypatch):
         # Two commuting Adds deadlock on the counter's value atom; the
         # victim's Add is restarted while the budget allows, aborted
         # once it does not.
-        def outcome(policy):
+        def outcome():
             spec = TypeSpec("RCounter")
 
             @spec.method
@@ -92,32 +60,40 @@ class TestOneRestartBudget:
 
                 return program
 
-            kernel = run_transactions(db, {"A": adder(2), "B": adder(3)}, retry_policy=policy)
+            kernel = run_transactions(db, {"A": adder(2), "B": adder(3)})
             return kernel.metrics.subtxn_restarts, kernel.metrics.aborts
 
-        restarts, aborts = outcome(RetryPolicy())
+        restarts, aborts = outcome()
         assert restarts >= 1 and aborts == 0
-        restarts, aborts = outcome(RetryPolicy(max_restarts=0))
+        monkeypatch.setattr(TransactionManager, "MAX_RESTARTS", 0)
+        restarts, aborts = outcome()
         assert restarts == 0 and aborts == 1
 
 
 class TestExhaustionEscalation:
-    def storm(self, order_entry, policy):
-        """T1 with an unlimited restart storm on its ShipOrder actions."""
+    def storm(self, max_fires=0):
+        """T1 with a restart storm on its ShipOrder actions (0: unlimited)."""
+        built = build_order_entry_database(n_items=2, orders_per_item=2)
         plan = FaultPlan(
             specs=(FaultSpec(site="pre-acquire", action="restart",
                              txn="T1", operation="ShipOrder",
-                             probability=1.0, max_fires=0),)
+                             probability=1.0, max_fires=max_fires),)
         )
         return run_transactions(
-            order_entry.db,
-            {"T1": make_t1(order_entry.item(0), 1, order_entry.item(1), 2)},
+            built.db,
+            {"T1": make_t1(built.item(0), 1, built.item(1), 2)},
             faults=plan,
-            retry_policy=policy,
         )
 
-    def test_unbounded_restarts_escalate_to_abort(self, order_entry):
-        kernel = self.storm(order_entry, RetryPolicy(max_restarts=4))
+    def test_unbounded_restarts_escalate_to_abort(self, monkeypatch):
+        monkeypatch.setattr(TransactionManager, "MAX_RESTARTS", 4)
+        # A storm that ends within the budget: the retry succeeds.
+        kernel = self.storm(max_fires=3)
+        assert kernel.handles["T1"].committed
+        assert kernel.handles["T1"].restarts == 3
+        assert kernel.obs.snapshot().counter("retry.exhausted") == 0
+        # An unbounded one escalates once the budget is spent.
+        kernel = self.storm()
         handle = kernel.handles["T1"]
         assert handle.aborted and not handle.committed
         assert isinstance(handle.error, RetryExhausted)
@@ -127,44 +103,11 @@ class TestExhaustionEscalation:
         assert not kernel.locks.locks_held_by_tree(handle.root)
         assert not kernel.locks.pending_of_tree(handle.root)
 
-    def test_backoff_spaces_retries_in_virtual_time(self, order_entry):
-        limited = FaultPlan(
-            specs=(FaultSpec(site="pre-acquire", action="restart",
-                             txn="T1", operation="ShipOrder", max_fires=3),)
-        )
-        kernel = run_transactions(
-            order_entry.db,
-            {"T1": make_t1(order_entry.item(0), 1, order_entry.item(1), 2)},
-            faults=limited,
-            retry_policy=RetryPolicy(initial_backoff=4.0, backoff_factor=2.0),
-        )
-        assert kernel.handles["T1"].committed  # storm ends, retry succeeds
-        snapshot = kernel.obs.snapshot()
-        assert snapshot.counter("retry.backoff_pauses") == 3
-        hist = snapshot.histogram("retry.backoff_delay")
-        assert hist.count == 3
-        assert hist.sum == pytest.approx(4.0 + 8.0 + 16.0)
-        backoffs = kernel.trace.of_kind("retry-backoff")
-        assert [e.detail["delay"] for e in backoffs] == [4.0, 8.0, 16.0]
-
-    def test_no_backoff_trace_without_configuration(self, order_entry):
-        limited = FaultPlan(
-            specs=(FaultSpec(site="pre-acquire", action="restart",
-                             txn="T1", operation="ShipOrder", max_fires=2),)
-        )
-        kernel = run_transactions(
-            order_entry.db,
-            {"T1": make_t1(order_entry.item(0), 1, order_entry.item(1), 2)},
-            faults=limited,
-        )
-        assert kernel.handles["T1"].committed
-        assert not kernel.trace.of_kind("retry-backoff")
-        assert kernel.obs.snapshot().counter("retry.backoff_pauses") == 0
-
-    def test_compensations_never_capped(self, order_entry):
+    def test_compensations_never_capped(self, order_entry, monkeypatch):
         # An aborting transaction's compensations must run to completion
         # even when the restart budget is already spent: the cap checks
         # handle.aborting.
+        monkeypatch.setattr(TransactionManager, "MAX_RESTARTS", 2)
         plan = FaultPlan(
             specs=(
                 FaultSpec(site="pre-acquire", action="restart",
@@ -178,7 +121,6 @@ class TestExhaustionEscalation:
                 "T2": make_t2(order_entry.item(0), 1, order_entry.item(1), 2),
             },
             faults=plan,
-            retry_policy=RetryPolicy(max_restarts=2),
         )
         assert kernel.handles["T1"].aborted
         assert isinstance(kernel.handles["T1"].error, RetryExhausted)

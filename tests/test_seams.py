@@ -8,8 +8,9 @@ AST check that the kernel probes for nothing, that the threaded kernel
 is the same object rather than a wrapper round one (no ``.kernel.`` /
 ``.runtime.`` chain, no import cycle), that the wire framing and the
 WAL file each have one reader, the external interrupt primitive under
-both runtimes, and that the Fig. 9 conflict test has one path, with no
-decision cache in front of it.
+both runtimes, that the Fig. 9 conflict test has one path, with no
+decision cache in front of it, and that a blocked wait is resolved one
+way.
 """
 
 from __future__ import annotations
@@ -602,6 +603,44 @@ def test_conflict_test_has_one_path():
                 isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
                 and node.value.startswith("cache.")
+            ):
+                literals.append(f"{path.name}:{node.lineno} {node.value}")
+    assert literals == []
+
+
+# ----------------------------------------------------------------------
+# (h) One way to resolve a blocked wait: cycle detection plus a budget
+# ----------------------------------------------------------------------
+def test_blocked_wait_has_one_resolution():
+    """No wait-die / wound-wait / timers-only policy switch and no retry
+    backoff: the five entry points take neither option, the retry
+    module is gone, and no literal names a removed policy or metric."""
+    from repro.runtime.differential import run_differential
+    from repro.runtime.threaded import run_threaded_transactions
+
+    entry_points = (
+        TransactionManager,
+        kernel_module.run_transactions,
+        ThreadedKernel,
+        run_threaded_transactions,
+        run_differential,
+    )
+    for entry in entry_points:
+        parameters = inspect.signature(entry).parameters
+        for option in ("deadlock_policy", "retry_policy"):
+            assert option not in parameters, (entry.__name__, option)
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.txn.retry")
+    literals = []
+    for path in sorted(SRC_REPRO.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and (
+                    node.value in ("wait-die", "wound-wait")
+                    or node.value.startswith(("retry.backoff", "retry-backoff"))
+                )
             ):
                 literals.append(f"{path.name}:{node.lineno} {node.value}")
     assert literals == []

@@ -245,7 +245,6 @@ class TestDegradedMode:
         server = make_server()
         try:
             server.degrade.force(True)
-            server.admission.set_degraded(True)
             write = server.submit(Request(op="place", item=0))
             assert write.shed
             assert write.error["reason_code"] == "degraded-writes"
@@ -253,7 +252,6 @@ class TestDegradedMode:
             read = server.submit(Request(op="stock-check", item=0))
             assert read.ok
             server.degrade.force(False)
-            server.admission.set_degraded(False)
             write = server.submit(Request(op="place", item=0))
             assert write.ok
         finally:

@@ -213,7 +213,6 @@ class TestWireErrors:
         wire = WireServer(server).start()
         try:
             server.degrade.force(True)
-            server.admission.set_degraded(True)
             with client_for(wire) as client:
                 response = client.request({"op": "place", "item": 0})
                 assert response["status"] == "shed"

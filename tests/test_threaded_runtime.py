@@ -1,5 +1,5 @@
 """Tests for the real-concurrency runtime: striped lock table, threaded
-kernel, deadlock policies under wall-clock time, and concurrent Fig. 9
+kernel, deadlock resolution under wall-clock time, and concurrent Fig. 9
 conflict tests on one hot object.
 
 Threaded runs are nondeterministic by design, so the assertions are
@@ -36,6 +36,7 @@ from repro.runtime.threaded import (
     run_threaded_transactions,
 )
 from repro.semantics.invocation import Invocation
+from repro.server.core import TransactionServer
 from repro.txn.locks import Disposition, LockTable
 from repro.txn.transaction import TransactionNode
 
@@ -323,21 +324,17 @@ class TestDeadlockPoliciesWallClock:
 
         return ab, ba
 
-    @pytest.mark.parametrize("policy", ["detect", "wound-wait", "wait-die", "timeout"])
-    def test_cycle_is_broken(self, policy):
+    @pytest.mark.parametrize("lock_timeout", [None, 0.2], ids=["detect", "timeout"])
+    def test_cycle_is_broken(self, lock_timeout):
+        """Cycle detection breaks the cycle with or without a wait budget
+        armed beside it."""
         db = Database()
         x = db.new_atom("x", 0)
         y = db.new_atom("y", 0)
         db.attach_child(x)
         db.attach_child(y)
         ab, ba = self._cycle_programs(x, y)
-        kernel = ThreadedKernel(
-            db,
-            n_threads=2,
-            stall_timeout=15.0,
-            deadlock_policy=policy,
-            lock_timeout=0.2 if policy == "timeout" else None,
-        )
+        kernel = ThreadedKernel(db, n_threads=2, stall_timeout=15.0, lock_timeout=lock_timeout)
         kernel.spawn("A", ab)
         kernel.spawn("B", ba)
         kernel.run()
@@ -371,9 +368,7 @@ class TestDeadlockPoliciesWallClock:
 
             return program
 
-        kernel = ThreadedKernel(
-            db, n_threads=2, deadlock_policy="detect", lock_timeout=2.0
-        )
+        kernel = ThreadedKernel(db, n_threads=2, lock_timeout=2.0)
         kernel.scheduler.stall_check = 5.0
         kernel.spawn("A", crossing("A", x, y))
         kernel.spawn("B", crossing("B", y, x))
@@ -391,9 +386,12 @@ class TestDeadlockPoliciesWallClock:
         kernel.locks.check_invariants()
 
     def test_timeout_uses_wall_clock_default(self):
-        db = Database()
-        kernel = ThreadedKernel(db, deadlock_policy="timeout")
-        assert kernel.lock_timeout == ThreadedKernel.DEFAULT_LOCK_TIMEOUT == 2.0
+        """The kernel arms no budget unless asked; the server's cap
+        defaults to 2 wall seconds (a virtual-time budget of 50 units
+        would be 50 s)."""
+        assert ThreadedKernel(Database()).lock_timeout is None
+        server = TransactionServer(build_order_entry_database(n_items=1, orders_per_item=1))
+        assert server.lock_timeout_cap == server.tk.lock_timeout == 2.0
 
 
 class TestConflictUnderThreads:

@@ -1,10 +1,11 @@
-"""Lock-wait timeouts: the fourth deadlock policy, plus injected timers.
+"""Lock-wait budgets beside cycle detection, plus injected timers.
 
-``deadlock_policy="timeout"`` arms a virtual-clock timer on every
-blocking lock wait; expiry resolves the waiter through the existing
-victim machinery (restart the blocked subtransaction if possible, abort
-with :class:`LockTimeout` otherwise).  An explicit ``lock_timeout`` or a
-`lock-wait` fault spec arms the same timer under any policy.
+A ``lock_timeout`` arms a virtual-clock timer on every blocking lock
+wait; expiry resolves the waiter through the existing victim machinery
+(restart the blocked subtransaction if possible, abort with
+:class:`LockTimeout` otherwise).  A per-transaction ``lock_timeout_fn``
+or a `lock-wait` fault spec arms the same timer.  Cycles are still
+resolved by detection, before any timer fires.
 """
 
 from __future__ import annotations
@@ -64,19 +65,6 @@ def holder_then_waiter(x, hold: float):
 
 
 class TestTimeoutPolicy:
-    def test_deadlock_resolved_by_timeout(self, two_atoms):
-        """A real A<->B deadlock: no cycle detection runs, but the first
-        timer to expire restarts/aborts its waiter and both finish."""
-        db, x, y = two_atoms
-        kernel = run_transactions(
-            db, opposing(x, y), deadlock_policy="timeout", lock_timeout=10.0
-        )
-        assert all(h.committed or h.aborted for h in kernel.handles.values())
-        assert kernel.obs.snapshot().counter("timeout.fired") >= 1
-        assert kernel.trace.of_kind("timeout")
-        # serializable outcome either way
-        assert is_semantically_serializable(kernel.history(), db=db).serializable
-
     def test_timeout_fires_at_virtual_deadline(self, two_atoms):
         from repro.runtime.scheduler import Pause
 
@@ -93,9 +81,7 @@ class TestTimeoutPolicy:
             await tx.put(x, "W")
             return "W"
 
-        kernel = run_transactions(
-            db, {"H": holder, "W": waiter}, deadlock_policy="timeout", lock_timeout=20.0
-        )
+        kernel = run_transactions(db, {"H": holder, "W": waiter}, lock_timeout=20.0)
         events = kernel.trace.of_kind("timeout")
         assert events and events[0].txn == "W"
         assert events[0].detail["waited"] == 20.0
@@ -121,51 +107,43 @@ class TestTimeoutPolicy:
             await tx.put(x, "W")
             return "W"
 
-        kernel = run_transactions(
-            db, {"H": brief_holder, "W": waiter},
-            deadlock_policy="timeout", lock_timeout=50.0,
-        )
+        kernel = run_transactions(db, {"H": brief_holder, "W": waiter}, lock_timeout=50.0)
         assert kernel.handles["W"].committed
         assert kernel.obs.snapshot().counter("timeout.fired") == 0
         assert not kernel.trace.of_kind("timeout")
 
     def test_subtransaction_waiter_restarts_not_aborts(self, order_entry):
-        # Two transactions shipping the same orders: the blocked
-        # ShipOrder subtransaction is restartable, so the timeout
-        # resolves with a restart and both eventually commit.
+        # R reads item 0's quantity-on-hand directly and holds it past
+        # two budgets; T1's ShipOrder blocks on that atom inside the
+        # ShipOrder subtransaction, which is restartable — so each
+        # expiry restarts it, and both commit once R is done.
         from repro.orderentry.transactions import make_t1
 
         async def rival(tx):
-            return await tx.call(order_entry.item(0), "ShipOrder", 1)
+            on_hand = await tx.get(order_entry.item(0).impl_component("QOH"))
+            await Pause(12.0)
+            return on_hand
 
         kernel = run_transactions(
             order_entry.db,
             {
-                "T1": make_t1(order_entry.item(0), 1, order_entry.item(1), 2),
                 "R": rival,
+                "T1": make_t1(order_entry.item(0), 1, order_entry.item(1), 2),
             },
-            deadlock_policy="timeout",
             lock_timeout=5.0,
         )
-        assert all(h.committed or h.aborted for h in kernel.handles.values())
+        assert kernel.handles["R"].committed and kernel.handles["T1"].committed
         snapshot = kernel.obs.snapshot()
-        if snapshot.counter("timeout.fired"):
-            assert (
-                snapshot.counter("timeout.restarts")
-                + snapshot.counter("timeout.aborts")
-                == snapshot.counter("timeout.fired")
-            )
+        assert snapshot.counter("timeout.fired") == snapshot.counter("timeout.restarts") == 2
+        assert snapshot.counter("timeout.aborts") == 0
+        assert kernel.handles["T1"].restarts == 2
 
     def test_contended_workload_all_decided_and_serializable(self):
         workload = OrderEntryWorkload(
             WorkloadConfig(n_items=2, orders_per_item=2, seed=3)
         )
         programs = dict(workload.take(8))
-        kernel = run_transactions(
-            workload.db, programs,
-            deadlock_policy="timeout", lock_timeout=15.0,
-            policy="random", seed=3,
-        )
+        kernel = run_transactions(workload.db, programs, lock_timeout=15.0, policy="random", seed=3)
         assert all(h.committed or h.aborted for h in kernel.handles.values())
         assert is_semantically_serializable(
             kernel.history(), db=workload.db
@@ -176,16 +154,11 @@ class TestTimeoutPolicy:
 
 
 class TestTimeoutConfiguration:
-    def test_default_budget_applies(self, db):
-        kernel = TransactionManager(db, deadlock_policy="timeout")
-        assert kernel.lock_timeout == TransactionManager.DEFAULT_LOCK_TIMEOUT
-
     def test_detect_arms_budget_and_grant_cancels_it(self, two_atoms):
-        """The budget is independent of the policy: under "detect" a
-        blocked wait arms one timer, and the grant cancels it unfired."""
+        """Beside cycle detection a blocked wait arms one timer, and the
+        grant cancels it unfired."""
         db, x, __ = two_atoms
         kernel = TransactionManager(db, lock_timeout=50.0)
-        assert kernel.deadlock_policy == "detect"
         armed = []
         call_later = kernel.scheduler.call_later
 
@@ -217,9 +190,11 @@ class TestTimeoutConfiguration:
 
     def test_lock_timeout_must_be_positive(self, db):
         with pytest.raises(ValueError, match="positive"):
-            TransactionManager(db, deadlock_policy="timeout", lock_timeout=0.0)
+            TransactionManager(db, lock_timeout=0.0)
 
     def test_counters_exist_but_zero_under_other_policies(self, two_atoms):
+        """No budget armed: the timeout counters are registered and stay
+        zero while detection resolves the cycle."""
         db, x, y = two_atoms
         kernel = run_transactions(db, opposing(x, y))
         snapshot = kernel.obs.snapshot()
@@ -230,7 +205,7 @@ class TestTimeoutConfiguration:
 
 class TestInjectedTimeout:
     def test_injected_timeout_under_detect_policy(self, two_atoms):
-        """A lock-wait fault arms a timer without the timeout policy."""
+        """A lock-wait fault arms a timer without a ``lock_timeout``."""
         from repro.runtime.scheduler import Pause
 
         db, x, __ = two_atoms

@@ -35,7 +35,6 @@ from repro.orderentry.schema import (
 )
 from repro.orderentry.transactions import make_t1, make_t2
 from repro.recovery.wal import SubtxnCommitRecord, TxnStatusRecord, WriteAheadLog
-from repro.txn.retry import RetryPolicy
 
 TYPE_SPECS = {"Item": ITEM_TYPE, "Order": ORDER_TYPE}
 
@@ -305,14 +304,11 @@ class TestZeroCostWhenOff:
             **kwargs,
         )
 
-    def test_empty_plan_and_default_policy_are_bit_identical(self):
+    def test_empty_plan_is_bit_identical(self):
         bare = self.fingerprint(self.run_once())
-        # An empty plan binds an injector but can never fire; the
-        # default retry policy reproduces the historical constant; both
-        # must leave traces, results, clock, and step count untouched.
-        plumbed = self.fingerprint(
-            self.run_once(faults=FaultPlan(), retry_policy=RetryPolicy())
-        )
+        # An empty plan binds an injector but can never fire: it must
+        # leave traces, results, clock, and step count untouched.
+        plumbed = self.fingerprint(self.run_once(faults=FaultPlan()))
         assert plumbed == bare
 
 

@@ -34,8 +34,6 @@ TRACE_SCHEMA: dict[str, frozenset[str]] = {
     "release": frozenset({"count"}),
     "abort": frozenset({"reason"}),
     "deadlock": frozenset({"cycle", "victim", "resolution"}),
-    "die": frozenset({"holders"}),
-    "wound": frozenset({"victim"}),
     "restart": frozenset(),
     "restart-released": frozenset({"count"}),
     "undo": frozenset({"what"}),

@@ -184,20 +184,21 @@ def _actual_edges(kernel) -> dict[str, set[str]]:
 class TestIncrementalGraphInvariant:
     """The incrementally maintained graph must always equal the graph a
     full rebuild from the queues would produce — in particular across
-    cancellations (abort unwinding and the wound-wait mass cancel),
-    which used to leave stale ``pending.blockers`` behind."""
+    cancellations (victim abort, an expiring lock-wait budget, an
+    external interrupt), which used to leave stale ``pending.blockers``
+    behind."""
 
-    def _run_checked(self, deadlock_policy, programs_factory, seed=None):
+    def _run_checked(self, programs_factory, seed=None, setup=None, **kernel_options):
         from repro.core.kernel import TransactionManager
         from repro.runtime.scheduler import Scheduler
 
         db, programs = programs_factory()
         policy = "random" if seed is not None else "fifo"
         kernel = TransactionManager(
-            db,
-            scheduler=Scheduler(policy=policy, seed=seed),
-            deadlock_policy=deadlock_policy,
+            db, scheduler=Scheduler(policy=policy, seed=seed), **kernel_options
         )
+        if setup is not None:
+            setup(kernel)
         checks = {"n": 0}
 
         def probe(node, phase):
@@ -239,25 +240,69 @@ class TestIncrementalGraphInvariant:
 
         return db, {"A": ab, "B": ba}
 
-    def test_cancel_during_wound_leaves_no_stale_edges(self):
-        """Wound-wait mass-cancels the victim's queued requests; its
-        edges (and blocker-index entries) must vanish with them."""
-        kernel = self._run_checked("wound-wait", self._opposing_writes)
-        assert kernel.handles["A"].committed
-        assert kernel.handles["B"].aborted  # wounded while blocked
+    @staticmethod
+    def _holder_and_waiters():
+        """H holds x for 150 virtual units, then writes y; W1 and W2
+        queue behind it on x (W2 also behind W1's request)."""
+        from repro.objects.database import Database
+        from repro.runtime.scheduler import Pause
 
-    def test_cancel_during_wait_die(self):
-        kernel = self._run_checked("wait-die", self._opposing_writes)
-        assert kernel.handles["B"].aborted
+        db = Database()
+        x = db.new_atom("x", 0)
+        y = db.new_atom("y", 0)
+        db.attach_child(x)
+        db.attach_child(y)
+
+        async def holder(tx):
+            await tx.put(x, "H")
+            await Pause(150.0)
+            await tx.put(y, "H")  # probed after the waiters' requests went
+            return "H"
+
+        def waiter(name):
+            async def program(tx):
+                await tx.pause()  # let H grab x
+                await tx.put(x, name)
+                return name
+
+            return program
+
+        return db, {"H": holder, "W1": waiter("W1"), "W2": waiter("W2")}
+
+    def test_cancel_on_lock_timeout_leaves_no_stale_edges(self):
+        """An expiring budget cancels each blocked waiter's request; its
+        edges (and blocker-index entries) must vanish with it."""
+        from repro.errors import LockTimeout
+
+        kernel = self._run_checked(self._holder_and_waiters, lock_timeout=20.0)
+        assert kernel.handles["H"].committed
+        for name in ("W1", "W2"):
+            assert isinstance(kernel.handles[name].error, LockTimeout)
+        assert kernel.obs.snapshot().counter("timeout.fired") == 2
+
+    def test_cancel_on_interrupt_leaves_no_stale_edges(self):
+        """``interrupt_transaction`` on a blocked waiter cancels its
+        queued request; W2, queued behind it, is re-tested and keeps
+        only the edge to H."""
+        from repro.errors import TransactionAborted
+
+        reason = TransactionAborted("W1", "interrupted by the test")
+
+        def interrupt_w1(kernel):
+            kernel.scheduler.call_later(5.0, lambda: kernel.interrupt_transaction("W1", reason))
+
+        kernel = self._run_checked(self._holder_and_waiters, setup=interrupt_w1)
+        assert kernel.handles["W1"].aborted and kernel.handles["W1"].error is reason
+        assert kernel.handles["H"].committed and kernel.handles["W2"].committed
 
     def test_cancel_during_detection_victim_abort(self):
-        kernel = self._run_checked("detect", self._opposing_writes)
+        kernel = self._run_checked(self._opposing_writes)
         outcomes = sorted(
             (h.committed, h.aborted) for h in kernel.handles.values()
         )
         assert (True, False) in outcomes  # at least one side commits
 
-    def test_contended_workload_under_wound_wait(self):
+    def test_contended_workload_under_detection(self):
         def factory():
             from repro.orderentry.workload import OrderEntryWorkload, WorkloadConfig
 
@@ -266,4 +311,5 @@ class TestIncrementalGraphInvariant:
             )
             return workload.db, dict(workload.take(6))
 
-        self._run_checked("wound-wait", factory, seed=7)
+        kernel = self._run_checked(factory, seed=7)
+        assert kernel.metrics.blocks > 0
