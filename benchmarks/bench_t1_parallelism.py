@@ -13,7 +13,7 @@ Expected shape (asserted):
   serialises the whole transaction lifetime;
 * the semantic protocol actually scales: more threads => more committed
   transactions per second on the contention-free spread;
-* sharded execution scales: on the fully commuting hot ledger, 8 workers
+* the worker pool scales: on the fully commuting hot ledger, 8 workers
   beat 1 (think-time dominates, so this holds even on a 2-core runner).
 """
 

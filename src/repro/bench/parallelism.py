@@ -22,7 +22,7 @@ transactions per wall-clock second plus the threaded runtime's
 ``thread.*``/``stripe.*``/``lock.*`` counters.
 
 The thread-scaling sweep (:func:`run_scaling_sweep`) runs the same
-loop on a fully commuting hot ledger to ask whether sharded execution
+loop on a fully commuting hot ledger to ask whether threaded execution
 scales with the worker count.  Both are driven and asserted by
 ``benchmarks/bench_t1_parallelism.py``.
 """
@@ -152,7 +152,6 @@ class ThinkTimePoint:
     workload: str
     protocol: str
     n_threads: int
-    n_shards: int
     n_objects: int
     n_transactions: int
     committed: int
@@ -228,7 +227,6 @@ def run_think_time_point(
         workload=workload,
         protocol=protocol,
         n_threads=n_threads,
-        n_shards=int(snap.gauge("shard.count", 0)),
         n_objects=n_objects,
         n_transactions=n_transactions,
         committed=committed,
@@ -292,9 +290,9 @@ def run_scaling_sweep(
 
     Every transaction deposits uniquely-tagged entries into *the same*
     ledger under the semantic protocol — the worst case for a global
-    mutex and the best case for semantic commutativity — so with sharded
-    execution throughput should grow with the worker count until the
-    pool covers the think-time.
+    mutex and the best case for semantic commutativity — so throughput
+    should grow with the worker count until the pool covers the
+    think-time.
     """
     return [
         run_think_time_point("ledger", "semantic", n_threads, n_transactions=n_transactions)
@@ -307,10 +305,8 @@ def scaling_rows(points: Sequence[ThinkTimePoint]) -> list[dict]:
     return [
         {
             "threads": p.n_threads,
-            "shards": p.n_shards,
             "throughput": round(p.throughput, 2),
             "elapsed_s": round(p.elapsed_s, 3),
-            "contended": p.counters.get("shard.contended", 0),
             "coordinations": p.counters.get("shard.coordinations", 0),
             "consistent": p.consistent,
         }

@@ -136,7 +136,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             programs,
             protocol=protocol_by_name(args.protocol)(),
             n_threads=args.threads,
-            n_shards=args.shards,
         )
         kernel.locks.check_invariants()
     else:
@@ -459,11 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--threads", type=int, default=4,
         help="worker threads for --runtime threaded (default: 4)",
-    )
-    check.add_argument(
-        "--shards", type=int, default=None,
-        help="execution shards for --runtime threaded "
-        "(default: match the lock-table stripe count)",
     )
     check.set_defaults(fn=cmd_check)
 

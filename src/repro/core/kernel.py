@@ -543,7 +543,7 @@ class TransactionManager:
         await self._undo_children(node, in_restart=True)
         # Coordinated from here down: discarding records, releasing the
         # subtree's locks, and re-evaluating the queues is one logical
-        # step against concurrent commits/aborts on other shards.
+        # step against concurrent commits/aborts on other workers.
         with self.scheduler.coordination():
             discarded = {n.node_id for n in node.descendants(include_self=True)}
             # Compensations spawned by the rollback attach to the root; their
@@ -672,7 +672,7 @@ class TransactionManager:
     ) -> Any:
         if operation in _GENERIC_OPS:
             # Two granted-and-commuting operations on the same object
-            # may step on different shards at the same wall-clock
+            # may step on different workers at the same wall-clock
             # instant; the target's guard serialises the physical
             # read-modify-write.  Generic leaves are synchronous, so the
             # guard never spans an await (method bodies mutate state
@@ -1151,7 +1151,7 @@ class TransactionManager:
         # The synchronous completion of the abort is a coordinated
         # phase: lock release, waits-graph removal, and re-evaluation
         # must not interleave with commits or deadlock resolution on
-        # other shards.  (The compensations above ran as ordinary
+        # other workers.  (The compensations above ran as ordinary
         # subtransactions and cannot be held under the coordinator —
         # they await locks themselves.)
         with self.scheduler.coordination():

@@ -121,7 +121,6 @@ def run_differential(
     mix: Optional[dict] = None,
     n_threads: int = 4,
     n_stripes: int = 8,
-    n_shards: Optional[int] = None,
     time_scale: float = 0.0,
 ) -> DifferentialReport:
     """Replay one seeded workload through both runtimes and cross-check."""
@@ -141,7 +140,6 @@ def run_differential(
         protocol=factory(),
         n_threads=n_threads,
         n_stripes=n_stripes,
-        n_shards=n_shards,
         time_scale=time_scale,
     )
     threaded_kernel.locks.check_invariants()

@@ -25,20 +25,19 @@ Three pieces:
 * :class:`WallClockScheduler` — a scheduler facade satisfying the
   kernel's scheduler seam (:class:`~repro.runtime.scheduler.SchedulerAPI`)
   with a bounded worker pool.  Coroutine steps (the synchronous code
-  between two awaits) run under per-task *execution shard* locks
-  (``hash(task.name) % n_shards``) rather than one global step mutex,
-  so steps of different-shard transactions proceed truly concurrently;
-  the shared kernel structures they touch protect themselves (the
-  striped lock table, the locked waits-for graph / sequence counter /
-  id generator / history recorder / undo log), and object-state
-  mutation is serialised per target by the lock table's
-  :meth:`~ConcurrentLockTable.guard`.  Cross-shard kernel
+  between two awaits) take no step-level lock, so steps of different
+  transactions proceed truly concurrently; the shared kernel
+  structures they touch protect themselves (the striped lock table,
+  the locked waits-for graph / sequence counter / id generator /
+  history recorder / undo log), and object-state mutation is
+  serialised per target by the lock table's
+  :meth:`~ConcurrentLockTable.guard`.  Multi-structure kernel
   phases — commit and abort processing, lock re-evaluation, deadlock
   detection, lock-wait timeouts — run under a small *coordinator* lock
-  (:meth:`WallClockScheduler.coordination`), taken after any shard
-  lock and before stripe locks, so the lock order
+  (:meth:`WallClockScheduler.coordination`), taken before stripe
+  locks, so the lock order
 
-      shard lock  ->  coordinator  ->  stripe locks  ->  scheduler lock
+      coordinator  ->  stripe locks  ->  scheduler lock
 
   is acyclic.  Awaiting a Signal blocks the worker on a condition
   variable guarded by the scheduler lock; awaiting a Pause sleeps
@@ -103,7 +102,7 @@ _yield_thread = _pick_yield()
 # Striped lock table
 # ----------------------------------------------------------------------
 class _Stripe:
-    """One shard: a plain LockTable plus its guard."""
+    """One stripe: a plain LockTable plus its guard."""
 
     __slots__ = ("index", "table", "lock")
 
@@ -124,7 +123,7 @@ class ConcurrentLockTable:
     Thread safety contract: any single call is atomic — per-object
     calls under their stripe's lock, tree-wide calls under every stripe
     lock — and nothing above the table serialises calls for it:
-    coroutine steps on different execution shards call in concurrently.
+    coroutine steps of different transactions call in concurrently.
     """
 
     def __init__(
@@ -347,7 +346,7 @@ class ConcurrentLockTable:
 
         The kernel runs a generic operation's body under its target's
         guard: two granted-and-commuting operations on the same object
-        (different execution shards) must still serialise their
+        (stepping on different workers) must still serialise their
         physical state mutation, while operations on different stripes
         proceed in parallel.
         """
@@ -466,14 +465,12 @@ class _WallTimer:
 
 
 class _Coordinator:
-    """Serialises cross-shard kernel phases (commit, abort, deadlock
-    resolution, lock-wait timeouts, lock re-evaluation).
+    """Serialises multi-structure kernel phases (commit, abort,
+    deadlock resolution, lock-wait timeouts, lock re-evaluation).
 
     A reentrant lock plus an epoch counter; used as a context manager.
-    In the lock order it sits between the execution-shard locks and the
-    stripe locks: a worker may enter coordination while holding its own
-    shard lock, and coordinated phases then take stripe locks and the
-    scheduler lock — never another shard lock.
+    It is first in the lock order: coordinated phases take stripe
+    locks and the scheduler lock inside it.
     """
 
     __slots__ = ("lock", "epoch", "_counter")
@@ -546,14 +543,10 @@ class WallClockScheduler:
         time_scale: float = 0.0,
         stall_timeout: float = 10.0,
         stall_check: float = 0.05,
-        n_shards: int = 8,
     ) -> None:
         if n_threads < 1:
             raise ValueError(f"n_threads must be >= 1, got {n_threads}")
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.n_threads = n_threads
-        self.n_shards = n_shards
         self.time_scale = time_scale
         self.stall_timeout = stall_timeout
         self.stall_check = stall_check
@@ -562,10 +555,6 @@ class WallClockScheduler:
         # last in the lock order, so it may be acquired from any path.
         self._sched_lock = threading.RLock()
         self._wakeup = threading.Condition(self._sched_lock)
-        # Execution shards: a coroutine step runs under its task's
-        # shard lock only, so same-shard steps serialise and
-        # different-shard steps run concurrently.
-        self._shard_locks = [threading.RLock() for __ in range(n_shards)]
         self._coordinator = _Coordinator()
         self._step_lock = threading.Lock()  # guards the steps counter
         self.tasks: dict[str, Task] = {}
@@ -593,8 +582,6 @@ class WallClockScheduler:
         self._stall_counter = None
         self._blocked_gauge = None
         self._block_hist = None
-        self._shard_step_counter = None
-        self._shard_contended = None
 
     @property
     def clock(self) -> float:
@@ -602,28 +589,25 @@ class WallClockScheduler:
         return time.monotonic() - self._t0
 
     def coordination(self) -> _Coordinator:
-        """The cross-shard coordinator, as a reusable context manager.
+        """The kernel-phase coordinator, as a reusable context manager.
 
         The kernel wraps its multi-structure phases (commit, abort,
         re-evaluation, deadlock resolution, timeouts) in
         ``with scheduler.coordination():`` so they serialise with each
-        other while per-shard stepping continues elsewhere.
+        other while coroutine stepping continues elsewhere.
         """
         return self._coordinator
 
     def bind_metrics(self, registry) -> None:
-        """Expose ``thread.*`` / ``shard.*`` instruments; see
-        docs/OBSERVABILITY.md."""
+        """Expose ``thread.*`` instruments and ``shard.coordinations``;
+        see docs/OBSERVABILITY.md."""
         self._step_counter = registry.counter("thread.steps")
         self._spawn_counter = registry.counter("thread.spawned")
         self._stall_counter = registry.counter("thread.stall_checks")
         self._blocked_gauge = registry.gauge("thread.blocked")
         self._block_hist = registry.histogram("thread.block_time", TIMER_BUCKETS)
         registry.gauge("thread.workers").set(self.n_threads)
-        self._shard_step_counter = registry.counter("shard.steps")
-        self._shard_contended = registry.counter("shard.contended")
         self._coordinator._counter = registry.counter("shard.coordinations")
-        registry.gauge("shard.count").set(self.n_shards)
 
     # ------------------------------------------------------------------
     # Kernel-facing surface
@@ -636,7 +620,6 @@ class WallClockScheduler:
             if name in self.tasks:
                 raise RuntimeEngineError(f"task name {name!r} already in use")
             task = Task(name, coro)
-            task.shard = hash(name) % self.n_shards
             self.tasks[name] = task
             self._runnable.append(task)
             if self._spawn_counter is not None:
@@ -874,13 +857,11 @@ class WallClockScheduler:
         """Run one coroutine to completion (the pool's unit of work).
 
         One worker owns the task for its whole life — the task is never
-        re-enqueued, so ``coro.send`` is single-threaded per task.  Each
-        step runs under the task's shard lock only; awaitable dispatch
-        runs under the scheduler lock (atomically with concurrent
-        ``fire``/``interrupt``); Pause sleeps and yields happen outside
-        every lock.
+        re-enqueued, so ``coro.send`` is single-threaded per task.  Steps
+        take no step-level lock; awaitable dispatch runs under the
+        scheduler lock (atomically with concurrent ``fire``/``interrupt``);
+        Pause sleeps and yields happen outside every lock.
         """
-        shard = self._shard_locks[task.shard]
         value: Any = None
         exc: Optional[BaseException] = None
         try:
@@ -889,34 +870,28 @@ class WallClockScheduler:
                     if exc is None and task.pending_exception is not None:
                         exc = task.pending_exception
                         task.pending_exception = None
-                if not shard.acquire(blocking=False):
-                    if self._shard_contended is not None:
-                        self._shard_contended.inc()
-                    shard.acquire()
+                # Take and bump the step number in one hold, so every
+                # number reaches on_step exactly once.
+                with self._step_lock:
+                    step = self.steps
+                    self.steps += 1
+                if self.on_step is not None:
+                    self.on_step(step)
+                if self._step_counter is not None:
+                    self._step_counter.inc()
                 try:
-                    if self.on_step is not None:
-                        self.on_step(self.steps)
-                    with self._step_lock:
-                        self.steps += 1
-                    if self._step_counter is not None:
-                        self._step_counter.inc()
-                    if self._shard_step_counter is not None:
-                        self._shard_step_counter.inc()
-                    try:
-                        if exc is not None:
-                            yielded = task.coro.throw(exc)
-                            exc = None
-                        else:
-                            yielded = task.coro.send(value)
-                    except StopIteration as stop:
-                        with self._sched_lock:
-                            task.state = Task.DONE
-                            task.result = stop.value
-                            self._wakeup.notify_all()
-                        self._notify_task_done(task)
-                        return
-                finally:
-                    shard.release()
+                    if exc is not None:
+                        yielded = task.coro.throw(exc)
+                        exc = None
+                    else:
+                        yielded = task.coro.send(value)
+                except StopIteration as stop:
+                    with self._sched_lock:
+                        task.state = Task.DONE
+                        task.result = stop.value
+                        self._wakeup.notify_all()
+                    self._notify_task_done(task)
+                    return
                 if isinstance(yielded, Signal):
                     registered = False
                     with self._sched_lock:
@@ -1071,7 +1046,6 @@ class ThreadedKernel(TransactionManager):
         cost_model=None,
         obs: Optional[MetricsRegistry] = None,
         lock_timeout: Optional[float] = None,
-        n_shards: Optional[int] = None,
         faults=None,
         wal=None,
         lock_timeout_fn=None,
@@ -1088,10 +1062,6 @@ class ThreadedKernel(TransactionManager):
                 n_threads=n_threads,
                 time_scale=time_scale,
                 stall_timeout=stall_timeout,
-                # Execution shards default to the lock-table stripe
-                # count, so the step-level and lock-level partitions are
-                # equally fine.
-                n_shards=n_stripes if n_shards is None else n_shards,
             ),
             cost_model=cost_model,
             obs=obs,
@@ -1150,7 +1120,6 @@ def run_threaded_transactions(
     stall_timeout: float = 10.0,
     cost_model=None,
     lock_timeout: Optional[float] = None,
-    n_shards: Optional[int] = None,
 ) -> ThreadedKernel:
     """Convenience mirror of :func:`repro.core.kernel.run_transactions`
     for the threaded runtime: spawn every program, run the pool, return
@@ -1164,7 +1133,6 @@ def run_threaded_transactions(
         stall_timeout=stall_timeout,
         cost_model=cost_model,
         lock_timeout=lock_timeout,
-        n_shards=n_shards,
     )
     items = programs.items() if isinstance(programs, Mapping) else programs
     for name, program in items:

@@ -161,8 +161,18 @@ class TransactionServer:
     ``think_cost * time_scale`` real seconds inside each transaction).
     The kernel resolves waits-for cycles when the closing edge is
     recorded, and request deadlines propagate onto its lock-wait budget,
-    capped at ``lock_timeout_cap`` wall seconds.
+    capped at ``LOCK_TIMEOUT_CAP`` wall seconds.
     """
+
+    #: Upper bound on a request's deadline, in wall seconds.
+    MAX_DEADLINE = 30.0
+    #: Upper bound on one lock wait, in wall seconds.
+    LOCK_TIMEOUT_CAP = 2.0
+    #: Lower bound on one lock wait, so a nearly-expired request still
+    #: gets a short, non-zero wait.
+    MIN_LOCK_WAIT = 0.005
+    #: The worker pool's stall backstop (see WallClockScheduler).
+    STALL_TIMEOUT = 10.0
 
     def __init__(
         self,
@@ -170,30 +180,22 @@ class TransactionServer:
         protocol_factory: Optional[Callable[[], Any]] = None,
         n_threads: int = 4,
         n_stripes: int = 8,
-        n_shards: Optional[int] = None,
         time_scale: float = 0.0,
         think_cost: float = 0.0,
         admission: Optional[AdmissionConfig] = None,
         degrade: Optional[DegradeConfig] = None,
         default_deadline: float = 1.0,
-        max_deadline: float = 30.0,
-        lock_timeout_cap: float = 2.0,
-        min_lock_wait: float = 0.005,
         deadline_check: float = 0.01,
-        stall_timeout: float = 10.0,
         obs: Optional[MetricsRegistry] = None,
         faults=None,
         wal=None,
     ) -> None:
-        if default_deadline <= 0 or max_deadline <= 0:
+        if default_deadline <= 0:
             raise ValueError("deadlines must be positive")
         if built is None:
             built = build_order_entry_database(n_items=4, orders_per_item=8)
         self.built = built
         self.default_deadline = default_deadline
-        self.max_deadline = max_deadline
-        self.lock_timeout_cap = lock_timeout_cap
-        self.min_lock_wait = min_lock_wait
         self.deadline_check = deadline_check
         self.think_cost = think_cost
         if obs is None:
@@ -204,10 +206,9 @@ class TransactionServer:
             protocol=protocol,
             n_threads=n_threads,
             n_stripes=n_stripes,
-            n_shards=n_shards,
             time_scale=time_scale,
-            stall_timeout=stall_timeout,
-            lock_timeout=lock_timeout_cap,
+            stall_timeout=self.STALL_TIMEOUT,
+            lock_timeout=self.LOCK_TIMEOUT_CAP,
             # Deadline propagation: an in-flight request's remaining
             # deadline bounds its lock waits (clamped so a nearly-expired
             # request still gets a short, non-zero wait).
@@ -297,11 +298,11 @@ class TransactionServer:
             self._failed.inc()
             return pending
         budget = min(
-            self.max_deadline,
+            self.MAX_DEADLINE,
             request.deadline if request.deadline is not None else self.default_deadline,
         )
         if budget <= 0:
-            budget = self.min_lock_wait
+            budget = self.MIN_LOCK_WAIT
         now = time.monotonic()
         if name is None:
             name = f"req-{next(self._names)}"
@@ -332,7 +333,7 @@ class TransactionServer:
             deadline = (
                 request.deadline if request.deadline is not None else self.default_deadline
             )
-            budget = min(self.max_deadline, deadline) + self.tk.scheduler.stall_timeout
+            budget = min(self.MAX_DEADLINE, deadline) + self.tk.scheduler.stall_timeout
         response = pending.wait(budget)
         if response is None:
             return Response(
@@ -495,7 +496,7 @@ class TransactionServer:
         if ticket is None:
             return None
         remaining = ticket.deadline_at - time.monotonic()
-        return min(self.lock_timeout_cap, max(self.min_lock_wait, remaining))
+        return min(self.LOCK_TIMEOUT_CAP, max(self.MIN_LOCK_WAIT, remaining))
 
     def _reap_deadlines(self) -> None:
         """Reaper thread: abort in-flight requests past their deadline."""

@@ -28,7 +28,7 @@ class StorageManager:
         self.records_per_page = records_per_page
         self._pages: list[Page] = []
         self._record_of: dict[Oid, RecordId] = {}
-        # Transactions stepping on different execution shards allocate
+        # Transactions stepping on different worker threads allocate
         # concurrently: slot choice, the record map and the page's
         # persisted image change as one step under this lock.
         self._alloc_lock = threading.Lock()

@@ -24,7 +24,7 @@ class WaitsForGraph:
     gauge current (high-water mark included) and counts every cycle
     check under ``waits.cycle_checks``.
 
-    Thread-safe: under the sharded threaded runtime, edge updates arrive
+    Thread-safe: under the threaded runtime, edge updates arrive
     from concurrent stripe hooks while the deadlock coordinator walks the
     graph, so every mutation and traversal runs under one reentrant
     lock (iterating the edge dict during a concurrent ``set_waits``

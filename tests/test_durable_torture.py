@@ -236,7 +236,7 @@ class TestDurableStorageRoundTrip:
         assert decoded["slots"][0] is None  # released slot persisted as free
 
     def test_concurrent_allocation_is_serialised(self, tmp_path):
-        # `place` requests stepping on different execution shards
+        # `place` requests stepping on different worker threads
         # allocate at once; unserialised, the pool's eviction races
         # (KeyError in _evict_one) and slots are handed out twice.
         from repro.objects.oid import Oid

@@ -9,8 +9,8 @@ is the same object rather than a wrapper round one (no ``.kernel.`` /
 ``.runtime.`` chain, no import cycle), that the wire framing and the
 WAL file each have one reader, the external interrupt primitive under
 both runtimes, that the Fig. 9 conflict test has one path, with no
-decision cache in front of it, and that a blocked wait is resolved one
-way.
+decision cache in front of it, that a blocked wait is resolved one
+way, and that coroutine steps run under no execution-shard partition.
 """
 
 from __future__ import annotations
@@ -596,16 +596,7 @@ def test_conflict_test_has_one_path():
         for hook in ("on_node_event", "on_locks_reassigned", "make_thread_safe"):
             assert hook not in protocol_members(seam), (seam.__name__, hook)
             assert not hasattr(seam, hook), (seam.__name__, hook)
-    literals = []
-    for path in sorted(SRC_REPRO.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (
-                isinstance(node, ast.Constant)
-                and isinstance(node.value, str)
-                and node.value.startswith("cache.")
-            ):
-                literals.append(f"{path.name}:{node.lineno} {node.value}")
-    assert literals == []
+    assert _src_literals(lambda value: value.startswith("cache.")) == []
 
 
 # ----------------------------------------------------------------------
@@ -631,16 +622,47 @@ def test_blocked_wait_has_one_resolution():
             assert option not in parameters, (entry.__name__, option)
     with pytest.raises(ImportError):
         importlib.import_module("repro.txn.retry")
+    assert _src_literals(
+        lambda value: value in ("wait-die", "wound-wait")
+        or value.startswith(("retry.backoff", "retry-backoff"))
+    ) == []
+
+
+# ----------------------------------------------------------------------
+# (i) One partition in the threaded runtime: the lock stripes
+# ----------------------------------------------------------------------
+def test_steps_have_no_execution_shards():
+    """Coroutine steps take no shard lock: no entry point takes
+    ``n_shards``, ``repro check`` has no ``--shards`` flag, and no
+    literal names a removed shard instrument."""
+    from repro.cli import build_parser
+    from repro.runtime.differential import run_differential
+    from repro.runtime.threaded import run_threaded_transactions
+    from repro.server.core import TransactionServer
+
+    for entry in (
+        WallClockScheduler,
+        ThreadedKernel,
+        run_threaded_transactions,
+        run_differential,
+        TransactionServer,
+    ):
+        assert "n_shards" not in inspect.signature(entry).parameters, entry.__name__
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["check", "--runtime", "threaded", "--shards", "2"])
+    removed = ("shard.steps", "shard.contended", "shard.count")
+    assert _src_literals(lambda value: value in removed) == []
+
+
+def _src_literals(match) -> list[str]:
+    """Every string literal under ``src/repro`` that *match* accepts."""
     literals = []
     for path in sorted(SRC_REPRO.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if (
                 isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
-                and (
-                    node.value in ("wait-die", "wound-wait")
-                    or node.value.startswith(("retry.backoff", "retry-backoff"))
-                )
+                and match(node.value)
             ):
                 literals.append(f"{path.name}:{node.lineno} {node.value}")
-    assert literals == []
+    return literals

@@ -1,12 +1,11 @@
-"""Tests for the sharded wall-clock scheduler: error aggregation,
-shutdown drain, interrupt races, timer tri-state, and shard metrics.
+"""Tests for the wall-clock scheduler's concurrent stepping: error
+aggregation, shutdown drain, interrupt races, timer tri-state, step
+numbering, and runtime metrics.
 
-These pin the two historical bugs — ``run()`` dropping all but
-``_errors[0]`` and fired timers masquerading as cancelled — plus the
-spawn/interrupt/ready races the sharded rewrite must keep closed.  Task
-names hash to shards nondeterministically across interpreter runs
-(``PYTHONHASHSEED``), so the concurrency tests are written to pass
-under both same-shard and different-shard placements.
+These pin the three historical bugs — ``run()`` dropping all but
+``_errors[0]``, fired timers masquerading as cancelled, and two workers
+reporting the same step number — plus the spawn/interrupt/ready races
+concurrent steps must keep closed.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.bench.parallelism import run_think_time_point
 from repro.core.protocol import SemanticLockingProtocol
 from repro.errors import AggregateWorkerError, RuntimeEngineError
 from repro.obs.registry import MetricsRegistry
-from repro.runtime.scheduler import Scheduler, Task
+from repro.runtime.scheduler import Pause, Scheduler, Task
 from repro.runtime.threaded import ThreadedKernel, WallClockScheduler
 
 from tests.test_threaded_runtime import make_counter_db
@@ -38,20 +37,15 @@ class TestErrorAggregation:
             sched.run()
 
     def test_concurrent_errors_all_surface(self):
-        # Both tasks are mid-flight before either raises.  If they land
-        # on the same shard, the barrier times out and both raise
-        # BrokenBarrierError; on different shards both pass the barrier
-        # and raise RuntimeError.  Either way run() must surface BOTH
-        # errors, not just _errors[0].
+        # Both tasks are mid-flight before either raises: each passes
+        # the barrier only once the other's step is running.  run()
+        # must surface BOTH errors, not just _errors[0].
         sched = WallClockScheduler(n_threads=2)
         barrier = threading.Barrier(2)
 
         def make_boom(tag):
             async def boom():
-                try:
-                    barrier.wait(timeout=1.5)
-                except threading.BrokenBarrierError:
-                    pass
+                barrier.wait(timeout=10.0)
                 raise RuntimeError(f"boom-{tag}")
 
             return boom
@@ -190,13 +184,36 @@ class TestTimerTriState:
         assert not handle.fired
 
 
-class TestShardMetrics:
-    def test_shard_counters_populated(self):
+class TestStepNumbers:
+    def test_each_step_number_reported_once(self):
+        # Regression: the number handed to on_step and the increment
+        # were two holds, so two workers could report the same number
+        # and skip the next one.
+        sched = WallClockScheduler(n_threads=4)
+        seen = []
+
+        def on_step(step):
+            time.sleep(0)  # yield the GIL inside the old race window
+            seen.append(step)
+
+        sched.on_step = on_step
+
+        async def stepper():
+            for __ in range(50):
+                await Pause(0)
+
+        for i in range(8):
+            sched.spawn(f"s{i}", stepper())
+        sched.run()
+        assert sorted(seen) == list(range(sched.steps))
+
+
+class TestRuntimeMetrics:
+    def test_counters_populated(self):
         db, counters = make_counter_db(2)
         registry = MetricsRegistry(thread_safe=True)
         kernel = ThreadedKernel(
-            db, protocol=SemanticLockingProtocol(), n_threads=4, n_shards=4,
-            obs=registry,
+            db, protocol=SemanticLockingProtocol(), n_threads=4, obs=registry,
         )
 
         def make_program(counter):
@@ -209,30 +226,10 @@ class TestShardMetrics:
             kernel.spawn(f"T{i}", make_program(counters[i % 2]))
         kernel.run()
         snap = registry.snapshot()
-        assert snap.counter("shard.steps") > 0
+        assert snap.counter("thread.steps") == kernel.scheduler.steps > 0
         assert snap.counter("shard.coordinations") > 0
-        assert snap.gauge("shard.count") == 4
-        # shard.steps mirrors thread.steps: both count coroutine steps.
-        assert snap.counter("shard.steps") == snap.counter("thread.steps")
 
     def test_scaling_point_is_consistent(self):
         point = run_think_time_point("ledger", "semantic", 4, n_transactions=8)
         assert point.consistent
         assert point.committed == 8
-        assert point.n_shards > 0
-
-
-class TestShardValidation:
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(ValueError):
-            WallClockScheduler(n_shards=0)
-
-    def test_shard_assignment_in_range(self):
-        sched = WallClockScheduler(n_threads=1, n_shards=3)
-
-        async def idle():
-            return None
-
-        tasks = [sched.spawn(f"t{i}", idle()) for i in range(16)]
-        assert all(0 <= t.shard < 3 for t in tasks)
-        sched.run()

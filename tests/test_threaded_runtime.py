@@ -391,7 +391,7 @@ class TestDeadlockPoliciesWallClock:
         would be 50 s)."""
         assert ThreadedKernel(Database()).lock_timeout is None
         server = TransactionServer(build_order_entry_database(n_items=1, orders_per_item=1))
-        assert server.lock_timeout_cap == server.tk.lock_timeout == 2.0
+        assert server.LOCK_TIMEOUT_CAP == server.tk.lock_timeout == 2.0
 
 
 class TestConflictUnderThreads:
