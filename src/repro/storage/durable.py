@@ -395,6 +395,7 @@ class DurableStorageManager(StorageManager):
         )
         durable._pages = manager._pages
         durable._record_of = manager._record_of
+        durable._index_holes()
         for page in durable._pages:
             durable._write_page_image(page.number)
         durable.flush()
@@ -445,6 +446,7 @@ class DurableStorageManager(StorageManager):
                 durable._record_of[oid] = RecordId(page_no, index)
             page._free = [i for i in range(capacity - 1, -1, -1) if slots[i] is None]
             durable._pages.append(page)
+        durable._index_holes()
         report.pages = len(durable._pages)
         report.records = len(durable._record_of)
         return durable, report

@@ -9,6 +9,7 @@ false conflicts between logically independent objects.
 
 from __future__ import annotations
 
+import heapq
 import threading
 
 from repro.errors import DuplicateRecordError, UnknownObjectError
@@ -27,6 +28,11 @@ class StorageManager:
             raise ValueError("records_per_page must be >= 1")
         self.records_per_page = records_per_page
         self._pages: list[Page] = []
+        # Every page but the last that has a free slot is listed here: a
+        # min-heap of page numbers, pushed when a release opens a full
+        # page's first hole.  Deletion is lazy: an entry whose page has
+        # filled up again is dropped when it reaches the top.
+        self._holes: list[int] = []
         self._record_of: dict[Oid, RecordId] = {}
         # Transactions stepping on different worker threads allocate
         # concurrently: slot choice, the record map and the page's
@@ -54,7 +60,10 @@ class StorageManager:
             rid = self._record_of.pop(owner, None)
             if rid is None:
                 raise UnknownObjectError(f"{owner} has no record")
-            self._pages[rid.page_no].release(rid.slot)
+            page = self._pages[rid.page_no]
+            page.release(rid.slot)
+            if page.free_slots == 1:
+                heapq.heappush(self._holes, page.number)
             self._write_page_image(rid.page_no)
 
     def _write_page_image(self, page_no: int) -> None:
@@ -63,16 +72,25 @@ class StorageManager:
         subclass writes through its buffer pool."""
 
     def _find_page_with_space(self) -> Page:
-        # Fill the most recent page first; older pages with holes are
-        # reused before growing the file.
-        if self._pages and self._pages[-1].free_slots:
-            return self._pages[-1]
-        for page in self._pages:
+        # Fill the most recent page first; the lowest-numbered older page
+        # with a hole is reused before growing the file.  O(1) amortised:
+        # each heap entry is inspected once after its page fills.
+        pages = self._pages
+        if pages and pages[-1].free_slots:
+            return pages[-1]
+        holes = self._holes
+        while holes:
+            page = pages[holes[0]]
             if page.free_slots:
                 return page
-        page = Page(len(self._pages), self.records_per_page)
-        self._pages.append(page)
+            heapq.heappop(holes)
+        page = Page(len(pages), self.records_per_page)
+        pages.append(page)
         return page
+
+    def _index_holes(self) -> None:
+        """Rebuild the hole heap after the pages were set wholesale."""
+        self._holes = [page.number for page in self._pages if page.free_slots]
 
     # ------------------------------------------------------------------
     # Queries

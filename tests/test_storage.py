@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import DuplicateRecordError, UnknownObjectError
@@ -115,3 +117,76 @@ class TestStorageManager:
 
     def test_record_id_str(self):
         assert str(RecordId(2, 3)) == "R(2,3)"
+
+
+class _ScanningStorage(StorageManager):
+    """The placement policy as a scan over every page: the reference the
+    indexed choice must agree with."""
+
+    def _find_page_with_space(self) -> Page:
+        if self._pages and self._pages[-1].free_slots:
+            return self._pages[-1]
+        for page in self._pages:
+            if page.free_slots:
+                return page
+        page = Page(len(self._pages), self.records_per_page)
+        self._pages.append(page)
+        return page
+
+
+class _CountingPages(list):
+    """A page list that counts the pages read out of it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        for page in super().__iter__():
+            self.reads += 1
+            yield page
+
+
+class TestPageChoice:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_placement_matches_the_scanning_policy(self, seed):
+        rng = random.Random(seed)
+        fast = StorageManager(records_per_page=4)
+        slow = _ScanningStorage(records_per_page=4)
+        live: list[Oid] = []
+        for n in range(3000):
+            if live and rng.random() < 0.4:
+                owner = live.pop(rng.randrange(len(live)))
+                fast.release(owner)
+                slow.release(owner)
+            else:
+                owner = oid(n)
+                assert fast.allocate(owner) == slow.allocate(owner)
+                live.append(owner)
+        assert fast.page_count == slow.page_count
+
+    def test_an_allocation_inspects_a_constant_number_of_pages(self):
+        """Without releases an allocation reads only the last page (at
+        most twice); with releases each stale hole entry is read once
+        more, so reads stay within 3 per allocation plus 2 per release."""
+        mgr = StorageManager(records_per_page=4)
+        mgr._pages = pages = _CountingPages()
+        for n in range(800):  # 200 full pages, none with a hole
+            before = pages.reads
+            mgr.allocate(oid(n))
+            assert pages.reads - before <= 2
+        rng = random.Random(7)
+        live = list(range(800))
+        allocations = releases = 0
+        pages.reads = 0
+        for n in range(800, 4000):
+            if rng.random() < 0.4:
+                mgr.release(oid(live.pop(rng.randrange(len(live)))))
+                releases += 1
+            else:
+                mgr.allocate(oid(n))
+                live.append(n)
+                allocations += 1
+        assert pages.reads <= 3 * allocations + 2 * releases
