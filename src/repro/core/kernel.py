@@ -554,7 +554,7 @@ class TransactionManager:
                 discarded.update(n.node_id for n in comp.descendants(include_self=True))
             for node_id in discarded:
                 self.undo.discard(node_id)
-            self.recorder.discard_nodes(discarded - {node.node_id})
+            self.recorder.discard_nodes(node.top_level_name, discarded - {node.node_id})
             released = self.locks.release_subtree(node)
             node.children.clear()
             self._trace(node, "restart-released", count=len(released))

@@ -1120,9 +1120,6 @@ class ThreadedKernel(TransactionManager):
             wal=wal,
             lock_timeout_fn=lock_timeout_fn,
         )
-        # Reaped transaction names pending a batched history discard.
-        self._reaped_txns: list[str] = []
-        self._reap_batch = 256
 
     # ------------------------------------------------------------------
     # Serve mode (long-running server front-end)
@@ -1140,9 +1137,8 @@ class ThreadedKernel(TransactionManager):
         """Drop every trace of a finished transaction (server hygiene).
 
         Removes the scheduler task, the kernel handle, and the
-        transaction's undo entries; history records are discarded in
-        batches of ``_reap_batch``.  A server that never reaped would
-        leak one task + handle + undo/history tail per request served.
+        transaction's undo entries, trace events and history records:
+        a served kernel keeps only what its in-flight transactions left.
         Returns the reaped task, or None if the task is still running.
         """
         task = self.scheduler.reap(name)
@@ -1152,10 +1148,8 @@ class ThreadedKernel(TransactionManager):
         if handle is not None and handle.root is not None:
             for node in handle.root.descendants(include_self=True):
                 self.undo.discard(node.node_id)
-        self._reaped_txns.append(name)
-        if len(self._reaped_txns) >= self._reap_batch:
-            self.recorder.discard_txns(set(self._reaped_txns))
-            self._reaped_txns.clear()
+        self.trace.discard(name)
+        self.recorder.discard(name)
         return task
 
 

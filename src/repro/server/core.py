@@ -421,9 +421,9 @@ class TransactionServer:
         service_time = max(0.0, now - ticket.dequeued_at)
         handle = self.tk.handles.get(ticket.name)
         response = self._build_response(ticket, task, handle, now)
+        self.tk.reap(ticket.name)
         self.admission.release(service_time)
         self._latency.observe(response.total_time)
-        self.tk.reap(ticket.name)
         ticket.pending._resolve(response)
         self._dispatch()
 

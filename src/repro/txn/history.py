@@ -9,9 +9,10 @@ the semantic-serializability checker needs.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from repro.objects.database import Database
 from repro.objects.oid import Oid
@@ -121,26 +122,26 @@ class History:
                 walk(child, depth + 1)
 
         for top in self.top_level():
-            lines.append(f"-- {record_title(top)}")
+            lines.append(f"-- {top.txn} ({top.status})")
             walk(top, 1)
         return "\n".join(lines)
 
 
-def record_title(record: ActionRecord) -> str:
-    return f"{record.txn} ({record.status})"
-
-
 class HistoryRecorder:
-    """Accumulates action records during a kernel run.
+    """Accumulates action records during a kernel run, filed by
+    top-level transaction.  A served kernel drops a transaction's
+    records (:meth:`discard`) when it reaps it, so only in-flight
+    transactions' records stay; virtual and batch runs keep everything.
 
     Thread-safe: concurrent workers record actions simultaneously under
-    the threaded runtime, and both ``snapshot_target`` (check-then-set)
-    and ``discard_nodes`` (list rebuild) are compound mutations.
+    the threaded runtime, and ``snapshot_target`` is check-then-set.
     """
 
     def __init__(self, db: Database) -> None:
         self._db = db
-        self._records: list[ActionRecord] = []
+        # Per top-level transaction, its (arrival number, record) pairs.
+        self._records: dict[str, list[tuple[int, ActionRecord]]] = {}
+        self._arrivals = itertools.count()
         self._composition: dict[Oid, Optional[Oid]] = {}
         self._lock = threading.Lock()
 
@@ -181,34 +182,27 @@ class HistoryRecorder:
             is_compensation=node.is_compensation,
         )
         with self._lock:
-            self._records.append(record)
+            self._records.setdefault(record.txn, []).append((next(self._arrivals), record))
 
-    def discard_nodes(self, node_ids: set[str]) -> None:
-        """Forget records of a rolled-back (restarted) subtree.
+    def discard_nodes(self, txn: str, node_ids: set[str]) -> None:
+        """Forget records of a rolled-back (restarted) subtree of *txn*.
 
         A restarted subtransaction's do/undo pair nets out to nothing;
         the history treats it as never having executed, exactly like
         standard multilevel-transaction restart semantics.
         """
         with self._lock:
-            self._records = [r for r in self._records if r.node_id not in node_ids]
+            run = self._records.get(txn, ())
+            self._records[txn] = [p for p in run if p[1].node_id not in node_ids]
 
-    def discard_txns(self, txn_names: set[str]) -> None:
-        """Forget all records of completed top-level transactions.
-
-        Long-running servers reap finished requests; without this the
-        recorder's history grows with every request ever served.  Called
-        in batches (the rebuild is O(total records)).
-        """
+    def discard(self, txn: str) -> None:
+        """Forget every record of top-level transaction *txn*."""
         with self._lock:
-            self._records = [r for r in self._records if r.txn not in txn_names]
+            self._records.pop(txn, None)
 
     def history(self) -> History:
         with self._lock:
-            records = sorted(self._records, key=lambda r: r.begin_seq)
+            pairs = [pair for run in self._records.values() for pair in run]
             composition = dict(self._composition)
-        return History(records=records, composition_parent=composition)
-
-    def extend(self, records: Iterable[ActionRecord]) -> None:
-        with self._lock:
-            self._records.extend(records)
+        pairs.sort(key=lambda pair: (pair[1].begin_seq, pair[0]))
+        return History(records=[r for _, r in pairs], composition_parent=composition)

@@ -8,6 +8,8 @@ examples pretty-print it.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, IO, Iterable, Iterator
@@ -59,31 +61,38 @@ class TraceEvent:
 
 
 class TraceLog:
-    """Append-only list of :class:`TraceEvent` with query helpers."""
+    """Kernel events in emission order, filed by top-level transaction.
+
+    A served kernel drops a transaction's events (:meth:`discard`) when
+    it reaps it; virtual and batch runs keep everything.  Safe while
+    workers emit, without a lock: ``emit`` and ``discard`` are single
+    dict and list operations, which the interpreter performs atomically,
+    and readers iterate a copy of the dict, never the live one.
+    """
 
     def __init__(self) -> None:
-        self._events: list[TraceEvent] = []
+        # Per top-level transaction, its (emission number, event) pairs.
+        self._runs: dict[str, list[tuple[int, TraceEvent]]] = {}
+        self._emitted = itertools.count()
 
     def emit(self, event: TraceEvent) -> None:
-        self._events.append(event)
+        self._runs.setdefault(event.txn, []).append((next(self._emitted), event))
+
+    def discard(self, txn: str) -> None:
+        """Forget every event of top-level transaction *txn*."""
+        self._runs.pop(txn, None)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return sum(map(len, self._runs.copy().values()))
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        runs = [list(run) for run in self._runs.copy().values()]
+        return (event for _, event in heapq.merge(*runs))
 
     def of_kind(self, *kinds: str) -> list[TraceEvent]:
         """All events whose kind is one of *kinds*, in order."""
         wanted = set(kinds)
-        return [e for e in self._events if e.kind in wanted]
-
-    def for_txn(self, txn: str) -> list[TraceEvent]:
-        """All events belonging to top-level transaction *txn*."""
-        return [e for e in self._events if e.txn == txn]
-
-    def clear(self) -> None:
-        self._events.clear()
+        return [e for e in self if e.kind in wanted]
 
     # ------------------------------------------------------------------
     # Export
@@ -95,9 +104,10 @@ class TraceLog:
         strings, numbers, and lists of strings there (a contract the
         golden-trace schema test enforces).
         """
-        for event in self._events:
+        events = list(self)
+        for event in events:
             fp.write(json.dumps(event.to_dict(), default=str) + "\n")
-        return len(self._events)
+        return len(events)
 
     @classmethod
     def read_jsonl(cls, lines: Iterable[str]) -> "TraceLog":

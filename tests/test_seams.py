@@ -35,6 +35,7 @@ from repro.protocols import CCProtocol, protocols_by_name
 from repro.runtime.scheduler import Scheduler, SchedulerAPI
 from repro.runtime.threaded import ConcurrentLockTable, ThreadedKernel, WallClockScheduler
 from repro.semantics.invocation import Invocation
+from repro.txn.history import HistoryRecorder
 from repro.txn.locks import Disposition, LockTable, LockTableAPI
 from repro.txn.transaction import TransactionNode
 
@@ -652,6 +653,16 @@ def test_steps_have_no_execution_shards():
         build_parser().parse_args(["check", "--runtime", "threaded", "--shards", "2"])
     removed = ("shard.steps", "shard.contended", "shard.count")
     assert _src_literals(lambda value: value in removed) == []
+
+
+def test_reap_drops_each_transaction_directly():
+    """Reaping drops the transaction's own trace events and history
+    records: no batch of reaped names, no discard that rebuilds the
+    whole history."""
+    kernel = ThreadedKernel(Database())
+    for attr in ("_reap_batch", "_reaped_txns"):
+        assert not hasattr(kernel, attr), attr
+    assert not hasattr(HistoryRecorder, "discard_txns")
 
 
 def _src_literals(match) -> list[str]:

@@ -11,6 +11,7 @@ stress sweep is marked ``slow`` (run by the nightly workflow).
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 import types
@@ -36,10 +37,12 @@ from repro.runtime.threaded import (
     run_threaded_transactions,
 )
 from repro.semantics.invocation import Invocation
+from repro.server.admission import AdmissionConfig
 from repro.server.core import TransactionServer
 from repro.server.requests import Request
 from repro.txn.locks import Disposition, LockTable
 from repro.txn.transaction import TransactionNode
+from repro.util.tracelog import TraceEvent, TraceLog
 
 
 def make_counter_db(n_counters: int = 1):
@@ -523,6 +526,114 @@ class TestTargetedWakeups:
             elapsed = time.monotonic() - started
         assert wedged == [] and elapsed < 1.0, (wedged, elapsed)
         assert all(handle.task.finished for handle in kernel.handles.values())
+
+
+class TestBoundedRetention:
+    """A served kernel keeps only its in-flight transactions' trace
+    events and history records: reaping a transaction drops its own.
+    Counts, not timings."""
+
+    def test_served_kernel_keeps_only_inflight_transactions(self):
+        """2 000 requests from 2 clients: the trace never holds more
+        transactions than admission lets in, and a quiescent server
+        holds no trace event and no history record."""
+        max_inflight = 4
+        server = TransactionServer(
+            build_order_entry_database(n_items=4, orders_per_item=4),
+            n_threads=4,
+            admission=AdmissionConfig(max_inflight=max_inflight),
+            default_deadline=10.0,
+        )
+        server.start()
+        responses, samples = [], []
+        served = threading.Event()
+
+        def client(offset):
+            for i in range(1000):
+                op = ("place", "stock-check", "restock")[i % 3]
+                responses.append(server.submit(Request(op=op, item=(offset + i) % 4)))
+
+        def sampler():
+            while not served.is_set():
+                samples.append(len({event.txn for event in server.tk.trace}))
+                time.sleep(0.005)
+
+        try:
+            watcher = threading.Thread(target=sampler)
+            watcher.start()
+            clients = [threading.Thread(target=client, args=(k,)) for k in range(2)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=120.0)
+            served.set()
+            watcher.join(timeout=10.0)
+            assert not any(thread.is_alive() for thread in clients + [watcher])
+            retained_events = len(server.tk.trace)
+            retained_records = server.tk.history().records
+        finally:
+            served.set()
+            assert server.shutdown().clean
+        assert len(responses) == 2000 and all(r.ok for r in responses)
+        assert samples and max(samples) <= max_inflight, max(samples, default=None)
+        assert retained_events == 0
+        assert retained_records == []
+
+    def test_discard_while_workers_emit(self):
+        """Four threads emit for transactions of their own while a fifth
+        iterates the log and discards a finished transaction: no event
+        is lost or reordered, exactly the discarded transaction's events
+        go, and iterating never trips over a concurrent emit."""
+        log = TraceLog()
+        txns = {k: [f"T{k}.{j}" for j in range(500)] for k in range(4)}
+        for i in range(500):
+            log.emit(TraceEvent(seq=i, kind="grant", node="n", txn="done"))
+        start = threading.Barrier(5)
+        errors: list[Exception] = []
+
+        def emitter(k):
+            start.wait()
+            for txn in txns[k]:
+                for i in range(4):
+                    log.emit(TraceEvent(seq=i, kind="grant", node="n", txn=txn))
+
+        def reader():
+            start.wait()
+            try:
+                rounds = 0
+                while rounds < 6 or any(thread.is_alive() for thread in emitters):
+                    events = iter(log)  # takes the snapshot a concurrent emit races
+                    if rounds % 50 == 0:
+                        seen: dict[str, int] = {}
+                        for event in events:
+                            assert seen.get(event.txn, -1) < event.seq, event
+                            seen[event.txn] = event.seq
+                    rounds += 1
+                    if rounds == 5:
+                        log.discard("done")
+            except Exception as exc:  # noqa: BLE001 - asserted by the main thread
+                errors.append(exc)
+
+        emitters = [threading.Thread(target=emitter, args=(k,)) for k in txns]
+        threads = emitters + [threading.Thread(target=reader)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside emit and iteration
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        events = list(log)
+        assert len(log) == len(events) == 4 * 500 * 4
+        by_txn: dict[str, list[int]] = {}
+        for event in events:
+            by_txn.setdefault(event.txn, []).append(event.seq)
+        assert sorted(by_txn) == sorted(sum(txns.values(), []))
+        assert all(seqs == list(range(4)) for seqs in by_txn.values())
 
 
 class TestConflictUnderThreads:

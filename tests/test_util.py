@@ -62,17 +62,23 @@ class TestTraceLog:
         assert [e.seq for e in log.of_kind("grant")] == [0, 2]
         assert [e.seq for e in log.of_kind("grant", "commit")] == [0, 2, 3]
 
-    def test_for_txn(self):
+    def test_iteration_is_emission_order_across_transactions(self):
+        """Transactions interleave and ``seq`` repeats; iteration still
+        yields events exactly as they were emitted."""
         log = TraceLog()
-        log.emit(self.event(1, "grant", txn="A"))
-        log.emit(self.event(2, "grant", txn="B"))
-        assert [e.txn for e in log.for_txn("A")] == ["A"]
+        emitted = [("A", 1), ("B", 1), ("A", 1), ("C", 0), ("B", 2), ("A", 3)]
+        for txn, seq in emitted:
+            log.emit(self.event(seq, "grant", txn=txn))
+        assert [(e.txn, e.seq) for e in log] == emitted
 
-    def test_clear(self):
+    def test_discard(self):
         log = TraceLog()
-        log.emit(self.event(1, "grant"))
-        log.clear()
-        assert len(log) == 0
+        for seq, txn in enumerate(["A", "B", "A", "B"]):
+            log.emit(self.event(seq, "grant", txn=txn))
+        log.discard("A")
+        log.discard("missing")
+        assert [(e.txn, e.seq) for e in log] == [("B", 1), ("B", 3)]
+        assert len(log) == 2
 
     def test_str(self):
         text = str(self.event(7, "block", target="Atom#3"))
