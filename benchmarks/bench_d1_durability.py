@@ -3,14 +3,14 @@
 The identical seeded order-entry workload runs under three WAL modes:
 the in-memory log (no file, the upper bound), the file-backed log with
 fsync-per-commit, and the same log with group commit (10 ms window,
-batch cap 8).  The durable modes also route allocations through the
-page file + buffer pool and recover *from the surviving files*.
+batch cap 8).  The durable modes recover *from the surviving WAL
+file*; the database itself stays in memory.
 
 Expected (asserted): every mode recovers to the bit-identical state
 digest; fsync-per-commit issues at least one sync per forced (writer)
 commit — read-only transactions force none — while group commit batches
 several forced commits per sync; the durable log actually
-wrote bytes and the page file reopens with the full record map.
+wrote bytes and closed without a torn tail.
 """
 
 from repro.bench.durability import run_durability_bench
@@ -49,6 +49,4 @@ def test_d1_durability(benchmark):
         assert modes[mode]["wal_bytes"] > 0
         assert modes[mode]["wal_file_bytes"] >= modes[mode]["wal_bytes"]
         assert modes[mode]["torn_tail_bytes"] == 0  # clean shutdown
-        assert modes[mode]["torn_pages"] == 0
-        assert modes[mode]["reopened_records"] > 0
         assert modes[mode]["recovery_seconds"] > 0

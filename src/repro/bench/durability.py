@@ -11,12 +11,12 @@ Three WAL configurations run the identical seeded order-entry workload:
 * ``group`` — the same durable log with a nonzero window and batch cap:
   commits arriving close together share one ``fsync``.
 
-Each durable mode also adopts the page-file storage manager behind the
-buffer pool, so allocations flow through the full durable stack.  After
-the run the bench recovers the database *from the on-disk file* (the
-in-memory mode saves its log in the same frame format first) and
-verifies every mode digests to the identical recovered state — a
-durability knob must change throughput, never outcomes.
+The database itself stays in memory in every mode: the WAL is the only
+recovery truth.  After the run the bench recovers the database *from
+the on-disk file* (the in-memory mode saves its log in the same frame
+format first) and verifies every mode digests to the identical
+recovered state — a durability knob must change throughput, never
+outcomes.
 
 Reported per mode: wall-clock commit throughput, forced commits, fsync
 count, mean forced commits per sync (the group-commit batching factor),
@@ -54,11 +54,7 @@ def _run_mode(
     from repro.faults.torture import order_entry_scenario
     from repro.recovery import WriteAheadLog, recover
     from repro.runtime.scheduler import Scheduler
-    from repro.storage.durable import (
-        DurableStorageManager,
-        DurableWriteAheadLog,
-        load_wal_file,
-    )
+    from repro.storage.durable import DurableWriteAheadLog, load_wal_file
 
     scenario = order_entry_scenario(
         seed=seed,
@@ -83,10 +79,6 @@ def _run_mode(
         raise ValueError(f"unknown durability mode {mode!r}")
 
     metrics = MetricsRegistry()
-    if mode != "memory":
-        db.storage = DurableStorageManager.adopt(
-            db.storage, os.path.join(mode_dir, "store"), wal=wal, metrics=metrics
-        )
     kernel = TransactionManager(
         db,
         protocol=scenario.protocol(),
@@ -100,7 +92,6 @@ def _run_mode(
     started = time.perf_counter()
     kernel.run()
     if mode != "memory":
-        db.storage.close()
         wal.close()
     wall = time.perf_counter() - started
 
@@ -128,13 +119,6 @@ def _run_mode(
         scan = load_wal_file(wal_path)
         survivor = scan.log
         result["torn_tail_bytes"] = scan.torn_bytes
-        store, open_report = DurableStorageManager.open(
-            os.path.join(mode_dir, "store")
-        )
-        store.pagefile.close()
-        result["reopened_pages"] = open_report.pages
-        result["reopened_records"] = open_report.records
-        result["torn_pages"] = len(open_report.torn_pages)
     restored_db, __ = scenario.instantiate()
     recovery_started = time.perf_counter()
     recover(restored_db, survivor, scenario.type_specs)

@@ -523,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     torture.add_argument(
         "--durable", action="store_true",
         help="real-process sweep: SIGKILL a child at every crash point and "
-        "recover from its surviving WAL/page files",
+        "recover from its surviving WAL file",
     )
     torture.add_argument(
         "--mode", choices=("fork", "spawn"), default="fork",

@@ -2,7 +2,7 @@
 
 A router consistently hashes order-entry item roots across N shard
 server processes — each a :class:`~repro.server.core.TransactionServer`
-over its own durable WAL + page-file partition — and turns multi-item
+over its own durable WAL partition — and turns multi-item
 requests into presumed-abort two-phase commits whose prepare/decision
 frames are durable WAL records on every shard.
 """

@@ -7,7 +7,6 @@ module — ``python -m repro.cluster.shard`` would then exist twice in
 """
 
 WAL_FILENAME = "wal.log"
-STORE_DIRNAME = "store"
 READY_FILENAME = "ready.json"
 CRASH_MARKER_FILENAME = "crash-marker.json"
 COORDINATOR_LOG_FILENAME = "coordinator.log"

@@ -2,11 +2,12 @@
 
 ``python -m repro.cluster.shard --config shard.json`` boots a
 :class:`~repro.server.core.TransactionServer` over its own durable
-partition (file-backed WAL + page file under ``data_dir``) and serves
-the newline-JSON wire protocol plus the ``2pc-*`` participant ops.
+partition (the file-backed WAL under ``data_dir``; the database itself
+lives in memory) and serves the newline-JSON wire protocol plus the
+``2pc-*`` participant ops.
 
-**Fresh boot** builds the deterministic order-entry database, adopts it
-into durable storage, and serves.  **Restart** (the WAL file exists)
+**Fresh boot** builds the deterministic order-entry database and
+serves.  **Restart** (the WAL file exists)
 first replays crash recovery — analysis / redo / multi-level undo from
 the surviving WAL onto a fresh build — then resolves every *in-doubt*
 cross-shard transaction (durable prepare without a durable decision) by
@@ -34,7 +35,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import signal
 import sys
 import threading
@@ -44,7 +44,6 @@ from typing import Any, Optional, Sequence
 from repro.cluster.files import (
     CRASH_MARKER_FILENAME,
     READY_FILENAME,
-    STORE_DIRNAME,
     WAL_FILENAME,
 )
 from repro.cluster.participant import (
@@ -60,9 +59,9 @@ from repro.runtime.scheduler import Scheduler
 from repro.server.admission import AdmissionConfig
 from repro.server.core import TransactionServer
 from repro.server.wire import TCPClient, WireServer
-from repro.storage.durable import DurableStorageManager, DurableWriteAheadLog
+from repro.storage.durable import DurableWriteAheadLog
 
-__all__ = ["CrashSwitch", "run_shard", "main", "WAL_FILENAME", "STORE_DIRNAME"]
+__all__ = ["CrashSwitch", "run_shard", "main", "WAL_FILENAME"]
 
 
 def _write_json_durably(path: str, payload: dict[str, Any]) -> None:
@@ -210,13 +209,6 @@ def run_shard(config: dict[str, Any]) -> int:
             "physically_undone": report.physically_undone,
             "in_doubt": outcomes,
         }
-
-    # The page file is rebuilt from the recovered in-memory state: the
-    # WAL is the recovery truth, the page images are a fresh base.
-    store_dir = os.path.join(data_dir, STORE_DIRNAME)
-    if resume and os.path.exists(store_dir):
-        shutil.rmtree(store_dir)
-    built.db.storage = DurableStorageManager.adopt(built.db.storage, store_dir, wal=wal)
 
     server = TransactionServer(
         built,

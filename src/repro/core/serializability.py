@@ -47,13 +47,17 @@ where commutativity "relief" happens: two interleaved ``ChangeStatus``
 subtrees are leaf-level ordered, but once collapsed the order
 dissolves because the method invocations commute.
 
-When a collapse creates a dependence between the new element and one it
-had no inherited order with (possible only through the conservative
-related-objects rule), the search branches on both orientations, so the
-procedure remains exact.  The execution is semantically serializable
-iff some sequence of collapses reduces the state to top-level roots
-only.  The search is exact up to its state budget; exhausting the
-budget is reported distinctly from a proven negative.
+A collapse yields exactly one successor state.  When it creates a
+dependence between the new element and one it had no inherited order
+with (possible only through the conservative related-objects rule), the
+pair is left unordered: the partner commuted with every member, so either
+side of the group is reachable, and such a free pair never blocks a
+later contiguity check.  The final topological sort orients it, so the
+procedure remains exact without branching.  The execution is
+semantically serializable iff some sequence of collapses reduces the
+state to top-level roots only.  The search is exact up to its state
+budget; exhausting the budget is reported distinctly from a proven
+negative.
 
 The checker is deliberately independent of the locking protocol: the
 property tests drive random workloads through each protocol and ask

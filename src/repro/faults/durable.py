@@ -6,20 +6,18 @@ pickle written after the fact by the surviving process).  This module
 closes the loop: for every crash point a **child process** runs the same
 seeded scenario against a real file-backed WAL
 (:class:`~repro.storage.durable.DurableWriteAheadLog`, fsync-per-commit
-by default) and a real page file behind the buffer pool, and when the
-injected :class:`~repro.errors.CrashPoint` fires the child writes a tiny
-verdict file (the two checks only its own memory can answer: lock
-hygiene and surviving-history serializability) and then **SIGKILLs
-itself** — no atexit handlers, no buffer flushes, exactly what the OS
-does to a crashed database server.  The parent then:
+by default) over the in-memory database, and when the injected
+:class:`~repro.errors.CrashPoint` fires the child writes a tiny verdict
+file (the two checks only its own memory can answer: lock hygiene and
+surviving-history serializability) and then **SIGKILLs itself** — no
+atexit handlers, no buffer flushes, exactly what the OS does to a
+crashed database server.  The parent then:
 
 1. confirms the child really died by signal;
 2. reads the surviving ``wal.log`` through the checksummed frame
    scanner — a torn trailing record (the kill landed mid-write, or the
    user-space file buffer died un-flushed) is detected and discarded;
-3. scans the surviving page file for torn pages (detected, counted,
-   never read as truth);
-4. runs full recovery from the scanned log onto a fresh database and
+3. runs full recovery from the scanned log onto a fresh database and
    compares against a serial execution of exactly the durably committed
    transactions — the same oracle the in-process sweep uses.
 
@@ -53,20 +51,10 @@ from repro.faults.torture import (
     sweep,
 )
 from repro.protocols import protocol_by_name
-from repro.storage.durable import (
-    DurableStorageManager,
-    DurableWriteAheadLog,
-    load_wal_file,
-)
+from repro.storage.durable import DurableWriteAheadLog, load_wal_file
 
 WAL_FILENAME = "wal.log"
-STORE_DIRNAME = "store"
 VERDICT_FILENAME = "verdict.json"
-
-#: Buffer-pool capacity for torture children: deliberately tiny so the
-#: run forces evictions, dirty writebacks, and WAL-before-data syncs
-#: while crashes are flying.
-CHILD_POOL_CAPACITY = 4
 
 #: A hung child is killed after this long, and the sweep fails loudly.
 CHILD_TIMEOUT = 120.0
@@ -116,24 +104,17 @@ def _child_execute(config: dict[str, Any]) -> None:
     """Run one crash point in *this* process; SIGKILL on the crash.
 
     Returns normally only when the injected point was never reached
-    (the run finished first) — durability is then flushed cleanly.
+    (the run finished first) — the WAL is then closed cleanly.
     """
     point_dir = config["point_dir"]
 
-    def open_wal(db) -> DurableWriteAheadLog:
+    def open_wal() -> DurableWriteAheadLog:
         # A deliberately tiny write buffer: appended frames spill to the OS
         # ahead of the fsync horizon, so the surviving file holds in-flight
         # records the recovery scan must classify (and would hold torn tails
         # on a mid-write kill; byte-level tears are additionally swept by the
         # truncation property test, which cuts at *every* offset).
-        wal = DurableWriteAheadLog(os.path.join(point_dir, WAL_FILENAME), buffering=64)
-        db.storage = DurableStorageManager.adopt(
-            db.storage,
-            os.path.join(point_dir, STORE_DIRNAME),
-            wal=wal,
-            pool_capacity=CHILD_POOL_CAPACITY,
-        )
-        return wal
+        return DurableWriteAheadLog(os.path.join(point_dir, WAL_FILENAME), buffering=64)
 
     kernel, wal, crash = _run_instance(
         _scenario_from_config(config), crash_plan(config["kind"], config["at"]), open_wal
@@ -150,7 +131,6 @@ def _child_execute(config: dict[str, Any]) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
         raise AssertionError("unreachable: SIGKILL did not kill us")
     # The fault never fired (point beyond the run): finish cleanly.
-    kernel.db.storage.close()
     wal.close()
     _write_json_durably(os.path.join(point_dir, VERDICT_FILENAME), {"crashed": False})
 
@@ -196,8 +176,8 @@ def run_durable_torture(
     The same :func:`~repro.faults.torture.crash_points` grid and
     :func:`~repro.faults.torture.sweep` loop as the in-process sweep,
     but every point is a real process death: the verdicts come from the
-    surviving ``wal.log`` / ``pages.db`` on disk plus the tiny verdict
-    file the child fsyncs before killing itself.
+    surviving ``wal.log`` on disk plus the tiny verdict file the child
+    fsyncs before killing itself.
     """
     if mode not in ("fork", "spawn"):
         raise ValueError(f"unknown child mode {mode!r} (know: fork, spawn)")
@@ -249,11 +229,6 @@ def _analyze_point(
     # The durable truth: the surviving WAL file, torn tail discarded.
     scan = load_wal_file(os.path.join(point_dir, WAL_FILENAME))
     outcome.detail["torn_tail_bytes"] = scan.torn_bytes
-
-    # The surviving page file: torn pages must be *detected*, not read.
-    store, store_report = DurableStorageManager.open(os.path.join(point_dir, STORE_DIRNAME))
-    store.pagefile.close()
-    outcome.detail["torn_pages"] = len(store_report.torn_pages)
 
     # Result equivalence needs the dead child's in-memory handles;
     # the in-process sweep covers that axis.

@@ -332,15 +332,15 @@ def check_recovery(outcome: CrashOutcome, scenario: TortureScenario, log) -> dic
 def _run_instance(
     scenario: TortureScenario,
     faults: Optional[FaultPlan] = None,
-    open_wal: Callable[[Any], WriteAheadLog] = lambda db: WriteAheadLog(),
+    open_wal: Callable[[], WriteAheadLog] = WriteAheadLog,
 ) -> tuple[TransactionManager, WriteAheadLog, Optional[CrashPoint]]:
     """Run the scenario to its end or to the injected crash.
 
-    *open_wal(db)* supplies the log; the SIGKILL sweep's children pass
-    one that is file-backed and re-homes ``db.storage`` onto a page file.
+    *open_wal()* supplies the log; the SIGKILL sweep's children pass one
+    that is file-backed.  The database stays in memory either way.
     """
     db, programs = scenario.instantiate()
-    wal = open_wal(db)
+    wal = open_wal()
     kernel = TransactionManager(
         db,
         protocol=scenario.protocol(),

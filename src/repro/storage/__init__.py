@@ -12,13 +12,11 @@ special cases".
 from repro.storage.record import RecordId
 from repro.storage.page import Page
 from repro.storage.manager import StorageManager
-from repro.storage.bufferpool import BufferPool, BufferPoolError, Frame
-from repro.storage.pagefile import PageFile, TornPageError
 
 #: Durable-layer names resolved lazily (PEP 562): repro.storage.durable
 #: imports the recovery WAL, which imports the object model, which
 #: imports this package — eager re-export here would close the cycle.
-_DURABLE_EXPORTS = ("DurableStorageManager", "DurableWriteAheadLog", "load_wal_file")
+_DURABLE_EXPORTS = ("DurableWriteAheadLog", "load_wal_file")
 
 
 def __getattr__(name: str):
@@ -33,12 +31,6 @@ __all__ = [
     "RecordId",
     "Page",
     "StorageManager",
-    "BufferPool",
-    "BufferPoolError",
-    "Frame",
-    "PageFile",
-    "TornPageError",
-    "DurableStorageManager",
     "DurableWriteAheadLog",
     "load_wal_file",
 ]

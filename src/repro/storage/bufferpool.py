@@ -16,7 +16,7 @@ storage manager above.  The contract is the classical one:
   this by calling ``wal.sync_to(page_lsn)`` first; how many times it had
   to is the ``bufferpool.wal_syncs_forced`` counter.
 
-The disk below is anything with ``read_page(page_no, strict=...)`` /
+The disk below is anything with ``read_page(page_no)`` /
 ``write_page(page_no, payload)`` — the real :class:`~repro.storage.
 pagefile.PageFile`, or the instrumented fake the unit suite uses to
 assert write ordering.

@@ -1,7 +1,8 @@
 """Durable storage: the file-backed WAL and the page-file storage manager.
 
-Two classes turn the in-memory simulation into something that survives a
-real process death:
+:class:`DurableWriteAheadLog` is what turns the in-memory simulation into
+something that survives a real process death; recovery reads the log and
+nothing else.
 
 * :class:`DurableWriteAheadLog` — a drop-in :class:`~repro.recovery.wal.
   WriteAheadLog` that additionally appends every record to an
@@ -16,12 +17,13 @@ real process death:
   :class:`~repro.storage.manager.StorageManager` interface backed by a
   real page file through a :class:`~repro.storage.bufferpool.BufferPool`
   (pin/unpin, LRU eviction, dirty writeback, WAL-before-data).  Page
-  images persist the slot directory, so a surviving file can be reopened
-  and its record map rebuilt without the process that wrote it.
+  images persist the slot directory and are never read back: no
+  recovery path opens the page file.  Nothing under ``src/`` adopts this
+  manager; only the benchmark's ``wire_durable`` stack still does.
 
 The in-memory classes remain the default everywhere; virtual-time runs
-opt into durability explicitly (the torture harness's ``--durable``
-mode, the durability bench).
+opt into a durable WAL explicitly (the torture harness's ``--durable``
+mode, the durability bench), and so does every cluster shard.
 """
 
 from __future__ import annotations
@@ -30,10 +32,9 @@ import os
 import pickle
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.objects.oid import Oid
 from repro.recovery.wal import (
     LogRecord,
     SubtxnCommitRecord,
@@ -45,7 +46,6 @@ from repro.storage.bufferpool import BufferPool
 from repro.storage.manager import StorageManager
 from repro.storage.page import Page
 from repro.storage.pagefile import PageFile
-from repro.storage.record import RecordId
 from repro.storage.walformat import WAL_MAGIC, encode_record, is_wal_file, iter_frames
 
 #: Histogram bounds for commits-per-fsync batch sizes.
@@ -298,15 +298,6 @@ def load_wal_file(path: str) -> WalFileScan:
 PAGES_FILENAME = "pages.db"
 
 
-@dataclass
-class DurableOpenReport:
-    """What reopening a surviving page file found."""
-
-    pages: int = 0
-    records: int = 0
-    torn_pages: list[int] = field(default_factory=list)
-
-
 class DurableStorageManager(StorageManager):
     """A :class:`StorageManager` whose page images live in a page file.
 
@@ -400,53 +391,3 @@ class DurableStorageManager(StorageManager):
             durable._write_page_image(page.number)
         durable.flush()
         return durable
-
-    @classmethod
-    def open(
-        cls,
-        directory: str,
-        records_per_page: int = 8,
-        page_size: int = 4096,
-        pool_capacity: int = 64,
-        wal: Optional[WriteAheadLog] = None,
-        metrics=None,
-    ) -> tuple["DurableStorageManager", DurableOpenReport]:
-        """Reopen a surviving page file and rebuild the record map.
-
-        Torn pages (killed mid-write) are *detected* via their checksums,
-        reported, and treated as empty — their logical content is the
-        WAL's job to restore.  Free-slot order within rebuilt pages is
-        canonical (descending), not the historical allocation order.
-        """
-        durable = cls(
-            directory,
-            records_per_page=records_per_page,
-            page_size=page_size,
-            pool_capacity=pool_capacity,
-            wal=wal,
-            metrics=metrics,
-        )
-        report = DurableOpenReport()
-        images, report.torn_pages = durable.pagefile.scan()
-        highest = max(images, default=-1)
-        for page_no in range(highest + 1):
-            payload = images.get(page_no)
-            capacity = durable.records_per_page
-            slots: list[Optional[tuple[str, int]]] = [None] * capacity
-            if payload is not None:
-                decoded = pickle.loads(payload)
-                capacity = decoded["capacity"]
-                slots = decoded["slots"]
-            page = Page(page_no, capacity)
-            for index, owner in enumerate(slots):
-                if owner is None:
-                    continue
-                oid = Oid(owner[0], owner[1])
-                page._slots[index] = oid
-                durable._record_of[oid] = RecordId(page_no, index)
-            page._free = [i for i in range(capacity - 1, -1, -1) if slots[i] is None]
-            durable._pages.append(page)
-        durable._index_holes()
-        report.pages = len(durable._pages)
-        report.records = len(durable._record_of)
-        return durable, report

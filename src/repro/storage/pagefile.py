@@ -37,10 +37,9 @@ DEFAULT_PAGE_SIZE = 4096
 class TornPageError(ReproError):
     """A page block's checksum does not match its payload.
 
-    Seen when a crash killed the process mid-write ("torn page").  The
-    recovery scan treats such pages as lost — their logical content is
-    rebuilt from the WAL — but surfaces the count so torture verdicts
-    can assert torn pages are detected, never silently read.
+    Seen when a crash killed the process mid-write ("torn page"), or
+    the bytes rotted on disk: a block read back is checked before its
+    payload is trusted, so a torn page is detected, never silently read.
     """
 
     def __init__(self, page_no: int, path: str) -> None:
@@ -93,12 +92,10 @@ class PageFile:
         self._fh.write(block)
         self._fh.flush()
 
-    def read_page(self, page_no: int, strict: bool = True) -> Optional[bytes]:
+    def read_page(self, page_no: int) -> Optional[bytes]:
         """The payload stored for *page_no*, or None if never written.
 
-        Raises :class:`TornPageError` on a checksum mismatch when
-        *strict*; with ``strict=False`` a torn page also reads as None
-        (the recovery scan's "detected and discarded" mode).
+        Raises :class:`TornPageError` on a checksum mismatch.
         """
         self._fh.seek(self._offset(page_no))
         block = self._fh.read(self.page_size)
@@ -109,30 +106,8 @@ class PageFile:
             return None  # all-zero block: never written
         payload = block[_BLOCK_FRAME.size : _BLOCK_FRAME.size + length]
         if length > self.max_payload or len(payload) < length or zlib.crc32(payload) != crc:
-            if strict:
-                raise TornPageError(page_no, self.path)
-            return None
+            raise TornPageError(page_no, self.path)
         return payload
-
-    @property
-    def page_count(self) -> int:
-        """Number of blocks the file currently extends over."""
-        size = os.fstat(self._fh.fileno()).st_size - _HEADER.size
-        return max(0, (size + self.page_size - 1) // self.page_size)
-
-    def scan(self) -> tuple[dict[int, bytes], list[int]]:
-        """All readable pages plus the page numbers found torn."""
-        pages: dict[int, bytes] = {}
-        torn: list[int] = []
-        for page_no in range(self.page_count):
-            try:
-                payload = self.read_page(page_no)
-            except TornPageError:
-                torn.append(page_no)
-                continue
-            if payload is not None:
-                pages[page_no] = payload
-        return pages, torn
 
     # ------------------------------------------------------------------
     # Durability / lifecycle

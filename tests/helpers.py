@@ -100,3 +100,15 @@ def status_atom_oid(built: OrderEntryDatabase, item_index: int, order_index: int
 
 def blocks_of(kernel: TransactionManager, txn: str) -> list:
     return [e for e in kernel.trace.of_kind("block") if e.txn == txn]
+
+
+def page_store_files(root) -> list[str]:
+    """Every page-store directory (``store``) or page file (``pages.db``)
+    left anywhere under *root*: a shard or torture child runs on the
+    in-memory database plus its WAL, so there should be none."""
+    return [
+        os.path.join(folder, name)
+        for folder, dirs, files in os.walk(root)
+        for name in dirs + files
+        if name in ("store", "pages.db")
+    ]

@@ -21,7 +21,7 @@ class FakeDisk:
         self.pages: dict[int, bytes] = {}
         self.events: list[tuple] = []
 
-    def read_page(self, page_no, strict=True):
+    def read_page(self, page_no):
         self.events.append(("read", page_no))
         return self.pages.get(page_no)
 

@@ -30,6 +30,8 @@ from repro.recovery import WriteAheadLog
 from repro.recovery.wal import TxnStatusRecord, UpdateRecord
 from repro.storage.durable import load_wal_file
 
+from tests.helpers import page_store_files
+
 
 def test_kill_after_branch_commit_recovers_in_doubt(tmp_path):
     report = run_cluster_torture(
@@ -60,6 +62,9 @@ def test_kill_after_branch_commit_recovers_in_doubt(tmp_path):
     assert set(doc["outcomes"][0]) == {f.name for f in fields(CrashOutcome)}
     assert doc["config"] == {"harness": "shard-kill", "n_shards": 2, "n_requests": 24}
     assert doc["process_kills"] == doc["crash_points"] == 1
+    # Fresh boots and the restarted victim alike run on the in-memory
+    # database plus the WAL: no shard directory holds a page store.
+    assert page_store_files(tmp_path) == []
 
 
 def test_kill_between_abort_decision_and_compensation_commit(tmp_path):

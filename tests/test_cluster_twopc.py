@@ -8,11 +8,16 @@ processes over durable partitions) serves every test; with
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.cluster import LocalCluster
+from repro.cluster.files import WAL_FILENAME
 from repro.cluster.router import ClusterRouter, CoordinatorLog, ShardLink
 from repro.server.requests import Request
+
+from tests.helpers import page_store_files
 
 CROSS = (0, 3)  # item 0 -> shard 1, item 3 -> shard 0
 
@@ -45,6 +50,13 @@ class TestRouting:
         after = router.stats()
         assert after["single_shard"] == before["single_shard"] + 2
         assert after["cross_shard"] == before["cross_shard"]
+
+    def test_shards_keep_no_page_store(self, cluster):
+        """A shard owns a WAL partition and nothing else: no data_dir
+        holds a page-store directory or page file."""
+        for shard in cluster.shards:
+            assert os.path.exists(os.path.join(shard.data_dir, WAL_FILENAME))
+            assert page_store_files(shard.data_dir) == []
 
 
 class TestTwoPhaseCommit:

@@ -1,7 +1,7 @@
-"""Real-process crash torture and the durable storage round trip.
+"""Real-process crash torture and the page store's on-disk checks.
 
 These tests launch actual child processes, SIGKILL them at injected
-crash points, and recover from the files they leave behind — the
+crash points, and recover from the WAL file they leave behind — the
 closest this repo gets to pulling the power cord.  Kept small here
 (a handful of points, two seeds); CI's torture-smoke job and the
 nightly sweep run the full grids via ``repro torture --durable``.
@@ -17,7 +17,6 @@ import threading
 import pytest
 
 from repro.faults.durable import (
-    CHILD_POOL_CAPACITY,
     WAL_FILENAME,
     _analyze_point,
     _run_child,
@@ -28,11 +27,15 @@ from repro.faults.durable import (
 from repro.obs import MetricsRegistry
 from repro.recovery import WriteAheadLog, recover
 from repro.recovery.wal import UpdateRecord
+from repro.storage.bufferpool import BufferPool
 from repro.storage.durable import (
+    PAGES_FILENAME,
     DurableStorageManager,
-    DurableWriteAheadLog,
     load_wal_file,
 )
+from repro.storage.pagefile import PageFile, TornPageError
+
+from tests.helpers import page_store_files
 
 
 class TestForkSweep:
@@ -66,6 +69,9 @@ class TestForkSweep:
         assert report.all_ok
         point_dirs = sorted(os.listdir(tmp_path))
         assert point_dirs == ["step-0"]
+        # The child ran on the in-memory database: only the WAL and the
+        # verdict survive it, no page store.
+        assert page_store_files(tmp_path) == []
         # The kept file scans, and the scan agrees with what the sweep
         # reported for the point.
         scan = load_wal_file(os.path.join(tmp_path, "step-0", WAL_FILENAME))
@@ -170,50 +176,22 @@ class TestRecoveryDeterminism:
 
 
 class TestDurableStorageRoundTrip:
-    def test_adopt_persist_reopen(self, tmp_path):
-        """The record map survives process-free reopen, byte for byte."""
-        from repro.orderentry.schema import build_order_entry_database
-
-        built = build_order_entry_database(n_items=2, orders_per_item=2)
-        wal = DurableWriteAheadLog(str(tmp_path / "wal.log"))
-        durable = DurableStorageManager.adopt(
-            built.db.storage, str(tmp_path / "store"), wal=wal,
-            pool_capacity=CHILD_POOL_CAPACITY,
-        )
-        original = {
-            oid: (rid.page_no, rid.slot) for oid, rid in durable._record_of.items()
-        }
-        durable.close()
-        wal.close()
-
-        reopened, report = DurableStorageManager.open(str(tmp_path / "store"))
-        reopened.pagefile.close()
-        assert report.torn_pages == []
-        assert report.records == len(original)
-        rebuilt = {
-            oid: (rid.page_no, rid.slot) for oid, rid in reopened._record_of.items()
-        }
-        assert rebuilt == original
-
     def test_torn_page_detected_on_reopen(self, tmp_path):
-        from repro.objects.oid import Oid
-
-        wal = DurableWriteAheadLog(str(tmp_path / "wal.log"))
-        durable = DurableStorageManager(str(tmp_path / "store"), wal=wal)
-        for n in range(3):
-            durable.allocate(Oid("Atom", n))
-        durable.close()
-        wal.close()
-
-        pages_path = os.path.join(str(tmp_path / "store"), "pages.db")
-        size = os.path.getsize(pages_path)
-        with open(pages_path, "r+b") as fh:  # corrupt page 0's payload bytes
-            fh.seek(size - 4096 + 8)  # past the file header + block frame
+        path = str(tmp_path / PAGES_FILENAME)
+        with PageFile(path) as pagefile:
+            pagefile.write_page(0, b"slot directory")
+            pagefile.sync()
+        with open(path, "r+b") as fh:  # corrupt page 0's payload bytes
+            fh.seek(os.path.getsize(path) - 4096 + 8)  # past the header + block frame
             fh.write(b"\xde\xad\xbe\xef" * 4)
-        reopened, report = DurableStorageManager.open(str(tmp_path / "store"))
-        reopened.pagefile.close()
-        assert report.torn_pages == [0]
-        assert report.records == 0  # torn content is the WAL's job to restore
+        with PageFile(path) as pagefile:
+            with pytest.raises(TornPageError) as torn:
+                pagefile.read_page(0)
+            assert torn.value.page_no == 0
+            # The pool faults the page in through the same strict read.
+            pool = BufferPool(pagefile, capacity=2)
+            with pytest.raises(TornPageError):
+                pool.pin(0)
 
     def test_page_images_round_trip_slot_directory(self, tmp_path):
         from repro.objects.oid import Oid
@@ -227,11 +205,8 @@ class TestDurableStorageRoundTrip:
         durable.release(oids[2])
         durable.close()
 
-        images, torn = durable.pagefile.__class__(
-            os.path.join(str(tmp_path / "store"), "pages.db")
-        ).scan()
-        assert torn == []
-        decoded = pickle.loads(images[1])
+        with PageFile(os.path.join(str(tmp_path / "store"), PAGES_FILENAME)) as pagefile:
+            decoded = pickle.loads(pagefile.read_page(1))
         assert decoded["capacity"] == 2
         assert decoded["slots"][0] is None  # released slot persisted as free
 

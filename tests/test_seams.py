@@ -10,7 +10,9 @@ is the same object rather than a wrapper round one (no ``.kernel.`` /
 WAL file each have one reader, the external interrupt primitive under
 both runtimes, that the Fig. 9 conflict test has one path, with no
 decision cache in front of it, that a blocked wait is resolved one
-way, and that coroutine steps run under no execution-shard partition.
+way, that coroutine steps run under no execution-shard partition, and
+that no code path but the page store's own module reaches the page
+store.
 """
 
 from __future__ import annotations
@@ -480,8 +482,8 @@ def test_each_framing_is_spelled_out_once():
     """Newline-JSON over TCP lives in ``server/wire.py`` alone (one
     handler, one TCP server, one connect, one ``makefile``) and nothing
     in ``server/`` imports ``cluster/``; a WAL file is scanned and its
-    payloads unpickled by ``load_wal_file`` alone (the other
-    ``pickle.loads`` reads the page file's slot directory)."""
+    payloads unpickled by ``load_wal_file`` alone, the one
+    ``pickle.loads`` under ``src/repro``."""
     bases: list[tuple[str, str]] = []
     calls: list[tuple[str, str]] = []
     for path in sorted(SRC_REPRO.rglob("*.py")):
@@ -504,7 +506,6 @@ def test_each_framing_is_spelled_out_once():
     assert homes(calls, "iter_frames") == ["storage/durable.py:load_wal_file"]
     assert [where for found, where in calls if found == "pickle.loads"] == [
         "storage/durable.py:load_wal_file",
-        "storage/durable.py:open",
     ]
 
 
@@ -677,3 +678,60 @@ def _src_literals(match) -> list[str]:
             ):
                 literals.append(f"{path.name}:{node.lineno} {node.value}")
     return literals
+
+
+# ----------------------------------------------------------------------
+# (j) The WAL is the only recovery truth: nothing in src/ uses the page store
+# ----------------------------------------------------------------------
+PAGE_STORE_NAMES = {"DurableStorageManager", "BufferPool", "PageFile", "bufferpool", "pagefile"}
+
+
+def _page_store_references(tree: ast.AST) -> list[tuple[int, str]]:
+    """Every import, name, attribute or exact string whose last dotted
+    part names the page store's classes or modules."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        found += [
+            (node.lineno, name)
+            for name in names
+            if name.rpartition(".")[2] in PAGE_STORE_NAMES
+        ]
+    return found
+
+
+def test_only_the_page_store_module_uses_the_page_store():
+    """No recovery reads the page file, so no ``src/`` path writes one:
+    shards, crash-torture children and the D1 bench run on the in-memory
+    ``StorageManager`` plus a durable WAL.  Only ``storage/durable.py``
+    (home of ``DurableStorageManager``) may import or name
+    ``DurableStorageManager``, ``BufferPool``, ``PageFile`` or the
+    ``bufferpool`` / ``pagefile`` modules; those two modules may name
+    their own classes."""
+    page_store = {"storage/durable.py", "storage/bufferpool.py", "storage/pagefile.py"}
+    offenders = []
+    for path in sorted(SRC_REPRO.rglob("*.py")):
+        where = path.relative_to(SRC_REPRO).as_posix()
+        if where in page_store:
+            continue
+        offenders += [
+            f"{where}:{line} {name}"
+            for line, name in _page_store_references(ast.parse(path.read_text()))
+        ]
+    assert offenders == [], (
+        "the page store has one remaining caller, perfbench's wire_durable "
+        "stack (perfbench/stacks.py); ROADMAP item G deletes the page store "
+        "with it, so no src/ path may start using it again: "
+        + ", ".join(offenders)
+    )
