@@ -72,7 +72,7 @@ from repro.txn.transaction import NodeStatus, TransactionNode
 from repro.txn.waits import WaitsForGraph
 from repro.util.ids import IdGenerator
 from repro.util.seq import SequenceCounter
-from repro.util.tracelog import TraceEvent, TraceLog
+from repro.util.tracelog import TraceLog
 
 TransactionProgram = Callable[["TransactionContext"], Awaitable[Any]]
 
@@ -822,12 +822,12 @@ class TransactionManager:
             await self._acquire(node, lock_spec)
 
     async def _acquire(self, node: TransactionNode, spec: LockSpec) -> None:
-        self._trace(node, "request", target=str(spec.target), mode=str(spec.invocation))
+        self._trace(node, "request", target=spec.target, mode=spec.invocation)
         # Test and grant are one step of the table: between them no
         # competing request can be granted a conflicting lock.
         blockers = self.locks.try_acquire(node, spec.target, spec.invocation, self._tester)
         if not blockers:
-            self._trace(node, "grant", target=str(spec.target), mode=str(spec.invocation))
+            self._trace(node, "grant", target=spec.target, mode=spec.invocation)
             return
 
         signal = self.scheduler.create_signal(f"grant-{node.node_id}")
@@ -838,14 +838,14 @@ class TransactionManager:
             node, spec.target, spec.invocation, signal, blockers, self._tester
         )
         if pending is None:
-            self._trace(node, "grant", target=str(spec.target), mode=str(spec.invocation))
+            self._trace(node, "grant", target=spec.target, mode=spec.invocation)
             return
         self.metrics.inc("blocks")
         self._trace(
             node,
             "block",
-            target=str(spec.target),
-            mode=str(spec.invocation),
+            target=spec.target,
+            mode=spec.invocation,
             waits_for=sorted(b.node_id for b in blockers),
         )
         timer = None
@@ -864,7 +864,7 @@ class TransactionManager:
         finally:
             if timer is not None:
                 timer.cancel()
-        self._trace(node, "wake", target=str(spec.target), mode=str(spec.invocation))
+        self._trace(node, "wake", target=spec.target, mode=spec.invocation)
 
     def _lock_wait_timeout(self, node: TransactionNode) -> Optional[float]:
         """The timeout budget for a lock wait that is about to block.
@@ -914,7 +914,7 @@ class TransactionManager:
             self._trace(
                 node,
                 "timeout",
-                target=str(pending.target),
+                target=pending.target,
                 waited=waited,
                 resolution="restart"
                 if isinstance(resolution, SubtransactionRestart)
@@ -963,7 +963,7 @@ class TransactionManager:
     def _after_reevaluation(self, granted: list[PendingRequest]) -> None:
         """Caller holds coordination and has just re-evaluated the queues."""
         for pending in granted:
-            self._trace(pending.node, "regrant", target=str(pending.target))
+            self._trace(pending.node, "regrant", target=pending.target)
         self._resolve_deadlocks_locked()
 
     def _on_waits_changed(self, pending: PendingRequest) -> None:
@@ -1219,15 +1219,7 @@ class TransactionManager:
     # Tracing
     # ------------------------------------------------------------------
     def _trace(self, node: TransactionNode, kind: str, **detail: Any) -> None:
-        self.trace.emit(
-            TraceEvent(
-                seq=self.seq.value,
-                kind=kind,
-                node=node.node_id,
-                txn=node.top_level_name,
-                detail=detail,
-            )
-        )
+        self.trace.record(self.seq.value, kind, node.node_id, node.top_level_name, detail)
 
 
 def run_transactions(

@@ -162,7 +162,4 @@ class FaultInjector:
             return node
         if scope == "parent":
             return node.parent
-        root = node
-        while root.parent is not None:
-            root = root.parent
-        return root
+        return node.root()

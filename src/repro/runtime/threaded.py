@@ -16,7 +16,10 @@ Three pieces:
   exactly one stripe, tree-wide operations (node completion, release,
   re-evaluation) take every stripe lock in index order so they observe
   an atomic cross-stripe view — a node completion once, for its whole
-  notify / dispose / re-evaluate sequence.  Lock ids and enqueue
+  notify / dispose / re-evaluate sequence, which runs only on the
+  stripes that have a queued request or, when the disposition releases
+  or moves locks, hold a lock of the node's tree (on any other stripe
+  it would change nothing).  Lock ids and enqueue
   sequence numbers stay globally unique via per-stripe id strides.  Cross-stripe
   deadlocks need no new machinery: the kernel's incremental waits-for
   graph is fed from every stripe through the same ``on_waits_changed``
@@ -367,23 +370,25 @@ class ConcurrentLockTable:
     # Tree-wide operations (all stripe locks, index order)
     # ------------------------------------------------------------------
     def complete_node(self, node, disposition, tester) -> tuple[list[Lock], list[PendingRequest]]:
-        """The whole completion step in one all-stripes hold: every
-        stripe notes the commit and disposes of the node's locks, then
-        every stripe is re-evaluated (one without a queued request only
-        drops its dirty marks).  A stripe that neither lost a lock nor
-        had a waiter has nothing to mirror."""
+        """The whole completion step in one all-stripes hold: each stripe
+        with work for it (:meth:`~repro.txn.locks.LockTable.completion_has_work`:
+        a queued request, or a lock of the node's tree to release or
+        move) notes the commit and disposes of the node's locks, then is
+        re-evaluated.  Any other stripe's body would be a no-op, so it is
+        skipped; the hold still counts one cross-stripe re-evaluation."""
+        moved: list[Lock] = []
         granted: list[PendingRequest] = []
         with self._all_stripes():
-            moved = [stripe.table.dispose(node, disposition) for stripe in self._stripes]
-            for stripe, locks in zip(self._stripes, moved):
-                waiters = stripe.table.pending_count
+            busy = [s for s in self._stripes if s.table.completion_has_work(node, disposition)]
+            for stripe in busy:
+                moved.extend(stripe.table.dispose(node, disposition))
+            for stripe in busy:
                 granted.extend(stripe.table.reevaluate(tester))
-                if locks or waiters:
-                    self._sync_stripe_metrics(stripe)
+                self._sync_stripe_metrics(stripe)
             self._count_cross_op(self._reeval_counter)
             if disposition is not Disposition.RETAIN and self._release_counter is not None:
                 self._release_counter.inc()
-        return [lock for locks in moved for lock in locks], granted
+        return moved, granted
 
     def reevaluate(self, tester) -> list[PendingRequest]:
         return self._on_all_stripes(LockTable.reevaluate, tester, counter=self._reeval_counter)

@@ -506,6 +506,17 @@ class LockTable:
         ``(locks released or moved, requests granted)``."""
         return self.dispose(node, disposition), self.reevaluate(tester)
 
+    def completion_has_work(self, node: TransactionNode, disposition: Disposition) -> bool:
+        """Whether :meth:`complete_node` of *node* can change anything
+        here besides :attr:`total_release_ops`: a request is queued, or
+        *disposition* releases or moves locks and *node*'s tree holds
+        one here.  Otherwise the pass would grant nothing and only drop
+        dirty marks, which matter to a queue alone (and every later
+        queue marks its own target), so a striped table skips it."""
+        return bool(self._n_pending) or (
+            disposition is not Disposition.RETAIN and node.root() in self._locks_by_root
+        )
+
     def dispose(self, node: TransactionNode, disposition: Disposition) -> list[Lock]:
         """:meth:`complete_node` before its re-evaluation.  First flags
         the requests recorded as waiting on *node* (case-2 waits its

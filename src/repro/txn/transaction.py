@@ -57,21 +57,25 @@ class TransactionNode:
         # For a compensating action: the node id it compensates (used by
         # the recovery log to mark the original as logically undone).
         self.compensates: Optional[str] = None
+        # No node is ever re-parented, so its root and the name of its
+        # top-level transaction (the root invocation's argument) are
+        # fixed here, once.
         if parent is not None:
             parent.children.append(self)
             self.depth = parent.depth + 1
+            self._root: TransactionNode = parent._root
+            self.top_level_name: str = parent.top_level_name
         else:
             self.depth = 0
+            self._root = self
+            self.top_level_name = str(invocation.arg(0, node_id))
 
     # ------------------------------------------------------------------
     # Tree navigation
     # ------------------------------------------------------------------
     def root(self) -> "TransactionNode":
         """The top-level transaction this action belongs to."""
-        node = self
-        while node.parent is not None:
-            node = node.parent
-        return node
+        return self._root
 
     def ancestors(self, include_self: bool = False) -> Iterator["TransactionNode"]:
         """Ancestor chain in bottom-up order (Fig. 9's traversal order)."""
@@ -108,12 +112,6 @@ class TransactionNode:
     @property
     def active(self) -> bool:
         return self.status is NodeStatus.ACTIVE
-
-    @property
-    def top_level_name(self) -> str:
-        """The name of the top-level transaction (its invocation's arg)."""
-        root = self.root()
-        return str(root.invocation.arg(0, root.node_id))
 
     def mark_committed(self, end_seq: int) -> None:
         self.status = NodeStatus.COMMITTED

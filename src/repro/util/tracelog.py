@@ -1,9 +1,15 @@
 """Structured trace log of kernel events.
 
-The kernel emits a :class:`TraceEvent` for every interesting protocol step
-(lock request, grant, block, retained-lock conversion, release, commit,
+The kernel records an event for every interesting protocol step (lock
+request, grant, block, retained-lock conversion, release, commit,
 abort).  Tests and the Fig. 8 conformance benchmark assert over this log;
 examples pretty-print it.
+
+The kernel's hot path stores an event's raw fields (:meth:`TraceLog.record`);
+each :class:`TraceEvent` is built when the log is read, rendering the
+immutable ``Oid`` and ``Invocation`` detail values with ``str()`` then.
+Readers see the strings an eager render gave, and a served kernel never
+renders the events it drops unread.
 """
 
 from __future__ import annotations
@@ -13,6 +19,12 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, IO, Iterable, Iterator
+
+from repro.objects.oid import Oid
+from repro.semantics.invocation import Invocation
+
+#: Detail value types rendered with ``str()`` on read.
+_RENDERED = (Oid, Invocation)
 
 
 @dataclass(frozen=True)
@@ -65,18 +77,23 @@ class TraceLog:
 
     A served kernel drops a transaction's events (:meth:`discard`) when
     it reaps it; virtual and batch runs keep everything.  Safe while
-    workers emit, without a lock: ``emit`` and ``discard`` are single
+    workers emit, without a lock: ``record`` and ``discard`` are single
     dict and list operations, which the interpreter performs atomically,
     and readers iterate a copy of the dict, never the live one.
     """
 
     def __init__(self) -> None:
-        # Per top-level transaction, its (emission number, event) pairs.
-        self._runs: dict[str, list[tuple[int, TraceEvent]]] = {}
+        # Per top-level transaction, its events as (emission number, seq,
+        # kind, node, txn, detail) tuples.
+        self._runs: dict[str, list[tuple[int, int, str, str, str, dict[str, Any]]]] = {}
         self._emitted = itertools.count()
 
+    def record(self, seq: int, kind: str, node: str, txn: str, detail: dict[str, Any]) -> None:
+        """Emit an event from its fields; *detail* must not change after."""
+        self._runs.setdefault(txn, []).append((next(self._emitted), seq, kind, node, txn, detail))
+
     def emit(self, event: TraceEvent) -> None:
-        self._runs.setdefault(event.txn, []).append((next(self._emitted), event))
+        self.record(event.seq, event.kind, event.node, event.txn, event.detail)
 
     def discard(self, txn: str) -> None:
         """Forget every event of top-level transaction *txn*."""
@@ -87,7 +104,16 @@ class TraceLog:
 
     def __iter__(self) -> Iterator[TraceEvent]:
         runs = [list(run) for run in self._runs.copy().values()]
-        return (event for _, event in heapq.merge(*runs))
+        return (
+            TraceEvent(
+                seq,
+                kind,
+                node,
+                txn,
+                {k: str(v) if isinstance(v, _RENDERED) else v for k, v in detail.items()},
+            )
+            for _, seq, kind, node, txn, detail in heapq.merge(*runs)
+        )
 
     def of_kind(self, *kinds: str) -> list[TraceEvent]:
         """All events whose kind is one of *kinds*, in order."""

@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.kernel import run_transactions
 from repro.core.serializability import is_semantically_serializable
+from repro.faults import FaultPlan, FaultSpec
 from repro.objects.database import Database
 from repro.objects.encapsulated import TypeSpec
+from repro.txn.transaction import TransactionNode
 
 from tests.helpers import run_programs
 
@@ -229,3 +232,71 @@ class TestDeepTrees:
         assert kernel.handles["GOOD"].committed
         assert kernel.handles["BAD"].aborted
         assert balances(db, ledger) == (93, 107)
+
+
+class TestNodeIdentity:
+    """A node fixes its root and top-level name when it is built; both
+    must equal what walking ``parent`` to the top gives, for every node
+    a run creates — deep ones, compensations, and the children a
+    restarted subtransaction builds afresh."""
+
+    @pytest.fixture
+    def created(self, monkeypatch):
+        nodes: list[TransactionNode] = []
+        build = TransactionNode.__init__
+
+        def recording_init(node, *args, **kwargs):
+            build(node, *args, **kwargs)
+            nodes.append(node)
+
+        monkeypatch.setattr(TransactionNode, "__init__", recording_init)
+        return nodes
+
+    @staticmethod
+    def assert_identity(nodes):
+        for node in nodes:
+            root = node
+            while root.parent is not None:
+                root = root.parent
+            assert node.root() is root, node
+            assert node.top_level_name == str(root.invocation.arg(0, root.node_id)), node
+
+    def test_deep_and_compensation_nodes(self, ledger_world, created):
+        db, ledger = ledger_world
+
+        async def doomed(tx):
+            await tx.call(ledger, "PostTransfer", "a", "b", 40)
+            tx.abort("nope")
+
+        programs = {"GOOD": transfer(ledger, "a", "b", 7), "BAD": doomed}
+        kernel = run_programs(db, programs, policy="random", seed=5)
+        assert kernel.handles["BAD"].aborted
+        assert max(node.depth for node in created) >= 3
+        compensations = [node for node in created if node.is_compensation]
+        assert max(n.depth for c in compensations for n in c.descendants(True)) >= 3
+        assert {node.top_level_name for node in created} == {"GOOD", "BAD"}
+        self.assert_identity(created)
+
+    def test_nodes_built_after_a_restart(self, ledger_world, created):
+        db, ledger = ledger_world
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(
+                    site="pre-acquire",
+                    action="restart",
+                    txn="GOOD",
+                    operation="Add",
+                    at_visit=1,
+                    scope="parent",
+                ),
+            )
+        )
+        kernel = run_transactions(db, {"GOOD": transfer(ledger, "a", "b", 7)}, faults=plan)
+        assert kernel.handles["GOOD"].committed and kernel.handles["GOOD"].restarts == 1
+        (event,) = kernel.trace.of_kind("restart")
+        (restarted,) = [node for node in created if node.node_id == event.node]
+        # The rollback cleared the first attempt's children; the ones
+        # left were built by the retry.
+        assert len([n for n in created if n.parent is restarted]) > len(restarted.children) > 0
+        assert max(node.depth for node in restarted.descendants()) >= 3
+        self.assert_identity(created)

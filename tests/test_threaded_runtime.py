@@ -160,6 +160,92 @@ class TestRegistryMirror:
         assert striped.lock_count == 1 and striped.pending_count == 0
 
 
+class TestCompletionSkipsIdleStripes:
+    """A completion runs a stripe's ``dispose`` / ``reevaluate`` only where
+    it has work: a queued request, or — for a releasing disposition — a
+    lock of the node's tree.  Counts, not timings."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record the stripe tables ``dispose`` and ``reevaluate`` run on."""
+        calls: dict[str, list[LockTable]] = {"dispose": [], "reevaluate": []}
+        for name, seen in calls.items():
+            original = getattr(LockTable, name)
+
+            def spy(table, *args, _original=original, _seen=seen):
+                _seen.append(table)
+                return _original(table, *args)
+
+            monkeypatch.setattr(LockTable, name, spy)
+        return calls
+
+    def test_only_stripes_with_work_run(self, monkeypatch):
+        obs = MetricsRegistry(thread_safe=True)
+        table = ConcurrentLockTable(n_stripes=8, metrics=obs)
+        # Three targets on three distinct stripes (hashes vary per process).
+        targets: dict[int, Oid] = {}
+        for n in range(1000):
+            oid = Oid("Atom", n)
+            targets.setdefault(table.stripe_index_of(oid), oid)
+            if len(targets) == 3:
+                break
+        (i, x), (j, y), (m, z) = targets.items()
+        roots = {
+            name: TransactionNode(
+                name, None, Oid("Database", 0), Invocation("Transaction", (name,))
+            )
+            for name in "ABCD"
+        }
+
+        def child(name, target):
+            return TransactionNode(f"{name}.{target.number}", roots[name], target, Invocation("Op"))
+
+        def other_trees_conflict(holder, h_inv, requester, r_inv, target):
+            return holder.root() if holder.root() is not requester.root() else None
+
+        def acquire(node):
+            blockers = table.try_acquire(node, node.target, node.invocation, other_trees_conflict)
+            if not blockers:
+                return None
+            pending, __ = table.enqueue_if_blocked(
+                node, node.target, node.invocation, Scheduler().create_signal(),
+                blockers, other_trees_conflict,
+            )
+            return pending
+
+        stripe_of = {id(s.table): s.index for s in table._stripes}
+        calls = self._spy(monkeypatch)
+
+        def complete(node, disposition):
+            for seen in calls.values():
+                seen.clear()
+            before = obs.snapshot().counters
+            moved, granted = table.complete_node(node, disposition, other_trees_conflict)
+            after = obs.snapshot().counters
+            for name in ("stripe.cross_ops", "lock.reeval_passes"):
+                assert after[name] - before.get(name, 0) == 1, name
+            ran = {name: [stripe_of[id(t)] for t in seen] for name, seen in calls.items()}
+            assert ran["dispose"] == ran["reevaluate"]
+            return ran["dispose"], moved, granted
+
+        a_x, a_y, c_z = child("A", x), child("A", y), child("C", z)
+        for node in (a_x, a_y, c_z):
+            assert acquire(node) is None
+        # No queued request anywhere: a retaining completion runs nothing.
+        assert complete(a_x, Disposition.RETAIN) == ([], [], [])
+        # One waiter on x's stripe: only that stripe runs.
+        waiter = acquire(child("B", x))
+        assert waiter is not None
+        assert complete(a_y, Disposition.RETAIN) == ([i], [], [])
+        # A second waiter on z's stripe; A's tree holds locks on x and y.
+        assert acquire(child("D", z)) is not None
+        ran, moved, granted = complete(roots["A"], Disposition.RELEASE_TREE)
+        assert ran == sorted({i, j, m})
+        assert {lock.node for lock in moved} == {a_x, a_y}
+        assert granted == [waiter]
+        table.check_invariants()
+
+
 class TestThreadedKernel:
     def test_single_transaction(self):
         db = Database()

@@ -6,19 +6,23 @@ locks the contract down:
 
 * every emitted event uses a known kind and carries that kind's
   required detail keys, with JSON-serializable values;
-* the JSONL export round-trips losslessly;
+* the JSONL export round-trips losslessly, and is byte-identical to
+  the export recorded when events were still rendered on emission;
 * a run is a deterministic function of (workload, policy, seed) — the
   trace log AND the metrics snapshot of two identical runs are equal.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
 from repro.core.kernel import run_transactions
 from repro.core.protocol import SemanticLockingProtocol
+from repro.objects.oid import Oid
 from repro.orderentry.workload import OrderEntryWorkload, WorkloadConfig
+from repro.semantics.invocation import Invocation
 from repro.util.tracelog import TraceEvent, TraceLog
 
 #: kind -> detail keys every event of that kind must carry.
@@ -60,6 +64,11 @@ CORE_KINDS = frozenset(
 )
 
 SEED = 2  # exercises deadlock resolution and compensation
+
+#: sha256 of the reference workload's ``write_jsonl`` export (228 lines),
+#: recorded while the kernel still built and rendered every event when
+#: it emitted it.
+REFERENCE_EXPORT_SHA256 = "7cf0ba8727ea74a5d6a43fecb7e2fd643ceb8060d71c864bfa11a63187305aab"
 
 
 def run_reference_workload():
@@ -132,6 +141,39 @@ class TestTraceJsonl:
             detail={"target": "Oid(3)", "mode": "Get()", "waits_for": ["T2"]},
         )
         assert TraceEvent.from_dict(event.to_dict()) == event
+
+
+class TestRenderOnRead:
+    """The kernel records raw fields and the log builds events on read:
+    readers must see exactly what eager rendering gave them."""
+
+    def test_reference_export_is_byte_identical(self):
+        buffer = io.StringIO()
+        assert run_reference_workload().trace.write_jsonl(buffer) == 228
+        digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+        assert digest == REFERENCE_EXPORT_SHA256
+
+    def test_emitted_and_recorded_events_keep_emission_order(self):
+        target, mode = Oid("Atom", 3), Invocation("Get")
+        log = TraceLog()
+        log.record(1, "request", "n1", "T1", {"target": target, "mode": mode})
+        log.emit(TraceEvent(seq=1, kind="begin", node="n2", txn="T2"))
+        log.record(2, "grant", "n1", "T1", {"target": target, "mode": mode})
+        log.emit(
+            TraceEvent(seq=2, kind="block", node="n2", txn="T2", detail={
+                "target": str(target), "mode": str(mode), "waits_for": ["n1"]})
+        )
+        log.record(3, "release", "n1", "T1", {"count": 1})
+        events = list(log)
+        assert [(e.txn, e.kind) for e in events] == [
+            ("T1", "request"), ("T2", "begin"), ("T1", "grant"), ("T2", "block"),
+            ("T1", "release"),
+        ]
+        assert events[0].detail == {"target": str(target), "mode": str(mode)}
+        assert events[3].detail == events[2].detail | {"waits_for": ["n1"]}
+        buffer = io.StringIO()
+        assert log.write_jsonl(buffer) == 5
+        assert list(TraceLog.read_jsonl(buffer.getvalue().splitlines())) == events
 
 
 class TestDeterminism:

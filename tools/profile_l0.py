@@ -1,25 +1,40 @@
 #!/usr/bin/env python3
-"""Profile the kernel rung (L0) of the perfbench ladder (stdlib only).
+"""Profile the perfbench ladder's kernel rung (L0) or a served stack (stdlib only).
 
-Runs the same input the ladder's L0 rung times — ``request_list(
-"mem_uniform", seed, 0, n)`` → ``build_program`` →
+By default it runs the same input the ladder's L0 rung times —
+``request_list("mem_uniform", seed, 0, n)`` → ``build_program`` →
 ``run_threaded_transactions(n_threads=1)`` — under ``cProfile`` *on the
 worker threads* (the calling thread only joins them), and prints the
-top functions by cumulative time as text.  It reads ``perfbench`` and
-changes nothing in it.
+top functions by cumulative time as text.
 
-``cProfile`` charges every Python call and nothing inside native code,
-so the shares find candidates; whether a change paid off is measured
-with profiling off, through ``perfbench/run.py``.
+``--served WORKLOAD`` instead starts the workload's perfbench stack
+(``perfbench.stacks.make_stack``), has its clients replay *n* requests
+each (``perfbench.loop.replay``), and profiles every thread this
+process starts — server workers, admission, wire front-end and clients;
+a cluster's shard processes are not profiled.  Each thread gets its own
+``cProfile.Profile(time.thread_time)`` through ``threading.setprofile``,
+so the table is thread CPU time: lock waits, socket waits and fsyncs,
+which dominate a wall-clock profile of a served stack, count as nothing.
+Both modes give each thread its own profiler; Python 3.12 made
+``cProfile`` one process-wide profiler, so the tool needs Python 3.11 or
+older.
+
+Both modes read ``perfbench`` and change nothing in it.  ``cProfile``
+charges every Python call and nothing inside native code, so the shares
+find candidates; whether a change paid off is measured with profiling
+off, through ``perfbench/run.py``.  ``cProfile`` also counts each resume
+of a coroutine as a call, so the call counts and cumulative times of
+``async def`` frames cannot be compared with those of plain functions.
 
 Usage::
 
-    python tools/profile_l0.py [--seed N] [--requests N] [--top N] [--out FILE]
-        [--absent NAME]
+    python tools/profile_l0.py [--served WORKLOAD] [--seed N] [--requests N]
+        [--top N] [--out FILE] [--absent NAME]
 
-``--absent time.sleep`` exits 1 if any function so named was called at
-all — a count, not a timing: a zero-cost ``Pause`` must yield, and a
-``time.sleep`` row means the timer-slack sleep is back.
+``--requests`` is the L0 request count, or the count per client with
+``--served``.  ``--absent time.sleep`` exits 1 if any function so named
+was called at all — a count, not a timing: a zero-cost ``Pause`` must
+yield, and a ``time.sleep`` row means the timer-slack sleep is back.
 """
 
 from __future__ import annotations
@@ -29,13 +44,43 @@ import cProfile
 import io
 import pstats
 import sys
+import tempfile
 import threading
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 for entry in (REPO_ROOT, REPO_ROOT / "src"):
     if str(entry) not in sys.path:
         sys.path.insert(0, str(entry))
+
+
+@contextmanager
+def thread_profiles(timer=None):
+    """Yield the list that receives one enabled ``cProfile.Profile`` per
+    thread started inside the block (none for the calling thread)."""
+    profilers: list[cProfile.Profile] = []
+
+    def start_profiler(frame, event, arg) -> None:
+        # First profile event of a new thread: hand the thread to its
+        # own cProfile, which replaces this hook for that thread.
+        profiler = cProfile.Profile() if timer is None else cProfile.Profile(timer)
+        profilers.append(profiler)
+        profiler.enable()
+
+    threading.setprofile(start_profiler)
+    try:
+        yield profilers
+    finally:
+        threading.setprofile(None)
+
+
+def merged(profilers: list[cProfile.Profile]) -> pstats.Stats:
+    stats = pstats.Stats(profilers[0])
+    for profiler in profilers[1:]:
+        stats.add(profiler)
+    return stats
 
 
 def profile_l0(seed: int, n: int) -> pstats.Stats:
@@ -48,33 +93,44 @@ def profile_l0(seed: int, n: int) -> pstats.Stats:
     requests = request_list("mem_uniform", seed, 0, n)
     programs = [(f"l0-{i}", build_program(built, r)) for i, r in enumerate(requests)]
 
-    profilers: list[cProfile.Profile] = []
-
-    def start_profiler(frame, event, arg) -> None:
-        # First profile event of a new thread: hand the thread to its
-        # own cProfile, which replaces this hook for that thread.
-        profiler = cProfile.Profile()
-        profilers.append(profiler)
-        profiler.enable()
-
-    threading.setprofile(start_profiler)
-    try:
+    with thread_profiles() as profilers:
         kernel = run_threaded_transactions(
             built.db, programs, n_threads=1, n_stripes=SERVER["n_stripes"]
         )
-    finally:
-        threading.setprofile(None)
     lost = [name for name, __ in programs if not kernel.handles[name].committed]
     if lost:
         raise RuntimeError(f"profile L0: {len(lost)} programs did not commit")
-    stats = pstats.Stats(profilers[0])
-    for profiler in profilers[1:]:
-        stats.add(profiler)
-    return stats
+    return merged(profilers)
+
+
+def profile_served(workload: str, seed: int, n: int) -> pstats.Stats:
+    from perfbench.loop import replay
+    from perfbench.stacks import make_stack
+    from perfbench.workloads import CLIENTS, WORKLOADS, request_list
+
+    spec = WORKLOADS[workload]
+    lists = [request_list(workload, seed, c, n) for c in range(CLIENTS)]
+    with tempfile.TemporaryDirectory() as workdir:
+        with thread_profiles(time.thread_time) as profilers:
+            stack = make_stack(spec.stack, spec.n_items, workdir)
+            clients = []
+            try:
+                stack.start()
+                clients = [stack.client() for _ in range(CLIENTS)]
+                samples = replay(clients, lists)
+            finally:
+                for client in clients:
+                    client.close()
+                stack.stop()
+    failed = [s for s in samples if not s.response.ok]
+    if failed:
+        raise RuntimeError(f"profile {workload}: {len(failed)} requests failed")
+    return merged(profilers)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--served", metavar="WORKLOAD", help="profile this perfbench workload")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--requests", type=int, default=600)
     parser.add_argument("--top", type=int, default=25)
@@ -82,15 +138,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--absent", metavar="NAME", help="fail if a function so named was called")
     args = parser.parse_args(argv)
 
-    stats = profile_l0(args.seed, args.requests)
+    if sys.version_info >= (3, 12):
+        parser.error("one cProfile per thread needs Python 3.11 or older")
+    if args.served is None:
+        stats = profile_l0(args.seed, args.requests)
+        title = (
+            f"L0 profile: mem_uniform seed={args.seed} requests={args.requests} "
+            f"(cProfile on the worker threads, top {args.top} by cumulative time)"
+        )
+    else:
+        stats = profile_served(args.served, args.seed, args.requests)
+        title = (
+            f"Served profile: {args.served} seed={args.seed} requests={args.requests} per "
+            f"client (cProfile with time.thread_time on every thread, top {args.top} by "
+            f"cumulative CPU time; async def frames count each resume as a call)"
+        )
     table = io.StringIO()
     stats.stream = table
     stats.strip_dirs().sort_stats("cumulative").print_stats(args.top)
-    text = (
-        f"L0 profile: mem_uniform seed={args.seed} requests={args.requests} "
-        f"(cProfile on the worker threads, top {args.top} by cumulative time)\n"
-        + table.getvalue()
-    )
+    text = title + "\n" + table.getvalue()
     sys.stdout.write(text)
     if args.out:
         Path(args.out).write_text(text)
