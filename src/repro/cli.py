@@ -334,7 +334,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             n_items=args.items, orders_per_item=args.orders
         ),
         protocol_factory=protocol_by_name(args.protocol),
-        n_threads=args.threads,
         time_scale=args.time_scale,
         think_cost=args.think_cost,
         admission=AdmissionConfig(
@@ -352,7 +351,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 1
     host, port = wire.address
     print(f"serving order entry on {host}:{port} "
-          f"({args.protocol}, {args.threads} workers, "
+          f"({args.protocol}, "
           f"max_inflight={args.max_inflight}, queue_cap={args.queue_cap})",
           flush=True)
     print("newline-delimited JSON; try: "
@@ -386,7 +385,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         shard_config={
             "n_items": args.items,
             "orders_per_item": args.orders,
-            "n_threads": args.threads,
             "max_inflight": args.max_inflight,
             "queue_cap": args.queue_cap,
             "default_deadline": args.default_deadline,
@@ -567,15 +565,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7477)
-    serve.add_argument("--threads", type=int, default=4, help="kernel worker threads")
     serve.add_argument("--items", type=int, default=4)
     serve.add_argument("--orders", type=int, default=8)
     serve.add_argument(
         "--protocol", choices=("semantic", "object-rw-2pl"), default="semantic"
     )
     serve.add_argument(
-        "--max-inflight", type=int, default=8, dest="max_inflight",
-        help="admission concurrency limit (default: 8)",
+        "--max-inflight", type=int, default=4, dest="max_inflight",
+        help="admission concurrency limit (default: 4)",
     )
     serve.add_argument(
         "--queue-cap", type=int, default=64, dest="queue_cap",
@@ -606,9 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--port", type=int, default=7478, help="router bind port")
     cluster.add_argument("--items", type=int, default=8)
     cluster.add_argument("--orders", type=int, default=4)
-    cluster.add_argument(
-        "--threads", type=int, default=4, help="kernel worker threads per shard"
-    )
     cluster.add_argument(
         "--max-inflight", type=int, default=4, dest="max_inflight",
         help="admission concurrency limit per shard (default: 4)",

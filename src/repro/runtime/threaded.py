@@ -27,7 +27,10 @@ Three pieces:
 
 * :class:`WallClockScheduler` — a scheduler facade satisfying the
   kernel's scheduler seam (:class:`~repro.runtime.scheduler.SchedulerAPI`)
-  with a bounded worker pool.  Coroutine steps (the synchronous code
+  with two kinds of driving thread: a bounded worker pool for queued
+  tasks, and any calling thread that drives a task of its own to the
+  end (:meth:`WallClockScheduler.drive`) — the thread that waits for
+  the answer computes it.  Coroutine steps (the synchronous code
   between two awaits) take no step-level lock, so steps of different
   transactions proceed truly concurrently; the shared kernel
   structures they touch protect themselves (the striped lock table,
@@ -42,16 +45,19 @@ Three pieces:
 
       coordinator  ->  stripe locks  ->  scheduler lock
 
-  is acyclic.  Wake-ups are targeted: each worker owns one condition
-  variable on the scheduler lock, and awaiting a Signal blocks the
-  worker on its own condition, which only the grant or interrupt that
-  readies its task (or shutdown) notifies; idle workers share one
-  condition, and a ``spawn`` wakes one of them.  Awaiting a Pause sleeps
-  ``cost * time_scale`` seconds — or, at zero cost, yields the
-  processor and the GIL without arming a timer — *outside every lock*:
-  that is where real interleaving (and the measured parallelism) comes
-  from.  Timers are wall-clock ``threading.Timer``s whose callbacks run
-  under the coordinator; their handles have the same tri-state lifecycle as
+  is acyclic.  Wake-ups are targeted: each driving thread owns one
+  condition variable on the scheduler lock, and awaiting a Signal
+  blocks it on its own condition, which only the grant or interrupt
+  that readies its task (or shutdown) notifies; idle workers share one
+  condition, and a queued ``spawn`` wakes one of them.  Awaiting a
+  Pause sleeps ``cost * time_scale`` seconds — or, at zero cost, on a
+  worker, yields the processor and the GIL without arming a timer —
+  *outside every lock*: that is where real interleaving (and the
+  measured parallelism) comes from.  A caller instead hands the GIL
+  over at a transaction's end when another driver wants it and the
+  current turn is up (:meth:`WallClockScheduler._end_turn`).  Timers
+  are wall-clock ``threading.Timer``s whose callbacks run under the
+  coordinator; their handles have the same tri-state lifecycle as
   virtual-time :class:`~repro.runtime.scheduler.TimerHandle` (armed,
   then fired XOR cancelled).  Worker failures are aggregated: when
   several workers fail in one run, ``run()`` raises
@@ -74,6 +80,7 @@ from __future__ import annotations
 
 import functools
 import os
+import sys
 import threading
 import time
 from collections import deque
@@ -510,11 +517,11 @@ class _LockedSignal(Signal):
 
     ``fire`` notifies no one itself: each waiter it readies goes through
     :meth:`WallClockScheduler._ready_task`, which notifies that task's
-    worker alone, so a signal without waiters wakes no thread.  No
-    wake-up is lost: a worker tests its task's state and waits under the
+    driving thread alone, so a signal without waiters wakes no thread.  No
+    wake-up is lost: a driver tests its task's state and waits under the
     scheduler lock, and ``Condition.wait`` releases that lock
     atomically, so a fire either comes before the test (which then sees
-    the task READY) or finds the worker waiting (and its notify reaches
+    the task READY) or finds the driver waiting (and its notify reaches
     it).
     """
 
@@ -534,30 +541,40 @@ class _LockedSignal(Signal):
 
 
 class _PooledTask(Task):
-    """A :class:`Task` plus the condition of the worker that drives it."""
+    """A :class:`Task` plus the condition of the thread that drives it."""
 
-    def __init__(self, name: str, coro) -> None:
+    def __init__(self, name: str, coro, queued: bool) -> None:
         super().__init__(name, coro)
-        #: Set when a worker takes the task; readying or interrupting the
-        #: task notifies it.
+        #: Spawned for the pool; only a worker may take it.
+        self.queued = queued
+        #: Set when a worker or a caller takes the task; readying or
+        #: interrupting the task notifies it.
         self.wake: Optional[threading.Condition] = None
+        #: The name of the calling thread that drives the task through
+        #: :meth:`WallClockScheduler.drive`; None for pool-driven tasks.
+        self.driver: Optional[str] = None
 
 
 class WallClockScheduler:
-    """Kernel scheduler facade running coroutines on a worker pool.
+    """Kernel scheduler facade running coroutines on a worker pool and
+    on the threads that wait for them.
 
     Provides :class:`~repro.runtime.scheduler.SchedulerAPI` — the whole
     surface the kernel touches — with ``clock`` in wall seconds since
     construction, plus the serve-mode lifecycle (``start`` / ``stop`` /
-    ``reap``) the transaction server drives.
+    ``reap``) the transaction server drives, and :meth:`drive`, which
+    runs a task spawned with ``queued=False`` on the calling thread.
 
-    ``n_threads`` bounds the multiprogramming level: each worker drives
-    one transaction coroutine at a time to completion, so at most
-    ``n_threads`` transactions are in flight.  The stall backstop: a
-    worker blocked on a signal periodically re-runs the kernel's
-    ``on_stall`` hook (deadlock resolution) and raises
-    :class:`RuntimeEngineError` after ``stall_timeout`` seconds without
-    progress, so a lost wakeup can never hang the process.
+    ``n_threads`` sizes the pool: each worker drives one queued
+    transaction coroutine at a time to completion, so at most
+    ``n_threads`` queued transactions are in flight.  In serve mode the
+    pool starts with the first queued task.  Caller-driven
+    tasks are not bounded here (the server's admission control bounds
+    them).  The stall backstop: a thread blocked on a signal
+    periodically re-runs the kernel's ``on_stall`` hook (deadlock
+    resolution) and raises :class:`RuntimeEngineError` after
+    ``stall_timeout`` seconds without progress, so a lost wakeup can
+    never hang the process.
     """
 
     def __init__(
@@ -585,7 +602,23 @@ class WallClockScheduler:
         self._step_lock = threading.Lock()  # guards the steps counter
         self.tasks: dict[str, Task] = {}
         self._runnable: deque[Task] = deque()
+        # Threads inside _drive (pool workers and callers), how many of
+        # their tasks are parked on a signal, and how many threads are
+        # inside a GIL hand-off: the hand-off rule reads all three.
         self._driving = 0
+        self._blocked = 0
+        self._handoffs = 0
+        # A turn: when the GIL last passed between drivers on purpose (a
+        # hand-off, or a blocked driver resuming), and how long a turn
+        # runs before a caller hands the GIL over: half the interpreter's
+        # switch interval, so a waiting driver gets it before the
+        # interpreter would force a switch.
+        self._turn_started = time.monotonic()
+        self._turn = sys.getswitchinterval() / 2
+        # stop() waits on this for callers still inside drive().
+        self._drivers_done = threading.Condition(self._sched_lock)
+        # A calling thread's own wake-up condition, made on its first drive.
+        self._local = threading.local()
         self._errors: list[BaseException] = []
         self._shutdown = False
         # Serve mode (see :meth:`start`): workers idle-wait instead of
@@ -609,6 +642,7 @@ class WallClockScheduler:
         self._blocked_gauge = None
         self._block_hist = None
         self._idle_wake_counter = None
+        self._caller_counter = None
 
     @property
     def clock(self) -> float:
@@ -632,6 +666,7 @@ class WallClockScheduler:
         self._spawn_counter = registry.counter("thread.spawned")
         self._stall_counter = registry.counter("thread.stall_checks")
         self._idle_wake_counter = registry.counter("thread.idle_wakeups")
+        self._caller_counter = registry.counter("thread.caller_drives")
         self._blocked_gauge = registry.gauge("thread.blocked")
         self._block_hist = registry.histogram("thread.block_time", TIMER_BUCKETS)
         registry.gauge("thread.workers").set(self.n_threads)
@@ -643,23 +678,36 @@ class WallClockScheduler:
     def create_signal(self, name: str = "") -> Signal:
         return _LockedSignal(self, name)
 
-    def spawn(self, name: str, coro) -> Task:
+    def spawn(self, name: str, coro, queued: bool = True) -> Task:
+        """Register a task.  A *queued* task goes to the pool, which wakes
+        one idle worker for it (in serve mode the first one starts the
+        pool); any other waits for the thread that calls :meth:`drive`
+        on it."""
         with self._sched_lock:
             if name in self.tasks:
                 raise RuntimeEngineError(f"task name {name!r} already in use")
-            task = _PooledTask(name, coro)
+            task = _PooledTask(name, coro, queued)
             self.tasks[name] = task
-            self._runnable.append(task)
             if self._spawn_counter is not None:
                 self._spawn_counter.inc()
-            self._wakeup.notify()
+            if queued:
+                self._runnable.append(task)
+                if self._serve and not self._threads and not self._shutdown:
+                    self._start_pool()
+                self._wakeup.notify()
         return task
+
+    def _unblock(self, task: _PooledTask) -> None:
+        """Leave BLOCKED (caller holds the scheduler lock)."""
+        if task.state == Task.BLOCKED:
+            self._blocked -= 1
 
     def _ready_task(self, task: _PooledTask, resume_value: Any = None) -> None:
         """Signal.fire lands here (caller holds the scheduler lock); only
-        the task's own worker is woken."""
+        the thread driving the task is woken."""
         if task.finished:
             return
+        self._unblock(task)
         task.resume_value = resume_value
         task.blocked_on = None
         task.state = Task.READY
@@ -672,7 +720,7 @@ class WallClockScheduler:
         Safe against every phase of the task's lifecycle: PENDING tasks
         keep their single runnable-queue entry and raise on their first
         step; RUNNING tasks pick the exception up at their next await;
-        BLOCKED tasks are woken exactly once (their driving worker owns
+        BLOCKED tasks are woken exactly once (their driving thread owns
         them, so the task is never re-enqueued or driven twice).
         """
         with self._sched_lock:
@@ -681,6 +729,7 @@ class WallClockScheduler:
             if task.blocked_on is not None:
                 task.blocked_on.remove_waiter(task)
                 task.blocked_on = None
+            self._unblock(task)
             task.pending_exception = exc
             task.state = Task.READY
             if task.wake is not None:
@@ -764,7 +813,7 @@ class WallClockScheduler:
     # Serve mode (long-running server front-end)
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start the worker pool in *serve* mode and return immediately.
+        """Enter *serve* mode and return immediately.
 
         Batch mode (:meth:`run`) treats an empty runnable queue as "the
         workload is finished" and any worker error as "abort the run".
@@ -772,14 +821,22 @@ class WallClockScheduler:
         calls, and a failed task is an ordinary per-request outcome
         (recorded on the task, reported through :attr:`on_task_done`,
         kept in a bounded diagnostic ring) rather than a pool-wide
-        abort.  Pair with :meth:`stop`.
+        abort.  The pool itself starts with the first queued ``spawn``,
+        so a server whose callers all drive their own tasks runs no idle
+        workers.  Pair with :meth:`stop`.
         """
         with self._sched_lock:
-            if self._threads:
+            if self._serve:
                 raise RuntimeEngineError("scheduler already started")
             if self._shutdown:
                 raise RuntimeEngineError("scheduler already shut down")
             self._serve = True
+            if self._runnable:
+                self._start_pool()
+
+    def _start_pool(self) -> None:
+        """Start the serve-mode workers (caller holds the scheduler lock,
+        so :meth:`stop` never sees a worker it cannot join)."""
         self._threads = [
             threading.Thread(target=self._worker, name=f"cc-serve-{i}", daemon=True)
             for i in range(self.n_threads)
@@ -788,31 +845,49 @@ class WallClockScheduler:
             worker.start()
 
     def stop(self, timeout: Optional[float] = None) -> list[str]:
-        """Stop a served pool: set shutdown, join workers, close coros.
+        """Stop a served scheduler: set shutdown, join the workers, wait
+        for the callers, close what is left.
 
-        Shutdown notifies every idle worker and every blocked worker's
-        own condition, so blocked waits drain at once.  Returns the
-        names of workers still alive after the join budget (empty on a
-        clean stop).  Unfinished coroutines are closed once no worker
-        can be driving them, so abandoned tasks do not leak
-        pending-coroutine warnings.
+        Shutdown notifies every idle worker and the condition of every
+        blocked task's driving thread, so blocked waits drain at once.
+        Returns the names of workers still alive after the join budget
+        and of tasks a calling thread was still driving when the budget
+        ran out (empty on a clean stop).  Unfinished coroutines are
+        closed once no worker can be driving them, so abandoned tasks do
+        not leak pending-coroutine warnings; a coroutine a caller drives
+        is never closed, because only that caller may step it.  A task
+        spawned for a caller that has not started driving it yet is
+        closed too: :meth:`drive` then fails it without stepping it.
         """
         with self._sched_lock:
             self._shutdown = True
             self._wake_all()
         budget = timeout if timeout is not None else max(1.0, self.stall_check * 40)
-        for worker in self._threads:
+        give_up = time.monotonic() + budget
+        with self._sched_lock:
+            workers = list(self._threads)  # no pool starts after shutdown
+        for worker in workers:
             worker.join(timeout=budget)
-        wedged = [worker.name for worker in self._threads if worker.is_alive()]
+        wedged = [worker.name for worker in workers if worker.is_alive()]
+        with self._sched_lock:
+            while True:
+                driven = [
+                    t for t in self.tasks.values() if t.driver is not None and not t.finished
+                ]
+                left = give_up - time.monotonic()
+                if not driven or left <= 0:
+                    break
+                self._drivers_done.wait(left)
+            leftovers = [
+                t for t in self.tasks.values() if t.driver is None and not t.finished
+            ]
         if not wedged:
-            with self._sched_lock:
-                leftovers = [t for t in self.tasks.values() if not t.finished]
             for task in leftovers:
                 try:
                     task.coro.close()
                 except BaseException:  # noqa: BLE001 - best-effort cleanup
                     pass
-        return wedged
+        return wedged + [f"{task.name} (driven by {task.driver})" for task in driven]
 
     @property
     def serving(self) -> bool:
@@ -852,8 +927,9 @@ class WallClockScheduler:
             del self._errors[: len(self._errors) - self.max_kept_errors]
 
     def _wake_all(self) -> None:
-        """Notify every idle and every blocked worker (caller holds the
-        scheduler lock): shutdown and batch-mode errors concern them all."""
+        """Notify every idle worker and every blocked task's driver
+        (caller holds the scheduler lock): shutdown and batch-mode errors
+        concern them all."""
         self._wakeup.notify_all()
         for task in self.tasks.values():
             if task.state == Task.BLOCKED:
@@ -903,10 +979,102 @@ class WallClockScheduler:
                         # Batch mode's exit test reads _driving.
                         self._wakeup.notify_all()
 
-    def _drive(self, task: Task) -> None:
-        """Run one coroutine to completion (the pool's unit of work).
+    def drive(self, task: Task) -> None:
+        """Run a task spawned with ``queued=False`` to its end on the
+        calling thread, through the loop the pool runs (:meth:`_drive`).
 
-        One worker owns the task for its whole life — the task is never
+        The caller waits on a condition of its own while the task is
+        blocked, so a grant or an interrupt wakes it exactly as it wakes
+        a worker; the task finishes DONE or FAILED and fires
+        :attr:`on_task_done` on this thread before ``drive`` returns.
+        After a shutdown the task fails with a drain error without being
+        stepped.  On its way out the caller may hand the GIL over
+        (:meth:`_end_turn`).
+        """
+        wake = getattr(self._local, "wake", None)
+        if wake is None:
+            wake = self._local.wake = threading.Condition(self._sched_lock)
+        with self._sched_lock:
+            if task.queued:
+                raise RuntimeEngineError(f"task {task.name} is queued for the pool")
+            if task.finished or task.wake is not None:
+                raise RuntimeEngineError(f"task {task.name} already has a driver")
+            refused = self._shutdown
+            if refused:
+                drain = RuntimeEngineError(f"runtime shut down before {task.name} ran")
+                drain._secondary_drain = True
+                task.state = Task.FAILED
+                task.exception = drain
+            else:
+                task.wake = wake
+                task.driver = threading.current_thread().name
+                self._driving += 1
+                if self._caller_counter is not None:
+                    self._caller_counter.inc()
+        if refused:
+            task.coro.close()  # never stepped, so no thread can be running it
+            self._notify_task_done(task)
+            return
+        try:
+            self._drive(task)
+        finally:
+            with self._sched_lock:
+                self._driving -= 1
+                if self._shutdown:
+                    self._drivers_done.notify_all()
+        self._end_turn()
+
+    def _end_turn(self) -> None:
+        """At a caller's transaction end, hand the GIL to a thread that
+        wants it once the turn is up (caller holds no lock).
+
+        Another thread wants the GIL when a driver's task is neither
+        parked on a signal nor running here — preempted mid-transaction,
+        or just readied by a grant — or when a thread waits inside a
+        hand-off.  The turn is the time since the GIL last changed hands
+        between drivers on purpose; it is up after half the
+        interpreter's switch interval, so a waiter gets the GIL at a
+        transaction boundary before the interpreter would force a switch
+        in the middle of one.  (Handing over at every transaction end
+        made two clients strictly alternate, so that every request also
+        waited for one of the other's.)
+
+        ``os.sched_yield`` would give the GIL back to this thread at
+        once, leaving the waiter to the switch interval; ``time.sleep(0)``
+        keeps it released for a timer slack, long enough for the waiter
+        to take it.  While this thread waits to run again it counts in
+        ``_handoffs``, so the next driver whose turn is up hands the GIL
+        back instead of keeping it until the interpreter forces a switch.
+        A hand-off that nobody took (no driver stepped while this thread
+        slept) leaves the turn expired, so the next transaction end tries
+        again.
+        """
+        if not (self._driving > self._blocked or self._handoffs):
+            return
+        if time.monotonic() - self._turn_started < self._turn:
+            return
+        with self._sched_lock:
+            self._handoffs += 1
+            steps = self.steps
+        self._turn_started = time.monotonic()  # the receiver's turn
+        try:
+            time.sleep(0)
+        finally:
+            with self._sched_lock:
+                self._handoffs -= 1
+            if self.steps != steps:
+                self._turn_started = time.monotonic()  # this thread's turn
+            else:
+                # No driver stepped meanwhile (the waiter was not
+                # scheduled within the timer slack): the turn stays up,
+                # so the next transaction end tries again.
+                self._turn_started -= self._turn
+
+    def _drive(self, task: Task) -> None:
+        """Run one coroutine to completion (the unit of work of a worker
+        and of a caller in :meth:`drive`).
+
+        One thread owns the task for its whole life — the task is never
         re-enqueued, so ``coro.send`` is single-threaded per task.  Steps
         take no step-level lock; awaitable dispatch runs under the
         scheduler lock (atomically with concurrent ``fire``/``interrupt``);
@@ -953,6 +1121,7 @@ class WallClockScheduler:
                             value = yielded.value
                             continue
                         task.state = Task.BLOCKED
+                        self._blocked += 1
                         task.blocked_on = yielded
                         yielded.add_waiter(task)
                         registered = True
@@ -965,14 +1134,17 @@ class WallClockScheduler:
                     raise RuntimeEngineError(
                         f"thread {task.name} awaited unsupported {yielded!r}"
                     )
-                # Pause: outside every lock so other workers interleave.
+                # Pause: outside every lock so other threads interleave.
+                # A zero-cost Pause yields only on a pool worker; a caller
+                # hands the GIL over at its transaction's end instead.
                 if self.time_scale > 0 and cost > 0:
                     time.sleep(cost * self.time_scale)
-                else:
+                elif task.driver is None:
                     _yield_thread()
                 value = None
         except BaseException as error:  # noqa: BLE001 - surfaced in run()
             with self._sched_lock:
+                self._unblock(task)
                 task.state = Task.FAILED
                 task.exception = error
                 # Drain errors (raised because *another* worker already
@@ -986,13 +1158,13 @@ class WallClockScheduler:
         """Block until the signal fires, an interrupt lands, or the
         stall backstop gives up.  Caller holds **no** locks.
 
-        Returns ``(resume_value, pending_exception)``.  The worker waits
+        Returns ``(resume_value, pending_exception)``.  The driver waits
         on its own condition (``task.wake``), which only this task's
         ready or interrupt notifies — or shutdown, or a batch-mode
         error.  No wake-up is lost: the task's state is tested under
         the scheduler lock and ``Condition.wait`` releases that lock
         atomically, so a ready either comes before the test or finds
-        the worker waiting.  Every ``stall_check`` seconds of blocked
+        the driver waiting.  Every ``stall_check`` seconds of blocked
         time the kernel's stall hook gets the blocked task set — under
         wall clock there is no global "all tasks blocked" moment, so
         this poll is the backstop for a cycle formed while everyone was
@@ -1060,6 +1232,7 @@ class WallClockScheduler:
                 self._blocked_gauge.dec()
             if self._block_hist is not None:
                 self._block_hist.observe(time.monotonic() - started)
+        self._turn_started = time.monotonic()
         with self._sched_lock:
             if task.pending_exception is not None:
                 exc = task.pending_exception
@@ -1135,8 +1308,21 @@ class ThreadedKernel(TransactionManager):
         self.scheduler.start()
 
     def stop(self, timeout: Optional[float] = None) -> list[str]:
-        """Stop a served pool; returns names of any wedged workers."""
+        """Stop a served pool; returns the names of wedged workers and of
+        tasks callers were still driving (see :meth:`WallClockScheduler.stop`)."""
         return self.scheduler.stop(timeout)
+
+    def drive(self, name: str, program):
+        """Run a top-level transaction to its end on the calling thread.
+
+        The task is registered as :meth:`spawn` registers it but never
+        queued for the pool, which need not be running; the caller steps
+        it (see :meth:`WallClockScheduler.drive`).  Returns the handle.
+        """
+        handle = self._register_top(name)
+        handle.task = self.scheduler.spawn(name, self._run_top(handle, program), queued=False)
+        self.scheduler.drive(handle.task)
+        return handle
 
     def reap(self, name: str):
         """Drop every trace of a finished transaction (server hygiene).

@@ -129,6 +129,8 @@ class _Ticket:
         "dequeued_at",
         "pending",
         "degraded_at_admit",
+        "caller",
+        "dispatched",
     )
 
     def __init__(
@@ -140,6 +142,7 @@ class _Ticket:
         now: float,
         pending: PendingResponse,
         degraded: bool,
+        caller: bool,
     ) -> None:
         self.request = request
         self.name = name
@@ -150,6 +153,12 @@ class _Ticket:
         self.dequeued_at = now
         self.pending = pending
         self.degraded_at_admit = degraded
+        #: Its submitting thread waits to drive it (a blocking submit);
+        #: cleared if that thread gives up before the ticket leaves the
+        #: queue, so the pool runs it instead.
+        self.caller = caller
+        #: Set under the server lock when the ticket takes its slot.
+        self.dispatched = False
 
 
 class TransactionServer:
@@ -236,6 +245,7 @@ class TransactionServer:
         self._deadline_interrupts = obs.counter("server.deadline_interrupts")
         self._drain_aborts = obs.counter("server.drain_aborts")
         self._latency = obs.histogram("server.latency", TIMER_BUCKETS)
+        self._caller_drives = obs.counter("thread.caller_drives")
         self._draining_gauge = obs.gauge("server.draining")
 
     # ------------------------------------------------------------------
@@ -279,12 +289,60 @@ class TransactionServer:
         """Admit (or shed) a request; returns immediately.
 
         Shed decisions resolve the returned handle synchronously;
-        admitted requests resolve when the transaction finishes (or is
-        deadline-aborted).  ``name`` overrides the generated transaction
-        name — the cluster shard uses stable names so the WAL records a
-        request's identity durably.
+        admitted requests run on the worker pool and resolve when the
+        transaction finishes (or is deadline-aborted).  ``name``
+        overrides the generated transaction name — the cluster shard
+        uses stable names so the WAL records a request's identity
+        durably.
         """
         pending = PendingResponse(callback)
+        self._admit(request, pending, name, caller=False)
+        return pending
+
+    def submit(
+        self,
+        request: Request,
+        timeout: Optional[float] = None,
+        name: Optional[str] = None,
+    ) -> Response:
+        """Blocking submit: the calling thread drives its own transaction.
+
+        The path of in-process callers, the wire handler threads and the
+        cluster participant.  Once admission gives the request a slot —
+        at once, or when another request's end takes it out of the queue
+        and hands it over — this thread runs the transaction through
+        :meth:`ThreadedKernel.drive` instead of waiting for a pool
+        worker, so the thread that waits for the answer computes it.
+        ``timeout`` bounds the wait for a slot; once running, the
+        transaction is bounded by its deadline, as on the pool.
+        """
+        pending = PendingResponse()
+        ticket = self._admit(request, pending, name, caller=True)
+        budget = timeout
+        if budget is None:
+            deadline = (
+                request.deadline if request.deadline is not None else self.default_deadline
+            )
+            budget = min(self.MAX_DEADLINE, deadline) + self.tk.scheduler.stall_timeout
+        if ticket is not None and self._await_slot(ticket, budget):
+            self._start(ticket, drive=True)
+        response = pending.response
+        if response is None:
+            return Response(
+                status="failed",
+                op=request.op,
+                request_id=request.request_id,
+                error=error_to_payload(
+                    TransactionAborted("request", "response wait timed out")
+                ),
+            )
+        return response
+
+    def _admit(
+        self, request: Request, pending: PendingResponse, name: Optional[str], caller: bool
+    ) -> Optional[_Ticket]:
+        """Queue the request's ticket and dispatch; None when the request
+        was answered at once (unknown op, or shed)."""
         self._requests.inc()
         try:
             klass = op_class(request.op)
@@ -296,7 +354,7 @@ class TransactionServer:
                 )
             )
             self._failed.inc()
-            return pending
+            return None
         budget = min(
             self.MAX_DEADLINE,
             request.deadline if request.deadline is not None else self.default_deadline,
@@ -309,48 +367,39 @@ class TransactionServer:
         # One read of the mode: the response's flag and the shed decision
         # cannot disagree.
         degraded = self.degrade.degraded
-        ticket = _Ticket(request, name, klass, budget, now, pending, degraded)
+        ticket = _Ticket(request, name, klass, budget, now, pending, degraded, caller)
         shed = self.admission.admit(ticket, klass, ticket.deadline_at, degraded)
         if shed is not None:
             self._resolve_shed(ticket, shed)
             if shed.reason_code in OVERLOAD_REASONS:
                 self.degrade.observe(True)
-            return pending
+            return None
         self.degrade.observe(False)
         self._dispatch()
-        return pending
+        return ticket
 
-    def submit(
-        self,
-        request: Request,
-        timeout: Optional[float] = None,
-        name: Optional[str] = None,
-    ) -> Response:
-        """Blocking submit; the in-process client path."""
-        pending = self.submit_async(request, name=name)
-        budget = timeout
-        if budget is None:
-            deadline = (
-                request.deadline if request.deadline is not None else self.default_deadline
-            )
-            budget = min(self.MAX_DEADLINE, deadline) + self.tk.scheduler.stall_timeout
-        response = pending.wait(budget)
-        if response is None:
-            return Response(
-                status="failed",
-                op=request.op,
-                request_id=request.request_id,
-                error=error_to_payload(
-                    TransactionAborted("request", "response wait timed out")
-                ),
-            )
-        return response
+    def _await_slot(self, ticket: _Ticket, budget: float) -> bool:
+        """A blocking caller waits until its ticket is handed over (True)
+        or answered without running — shed from the queue (False).  A
+        caller that gives up first withdraws its claim: the pool runs
+        the ticket when it leaves the queue."""
+        # The pending event ends the wait either way: _dispatch sets it
+        # on hand-over, _resolve on an answer.
+        if ticket.pending._event.wait(budget):
+            return ticket.pending.response is None
+        with self._lock:
+            if ticket.dispatched:
+                return True  # handed over as the wait ran out
+            ticket.caller = False
+        return False
 
     # ------------------------------------------------------------------
     # Dispatch and completion
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
-        """Pull queued tickets into the kernel while slots are free."""
+        """Pull queued tickets into the kernel while slots are free: a
+        blocking caller's ticket goes back to its caller to drive, any
+        other to the worker pool."""
         while True:
             now = time.monotonic()
             ticket, expired = self.admission.acquire_next(now, self.degrade.degraded)
@@ -368,27 +417,43 @@ class TransactionServer:
             if ticket is None:
                 return
             ticket.dequeued_at = now
-            try:
-                program = build_program(self.built, ticket.request, self.think_cost)
-                guarded = self._fence_crashes(ticket.name, program)
-                with self._lock:
-                    self._inflight[ticket.name] = ticket
-                self.tk.spawn(ticket.name, guarded)
-            except Exception as exc:  # noqa: BLE001 - per-request failure
-                with self._lock:
-                    self._inflight.pop(ticket.name, None)
-                self.admission.release(0.0)
-                self._failed.inc()
-                ticket.pending._resolve(
-                    Response(
-                        status="failed",
-                        op=ticket.request.op,
-                        request_id=ticket.request.request_id,
-                        error=error_to_payload(exc),
-                        queue_wait=now - ticket.admitted_at,
-                        total_time=time.monotonic() - ticket.admitted_at,
-                    )
+            with self._lock:
+                self._inflight[ticket.name] = ticket
+                ticket.dispatched = True
+                hand_over = ticket.caller
+            if hand_over:
+                ticket.pending._event.set()
+            else:
+                self._start(ticket)
+
+    def _start(self, ticket: _Ticket, drive: bool = False) -> None:
+        """Build the ticket's transaction and spawn it on the pool, or,
+        with *drive*, run it to its end on this thread."""
+        try:
+            program = self._fence_crashes(
+                ticket.name, build_program(self.built, ticket.request, self.think_cost)
+            )
+            if drive:
+                self.tk.drive(ticket.name, program)
+            else:
+                self.tk.spawn(ticket.name, program)
+        except Exception as exc:  # noqa: BLE001 - per-request failure
+            with self._lock:
+                self._inflight.pop(ticket.name, None)
+            self.admission.release(0.0)
+            self._failed.inc()
+            ticket.pending._resolve(
+                Response(
+                    status="failed",
+                    op=ticket.request.op,
+                    request_id=ticket.request.request_id,
+                    error=error_to_payload(exc),
+                    queue_wait=ticket.dequeued_at - ticket.admitted_at,
+                    total_time=time.monotonic() - ticket.admitted_at,
                 )
+            )
+            if drive:
+                self._dispatch()  # the freed slot; the pool path's loop takes it
 
     @staticmethod
     def _fence_crashes(name: str, program: Callable) -> Callable:
@@ -589,4 +654,5 @@ class TransactionServer:
             "shed_ewma": round(self.degrade.shed_ewma, 4),
             "service_estimate": round(self.admission.service_estimate, 6),
             "draining": self.draining,
+            "caller_drives": self._caller_drives.value,
         }

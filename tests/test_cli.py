@@ -101,6 +101,18 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("command", ["serve", "cluster"])
+    def test_servers_take_no_pool_size(self, command, capsys):
+        """Wire requests run on their handler threads, so neither server
+        command sizes a worker pool; admission bounds what runs at once."""
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--threads", "4"])
+        assert exit_info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert build_parser().parse_args([command]).max_inflight == 4
+
     def test_module_entry_point(self):
         import subprocess
         import sys

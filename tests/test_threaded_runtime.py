@@ -21,6 +21,7 @@ import pytest
 from repro.core.kernel import CostModel
 from repro.core.protocol import SemanticLockingProtocol
 from repro.core.serializability import is_semantically_serializable
+from repro.errors import RuntimeEngineError
 from repro.objects.database import Database
 from repro.objects.encapsulated import TypeSpec
 from repro.objects.oid import Oid
@@ -40,6 +41,7 @@ from repro.semantics.invocation import Invocation
 from repro.server.admission import AdmissionConfig
 from repro.server.core import TransactionServer
 from repro.server.requests import Request
+from repro.server.wire import TCPClient, WireServer
 from repro.txn.locks import Disposition, LockTable
 from repro.txn.transaction import TransactionNode
 from repro.util.tracelog import TraceEvent, TraceLog
@@ -499,9 +501,9 @@ class TestTargetedWakeups:
     notify would show as a multi-second wait and a stall check."""
 
     def test_idle_workers_wake_only_for_work(self):
-        """4 workers, 2 submitting threads, 200 zero-cost requests: at
-        most one idle wake-up per spawned task (waking every worker on
-        every signal gave about 9 per request)."""
+        """4 workers, 2 submitting threads, 200 zero-cost requests handed
+        to the pool: at most one idle wake-up per spawned task (waking
+        every worker on every signal gave about 9 per request)."""
         server = TransactionServer(
             build_order_entry_database(n_items=4, orders_per_item=4),
             n_threads=4,
@@ -514,7 +516,8 @@ class TestTargetedWakeups:
         def client(offset):
             for i in range(100):
                 op = ("place", "stock-check", "restock")[i % 3]
-                responses.append(server.submit(Request(op=op, item=(offset + i) % 4)))
+                pending = server.submit_async(Request(op=op, item=(offset + i) % 4))
+                responses.append(pending.wait(10.0))
 
         try:
             clients = [threading.Thread(target=client, args=(k,)) for k in range(2)]
@@ -528,6 +531,7 @@ class TestTargetedWakeups:
             assert server.shutdown().clean
         assert len(responses) == 200 and all(r.ok for r in responses)
         assert counters["thread.spawned"] == 200
+        assert counters.get("thread.caller_drives", 0) == 0
         assert counters["thread.idle_wakeups"] <= counters["thread.spawned"], counters
         assert counters["thread.stall_checks"] == 0
 
@@ -540,11 +544,14 @@ class TestTargetedWakeups:
         server.tk.scheduler.stall_check = 0.01
         server.start()
         try:
+            # The pool starts with its first task; then it idles.
+            assert server.submit_async(Request(op="stock-check", item=0)).wait(10.0).ok
+            before = server.obs.snapshot().counters.get("thread.idle_wakeups", 0)
             time.sleep(0.2)
             counters = server.obs.snapshot().counters
         finally:
             assert server.shutdown().clean
-        assert counters.get("thread.idle_wakeups", 0) == 0, counters
+        assert counters.get("thread.idle_wakeups", 0) == before, counters
 
     def test_each_grant_reaches_its_waiter(self):
         """A holder keeps a hot atom until five writers have queued on
@@ -612,6 +619,344 @@ class TestTargetedWakeups:
             elapsed = time.monotonic() - started
         assert wedged == [] and elapsed < 1.0, (wedged, elapsed)
         assert all(handle.task.finished for handle in kernel.handles.values())
+
+
+class TestCallerDrives:
+    """A blocking submit runs its transaction on the calling thread, and
+    every wake-up of a caller-driven task reaches that caller by notify.
+    Counts, not timings: each test pushes the stall poll out to 5 s (or
+    counts it), so a grant that missed its caller would show as a
+    multi-second wait and a stall check."""
+
+    def test_blocking_submits_run_on_their_callers(self):
+        """2 submitting threads, 200 requests: every transaction is
+        driven by the thread that submitted it, and the idle pool is
+        never woken."""
+        server = TransactionServer(
+            build_order_entry_database(n_items=4, orders_per_item=4),
+            n_threads=4,
+            default_deadline=10.0,
+        )
+        server.tk.scheduler.stall_check = 5.0
+        server.start()
+        responses = []
+
+        def client(offset):
+            for i in range(100):
+                op = ("place", "stock-check", "restock")[i % 3]
+                responses.append(server.submit(Request(op=op, item=(offset + i) % 4)))
+
+        try:
+            clients = [threading.Thread(target=client, args=(k,)) for k in range(2)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in clients)
+            counters = server.obs.snapshot().counters
+            stats = server.stats()
+        finally:
+            assert server.shutdown().clean
+        assert len(responses) == 200 and all(r.ok for r in responses)
+        assert counters["thread.caller_drives"] == counters["thread.spawned"] == 200
+        assert counters.get("thread.idle_wakeups", 0) == 0, counters
+        assert counters["thread.stall_checks"] == 0
+        assert stats["caller_drives"] == 200
+
+    def test_the_pool_starts_with_its_first_queued_task(self):
+        """A server whose clients all block runs no pool worker; the first
+        ``submit_async`` starts the pool of ``n_threads`` workers."""
+        server = TransactionServer(
+            build_order_entry_database(n_items=2, orders_per_item=2), n_threads=3
+        ).start()
+
+        def pool():
+            return [t for t in threading.enumerate() if t.name.startswith("cc-serve-")]
+
+        try:
+            for i in range(4):
+                assert server.submit(Request(op="stock-check", item=i % 2)).ok
+            idle = pool()
+            assert server.submit_async(Request(op="restock", item=0)).wait(10.0).ok
+            started = pool()
+        finally:
+            assert server.shutdown().clean
+        assert idle == [] and len(started) == 3
+        assert not any(t.is_alive() for t in started)
+
+    def test_drive_refuses_a_task_queued_for_the_pool(self):
+        scheduler = WallClockScheduler(n_threads=1)
+
+        async def program():
+            pass
+
+        task = scheduler.spawn("queued", program())
+        with pytest.raises(RuntimeEngineError, match="queued for the pool"):
+            scheduler.drive(task)
+        assert task.state == Task.PENDING and task.wake is None
+        task.coro.close()
+
+    def test_caller_drives_are_readable_over_the_wire(self):
+        """The wire handler thread drives each request it reads, and the
+        ``stats`` op reports the count."""
+        server = TransactionServer(
+            build_order_entry_database(n_items=2, orders_per_item=2)
+        ).start()
+        wire = WireServer(server).start()
+        try:
+            with TCPClient(*wire.address) as client:
+                for i in range(6):
+                    reply = client.request({"op": "stock-check", "item": i % 2})
+                    assert reply["status"] == "ok", reply
+                stats = client.stats()
+        finally:
+            wire.stop()
+            assert server.shutdown().clean
+        assert stats["caller_drives"] == 6
+
+    def test_each_grant_reaches_its_calling_driver(self):
+        """A caller-driven holder keeps a hot atom until five caller-driven
+        writers have queued on it: each later grant must wake its caller
+        by notify (a caller whose task had no wake-up would wait out the
+        5 s poll)."""
+        db = Database()
+        hot = db.new_atom("hot", 0)
+        db.attach_child(hot)
+        kernel = ThreadedKernel(db, n_threads=1)
+        kernel.scheduler.stall_check = 5.0
+        took = threading.Event()
+        release = kernel.scheduler.create_signal("release")
+
+        async def holder(tx):
+            await tx.put(hot, 0)
+            took.set()
+            await release
+
+        def writer(value):
+            async def program(tx):
+                await tx.put(hot, value)
+
+            return program
+
+        started = time.monotonic()
+        callers = [threading.Thread(target=kernel.drive, args=("holder", holder))]
+        callers[0].start()
+        assert took.wait(5.0)
+        for value in range(1, 6):
+            callers.append(
+                threading.Thread(target=kernel.drive, args=(f"W{value}", writer(value)))
+            )
+            callers[-1].start()
+        wait_until(lambda: kernel.locks.pending_count == 5)
+        release.fire()  # readies the holder's caller from a thread that drives nothing
+        for thread in callers:
+            thread.join(timeout=10.0)
+        elapsed = time.monotonic() - started
+        assert not any(thread.is_alive() for thread in callers)
+        assert elapsed < 1.5, elapsed
+        snapshot = kernel.obs.snapshot()
+        assert all(handle.committed for handle in kernel.handles.values())
+        assert snapshot.counter("lock.blocks") >= 5
+        assert snapshot.counter("thread.caller_drives") == 6
+        assert snapshot.counter("thread.stall_checks") == 0
+        assert kernel.locks.lock_count == 0
+
+    def test_a_lone_caller_never_sleeps(self, monkeypatch):
+        """With no other driver, a caller neither yields at its zero-cost
+        Pauses nor hands the GIL over at its transaction's end."""
+        built = build_order_entry_database(n_items=2, orders_per_item=2)
+        kernel = ThreadedKernel(built.db, n_threads=1)
+        kernel.scheduler._turn_started -= 1.0  # the turn is long up
+        calls = []
+        monkeypatch.setattr(time, "sleep", calls.append)
+        monkeypatch.setattr(threaded, "_yield_thread", lambda: calls.append("yield"))
+        handle = kernel.drive("T1", make_t1(built.item(0), 1, built.item(1), 2))
+        assert handle.committed and calls == []
+        assert kernel.obs.snapshot().counters["thread.steps"] > 2  # it did pause
+
+    def test_the_hand_off_rule(self, monkeypatch):
+        """A caller hands the GIL over at a transaction's end only when
+        another driver wants it and the turn is up; a hand-off that no
+        driver took (no step while it slept) leaves the turn up."""
+        scheduler = WallClockScheduler()
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        turn_up = time.monotonic() - 2 * scheduler._turn
+        scheduler._turn_started = turn_up
+        scheduler._end_turn()
+        assert slept == []  # nobody else drives
+        scheduler._driving = scheduler._blocked = 1
+        scheduler._end_turn()
+        assert slept == []  # the other driver is parked on a signal
+        scheduler._blocked = 0
+        scheduler._turn_started = time.monotonic() + 60.0  # far from up
+        scheduler._end_turn()
+        assert slept == []  # the turn is not up
+        scheduler._turn_started = turn_up
+        scheduler._end_turn()
+        assert slept == [0] and scheduler._handoffs == 0
+        assert time.monotonic() - scheduler._turn_started >= scheduler._turn  # nobody took it
+
+        def the_other_driver_steps(seconds):
+            slept.append(seconds)
+            scheduler.steps += 1
+
+        monkeypatch.setattr(time, "sleep", the_other_driver_steps)
+        before = time.monotonic()
+        scheduler._end_turn()
+        assert slept == [0, 0]
+        assert scheduler._turn_started >= before  # a new turn
+
+    @staticmethod
+    def _slow_server(**kwargs):
+        """A server whose requests hold their locks for think time: 1 cost
+        unit is 1 ms.  Lock waits get a 10 s budget, so only the deadline
+        reaper or a drain can end a blocked wait."""
+        server = TransactionServer(
+            build_order_entry_database(n_items=2, orders_per_item=2),
+            time_scale=0.001,
+            default_deadline=10.0,
+            **kwargs,
+        )
+        server.tk.lock_timeout_fn = lambda node: 10.0
+        server.tk.scheduler.stall_check = 5.0
+        return server.start()
+
+    @staticmethod
+    def _submit_in_thread(server, request):
+        out = []
+        thread = threading.Thread(target=lambda: out.append(server.submit(request)))
+        thread.start()
+        return thread, out
+
+    def test_deadline_interrupt_reaches_a_blocked_caller(self):
+        """The reaper aborts an overdue caller-driven transaction that is
+        blocked on a lock, long before the holder lets go."""
+        server = self._slow_server(think_cost=800.0)
+        try:
+            holder, held = self._submit_in_thread(server, Request(op="restock", item=0))
+            wait_until(lambda: server.tk.locks.lock_count > 0)
+            started = time.monotonic()
+            response = server.submit(Request(op="stock-check", item=0, deadline=0.1))
+            waited = time.monotonic() - started
+            holder.join(timeout=10.0)
+            counters = server.obs.snapshot().counters
+        finally:
+            report = server.shutdown()
+        assert response.status == "aborted", response
+        assert response.error["code"] == "deadline-exceeded", response.error
+        assert waited < 0.6, waited
+        assert held and held[0].ok, held
+        assert counters["server.deadline_interrupts"] == 1
+        assert counters["thread.caller_drives"] == 2
+        assert counters["thread.stall_checks"] == 0
+        assert report.clean, report.to_dict()
+
+    def test_a_queued_ticket_is_driven_by_its_caller(self):
+        """With one in-flight slot, a second blocking submit waits in the
+        admission queue; when the first ends, the ticket goes back to the
+        thread that submitted it, not to the pool."""
+        server = self._slow_server(
+            think_cost=200.0, admission=AdmissionConfig(max_inflight=1, queue_cap=4)
+        )
+        drivers = {}
+        finished = server.tk.scheduler.on_task_done
+
+        def record(task):
+            drivers[task.name] = (task.driver, threading.current_thread().name)
+            finished(task)
+
+        server.tk.scheduler.on_task_done = record
+        try:
+            first = threading.Thread(
+                target=server.submit,
+                args=(Request(op="restock", item=0),),
+                kwargs={"name": "first"},
+                name="first-caller",
+            )
+            first.start()
+            wait_until(lambda: server.inflight_count() == 1)
+            second, out = [], []
+
+            def submit_second():
+                out.append(server.submit(Request(op="restock", item=1), name="second"))
+
+            second = threading.Thread(target=submit_second, name="second-caller")
+            second.start()
+            wait_until(lambda: server.admission.depth() == 1)
+            for thread in (first, second):
+                thread.join(timeout=10.0)
+            counters = server.obs.snapshot().counters
+        finally:
+            assert server.shutdown().clean
+        assert out and out[0].ok and out[0].queue_wait > 0.05, out
+        assert drivers == {
+            "first": ("first-caller", "first-caller"),
+            "second": ("second-caller", "second-caller"),
+        }
+        assert counters["thread.caller_drives"] == counters["thread.spawned"] == 2
+        assert counters.get("thread.idle_wakeups", 0) == 0
+
+    def test_drain_reaches_a_blocked_caller(self):
+        """Draining a server while a caller-driven transaction is blocked
+        on a lock: the drain's abort reaches the blocked caller, which
+        answers ``aborted``; the holder is aborted too, and the drain is
+        clean."""
+        server = self._slow_server(think_cost=600.0)
+        holder, held = self._submit_in_thread(server, Request(op="restock", item=0))
+        wait_until(lambda: server.tk.locks.lock_count > 0)
+        waiter, waited = self._submit_in_thread(server, Request(op="stock-check", item=0))
+        wait_until(lambda: server.tk.locks.pending_count == 1)
+        report = server.shutdown(drain_deadline=0.05, grace=5.0)
+        for thread in (holder, waiter):
+            thread.join(timeout=10.0)
+        assert report.clean, report.to_dict()
+        assert report.stragglers_aborted == 2
+        assert waited and waited[0].status == "aborted", waited
+        assert "draining" in waited[0].error["message"], waited[0].error
+        assert held and held[0].status == "aborted", held
+
+    @pytest.mark.parametrize("budget, wedged", [(0.05, ["slow (driven by slow-caller)"]), (3.0, [])])
+    def test_stop_never_closes_a_coroutine_a_caller_drives(self, budget, wedged):
+        """A caller is in the middle of a 0.3 s Pause when the scheduler
+        stops: a stop whose budget runs out first reports the task
+        instead of closing its coroutine, a longer one waits for it; the
+        transaction commits on the caller either way."""
+        db = Database()
+        atom = db.new_atom("a", 0)
+        db.attach_child(atom)
+        kernel = ThreadedKernel(db, n_threads=1, time_scale=1.0)
+        kernel.start()
+        pausing = threading.Event()
+
+        async def program(tx):
+            await tx.put(atom, 1)
+            pausing.set()
+            await Pause(0.3)  # time_scale 1.0: 0.3 s on the caller, no await
+
+        caller = threading.Thread(target=kernel.drive, args=("slow", program), name="slow-caller")
+        caller.start()
+        assert pausing.wait(5.0)
+        assert kernel.stop(timeout=budget) == wedged
+        caller.join(timeout=5.0)
+        handle = kernel.handles["slow"]
+        assert handle.task.state == Task.DONE and handle.committed
+        assert atom.raw_get() == 1
+
+    def test_a_drive_after_stop_fails_without_a_step(self):
+        db = Database()
+        kernel = ThreadedKernel(db, n_threads=1)
+        kernel.start()
+        assert kernel.stop() == []
+        ran = []
+
+        async def program(tx):
+            ran.append(True)
+
+        handle = kernel.drive("late", program)
+        assert handle.task.state == Task.FAILED
+        assert "shut down" in str(handle.task.exception)
+        assert ran == []
 
 
 class TestBoundedRetention:
