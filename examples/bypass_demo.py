@@ -68,7 +68,7 @@ def fig5() -> None:
     for seed in range(60):
         built, kernel = run(SemanticLockingProtocol(), seed)
         outcomes.add(kernel.handles["T3"].result)
-        assert is_semantically_serializable(kernel.history(), db=built.db)
+        assert is_semantically_serializable(kernel.history(), db=built.db).serializable
     print(f"  T3 outcomes over 60 random interleavings: {sorted(outcomes)}")
     print("  (always a consistent snapshot; every history serializable)")
 

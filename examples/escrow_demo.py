@@ -113,7 +113,7 @@ def main() -> None:
     print(f"method-level lock waits: {len(method_blocks)}  "
           f"(the balance covers all three: they commute)")
     print("results:", {n: h.result for n, h in kernel.handles.items()})
-    print("serializable:", bool(is_semantically_serializable(kernel.history(), db=db)))
+    print("serializable:", is_semantically_serializable(kernel.history(), db=db).serializable)
 
     print("\n=== escrow guards correctness: funds cover only two of three ===")
     db, kernel, balance = run(make_account_type(escrow=True), 70, amounts)

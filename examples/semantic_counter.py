@@ -90,7 +90,7 @@ def main() -> None:
     print("commits:", kernel.metrics.commits, " aborts:", kernel.metrics.aborts)
     print("leaf-level deadlocks resolved by subtransaction restart:",
           kernel.metrics.subtxn_restarts)
-    print("serializable:", bool(is_semantically_serializable(kernel.history(), db=db)))
+    print("serializable:", is_semantically_serializable(kernel.history(), db=db).serializable)
 
     # ------------------------------------------------------------------
     # Compensation: an aborting deposit is withdrawn again, while a

@@ -22,7 +22,7 @@ Quickstart::
         "T2": make_t2(built.item(0), 2, built.item(1), 2),
     })
     assert kernel.handles["T1"].committed
-    assert is_semantically_serializable(kernel.history(), db=built.db)
+    assert is_semantically_serializable(kernel.history(), db=built.db).serializable
 """
 
 from repro.errors import (

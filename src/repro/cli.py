@@ -12,6 +12,8 @@ Commands:
 * ``check`` — run a random workload under a chosen protocol and check
   the admitted history for semantic serializability (``--protocol``,
   ``--transactions``, ``--seed``, ``--runtime virtual|threaded``);
+  exits 1 when the history is refuted, 2 when the checker's search
+  budget ran out before a verdict either way;
 * ``stats`` — run a workload and print the observability breakdown:
   the four-way Fig. 9 conflict-case table, kernel / lock / scheduler /
   waits-for counters, and histograms; ``--jsonl`` exports the snapshot
@@ -81,9 +83,16 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print(render_timeline(kernel.history(), lane_width=34))
     print(f"\nlock waits: {kernel.metrics.blocks}")
     verdict = is_semantically_serializable(kernel.history(), db=built.db)
+    if verdict.exhausted:
+        print(f"semantically serializable: unknown ({_unknown(verdict)})")
+        return 0
     print(f"semantically serializable: {verdict.serializable}"
           f" (serial order {' -> '.join(verdict.serial_order or [])})")
     return 0
+
+
+def _unknown(verdict) -> str:
+    return f"search budget exhausted after {verdict.states_explored} states"
 
 
 def cmd_matrices(args: argparse.Namespace) -> int:
@@ -152,6 +161,9 @@ def cmd_check(args: argparse.Namespace) -> int:
           f"{kernel.metrics.blocks} lock waits, "
           f"{kernel.metrics.deadlocks} deadlocks")
     verdict = is_semantically_serializable(kernel.history(), db=workload.db)
+    if verdict.exhausted:
+        print(f"history semantically serializable: unknown ({_unknown(verdict)})")
+        return 2
     print(f"history semantically serializable: {verdict.serializable}")
     if not verdict.serializable:
         print("!! the admitted history is NOT equivalent to any serial order")

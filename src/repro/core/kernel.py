@@ -66,7 +66,7 @@ from repro.semantics.generic import (
 )
 from repro.semantics.invocation import Invocation
 from repro.txn.compensation import UndoEntry, UndoLog
-from repro.txn.history import History, HistoryRecorder
+from repro.txn.history import History, history_of, note_composition
 from repro.txn.locks import Disposition, LockTable, LockTableAPI, PendingRequest
 from repro.txn.transaction import NodeStatus, TransactionNode
 from repro.txn.waits import WaitsForGraph
@@ -328,7 +328,6 @@ class TransactionManager:
         if wal is not None:
             wal.bind_metrics(self.obs)
         self.waits = WaitsForGraph(self.obs)
-        self.recorder = HistoryRecorder(db)
         self.undo = UndoLog()
         self.trace = TraceLog()
         self.seq = SequenceCounter()
@@ -393,7 +392,8 @@ class TransactionManager:
         self.scheduler.run()
 
     def history(self) -> History:
-        return self.recorder.history()
+        """The execution so far, read from the transaction trees."""
+        return history_of(handle.root for handle in list(self.handles.values()))
 
     def interrupt_transaction(self, name: str, exc: TransactionAborted) -> bool:
         """Abort the named in-flight transaction with *exc* (deadline
@@ -493,7 +493,7 @@ class TransactionManager:
         node.readonly = self._is_readonly(target, operation)
         node.is_compensation = is_compensation or parent.is_compensation
         node.compensates = compensates
-        self.recorder.snapshot_target(target.oid)
+        note_composition(parent.root().composition, target)
         self.metrics.inc("actions")
 
         cost = self.cost_model.cost_of(operation)
@@ -537,31 +537,31 @@ class TransactionManager:
         """Undo a not-yet-committed subtransaction so it can retry.
 
         Committed children are compensated, leaves are undone
-        physically, the subtree's locks are released, and its records
-        are dropped from the history (a restarted subtransaction's
-        do/undo pair nets out to nothing).
+        physically, the subtree's locks are released, and it leaves the
+        tree together with its compensations, so the history never shows
+        it (a restarted subtransaction's do/undo pair nets out to
+        nothing).
         """
         self._trace(node, "restart")
         self.metrics.inc("subtxn_restarts")
         root = node.root()
         prior_root_children = len(root.children)
         await self._undo_children(node, in_restart=True)
-        # Coordinated from here down: discarding records, releasing the
+        # Coordinated from here down: pruning the tree, releasing the
         # subtree's locks, and re-evaluating the queues is one logical
         # step against concurrent commits/aborts on other workers.
         with self.scheduler.coordination():
-            discarded = {n.node_id for n in node.descendants(include_self=True)}
-            # Compensations spawned by the rollback attach to the root; their
-            # records net out against the discarded do-records, so drop them
-            # from the history as well (their *effects* stand, of course).
-            compensations = root.children[prior_root_children:]
-            for comp in compensations:
-                discarded.update(n.node_id for n in comp.descendants(include_self=True))
-            for node_id in discarded:
-                self.undo.discard(node_id)
-            self.recorder.discard_nodes(node.top_level_name, discarded - {node.node_id})
+            discarded = list(node.descendants(include_self=True))
+            # Compensations spawned by the rollback attach to the root; they
+            # net out against the rolled-back subtree, so they leave the tree
+            # with it (their *effects* stand, of course).
+            for comp in root.children[prior_root_children:]:
+                discarded.extend(comp.descendants(include_self=True))
+            for member in discarded:
+                self.undo.discard(member.node_id)
             released = self.locks.release_subtree(node)
             node.children.clear()
+            del root.children[prior_root_children:]
             self._trace(node, "restart-released", count=len(released))
             self._after_lock_change()
 
@@ -1113,7 +1113,6 @@ class TransactionManager:
     def _complete_node(self, node: TransactionNode) -> None:
         with self.scheduler.coordination():
             node.mark_committed(self.seq.tick())
-            self.recorder.on_node_end(node)
             self._trace(node, "commit")
             self._wal_subtxn_commit(node)
             if self.faults is not None and not node.is_top_level:
@@ -1161,7 +1160,6 @@ class TransactionManager:
         # they await locks themselves.)
         with self.scheduler.coordination():
             root.mark_aborted(self.seq.tick())
-            self.recorder.on_node_end(root)
             released = self.locks.release_tree(root)
             self.waits.remove_transaction(handle.name)
             self._trace(root, "release", count=len(released))
@@ -1218,7 +1216,6 @@ class TransactionManager:
             self._trace(node, "undo", what=entry.description)
         if node.active:
             node.mark_aborted(self.seq.tick())
-            self.recorder.on_node_end(node)
 
     # ------------------------------------------------------------------
     # Tracing

@@ -87,7 +87,9 @@ class ReductionResult:
     exhausted: bool  # True if the budget ran out before a proof either way
 
     def __bool__(self) -> bool:
-        return self.serializable
+        # Three outcomes, not two: a search that ran out of budget
+        # (``exhausted``) refuted nothing, so no truth value fits.
+        raise TypeError("read .serializable, and .exhausted for a budget-limited unknown")
 
 
 def matrices_from_database(db: Database) -> dict[str, CompatibilityMatrix]:

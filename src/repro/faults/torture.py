@@ -60,8 +60,7 @@ from repro.objects.sets import SetObject
 from repro.recovery import recover
 from repro.recovery.wal import TxnStatusRecord, WriteAheadLog
 from repro.runtime.scheduler import Scheduler
-from repro.txn.history import ActionRecord, History
-from repro.txn.transaction import NodeStatus
+from repro.txn.history import ActionRecord, History, action_record
 
 
 def state_of(db, exclude: tuple[str, ...] = ("NextOrderNo",)) -> dict[str, Any]:
@@ -397,53 +396,37 @@ def _surviving_history(kernel: TransactionManager) -> History:
 
     In-flight transactions that were not already aborting could still
     have committed had the crash not happened; a correct protocol must
-    keep every such extension serializable.  The recorder only records
+    keep every such extension serializable.  The history holds only
     *finished* nodes, so the active interior of those trees (the root
-    and any active ancestors of recorded actions) is synthesised here:
+    and any active ancestors of recorded actions) is sealed here:
     status ``committed``, end sequence numbers past the real ones, and
     children sealed before parents — the order an actual commit would
     have produced.  In-flight transactions already aborting are left
     out, exactly like durably aborted ones: they can never commit.
     """
     history = kernel.history()
-    recorded = {r.node_id for r in history.records}
     synthesised: list[ActionRecord] = []
     next_seq = max((r.end_seq for r in history.records), default=0) + 1
     for name in sorted(kernel.handles):
         handle = kernel.handles[name]
         if handle.committed or handle.aborted or handle.aborting:
             continue
-        # Active ancestors of recorded actions, deepest first, so every
-        # child's synthetic end_seq precedes its parent's.
+        # Active ancestors of recorded (finished) actions, deepest first,
+        # so every child's synthetic end_seq precedes its parent's.
         pending = [
             node
             for node in handle.root.descendants(include_self=True)
-            if node.status is NodeStatus.ACTIVE
-            and any(child.node_id in recorded for child in node.children)
+            if node.active and any(not child.active for child in node.children)
         ]
         if not pending:
             continue  # no durably recorded effects; nothing to explain
         closure = {node.node_id: node for node in pending}
         for node in pending:
             for ancestor in node.ancestors(include_self=False):
-                if ancestor.status is NodeStatus.ACTIVE:
+                if ancestor.active:
                     closure.setdefault(ancestor.node_id, ancestor)
         for node in sorted(closure.values(), key=lambda n: -n.depth):
-            synthesised.append(
-                ActionRecord(
-                    node_id=node.node_id,
-                    parent_id=node.parent.node_id if node.parent is not None else None,
-                    txn=node.top_level_name,
-                    target=node.target,
-                    operation=node.invocation.operation,
-                    args=node.invocation.args,
-                    begin_seq=node.begin_seq if node.begin_seq is not None else -1,
-                    end_seq=next_seq,
-                    status="committed",
-                    depth=node.depth,
-                    is_compensation=node.is_compensation,
-                )
-            )
+            synthesised.append(action_record(node, status="committed", end_seq=next_seq))
             next_seq += 1
     return History(
         records=sorted(history.records + synthesised, key=lambda r: r.begin_seq),
@@ -463,7 +446,9 @@ def corpse_checks(kernel: TransactionManager) -> tuple[tuple[str, ...], list[str
     if leaks:
         failures += ("leaked-locks",)
     verdict = is_semantically_serializable(_surviving_history(kernel), db=kernel.db)
-    if not verdict.serializable:
+    if verdict.exhausted:
+        failures += ("unknown-surviving-history",)
+    elif not verdict.serializable:
         failures += ("non-serializable-surviving-history",)
     return failures, leaks
 

@@ -41,10 +41,17 @@ class RuntimeOutcome:
     serializable: bool
     serial_order: tuple[str, ...]
     state_matches_serial: bool
+    # The checker's search budget ran out: nothing was refuted, but
+    # nothing was proven either (``serializable`` is then False).
+    unknown: bool = False
 
     @property
     def ok(self) -> bool:
         return self.serializable and self.state_matches_serial
+
+    @property
+    def verdict(self) -> str:
+        return "unknown" if self.unknown else str(self.serializable)
 
 
 @dataclass(frozen=True)
@@ -59,7 +66,7 @@ class DifferentialReport:
 
     @property
     def verdicts_identical(self) -> bool:
-        return self.virtual.serializable == self.threaded.serializable
+        return self.virtual.verdict == self.threaded.verdict
 
     @property
     def ok(self) -> bool:
@@ -70,10 +77,10 @@ class DifferentialReport:
         return (
             f"[{mark}] {self.protocol} seed={self.seed}: "
             f"virtual committed={len(self.virtual.committed)} "
-            f"serializable={self.virtual.serializable} "
+            f"serializable={self.virtual.verdict} "
             f"state={'=' if self.virtual.state_matches_serial else '!='}serial | "
             f"threaded committed={len(self.threaded.committed)} "
-            f"serializable={self.threaded.serializable} "
+            f"serializable={self.threaded.verdict} "
             f"state={'=' if self.threaded.state_matches_serial else '!='}serial"
         )
 
@@ -99,7 +106,7 @@ def _outcome(runtime: str, kernel, config: WorkloadConfig, n_transactions: int) 
     serial_order = tuple(verdict.serial_order or committed)
     if not verdict.serializable:
         return RuntimeOutcome(
-            runtime, committed, aborted, False, serial_order, False
+            runtime, committed, aborted, False, serial_order, False, verdict.exhausted
         )
     # Serial oracle: a fresh instantiation of the same seeded workload,
     # replaying exactly this run's committed transactions one at a time

@@ -1327,9 +1327,10 @@ class ThreadedKernel(TransactionManager):
     def reap(self, name: str):
         """Drop every trace of a finished transaction (server hygiene).
 
-        Removes the scheduler task, the kernel handle, and the
-        transaction's undo entries, trace events and history records:
-        a served kernel keeps only what its in-flight transactions left.
+        Removes the scheduler task, the kernel handle with the tree its
+        history is read from, and the transaction's undo entries and
+        trace events: a served kernel keeps only what its in-flight
+        transactions left.
         Returns the reaped task, or None if the task is still running.
         """
         task = self.scheduler.reap(name)
@@ -1340,7 +1341,6 @@ class ThreadedKernel(TransactionManager):
             for node in handle.root.descendants(include_self=True):
                 self.undo.discard(node.node_id)
         self.trace.discard(name)
-        self.recorder.discard(name)
         return task
 
 

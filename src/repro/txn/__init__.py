@@ -8,7 +8,7 @@ execution histories, and undo/compensation bookkeeping.
 from repro.txn.transaction import NodeStatus, TransactionNode
 from repro.txn.locks import Lock, LockTable, PendingRequest
 from repro.txn.waits import WaitsForGraph
-from repro.txn.history import ActionRecord, History, HistoryRecorder
+from repro.txn.history import ActionRecord, History
 from repro.txn.compensation import UndoEntry, UndoLog
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "WaitsForGraph",
     "ActionRecord",
     "History",
-    "HistoryRecorder",
     "UndoEntry",
     "UndoLog",
 ]

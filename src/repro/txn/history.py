@@ -1,20 +1,24 @@
-"""Recorded execution histories.
+"""Execution histories, read from the transaction trees.
 
 A concurrent execution of open nested transactions is a partial order of
-actions (Section 3).  The recorder captures, for every action, its
-invocation, target, tree position, and begin/end logical sequence
-numbers; together with a snapshot of the composition tree this is all
-the semantic-serializability checker needs.
+actions (Section 3): the forest of transaction trees, which the kernel
+already holds as ``handles[name].root``.  :func:`history_of` reads that
+forest when a history is asked for, turning every finished node into an
+immutable :class:`ActionRecord` (invocation, target, tree position,
+begin/end logical sequence numbers).  Nothing is recorded on the action
+path except each transaction's composition chains, which its root keeps
+as of touch time (an aborted creation later detaches its object); with
+them, the records are all the semantic-serializability checker needs.
+A served kernel reaps a finished transaction's tree, so its history
+holds only the in-flight ones.
 """
 
 from __future__ import annotations
 
-import itertools
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
-from repro.objects.database import Database
+from repro.objects.base import DatabaseObject
 from repro.objects.oid import Oid
 from repro.txn.transaction import NodeStatus, TransactionNode
 
@@ -127,82 +131,52 @@ class History:
         return "\n".join(lines)
 
 
-class HistoryRecorder:
-    """Accumulates action records during a kernel run, filed by
-    top-level transaction.  A served kernel drops a transaction's
-    records (:meth:`discard`) when it reaps it, so only in-flight
-    transactions' records stay; virtual and batch runs keep everything.
+def note_composition(
+    chains: dict[DatabaseObject, Optional[DatabaseObject]], obj: DatabaseObject
+) -> None:
+    """Add *obj*'s composition chain to *chains* (object to parent) as it
+    stands now, up to the first object an earlier touch captured.  Keyed
+    by object, not OID: identity hashing keeps the action path cheap."""
+    while obj is not None and obj not in chains:
+        parent = obj.parent
+        chains[obj] = parent
+        obj = parent
 
-    Thread-safe: concurrent workers record actions simultaneously under
-    the threaded runtime, and ``snapshot_target`` is check-then-set.
-    """
 
-    def __init__(self, db: Database) -> None:
-        self._db = db
-        # Per top-level transaction, its (arrival number, record) pairs.
-        self._records: dict[str, list[tuple[int, ActionRecord]]] = {}
-        self._arrivals = itertools.count()
-        self._composition: dict[Oid, Optional[Oid]] = {}
-        self._lock = threading.Lock()
+def action_record(
+    node: TransactionNode, status: Optional[str] = None, end_seq: Optional[int] = None
+) -> ActionRecord:
+    """The record of *node*; *status* and *end_seq* override the node's
+    own (a crash check seals a still-active node as if it committed)."""
+    return ActionRecord(
+        node_id=node.node_id,
+        parent_id=node.parent.node_id if node.parent is not None else None,
+        txn=node.top_level_name,
+        target=node.target,
+        operation=node.invocation.operation,
+        args=node.invocation.args,
+        begin_seq=node.begin_seq if node.begin_seq is not None else -1,
+        end_seq=end_seq if end_seq is not None else node.end_seq,
+        status=status or node.status.value,
+        depth=node.depth,
+        is_compensation=node.is_compensation,
+    )
 
-    def snapshot_target(self, target: Oid) -> None:
-        """Capture the composition chain of *target* at touch time.
 
-        Objects can be destroyed later (aborted creations), so the chain
-        is recorded while the object is alive.
-        """
-        with self._lock:
-            if target in self._composition:
-                return
-            obj = self._db.resolve(target)
-            for node in obj.composition_ancestors(include_self=True):
-                parent = node.parent
-                self._composition.setdefault(
-                    node.oid, parent.oid if parent is not None else None
-                )
-
-    def on_node_end(self, node: TransactionNode) -> None:
-        """Record a finished (committed or aborted) action."""
-        status = {
-            NodeStatus.COMMITTED: "committed",
-            NodeStatus.ABORTED: "aborted",
-            NodeStatus.ACTIVE: "active",
-        }[node.status]
-        record = ActionRecord(
-            node_id=node.node_id,
-            parent_id=node.parent.node_id if node.parent is not None else None,
-            txn=node.top_level_name,
-            target=node.target,
-            operation=node.invocation.operation,
-            args=node.invocation.args,
-            begin_seq=node.begin_seq if node.begin_seq is not None else -1,
-            end_seq=node.end_seq if node.end_seq is not None else -1,
-            status=status,
-            depth=node.depth,
-            is_compensation=node.is_compensation,
-        )
-        with self._lock:
-            self._records.setdefault(record.txn, []).append((next(self._arrivals), record))
-
-    def discard_nodes(self, txn: str, node_ids: set[str]) -> None:
-        """Forget records of a rolled-back (restarted) subtree of *txn*.
-
-        A restarted subtransaction's do/undo pair nets out to nothing;
-        the history treats it as never having executed, exactly like
-        standard multilevel-transaction restart semantics.
-        """
-        with self._lock:
-            run = self._records.get(txn, ())
-            self._records[txn] = [p for p in run if p[1].node_id not in node_ids]
-
-    def discard(self, txn: str) -> None:
-        """Forget every record of top-level transaction *txn*."""
-        with self._lock:
-            self._records.pop(txn, None)
-
-    def history(self) -> History:
-        with self._lock:
-            pairs = [pair for run in self._records.values() for pair in run]
-            composition = dict(self._composition)
-        pairs.sort(key=lambda pair: (pair[1].begin_seq, pair[0]))
-        return History(records=[r for _, r in pairs], composition_parent=composition)
+def history_of(roots: Iterable[TransactionNode]) -> History:
+    """The history of the transaction trees under *roots*: one record
+    per node that is no longer active, by ``(begin_seq, end_seq)``.
+    An object's composition parent is the earliest root's capture."""
+    records: list[ActionRecord] = []
+    composition: dict[Oid, Optional[Oid]] = {}
+    for root in reversed(list(roots)):
+        for obj, parent in list(root.composition.items()):
+            composition[obj.oid] = parent.oid if parent is not None else None
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
+            if node.status is not NodeStatus.ACTIVE:
+                records.append(action_record(node))
+    records.sort(key=lambda r: (r.begin_seq, r.end_seq))
+    return History(records=records, composition_parent=composition)

@@ -20,6 +20,7 @@ from repro.objects.oid import Oid
 from repro.semantics.invocation import Invocation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.objects.base import DatabaseObject
     from repro.runtime.scheduler import Signal
 
 
@@ -69,6 +70,11 @@ class TransactionNode:
             self.depth = 0
             self._root = self
             self.top_level_name = str(invocation.arg(0, node_id))
+            # Root only: the composition parent of every object the
+            # transaction touched and of its ancestors, as of the first
+            # touch (the history's composition chains), filled by the
+            # thread driving the transaction.
+            self.composition: dict[DatabaseObject, Optional[DatabaseObject]] = {}
 
     # ------------------------------------------------------------------
     # Tree navigation

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 
 import pytest
 
 from repro.cli import main
+from repro.core.serializability import is_semantically_serializable
 
 COMMITTED_BASELINE = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_baseline.json"
@@ -60,6 +62,23 @@ class TestCli:
                 break
         capsys.readouterr()
         assert failures >= 1
+
+    def test_demo_and_check_name_an_exhausted_budget_unknown(self, capsys, monkeypatch):
+        """A search that ran out of budget refuted nothing: both commands
+        say "unknown", and check exits 2 rather than 1."""
+        import repro.cli as cli
+
+        monkeypatch.setattr(
+            cli, "is_semantically_serializable", partial(is_semantically_serializable, budget=1)
+        )
+        assert main(["demo"]) == 0
+        out = capsys.readouterr().out
+        assert "semantically serializable: unknown (search budget exhausted" in out
+        assert "serializable: False" not in out
+        assert main(["check", "--transactions", "5", "--seed", "2"]) == 2
+        out = capsys.readouterr().out
+        assert "history semantically serializable: unknown" in out
+        assert "NOT equivalent" not in out
 
     def test_check_threaded_runtime(self, capsys):
         assert main(["check", "--runtime", "threaded", "--transactions", "4"]) == 0

@@ -78,7 +78,7 @@ class TestReportingQueryCoexistence:
                 continue  # query aborted (deadlock victim); retried IRL
             shipped = {row[:2] for row in report if SHIPPED in row[2]}
             assert shipped in (set(), {("i1", 1), ("i2", 1)}), (seed, report)
-            assert is_semantically_serializable(kernel.history(), db=built.db)
+            assert is_semantically_serializable(kernel.history(), db=built.db).serializable
 
     def test_naive_protocol_lets_query_see_torn_state(self):
         """Under the Section-3 protocol some interleaving shows the
@@ -125,7 +125,7 @@ class TestReportingQueryCoexistence:
         )
         finished = sum(1 for h in kernel.handles.values() if h.committed or h.aborted)
         assert finished == 3
-        assert is_semantically_serializable(kernel.history(), db=built.db)
+        assert is_semantically_serializable(kernel.history(), db=built.db).serializable
 
 
 class TestConventionalUpdaters:
@@ -147,7 +147,7 @@ class TestConventionalUpdaters:
         committed = {n for n, h in kernel.handles.items() if h.committed}
         if committed == {"PAY", "AUDIT"}:
             assert status.events == frozenset({PAID, "audited"})
-        assert is_semantically_serializable(kernel.history(), db=built.db)
+        assert is_semantically_serializable(kernel.history(), db=built.db).serializable
 
     @pytest.mark.parametrize("seed", range(8))
     def test_no_lost_audit_flags(self, seed):

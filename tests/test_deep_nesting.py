@@ -166,7 +166,7 @@ class TestDeepTrees:
         a, b = balances(db, ledger)
         assert a + b == 200
         assert (a, b) == (100 - 10 + 25 - 5, 100 + 10 - 25 + 5)
-        assert is_semantically_serializable(kernel.history(), db=db)
+        assert is_semantically_serializable(kernel.history(), db=db).serializable
 
     def test_relief_at_the_deepest_level(self, ledger_world):
         """Two transfers touching the same account conflict only at the
@@ -232,6 +232,41 @@ class TestDeepTrees:
         assert kernel.handles["GOOD"].committed
         assert kernel.handles["BAD"].aborted
         assert balances(db, ledger) == (93, 107)
+
+
+class TestRestartHistory:
+    def test_compensated_restart_absent_from_history(self, ledger_world):
+        """PostTransfer restarts after its Debit committed: the rollback
+        compensates the Debit with a Credit that attaches to the root.
+        The history holds neither the rolled-back attempt nor that
+        compensation; the retried PostTransfer appears once."""
+        db, ledger = ledger_world
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(
+                    site="pre-acquire",
+                    action="restart",
+                    txn="T",
+                    operation="Credit",
+                    at_visit=1,
+                    scope="parent",
+                ),
+            )
+        )
+        kernel = run_transactions(db, {"T": transfer(ledger, "a", "b", 7)}, faults=plan)
+        assert kernel.handles["T"].committed and kernel.handles["T"].restarts == 1
+        (compensation,) = kernel.trace.of_kind("compensate")
+        assert "Credit" in compensation.detail["with_"]
+        assert balances(db, ledger) == (93, 107)
+        history = kernel.history()
+        assert not any(r.is_compensation for r in history.records)
+        assert [r.operation for r in history.children_of("T")] == ["PostTransfer"]
+        (post,) = history.children_of("T")
+        assert [r.operation for r in history.children_of(post.node_id)] == ["Debit", "Credit"]
+        assert all(r.status == "committed" for r in history.records)
+        ops = [r.operation for r in history.records]
+        assert ops.count("Add") == 2 and ops.count("Get") == 2 and ops.count("Put") == 2
+        assert is_semantically_serializable(history, db=db).serializable
 
 
 class TestNodeIdentity:

@@ -230,7 +230,7 @@ class TestFig6:
     def test_history_serializable_either_way(self):
         for protocol in (SemanticLockingProtocol(), SemanticNoReliefProtocol()):
             built, kernel = _fig6_setup(protocol)
-            assert is_semantically_serializable(kernel.history(), db=built.db)
+            assert is_semantically_serializable(kernel.history(), db=built.db).serializable
 
 
 def _fig7_setup(protocol):
@@ -316,7 +316,7 @@ class TestFig7:
 
     def test_history_serializable(self):
         built, kernel, __ = _fig7_setup(SemanticLockingProtocol())
-        assert is_semantically_serializable(kernel.history(), db=built.db)
+        assert is_semantically_serializable(kernel.history(), db=built.db).serializable
 
 
 class TestFig8Fig9Conformance:

@@ -43,7 +43,7 @@ class TestRepeatableScan:
             if result is not None:
                 first, second = result
                 assert first == second, f"phantom under seed {seed}: {result}"
-            assert is_semantically_serializable(kernel.history(), db=built.db)
+            assert is_semantically_serializable(kernel.history(), db=built.db).serializable
 
     def test_scan_blocks_insert_until_scanner_done(self):
         """Direct Scan (bypassing TotalPayment) vs a NewOrder's Insert:

@@ -8,6 +8,8 @@ plus a handful of shape/diagnostic cases.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.core.kernel import TransactionManager, run_transactions
@@ -69,6 +71,23 @@ def test_naive_protocol_threaded_verdict_is_self_consistent() -> None:
     assert not report.virtual.serializable, report.summary()
     for outcome in (report.virtual, report.threaded):
         assert outcome.state_matches_serial == outcome.serializable, report.summary()
+
+
+def test_exhausted_budget_is_its_own_verdict(monkeypatch) -> None:
+    """A search that ran out of budget is "unknown", not a refutation."""
+    import repro.runtime.differential as differential
+
+    monkeypatch.setattr(
+        differential,
+        "is_semantically_serializable",
+        partial(is_semantically_serializable, budget=1),
+    )
+    report = run_differential("semantic", seed=7, n_transactions=5)
+    for outcome in (report.virtual, report.threaded):
+        assert outcome.unknown and outcome.verdict == "unknown"
+        assert not outcome.ok
+    assert report.verdicts_identical and not report.ok
+    assert "serializable=unknown" in report.summary()
 
 
 def test_report_accounts_for_every_transaction() -> None:

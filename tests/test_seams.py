@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import repro.core.kernel as kernel_module
+import repro.txn.history as history_module
 from repro.core.kernel import TransactionManager
 from repro.errors import TransactionAborted
 from repro.objects.database import Database
@@ -37,7 +38,6 @@ from repro.protocols import CCProtocol, protocols_by_name
 from repro.runtime.scheduler import Scheduler, SchedulerAPI
 from repro.runtime.threaded import ConcurrentLockTable, ThreadedKernel, WallClockScheduler
 from repro.semantics.invocation import Invocation
-from repro.txn.history import HistoryRecorder
 from repro.txn.locks import Disposition, LockTable, LockTableAPI
 from repro.txn.transaction import TransactionNode
 
@@ -657,13 +657,13 @@ def test_steps_have_no_execution_shards():
 
 
 def test_reap_drops_each_transaction_directly():
-    """Reaping drops the transaction's own trace events and history
-    records: no batch of reaped names, no discard that rebuilds the
-    whole history."""
+    """Reaping drops the transaction's own handle (the tree its history
+    is read from) and trace events: no batch of reaped names, and no
+    recorder keeping copies of finished actions for reap to discard."""
     kernel = ThreadedKernel(Database())
-    for attr in ("_reap_batch", "_reaped_txns"):
+    for attr in ("_reap_batch", "_reaped_txns", "recorder"):
         assert not hasattr(kernel, attr), attr
-    assert not hasattr(HistoryRecorder, "discard_txns")
+    assert not hasattr(history_module, "HistoryRecorder")
 
 
 def _src_literals(match) -> list[str]:

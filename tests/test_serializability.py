@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+import pytest
+
 from repro.core.serializability import is_semantically_serializable, matrices_from_database
 from repro.objects.oid import Oid
 from repro.semantics.compatibility import CompatibilityMatrix
@@ -205,6 +207,8 @@ class TestBudget:
         result = check(b.history(), budget=2)
         assert not result.serializable
         assert result.exhausted
+        with pytest.raises(TypeError):
+            bool(result)  # unknown is neither verdict
 
     def test_same_history_succeeds_with_budget(self):
         b = _HistoryBuilder()

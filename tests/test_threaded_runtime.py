@@ -961,13 +961,14 @@ class TestCallerDrives:
 
 class TestBoundedRetention:
     """A served kernel keeps only its in-flight transactions' trace
-    events and history records: reaping a transaction drops its own.
+    events and trees (its history): reaping a transaction drops its own.
     Counts, not timings."""
 
     def test_served_kernel_keeps_only_inflight_transactions(self):
         """2 000 requests from 2 clients: the trace never holds more
         transactions than admission lets in, and a quiescent server
-        holds no trace event and no history record."""
+        holds no trace event, no history record and no composition
+        chain."""
         max_inflight = 4
         server = TransactionServer(
             build_order_entry_database(n_items=4, orders_per_item=4),
@@ -1001,14 +1002,15 @@ class TestBoundedRetention:
             watcher.join(timeout=10.0)
             assert not any(thread.is_alive() for thread in clients + [watcher])
             retained_events = len(server.tk.trace)
-            retained_records = server.tk.history().records
+            retained = server.tk.history()
         finally:
             served.set()
             assert server.shutdown().clean
         assert len(responses) == 2000 and all(r.ok for r in responses)
         assert samples and max(samples) <= max_inflight, max(samples, default=None)
         assert retained_events == 0
-        assert retained_records == []
+        assert retained.records == []
+        assert retained.composition_parent == {}
 
     def test_discard_while_workers_emit(self):
         """Four threads emit for transactions of their own while a fifth

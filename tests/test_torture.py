@@ -13,17 +13,21 @@ from __future__ import annotations
 import ast
 import glob
 import os
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.faults.torture as torture_module
 from repro.core.kernel import run_transactions
+from repro.core.serializability import is_semantically_serializable
 from repro.faults import FaultPlan
 from repro.faults.torture import (
     TortureScenario,
     _run_instance,
     _torture_point,
+    corpse_checks,
     find_bypass_anomaly,
     order_entry_scenario,
     run_torture,
@@ -280,6 +284,25 @@ class TestAnomalyDetection:
         assert not report.all_ok
         assert "PARTIAL" in report.summary()
         assert "NOTHING VERIFIED" in report.summary()
+
+
+class TestUnknownVerdict:
+    def test_exhausted_budget_is_not_a_refutation(self, monkeypatch):
+        """The corpse check names a budget-limited search on its own."""
+        monkeypatch.setattr(
+            torture_module,
+            "is_semantically_serializable",
+            partial(is_semantically_serializable, budget=1),
+        )
+        built = build_order_entry_database(n_items=2, orders_per_item=2)
+        kernel = run_transactions(
+            built.db,
+            {
+                "T1": make_t1(built.item(0), 1, built.item(1), 2),
+                "T2": make_t2(built.item(0), 1, built.item(1), 2),
+            },
+        )
+        assert corpse_checks(kernel) == (("unknown-surviving-history",), [])
 
 
 class TestZeroCostWhenOff:
