@@ -9,12 +9,6 @@ from repro.bench.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.bench.openloop import (
-    OpenLoopConfig,
-    OpenLoopResult,
-    generate_arrivals,
-    run_open_loop,
-)
 from repro.bench.report import (
     format_conflict_breakdown,
     format_counters,
@@ -36,10 +30,6 @@ __all__ = [
     "diff",
     "load_baseline",
     "write_baseline",
-    "OpenLoopConfig",
-    "OpenLoopResult",
-    "generate_arrivals",
-    "run_open_loop",
     "format_conflict_breakdown",
     "format_counters",
     "format_gauges",

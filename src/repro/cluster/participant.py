@@ -46,7 +46,6 @@ decision record.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Callable, Iterable, Optional
 
 from repro.cluster.records import (
@@ -139,12 +138,10 @@ class ClusterParticipant:
         server: TransactionServer,
         wal: WriteAheadLog,
         crash: Callable[[str], None] = _no_crash,
-        comp_timeout: float = 30.0,
     ) -> None:
         self.server = server
         self.wal = wal
         self._crash = crash
-        self._comp_timeout = comp_timeout
         self._lock = threading.Lock()
         self._branch_committed: set[str] = set()
         self._decided: set[str] = set()
@@ -316,9 +313,11 @@ class ClusterParticipant:
     def _compensate(self, gtid: str) -> None:
         """Undo a locally-committed branch by running its inverses.
 
-        Spawned directly on the kernel (not through admission — an abort
-        decision must not be shed) under the name ``comp-<gtid>``, whose
-        durable commit status is what recovery checks for idempotency.
+        Driven on this thread directly on the kernel (not through
+        admission — an abort decision must not be shed) under the name
+        ``comp-<gtid>``, whose durable commit status is what recovery
+        checks for idempotency.  The kernel's lock-wait budget bounds
+        every wait; a timed-out compensation aborts, and so raises.
         """
         inverses = branch_inverses(self.wal, f"2pc-{gtid}")
         if not inverses:
@@ -326,12 +325,7 @@ class ClusterParticipant:
         program = compensation_program(self.server.built.db, inverses)
         name = f"comp-{gtid}"
         tk = self.server.tk
-        handle = tk.spawn(name, program)
-        deadline = time.monotonic() + self._comp_timeout
-        while not handle.task.finished:
-            if time.monotonic() > deadline:
-                raise CompensationError(f"compensation {name} timed out")
-            time.sleep(0.002)
+        handle = tk.drive(name, program)
         tk.reap(name)
         if not handle.committed:
             raise CompensationError(f"compensation {name} failed: {handle.error!r}")

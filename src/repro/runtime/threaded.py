@@ -5,8 +5,8 @@ primary runtime — deterministic, seedable, the oracle every figure and
 property test runs against.  This module is the other half of the
 paper's claim: the *same* kernel, protocols, and lock discipline driven
 by real threads under wall-clock time, so "more parallelism from
-commutativity" becomes a measurable wall-clock fact instead of a
-simulated one (see ``benchmarks/bench_t1_parallelism.py``).
+commutativity" becomes a countable fact on real threads instead of a
+simulated one (``tests/test_threaded_runtime.py::TestCommutingHolder``).
 
 Three pieces:
 
@@ -27,16 +27,17 @@ Three pieces:
 
 * :class:`WallClockScheduler` — a scheduler facade satisfying the
   kernel's scheduler seam (:class:`~repro.runtime.scheduler.SchedulerAPI`)
-  with two kinds of driving thread: a bounded worker pool for queued
-  tasks, and any calling thread that drives a task of its own to the
-  end (:meth:`WallClockScheduler.drive`) — the thread that waits for
-  the answer computes it.  Coroutine steps (the synchronous code
-  between two awaits) take no step-level lock, so steps of different
-  transactions proceed truly concurrently; the shared kernel
-  structures they touch protect themselves (the striped lock table,
-  the locked waits-for graph / sequence counter / id generator /
-  history recorder / undo log), and object-state mutation is
-  serialised per target by the lock table's
+  with two kinds of driving thread: a bounded worker pool that a batch
+  :meth:`~WallClockScheduler.run` starts for queued tasks, and any
+  calling thread that drives a task of its own to the end
+  (:meth:`WallClockScheduler.drive`) — the thread that waits for the
+  answer computes it, and on a served scheduler it is the only kind.
+  Coroutine steps (the synchronous code between two awaits) take no
+  step-level lock, so steps of different transactions proceed truly
+  concurrently; the shared kernel structures they touch protect
+  themselves (the striped lock table, the locked waits-for graph /
+  sequence counter / id generator / undo log), and object-state
+  mutation is serialised per target by the lock table's
   :meth:`~ConcurrentLockTable.guard`.  Multi-structure kernel
   phases — commit and abort processing, lock re-evaluation, deadlock
   detection, lock-wait timeouts — run under a small *coordinator* lock
@@ -545,7 +546,7 @@ class _PooledTask(Task):
 
     def __init__(self, name: str, coro, queued: bool) -> None:
         super().__init__(name, coro)
-        #: Spawned for the pool; only a worker may take it.
+        #: Spawned for the batch pool; only a worker may take it.
         self.queued = queued
         #: Set when a worker or a caller takes the task; readying or
         #: interrupting the task notifies it.
@@ -565,16 +566,16 @@ class WallClockScheduler:
     ``reap``) the transaction server drives, and :meth:`drive`, which
     runs a task spawned with ``queued=False`` on the calling thread.
 
-    ``n_threads`` sizes the pool: each worker drives one queued
-    transaction coroutine at a time to completion, so at most
-    ``n_threads`` queued transactions are in flight.  In serve mode the
-    pool starts with the first queued task.  Caller-driven
-    tasks are not bounded here (the server's admission control bounds
-    them).  The stall backstop: a thread blocked on a signal
-    periodically re-runs the kernel's ``on_stall`` hook (deadlock
-    resolution) and raises :class:`RuntimeEngineError` after
-    ``stall_timeout`` seconds without progress, so a lost wakeup can
-    never hang the process.
+    ``n_threads`` sizes the batch pool of :meth:`run`: each worker
+    drives one queued transaction coroutine at a time to completion, so
+    at most ``n_threads`` queued transactions are in flight.  A started
+    (served) scheduler runs no pool: every task is driven by its
+    caller, and a queued ``spawn`` raises.  Caller-driven tasks are not
+    bounded here (the server's admission control bounds them).  The
+    stall backstop: a thread blocked on a signal periodically re-runs
+    the kernel's ``on_stall`` hook (deadlock resolution) and raises
+    :class:`RuntimeEngineError` after ``stall_timeout`` seconds without
+    progress, so a lost wakeup can never hang the process.
     """
 
     def __init__(
@@ -621,11 +622,9 @@ class WallClockScheduler:
         self._local = threading.local()
         self._errors: list[BaseException] = []
         self._shutdown = False
-        # Serve mode (see :meth:`start`): workers idle-wait instead of
-        # exiting when the runnable queue drains, and one task's failure
-        # does not cascade into the others.
+        # Serve mode (see :meth:`start`): callers drive every task, and
+        # one task's failure does not cascade into the others.
         self._serve = False
-        self._threads: list[threading.Thread] = []
         #: Fired (outside all scheduler locks) when a task reaches DONE
         #: or FAILED — the transaction server's completion signal.
         self.on_task_done: Optional[Callable[[Task], None]] = None
@@ -641,7 +640,6 @@ class WallClockScheduler:
         self._stall_counter = None
         self._blocked_gauge = None
         self._block_hist = None
-        self._idle_wake_counter = None
         self._caller_counter = None
 
     @property
@@ -665,7 +663,6 @@ class WallClockScheduler:
         self._step_counter = registry.counter("thread.steps")
         self._spawn_counter = registry.counter("thread.spawned")
         self._stall_counter = registry.counter("thread.stall_checks")
-        self._idle_wake_counter = registry.counter("thread.idle_wakeups")
         self._caller_counter = registry.counter("thread.caller_drives")
         self._blocked_gauge = registry.gauge("thread.blocked")
         self._block_hist = registry.histogram("thread.block_time", TIMER_BUCKETS)
@@ -679,21 +676,24 @@ class WallClockScheduler:
         return _LockedSignal(self, name)
 
     def spawn(self, name: str, coro, queued: bool = True) -> Task:
-        """Register a task.  A *queued* task goes to the pool, which wakes
-        one idle worker for it (in serve mode the first one starts the
-        pool); any other waits for the thread that calls :meth:`drive`
-        on it."""
+        """Register a task.  A *queued* task goes to the batch pool, which
+        wakes one idle worker for it; a served scheduler has no pool, so
+        it refuses one.  Any other task waits for the thread that calls
+        :meth:`drive` on it."""
         with self._sched_lock:
             if name in self.tasks:
                 raise RuntimeEngineError(f"task name {name!r} already in use")
+            if queued and self._serve:
+                coro.close()
+                raise RuntimeEngineError(
+                    f"task {name!r} queued on a served scheduler: only a caller drives"
+                )
             task = _PooledTask(name, coro, queued)
             self.tasks[name] = task
             if self._spawn_counter is not None:
                 self._spawn_counter.inc()
             if queued:
                 self._runnable.append(task)
-                if self._serve and not self._threads and not self._shutdown:
-                    self._start_pool()
                 self._wakeup.notify()
         return task
 
@@ -817,13 +817,11 @@ class WallClockScheduler:
 
         Batch mode (:meth:`run`) treats an empty runnable queue as "the
         workload is finished" and any worker error as "abort the run".
-        A server needs neither: workers idle-wait for future ``spawn``
-        calls, and a failed task is an ordinary per-request outcome
-        (recorded on the task, reported through :attr:`on_task_done`,
-        kept in a bounded diagnostic ring) rather than a pool-wide
-        abort.  The pool itself starts with the first queued ``spawn``,
-        so a server whose callers all drive their own tasks runs no idle
-        workers.  Pair with :meth:`stop`.
+        A server needs neither: each caller drives its own task
+        (:meth:`drive`), so no worker runs, and a failed task is an
+        ordinary per-request outcome (recorded on the task, reported
+        through :attr:`on_task_done`, kept in a bounded diagnostic ring)
+        rather than a run-wide abort.  Pair with :meth:`stop`.
         """
         with self._sched_lock:
             if self._serve:
@@ -831,44 +829,25 @@ class WallClockScheduler:
             if self._shutdown:
                 raise RuntimeEngineError("scheduler already shut down")
             self._serve = True
-            if self._runnable:
-                self._start_pool()
-
-    def _start_pool(self) -> None:
-        """Start the serve-mode workers (caller holds the scheduler lock,
-        so :meth:`stop` never sees a worker it cannot join)."""
-        self._threads = [
-            threading.Thread(target=self._worker, name=f"cc-serve-{i}", daemon=True)
-            for i in range(self.n_threads)
-        ]
-        for worker in self._threads:
-            worker.start()
 
     def stop(self, timeout: Optional[float] = None) -> list[str]:
-        """Stop a served scheduler: set shutdown, join the workers, wait
-        for the callers, close what is left.
+        """Stop a served scheduler: set shutdown, wait for the callers,
+        close what is left.
 
-        Shutdown notifies every idle worker and the condition of every
-        blocked task's driving thread, so blocked waits drain at once.
-        Returns the names of workers still alive after the join budget
-        and of tasks a calling thread was still driving when the budget
-        ran out (empty on a clean stop).  Unfinished coroutines are
-        closed once no worker can be driving them, so abandoned tasks do
-        not leak pending-coroutine warnings; a coroutine a caller drives
-        is never closed, because only that caller may step it.  A task
-        spawned for a caller that has not started driving it yet is
-        closed too: :meth:`drive` then fails it without stepping it.
+        Shutdown notifies the condition of every blocked task's driving
+        thread, so blocked waits drain at once.  Returns the names of
+        tasks a calling thread was still driving when the budget ran out
+        (empty on a clean stop).  A coroutine a caller drives is never
+        closed, because only that caller may step it.  A task spawned
+        for a caller that has not started driving it yet is closed, so
+        it leaks no pending-coroutine warning: :meth:`drive` then fails
+        it without stepping it.
         """
         with self._sched_lock:
             self._shutdown = True
             self._wake_all()
         budget = timeout if timeout is not None else max(1.0, self.stall_check * 40)
         give_up = time.monotonic() + budget
-        with self._sched_lock:
-            workers = list(self._threads)  # no pool starts after shutdown
-        for worker in workers:
-            worker.join(timeout=budget)
-        wedged = [worker.name for worker in workers if worker.is_alive()]
         with self._sched_lock:
             while True:
                 driven = [
@@ -881,17 +860,12 @@ class WallClockScheduler:
             leftovers = [
                 t for t in self.tasks.values() if t.driver is None and not t.finished
             ]
-        if not wedged:
-            for task in leftovers:
-                try:
-                    task.coro.close()
-                except BaseException:  # noqa: BLE001 - best-effort cleanup
-                    pass
-        return wedged + [f"{task.name} (driven by {task.driver})" for task in driven]
-
-    @property
-    def serving(self) -> bool:
-        return self._serve and not self._shutdown
+        for task in leftovers:
+            try:
+                task.coro.close()
+            except BaseException:  # noqa: BLE001 - best-effort cleanup
+                pass
+        return [f"{task.name} (driven by {task.driver})" for task in driven]
 
     def reap(self, name: str) -> Optional[Task]:
         """Drop a finished task from the registry (long-run hygiene).
@@ -906,13 +880,6 @@ class WallClockScheduler:
                 del self.tasks[name]
                 return task
             return None
-
-    def drain_errors(self) -> list[BaseException]:
-        """Pop and return the collected diagnostic errors (serve mode)."""
-        with self._sched_lock:
-            errors = list(self._errors)
-            self._errors.clear()
-            return errors
 
     def _record_error(self, error: BaseException) -> None:
         """Append to the error list (caller holds the scheduler lock).
@@ -952,18 +919,14 @@ class WallClockScheduler:
         wake = threading.Condition(self._sched_lock)
         while True:
             with self._wakeup:
-                notified = False
                 while (
                     not self._runnable
                     and not self._shutdown
-                    and (self._serve or (self._driving > 0 and not self._errors))
+                    and self._driving > 0
+                    and not self._errors
                 ):
-                    if notified and self._idle_wake_counter is not None:
-                        self._idle_wake_counter.inc()
-                    notified = self._wakeup.wait(self.stall_check)
-                if self._shutdown:
-                    return
-                if not self._serve and (self._errors or not self._runnable):
+                    self._wakeup.wait(self.stall_check)
+                if self._shutdown or self._errors or not self._runnable:
                     return
                 task = self._runnable.popleft()
                 if task.state not in (Task.PENDING, Task.READY):
@@ -975,13 +938,13 @@ class WallClockScheduler:
             finally:
                 with self._sched_lock:
                     self._driving -= 1
-                    if not self._serve and not self._driving:
-                        # Batch mode's exit test reads _driving.
+                    if not self._driving:
+                        # The idle workers' exit test reads _driving.
                         self._wakeup.notify_all()
 
     def drive(self, task: Task) -> None:
         """Run a task spawned with ``queued=False`` to its end on the
-        calling thread, through the loop the pool runs (:meth:`_drive`).
+        calling thread, through the loop a batch worker runs (:meth:`_drive`).
 
         The caller waits on a condition of its own while the task is
         blocked, so a grant or an interrupt wakes it exactly as it wakes
@@ -1303,21 +1266,21 @@ class ThreadedKernel(TransactionManager):
     # Serve mode (long-running server front-end)
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start the worker pool in serve mode (see
+        """Enter serve mode, where callers drive every transaction (see
         :meth:`WallClockScheduler.start`); pair with :meth:`stop`."""
         self.scheduler.start()
 
     def stop(self, timeout: Optional[float] = None) -> list[str]:
-        """Stop a served pool; returns the names of wedged workers and of
-        tasks callers were still driving (see :meth:`WallClockScheduler.stop`)."""
+        """Stop serving; returns the names of tasks callers were still
+        driving (see :meth:`WallClockScheduler.stop`)."""
         return self.scheduler.stop(timeout)
 
     def drive(self, name: str, program):
         """Run a top-level transaction to its end on the calling thread.
 
         The task is registered as :meth:`spawn` registers it but never
-        queued for the pool, which need not be running; the caller steps
-        it (see :meth:`WallClockScheduler.drive`).  Returns the handle.
+        queued for a pool; the caller steps it (see
+        :meth:`WallClockScheduler.drive`).  Returns the handle.
         """
         handle = self._register_top(name)
         handle.task = self.scheduler.spawn(name, self._run_top(handle, program), queued=False)

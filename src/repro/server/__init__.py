@@ -9,7 +9,7 @@ in-process client.
 """
 
 from repro.server.admission import AdmissionConfig, AdmissionController
-from repro.server.core import DrainReport, PendingResponse, TransactionServer
+from repro.server.core import DrainReport, TransactionServer
 from repro.server.degrade import DegradationController, DegradeConfig
 from repro.server.requests import (
     ALL_OPS,
@@ -27,7 +27,6 @@ __all__ = [
     "DegradationController",
     "DegradeConfig",
     "DrainReport",
-    "PendingResponse",
     "TransactionServer",
     "Request",
     "Response",

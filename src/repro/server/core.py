@@ -16,13 +16,18 @@ serve mode, fronted by the overload-robustness stack:
 * **graceful drain**: :meth:`TransactionServer.shutdown` stops
   admission, flushes the queues with ``draining`` sheds, waits for
   in-flight work up to a drain deadline, aborts stragglers through the
-  same abort path, then stops the pool and verifies lock hygiene.
+  same abort path, then stops the kernel and verifies lock hygiene.
+
+Every admitted request runs on the thread that submitted it
+(:meth:`TransactionServer.submit`, through
+:meth:`~repro.runtime.threaded.ThreadedKernel.drive`); a served kernel
+starts no worker thread.
 
 Injected faults (``repro.faults``): a :class:`~repro.faults.plan.FaultPlan`
 passed to the server fires inside the kernel exactly as in the torture
 harness — ``delay`` actions stretch handlers, ``crash`` actions kill a
 request mid-flight.  Crashes are fenced at the request boundary: the
-worker thread survives and the transaction aborts through compensation,
+calling thread survives and the transaction aborts through compensation,
 so one crashed request cannot wedge the server.
 """
 
@@ -48,7 +53,7 @@ from repro.server.admission import OVERLOAD_REASONS, AdmissionConfig, AdmissionC
 from repro.server.degrade import DegradationController, DegradeConfig
 from repro.server.requests import Request, Response, build_program, op_class
 
-__all__ = ["TransactionServer", "DrainReport", "PendingResponse"]
+__all__ = ["TransactionServer", "DrainReport"]
 
 
 @dataclass
@@ -88,34 +93,6 @@ class DrainReport:
         }
 
 
-class PendingResponse:
-    """Handle for an asynchronously submitted request."""
-
-    __slots__ = ("_event", "response", "_callback")
-
-    def __init__(self, callback: Optional[Callable[[Response], None]] = None) -> None:
-        self._event = threading.Event()
-        self.response: Optional[Response] = None
-        self._callback = callback
-
-    def _resolve(self, response: Response) -> None:
-        self.response = response
-        self._event.set()
-        if self._callback is not None:
-            try:
-                self._callback(response)
-            except Exception:  # noqa: BLE001 - client callback, best effort
-                pass
-
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def wait(self, timeout: Optional[float] = None) -> Optional[Response]:
-        self._event.wait(timeout)
-        return self.response
-
-
 class _Ticket:
     """Server-side bookkeeping for one admitted (or queued) request."""
 
@@ -127,10 +104,9 @@ class _Ticket:
         "deadline_at",
         "admitted_at",
         "dequeued_at",
-        "pending",
         "degraded_at_admit",
-        "caller",
-        "dispatched",
+        "response",
+        "settled",
     )
 
     def __init__(
@@ -140,9 +116,7 @@ class _Ticket:
         klass: str,
         budget: float,
         now: float,
-        pending: PendingResponse,
         degraded: bool,
-        caller: bool,
     ) -> None:
         self.request = request
         self.name = name
@@ -151,23 +125,28 @@ class _Ticket:
         self.deadline_at = now + budget
         self.admitted_at = now
         self.dequeued_at = now
-        self.pending = pending
         self.degraded_at_admit = degraded
-        #: Its submitting thread waits to drive it (a blocking submit);
-        #: cleared if that thread gives up before the ticket leaves the
-        #: queue, so the pool runs it instead.
-        self.caller = caller
-        #: Set under the server lock when the ticket takes its slot.
-        self.dispatched = False
+        #: The answer, once the request is shed, fails to start or ends.
+        self.response: Optional[Response] = None
+        #: Set when the ticket takes its slot (its caller then drives it)
+        #: or is answered without running.
+        self.settled = threading.Event()
+
+    def answer(self, response: Response) -> None:
+        self.response = response
+        self.settled.set()
 
 
 class TransactionServer:
     """Long-running order-entry server over the threaded kernel.
 
     ``protocol_factory`` builds the concurrency-control protocol (None
-    uses the semantic default); ``time_scale``/``think_cost`` follow the
-    wall-clock bench idiom (a Pause of ``think_cost`` cost units sleeps
-    ``think_cost * time_scale`` real seconds inside each transaction).
+    uses the semantic default); ``time_scale``/``think_cost`` make each
+    transaction hold its locks across a wait (a Pause of ``think_cost``
+    cost units sleeps ``think_cost * time_scale`` real seconds).  Every
+    request runs on the thread that submitted it, so ``n_threads``
+    sizes nothing on a served kernel; it is still accepted, as the
+    kernel's batch-pool size.
     The kernel resolves waits-for cycles when the closing edge is
     recorded, and request deadlines propagate onto its lock-wait budget,
     capped at ``LOCK_TIMEOUT_CAP`` wall seconds.
@@ -180,7 +159,7 @@ class TransactionServer:
     #: Lower bound on one lock wait, so a nearly-expired request still
     #: gets a short, non-zero wait.
     MIN_LOCK_WAIT = 0.005
-    #: The worker pool's stall backstop (see WallClockScheduler).
+    #: The stall backstop of a blocked wait (see WallClockScheduler).
     STALL_TIMEOUT = 10.0
 
     def __init__(
@@ -252,7 +231,7 @@ class TransactionServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "TransactionServer":
-        """Start the kernel worker pool and the deadline reaper."""
+        """Put the kernel in serve mode and start the deadline reaper."""
         with self._lock:
             if self._started:
                 raise RuntimeError("server already started")
@@ -280,54 +259,37 @@ class TransactionServer:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit_async(
-        self,
-        request: Request,
-        callback: Optional[Callable[[Response], None]] = None,
-        name: Optional[str] = None,
-    ) -> PendingResponse:
-        """Admit (or shed) a request; returns immediately.
-
-        Shed decisions resolve the returned handle synchronously;
-        admitted requests run on the worker pool and resolve when the
-        transaction finishes (or is deadline-aborted).  ``name``
-        overrides the generated transaction name — the cluster shard
-        uses stable names so the WAL records a request's identity
-        durably.
-        """
-        pending = PendingResponse(callback)
-        self._admit(request, pending, name, caller=False)
-        return pending
-
-    def submit(
-        self,
-        request: Request,
-        timeout: Optional[float] = None,
-        name: Optional[str] = None,
-    ) -> Response:
-        """Blocking submit: the calling thread drives its own transaction.
+    def submit(self, request: Request, name: Optional[str] = None) -> Response:
+        """Admit (or shed) a request and answer it; the calling thread
+        drives its own transaction.
 
         The path of in-process callers, the wire handler threads and the
         cluster participant.  Once admission gives the request a slot —
         at once, or when another request's end takes it out of the queue
         and hands it over — this thread runs the transaction through
-        :meth:`ThreadedKernel.drive` instead of waiting for a pool
-        worker, so the thread that waits for the answer computes it.
-        ``timeout`` bounds the wait for a slot; once running, the
-        transaction is bounded by its deadline, as on the pool.
+        :meth:`ThreadedKernel.drive`, so the thread that waits for the
+        answer computes it.  A caller waits for its slot at most its
+        deadline plus the stall backstop; by then any dequeue expires
+        the ticket, so it never runs.  ``name`` overrides the generated
+        transaction name — the cluster shard uses stable names so the
+        WAL records a request's identity durably.
         """
-        pending = PendingResponse()
-        ticket = self._admit(request, pending, name, caller=True)
-        budget = timeout
-        if budget is None:
-            deadline = (
-                request.deadline if request.deadline is not None else self.default_deadline
+        self._requests.inc()
+        try:
+            klass = op_class(request.op)
+        except Exception as exc:  # noqa: BLE001 - surfaced to the client
+            self._failed.inc()
+            return Response(
+                status="failed", op=request.op, request_id=request.request_id,
+                error=error_to_payload(exc),
             )
-            budget = min(self.MAX_DEADLINE, deadline) + self.tk.scheduler.stall_timeout
-        if ticket is not None and self._await_slot(ticket, budget):
-            self._start(ticket, drive=True)
-        response = pending.response
-        if response is None:
+        ticket = self._admit(request, klass, name)
+        if (
+            ticket.settled.wait(ticket.budget + self.tk.scheduler.stall_timeout)
+            and ticket.response is None
+        ):
+            self._start(ticket)
+        if ticket.response is None:
             return Response(
                 status="failed",
                 op=request.op,
@@ -336,25 +298,11 @@ class TransactionServer:
                     TransactionAborted("request", "response wait timed out")
                 ),
             )
-        return response
+        return ticket.response
 
-    def _admit(
-        self, request: Request, pending: PendingResponse, name: Optional[str], caller: bool
-    ) -> Optional[_Ticket]:
-        """Queue the request's ticket and dispatch; None when the request
-        was answered at once (unknown op, or shed)."""
-        self._requests.inc()
-        try:
-            klass = op_class(request.op)
-        except Exception as exc:  # noqa: BLE001 - surfaced to the client
-            pending._resolve(
-                Response(
-                    status="failed", op=request.op, request_id=request.request_id,
-                    error=error_to_payload(exc),
-                )
-            )
-            self._failed.inc()
-            return None
+    def _admit(self, request: Request, klass: str, name: Optional[str]) -> _Ticket:
+        """Make the request's ticket, then shed it (answered) or queue it
+        and dispatch."""
         budget = min(
             self.MAX_DEADLINE,
             request.deadline if request.deadline is not None else self.default_deadline,
@@ -367,39 +315,23 @@ class TransactionServer:
         # One read of the mode: the response's flag and the shed decision
         # cannot disagree.
         degraded = self.degrade.degraded
-        ticket = _Ticket(request, name, klass, budget, now, pending, degraded, caller)
+        ticket = _Ticket(request, name, klass, budget, now, degraded)
         shed = self.admission.admit(ticket, klass, ticket.deadline_at, degraded)
         if shed is not None:
             self._resolve_shed(ticket, shed)
             if shed.reason_code in OVERLOAD_REASONS:
                 self.degrade.observe(True)
-            return None
+            return ticket
         self.degrade.observe(False)
         self._dispatch()
         return ticket
-
-    def _await_slot(self, ticket: _Ticket, budget: float) -> bool:
-        """A blocking caller waits until its ticket is handed over (True)
-        or answered without running — shed from the queue (False).  A
-        caller that gives up first withdraws its claim: the pool runs
-        the ticket when it leaves the queue."""
-        # The pending event ends the wait either way: _dispatch sets it
-        # on hand-over, _resolve on an answer.
-        if ticket.pending._event.wait(budget):
-            return ticket.pending.response is None
-        with self._lock:
-            if ticket.dispatched:
-                return True  # handed over as the wait ran out
-            ticket.caller = False
-        return False
 
     # ------------------------------------------------------------------
     # Dispatch and completion
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
-        """Pull queued tickets into the kernel while slots are free: a
-        blocking caller's ticket goes back to its caller to drive, any
-        other to the worker pool."""
+        """Pull queued tickets into the kernel while slots are free: each
+        goes back to the caller waiting for it, to drive."""
         while True:
             now = time.monotonic()
             ticket, expired = self.admission.acquire_next(now, self.degrade.degraded)
@@ -419,30 +351,22 @@ class TransactionServer:
             ticket.dequeued_at = now
             with self._lock:
                 self._inflight[ticket.name] = ticket
-                ticket.dispatched = True
-                hand_over = ticket.caller
-            if hand_over:
-                ticket.pending._event.set()
-            else:
-                self._start(ticket)
+            ticket.settled.set()
 
-    def _start(self, ticket: _Ticket, drive: bool = False) -> None:
-        """Build the ticket's transaction and spawn it on the pool, or,
-        with *drive*, run it to its end on this thread."""
+    def _start(self, ticket: _Ticket) -> None:
+        """Build the ticket's transaction and run it to its end on this
+        thread."""
         try:
             program = self._fence_crashes(
                 ticket.name, build_program(self.built, ticket.request, self.think_cost)
             )
-            if drive:
-                self.tk.drive(ticket.name, program)
-            else:
-                self.tk.spawn(ticket.name, program)
+            self.tk.drive(ticket.name, program)
         except Exception as exc:  # noqa: BLE001 - per-request failure
             with self._lock:
                 self._inflight.pop(ticket.name, None)
             self.admission.release(0.0)
             self._failed.inc()
-            ticket.pending._resolve(
+            ticket.answer(
                 Response(
                     status="failed",
                     op=ticket.request.op,
@@ -452,8 +376,7 @@ class TransactionServer:
                     total_time=time.monotonic() - ticket.admitted_at,
                 )
             )
-            if drive:
-                self._dispatch()  # the freed slot; the pool path's loop takes it
+            self._dispatch()  # the freed slot
 
     @staticmethod
     def _fence_crashes(name: str, program: Callable) -> Callable:
@@ -462,7 +385,7 @@ class TransactionServer:
         In the torture harness a CrashPoint kills the whole run — that
         is its contract.  A server must fence the blast radius at the
         request boundary instead: the transaction aborts through the
-        normal compensation path (locks stay hygienic) and the worker
+        normal compensation path (locks stay hygienic) and the calling
         thread lives on to serve the next request.
         """
 
@@ -489,7 +412,7 @@ class TransactionServer:
         self.tk.reap(ticket.name)
         self.admission.release(service_time)
         self._latency.observe(response.total_time)
-        ticket.pending._resolve(response)
+        ticket.answer(response)
         self._dispatch()
 
     def _build_response(self, ticket: _Ticket, task, handle, now: float) -> Response:
@@ -539,7 +462,7 @@ class TransactionServer:
         if counted:
             self._shed.inc()
         now = time.monotonic()
-        ticket.pending._resolve(
+        ticket.answer(
             Response(
                 status="shed",
                 op=ticket.request.op,
@@ -622,7 +545,7 @@ class TransactionServer:
             time.sleep(self.deadline_check)
         report.finished_in_grace = inflight_at_start - self.inflight_count()
         report.unresolved = self.inflight_count()
-        # Phase 3: stop the reaper and the pool, then audit lock hygiene.
+        # Phase 3: stop the reaper and the kernel, then audit lock hygiene.
         self._reaper_stop.set()
         if self._reaper is not None:
             self._reaper.join(timeout=max(1.0, 4 * self.deadline_check))

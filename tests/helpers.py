@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import threading
+import time
 from typing import Any, Optional
 
 from repro.core.kernel import TransactionManager, TransactionProgram
@@ -112,3 +114,49 @@ def page_store_files(root) -> list[str]:
         for name in dirs + files
         if name in ("store", "pages.db")
     ]
+
+
+def wait_until(predicate, timeout: float = 5.0) -> None:
+    """Poll *predicate* until it holds; fail after *timeout* seconds."""
+    give_up = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < give_up, "timed out waiting"
+        time.sleep(0.001)
+
+
+class Caller:
+    """A thread blocked in ``server.submit(request)``: how a test keeps
+    several requests in flight on a server whose callers drive their
+    own transactions."""
+
+    def __init__(self, server, request, name: Optional[str] = None) -> None:
+        self.response = None
+        self.thread = threading.Thread(
+            target=self._submit, args=(server, request, name), daemon=True
+        )
+        self.thread.start()
+
+    def _submit(self, server, request, name) -> None:
+        self.response = server.submit(request, name=name)
+
+    @property
+    def done(self) -> bool:
+        return not self.thread.is_alive()
+
+    def wait(self, timeout: Optional[float] = None):
+        """The response, or None if the caller is still waiting."""
+        self.thread.join(timeout)
+        return self.response
+
+
+def record_thread_starts(monkeypatch) -> list[str]:
+    """The names of every thread started from here on in the test."""
+    names: list[str] = []
+    start = threading.Thread.start
+
+    def recording_start(thread) -> None:
+        names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return names

@@ -9,15 +9,20 @@ processes over durable partitions) serves every test; with
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 
 from repro.cluster import LocalCluster
 from repro.cluster.files import WAL_FILENAME
+from repro.cluster.participant import ClusterParticipant
 from repro.cluster.router import ClusterRouter, CoordinatorLog, ShardLink
+from repro.orderentry.schema import build_order_entry_database
+from repro.recovery import WriteAheadLog
+from repro.server.core import TransactionServer
 from repro.server.requests import Request
 
-from tests.helpers import page_store_files
+from tests.helpers import page_store_files, record_thread_starts
 
 CROSS = (0, 3)  # item 0 -> shard 1, item 3 -> shard 0
 
@@ -132,6 +137,42 @@ class TestTwoPhaseCommit:
         assert shed.status == "shed", shed.to_dict()
         assert shed.error["reason_code"] == "cluster-branch-shed"
         assert shed.retry_after is not None and shed.retry_after > 0
+
+
+class TestInProcessParticipant:
+    def test_abort_compensates_on_the_deciding_thread(self, monkeypatch):
+        """A 2PC abort of a committed branch runs its compensation on the
+        thread that handles the abort: one more caller drive, no worker
+        thread, the branch's effect undone."""
+        started = record_thread_starts(monkeypatch)
+        wal = WriteAheadLog()
+        server = TransactionServer(
+            build_order_entry_database(n_items=2, orders_per_item=2), wal=wal
+        ).start()
+        participant = ClusterParticipant(server, wal)
+        drivers = {}
+        finished = server.tk.scheduler.on_task_done
+
+        def record(task):
+            drivers[task.name] = task.driver
+            finished(task)
+
+        server.tk.scheduler.on_task_done = record
+        try:
+            branch = Request(op="restock", item=0, quantity=5).to_dict()
+            assert participant.prepare({"gtid": "g1", "branch": branch})["status"] == "prepared"
+            assert server.submit(Request(op="stock-check", item=0)).result == 1005
+            before = server.obs.snapshot().counters["thread.caller_drives"]
+            assert participant.abort({"gtid": "g1", "seq": 1})["result"] == "aborted"
+            counters = server.obs.snapshot().counters
+            stock = server.submit(Request(op="stock-check", item=0)).result
+        finally:
+            assert server.shutdown().clean
+        assert counters["thread.caller_drives"] == before + 1
+        assert counters["2pc.compensations"] == 1
+        assert drivers["comp-g1"] == threading.current_thread().name
+        assert stock == 1000
+        assert [name for name in started if name.startswith(("cc-serve-", "cc-worker-"))] == []
 
 
 class TestShardLink:

@@ -263,6 +263,41 @@ class TestForceRule:
         wal.close()
 
 
+class TestRecoveryFromFile:
+    """Every group-commit window recovers the seeded order-entry workload
+    from the WAL file to exactly the live state: a durability knob
+    changes when records reach the disk, never what they recover to."""
+
+    @pytest.mark.parametrize("window", [0.0, 0.010])
+    def test_recovered_state_equals_live_state(self, tmp_path, window):
+        from repro.core.kernel import TransactionManager
+        from repro.faults.durable import database_digest
+        from repro.faults.torture import order_entry_scenario
+        from repro.recovery import recover
+        from repro.runtime.scheduler import Scheduler
+
+        scenario = order_entry_scenario(seed=7, n_transactions=30, n_items=3)
+        db, programs = scenario.instantiate()
+        path = str(tmp_path / "wal.log")
+        wal = DurableWriteAheadLog(path, group_commit_window=window, group_commit_max=8)
+        kernel = TransactionManager(
+            db,
+            protocol=scenario.protocol(),
+            scheduler=Scheduler(policy=scenario.policy, seed=scenario.seed),
+            wal=wal,
+        )
+        for name, program in programs.items():
+            kernel.spawn(name, program)
+        kernel.run()
+        wal.close()
+        assert any(handle.committed for handle in kernel.handles.values())
+        scan = load_wal_file(path)
+        assert scan.torn_bytes == 0  # clean close
+        restored, __ = scenario.instantiate()
+        recover(restored, scan.log, scenario.type_specs)
+        assert database_digest(restored) == database_digest(db)
+
+
 class TestResumeAndInterop:
     def test_resume_continues_after_surviving_records(self, tmp_path):
         path = str(tmp_path / "wal.log")

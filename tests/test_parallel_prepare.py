@@ -245,3 +245,32 @@ class TestCommitFanOut:
         assert router.log.compactable == 1
         router.close()
         router.log.close()
+
+
+class TestFanOutCount:
+    def test_four_branches_are_all_on_the_wire_before_any_reply(self, tmp_path):
+        """Parallel prepare as a count, not a timing: with every shard's
+        prepare held at its gate, all four prepares are sent before any
+        gate opens (a sequential fan-out would wait at the first gate and
+        never send the other three)."""
+        router, fakes = make_router(tmp_path, n_shards=4)
+        for fake in fakes:
+            fake.prepare_gate = threading.Event()
+        out = []
+        coordinator = threading.Thread(
+            target=lambda: out.append(run_branches(router, branch_map(fakes, [0, 1, 2, 3])))
+        )
+        coordinator.start()
+        try:
+            entered = [fake.prepare_entered.wait(10.0) for fake in fakes]
+            opened_early = [fake.prepare_gate.is_set() for fake in fakes]
+        finally:
+            for fake in fakes:
+                fake.prepare_gate.set()
+            coordinator.join(timeout=10.0)
+        assert entered == [True] * 4
+        assert opened_early == [False] * 4
+        assert out and out[0].status == "ok", out
+        assert [len(fake.ops("2pc-prepare")) for fake in fakes] == [1] * 4
+        router.close()
+        router.log.close()

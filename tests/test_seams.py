@@ -23,6 +23,7 @@ import inspect
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -525,9 +526,18 @@ class VirtualRun(TransactionManager):
 
 
 class ThreadedRun(ThreadedKernel):
+    """A served threaded kernel: each transaction is driven by a calling
+    thread of its own, the only way a served kernel runs one."""
+
     def __init__(self, db) -> None:
         super().__init__(db, n_threads=2)
         self.start()
+        self.callers: list[threading.Thread] = []
+
+    def spawn(self, name, program) -> None:
+        caller = threading.Thread(target=self.drive, args=(name, program), daemon=True)
+        self.callers.append(caller)
+        caller.start()
 
     def until(self, condition) -> None:
         deadline = time.monotonic() + 10.0
@@ -537,6 +547,8 @@ class ThreadedRun(ThreadedKernel):
 
     def finish(self) -> None:
         try:
+            for caller in self.callers:
+                caller.join(timeout=10.0)
             self.until(lambda: self.scheduler.all_finished)
         finally:
             assert self.stop() == []
@@ -713,7 +725,7 @@ def _page_store_references(tree: ast.AST) -> list[tuple[int, str]]:
 
 def test_only_the_page_store_module_uses_the_page_store():
     """No recovery reads the page file, so no ``src/`` path writes one:
-    shards, crash-torture children and the D1 bench run on the in-memory
+    shards and crash-torture children run on the in-memory
     ``StorageManager`` plus a durable WAL.  Only ``storage/durable.py``
     (home of ``DurableStorageManager``) may import or name
     ``DurableStorageManager``, ``BufferPool``, ``PageFile`` or the

@@ -25,6 +25,7 @@ from repro.server import (
     Request,
     TransactionServer,
 )
+from tests.helpers import Caller, wait_until
 
 
 def make_server(**kwargs) -> TransactionServer:
@@ -93,7 +94,7 @@ class TestOverloadShedding:
         )
         try:
             pendings = [
-                server.submit_async(Request(op="place", item=0, request_id=f"r{i}"))
+                Caller(server, Request(op="place", item=0, request_id=f"r{i}"))
                 for i in range(12)
             ]
             responses = [p.wait(10.0) for p in pendings]
@@ -123,8 +124,8 @@ class TestOverloadShedding:
         try:
             # One long request occupies the only slot; the estimator then
             # predicts ~500 ms of wait, dooming a 50 ms deadline upfront.
-            slow = server.submit_async(Request(op="place", item=0, deadline=5.0))
-            time.sleep(0.05)
+            slow = Caller(server, Request(op="place", item=0, deadline=5.0))
+            wait_until(lambda: server.inflight_count() == 1)
             response = server.submit(Request(op="place", item=1, deadline=0.05))
             assert response.shed, response.to_dict()
             assert response.error["reason_code"] == "deadline-unmeetable"
@@ -201,7 +202,7 @@ class TestDeadlockDetection:
         try:
             started = time.monotonic()
             pending = [
-                server.submit_async(Request(op="place", customer_no=1, lines=lines, deadline=5.0))
+                Caller(server, Request(op="place", customer_no=1, lines=lines, deadline=5.0))
                 for lines in (((0, 1), (1, 1)), ((1, 1), (0, 1)))
             ]
             responses = [p.wait(5.0) for p in pending]
@@ -225,7 +226,7 @@ class TestDeadlockDetection:
         The reaper is slowed so the budget, not the reaper, ends it."""
         server = make_server(time_scale=0.002, think_cost=300.0, deadline_check=5.0)
         try:
-            holder = server.submit_async(Request(op="place", item=0, deadline=5.0))
+            holder = Caller(server, Request(op="place", item=0, deadline=5.0))
             give_up = time.monotonic() + 2.0
             while server.tk.locks.lock_count == 0 and time.monotonic() < give_up:
                 time.sleep(0.001)
@@ -238,6 +239,35 @@ class TestDeadlockDetection:
             assert held is not None and held.ok
         finally:
             assert server.shutdown().clean
+
+
+class TestSlotWait:
+    def test_a_caller_whose_slot_wait_runs_out_is_never_run(self):
+        """A queued caller gives up after its deadline plus the stall
+        backstop.  By then its ticket has expired, so the dequeue that
+        follows sheds it instead of running it: one spawned task, the
+        holder's."""
+        server = make_server(
+            time_scale=0.002,
+            think_cost=150.0,  # ~300 ms holding the only slot
+            admission=AdmissionConfig(max_inflight=1, queue_cap=4),
+        )
+        server.tk.scheduler.stall_timeout = 0.05
+        try:
+            holder = Caller(server, Request(op="restock", item=0, deadline=5.0))
+            wait_until(lambda: server.inflight_count() == 1)
+            late = server.submit(Request(op="stock-check", item=1, deadline=0.05))
+            assert server.admission.depth() == 1  # still queued when it gave up
+            held = holder.wait(10.0)
+            counters = server.obs.snapshot().counters
+        finally:
+            report = server.shutdown()
+        assert late.status == "failed", late.to_dict()
+        assert "response wait timed out" in late.error["message"]
+        assert held is not None and held.ok, held
+        assert counters["thread.spawned"] == counters["thread.caller_drives"] == 1
+        assert counters["admission.shed.expired-in-queue"] == 1
+        assert report.clean, report.to_dict()
 
 
 class TestDegradedMode:
@@ -271,9 +301,11 @@ class TestDegradedMode:
             # overflow sheds queue-full, driving the EWMA over the enter
             # threshold.
             pendings = [
-                server.submit_async(Request(op="place", item=0, request_id=f"ov{i}"))
+                Caller(server, Request(op="place", item=0, request_id=f"ov{i}"))
                 for i in range(8)
             ]
+            # One runs, one queues, the other six are shed at once.
+            wait_until(lambda: sum(p.done for p in pendings) >= 6)
             assert server.degrade.degraded
             assert server.degrade.entered_count == 1
             # Read-only work keeps flowing while degraded, and each
@@ -305,10 +337,11 @@ class TestDrain:
             default_deadline=10.0,
         )
         pendings = [
-            server.submit_async(Request(op="place", item=0, request_id=f"d{i}"))
+            Caller(server, Request(op="place", item=0, request_id=f"d{i}"))
             for i in range(4)
         ]
-        time.sleep(0.02)  # let the first request enter the kernel
+        # The first request is in the kernel, the other three queue.
+        wait_until(lambda: server.tk.locks.lock_count > 0 and server.admission.depth() == 3)
         report = server.shutdown(drain_deadline=5.0)
         assert report.clean, report.to_dict()
         responses = [p.wait(1.0) for p in pendings]
@@ -334,8 +367,8 @@ class TestDrain:
             think_cost=1000.0,  # ~2 s service time, far past the drain budget
             default_deadline=30.0,
         )
-        pending = server.submit_async(Request(op="place", item=0))
-        time.sleep(0.05)
+        pending = Caller(server, Request(op="place", item=0))
+        wait_until(lambda: server.tk.locks.lock_count > 0)
         report = server.shutdown(drain_deadline=0.1, grace=2.0)
         assert report.stragglers_aborted == 1, report.to_dict()
         assert report.clean, report.to_dict()
@@ -390,8 +423,7 @@ class TestFaultInjection:
         )
         try:
             pendings = [
-                server.submit_async(Request(op="place", item=i % 2,
-                                            request_id=f"f{i}"))
+                Caller(server, Request(op="place", item=i % 2, request_id=f"f{i}"))
                 for i in range(20)
             ]
             responses = [p.wait(10.0) for p in pendings]

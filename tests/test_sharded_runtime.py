@@ -15,7 +15,6 @@ import time
 
 import pytest
 
-from repro.bench.parallelism import run_think_time_point
 from repro.core.protocol import SemanticLockingProtocol
 from repro.errors import AggregateWorkerError, RuntimeEngineError
 from repro.obs.registry import MetricsRegistry
@@ -228,8 +227,3 @@ class TestRuntimeMetrics:
         snap = registry.snapshot()
         assert snap.counter("thread.steps") == kernel.scheduler.steps > 0
         assert snap.counter("shard.coordinations") > 0
-
-    def test_scaling_point_is_consistent(self):
-        point = run_think_time_point("ledger", "semantic", 4, n_transactions=8)
-        assert point.consistent
-        assert point.committed == 8

@@ -18,6 +18,7 @@ import types
 
 import pytest
 
+from repro.cluster.participant import ClusterParticipant
 from repro.core.kernel import CostModel
 from repro.core.protocol import SemanticLockingProtocol
 from repro.core.serializability import is_semantically_serializable
@@ -27,8 +28,15 @@ from repro.objects.encapsulated import TypeSpec
 from repro.objects.oid import Oid
 from repro.obs.registry import MetricsRegistry
 from repro.orderentry.schema import PAID, SHIPPED, build_order_entry_database
-from repro.orderentry.transactions import make_t1, make_t2
+from repro.orderentry.transactions import (
+    make_restock_txn,
+    make_stock_check_txn,
+    make_t1,
+    make_t2,
+)
 from repro.orderentry.workload import OrderEntryWorkload, WorkloadConfig
+from repro.protocols import protocol_by_name
+from repro.recovery import WriteAheadLog
 from repro.runtime import threaded
 from repro.runtime.scheduler import Pause, Scheduler, Task
 from repro.runtime.threaded import (
@@ -45,6 +53,7 @@ from repro.server.wire import TCPClient, WireServer
 from repro.txn.locks import Disposition, LockTable
 from repro.txn.transaction import TransactionNode
 from repro.util.tracelog import TraceEvent, TraceLog
+from tests.helpers import record_thread_starts, wait_until
 
 
 def make_counter_db(n_counters: int = 1):
@@ -486,72 +495,11 @@ class TestDeadlockPoliciesWallClock:
         assert server.LOCK_TIMEOUT_CAP == server.tk.lock_timeout == 2.0
 
 
-def wait_until(predicate, timeout: float = 5.0) -> None:
-    """Poll *predicate* until it holds; fail after *timeout* seconds."""
-    give_up = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < give_up, "timed out waiting"
-        time.sleep(0.001)
-
-
 class TestTargetedWakeups:
-    """A notify reaches only the thread that can act on it: a spawn one
-    idle worker, a grant or an interrupt only the blocked task's own
-    worker.  Each test pushes the stall poll out to 5 s, so a lost
-    notify would show as a multi-second wait and a stall check."""
-
-    def test_idle_workers_wake_only_for_work(self):
-        """4 workers, 2 submitting threads, 200 zero-cost requests handed
-        to the pool: at most one idle wake-up per spawned task (waking
-        every worker on every signal gave about 9 per request)."""
-        server = TransactionServer(
-            build_order_entry_database(n_items=4, orders_per_item=4),
-            n_threads=4,
-            default_deadline=10.0,
-        )
-        server.tk.scheduler.stall_check = 5.0
-        server.start()
-        responses = []
-
-        def client(offset):
-            for i in range(100):
-                op = ("place", "stock-check", "restock")[i % 3]
-                pending = server.submit_async(Request(op=op, item=(offset + i) % 4))
-                responses.append(pending.wait(10.0))
-
-        try:
-            clients = [threading.Thread(target=client, args=(k,)) for k in range(2)]
-            for thread in clients:
-                thread.start()
-            for thread in clients:
-                thread.join(timeout=60.0)
-            assert not any(thread.is_alive() for thread in clients)
-            counters = server.obs.snapshot().counters
-        finally:
-            assert server.shutdown().clean
-        assert len(responses) == 200 and all(r.ok for r in responses)
-        assert counters["thread.spawned"] == 200
-        assert counters.get("thread.caller_drives", 0) == 0
-        assert counters["thread.idle_wakeups"] <= counters["thread.spawned"], counters
-        assert counters["thread.stall_checks"] == 0
-
-    def test_idle_wait_timeouts_are_not_wakeups(self):
-        """An idle pool whose stall poll times out every 10 ms counts no
-        idle wake-up: only a notify that found nothing to run counts."""
-        server = TransactionServer(
-            build_order_entry_database(n_items=1, orders_per_item=1), n_threads=4
-        )
-        server.tk.scheduler.stall_check = 0.01
-        server.start()
-        try:
-            # The pool starts with its first task; then it idles.
-            assert server.submit_async(Request(op="stock-check", item=0)).wait(10.0).ok
-            before = server.obs.snapshot().counters.get("thread.idle_wakeups", 0)
-            time.sleep(0.2)
-            counters = server.obs.snapshot().counters
-        finally:
-            assert server.shutdown().clean
-        assert counters.get("thread.idle_wakeups", 0) == before, counters
+    """A notify reaches only the thread that can act on it: a grant or an
+    interrupt only the blocked task's own driving thread.  Each test
+    pushes the stall poll out to 5 s, so a lost notify would show as a
+    multi-second wait and a stall check."""
 
     def test_each_grant_reaches_its_waiter(self):
         """A holder keeps a hot atom until five writers have queued on
@@ -608,15 +556,22 @@ class TestTargetedWakeups:
             await tx.put(hot, 2)
 
         kernel.start()
+        callers = [threading.Thread(target=kernel.drive, args=("holder", holder))]
         try:
-            kernel.spawn("holder", holder)
+            callers[0].start()
             assert took.wait(5.0)
-            kernel.spawn("waiter", waiter)
-            wait_until(lambda: kernel.handles["waiter"].task.state == Task.BLOCKED)
+            callers.append(threading.Thread(target=kernel.drive, args=("waiter", waiter)))
+            callers[1].start()
+            wait_until(
+                lambda: getattr(kernel.scheduler.tasks.get("waiter"), "state", None)
+                == Task.BLOCKED
+            )
         finally:
             started = time.monotonic()
             wedged = kernel.stop(timeout=3.0)
             elapsed = time.monotonic() - started
+            for thread in callers:
+                thread.join(timeout=5.0)
         assert wedged == [] and elapsed < 1.0, (wedged, elapsed)
         assert all(handle.task.finished for handle in kernel.handles.values())
 
@@ -630,8 +585,7 @@ class TestCallerDrives:
 
     def test_blocking_submits_run_on_their_callers(self):
         """2 submitting threads, 200 requests: every transaction is
-        driven by the thread that submitted it, and the idle pool is
-        never woken."""
+        driven by the thread that submitted it."""
         server = TransactionServer(
             build_order_entry_database(n_items=4, orders_per_item=4),
             n_threads=4,
@@ -659,30 +613,59 @@ class TestCallerDrives:
             assert server.shutdown().clean
         assert len(responses) == 200 and all(r.ok for r in responses)
         assert counters["thread.caller_drives"] == counters["thread.spawned"] == 200
-        assert counters.get("thread.idle_wakeups", 0) == 0, counters
         assert counters["thread.stall_checks"] == 0
         assert stats["caller_drives"] == 200
 
-    def test_the_pool_starts_with_its_first_queued_task(self):
-        """A server whose clients all block runs no pool worker; the first
-        ``submit_async`` starts the pool of ``n_threads`` workers."""
+    def test_a_served_server_starts_no_worker_thread(self, monkeypatch):
+        """Mixed traffic from two callers, a 2PC compensation and a drain:
+        every transaction runs on a caller, and no worker thread starts."""
+        started = record_thread_starts(monkeypatch)
+        wal = WriteAheadLog()
         server = TransactionServer(
-            build_order_entry_database(n_items=2, orders_per_item=2), n_threads=3
+            build_order_entry_database(n_items=2, orders_per_item=2), n_threads=3, wal=wal
         ).start()
+        participant = ClusterParticipant(server, wal)
+        responses = []
 
-        def pool():
-            return [t for t in threading.enumerate() if t.name.startswith("cc-serve-")]
+        def client(offset):
+            for i in range(30):
+                op = ("place", "stock-check", "restock")[i % 3]
+                responses.append(server.submit(Request(op=op, item=(offset + i) % 2)))
+
+        clients = [threading.Thread(target=client, args=(k,)) for k in range(2)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=30.0)
+        branch = Request(op="restock", item=0, quantity=5).to_dict()
+        assert participant.prepare({"gtid": "g1", "branch": branch})["status"] == "prepared"
+        assert participant.abort({"gtid": "g1", "seq": 1})["result"] == "aborted"
+        report = server.shutdown()
+        counters = server.obs.snapshot().counters
+        assert report.clean, report.to_dict()
+        assert len(responses) == 60 and all(r.ok for r in responses)
+        assert counters["2pc.compensations"] == 1
+        assert counters["thread.caller_drives"] == counters["thread.spawned"] == 62
+        workers = [name for name in started if name.startswith(("cc-serve-", "cc-worker-"))]
+        assert workers == [], workers
+        assert "cc-deadline-reaper" in started  # the recorder saw the server's own thread
+
+    def test_a_served_scheduler_refuses_a_queued_spawn(self):
+        """Nothing would run a queued task on a served scheduler, so
+        spawning one raises and leaves no task behind."""
+        kernel = ThreadedKernel(Database(), n_threads=2)
+        kernel.start()
+
+        async def program(tx):
+            pass
 
         try:
-            for i in range(4):
-                assert server.submit(Request(op="stock-check", item=i % 2)).ok
-            idle = pool()
-            assert server.submit_async(Request(op="restock", item=0)).wait(10.0).ok
-            started = pool()
+            with pytest.raises(RuntimeEngineError, match="only a caller drives"):
+                kernel.scheduler.spawn("queued", program(None))
+            assert kernel.scheduler.tasks == {}
+            assert kernel.drive("driven", program).committed
         finally:
-            assert server.shutdown().clean
-        assert idle == [] and len(started) == 3
-        assert not any(t.is_alive() for t in started)
+            assert kernel.stop() == []
 
     def test_drive_refuses_a_task_queued_for_the_pool(self):
         scheduler = WallClockScheduler(n_threads=1)
@@ -895,7 +878,6 @@ class TestCallerDrives:
             "second": ("second-caller", "second-caller"),
         }
         assert counters["thread.caller_drives"] == counters["thread.spawned"] == 2
-        assert counters.get("thread.idle_wakeups", 0) == 0
 
     def test_drain_reaches_a_blocked_caller(self):
         """Draining a server while a caller-driven transaction is blocked
@@ -957,6 +939,57 @@ class TestCallerDrives:
         assert handle.task.state == Task.FAILED
         assert "shut down" in str(handle.task.exception)
         assert ran == []
+
+
+class TestCommutingHolder:
+    """The paper's concurrency claim on real threads, as a count: a
+    transaction that keeps a ``Restock`` on a hot item inside its still
+    open transaction does not hold back a second ``Restock`` under
+    semantic locking, because the two commute; flat object R/W 2PL
+    makes the second wait for the first to end."""
+
+    @pytest.mark.parametrize("protocol", ["semantic", "object-rw-2pl"])
+    def test_a_commuting_operation_passes_a_parked_holder(self, protocol):
+        built = build_order_entry_database(n_items=1, orders_per_item=1)
+        kernel = ThreadedKernel(built.db, protocol=protocol_by_name(protocol)(), n_threads=1)
+        kernel.scheduler.stall_check = 5.0
+        item = built.item(0)
+        restocked = threading.Event()
+        release = kernel.scheduler.create_signal("release")
+
+        async def holder(tx):
+            await tx.call(item, "Restock", 5)
+            restocked.set()
+            await release  # parked with its transaction open
+
+        callers = [threading.Thread(target=kernel.drive, args=("holder", holder))]
+        callers[0].start()
+        try:
+            assert restocked.wait(5.0)
+            callers.append(
+                threading.Thread(
+                    target=kernel.drive, args=("second", make_restock_txn(item, 7))
+                )
+            )
+            callers[1].start()
+            if protocol == "semantic":
+                callers[1].join(timeout=5.0)
+                assert kernel.handles["second"].committed
+            else:
+                wait_until(lambda: kernel.locks.pending_count == 1)
+                assert "second" in kernel.handles
+                assert not kernel.handles["second"].committed
+            while_parked = kernel.obs.snapshot().counter("lock.blocks")
+            assert not kernel.handles["holder"].task.finished
+        finally:
+            release.fire()
+            for thread in callers:
+                thread.join(timeout=5.0)
+        assert while_parked == (0 if protocol == "semantic" else 1)
+        assert kernel.handles["holder"].committed and kernel.handles["second"].committed
+        assert kernel.obs.snapshot().counter("lock.blocks") == while_parked
+        assert kernel.drive("check", make_stock_check_txn(item)).result == 1000 + 5 + 7
+        assert kernel.locks.lock_count == 0
 
 
 class TestBoundedRetention:
