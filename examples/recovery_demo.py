@@ -85,7 +85,7 @@ def main() -> None:
 
     orders = restored.item(0).impl_component("Orders")
     print(f"\norders of item 1 after recovery: {orders.raw_size()} "
-          f"(the in-flight NewOrder was compensated away)" if statuses.get("ENTER") == "in-flight"
+          f"(the in-flight NewOrder was compensated away)" if wal.outcomes().get("ENTER") == "in-flight"
           else f"\norders of item 1 after recovery: {orders.raw_size()}")
     print("item 1 QOH:", restored.item(0).impl_component("QOH").raw_get())
     status = restored.status_atom(0, 0).raw_get()

@@ -175,7 +175,6 @@ def run_shard(config: dict[str, Any]) -> int:
     wal = DurableWriteAheadLog(
         wal_path,
         group_commit_window=float(config.get("group_commit_window", 0.0)),
-        buffering=int(config.get("wal_buffering", 64)),
     )
     type_specs = {"Item": ITEM_TYPE, "Order": ORDER_TYPE}
     recovery_summary: dict[str, Any] = {"recovered": False}

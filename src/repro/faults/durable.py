@@ -15,8 +15,9 @@ crashed database server.  The parent then:
 
 1. confirms the child really died by signal;
 2. reads the surviving ``wal.log`` through the checksummed frame
-   scanner — a torn trailing record (the kill landed mid-write, or the
-   user-space file buffer died un-flushed) is detected and discarded;
+   scanner — a torn trailing record (the kill landed mid-write) is
+   detected and discarded, and frames appended after the last force
+   died in the child's log buffer;
 3. runs full recovery from the scanned log onto a fresh database and
    compares against a serial execution of exactly the durably committed
    transactions — the same oracle the in-process sweep uses.
@@ -109,12 +110,10 @@ def _child_execute(config: dict[str, Any]) -> None:
     point_dir = config["point_dir"]
 
     def open_wal() -> DurableWriteAheadLog:
-        # A deliberately tiny write buffer: appended frames spill to the OS
-        # ahead of the fsync horizon, so the surviving file holds in-flight
-        # records the recovery scan must classify (and would hold torn tails
-        # on a mid-write kill; byte-level tears are additionally swept by the
-        # truncation property test, which cuts at *every* offset).
-        return DurableWriteAheadLog(os.path.join(point_dir, WAL_FILENAME), buffering=64)
+        # Frames reach the file only when a force writes the log buffer,
+        # so the surviving file is the append-order prefix up to the last
+        # force: every writer's commit and whatever was appended before it.
+        return DurableWriteAheadLog(os.path.join(point_dir, WAL_FILENAME))
 
     kernel, wal, crash = _run_instance(
         _scenario_from_config(config), crash_plan(config["kind"], config["at"]), open_wal

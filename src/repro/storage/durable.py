@@ -5,14 +5,15 @@ something that survives a real process death; recovery reads the log and
 nothing else.
 
 * :class:`DurableWriteAheadLog` — a drop-in :class:`~repro.recovery.wal.
-  WriteAheadLog` that additionally appends every record to an
-  append-only file in the checksummed frame format of
-  :mod:`repro.storage.walformat`, with **group commit**: ``fsync`` is
-  issued per writer commit by default (a read-only transaction forces
-  nothing), but with a configurable window/batch the commits arriving
-  close together share one sync (the classical throughput trade).  The
-  ``wal.group_commit.*`` metrics family counts syncs, batched commits,
-  and bytes.
+  WriteAheadLog` that additionally frames every record in the
+  checksummed format of :mod:`repro.storage.walformat` into an
+  in-memory buffer, and writes the buffer to an append-only file with
+  one write and one ``fsync`` per force.  A writer's commit forces by
+  default (a read-only transaction forces nothing); with a configurable
+  window/batch the commits arriving close together share one sync (the
+  classical throughput trade), and a commit whose frames a concurrent
+  force already covered shares that one.  The ``wal.group_commit.*``
+  metrics family counts syncs, batched commits, and bytes.
 * :class:`DurableStorageManager` — the existing
   :class:`~repro.storage.manager.StorageManager` interface backed by a
   real page file through a :class:`~repro.storage.bufferpool.BufferPool`
@@ -71,23 +72,40 @@ _NULL = _NullInstrument()
 class DurableWriteAheadLog(WriteAheadLog):
     """A write-ahead log that is also an append-only checksummed file.
 
+    An append encodes its frame into an in-memory log buffer and makes
+    no system call.  A *force* writes the whole buffer with one OS write
+    and fsyncs it: a writer's commit/abort record forces (subject to the
+    group-commit window), and so do :meth:`sync`, :meth:`sync_to`,
+    :meth:`flush_if_due` and :meth:`close`.  Until a force, frames live
+    only in this process; a SIGKILL loses them.
+
+    Two locks, taken in this order when both are held: ``_io_lock``
+    serialises forces, and ``_wal_lock`` guards the LSN counter, the
+    record list, the buffer and the force bookkeeping.  ``_wal_lock`` is
+    never held across a system call, so an append never waits on a
+    force's write or fsync.  A force that a concurrent one already
+    covered returns without its own fsync; coverage is judged by append
+    order, never by LSN, because an LSN is drawn before its append and a
+    lower one can be appended after a higher one was forced.
+
     Args:
         path: The log file.  An existing durable file is *continued*
             (its records are loaded and appends resume after them);
             anything else is truncated and started fresh.
         group_commit_window: Seconds a commit may wait for companions
-            before forcing its fsync.  ``0.0`` (default) syncs every
-            forced commit/abort record immediately — the no-surprises mode
-            the crash harness uses.  Only a transaction that appended an
-            update or subcommit record forces its outcome; a read-only
-            one's is written and becomes durable with the next sync.
+            before forcing its fsync.  ``0.0`` (default) forces every
+            writer's commit/abort record before its append returns — the
+            no-surprises mode the crash harness uses.  Only a transaction
+            that appended an update or subcommit record forces its
+            outcome; a read-only one's is buffered, and becomes durable
+            with the next force.
         group_commit_max: Batch cap: once this many forced commit/abort records
             are pending, sync regardless of the window.
         clock: Injectable time source for the window (tests).
-        buffering: User-space write-buffer size passed to :func:`open`.
-            The default (platform buffer, typically 8 KiB) rarely spills
-            a partial frame to the OS; the crash harness passes a tiny
-            value so a SIGKILL genuinely leaves torn frames behind.
+        buffering: Has no effect.  Frames wait in the log's own buffer
+            and reach the OS only at a force, in one write; the argument
+            stays so that callers passing it (the benchmark stacks'
+            ``wal_buffering``) need no change.
     """
 
     def __init__(
@@ -109,8 +127,12 @@ class DurableWriteAheadLog(WriteAheadLog):
         self._clock = clock
         self._durable_lsn = 0
         self._appended_lsn = 0
+        # Append order: frames appended so far, and how many of them the
+        # last completed fsync covers.
+        self._appended_seq = 0
+        self._synced_seq = 0
+        self._buffer: list[bytes] = []
         self._pending_commits = 0
-        self._pending_bytes = 0
         self._window_opened = 0.0
         # Transactions with an update or subcommit record and no outcome yet.
         self._writers: set[str] = set()
@@ -121,16 +143,14 @@ class DurableWriteAheadLog(WriteAheadLog):
         self._gc_deferred = _NULL
         self._gc_bytes_synced = _NULL
         self._gc_batch = _NULL
-        # The threaded kernel appends from several worker threads; every
-        # mutation of the LSN counter, the in-memory record list, and the
-        # file handle happens under this reentrant lock.
-        self._wal_lock = threading.RLock()
+        self._io_lock = threading.Lock()
+        self._wal_lock = threading.Lock()
         resume = self._try_resume(path)
-        self._fh = open(path, "ab" if resume else "wb", buffering=buffering)
+        flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND | (0 if resume else os.O_TRUNC)
+        self._fd: Optional[int] = os.open(path, flags, 0o666)
         if not resume:
-            self._fh.write(WAL_MAGIC)
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+            self._write(WAL_MAGIC)
+            os.fsync(self._fd)
 
     def _try_resume(self, path: str) -> bool:
         if not os.path.exists(path):
@@ -166,13 +186,14 @@ class DurableWriteAheadLog(WriteAheadLog):
             return super().next_lsn()
 
     def append(self, record: LogRecord) -> None:
+        frame = encode_record(record)
+        force_to = 0
         with self._wal_lock:
             super().append(record)
             if record.lsn > self._appended_lsn:
                 self._appended_lsn = record.lsn
-            frame = encode_record(record)
-            self._fh.write(frame)
-            self._pending_bytes += len(frame)
+            self._buffer.append(frame)
+            self._appended_seq += 1
             self._appends.inc()
             self._bytes_written.inc(len(frame))
             if isinstance(record, (UpdateRecord, SubtxnCommitRecord)):
@@ -196,18 +217,22 @@ class DurableWriteAheadLog(WriteAheadLog):
                     or self._pending_commits >= self.group_commit_max
                     or self._clock() - self._window_opened >= self.group_commit_window
                 ):
-                    self.sync()
+                    force_to = self._appended_seq
                 else:
                     self._gc_deferred.inc()
+        if force_to:
+            self._force(force_to)
 
     def flush_if_due(self) -> None:
         """Sync pending commits whose group-commit window has expired."""
         with self._wal_lock:
-            if (
+            due = (
                 self._pending_commits > 0
                 and self._clock() - self._window_opened >= self.group_commit_window
-            ):
-                self.sync()
+            )
+            force_to = self._appended_seq
+        if due:
+            self._force(force_to)
 
     # ------------------------------------------------------------------
     # Durability
@@ -217,28 +242,48 @@ class DurableWriteAheadLog(WriteAheadLog):
         return self._durable_lsn
 
     def sync(self) -> None:
-        """Flush buffered frames and fsync; everything appended is durable."""
-        with self._wal_lock:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._durable_lsn = self._appended_lsn
-            self._gc_syncs.inc()
-            if self._pending_commits:
-                self._gc_batch.observe(self._pending_commits)
-            self._gc_bytes_synced.inc(self._pending_bytes)
-            self._pending_commits = 0
-            self._pending_bytes = 0
+        """Write and fsync the buffer; everything appended is durable."""
+        self._force(self._appended_seq)
 
     def sync_to(self, lsn: int) -> None:
+        if lsn > self._durable_lsn:
+            self.sync()
+
+    def _force(self, seq: int) -> None:
+        """Make the first *seq* appended frames durable, unless a force
+        that finished while this one waited already did."""
+        with self._io_lock:
+            if self._synced_seq < seq:
+                self._write_buffer()
+
+    def _write_buffer(self) -> None:
+        """One write + fsync of everything buffered (holding ``_io_lock``)."""
         with self._wal_lock:
-            if lsn > self._durable_lsn:
-                self.sync()
+            frames, self._buffer = self._buffer, []
+            seq, lsn = self._appended_seq, self._appended_lsn
+            batch, self._pending_commits = self._pending_commits, 0
+        data = b"".join(frames)
+        self._write(data)
+        os.fsync(self._fd)
+        self._synced_seq = seq
+        self._durable_lsn = lsn
+        self._gc_syncs.inc()
+        if batch:
+            self._gc_batch.observe(batch)
+        self._gc_bytes_synced.inc(len(data))
+
+    def _write(self, data: bytes) -> None:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(self._fd, view) :]
 
     def close(self) -> None:
-        with self._wal_lock:
-            if not self._fh.closed:
-                self.sync()
-                self._fh.close()
+        with self._io_lock:
+            if self._fd is not None:
+                if self._synced_seq < self._appended_seq:
+                    self._write_buffer()
+                os.close(self._fd)
+                self._fd = None
 
     def __enter__(self) -> "DurableWriteAheadLog":
         return self

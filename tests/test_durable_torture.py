@@ -127,9 +127,16 @@ class TestSpawnSweep:
 class TestRecoveryDeterminism:
     """Same seed + same kill point => bit-identical recovery, twice."""
 
+    # Seed 0's step 32 dies after two writers' commits were forced and
+    # while a third transaction's subcommit sits in the file behind
+    # them: the image holds winners to redo and a loser to compensate.
+    # (Frames appended after the last force die with the child, so most
+    # kill points leave no loser with anything to undo.)
+    SEED, STEP = 0, 32
+
     def _crash_and_recover(self, workdir: str) -> tuple[str, dict]:
         report = run_durable_torture(
-            seed=3,
+            seed=self.SEED,
             n_transactions=3,
             steps=1,  # exactly one step point: step 0 ...
             wal_sweep=False,
@@ -142,14 +149,14 @@ class TestRecoveryDeterminism:
         point_dir = os.path.join(workdir, "fixed-point")
         os.makedirs(point_dir, exist_ok=True)
         config = {
-            "seed": 3,
+            "seed": self.SEED,
             "n_transactions": 3,
             "n_items": 2,
             "orders_per_item": 2,
             "protocol": "semantic",
             "policy": "fifo",
             "kind": "step",
-            "at": 17,
+            "at": self.STEP,
             "point_dir": point_dir,
         }
         killed = _run_child(config, "fork")
@@ -173,6 +180,8 @@ class TestRecoveryDeterminism:
         assert counts_a == counts_b
         assert counts_a.get("recovery.runs") == 1
         assert counts_a.get("recovery.redone", 0) > 0
+        undone = counts_a.get("recovery.physically_undone", 0)
+        assert undone + counts_a.get("recovery.compensated", 0) > 0
 
 
 class TestDurableStorageRoundTrip:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,6 +262,181 @@ class TestForceRule:
             wal.append(ClusterDecisionRecord(lsn=lsn + 5, txn=txn, gtid=gtid, decision="commit"))
         assert wal._writers == set()
         assert count("commits") == 100
+        wal.close()
+
+
+class TestLogBuffer:
+    """An append buffers its frame and makes no system call; a force
+    writes the buffer once and fsyncs it, outside the append lock, and
+    a force judges what is covered by append order, not by LSN."""
+
+    @staticmethod
+    def _open(tmp_path, monkeypatch):
+        """A log whose OS writes and fsyncs are counted."""
+        wal = DurableWriteAheadLog(str(tmp_path / "wal.log"))
+        calls = {"write": 0, "fsync": 0}
+        real_write, real_fsync = os.write, os.fsync
+
+        def write(fd, data):
+            if fd == wal._fd:
+                calls["write"] += 1
+            return real_write(fd, data)
+
+        def fsync(fd):
+            if fd == wal._fd:
+                calls["fsync"] += 1
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "write", write)
+        monkeypatch.setattr(os, "fsync", fsync)
+        return wal, calls
+
+    @staticmethod
+    def _gate_first_fsync(wal, monkeypatch):
+        """Park the first fsync on *wal*'s file until the gate opens."""
+        entered, gate = threading.Event(), threading.Event()
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            if fd == wal._fd and not entered.is_set():
+                entered.set()
+                gate.wait(10)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        return entered, gate
+
+    def test_read_only_transaction_leaves_the_file_alone(self, tmp_path, monkeypatch):
+        wal, calls = self._open(tmp_path, monkeypatch)
+        size = os.path.getsize(wal.path)
+        wal.append(status(1, "R", "begin"))
+        wal.append(status(2, "R", "commit"))
+        assert os.path.getsize(wal.path) == size
+        assert calls == {"write": 0, "fsync": 0}
+        wal.close()
+
+    def test_forced_commit_is_one_write_and_one_fsync(self, tmp_path, monkeypatch):
+        wal, calls = self._open(tmp_path, monkeypatch)
+        wal.append(status(1, "W", "begin"))
+        wal.append(update(2, "W"))
+        assert calls == {"write": 0, "fsync": 0}
+        wal.append(status(3, "W", "commit"))
+        assert calls == {"write": 1, "fsync": 1}
+        assert [r.lsn for r in load_wal_file(wal.path).log] == [1, 2, 3]
+        wal.close()
+
+    def test_close_writes_what_is_buffered(self, tmp_path, monkeypatch):
+        wal, calls = self._open(tmp_path, monkeypatch)
+        wal.append(status(1, "R", "begin"))
+        wal.append(status(2, "R", "commit"))
+        wal.close()
+        assert calls == {"write": 1, "fsync": 1}
+        assert load_wal_file(wal.path).log.outcomes() == {"R": "commit"}
+
+    def test_append_returns_while_a_force_is_in_fsync(self, tmp_path, monkeypatch):
+        wal = DurableWriteAheadLog(str(tmp_path / "wal.log"))
+        entered, gate = self._gate_first_fsync(wal, monkeypatch)
+        wal.append(update(1, "W"))
+        forcer = threading.Thread(target=wal.append, args=(status(2, "W", "commit"),))
+        appender = threading.Thread(target=wal.append, args=(status(3, "R", "begin"),))
+        forcer.start()
+        try:
+            assert entered.wait(10)
+            appender.start()
+            appender.join(5)
+            assert not appender.is_alive()  # not queued behind the fsync
+            assert len(wal) == 3 and wal.durable_lsn == 0
+        finally:
+            gate.set()
+            forcer.join(10)
+            if appender.ident is not None:
+                appender.join(10)
+        assert wal.durable_lsn == 2
+        wal.close()
+
+    def test_a_covered_force_skips_its_fsync(self, tmp_path, monkeypatch):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        wal = DurableWriteAheadLog(str(tmp_path / "wal.log"))
+        wal.bind_metrics(registry)
+        entered, gate = self._gate_first_fsync(wal, monkeypatch)
+        wal.append(update(1, "W1"))
+        threads = [threading.Thread(target=wal.append, args=(status(2, "W1", "commit"),))]
+        threads[0].start()
+        try:
+            assert entered.wait(10)
+            # Two more writers commit while the first force is in fsync;
+            # the next force writes both, and the other finds itself covered.
+            for lsn, txn in ((3, "W2"), (5, "W3")):
+                wal.append(update(lsn, txn))
+                threads.append(
+                    threading.Thread(target=wal.append, args=(status(lsn + 1, txn, "commit"),))
+                )
+                threads[-1].start()
+            for __ in range(5000):
+                if len(wal) == 6:
+                    break
+                threading.Event().wait(0.002)
+            assert len(wal) == 6
+        finally:
+            gate.set()
+            for thread in threads:
+                thread.join(10)
+        assert registry.counter("wal.group_commit.commits").value == 3
+        assert registry.counter("wal.group_commit.syncs").value == 2
+        assert wal.durable_lsn == 6
+        wal.close()
+
+    def test_concurrent_writers_lose_no_frame(self, tmp_path):
+        """More appenders than cores, switching every microsecond: each
+        commit is durable when its append returns, and the file ends up
+        holding every frame exactly once."""
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry(thread_safe=True)
+        wal = DurableWriteAheadLog(str(tmp_path / "wal.log"))
+        wal.bind_metrics(registry)
+        errors: list[BaseException] = []
+
+        def writer(worker: int) -> None:
+            try:
+                for n in range(25):
+                    txn = f"W{worker}.{n}"
+                    wal.append(update(wal.next_lsn(), txn))
+                    lsn = wal.next_lsn()
+                    wal.append(status(lsn, txn, "commit"))
+                    assert wal.durable_lsn >= lsn
+            except BaseException as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        workers = [threading.Thread(target=writer, args=(w,)) for w in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        on_disk = list(load_wal_file(wal.path).log)  # before close writes anything
+        assert sorted(r.lsn for r in on_disk) == list(range(1, 301))
+        assert registry.counter("wal.group_commit.syncs").value <= 150
+        wal.close()
+
+    def test_lower_lsn_appended_after_a_higher_one_was_forced(self, tmp_path, monkeypatch):
+        wal, calls = self._open(tmp_path, monkeypatch)
+        wal.append(update(wal.next_lsn(), "A"))
+        wal.append(update(wal.next_lsn(), "B"))
+        a, b = wal.next_lsn(), wal.next_lsn()  # drawn in this order ...
+        wal.append(status(b, "B", "commit"))  # ... appended and forced in the other
+        assert calls["fsync"] == 1 and wal.durable_lsn == b
+        wal.append(status(a, "A", "commit"))  # a < durable_lsn, yet not on disk
+        assert calls["fsync"] == 2
+        assert load_wal_file(wal.path).log.outcomes() == {"B": "commit", "A": "commit"}
         wal.close()
 
 

@@ -15,6 +15,9 @@ a cluster's shard processes are not profiled.  Each thread gets its own
 ``cProfile.Profile(time.thread_time)`` through ``threading.setprofile``,
 so the table is thread CPU time: lock waits, socket waits and fsyncs,
 which dominate a wall-clock profile of a served stack, count as nothing.
+Under the table it prints this process's voluntary and involuntary
+context switches per request over the replay (``resource.getrusage``
+deltas), which is where a lock convoy shows.
 Both modes give each thread its own profiler; Python 3.12 made
 ``cProfile`` one process-wide profiler, so the tool needs Python 3.11 or
 older.
@@ -43,6 +46,7 @@ import argparse
 import cProfile
 import io
 import pstats
+import resource
 import sys
 import tempfile
 import threading
@@ -103,7 +107,7 @@ def profile_l0(seed: int, n: int) -> pstats.Stats:
     return merged(profilers)
 
 
-def profile_served(workload: str, seed: int, n: int) -> pstats.Stats:
+def profile_served(workload: str, seed: int, n: int) -> tuple[pstats.Stats, str]:
     from perfbench.loop import replay
     from perfbench.stacks import make_stack
     from perfbench.workloads import CLIENTS, WORKLOADS, request_list
@@ -117,7 +121,9 @@ def profile_served(workload: str, seed: int, n: int) -> pstats.Stats:
             try:
                 stack.start()
                 clients = [stack.client() for _ in range(CLIENTS)]
+                before = resource.getrusage(resource.RUSAGE_SELF)
                 samples = replay(clients, lists)
+                after = resource.getrusage(resource.RUSAGE_SELF)
             finally:
                 for client in clients:
                     client.close()
@@ -125,7 +131,15 @@ def profile_served(workload: str, seed: int, n: int) -> pstats.Stats:
     failed = [s for s in samples if not s.response.ok]
     if failed:
         raise RuntimeError(f"profile {workload}: {len(failed)} requests failed")
-    return merged(profilers)
+    # Lock convoys and GIL hand-offs cost context switches, which no
+    # thread-CPU profile shows: count them over the replay.
+    requests = len(samples)
+    switches = (
+        f"context switches per request (this process, getrusage over the replay of "
+        f"{requests}): voluntary {(after.ru_nvcsw - before.ru_nvcsw) / requests:.2f}, "
+        f"involuntary {(after.ru_nivcsw - before.ru_nivcsw) / requests:.2f}\n"
+    )
+    return merged(profilers), switches
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -140,6 +154,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if sys.version_info >= (3, 12):
         parser.error("one cProfile per thread needs Python 3.11 or older")
+    footer = ""
     if args.served is None:
         stats = profile_l0(args.seed, args.requests)
         title = (
@@ -147,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
             f"(cProfile on the worker threads, top {args.top} by cumulative time)"
         )
     else:
-        stats = profile_served(args.served, args.seed, args.requests)
+        stats, footer = profile_served(args.served, args.seed, args.requests)
         title = (
             f"Served profile: {args.served} seed={args.seed} requests={args.requests} per "
             f"client (cProfile with time.thread_time on every thread, top {args.top} by "
@@ -156,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
     table = io.StringIO()
     stats.stream = table
     stats.strip_dirs().sort_stats("cumulative").print_stats(args.top)
-    text = title + "\n" + table.getvalue()
+    text = title + "\n" + table.getvalue() + footer
     sys.stdout.write(text)
     if args.out:
         Path(args.out).write_text(text)
