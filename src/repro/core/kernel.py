@@ -50,7 +50,7 @@ from repro.obs import MetricsRegistry
 from repro.obs.cases import CASE2_WAIT, CASE_COMMUTATIVE, CASE_TOPLEVEL_WAIT
 from repro.protocols.base import CCProtocol, LockSpec
 from repro.core.protocol import SemanticLockingProtocol
-from repro.recovery.addresses import address_of, snapshot
+from repro.recovery.addresses import attached_address, snapshot
 from repro.recovery.wal import SubtxnCommitRecord, TxnStatusRecord, UpdateRecord
 from repro.runtime.scheduler import Pause, Scheduler, SchedulerAPI, Task
 from repro.semantics.generic import (
@@ -589,26 +589,15 @@ class TransactionManager:
                 kind = kind[: -len("Record")]
             self.faults.fire("wal-append", txn=record.txn, operation=kind)
 
-    def _wal_attached_address(self, obj: DatabaseObject):
-        """The object's logical address, or None if not under the root.
-
-        Changes to detached objects (e.g. an order under construction
-        before its Insert) need no log records: the Insert's member
-        snapshot captures them.
-        """
-        node = obj
-        while node.parent is not None:
-            node = node.parent
-        if node is not self.db:
-            return None
-        return address_of(obj)
-
     def _wal_update(
         self, node: TransactionNode, operation: str, target: DatabaseObject, **fields: Any
     ) -> None:
         if self.wal is None:
             return
-        address = self._wal_attached_address(target)
+        # Changes to detached objects (e.g. an order under construction
+        # before its Insert) need no log records: the Insert's member
+        # snapshot captures them.
+        address = attached_address(target, self.db)
         if address is None:
             return
         node_path = tuple(
@@ -638,7 +627,7 @@ class TransactionManager:
         target = self.db.resolve(node.target)
         if not isinstance(target, EncapsulatedObject):
             return
-        address = self._wal_attached_address(target)
+        address = attached_address(target, self.db)
         if address is None:
             return
         inverse = self.undo.inverse_for(node.node_id)

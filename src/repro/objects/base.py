@@ -17,7 +17,7 @@ The composition tree matters to concurrency control in two ways:
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.errors import SchemaError
 from repro.objects.oid import Oid
@@ -36,6 +36,10 @@ class DatabaseObject:
         self.name = name
         self._parent: Optional["DatabaseObject"] = None
         self._children: list["DatabaseObject"] = []
+        #: The key (set member) or label (tuple component) this object
+        #: is filed under in its parent, recorded by the parent, so a
+        #: logical address is a walk up the tree, not a parent scan.
+        self.key_in_parent: Any = None
 
     # ------------------------------------------------------------------
     # Composition tree

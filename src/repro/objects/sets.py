@@ -38,6 +38,7 @@ class SetObject(DatabaseObject):
             raise SchemaError(f"{self.oid} already contains key {key!r}")
         self.attach_child(member)
         self._members[key] = member
+        member.key_in_parent = key
 
     def raw_remove(self, key: Any) -> DatabaseObject:
         """Unsynchronized remove (kernel use only); returns the member."""
@@ -46,6 +47,7 @@ class SetObject(DatabaseObject):
         except KeyError:
             raise SchemaError(f"{self.oid} has no member with key {key!r}") from None
         self.detach_child(member)
+        member.key_in_parent = None
         return member
 
     def raw_select(self, key: Any) -> Optional[DatabaseObject]:

@@ -31,6 +31,7 @@ class TupleObject(DatabaseObject):
             raise SchemaError(f"{self.oid} already has a component {label!r}")
         self.attach_child(component)
         self._components[label] = component
+        component.key_in_parent = label
         return component
 
     def component(self, label: str) -> DatabaseObject:

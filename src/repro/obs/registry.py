@@ -2,11 +2,17 @@
 
 A :class:`MetricsRegistry` is a flat namespace of named instruments.
 Every kernel component (lock table, conflict test, scheduler, waits-for
-graph) increments instruments from one shared registry, so a single
-:meth:`MetricsRegistry.snapshot` captures a whole run.  Instruments are
-created on first use and cached by the hot paths, so the steady-state
-cost of an update is one attribute store — cheap enough to leave the
-registry permanently enabled.
+graph) reports into one shared registry, so a single
+:meth:`MetricsRegistry.snapshot` captures a whole run.  A component
+reports in one of two ways:
+
+* it *pushes*: it updates an instrument it fetched once and cached, for
+  events nothing else counts (commits, sheds, latencies);
+* it registers a *collector* (:meth:`MetricsRegistry.add_collector`), a
+  function the snapshot calls, for counts and levels the component
+  already keeps under a lock it takes anyway (lock grants, held locks,
+  scheduler steps, queue depths): those are read when someone asks,
+  not copied on every operation.
 
 Design constraints:
 
@@ -22,7 +28,7 @@ from __future__ import annotations
 import bisect
 import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Mapping, Optional, Union
 
 from repro.obs.snapshot import (
     HistogramSnapshot,
@@ -38,6 +44,11 @@ TIMER_BUCKETS: tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
+
+
+#: What a collector returns, by instrument name: a counter's running
+#: total, or a gauge's ``(value, hwm)`` pair.
+Reading = Mapping[str, Union[int, tuple[float, float]]]
 
 
 class Counter:
@@ -228,6 +239,32 @@ class _LockedHistogram(Histogram):
             super().reset()
 
 
+class _Collector:
+    """A registered collector, its reset hook, and the counter totals it
+    read at registration or at the last :meth:`MetricsRegistry.reset`."""
+
+    __slots__ = ("collect", "reset", "base")
+
+    def __init__(
+        self, collect: Callable[[], Reading], reset: Optional[Callable[[], None]]
+    ) -> None:
+        self.collect = collect
+        self.reset = reset
+        self.base: dict[str, int] = {}
+        self.rebase()
+
+    def rebase(self) -> None:
+        """Restart the owner's high-water marks, then take the counter
+        totals as the new zero."""
+        if self.reset is not None:
+            self.reset()
+        self.base = {
+            name: value
+            for name, value in self.collect().items()
+            if not isinstance(value, tuple)
+        }
+
+
 class MetricsRegistry:
     """A namespace of instruments; see module docstring.
 
@@ -242,12 +279,16 @@ class MetricsRegistry:
     concurrent increments are never torn.  The default stays lock-free:
     the virtual-time runtime is single-threaded and its hot paths keep
     the one-attribute-store update cost.
+
+    Collected instruments (:meth:`add_collector`) appear in snapshots
+    beside the pushed ones and cannot be fetched as instrument objects.
     """
 
     def __init__(self, thread_safe: bool = False) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        self._collectors: list[_Collector] = []
         self._lock: Optional[threading.RLock] = threading.RLock() if thread_safe else None
 
     @property
@@ -311,29 +352,76 @@ class MetricsRegistry:
         """A context manager observing durations into histogram *name*."""
         return Timer(self.histogram(name, bounds), clock)
 
+    def add_collector(
+        self, collect: Callable[[], Reading], reset: Optional[Callable[[], None]] = None
+    ) -> None:
+        """Have every :meth:`snapshot` call *collect* for instruments
+        whose values its owner already holds.
+
+        *collect* returns a :data:`Reading`.  A collected counter counts
+        from registration, as a pushed one counts from creation: the
+        registry subtracts the total it read when *collect* was
+        registered (and at each :meth:`reset`).  Totals of one name from
+        several collectors add up, also to a pushed counter of that
+        name.  A collected gauge is reported as read: its value is the
+        owner's live level and its hwm the owner's peak.  *reset*, if
+        given, restarts the owner's peaks at the current levels; it is
+        called here and by :meth:`reset`.
+
+        *collect* runs without the registry lock — owners take their
+        own locks in it while other threads holding those locks update
+        pushed instruments — so it must not create instruments.
+        """
+        collector = _Collector(collect, reset)
+        if self._lock is not None:
+            with self._lock:
+                self._collectors.append(collector)
+        else:
+            self._collectors.append(collector)
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Zero every instrument (bucket layouts are kept)."""
+        """Zero every instrument (bucket layouts are kept): collected
+        counters restart from zero and collected gauges' hwm from the
+        current level."""
         for group in (self._counters, self._gauges, self._histograms):
             for instrument in group.values():
                 instrument.reset()
+        for collector in list(self._collectors):
+            collector.rebase()
 
     def snapshot(self) -> Snapshot:
         """An immutable, comparable copy of every instrument's state."""
+        collected = self._collect()
         if self._lock is not None:
             with self._lock:
-                return self._snapshot()
-        return self._snapshot()
+                return self._snapshot(*collected)
+        return self._snapshot(*collected)
 
-    def _snapshot(self) -> Snapshot:
+    def _collect(self) -> tuple[dict[str, int], dict[str, dict[str, float]]]:
+        counters: dict[str, int] = {}
+        gauges: dict[str, dict[str, float]] = {}
+        for collector in list(self._collectors):
+            base = collector.base
+            for name, value in collector.collect().items():
+                if isinstance(value, tuple):
+                    gauges[name] = {"value": value[0], "hwm": value[1]}
+                else:
+                    counters[name] = counters.get(name, 0) + value - base.get(name, 0)
+        return counters, gauges
+
+    def _snapshot(
+        self, counters: dict[str, int], gauges: dict[str, dict[str, float]]
+    ) -> Snapshot:
+        for name, counter in self._counters.items():
+            counters[name] = counters.get(name, 0) + counter.value
+        for name, gauge in self._gauges.items():
+            gauges.setdefault(name, {"value": gauge.value, "hwm": gauge.hwm})
         return Snapshot(
-            counters={n: c.value for n, c in sorted(self._counters.items())},
-            gauges={
-                n: {"value": g.value, "hwm": g.hwm}
-                for n, g in sorted(self._gauges.items())
-            },
+            counters=dict(sorted(counters.items())),
+            gauges=dict(sorted(gauges.items())),
             histograms={
                 n: HistogramSnapshot(
                     bounds=h.bounds,
@@ -348,5 +436,6 @@ class MetricsRegistry:
     def __repr__(self) -> str:
         return (
             f"<MetricsRegistry {len(self._counters)} counters, "
-            f"{len(self._gauges)} gauges, {len(self._histograms)} histograms>"
+            f"{len(self._gauges)} gauges, {len(self._histograms)} histograms, "
+            f"{len(self._collectors)} collectors>"
         )

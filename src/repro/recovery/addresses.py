@@ -32,23 +32,24 @@ from repro.objects.tuples import TupleObject
 Address = tuple[tuple, ...]
 
 
-def address_of(obj: DatabaseObject) -> Address:
-    """The logical path of *obj* from its database root."""
+def _walk_up(obj: DatabaseObject) -> tuple[Address, DatabaseObject]:
+    """*obj*'s logical path from its composition root, and that root.
+
+    One walk up the parent chain: each step reads the key or label the
+    parent recorded on the child (:attr:`DatabaseObject.key_in_parent`)
+    and checks that the parent still files the child under it.
+    """
     steps: list[tuple] = []
     node = obj
     while node.parent is not None:
         parent = node.parent
+        key = node.key_in_parent
         if isinstance(parent, TupleObject):
-            label = next(
-                (lb for lb in parent.component_labels if parent.component(lb) is node),
-                None,
-            )
-            if label is None:
+            if not (parent.has_component(key) and parent.component(key) is node):
                 raise UnknownObjectError(f"{node.oid} is not a component of {parent.oid}")
-            steps.append(("component", label))
+            steps.append(("component", key))
         elif isinstance(parent, SetObject):
-            key = next((k for k, m in parent.raw_scan() if m is node), None)
-            if key is None:
+            if parent.raw_select(key) is not node:
                 raise UnknownObjectError(f"{node.oid} is not a member of {parent.oid}")
             steps.append(("member", key))
         elif isinstance(parent, EncapsulatedObject):
@@ -56,7 +57,19 @@ def address_of(obj: DatabaseObject) -> Address:
         else:  # Database root or plain object
             steps.append(("child", node.name))
         node = parent
-    return tuple(reversed(steps))
+    return tuple(reversed(steps)), node
+
+
+def address_of(obj: DatabaseObject) -> Address:
+    """The logical path of *obj* from its database root."""
+    return _walk_up(obj)[0]
+
+
+def attached_address(obj: DatabaseObject, root: DatabaseObject) -> Optional[Address]:
+    """:func:`address_of` *obj* if its composition root is *root*, else
+    None (an object not yet, or no longer, in the database)."""
+    address, top = _walk_up(obj)
+    return address if top is root else None
 
 
 def resolve_address(db: Database, address: Address) -> DatabaseObject:

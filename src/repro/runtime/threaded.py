@@ -116,9 +116,10 @@ _yield_thread = _pick_yield()
 # Striped lock table
 # ----------------------------------------------------------------------
 class _Stripe:
-    """One stripe: a plain LockTable plus its guard."""
+    """One stripe: a plain LockTable plus its guard, and the counts of
+    the operations run on it alone (under its lock)."""
 
-    __slots__ = ("index", "table", "lock")
+    __slots__ = ("index", "table", "lock", "ops", "releases")
 
     def __init__(self, index: int, table: LockTable) -> None:
         self.index = index
@@ -127,6 +128,40 @@ class _Stripe:
         # the protocol, whose state views call locks_on(target) on the
         # same stripe.
         self.lock = threading.RLock()
+        self.ops = 0  # stripe.ops: mutating per-object operations
+        self.releases = 0  # lock.release_ops of release_lock
+
+
+class _Level:
+    """A cross-stripe level (locks held, requests queued) and its peak.
+
+    Every change is made by an operation holding the stripe lock of each
+    stripe it changed, so a per-object operation on one stripe and an
+    all-stripes operation never move a level at once; two per-object
+    operations on different stripes can, hence the lock.  The peak is
+    that of the true cross-stripe sum, as a plain table's would be.
+    """
+
+    __slots__ = ("value", "peak", "_lock")
+
+    def __init__(self) -> None:
+        self.value = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def shift(self, delta: int) -> None:
+        with self._lock:
+            self.value += delta
+            if self.value > self.peak:
+                self.peak = self.value
+
+    def read(self) -> tuple[int, int]:
+        with self._lock:
+            return self.value, self.peak
+
+    def restart_peak(self) -> None:
+        with self._lock:
+            self.peak = self.value
 
 
 class ConcurrentLockTable:
@@ -162,17 +197,14 @@ class ConcurrentLockTable:
         self.on_waits_changed: Optional[Callable[[PendingRequest], None]] = None
         for stripe in self._stripes:
             stripe.table.on_waits_changed = self._fire_waits_changed
-        # Counted here, once per operation: a tree-wide release visits
-        # (and each stripe counts) every stripe.
-        self._release_counter = None
-        self._reeval_counter = None
-        self._stripe_ops = None
-        self._stripe_cross_ops = None
-        # The lock.* instruments each stripe is mirrored into (grants,
-        # blocks, conflict_tests, held, queue_depth), and the per-stripe
-        # values already mirrored, in the same order.
-        self._mirror_instruments: tuple = ()
-        self._mirrored = [(0,) * 5 for __ in range(n_stripes)]
+        # Counted here, once per all-stripes hold (under every stripe
+        # lock): a tree-wide release visits (and each stripe counts)
+        # every stripe.
+        self._cross_ops = 0
+        self._reeval_passes = 0
+        self._release_ops = 0
+        self._held = _Level()
+        self._queued = _Level()
         if metrics is not None:
             self.bind_metrics(metrics, clock)
 
@@ -188,52 +220,55 @@ class ConcurrentLockTable:
     # Metrics
     # ------------------------------------------------------------------
     def bind_metrics(self, registry, clock: Optional[Callable[[], float]] = None) -> None:
-        """Attach a registry; stripe totals are mirrored as deltas.
+        """Attach a registry, which reads the ``lock.*`` and ``stripe.*``
+        figures through a collector (:meth:`_collect`).
 
-        Individual stripes run metric-less (each would clobber shared
-        gauges with stripe-local values); this front-end owns the
-        ``lock.*`` aggregates plus the ``stripe.*`` instruments.
+        Individual stripes run metric-less: they keep their counts, and
+        this front-end reports the sums (its own, for the operations it
+        counts once however many stripes they visit).
         """
         if clock is not None:
             for stripe in self._stripes:
                 stripe.table._clock = clock
-        self._mirror_instruments = (
-            registry.counter("lock.grants"),
-            registry.counter("lock.blocks"),
-            registry.counter("lock.conflict_tests"),
-            registry.gauge("lock.held"),
-            registry.gauge("lock.queue_depth"),
-        )
-        self._release_counter = registry.counter("lock.release_ops")
-        self._reeval_counter = registry.counter("lock.reeval_passes")
-        self._stripe_ops = registry.counter("stripe.ops")
-        self._stripe_cross_ops = registry.counter("stripe.cross_ops")
         registry.gauge("stripe.count").set(self._n_stripes)
+        registry.add_collector(self._collect, self._restart_peaks)
 
-    def _sync_stripe_metrics(self, stripe: _Stripe) -> None:
-        """Mirror a stripe's counter growth and level changes into the
-        shared registry, as deltas: O(1) in the number of stripes.
+    def _collect(self) -> dict:
+        """Read without the stripe locks: each figure is a whole int some
+        stripe held, so a snapshot taken mid-run is exact per stripe,
+        not one instant across stripes."""
+        stripes = self._stripes
+        return {
+            "lock.grants": sum(s.table.total_grants for s in stripes),
+            "lock.blocks": sum(s.table.total_blocks for s in stripes),
+            "lock.conflict_tests": sum(s.table.total_conflict_tests for s in stripes),
+            "lock.release_ops": self._release_ops + sum(s.releases for s in stripes),
+            "lock.reeval_passes": self._reeval_passes,
+            "stripe.ops": sum(s.ops for s in stripes),
+            "stripe.cross_ops": self._cross_ops,
+            "lock.held": self._held.read(),
+            "lock.queue_depth": self._queued.read(),
+        }
 
-        Called while holding *stripe.lock*, so the stripe's values are
-        stable.
-        """
-        if not self._mirror_instruments:
-            return
-        table = stripe.table
-        values = (
-            table.total_grants,
-            table.total_blocks,
-            table.total_conflict_tests,
-            table.lock_count,
-            table.pending_count,
-        )
-        mirrored = self._mirrored[stripe.index]
-        if values == mirrored:
-            return  # the common case for most stripes of an all-stripes pass
-        for instrument, value, seen in zip(self._mirror_instruments, values, mirrored):
-            if value != seen:
-                instrument.inc(value - seen)
-        self._mirrored[stripe.index] = values
+    def _restart_peaks(self) -> None:
+        self._held.restart_peak()
+        self._queued.restart_peak()
+
+    @staticmethod
+    def _levels(stripes) -> tuple[int, int]:
+        """Locks held and requests queued on *stripes* (caller holds
+        their locks)."""
+        held = queued = 0
+        for stripe in stripes:
+            held += stripe.table.lock_count
+            queued += stripe.table.pending_count
+        return held, queued
+
+    def _shift_levels(self, before: tuple[int, int], after: tuple[int, int]) -> None:
+        if after[0] != before[0]:
+            self._held.shift(after[0] - before[0])
+        if after[1] != before[1]:
+            self._queued.shift(after[1] - before[1])
 
     # ------------------------------------------------------------------
     # Striping
@@ -265,34 +300,36 @@ class ConcurrentLockTable:
         """Run ``op(table, *args)`` on *target*'s stripe under its lock.
 
         Mutating operations are *counted*: one ``stripe.ops`` tick, and
-        the stripe's counter growth mirrored into the registry.
+        the levels moved by what the operation changed on the stripe.
         """
         stripe = self._stripes[hash(target) % self._n_stripes]
         with stripe.lock:
-            result = op(stripe.table, *args)
-            if counted:
-                if self._stripe_ops is not None:
-                    self._stripe_ops.inc()
-                self._sync_stripe_metrics(stripe)
+            if not counted:
+                return op(stripe.table, *args)
+            table = stripe.table
+            before = (table.lock_count, table.pending_count)
+            result = op(table, *args)
+            stripe.ops += 1
+            self._shift_levels(before, (table.lock_count, table.pending_count))
         return result
 
-    def _on_all_stripes(self, op, *args, counter) -> list:
+    def _on_all_stripes(self, op, *args, releases: bool) -> list:
         """Run ``op(table, *args)`` on every stripe under all stripe
-        locks (one ``stripe.cross_ops`` tick, one tick of the front-end
-        *counter* the operation is accounted under), concatenating the
-        lists the stripes return."""
+        locks (one ``stripe.cross_ops`` tick, counted as one release
+        operation if it *releases*, else as one re-evaluation pass),
+        concatenating the lists the stripes return."""
         results: list = []
         with self._all_stripes():
+            before = self._levels(self._stripes)
             for stripe in self._stripes:
                 results.extend(op(stripe.table, *args))
-                self._sync_stripe_metrics(stripe)
-            self._count_cross_op(counter)
+            self._shift_levels(before, self._levels(self._stripes))
+            self._cross_ops += 1
+            if releases:
+                self._release_ops += 1
+            else:
+                self._reeval_passes += 1
         return results
-
-    def _count_cross_op(self, counter) -> None:
-        if self._stripe_cross_ops is not None:  # bound together with *counter*
-            self._stripe_cross_ops.inc()
-            counter.inc()
 
     # ------------------------------------------------------------------
     # Inspection
@@ -370,9 +407,13 @@ class ConcurrentLockTable:
         self._on_stripe(pending.target, LockTable.cancel, pending)
 
     def release_lock(self, lock: Lock) -> None:
-        self._on_stripe(lock.target, LockTable.release_lock, lock)
-        if self._release_counter is not None:
-            self._release_counter.inc()
+        stripe = self._stripes[self.stripe_index_of(lock.target)]
+
+        def release(table: LockTable) -> None:
+            table.release_lock(lock)
+            stripe.releases += 1  # under the stripe lock, like the release
+
+        self._on_stripe(lock.target, release)
 
     # ------------------------------------------------------------------
     # Tree-wide operations (all stripe locks, index order)
@@ -388,24 +429,26 @@ class ConcurrentLockTable:
         granted: list[PendingRequest] = []
         with self._all_stripes():
             busy = [s for s in self._stripes if s.table.completion_has_work(node, disposition)]
+            before = self._levels(busy)
             for stripe in busy:
                 moved.extend(stripe.table.dispose(node, disposition))
             for stripe in busy:
                 granted.extend(stripe.table.reevaluate(tester))
-                self._sync_stripe_metrics(stripe)
-            self._count_cross_op(self._reeval_counter)
-            if disposition is not Disposition.RETAIN and self._release_counter is not None:
-                self._release_counter.inc()
+            self._shift_levels(before, self._levels(busy))
+            self._cross_ops += 1
+            self._reeval_passes += 1
+            if disposition is not Disposition.RETAIN:
+                self._release_ops += 1
         return moved, granted
 
     def reevaluate(self, tester) -> list[PendingRequest]:
-        return self._on_all_stripes(LockTable.reevaluate, tester, counter=self._reeval_counter)
+        return self._on_all_stripes(LockTable.reevaluate, tester, releases=False)
 
     def release_tree(self, root) -> list[Lock]:
-        return self._on_all_stripes(LockTable.release_tree, root, counter=self._release_counter)
+        return self._on_all_stripes(LockTable.release_tree, root, releases=True)
 
     def release_subtree(self, node) -> list[Lock]:
-        return self._on_all_stripes(LockTable.release_subtree, node, counter=self._release_counter)
+        return self._on_all_stripes(LockTable.release_subtree, node, releases=True)
 
     # ------------------------------------------------------------------
     # Invariants
@@ -484,23 +527,21 @@ class _Coordinator:
     """Serialises multi-structure kernel phases (commit, abort,
     deadlock resolution, lock-wait timeouts, lock re-evaluation).
 
-    A reentrant lock plus an epoch counter; used as a context manager.
-    It is first in the lock order: coordinated phases take stripe
-    locks and the scheduler lock inside it.
+    A reentrant lock plus an epoch counter (``shard.coordinations``);
+    used as a context manager.  It is first in the lock order:
+    coordinated phases take stripe locks and the scheduler lock inside
+    it.
     """
 
-    __slots__ = ("lock", "epoch", "_counter")
+    __slots__ = ("lock", "epoch")
 
     def __init__(self) -> None:
         self.lock = threading.RLock()
         self.epoch = 0
-        self._counter = None  # shard.coordinations, once metrics bind
 
     def __enter__(self) -> "_Coordinator":
         self.lock.acquire()
         self.epoch += 1
-        if self._counter is not None:
-            self._counter.inc()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -600,7 +641,7 @@ class WallClockScheduler:
         # which only that task's wake-up notifies.
         self._wakeup = threading.Condition(self._sched_lock)
         self._coordinator = _Coordinator()
-        self._step_lock = threading.Lock()  # guards the steps counter
+        self._step_lock = threading.Lock()  # guards the steps count
         self.tasks: dict[str, Task] = {}
         self._runnable: deque[Task] = deque()
         # Threads inside _drive (pool workers and callers), how many of
@@ -633,10 +674,9 @@ class WallClockScheduler:
         self.max_kept_errors = 64
         self._t0 = time.monotonic()
         self.steps = 0
+        self.spawned = 0  # tasks registered, under the scheduler lock
         self.on_stall: Optional[Callable[[list[Task]], bool]] = None
         self.on_step: Optional[Callable[[int], None]] = None
-        self._step_counter = None
-        self._spawn_counter = None
         self._stall_counter = None
         self._blocked_gauge = None
         self._block_hist = None
@@ -659,15 +699,21 @@ class WallClockScheduler:
 
     def bind_metrics(self, registry) -> None:
         """Expose ``thread.*`` instruments and ``shard.coordinations``;
-        see docs/OBSERVABILITY.md."""
-        self._step_counter = registry.counter("thread.steps")
-        self._spawn_counter = registry.counter("thread.spawned")
+        see docs/OBSERVABILITY.md.  Steps, spawns and coordinations are
+        counted under locks taken anyway and collected at snapshot."""
         self._stall_counter = registry.counter("thread.stall_checks")
         self._caller_counter = registry.counter("thread.caller_drives")
         self._blocked_gauge = registry.gauge("thread.blocked")
         self._block_hist = registry.histogram("thread.block_time", TIMER_BUCKETS)
         registry.gauge("thread.workers").set(self.n_threads)
-        self._coordinator._counter = registry.counter("shard.coordinations")
+        registry.add_collector(self._collect)
+
+    def _collect(self) -> dict:
+        return {
+            "thread.steps": self.steps,
+            "thread.spawned": self.spawned,
+            "shard.coordinations": self._coordinator.epoch,
+        }
 
     # ------------------------------------------------------------------
     # Kernel-facing surface
@@ -690,8 +736,7 @@ class WallClockScheduler:
                 )
             task = _PooledTask(name, coro, queued)
             self.tasks[name] = task
-            if self._spawn_counter is not None:
-                self._spawn_counter.inc()
+            self.spawned += 1
             if queued:
                 self._runnable.append(task)
                 self._wakeup.notify()
@@ -1058,8 +1103,6 @@ class WallClockScheduler:
                     self.steps += 1
                 if self.on_step is not None:
                     self.on_step(step)
-                if self._step_counter is not None:
-                    self._step_counter.inc()
                 try:
                     if exc is not None:
                         yielded = task.coro.throw(exc)

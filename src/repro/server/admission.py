@@ -92,22 +92,24 @@ class AdmissionController:
             "read": deque(),
             "write": deque(),
         }
-        self._seq = 0
+        self._admitted = 0
         self._inflight = 0
         self._closed = False
         self._service_estimate = self.config.initial_service_estimate
-        self._admitted_counter = None
+        # Peaks of the in-flight count and the queue depths since
+        # metrics were bound: raised where each can rise.
+        self._inflight_peak = 0
+        self._depth_peaks = {klass: 0 for klass in self._queues}
         self._shed_counter = None
         self._shed_reasons: dict[str, Any] = {}
-        self._inflight_gauge = None
-        self._depth_gauges: dict[str, Any] = {}
         self._queue_wait_hist = None
         if metrics is not None:
             self.bind_metrics(metrics)
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
-        """Expose ``admission.*`` / ``queue.*``; see docs/OBSERVABILITY.md."""
-        self._admitted_counter = registry.counter("admission.admitted")
+        """Expose ``admission.*`` / ``queue.*``; see docs/OBSERVABILITY.md.
+        Admissions, the in-flight count and the queue depths are kept
+        under the admission lock and collected at snapshot."""
         self._shed_counter = registry.counter("admission.shed")
         self._shed_reasons = {
             reason: registry.counter(f"admission.shed.{reason}")
@@ -119,13 +121,26 @@ class AdmissionController:
                 "expired-in-queue",
             )
         }
-        self._inflight_gauge = registry.gauge("admission.inflight")
-        self._depth_gauges = {
-            klass: registry.gauge(f"queue.depth.{klass}") for klass in ("read", "write")
-        }
         self._queue_wait_hist = registry.histogram("queue.wait", TIMER_BUCKETS)
         registry.gauge("queue.cap").set(self.config.queue_cap)
         registry.gauge("admission.max_inflight").set(self.config.max_inflight)
+        registry.add_collector(self._collect, self._restart_peaks)
+
+    def _collect(self) -> dict:
+        with self._lock:
+            reading: dict = {
+                "admission.admitted": self._admitted,
+                "admission.inflight": (self._inflight, self._inflight_peak),
+            }
+            for klass, queue in self._queues.items():
+                reading[f"queue.depth.{klass}"] = (len(queue), self._depth_peaks[klass])
+            return reading
+
+    def _restart_peaks(self) -> None:
+        with self._lock:
+            self._inflight_peak = self._inflight
+            for klass, queue in self._queues.items():
+                self._depth_peaks[klass] = len(queue)
 
     # ------------------------------------------------------------------
     # State inspection
@@ -184,7 +199,6 @@ class AdmissionController:
             )
             for q in self._queues.values():
                 q.clear()
-            self._sync_gauges_locked()
             return [ticket for ticket, __, ___ in entries]
 
     # ------------------------------------------------------------------
@@ -215,10 +229,9 @@ class AdmissionController:
             if now + est_wait > deadline_at:
                 return self._shed_locked(klass, "deadline-unmeetable")
             queue.append((ticket, deadline_at, now))
-            self._seq += 1
-            if self._admitted_counter is not None:
-                self._admitted_counter.inc()
-            self._sync_gauges_locked()
+            self._admitted += 1
+            if len(queue) > self._depth_peaks[klass]:
+                self._depth_peaks[klass] = len(queue)
             return None
 
     def _shed_locked(self, klass: str, reason: str) -> RequestShed:
@@ -266,11 +279,12 @@ class AdmissionController:
                             counter.inc()
                     continue
                 self._inflight += 1
+                if self._inflight > self._inflight_peak:
+                    self._inflight_peak = self._inflight
                 if self._queue_wait_hist is not None:
                     self._queue_wait_hist.observe(max(0.0, now - enqueued_at))
                 ticket = candidate
                 break
-            self._sync_gauges_locked()
         return ticket, expired
 
     def _pop_next_locked(self, degraded: bool) -> Optional[tuple[Any, float, float]]:
@@ -301,15 +315,9 @@ class AdmissionController:
                 self._service_estimate = (
                     1 - alpha
                 ) * self._service_estimate + alpha * service_time
-            self._sync_gauges_locked()
 
     def expired_retry_hint(self, klass: str) -> float:
         """A positive backoff hint for an ``expired-in-queue`` shed."""
         with self._lock:
             return self._retry_hint_locked(klass)
 
-    def _sync_gauges_locked(self) -> None:
-        if self._inflight_gauge is not None:
-            self._inflight_gauge.set(self._inflight)
-        for klass, gauge in self._depth_gauges.items():
-            gauge.set(len(self._queues[klass]))

@@ -33,6 +33,7 @@ so one crashed request cannot wedge the server.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import threading
 import time
@@ -54,6 +55,19 @@ from repro.server.degrade import DegradationController, DegradeConfig
 from repro.server.requests import Request, Response, build_program, op_class
 
 __all__ = ["TransactionServer", "DrainReport"]
+
+
+def _gc_counts() -> dict[str, int]:
+    """The ``gc.*`` counters: the interpreter's collections per
+    generation and the objects they freed, read from ``gc.get_stats()``
+    when a snapshot asks (no ``gc.callbacks``, nothing per collection)."""
+    per_generation = gc.get_stats()
+    reading = {
+        f"gc.collections.gen{generation}": stats["collections"]
+        for generation, stats in enumerate(per_generation)
+    }
+    reading["gc.collected"] = sum(stats["collected"] for stats in per_generation)
+    return reading
 
 
 @dataclass
@@ -226,6 +240,7 @@ class TransactionServer:
         self._latency = obs.histogram("server.latency", TIMER_BUCKETS)
         self._caller_drives = obs.counter("thread.caller_drives")
         self._draining_gauge = obs.gauge("server.draining")
+        obs.add_collector(_gc_counts)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -562,7 +577,10 @@ class TransactionServer:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
-        """A small JSON-safe operational summary (the wire ``stats`` op)."""
+        """A small JSON-safe operational summary (the wire ``stats`` op),
+        with every counter and gauge of the registry, from one snapshot,
+        under ``metrics``."""
+        snapshot = self.tk.obs.snapshot()
         return {
             "requests": self._requests.value,
             "ok": self._ok.value,
@@ -578,4 +596,5 @@ class TransactionServer:
             "service_estimate": round(self.admission.service_estimate, 6),
             "draining": self.draining,
             "caller_drives": self._caller_drives.value,
+            "metrics": {"counters": snapshot.counters, "gauges": snapshot.gauges},
         }

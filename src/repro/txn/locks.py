@@ -243,38 +243,35 @@ class LockTable:
         self._id_stride = id_stride
         self._next_lock_id = id_offset
         self._next_enqueue_seq = id_offset
-        self.max_locks_held = 0  # high-water mark, a bench metric
         self.total_grants = 0
         self.total_blocks = 0
-        # Work accounting (always on; mirrored into obs counters when a
-        # registry is bound): conflict-test invocations are the
+        # Work accounting, always on and read by a bound registry's
+        # collector (:meth:`_collect`): conflict-test invocations are the
         # irreducible cost every release/commit pays, so the bench layer
         # reports tests-per-release from these.
         self.total_conflict_tests = 0
         self.total_release_ops = 0
+        self.reeval_passes = 0
+        self.reeval_queues_checked = 0
+        self.reeval_queues_skipped = 0
+        self.conflict_tests_skipped = 0  # what a full scan would have spent
         # Incremental counts: grant/release/enqueue are the hot path, so
         # lock_count/pending_count must not walk the per-object dicts.
         self._n_granted = 0
         self._n_pending = 0
+        # Peaks of the lock.* gauges since metrics were bound (or the
+        # registry reset): each is raised where its level can rise.
+        self._held_peak = 0
+        self._pending_peak = 0
+        self._owners_peak = 0
+        self._blockers_peak = 0
         self._clock: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
         # Fired whenever a pending request's recorded blocker set changes
         # (block, re-test, grant, cancel) — the kernel maintains the
         # waits-for graph incrementally from these events.
         self.on_waits_changed: Optional[Callable[[PendingRequest], None]] = None
-        self._grant_counter = None
-        self._block_counter = None
-        self._held_gauge = None
-        self._queue_gauge = None
         self._hold_hist = None
         self._wait_hist = None
-        self._test_counter = None
-        self._test_skipped_counter = None
-        self._release_counter = None
-        self._reeval_counter = None
-        self._queues_checked_counter = None
-        self._queues_skipped_counter = None
-        self._owner_index_gauge = None
-        self._blocker_index_gauge = None
         if metrics is not None:
             self.bind_metrics(metrics, clock)
 
@@ -283,34 +280,36 @@ class LockTable:
 
         The clock (typically the scheduler's virtual clock) stamps
         grants so releases can feed the ``lock.hold_time`` histogram.
+        The counts and levels are read by a collector (:meth:`_collect`);
+        only the two histograms are pushed.
         """
         if clock is not None:
             self._clock = clock
-        self._grant_counter = registry.counter("lock.grants")
-        self._block_counter = registry.counter("lock.blocks")
-        self._held_gauge = registry.gauge("lock.held")
-        self._queue_gauge = registry.gauge("lock.queue_depth")
         self._hold_hist = registry.histogram("lock.hold_time", self.HOLD_TIME_BUCKETS)
         self._wait_hist = registry.histogram("lock.wait_time", self.HOLD_TIME_BUCKETS)
-        self._test_counter = registry.counter("lock.conflict_tests")
-        self._test_skipped_counter = registry.counter("lock.conflict_tests_skipped")
-        self._release_counter = registry.counter("lock.release_ops")
-        self._reeval_counter = registry.counter("lock.reeval_passes")
-        self._queues_checked_counter = registry.counter("lock.reeval_queues_checked")
-        self._queues_skipped_counter = registry.counter("lock.reeval_queues_skipped")
-        self._owner_index_gauge = registry.gauge("lock.index.owners")
-        self._blocker_index_gauge = registry.gauge("lock.index.blockers")
-        self._test_counter.inc(self.total_conflict_tests)
-        self._release_counter.inc(self.total_release_ops)
+        registry.add_collector(self._collect, self._restart_peaks)
 
-    def _queue_changed(self) -> None:
-        if self._queue_gauge is not None:
-            self._queue_gauge.set(self.pending_count)
+    def _collect(self) -> dict:
+        return {
+            "lock.grants": self.total_grants,
+            "lock.blocks": self.total_blocks,
+            "lock.conflict_tests": self.total_conflict_tests,
+            "lock.conflict_tests_skipped": self.conflict_tests_skipped,
+            "lock.release_ops": self.total_release_ops,
+            "lock.reeval_passes": self.reeval_passes,
+            "lock.reeval_queues_checked": self.reeval_queues_checked,
+            "lock.reeval_queues_skipped": self.reeval_queues_skipped,
+            "lock.held": (self._n_granted, self._held_peak),
+            "lock.queue_depth": (self._n_pending, self._pending_peak),
+            "lock.index.owners": (len(self._locks_by_node), self._owners_peak),
+            "lock.index.blockers": (len(self._blocker_index), self._blockers_peak),
+        }
 
-    def _index_sizes_changed(self) -> None:
-        if self._owner_index_gauge is not None:
-            self._owner_index_gauge.set(len(self._locks_by_node))
-            self._blocker_index_gauge.set(len(self._blocker_index))
+    def _restart_peaks(self) -> None:
+        self._held_peak = self._n_granted
+        self._pending_peak = self._n_pending
+        self._owners_peak = len(self._locks_by_node)
+        self._blockers_peak = len(self._blocker_index)
 
     def _released(self, locks: list[Lock]) -> None:
         self._n_granted -= len(locks)
@@ -319,8 +318,6 @@ class LockTable:
         now = self._clock()
         for lock in locks:
             self._hold_hist.observe(now - lock.grant_clock)
-        if self._held_gauge is not None:
-            self._held_gauge.set(self._n_granted)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -356,6 +353,12 @@ class LockTable:
     def pending_count(self) -> int:
         return self._n_pending
 
+    @property
+    def max_locks_held(self) -> int:
+        """The most locks held at once: the ``lock.held`` hwm, counted
+        since metrics were bound (since construction if they never were)."""
+        return self._held_peak
+
     # ------------------------------------------------------------------
     # Acquisition
     # ------------------------------------------------------------------
@@ -390,8 +393,6 @@ class LockTable:
             if blocker is not None:
                 blockers.add(blocker)
         self.total_conflict_tests += tests
-        if self._test_counter is not None:
-            self._test_counter.inc(tests)
         return blockers
 
     def grant(self, node: TransactionNode, target: Oid, invocation: Invocation) -> Lock:
@@ -408,12 +409,10 @@ class LockTable:
         # must not poison the hold-time histogram with a zero grant clock
         # once metrics are attached mid-run.
         lock.grant_clock = self._clock()
-        if self._n_granted > self.max_locks_held:
-            self.max_locks_held = self._n_granted
-        if self._grant_counter is not None:
-            self._grant_counter.inc()
-            self._held_gauge.set(self._n_granted)
-            self._index_sizes_changed()
+        if self._n_granted > self._held_peak:
+            self._held_peak = self._n_granted
+        if len(self._locks_by_node) > self._owners_peak:
+            self._owners_peak = len(self._locks_by_node)
         return lock
 
     def enqueue(
@@ -435,9 +434,8 @@ class LockTable:
         self._dirty_targets.add(target)
         self.total_blocks += 1
         self._n_pending += 1
-        if self._block_counter is not None:
-            self._block_counter.inc()
-            self._queue_changed()
+        if self._n_pending > self._pending_peak:
+            self._pending_peak = self._n_pending
         return pending
 
     def set_blockers(self, pending: PendingRequest, blockers: set[TransactionNode]) -> None:
@@ -452,8 +450,9 @@ class LockTable:
                         del self._blocker_index[old]
         for blocker in blockers:
             self._blocker_index[blocker][pending.enqueue_seq] = pending
+        if len(self._blocker_index) > self._blockers_peak:
+            self._blockers_peak = len(self._blocker_index)
         pending.blockers = blockers
-        self._index_sizes_changed()
         if self.on_waits_changed is not None:
             self.on_waits_changed(pending)
 
@@ -563,7 +562,6 @@ class LockTable:
             # cancelled one; their outcome may have changed.
             self._dirty_targets.add(pending.target)
             self.set_blockers(pending, set())
-            self._queue_changed()
 
     def reevaluate(self, tester: ConflictTester) -> list[PendingRequest]:
         """Grant every queued request whose blockers are gone.
@@ -577,8 +575,7 @@ class LockTable:
         Returns the requests granted in this pass; their signals are
         fired so the blocked coroutines resume.
         """
-        if self._reeval_counter is not None:
-            self._reeval_counter.inc()
+        self.reeval_passes += 1
         if not self._n_pending:  # and an enqueue dirties its own target
             self._dirty_targets.clear()
             return []
@@ -587,15 +584,11 @@ class LockTable:
         granted_now: list[PendingRequest] = []
         for target, queue in list(self._queues.items()):  # a drained queue is deleted
             if not self._queue_needs_retest(target, queue, dirty, retest):
-                if self._queues_skipped_counter is not None:
-                    self._queues_skipped_counter.inc()
-                    self._test_skipped_counter.inc(self._scan_cost_of(target, queue))
+                self.reeval_queues_skipped += 1
+                self.conflict_tests_skipped += self._scan_cost_of(target, queue)
                 continue
-            if self._queues_checked_counter is not None:
-                self._queues_checked_counter.inc()
+            self.reeval_queues_checked += 1
             self._retest_queue(target, queue, tester, granted_now)
-        if granted_now:
-            self._queue_changed()
         for pending in granted_now:
             pending.signal.fire(pending)
         return granted_now
@@ -659,8 +652,6 @@ class LockTable:
     # ------------------------------------------------------------------
     def _count_release_op(self) -> None:
         self.total_release_ops += 1
-        if self._release_counter is not None:
-            self._release_counter.inc()
 
     def _drop_locks(self, locks: list[Lock]) -> None:
         """Remove already-collected locks from every structure.
@@ -690,7 +681,6 @@ class LockTable:
             if not held:
                 del self._granted[target]
         self._released(locks)
-        self._index_sizes_changed()
 
     def release_lock(self, lock: Lock) -> None:
         locks = self._granted.get(lock.target)
@@ -769,7 +759,6 @@ class LockTable:
             # defaultdict access created an empty entry for a node
             # without locks; do not let it linger in the index.
             del self._locks_by_node[node.parent]
-        self._index_sizes_changed()
         return moved
 
     # ------------------------------------------------------------------

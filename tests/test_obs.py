@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import threading
 
 import pytest
 
@@ -159,6 +160,102 @@ class TestRegistry:
         assert snapshot.gauge("g") == 0.0
         assert snapshot.gauge_hwm("g") == 0.0
         assert snapshot.histogram("h").count == 0
+
+
+class _Owner:
+    """A component keeping one count and one level (with its peak)."""
+
+    def __init__(self) -> None:
+        self.events = 0
+        self.level = 0
+        self.peak = 0
+
+    def raise_level(self, amount: int) -> None:
+        self.level += amount
+        self.peak = max(self.peak, self.level)
+
+    def collect(self) -> dict:
+        return {"owner.events": self.events, "owner.level": (self.level, self.peak)}
+
+    def restart_peak(self) -> None:
+        self.peak = self.level
+
+
+class TestCollectors:
+    """Instruments whose values their owner already holds are read at
+    snapshot time instead of being written on every update."""
+
+    def test_counts_from_registration_and_reads_live(self):
+        owner = _Owner()
+        owner.events = 5
+        owner.raise_level(3)
+        registry = MetricsRegistry()
+        registry.add_collector(owner.collect, owner.restart_peak)
+        owner.events += 2
+        owner.raise_level(4)
+        owner.level -= 6
+        snapshot = registry.snapshot()
+        assert snapshot.counter("owner.events") == 2  # not the 5 before registration
+        assert snapshot.gauges["owner.level"] == {"value": 1, "hwm": 7}
+
+    def test_peak_restarts_at_registration(self):
+        owner = _Owner()
+        owner.raise_level(9)
+        owner.level = 2
+        registry = MetricsRegistry()
+        registry.add_collector(owner.collect, owner.restart_peak)
+        assert registry.snapshot().gauges["owner.level"] == {"value": 2, "hwm": 2}
+
+    def test_totals_of_one_name_add_up(self):
+        first, second = _Owner(), _Owner()
+        registry = MetricsRegistry()
+        registry.add_collector(first.collect)
+        registry.add_collector(second.collect)
+        registry.counter("owner.events").inc(10)
+        first.events, second.events = 1, 2
+        assert registry.snapshot().counter("owner.events") == 13
+
+    def test_collected_names_sit_among_pushed_ones(self):
+        registry = MetricsRegistry()
+        registry.counter("a.pushed").inc()
+        registry.counter("z.pushed").inc()
+        registry.add_collector(_Owner().collect)
+        snapshot = registry.snapshot()
+        assert list(snapshot.counters) == ["a.pushed", "owner.events", "z.pushed"]
+
+    def test_reset_rebases_counters_and_restarts_peaks(self):
+        owner = _Owner()
+        registry = MetricsRegistry(thread_safe=True)
+        registry.add_collector(owner.collect, owner.restart_peak)
+        owner.events = 4
+        owner.raise_level(5)
+        owner.level = 1
+        registry.reset()
+        snapshot = registry.snapshot()
+        assert snapshot.counter("owner.events") == 0
+        assert snapshot.gauges["owner.level"] == {"value": 1, "hwm": 1}
+        owner.events += 3
+        assert registry.snapshot().counter("owner.events") == 3
+
+    def test_collector_runs_outside_the_registry_lock(self):
+        """An owner's collector takes the owner's lock, and a thread
+        holding that lock may be pushing an instrument: the snapshot
+        must not hold the registry lock while it collects."""
+        registry = MetricsRegistry(thread_safe=True)
+        pushed = registry.counter("pushed")
+        pushes_finished: list[bool] = []
+
+        def collect() -> dict:
+            pusher = threading.Thread(target=pushed.inc)
+            pusher.start()
+            pusher.join(timeout=5.0)
+            pushes_finished.append(not pusher.is_alive())
+            return {}
+
+        registry.add_collector(collect)  # collects once, for the base
+        registry.reset()
+        assert registry.snapshot().counter("pushed") == 2  # reset zeroed the first
+        assert pushes_finished == [True, True, True]
 
 
 def populated_registry() -> MetricsRegistry:

@@ -1,0 +1,34 @@
+"""tools/profile_l0.py ranks the kernel rung's profile by cumulative
+time by default, or by self time with ``--sort tottime``."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+spec = importlib.util.spec_from_file_location("profile_l0", REPO_ROOT / "tools" / "profile_l0.py")
+profile_l0 = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(profile_l0)
+
+pytestmark = pytest.mark.skipif(
+    sys.version_info >= (3, 12), reason="one cProfile per thread needs Python 3.11 or older"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, title, order",
+    [
+        ([], "top 3 by cumulative time", "Ordered by: cumulative time"),
+        (["--sort", "tottime"], "top 3 by self time", "Ordered by: internal time"),
+    ],
+)
+def test_sort_order(tmp_path, capsys, argv, title, order):
+    out = tmp_path / "profile.txt"
+    assert profile_l0.main(["--requests", "20", "--top", "3", "--out", str(out), *argv]) == 0
+    text = out.read_text()
+    assert text == capsys.readouterr().out
+    assert title in text.splitlines()[0]
+    assert order in text

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.kernel import TransactionManager
+from repro.core.kernel import TransactionManager, run_transactions
+from repro.errors import UnknownObjectError
 from repro.faults.torture import serial_replay, state_of
 from repro.orderentry.schema import (
     ITEM_TYPE,
@@ -22,6 +24,7 @@ from repro.recovery import (
 )
 from repro.recovery.wal import SubtxnCommitRecord, TxnStatusRecord, UpdateRecord
 from repro.runtime.scheduler import Scheduler
+from tests.helpers import examples
 
 TYPE_SPECS = {"Item": ITEM_TYPE, "Order": ORDER_TYPE}
 
@@ -33,6 +36,76 @@ class TestAddresses:
                 continue
             address = address_of(obj)
             assert resolve_address(order_entry.db, address) is obj
+
+    @settings(max_examples=examples(25), deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["place", "place-abort", "cancel"]),
+                st.integers(0, 1),
+                st.integers(0, 15),
+            ),
+            max_size=10,
+        )
+    )
+    def test_walk_agrees_with_resolve_after_place_cancel_programs(self, steps):
+        """Places (committed, or aborted and compensated by
+        ``CancelOrder``) and generic removes add and drop order members;
+        afterwards every attached object's address resolves back to it,
+        and the address a removed member had raises."""
+        built = build_order_entry_database(n_items=2, orders_per_item=2)
+        db = built.db
+        members: dict[int, tuple] = {}  # id -> (member, its address while attached)
+
+        def note_members() -> None:
+            for i in range(2):
+                for __, member in built.item(i).impl_component("Orders").raw_scan():
+                    members[id(member)] = (member, address_of(member))
+
+        note_members()
+        for n, (op, i, pick) in enumerate(steps):
+            item = built.item(i)
+            orders = item.impl_component("Orders")
+            if op == "cancel":
+                keys = [key for key, __ in orders.raw_scan()]
+                if not keys:
+                    continue
+                key = keys[pick % len(keys)]
+
+                async def program(tx, orders=orders, key=key):
+                    await tx.remove(orders, key)
+
+            elif op == "place":
+                program = make_new_order_txn(item, n, 1)
+            else:
+
+                async def program(tx, item=item, n=n):
+                    await tx.call(item, "NewOrder", n, 1)
+                    tx.abort()
+
+            kernel = run_transactions(db, {f"T{n}": program})
+            assert kernel.handles[f"T{n}"].committed == (op != "place-abort")
+            note_members()
+
+        for obj in db.subtree():
+            if obj is not db:
+                assert resolve_address(db, address_of(obj)) is obj
+        for member, address in members.values():
+            if member.parent is not None:
+                continue
+            assert member.key_in_parent is None
+            with pytest.raises(UnknownObjectError):
+                resolve_address(db, address)
+
+    def test_stale_key_raises(self, order_entry):
+        """A child whose parent no longer files it under its recorded
+        key is not silently addressed."""
+        order = order_entry.order(0, 0)
+        order.key_in_parent = "no such key"
+        with pytest.raises(UnknownObjectError):
+            address_of(order)
+        with pytest.raises(UnknownObjectError):
+            address_of(order.impl_component("Status"))
 
     def test_snapshot_rebuild_order(self, order_entry):
         order = order_entry.order(0, 0)

@@ -25,6 +25,7 @@ from repro.cluster.router import CoordinatorLog, RouterWireServer
 from repro.errors import AddressInUseError, RequestShed, error_from_payload
 from repro.orderentry.schema import build_order_entry_database
 from repro.server import Request, TCPClient, TransactionServer, WireServer
+from tests.helpers import Caller, wait_until
 
 
 @pytest.fixture()
@@ -128,6 +129,40 @@ class TestWireRoundTrip:
             stats = client.stats()
             assert stats["requests"] >= 1
             assert "degraded" in stats and "draining" in stats
+
+    def test_stats_carry_live_metrics(self):
+        """``stats`` carries the registry's counters and gauges, read at
+        the moment of asking: a request holding its locks through a
+        think pause shows as held locks and one in-flight admission,
+        and nothing is held once it is done."""
+        server = TransactionServer(
+            built=build_order_entry_database(n_items=2, orders_per_item=4),
+            time_scale=0.002,
+            think_cost=150.0,  # ~0.3 s holding its locks
+            default_deadline=5.0,
+        ).start()
+        wire = WireServer(server).start()
+        try:
+            holder = Caller(server, Request(op="place", item=0))
+            with client_for(wire) as client:
+                wait_until(
+                    lambda: client.stats()["metrics"]["gauges"]["lock.held"]["value"] > 0
+                )
+                gauges = client.stats()["metrics"]["gauges"]
+                assert holder.wait(10.0).ok
+                after = client.stats()["metrics"]
+        finally:
+            wire.stop()
+            assert server.shutdown().clean
+        assert gauges["admission.inflight"]["value"] == 1
+        assert after["gauges"]["lock.held"]["value"] == 0
+        assert after["gauges"]["lock.held"]["hwm"] >= gauges["lock.held"]["hwm"] > 0
+        assert after["gauges"]["admission.inflight"]["value"] == 0
+        assert after["counters"]["server.ok"] == 1
+        assert after["counters"]["lock.grants"] >= 1
+        assert {"gc.collections.gen0", "gc.collections.gen2", "gc.collected"} <= set(
+            after["counters"]
+        )
 
     def test_concurrent_connections(self, served):
         _, wire = served

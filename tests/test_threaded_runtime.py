@@ -118,8 +118,9 @@ class TestConcurrentLockTable:
 
 
 class TestRegistryMirror:
-    """The striped table mirrors its stripes into the same ``lock.*``
-    instruments the plain table keeps, by delta."""
+    """The striped table reports the same ``lock.*`` figures the plain
+    table keeps: the stripes' sums and the front end's own counts, read
+    at snapshot time."""
 
     @staticmethod
     def _scenario(table):
@@ -169,6 +170,46 @@ class TestRegistryMirror:
             assert mirrored.gauges[name] == plain.gauges[name], name
         assert mirrored.gauges["lock.held"] == {"value": 1, "hwm": 2}  # C's lock on y
         assert striped.lock_count == 1 and striped.pending_count == 0
+
+    def test_no_update_lost_across_stripes(self):
+        """Six threads (more than cores, with a shortened switch
+        interval) grant and release on four stripes at once: every
+        count is exact, the held level returns to zero, and its peak
+        never exceeds the locks that can be held at once."""
+        obs = MetricsRegistry(thread_safe=True)
+        table = ConcurrentLockTable(n_stripes=4, metrics=obs)
+        n_threads, rounds = 6, 4000
+
+        def never_conflicts(holder, h_inv, requester, r_inv, target):
+            return None
+
+        def worker(k):
+            for i in range(rounds):
+                root = TransactionNode(
+                    f"W{k}.{i}", None, Oid("Database", 0), Invocation("Transaction")
+                )
+                target = Oid("Atom", (k * rounds + i) % 50)
+                node = TransactionNode(f"W{k}.{i}.1", root, target, Invocation("Op"))
+                assert not table.try_acquire(node, target, node.invocation, never_conflicts)
+                table.release_tree(root)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        snapshot = obs.snapshot()
+        total = n_threads * rounds
+        assert snapshot.counter("lock.grants") == snapshot.counter("stripe.ops") == total
+        assert snapshot.counter("lock.release_ops") == snapshot.counter("stripe.cross_ops") == total
+        assert snapshot.gauges["lock.held"]["value"] == 0 == table.lock_count
+        assert 1 <= snapshot.gauges["lock.held"]["hwm"] <= n_threads
 
 
 class TestCompletionSkipsIdleStripes:
@@ -1100,6 +1141,98 @@ class TestBoundedRetention:
             by_txn.setdefault(event.txn, []).append(event.seq)
         assert sorted(by_txn) == sorted(sum(txns.values(), []))
         assert all(seqs == list(range(4)) for seqs in by_txn.values())
+
+
+class TestMetricsUpdates:
+    """What the lock tables, the scheduler and admission already count
+    under their own locks is read at snapshot time, not copied into the
+    registry on every operation.  Counts, not timings."""
+
+    #: Locked instrument updates allowed per committed request.  What is
+    #: left is the kernel's and the server's own events (actions,
+    #: commits, requests, latencies, queue waits, conflict outcomes):
+    #: about 15 on this burst.  Copying the lock tables' counts, steps,
+    #: coordinations and queue levels as well made it about 85.
+    MAX_UPDATES_PER_REQUEST = 17
+
+    @staticmethod
+    def _count_locked_updates(monkeypatch) -> list[int]:
+        """Patch every locked instrument update to count itself."""
+        from repro.obs import registry
+
+        calls = [0]
+        for cls, names in (
+            (registry._LockedCounter, ("inc",)),
+            (registry._LockedGauge, ("set", "inc", "dec")),
+            (registry._LockedHistogram, ("observe",)),
+        ):
+            for name in names:
+                original = getattr(cls, name)
+
+                def counted(instrument, *args, _original=original):
+                    calls[0] += 1
+                    return _original(instrument, *args)
+
+                monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    def test_served_burst_updates_per_request(self, monkeypatch):
+        """Two clients replay 300 uniform order-entry requests each on an
+        in-memory server: the burst makes at most
+        ``MAX_UPDATES_PER_REQUEST`` locked registry updates per commit."""
+        server = TransactionServer(
+            build_order_entry_database(n_items=64, orders_per_item=8),
+            n_stripes=8,
+            admission=AdmissionConfig(max_inflight=4, queue_cap=16),
+            default_deadline=10.0,
+        )
+        server.start()
+        ops = ("place", "pay", "ship", "restock", "stock-check", "total-payment")
+        responses: list = []
+
+        def client(k):
+            for i in range(300):
+                item = (37 * i + 11 * k) % 64
+                request = Request(op=ops[(i + k) % len(ops)], item=item, order_no=1 + i % 8)
+                responses.append(server.submit(request))
+
+        try:
+            calls = self._count_locked_updates(monkeypatch)
+            clients = [threading.Thread(target=client, args=(k,)) for k in range(2)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=120.0)
+            updates = calls[0]
+            assert not any(thread.is_alive() for thread in clients)
+        finally:
+            monkeypatch.undo()
+            assert server.shutdown().clean
+        committed = sum(response.ok for response in responses)
+        assert committed == 600, [r.to_dict() for r in responses if not r.ok][:3]
+        assert updates / committed <= self.MAX_UPDATES_PER_REQUEST, updates / committed
+
+    def test_snapshot_reads_what_the_owners_hold(self):
+        """The collected figures of a served run agree with the owners'
+        own state at quiescence."""
+        server = TransactionServer(build_order_entry_database(n_items=4, orders_per_item=4))
+        server.start()
+        try:
+            for i in range(20):
+                assert server.submit(Request(op="place", item=i % 4)).ok
+            snapshot = server.tk.obs.snapshot()
+            scheduler, locks = server.tk.scheduler, server.tk.locks
+            assert snapshot.counter("thread.steps") == scheduler.steps
+            assert snapshot.counter("thread.spawned") == 20
+            assert snapshot.counter("shard.coordinations") == scheduler.coordination().epoch
+            assert snapshot.counter("lock.grants") == locks.total_grants
+            assert snapshot.counter("admission.admitted") == 20
+            assert snapshot.gauges["admission.inflight"] == {"value": 0, "hwm": 1}
+            assert snapshot.gauges["lock.held"]["value"] == 0
+            assert snapshot.gauges["lock.held"]["hwm"] >= 1
+            assert snapshot.counter("stripe.ops") >= snapshot.counter("lock.grants")
+        finally:
+            assert server.shutdown().clean
 
 
 class TestConflictUnderThreads:

@@ -32,10 +32,12 @@ of a coroutine as a call, so the call counts and cumulative times of
 Usage::
 
     python tools/profile_l0.py [--served WORKLOAD] [--seed N] [--requests N]
-        [--top N] [--out FILE] [--absent NAME]
+        [--top N] [--sort {cumulative,tottime}] [--out FILE] [--absent NAME]
 
 ``--requests`` is the L0 request count, or the count per client with
-``--served``.  ``--absent time.sleep`` exits 1 if any function so named
+``--served``.  ``--sort tottime`` ranks by self time (time in the
+function's own body, callees excluded) instead of cumulative time; a
+cost spread thin over many callers shows only there.  ``--absent time.sleep`` exits 1 if any function so named
 was called at all — a count, not a timing: a zero-cost ``Pause`` must
 yield, and a ``time.sleep`` row means the timer-slack sleep is back.
 """
@@ -55,6 +57,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+#: ``--sort`` keys (pstats sort keys) and how the table title names them.
+SORT_LABELS = {"cumulative": "cumulative", "tottime": "self"}
 for entry in (REPO_ROOT, REPO_ROOT / "src"):
     if str(entry) not in sys.path:
         sys.path.insert(0, str(entry))
@@ -148,6 +152,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--requests", type=int, default=600)
     parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--sort", choices=SORT_LABELS, default="cumulative",
+                        help="rank by cumulative time (default) or self time")
     parser.add_argument("--out", help="also write the table to this file")
     parser.add_argument("--absent", metavar="NAME", help="fail if a function so named was called")
     args = parser.parse_args(argv)
@@ -155,22 +161,23 @@ def main(argv: list[str] | None = None) -> int:
     if sys.version_info >= (3, 12):
         parser.error("one cProfile per thread needs Python 3.11 or older")
     footer = ""
+    label = SORT_LABELS[args.sort]
     if args.served is None:
         stats = profile_l0(args.seed, args.requests)
         title = (
             f"L0 profile: mem_uniform seed={args.seed} requests={args.requests} "
-            f"(cProfile on the worker threads, top {args.top} by cumulative time)"
+            f"(cProfile on the worker threads, top {args.top} by {label} time)"
         )
     else:
         stats, footer = profile_served(args.served, args.seed, args.requests)
         title = (
             f"Served profile: {args.served} seed={args.seed} requests={args.requests} per "
             f"client (cProfile with time.thread_time on every thread, top {args.top} by "
-            f"cumulative CPU time; async def frames count each resume as a call)"
+            f"{label} CPU time; async def frames count each resume as a call)"
         )
     table = io.StringIO()
     stats.stream = table
-    stats.strip_dirs().sort_stats("cumulative").print_stats(args.top)
+    stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     text = title + "\n" + table.getvalue() + footer
     sys.stdout.write(text)
     if args.out:
