@@ -286,9 +286,10 @@ class TransactionManager:
         self.scheduler: SchedulerAPI = scheduler if scheduler is not None else Scheduler()
         self.scheduler.on_stall = self._on_stall
         self.scheduler.bind_metrics(self.obs)
-        # lock_table_cls: the threaded runtime passes its striped table;
-        # the differential suite swaps in the scan-based reference
-        # implementation to prove the indexed table behaves identically.
+        # lock_table_cls: the threaded runtime passes the indexed table
+        # under its kernel lock; the differential suite swaps in the
+        # scan-based reference implementation to prove the indexed
+        # table behaves identically.
         self.locks: LockTableAPI = (lock_table_cls or LockTable)(
             metrics=self.obs, clock=lambda: self.scheduler.clock
         )
@@ -1141,12 +1142,16 @@ class TransactionManager:
             raise CompensationError(
                 f"compensation of {handle.name} was itself aborted: {nested}"
             ) from nested
-        # The synchronous completion of the abort is a coordinated
-        # phase: lock release, waits-graph removal, and re-evaluation
-        # must not interleave with commits or deadlock resolution on
-        # other workers.  (The compensations above ran as ordinary
-        # subtransactions and cannot be held under the coordinator —
-        # they await locks themselves.)
+        # Like a commit record, the abort record is appended (and, on a
+        # file-backed log, forced) before the locks are released, and
+        # outside the coordinator, so no other transaction waits on the
+        # force.  The synchronous completion of the abort is a
+        # coordinated phase: lock release, waits-graph removal, and
+        # re-evaluation must not interleave with commits or deadlock
+        # resolution on other workers.  (The compensations above ran as
+        # ordinary subtransactions and cannot be held under the
+        # coordinator — they await locks themselves.)
+        self._wal_txn_status(handle.name, "abort")
         with self.scheduler.coordination():
             root.mark_aborted(self.seq.tick())
             released = self.locks.release_tree(root)
@@ -1156,7 +1161,6 @@ class TransactionManager:
             handle.error = reason
             handle.end_clock = self.scheduler.clock
             self.metrics.inc("aborts")
-            self._wal_txn_status(handle.name, "abort")
             self._after_lock_change()
 
     async def _undo_children(self, node: TransactionNode, in_restart: bool = False) -> None:

@@ -127,7 +127,6 @@ def run_differential(
     orders_per_item: int = 2,
     mix: Optional[dict] = None,
     n_threads: int = 4,
-    n_stripes: int = 8,
     time_scale: float = 0.0,
 ) -> DifferentialReport:
     """Replay one seeded workload through both runtimes and cross-check."""
@@ -146,7 +145,6 @@ def run_differential(
         threaded_programs,
         protocol=factory(),
         n_threads=n_threads,
-        n_stripes=n_stripes,
         time_scale=time_scale,
     )
     threaded_kernel.locks.check_invariants()

@@ -10,20 +10,16 @@ simulated one (``tests/test_threaded_runtime.py::TestCommutingHolder``).
 
 Three pieces:
 
-* :class:`ConcurrentLockTable` — the indexed lock table striped by OID
-  hash.  Each stripe is a plain :class:`~repro.txn.locks.LockTable`
-  guarded by its own reentrant lock; per-object operations touch
-  exactly one stripe, tree-wide operations (node completion, release,
-  re-evaluation) take every stripe lock in index order so they observe
-  an atomic cross-stripe view — a node completion once, for its whole
-  notify / dispose / re-evaluate sequence, which runs only on the
-  stripes that have a queued request or, when the disposition releases
-  or moves locks, hold a lock of the node's tree (on any other stripe
-  it would change nothing).  Lock ids and enqueue
-  sequence numbers stay globally unique via per-stripe id strides.  Cross-stripe
-  deadlocks need no new machinery: the kernel's incremental waits-for
-  graph is fed from every stripe through the same ``on_waits_changed``
-  hook, and cycle detection runs exactly as it does under virtual time.
+* :class:`ConcurrentLockTable` — the indexed
+  :class:`~repro.txn.locks.LockTable` under one reentrant lock, the
+  *kernel lock*.  Every table operation is one hold of it; a node
+  completion holds it once for its whole notify / dispose /
+  re-evaluate sequence, which it skips when no request is queued and
+  the disposition releases or moves no lock of the node's tree (it
+  would change nothing).  Under the GIL, splitting the table by object
+  would buy no parallelism, only more lock acquisitions per action.
+  Deadlock detection is the virtual-time kernel's: the table feeds the
+  incremental waits-for graph through its ``on_waits_changed`` hook.
 
 * :class:`WallClockScheduler` — a scheduler facade satisfying the
   kernel's scheduler seam (:class:`~repro.runtime.scheduler.SchedulerAPI`)
@@ -33,18 +29,19 @@ Three pieces:
   (:meth:`WallClockScheduler.drive`) — the thread that waits for the
   answer computes it, and on a served scheduler it is the only kind.
   Coroutine steps (the synchronous code between two awaits) take no
-  step-level lock, so steps of different transactions proceed truly
-  concurrently; the shared kernel structures they touch protect
-  themselves (the striped lock table, the locked waits-for graph /
-  sequence counter / id generator / undo log), and object-state
-  mutation is serialised per target by the lock table's
-  :meth:`~ConcurrentLockTable.guard`.  Multi-structure kernel
-  phases — commit and abort processing, lock re-evaluation, deadlock
-  detection, lock-wait timeouts — run under a small *coordinator* lock
-  (:meth:`WallClockScheduler.coordination`), taken before stripe
-  locks, so the lock order
+  step-level lock, so steps of different transactions interleave; the
+  shared kernel structures they touch protect themselves (the lock
+  table and, under its lock, the waits-for graph; the locked sequence
+  counter / id generator / undo log), and object-state mutation is
+  serialised by the lock table's :meth:`~ConcurrentLockTable.guard`.
+  Multi-structure kernel phases — commit and abort processing, lock
+  re-evaluation, deadlock detection, lock-wait timeouts — run under
+  the scheduler's *coordinator* lock
+  (:meth:`WallClockScheduler.coordination`), which a
+  :class:`ThreadedKernel` hands to its lock table as the kernel lock,
+  so the lock order
 
-      coordinator  ->  stripe locks  ->  scheduler lock
+      kernel lock  ->  scheduler lock
 
   is acyclic.  Wake-ups are targeted: each driving thread owns one
   condition variable on the scheduler lock, and awaiting a Signal
@@ -113,268 +110,91 @@ _yield_thread = _pick_yield()
 
 
 # ----------------------------------------------------------------------
-# Striped lock table
+# Lock table under the kernel lock
 # ----------------------------------------------------------------------
-class _Stripe:
-    """One stripe: a plain LockTable plus its guard, and the counts of
-    the operations run on it alone (under its lock)."""
-
-    __slots__ = ("index", "table", "lock", "ops", "releases")
-
-    def __init__(self, index: int, table: LockTable) -> None:
-        self.index = index
-        self.table = table
-        # Reentrant: a conflict test run under the stripe lock consults
-        # the protocol, whose state views call locks_on(target) on the
-        # same stripe.
-        self.lock = threading.RLock()
-        self.ops = 0  # stripe.ops: mutating per-object operations
-        self.releases = 0  # lock.release_ops of release_lock
-
-
-class _Level:
-    """A cross-stripe level (locks held, requests queued) and its peak.
-
-    Every change is made by an operation holding the stripe lock of each
-    stripe it changed, so a per-object operation on one stripe and an
-    all-stripes operation never move a level at once; two per-object
-    operations on different stripes can, hence the lock.  The peak is
-    that of the true cross-stripe sum, as a plain table's would be.
-    """
-
-    __slots__ = ("value", "peak", "_lock")
-
-    def __init__(self) -> None:
-        self.value = 0
-        self.peak = 0
-        self._lock = threading.Lock()
-
-    def shift(self, delta: int) -> None:
-        with self._lock:
-            self.value += delta
-            if self.value > self.peak:
-                self.peak = self.value
-
-    def read(self) -> tuple[int, int]:
-        with self._lock:
-            return self.value, self.peak
-
-    def restart_peak(self) -> None:
-        with self._lock:
-            self.peak = self.value
-
-
 class ConcurrentLockTable:
-    """The indexed lock table, striped by ``hash(oid) % n_stripes``.
+    """The indexed :class:`~repro.txn.locks.LockTable` under one
+    reentrant lock.
 
     Provides :class:`~repro.txn.locks.LockTableAPI` (the kernel takes it
     through the same ``lock_table_cls`` seam as the reference table).
-    Thread safety contract: any single call is atomic — per-object
-    calls under their stripe's lock, tree-wide calls under every stripe
-    lock — and nothing above the table serialises calls for it:
-    coroutine steps of different transactions call in concurrently.
+    Thread safety contract: every call runs the plain table's method in
+    one hold of *lock*, and nothing above the table serialises calls
+    for it: coroutine steps of different transactions call in
+    concurrently.  A :class:`ThreadedKernel` passes the scheduler's
+    coordinator lock, so the table, the object state it guards and the
+    kernel's coordinated phases share one kernel lock; the lock is
+    reentrant because a conflict test run under it consults the
+    protocol, whose state views call :meth:`locks_on`.
     """
 
     def __init__(
         self,
-        n_stripes: int = 8,
         metrics=None,
         clock: Optional[Callable[[], float]] = None,
+        lock: Optional[threading.RLock] = None,
     ) -> None:
-        if n_stripes < 1:
-            raise ValueError(f"n_stripes must be >= 1, got {n_stripes}")
-        self._n_stripes = n_stripes
-        self._stripes = [
-            _Stripe(
-                i,
-                LockTable(metrics=None, clock=clock, id_offset=i, id_stride=n_stripes),
-            )
-            for i in range(n_stripes)
-        ]
-        # Forward each stripe's hook through a late-binding trampoline:
-        # the kernel assigns on_waits_changed on *this* object after
-        # construction.
-        self.on_waits_changed: Optional[Callable[[PendingRequest], None]] = None
-        for stripe in self._stripes:
-            stripe.table.on_waits_changed = self._fire_waits_changed
-        # Counted here, once per all-stripes hold (under every stripe
-        # lock): a tree-wide release visits (and each stripe counts)
-        # every stripe.
-        self._cross_ops = 0
-        self._reeval_passes = 0
-        self._release_ops = 0
-        self._held = _Level()
-        self._queued = _Level()
+        self._table = LockTable(clock=clock)
+        self._lock = lock if lock is not None else threading.RLock()
         if metrics is not None:
-            self.bind_metrics(metrics, clock)
+            # The plain table's collector, read without the lock (each
+            # figure is a whole int the table held); no hold/wait-time
+            # histogram is pushed.
+            metrics.add_collector(self._table._collect, self._table._restart_peaks)
 
-    # ------------------------------------------------------------------
-    # Hook trampoline
-    # ------------------------------------------------------------------
-    def _fire_waits_changed(self, pending: PendingRequest) -> None:
-        hook = self.on_waits_changed
-        if hook is not None:
-            hook(pending)
+    @property
+    def on_waits_changed(self) -> Optional[Callable[[PendingRequest], None]]:
+        return self._table.on_waits_changed
 
-    # ------------------------------------------------------------------
-    # Metrics
-    # ------------------------------------------------------------------
-    def bind_metrics(self, registry, clock: Optional[Callable[[], float]] = None) -> None:
-        """Attach a registry, which reads the ``lock.*`` and ``stripe.*``
-        figures through a collector (:meth:`_collect`).
-
-        Individual stripes run metric-less: they keep their counts, and
-        this front-end reports the sums (its own, for the operations it
-        counts once however many stripes they visit).
-        """
-        if clock is not None:
-            for stripe in self._stripes:
-                stripe.table._clock = clock
-        registry.gauge("stripe.count").set(self._n_stripes)
-        registry.add_collector(self._collect, self._restart_peaks)
-
-    def _collect(self) -> dict:
-        """Read without the stripe locks: each figure is a whole int some
-        stripe held, so a snapshot taken mid-run is exact per stripe,
-        not one instant across stripes."""
-        stripes = self._stripes
-        return {
-            "lock.grants": sum(s.table.total_grants for s in stripes),
-            "lock.blocks": sum(s.table.total_blocks for s in stripes),
-            "lock.conflict_tests": sum(s.table.total_conflict_tests for s in stripes),
-            "lock.release_ops": self._release_ops + sum(s.releases for s in stripes),
-            "lock.reeval_passes": self._reeval_passes,
-            "stripe.ops": sum(s.ops for s in stripes),
-            "stripe.cross_ops": self._cross_ops,
-            "lock.held": self._held.read(),
-            "lock.queue_depth": self._queued.read(),
-        }
-
-    def _restart_peaks(self) -> None:
-        self._held.restart_peak()
-        self._queued.restart_peak()
-
-    @staticmethod
-    def _levels(stripes) -> tuple[int, int]:
-        """Locks held and requests queued on *stripes* (caller holds
-        their locks)."""
-        held = queued = 0
-        for stripe in stripes:
-            held += stripe.table.lock_count
-            queued += stripe.table.pending_count
-        return held, queued
-
-    def _shift_levels(self, before: tuple[int, int], after: tuple[int, int]) -> None:
-        if after[0] != before[0]:
-            self._held.shift(after[0] - before[0])
-        if after[1] != before[1]:
-            self._queued.shift(after[1] - before[1])
-
-    # ------------------------------------------------------------------
-    # Striping
-    # ------------------------------------------------------------------
-    def stripe_index_of(self, target) -> int:
-        return hash(target) % self._n_stripes
-
-    class _AllStripes:
-        """Acquire every stripe lock in index order (cross-stripe ops)."""
-
-        __slots__ = ("_stripes",)
-
-        def __init__(self, stripes) -> None:
-            self._stripes = stripes
-
-        def __enter__(self) -> None:
-            for stripe in self._stripes:
-                stripe.lock.acquire()
-
-        def __exit__(self, exc_type, exc, tb) -> bool:
-            for stripe in reversed(self._stripes):
-                stripe.lock.release()
-            return False
-
-    def _all_stripes(self) -> "ConcurrentLockTable._AllStripes":
-        return self._AllStripes(self._stripes)
-
-    def _on_stripe(self, target, op, *args, counted: bool = True):
-        """Run ``op(table, *args)`` on *target*'s stripe under its lock.
-
-        Mutating operations are *counted*: one ``stripe.ops`` tick, and
-        the levels moved by what the operation changed on the stripe.
-        """
-        stripe = self._stripes[hash(target) % self._n_stripes]
-        with stripe.lock:
-            if not counted:
-                return op(stripe.table, *args)
-            table = stripe.table
-            before = (table.lock_count, table.pending_count)
-            result = op(table, *args)
-            stripe.ops += 1
-            self._shift_levels(before, (table.lock_count, table.pending_count))
-        return result
-
-    def _on_all_stripes(self, op, *args, releases: bool) -> list:
-        """Run ``op(table, *args)`` on every stripe under all stripe
-        locks (one ``stripe.cross_ops`` tick, counted as one release
-        operation if it *releases*, else as one re-evaluation pass),
-        concatenating the lists the stripes return."""
-        results: list = []
-        with self._all_stripes():
-            before = self._levels(self._stripes)
-            for stripe in self._stripes:
-                results.extend(op(stripe.table, *args))
-            self._shift_levels(before, self._levels(self._stripes))
-            self._cross_ops += 1
-            if releases:
-                self._release_ops += 1
-            else:
-                self._reeval_passes += 1
-        return results
+    @on_waits_changed.setter
+    def on_waits_changed(self, hook: Optional[Callable[[PendingRequest], None]]) -> None:
+        self._table.on_waits_changed = hook
 
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
     def locks_on(self, target) -> tuple[Lock, ...]:
-        return self._on_stripe(target, LockTable.locks_on, target, counted=False)
+        with self._lock:
+            return self._table.locks_on(target)
 
     def queue_on(self, target) -> tuple[PendingRequest, ...]:
-        return self._on_stripe(target, LockTable.queue_on, target, counted=False)
+        with self._lock:
+            return self._table.queue_on(target)
 
     def pending_of_tree(self, root) -> list[PendingRequest]:
-        with self._all_stripes():
-            pending = [p for s in self._stripes for p in s.table.pending_of_tree(root)]
-        pending.sort(key=lambda p: p.enqueue_seq)
-        return pending
+        with self._lock:
+            return self._table.pending_of_tree(root)
 
     def locks_held_by_tree(self, root) -> list[Lock]:
-        with self._all_stripes():
-            return [lock for s in self._stripes for lock in s.table.locks_held_by_tree(root)]
+        with self._lock:
+            return self._table.locks_held_by_tree(root)
 
     @property
     def lock_count(self) -> int:
-        return sum(s.table.lock_count for s in self._stripes)
+        return self._table.lock_count
 
     @property
     def pending_count(self) -> int:
-        return sum(s.table.pending_count for s in self._stripes)
+        return self._table.pending_count
 
     @property
     def total_grants(self) -> int:
-        return sum(s.table.total_grants for s in self._stripes)
+        return self._table.total_grants
 
     # ------------------------------------------------------------------
-    # Per-object operations (one stripe)
+    # Acquisition and release
     # ------------------------------------------------------------------
     def try_acquire(self, node, target, invocation, tester) -> set:
-        """Conflict-test and, if clear, grant — in one stripe-lock hold,
-        so no competing request can slip between the test and the grant."""
-        return self._on_stripe(target, LockTable.try_acquire, node, target, invocation, tester)
+        """Conflict-test and, if clear, grant, in one hold, so no
+        competing request can slip between the test and the grant."""
+        with self._lock:
+            return self._table.try_acquire(node, target, invocation, tester)
 
     def enqueue_if_blocked(self, node, target, invocation, signal, blockers, tester):
-        """Re-test and either grant or enqueue, in one stripe-lock hold.
+        """Re-test and either grant or enqueue, in one hold.
 
         *blockers* was computed by the caller's :meth:`try_acquire` and
-        may be stale — holders complete concurrently here — so the
+        may be stale (holders complete concurrently here), so the
         request is tested afresh.  Returns ``(None, set())`` when it
         was granted after all, otherwise the enqueued request with its
         fresh blockers already registered: the waits-for hook has fired
@@ -382,102 +202,61 @@ class ConcurrentLockTable:
         right after this call re-tests the queue under
         :meth:`complete_node`.
         """
-
-        def retest_then_enqueue(table: LockTable):
+        with self._lock:
+            table = self._table
             fresh = table.try_acquire(node, target, invocation, tester)
             if not fresh:
                 return None, fresh
             return table.enqueue_if_blocked(node, target, invocation, signal, fresh, tester)
 
-        return self._on_stripe(target, retest_then_enqueue)
-
     def guard(self, target) -> threading.RLock:
-        """The reentrant stripe lock guarding *target* (as a context
-        manager).
+        """The kernel lock, as the context manager guarding *target*.
 
         The kernel runs a generic operation's body under its target's
         guard: two granted-and-commuting operations on the same object
-        (stepping on different workers) must still serialise their
-        physical state mutation, while operations on different stripes
-        proceed in parallel.
+        (stepping on different threads) must still serialise their
+        physical state mutation.
         """
-        return self._stripes[hash(target) % self._n_stripes].lock
+        return self._lock
 
     def cancel(self, pending: PendingRequest) -> None:
-        self._on_stripe(pending.target, LockTable.cancel, pending)
+        with self._lock:
+            self._table.cancel(pending)
 
     def release_lock(self, lock: Lock) -> None:
-        stripe = self._stripes[self.stripe_index_of(lock.target)]
+        with self._lock:
+            self._table.release_lock(lock)
 
-        def release(table: LockTable) -> None:
-            table.release_lock(lock)
-            stripe.releases += 1  # under the stripe lock, like the release
-
-        self._on_stripe(lock.target, release)
-
-    # ------------------------------------------------------------------
-    # Tree-wide operations (all stripe locks, index order)
-    # ------------------------------------------------------------------
     def complete_node(self, node, disposition, tester) -> tuple[list[Lock], list[PendingRequest]]:
-        """The whole completion step in one all-stripes hold: each stripe
-        with work for it (:meth:`~repro.txn.locks.LockTable.completion_has_work`:
-        a queued request, or a lock of the node's tree to release or
-        move) notes the commit and disposes of the node's locks, then is
-        re-evaluated.  Any other stripe's body would be a no-op, so it is
-        skipped; the hold still counts one cross-stripe re-evaluation."""
-        moved: list[Lock] = []
-        granted: list[PendingRequest] = []
-        with self._all_stripes():
-            busy = [s for s in self._stripes if s.table.completion_has_work(node, disposition)]
-            before = self._levels(busy)
-            for stripe in busy:
-                moved.extend(stripe.table.dispose(node, disposition))
-            for stripe in busy:
-                granted.extend(stripe.table.reevaluate(tester))
-            self._shift_levels(before, self._levels(busy))
-            self._cross_ops += 1
-            self._reeval_passes += 1
+        """The whole completion step in one hold.  When
+        :meth:`~repro.txn.locks.LockTable.completion_has_work` says it
+        would change nothing (no request is queued, and no lock of the
+        node's tree is released or moved), dispose and re-evaluation
+        are skipped, and only the pass and the release are counted."""
+        with self._lock:
+            table = self._table
+            if table.completion_has_work(node, disposition):
+                return table.complete_node(node, disposition, tester)
+            table.reeval_passes += 1
             if disposition is not Disposition.RETAIN:
-                self._release_ops += 1
-        return moved, granted
+                table.total_release_ops += 1
+            return [], []
 
     def reevaluate(self, tester) -> list[PendingRequest]:
-        return self._on_all_stripes(LockTable.reevaluate, tester, releases=False)
+        with self._lock:
+            return self._table.reevaluate(tester)
 
     def release_tree(self, root) -> list[Lock]:
-        return self._on_all_stripes(LockTable.release_tree, root, releases=True)
+        with self._lock:
+            return self._table.release_tree(root)
 
     def release_subtree(self, node) -> list[Lock]:
-        return self._on_all_stripes(LockTable.release_subtree, node, releases=True)
+        with self._lock:
+            return self._table.release_subtree(node)
 
-    # ------------------------------------------------------------------
-    # Invariants
-    # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Every stripe's invariants, plus stripe residency: each granted
-        lock and queued request lives on the stripe its target hashes
-        to, and lock ids / enqueue seqs are globally unique."""
-        with self._all_stripes():
-            seen_lock_ids: set[int] = set()
-            seen_seqs: set[int] = set()
-            for stripe in self._stripes:
-                stripe.table.check_invariants()
-                for target, locks in stripe.table._granted.items():
-                    assert self.stripe_index_of(target) == stripe.index, (
-                        target,
-                        stripe.index,
-                    )
-                    for lock in locks:
-                        assert lock.lock_id not in seen_lock_ids, lock
-                        seen_lock_ids.add(lock.lock_id)
-                for target, queue in stripe.table._queues.items():
-                    assert self.stripe_index_of(target) == stripe.index, (
-                        target,
-                        stripe.index,
-                    )
-                    for pending in queue:
-                        assert pending.enqueue_seq not in seen_seqs, pending
-                        seen_seqs.add(pending.enqueue_seq)
+        with self._lock:
+            self._table.check_invariants()
 
 
 # ----------------------------------------------------------------------
@@ -527,10 +306,10 @@ class _Coordinator:
     """Serialises multi-structure kernel phases (commit, abort,
     deadlock resolution, lock-wait timeouts, lock re-evaluation).
 
-    A reentrant lock plus an epoch counter (``shard.coordinations``);
-    used as a context manager.  It is first in the lock order:
-    coordinated phases take stripe locks and the scheduler lock inside
-    it.
+    A reentrant lock plus an epoch counter (``shard.coordinations``,
+    one tick per coordinated phase); used as a context manager.  A
+    :class:`ThreadedKernel`'s lock table takes the same lock (the
+    kernel lock), and the scheduler lock is taken inside it.
     """
 
     __slots__ = ("lock", "epoch")
@@ -1175,9 +954,9 @@ class WallClockScheduler:
         wall clock there is no global "all tasks blocked" moment, so
         this poll is the backstop for a cycle formed while everyone was
         parked (the requester resolves the others at block time).  The
-        hook runs with no scheduler lock held: it enters the coordinator
-        and the stripe locks, which workers holding those locks need the
-        scheduler lock *after* — holding it here would deadlock.
+        hook runs with no scheduler lock held: it takes the kernel lock,
+        and a thread holding the kernel lock takes the scheduler lock
+        *after* it, so holding the scheduler lock here would deadlock.
         """
         wake = task.wake
         started = time.monotonic()
@@ -1260,9 +1039,10 @@ class ThreadedKernel(TransactionManager):
 
     The same kernel, constructed over a :class:`WallClockScheduler`
     (``self.scheduler``) and a :class:`ConcurrentLockTable`
-    (``self.locks``), with the metrics registry armed for concurrent
-    access.  What it adds is the serve-mode lifecycle (:meth:`start` /
-    :meth:`stop` / :meth:`reap`).
+    (``self.locks``) guarded by the scheduler's coordinator lock, with
+    the metrics registry armed for concurrent access.  What it adds is
+    the serve-mode lifecycle (:meth:`start` / :meth:`stop` /
+    :meth:`reap`).
 
     ``lock_timeout`` and ``lock_timeout_fn`` budgets are in *wall-clock
     seconds* here.
@@ -1273,7 +1053,6 @@ class ThreadedKernel(TransactionManager):
         db,
         protocol=None,
         n_threads: int = 4,
-        n_stripes: int = 8,
         time_scale: float = 0.0,
         stall_timeout: float = 10.0,
         cost_model=None,
@@ -1288,17 +1067,18 @@ class ThreadedKernel(TransactionManager):
         elif not obs.thread_safe:
             raise ValueError("ThreadedKernel needs a thread-safe MetricsRegistry")
 
+        scheduler = WallClockScheduler(
+            n_threads=n_threads, time_scale=time_scale, stall_timeout=stall_timeout
+        )
         super().__init__(
             db,
             protocol=protocol,
-            scheduler=WallClockScheduler(
-                n_threads=n_threads,
-                time_scale=time_scale,
-                stall_timeout=stall_timeout,
-            ),
+            scheduler=scheduler,
             cost_model=cost_model,
             obs=obs,
-            lock_table_cls=functools.partial(ConcurrentLockTable, n_stripes=n_stripes),
+            lock_table_cls=functools.partial(
+                ConcurrentLockTable, lock=scheduler.coordination().lock
+            ),
             lock_timeout=lock_timeout,
             faults=faults,
             wal=wal,
@@ -1363,12 +1143,13 @@ def run_threaded_transactions(
 ) -> ThreadedKernel:
     """Convenience mirror of :func:`repro.core.kernel.run_transactions`
     for the threaded runtime: spawn every program, run the pool, return
-    the kernel."""
+    the kernel.  ``n_stripes`` has no effect: the lock table is one
+    table under the kernel lock; the argument stays so that callers
+    passing it (the benchmark's L0 rung) need no change."""
     kernel = ThreadedKernel(
         db,
         protocol=protocol,
         n_threads=n_threads,
-        n_stripes=n_stripes,
         time_scale=time_scale,
         stall_timeout=stall_timeout,
         cost_model=cost_model,

@@ -160,7 +160,9 @@ class TransactionServer:
     cost units sleeps ``think_cost * time_scale`` real seconds).  Every
     request runs on the thread that submitted it, so ``n_threads``
     sizes nothing on a served kernel; it is still accepted, as the
-    kernel's batch-pool size.
+    kernel's batch-pool size.  ``n_stripes`` has no effect: the lock
+    table is one table under the kernel lock; the argument stays so
+    that callers passing it (the benchmark stacks) need no change.
     The kernel resolves waits-for cycles when the closing edge is
     recorded, and request deadlines propagate onto its lock-wait budget,
     capped at ``LOCK_TIMEOUT_CAP`` wall seconds.
@@ -207,7 +209,6 @@ class TransactionServer:
             built.db,
             protocol=protocol,
             n_threads=n_threads,
-            n_stripes=n_stripes,
             time_scale=time_scale,
             stall_timeout=self.STALL_TIMEOUT,
             lock_timeout=self.LOCK_TIMEOUT_CAP,

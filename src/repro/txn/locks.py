@@ -145,7 +145,7 @@ class LockTableAPI(Protocol):
     """The lock-table seam: what the kernel and the CC protocols call.
 
     :class:`LockTable` (virtual time), the scan-based reference table of
-    the differential tests, and the threaded runtime's striped
+    the differential tests, and the threaded runtime's
     ``ConcurrentLockTable`` all provide exactly this surface.  Lock
     acquisition goes through :meth:`try_acquire` /
     :meth:`enqueue_if_blocked` only, so a table that needs the test and
@@ -206,20 +206,7 @@ class LockTable:
     #: to the bench cost model, where one storage op costs 1.0.
     HOLD_TIME_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500)
 
-    def __init__(
-        self,
-        metrics=None,
-        clock: Optional[Callable[[], float]] = None,
-        id_offset: int = 0,
-        id_stride: int = 1,
-    ) -> None:
-        # id_offset/id_stride let a striped front-end (the threaded
-        # runtime's ConcurrentLockTable) hand each stripe a disjoint
-        # residue class, keeping lock ids and enqueue seqs globally
-        # unique without cross-stripe coordination.  Defaults preserve
-        # the historic dense numbering exactly.
-        if id_stride < 1 or not 0 <= id_offset < id_stride:
-            raise ValueError(f"invalid id striping: offset={id_offset} stride={id_stride}")
+    def __init__(self, metrics=None, clock: Optional[Callable[[], float]] = None) -> None:
         self._granted: defaultdict[Oid, list[Lock]] = defaultdict(list)
         self._queues: defaultdict[Oid, list[PendingRequest]] = defaultdict(list)
         # Owner indices: node -> {lock_id: Lock} and tree root ->
@@ -240,9 +227,8 @@ class LockTable:
         # changed, and pending requests whose recorded blocker completed.
         self._dirty_targets: set[Oid] = set()
         self._retest: set[int] = set()
-        self._id_stride = id_stride
-        self._next_lock_id = id_offset
-        self._next_enqueue_seq = id_offset
+        self._next_lock_id = 0
+        self._next_enqueue_seq = 0
         self.total_grants = 0
         self.total_blocks = 0
         # Work accounting, always on and read by a bound registry's
@@ -397,7 +383,7 @@ class LockTable:
 
     def grant(self, node: TransactionNode, target: Oid, invocation: Invocation) -> Lock:
         """Unconditionally add a granted lock (caller performed the test)."""
-        self._next_lock_id += self._id_stride
+        self._next_lock_id += 1
         lock = Lock(self._next_lock_id, node, target, invocation)
         self._granted[target].append(lock)
         self._locks_by_node[node][lock.lock_id] = lock
@@ -423,7 +409,7 @@ class LockTable:
         signal: "Signal",
     ) -> PendingRequest:
         """Queue a blocked request (FCFS position = enqueue order)."""
-        self._next_enqueue_seq += self._id_stride
+        self._next_enqueue_seq += 1
         pending = PendingRequest(node, target, invocation, signal, self._next_enqueue_seq)
         pending.enqueue_clock = self._clock()
         self._queues[target].append(pending)
@@ -511,7 +497,7 @@ class LockTable:
         *disposition* releases or moves locks and *node*'s tree holds
         one here.  Otherwise the pass would grant nothing and only drop
         dirty marks, which matter to a queue alone (and every later
-        queue marks its own target), so a striped table skips it."""
+        queue marks its own target), so the threaded table skips it."""
         return bool(self._n_pending) or (
             disposition is not Disposition.RETAIN and node.root() in self._locks_by_root
         )

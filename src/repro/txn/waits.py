@@ -9,7 +9,6 @@ blocked; a cycle is a deadlock and one member is aborted (compensated).
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
 from typing import Optional, TYPE_CHECKING
 
@@ -24,16 +23,13 @@ class WaitsForGraph:
     gauge current (high-water mark included) and counts every cycle
     check under ``waits.cycle_checks``.
 
-    Thread-safe: under the threaded runtime, edge updates arrive
-    from concurrent stripe hooks while the deadlock coordinator walks the
-    graph, so every mutation and traversal runs under one reentrant
-    lock (iterating the edge dict during a concurrent ``set_waits``
-    would otherwise crash or miss edges).
+    Not locked itself: under the threaded runtime every update (the
+    lock table's waits hook, a commit or abort) and every walk (the
+    deadlock coordinator) runs under the kernel lock.
     """
 
     def __init__(self, metrics: Optional["MetricsRegistry"] = None) -> None:
         self._edges: defaultdict[str, set[str]] = defaultdict(set)
-        self._lock = threading.RLock()
         self._edge_gauge = metrics.gauge("waits.edges") if metrics else None
         self._cycle_counter = metrics.counter("waits.cycle_checks") if metrics else None
         # Starting from zero keeps the gauge truthful when a graph is
@@ -47,26 +43,22 @@ class WaitsForGraph:
 
     def set_waits(self, waiter: str, holders: set[str]) -> None:
         """Replace *waiter*'s outgoing edges (self-edges are dropped)."""
-        with self._lock:
-            self._edges[waiter] = {h for h in holders if h != waiter}
-            self._edges_changed()
+        self._edges[waiter] = {h for h in holders if h != waiter}
+        self._edges_changed()
 
     def clear_waits(self, waiter: str) -> None:
-        with self._lock:
-            self._edges.pop(waiter, None)
-            self._edges_changed()
+        self._edges.pop(waiter, None)
+        self._edges_changed()
 
     def remove_transaction(self, name: str) -> None:
         """Drop the transaction entirely (it committed or aborted)."""
-        with self._lock:
-            self._edges.pop(name, None)
-            for holders in self._edges.values():
-                holders.discard(name)
-            self._edges_changed()
+        self._edges.pop(name, None)
+        for holders in self._edges.values():
+            holders.discard(name)
+        self._edges_changed()
 
     def waits_of(self, waiter: str) -> frozenset[str]:
-        with self._lock:
-            return frozenset(self._edges.get(waiter, ()))
+        return frozenset(self._edges.get(waiter, ()))
 
     @property
     def edge_count(self) -> int:
@@ -78,13 +70,12 @@ class WaitsForGraph:
         The torture harness's leak check: a transaction that committed
         or aborted must appear in no edge, in either role.
         """
-        with self._lock:
-            return sorted(
-                (waiter, holder)
-                for waiter, holders in self._edges.items()
-                for holder in holders
-                if waiter in names or holder in names
-            )
+        return sorted(
+            (waiter, holder)
+            for waiter, holders in self._edges.items()
+            for holder in holders
+            if waiter in names or holder in names
+        )
 
     def find_cycle_through(self, start: str) -> Optional[list[str]]:
         """A cycle containing *start*, as a list of names, or None.
@@ -95,34 +86,31 @@ class WaitsForGraph:
         """
         if self._cycle_counter is not None:
             self._cycle_counter.inc()
-        with self._lock:
-            path: list[str] = [start]
-            on_path = {start}
-            visited: set[str] = set()
+        path: list[str] = [start]
+        on_path = {start}
+        visited: set[str] = set()
 
-            def dfs(node: str) -> Optional[list[str]]:
-                for neighbour in sorted(self._edges.get(node, ())):
-                    if neighbour == start:
-                        return list(path)
-                    if neighbour in on_path or neighbour in visited:
-                        continue
-                    path.append(neighbour)
-                    on_path.add(neighbour)
-                    found = dfs(neighbour)
-                    if found is not None:
-                        return found
-                    on_path.discard(neighbour)
-                    path.pop()
-                visited.add(node)
-                return None
+        def dfs(node: str) -> Optional[list[str]]:
+            for neighbour in sorted(self._edges.get(node, ())):
+                if neighbour == start:
+                    return list(path)
+                if neighbour in on_path or neighbour in visited:
+                    continue
+                path.append(neighbour)
+                on_path.add(neighbour)
+                found = dfs(neighbour)
+                if found is not None:
+                    return found
+                on_path.discard(neighbour)
+                path.pop()
+            visited.add(node)
+            return None
 
-            return dfs(start)
+        return dfs(start)
 
     def find_any_cycle(self) -> Optional[list[str]]:
         """Any cycle in the graph (used as a quiescence backstop)."""
-        with self._lock:
-            starts = sorted(self._edges)
-        for start in starts:
+        for start in sorted(self._edges):
             cycle = self.find_cycle_through(start)
             if cycle is not None:
                 return cycle

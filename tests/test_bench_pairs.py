@@ -16,13 +16,14 @@ THROUGHPUT = next(m for m in METRICS if m["name"] == "throughput_rps")
 LATENCY = next(m for m in METRICS if m["name"] == "latency_p50_ms")
 
 
-def document(throughput: float, latency: float, failed: int = 0) -> dict:
+def document(throughput: float, latency: float, failed: int = 0, violations=()) -> dict:
     """A perfbench/1 result document with one workload and two metrics."""
     metrics = {
         "throughput_rps": {"value": throughput, "unit": "1/s", "reps": [throughput]},
         "latency_p50_ms": {"value": latency, "unit": "ms", "reps": [latency]},
     }
-    run = {"metrics": metrics, "attempted": 100, "failed": failed, "violations": [], "notes": []}
+    run = {"metrics": metrics, "attempted": 100, "failed": failed,
+           "violations": list(violations), "notes": []}
     return {"schema": "perfbench/1", "workloads": {"mem_uniform": run}}
 
 
@@ -66,3 +67,17 @@ def test_report_is_one_markdown_table_per_workload():
     assert "| 2 | 751 → 1001 | 2.1 → 1.5 |" in lines
     assert "| change wins | 10/10 | 10/10 |" in lines
     assert lines[-1] == "| verdict | gain | gain |"
+
+
+def test_report_prints_every_violation_with_its_pair_side_and_seed():
+    lost = "item 3: order number 7 acknowledged 2 times"
+    pairs = [(document(750, 2.1), document(760, 2.0)) for __ in range(3)]
+    pairs[1] = (document(750, 2.1), document(760, 2.0, violations=[lost]))
+    text = bench_pairs.report(pairs, METRICS, seeds=[1, 2, 1])
+    lines = text.splitlines()
+    assert "`correct` True → False" in lines[0]
+    assert f"- violation, pair 2 (change, seed 2): {lost}" in lines
+    assert sum(line.startswith("- violation") for line in lines) == 1
+    # A clean run prints no violation line.
+    clean = bench_pairs.report(pairs[:1], METRICS, seeds=[1])
+    assert "violation" not in clean

@@ -427,6 +427,49 @@ class TestLogBuffer:
         assert registry.counter("wal.group_commit.syncs").value <= 150
         wal.close()
 
+    def test_aborting_writer_forces_outside_the_coordinator(self, tmp_path, monkeypatch):
+        """A writer that aborts forces its abort record before it takes
+        the coordinator: while that force sits in fsync, another
+        transaction's completion finishes."""
+        from repro.objects.database import Database
+        from repro.runtime.threaded import ThreadedKernel
+
+        db = Database()
+        x, y = db.new_atom("x", 0), db.new_atom("y", 0)
+        db.attach_child(x)
+        db.attach_child(y)
+        wal = DurableWriteAheadLog(str(tmp_path / "wal.log"))
+        kernel = ThreadedKernel(db, wal=wal)
+        kernel.start()
+        entered, gate = self._gate_first_fsync(wal, monkeypatch)
+
+        async def writer(tx):
+            await tx.put(x, 1)
+            raise RuntimeError("the writer aborts")
+
+        async def reader(tx):
+            return await tx.get(y)
+
+        aborting = threading.Thread(target=kernel.drive, args=("W", writer))
+        other = threading.Thread(target=kernel.drive, args=("R", reader))
+        aborting.start()
+        try:
+            assert entered.wait(10)
+            other.start()
+            other.join(5)
+            assert not other.is_alive()  # not queued behind the fsync
+            assert kernel.handles["R"].committed
+            assert not kernel.handles["W"].aborted
+        finally:
+            gate.set()
+            aborting.join(10)
+            if other.ident is not None:
+                other.join(10)
+        assert kernel.handles["W"].aborted and x.raw_get() == 0
+        assert kernel.stop() == []
+        wal.close()
+        assert load_wal_file(wal.path).log.outcomes() == {"W": "abort", "R": "commit"}
+
     def test_lower_lsn_appended_after_a_higher_one_was_forced(self, tmp_path, monkeypatch):
         wal, calls = self._open(tmp_path, monkeypatch)
         wal.append(update(wal.next_lsn(), "A"))

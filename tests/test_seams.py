@@ -2,7 +2,7 @@
 
 The kernel has one code path over ``SchedulerAPI`` and ``LockTableAPI``;
 these tests hold every implementation to the same observable behaviour:
-a table-level scenario suite run against all four lock tables, a check
+a table-level scenario suite run against every lock table, a check
 that each implementation provides every member the protocols name, an
 AST check that the kernel probes for nothing, that the threaded kernel
 is the same object rather than a wrapper round one (no ``.kernel.`` /
@@ -10,8 +10,8 @@ is the same object rather than a wrapper round one (no ``.kernel.`` /
 WAL file each have one reader, the external interrupt primitive under
 both runtimes, that the Fig. 9 conflict test has one path, with no
 decision cache in front of it, that a blocked wait is resolved one
-way, that coroutine steps run under no execution-shard partition, and
-that no code path but the page store's own module reaches the page
+way, that coroutine steps run under no execution-shard partition and the
+lock table under no stripes, and that no code path but the page store's own module reaches the page
 store.
 """
 
@@ -50,17 +50,26 @@ X = Oid("Atom", 1)
 Y = Oid("Atom", 2)
 Z = Oid("Atom", 3)
 
+def served_table(n_stripes: int):
+    """The table a server built with *n_stripes* hands its kernel: the
+    argument is still accepted and changes nothing."""
+    from repro.server.core import TransactionServer
+
+    return TransactionServer(n_stripes=n_stripes).tk.locks
+
+
 TABLES = {
     "indexed": LockTable,
     "reference": ReferenceLockTable,
-    "striped-1": lambda: ConcurrentLockTable(n_stripes=1),
-    "striped-4": lambda: ConcurrentLockTable(n_stripes=4),
-    "striped-8": lambda: ConcurrentLockTable(n_stripes=8),
+    "concurrent": ConcurrentLockTable,
+    "striped-1": lambda: served_table(1),
+    "striped-4": lambda: served_table(4),
+    "striped-8": lambda: served_table(8),
 }
 
 
 # ----------------------------------------------------------------------
-# (a) One scenario suite, five tables
+# (a) One scenario suite, every table
 # ----------------------------------------------------------------------
 def rw_tester(holder, holder_inv, requester, requester_inv, target):
     """Read/write modes between different trees.  A conflict waits for
@@ -173,8 +182,8 @@ class Driver:
 
     def _observe_hooks(self) -> None:
         """The re-tests since the last step, in one order *per target*
-        (a striped table visits targets in stripe order, so only that
-        much is comparable)."""
+        (the reference table visits targets in its own order, so only
+        that much is comparable)."""
         hooks, self.hooks = self.hooks, []
         # stable: the order within one target is the table's
         self.last_hooks = sorted(hooks, key=lambda event: event[0])
@@ -643,7 +652,8 @@ def test_blocked_wait_has_one_resolution():
 
 
 # ----------------------------------------------------------------------
-# (i) One partition in the threaded runtime: the lock stripes
+# (i) No partition in the threaded runtime: no execution shards, no
+#     lock stripes
 # ----------------------------------------------------------------------
 def test_steps_have_no_execution_shards():
     """Coroutine steps take no shard lock: no entry point takes
@@ -665,6 +675,23 @@ def test_steps_have_no_execution_shards():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["check", "--runtime", "threaded", "--shards", "2"])
     removed = ("shard.steps", "shard.contended", "shard.count")
+    assert _src_literals(lambda value: value in removed) == []
+
+
+def test_lock_table_has_no_stripes():
+    """The threaded lock table is one plain table under the kernel lock:
+    no entry point that builds it takes ``n_stripes`` (the server and
+    ``run_threaded_transactions`` still accept it, to no effect), the
+    plain table takes no id striping, and no literal names a removed
+    stripe instrument."""
+    from repro.runtime.differential import run_differential
+
+    for entry in (WallClockScheduler, ThreadedKernel, run_differential):
+        assert "n_stripes" not in inspect.signature(entry).parameters, entry.__name__
+    parameters = inspect.signature(LockTable).parameters
+    assert "id_offset" not in parameters and "id_stride" not in parameters
+    assert not hasattr(ConcurrentLockTable(), "_stripes")
+    removed = ("stripe.ops", "stripe.cross_ops", "stripe.count")
     assert _src_literals(lambda value: value in removed) == []
 
 

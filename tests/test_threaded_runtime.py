@@ -1,5 +1,5 @@
-"""Tests for the real-concurrency runtime: striped lock table, threaded
-kernel, deadlock resolution under wall-clock time, and concurrent Fig. 9
+"""Tests for the real-concurrency runtime: the lock table under the
+kernel lock, threaded kernel, deadlock resolution under wall-clock time, and concurrent Fig. 9
 conflict tests on one hot object.
 
 Threaded runs are nondeterministic by design, so the assertions are
@@ -80,47 +80,27 @@ def make_counter_db(n_counters: int = 1):
 
 
 class TestConcurrentLockTable:
-    def test_stripes_get_disjoint_id_residues(self):
-        table = ConcurrentLockTable(n_stripes=4)
-        offsets = [stripe.table._next_lock_id for stripe in table._stripes]
-        assert offsets == [0, 1, 2, 3]
-        assert all(s.table._id_stride == 4 for s in table._stripes)
-
-    def test_rejects_bad_stripe_count(self):
-        with pytest.raises(ValueError):
-            ConcurrentLockTable(n_stripes=0)
-
     def test_empty_table_invariants(self):
-        table = ConcurrentLockTable(n_stripes=3)
+        table = ConcurrentLockTable()
         table.check_invariants()
         assert table.lock_count == 0
         assert table.pending_count == 0
 
-    def test_stripe_index_is_stable(self):
-        table = ConcurrentLockTable(n_stripes=5)
-        db = Database()
-        atom = db.new_atom("x", 0)
-        first = table.stripe_index_of(atom.oid)
-        assert all(table.stripe_index_of(atom.oid) == first for __ in range(10))
-        assert 0 <= first < 5
-
-    def test_lock_ids_unique_across_stripes(self):
-        # Drive a real workload and check global uniqueness of the ids
-        # handed out by different stripes (the invariant the residue
-        # classes exist for).
+    def test_lock_ids_unique_under_threads(self):
+        # Drive a real workload on four threads; the table's invariants
+        # key every lock by its id, so a duplicate id would fail them.
         built = build_order_entry_database(n_items=2, orders_per_item=2)
-        kernel = ThreadedKernel(built.db, n_threads=4, n_stripes=4)
+        kernel = ThreadedKernel(built.db, n_threads=4)
         kernel.spawn("T1", make_t1(built.item(0), 1, built.item(1), 2))
         kernel.spawn("T2", make_t2(built.item(0), 1, built.item(1), 2))
         kernel.run()
-        kernel.locks.check_invariants()  # includes id-uniqueness checks
+        kernel.locks.check_invariants()
         assert kernel.locks.total_grants > 0
 
 
 class TestRegistryMirror:
-    """The striped table reports the same ``lock.*`` figures the plain
-    table keeps: the stripes' sums and the front end's own counts, read
-    at snapshot time."""
+    """The threaded table reports the same ``lock.*`` figures the plain
+    table keeps, read at snapshot time."""
 
     @staticmethod
     def _scenario(table):
@@ -154,30 +134,27 @@ class TestRegistryMirror:
         assert table.release_tree(b.root()) == []
 
     def test_counters_and_gauges_match_plain_table(self):
-        plain_obs, striped_obs = MetricsRegistry(), MetricsRegistry(thread_safe=True)
+        plain_obs, concurrent_obs = MetricsRegistry(), MetricsRegistry(thread_safe=True)
         self._scenario(LockTable(metrics=plain_obs))
-        striped = ConcurrentLockTable(n_stripes=4, metrics=striped_obs)
-        self._scenario(striped)
-        plain, mirrored = plain_obs.snapshot(), striped_obs.snapshot()
+        concurrent = ConcurrentLockTable(metrics=concurrent_obs)
+        self._scenario(concurrent)
+        plain, mirrored = plain_obs.snapshot(), concurrent_obs.snapshot()
         assert plain.counter("lock.reeval_passes") == 3
-        assert plain.counter("lock.release_ops") == 3  # per operation, not per stripe
+        assert plain.counter("lock.release_ops") == 3  # per operation
         for name in ("lock.reeval_passes", "lock.release_ops", "lock.grants", "lock.blocks"):
             assert mirrored.counter(name) == plain.counter(name), name
-        # One tick per all-stripes hold: two re-evaluations, two
-        # releases, and the completion (which is all three steps).
-        assert mirrored.counter("stripe.cross_ops") == 5
         for name in ("lock.held", "lock.queue_depth"):
             assert mirrored.gauges[name] == plain.gauges[name], name
         assert mirrored.gauges["lock.held"] == {"value": 1, "hwm": 2}  # C's lock on y
-        assert striped.lock_count == 1 and striped.pending_count == 0
+        assert concurrent.lock_count == 1 and concurrent.pending_count == 0
 
-    def test_no_update_lost_across_stripes(self):
+    def test_no_update_lost_under_threads(self):
         """Six threads (more than cores, with a shortened switch
-        interval) grant and release on four stripes at once: every
-        count is exact, the held level returns to zero, and its peak
-        never exceeds the locks that can be held at once."""
+        interval) grant and release at once: every count is exact, the
+        held level returns to zero, and its peak never exceeds the
+        locks that can be held at once."""
         obs = MetricsRegistry(thread_safe=True)
-        table = ConcurrentLockTable(n_stripes=4, metrics=obs)
+        table = ConcurrentLockTable(metrics=obs)
         n_threads, rounds = 6, 4000
 
         def never_conflicts(holder, h_inv, requester, r_inv, target):
@@ -206,42 +183,122 @@ class TestRegistryMirror:
             sys.setswitchinterval(interval)
         snapshot = obs.snapshot()
         total = n_threads * rounds
-        assert snapshot.counter("lock.grants") == snapshot.counter("stripe.ops") == total
-        assert snapshot.counter("lock.release_ops") == snapshot.counter("stripe.cross_ops") == total
+        assert snapshot.counter("lock.grants") == total
+        assert snapshot.counter("lock.release_ops") == total
         assert snapshot.gauges["lock.held"]["value"] == 0 == table.lock_count
         assert 1 <= snapshot.gauges["lock.held"]["hwm"] <= n_threads
 
 
-class TestCompletionSkipsIdleStripes:
-    """A completion runs a stripe's ``dispose`` / ``reevaluate`` only where
-    it has work: a queued request, or — for a releasing disposition — a
-    lock of the node's tree.  Counts, not timings."""
+class _CountingLock:
+    """A reentrant lock that counts its acquisitions (reentrant ones
+    too), under itself, so the count is exact."""
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+        self.acquisitions = 0
+
+    def acquire(self, *args) -> bool:
+        acquired = self._lock.acquire(*args)
+        if acquired:
+            self.acquisitions += 1
+        return acquired
+
+    def release(self) -> None:
+        self._lock.release()
+
+    def __enter__(self) -> bool:
+        return self.acquire()
+
+    def __exit__(self, *exc) -> None:
+        self.release()
+
+
+def served_burst(server, clients: int = 2, requests: int = 300) -> list:
+    """*clients* threads each submit *requests* uniform order-entry
+    requests to a started server over 64 items; returns the responses."""
+    ops = ("place", "pay", "ship", "restock", "stock-check", "total-payment")
+    responses: list = []
+
+    def client(k):
+        for i in range(requests):
+            item = (37 * i + 11 * k) % 64
+            request = Request(op=ops[(i + k) % len(ops)], item=item, order_no=1 + i % 8)
+            responses.append(server.submit(request))
+
+    threads = [threading.Thread(target=client, args=(k,)) for k in range(clients)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120.0)
+    assert not any(thread.is_alive() for thread in threads)
+    return responses
+
+
+def burst_server() -> TransactionServer:
+    return TransactionServer(
+        build_order_entry_database(n_items=64, orders_per_item=8),
+        admission=AdmissionConfig(max_inflight=4, queue_cap=16),
+        default_deadline=10.0,
+    )
+
+
+def two_atoms():
+    db = Database()
+    x = db.new_atom("x", 0)
+    y = db.new_atom("y", 0)
+    db.attach_child(x)
+    db.attach_child(y)
+    return db, x, y
+
+
+def crossing(holding: set, name: str, first, second):
+    """Write *first*, wait (up to 2 s) until both crossing transactions
+    hold their first lock, then write *second*: a certain cycle."""
+
+    async def program(tx):
+        await tx.put(first, name)
+        holding.add(name)
+        give_up = time.monotonic() + 2.0
+        while len(holding) < 2 and time.monotonic() < give_up:
+            await tx.pause()
+        await tx.put(second, name)
+
+    return program
+
+
+class TestOneKernelLock:
+    """The threaded lock table is one plain table under the kernel lock,
+    which is the scheduler's coordinator lock: a table operation is one
+    hold of it, and a completion runs ``dispose`` / ``reevaluate`` only
+    when ``completion_has_work`` says they can change something.
+    Counts, not timings."""
 
     @staticmethod
     def _spy(monkeypatch):
-        """Record the stripe tables ``dispose`` and ``reevaluate`` run on."""
-        calls: dict[str, list[LockTable]] = {"dispose": [], "reevaluate": []}
-        for name, seen in calls.items():
+        """Count the plain table's ``dispose`` and ``reevaluate`` calls."""
+        calls = {"dispose": 0, "reevaluate": 0}
+        for name in calls:
             original = getattr(LockTable, name)
 
-            def spy(table, *args, _original=original, _seen=seen):
-                _seen.append(table)
+            def spy(table, *args, _original=original, _name=name):
+                calls[_name] += 1
                 return _original(table, *args)
 
             monkeypatch.setattr(LockTable, name, spy)
         return calls
 
-    def test_only_stripes_with_work_run(self, monkeypatch):
+    def test_kernel_lock_is_the_coordinator_lock(self):
+        kernel = ThreadedKernel(Database())
+        lock = kernel.scheduler.coordination().lock
+        assert kernel.locks.guard(Oid("Atom", 1)) is lock
+        assert kernel.locks.guard(Oid("Atom", 2)) is lock
+        assert not hasattr(kernel.locks, "_stripes")
+
+    def test_completion_takes_the_kernel_lock_once(self, monkeypatch):
+        lock = _CountingLock()
         obs = MetricsRegistry(thread_safe=True)
-        table = ConcurrentLockTable(n_stripes=8, metrics=obs)
-        # Three targets on three distinct stripes (hashes vary per process).
-        targets: dict[int, Oid] = {}
-        for n in range(1000):
-            oid = Oid("Atom", n)
-            targets.setdefault(table.stripe_index_of(oid), oid)
-            if len(targets) == 3:
-                break
-        (i, x), (j, y), (m, z) = targets.items()
+        table = ConcurrentLockTable(metrics=obs, lock=lock)
+        x, y, z = Oid("Atom", 1), Oid("Atom", 2), Oid("Atom", 3)
         roots = {
             name: TransactionNode(
                 name, None, Oid("Database", 0), Invocation("Transaction", (name,))
@@ -265,37 +322,103 @@ class TestCompletionSkipsIdleStripes:
             )
             return pending
 
-        stripe_of = {id(s.table): s.index for s in table._stripes}
         calls = self._spy(monkeypatch)
 
         def complete(node, disposition):
-            for seen in calls.values():
-                seen.clear()
-            before = obs.snapshot().counters
+            for name in calls:
+                calls[name] = 0
+            has_work = table._table.completion_has_work(node, disposition)
+            before, counted = lock.acquisitions, obs.snapshot().counters
             moved, granted = table.complete_node(node, disposition, other_trees_conflict)
+            assert lock.acquisitions - before == 1
             after = obs.snapshot().counters
-            for name in ("stripe.cross_ops", "lock.reeval_passes"):
-                assert after[name] - before.get(name, 0) == 1, name
-            ran = {name: [stripe_of[id(t)] for t in seen] for name, seen in calls.items()}
-            assert ran["dispose"] == ran["reevaluate"]
-            return ran["dispose"], moved, granted
+            assert after["lock.reeval_passes"] - counted.get("lock.reeval_passes", 0) == 1
+            releases = after["lock.release_ops"] - counted.get("lock.release_ops", 0)
+            assert releases == (disposition is not Disposition.RETAIN)
+            assert calls == {"dispose": int(has_work), "reevaluate": int(has_work)}
+            return has_work, moved, granted
 
         a_x, a_y, c_z = child("A", x), child("A", y), child("C", z)
         for node in (a_x, a_y, c_z):
             assert acquire(node) is None
-        # No queued request anywhere: a retaining completion runs nothing.
-        assert complete(a_x, Disposition.RETAIN) == ([], [], [])
-        # One waiter on x's stripe: only that stripe runs.
+        # No queued request: a retaining completion runs nothing.
+        assert complete(a_x, Disposition.RETAIN) == (False, [], [])
+        # A tree without locks releases nothing: no pass either.
+        assert complete(roots["D"], Disposition.RELEASE_TREE) == (False, [], [])
+        # One waiter on x: the completion runs.
         waiter = acquire(child("B", x))
         assert waiter is not None
-        assert complete(a_y, Disposition.RETAIN) == ([i], [], [])
-        # A second waiter on z's stripe; A's tree holds locks on x and y.
-        assert acquire(child("D", z)) is not None
-        ran, moved, granted = complete(roots["A"], Disposition.RELEASE_TREE)
-        assert ran == sorted({i, j, m})
-        assert {lock.node for lock in moved} == {a_x, a_y}
+        assert complete(a_y, Disposition.RETAIN) == (True, [], [])
+        # A's tree holds locks on x and y: its release runs, and grants.
+        has_work, moved, granted = complete(roots["A"], Disposition.RELEASE_TREE)
+        assert has_work and {lock.node for lock in moved} == {a_x, a_y}
         assert granted == [waiter]
         table.check_invariants()
+
+    def test_served_burst_takes_the_kernel_lock_once_per_table_call(self, monkeypatch):
+        """2 x 300 uniform requests: at most two kernel-lock acquisitions
+        per lock-table call (one for the call, one for the coordinated
+        phase around it, if any); eight stripes and the coordinator
+        made about nine per completion."""
+        server = burst_server()
+        lock = _CountingLock()
+        server.tk.scheduler._coordinator.lock = lock
+        server.tk.locks._lock = lock
+        table_calls = [0]
+        for name in (
+            "try_acquire", "enqueue_if_blocked", "guard", "cancel", "release_lock",
+            "complete_node", "reevaluate", "release_tree", "release_subtree",
+            "locks_on", "queue_on", "pending_of_tree", "locks_held_by_tree",
+        ):
+            original = getattr(ConcurrentLockTable, name)
+
+            def counted(table, *args, _original=original):
+                table_calls[0] += 1
+                return _original(table, *args)
+
+            monkeypatch.setattr(ConcurrentLockTable, name, counted)
+        server.start()
+        try:
+            responses = served_burst(server)
+        finally:
+            assert server.shutdown().clean
+        assert sum(response.ok for response in responses) == 600
+        assert table_calls[0] > 600
+        assert lock.acquisitions <= 2 * table_calls[0], (lock.acquisitions, table_calls[0])
+
+    def test_waits_graph_is_used_under_the_kernel_lock(self, monkeypatch):
+        """Every call the threaded kernel makes on its waits-for graph
+        holds the kernel lock, so the graph needs no lock of its own.
+        A certain deadlock makes every kind of call."""
+        from repro.txn.waits import WaitsForGraph
+
+        db, x, y = two_atoms()
+        kernel = ThreadedKernel(db, n_threads=2)
+        lock = kernel.scheduler.coordination().lock
+        seen: dict[str, int] = {}
+        unlocked: list[str] = []
+        for name in (
+            "set_waits", "clear_waits", "remove_transaction", "waits_of",
+            "edges_involving", "find_cycle_through", "find_any_cycle",
+        ):
+            original = getattr(WaitsForGraph, name)
+
+            def checked(graph, *args, _original=original, _name=name):
+                if graph is kernel.waits:
+                    seen[_name] = seen.get(_name, 0) + 1
+                    if not lock._is_owned():
+                        unlocked.append(_name)
+                return _original(graph, *args)
+
+            monkeypatch.setattr(WaitsForGraph, name, checked)
+        holding: set = set()
+        kernel.spawn("A", crossing(holding, "A", x, y))
+        kernel.spawn("B", crossing(holding, "B", y, x))
+        kernel.run()
+        assert kernel.metrics.deadlocks >= 1
+        assert unlocked == []
+        for name in ("set_waits", "clear_waits", "remove_transaction", "find_cycle_through"):
+            assert seen.get(name, 0) > 0, (name, seen)
 
 
 class TestThreadedKernel:
@@ -328,8 +451,10 @@ class TestThreadedKernel:
         assert is_semantically_serializable(kernel.history(), db=built.db).serializable
 
     def test_thread_and_stripe_metrics(self):
+        """Thread instruments are reported; the ``stripe.*`` ones are gone
+        with the stripes."""
         db, (counter,) = make_counter_db()
-        kernel = ThreadedKernel(db, n_threads=2, n_stripes=4)
+        kernel = ThreadedKernel(db, n_threads=2)
 
         async def program(tx):
             await tx.call(counter, "Add", 1)
@@ -340,15 +465,14 @@ class TestThreadedKernel:
         snap = kernel.obs.snapshot()
         assert snap.counters["thread.steps"] > 0
         assert snap.counters["thread.spawned"] == 2
-        assert snap.counters["stripe.ops"] > 0
         assert snap.counters["lock.grants"] > 0
-        assert snap.gauges["stripe.count"]["value"] == 4
+        assert not [name for name in {**snap.counters, **snap.gauges} if name.startswith("stripe.")]
         assert snap.gauges["lock.held"]["value"] == 0  # all released
 
     def test_level_gauges_track_the_table_through_a_contended_run(self):
         workload = OrderEntryWorkload(WorkloadConfig(n_items=1, orders_per_item=3, seed=5))
         kernel = run_threaded_transactions(
-            workload.db, dict(workload.take(8)), n_threads=4, n_stripes=4
+            workload.db, dict(workload.take(8)), n_threads=4
         )
         kernel.locks.check_invariants()
         gauges = kernel.obs.snapshot().gauges
@@ -492,28 +616,12 @@ class TestDeadlockPoliciesWallClock:
         with a wait budget it is resolved when the closing edge is
         recorded — the stall poll (pushed out to 5 s) and the 2 s timer
         are never needed."""
-        db = Database()
-        x = db.new_atom("x", 0)
-        y = db.new_atom("y", 0)
-        db.attach_child(x)
-        db.attach_child(y)
+        db, x, y = two_atoms()
         holding = set()
-
-        def crossing(name, first, second):
-            async def program(tx):
-                await tx.put(first, name)
-                holding.add(name)
-                give_up = time.monotonic() + 2.0
-                while len(holding) < 2 and time.monotonic() < give_up:
-                    await tx.pause()
-                await tx.put(second, name)
-
-            return program
-
         kernel = ThreadedKernel(db, n_threads=2, lock_timeout=2.0)
         kernel.scheduler.stall_check = 5.0
-        kernel.spawn("A", crossing("A", x, y))
-        kernel.spawn("B", crossing("B", y, x))
+        kernel.spawn("A", crossing(holding, "A", x, y))
+        kernel.spawn("B", crossing(holding, "B", y, x))
         started = time.monotonic()
         kernel.run()
         assert time.monotonic() - started < 1.0
@@ -1180,31 +1288,12 @@ class TestMetricsUpdates:
         """Two clients replay 300 uniform order-entry requests each on an
         in-memory server: the burst makes at most
         ``MAX_UPDATES_PER_REQUEST`` locked registry updates per commit."""
-        server = TransactionServer(
-            build_order_entry_database(n_items=64, orders_per_item=8),
-            n_stripes=8,
-            admission=AdmissionConfig(max_inflight=4, queue_cap=16),
-            default_deadline=10.0,
-        )
+        server = burst_server()
         server.start()
-        ops = ("place", "pay", "ship", "restock", "stock-check", "total-payment")
-        responses: list = []
-
-        def client(k):
-            for i in range(300):
-                item = (37 * i + 11 * k) % 64
-                request = Request(op=ops[(i + k) % len(ops)], item=item, order_no=1 + i % 8)
-                responses.append(server.submit(request))
-
         try:
             calls = self._count_locked_updates(monkeypatch)
-            clients = [threading.Thread(target=client, args=(k,)) for k in range(2)]
-            for thread in clients:
-                thread.start()
-            for thread in clients:
-                thread.join(timeout=120.0)
+            responses = served_burst(server)
             updates = calls[0]
-            assert not any(thread.is_alive() for thread in clients)
         finally:
             monkeypatch.undo()
             assert server.shutdown().clean
@@ -1230,7 +1319,6 @@ class TestMetricsUpdates:
             assert snapshot.gauges["admission.inflight"] == {"value": 0, "hwm": 1}
             assert snapshot.gauges["lock.held"]["value"] == 0
             assert snapshot.gauges["lock.held"]["hwm"] >= 1
-            assert snapshot.counter("stripe.ops") >= snapshot.counter("lock.grants")
         finally:
             assert server.shutdown().clean
 
@@ -1277,7 +1365,7 @@ class TestThreadedStress:
         )
         programs = dict(workload.take(8))
         kernel = run_threaded_transactions(
-            workload.db, programs, n_threads=6, n_stripes=4
+            workload.db, programs, n_threads=6
         )
         kernel.locks.check_invariants()
         assert kernel.locks.lock_count == 0

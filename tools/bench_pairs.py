@@ -5,7 +5,8 @@ Runs the command ``BENCHMARK.json`` declares (``python3 perfbench/run.py``)
 with ``--json`` alternately in two checkouts — odd pairs the parent
 first, even pairs the change first — and prints, per workload, every
 pair, both medians, the parent's quartiles and range, how many pairs the
-change won, ``failed`` / ``correct``, and one verdict per end-to-end
+change won, ``failed`` / ``correct`` (with the text of every audit
+violation, its pair, side and seed), and one verdict per end-to-end
 metric by the ``choosing-metrics`` guide's section 8:
 
 * **gain** — the change wins at least nine tenths of all pairs (ties
@@ -63,9 +64,10 @@ def judge(metric: dict, parent: list[float], change: list[float]) -> dict:
             "hi": max(parent), "wins": wins, "pairs": len(parent), "verdict": verdict}
 
 
-def report(pairs: list[tuple[dict, dict]], metrics: list[dict], parent_first=()) -> str:
+def report(pairs: list[tuple[dict, dict]], metrics: list[dict], parent_first=(), seeds=()) -> str:
     """The markdown for a list of ``(parent document, change document)``
-    pairs; *parent_first* says, per pair, which side ran first."""
+    pairs; *parent_first* says, per pair, which side ran first, and
+    *seeds* which workload seed the pair ran."""
     lines = []
     for workload in pairs[0][0]["workloads"]:
         runs = [(p["workloads"][workload], c["workloads"][workload]) for p, c in pairs]
@@ -94,6 +96,12 @@ def report(pairs: list[tuple[dict, dict]], metrics: list[dict], parent_first=())
         for label, cell in rows.items():
             lines.append(f"| {label} | " + " | ".join(cell(judged[m["name"]]) for m in shown) + " |")
         lines.append("")
+        for i, run in enumerate(runs):
+            seed = f", seed {seeds[i]}" if i < len(seeds) else ""
+            for side, doc in zip(("parent", "change"), run):
+                lines += [f"- violation, pair {i + 1} ({side}{seed}): {v}" for v in doc["violations"]]
+        if not all(correct):
+            lines.append("")
     return "\n".join(lines)
 
 
@@ -134,7 +142,8 @@ def main(argv: list[str] | None = None) -> int:
             pairs.append((docs["parent"], docs["change"]))
             parent_first.append(order[0] == "parent")
             print(f"pair {i + 1}/{args.pairs} (seed {seed}, {order[0]} first) done", file=sys.stderr)
-    print(report(pairs, spec["end_to_end"], parent_first))
+    seeds = [args.seeds[i % len(args.seeds)] for i in range(args.pairs)]
+    print(report(pairs, spec["end_to_end"], parent_first, seeds))
     return 0
 
 

@@ -92,7 +92,7 @@ def merged(profilers: list[cProfile.Profile]) -> pstats.Stats:
 
 
 def profile_l0(seed: int, n: int) -> pstats.Stats:
-    from perfbench.stacks import SERVER, build_database
+    from perfbench.stacks import build_database
     from perfbench.workloads import WORKLOADS, request_list
     from repro.runtime.threaded import run_threaded_transactions
     from repro.server.requests import build_program
@@ -102,9 +102,7 @@ def profile_l0(seed: int, n: int) -> pstats.Stats:
     programs = [(f"l0-{i}", build_program(built, r)) for i, r in enumerate(requests)]
 
     with thread_profiles() as profilers:
-        kernel = run_threaded_transactions(
-            built.db, programs, n_threads=1, n_stripes=SERVER["n_stripes"]
-        )
+        kernel = run_threaded_transactions(built.db, programs, n_threads=1)
     lost = [name for name, __ in programs if not kernel.handles[name].committed]
     if lost:
         raise RuntimeError(f"profile L0: {len(lost)} programs did not commit")
