@@ -286,10 +286,10 @@ class TransactionManager:
         self.scheduler: SchedulerAPI = scheduler if scheduler is not None else Scheduler()
         self.scheduler.on_stall = self._on_stall
         self.scheduler.bind_metrics(self.obs)
-        # lock_table_cls: the threaded runtime passes the indexed table
-        # under its kernel lock; the differential suite swaps in the
-        # scan-based reference implementation to prove the indexed
-        # table behaves identically.
+        # lock_table_cls: the threaded runtime builds its table without
+        # the clock; the differential suite swaps in the scan-based
+        # reference implementation to prove the indexed table behaves
+        # identically.
         self.locks: LockTableAPI = (lock_table_cls or LockTable)(
             metrics=self.obs, clock=lambda: self.scheduler.clock
         )
@@ -667,12 +667,12 @@ class TransactionManager:
     ) -> Any:
         if operation in _GENERIC_OPS:
             # Two granted-and-commuting operations on the same object
-            # may step on different workers at the same wall-clock
-            # instant; the target's guard serialises the physical
-            # read-modify-write.  Generic leaves are synchronous, so the
-            # guard never spans an await (method bodies mutate state
-            # only through nested generic leaves, each guarded here).
-            with self.locks.guard(target.oid):
+            # may step on different threads at the same wall-clock
+            # instant; coordination serialises the physical
+            # read-modify-write.  Generic leaves are synchronous, so it
+            # never spans an await (method bodies mutate state only
+            # through nested generic leaves, each coordinated here).
+            with self.scheduler.coordination():
                 return self._execute_generic(node, target, operation, args)
         if isinstance(target, EncapsulatedObject):
             spec = target.spec.method_spec(operation)
@@ -818,23 +818,44 @@ class TransactionManager:
 
     async def _acquire(self, node: TransactionNode, spec: LockSpec) -> None:
         self._trace(node, "request", target=spec.target, mode=spec.invocation)
-        # Test and grant are one step of the table: between them no
-        # competing request can be granted a conflicting lock.
-        blockers = self.locks.try_acquire(node, spec.target, spec.invocation, self._tester)
-        if not blockers:
-            self._trace(node, "grant", target=spec.target, mode=spec.invocation)
-            return
-
-        signal = self.scheduler.create_signal(f"grant-{node.node_id}")
-        # Queued with its blockers registered (reverse index, waits-for
-        # hook) before any holder can complete unseen — or, when the
-        # blockers finished since the test above, granted after all.
-        pending, blockers = self.locks.enqueue_if_blocked(
-            node, spec.target, spec.invocation, signal, blockers, self._tester
-        )
+        with self.scheduler.coordination():
+            pending, timeout = self._request_locked(node, spec)
         if pending is None:
             self._trace(node, "grant", target=spec.target, mode=spec.invocation)
             return
+        # Armed outside the hold: a wall-clock timer starts a thread.
+        # Its callback finds the request granted, or already cancelled.
+        timer = None
+        if timeout is not None:
+            timer = self.scheduler.call_later(
+                timeout, lambda: self._on_lock_timeout(pending, timeout)
+            )
+        try:
+            await pending.signal
+        except BaseException:
+            with self.scheduler.coordination():
+                self.locks.cancel(pending)
+            raise
+        finally:
+            if timer is not None:
+                timer.cancel()
+        self._trace(node, "wake", target=spec.target, mode=spec.invocation)
+
+    def _request_locked(
+        self, node: TransactionNode, spec: LockSpec
+    ) -> tuple[Optional[PendingRequest], Optional[float]]:
+        """Fig. 8's lock request as one step (caller holds coordination):
+        the conflict test, then a grant — ``(None, None)`` — or a queue
+        entry with its blockers registered (reverse index, waits-for
+        hook) and deadlocks resolved, before any holder can complete
+        unseen.  Returns ``(pending, its wait budget)``."""
+        blockers = self.locks.try_acquire(node, spec.target, spec.invocation, self._tester)
+        if not blockers:
+            return None, None
+        signal = self.scheduler.create_signal(f"grant-{node.node_id}")
+        pending = self.locks.enqueue_if_blocked(
+            node, spec.target, spec.invocation, signal, blockers
+        )
         self.metrics.inc("blocks")
         self._trace(
             node,
@@ -843,23 +864,13 @@ class TransactionManager:
             mode=spec.invocation,
             waits_for=sorted(b.node_id for b in blockers),
         )
-        timer = None
         timeout = self._lock_wait_timeout(node)
-        if timeout is not None:
-            timer = self.scheduler.call_later(
-                timeout, lambda: self._on_lock_timeout(pending, timeout)
-            )
         try:
-            with self.scheduler.coordination():
-                self._resolve_deadlocks_locked(node)
-            await signal
+            self._resolve_deadlocks_locked(node)
         except BaseException:
             self.locks.cancel(pending)
             raise
-        finally:
-            if timer is not None:
-                timer.cancel()
-        self._trace(node, "wake", target=spec.target, mode=spec.invocation)
+        return pending, timeout
 
     def _lock_wait_timeout(self, node: TransactionNode) -> Optional[float]:
         """The timeout budget for a lock wait that is about to block.

@@ -8,18 +8,8 @@ by real threads under wall-clock time, so "more parallelism from
 commutativity" becomes a countable fact on real threads instead of a
 simulated one (``tests/test_threaded_runtime.py::TestCommutingHolder``).
 
-Three pieces:
-
-* :class:`ConcurrentLockTable` — the indexed
-  :class:`~repro.txn.locks.LockTable` under one reentrant lock, the
-  *kernel lock*.  Every table operation is one hold of it; a node
-  completion holds it once for its whole notify / dispose /
-  re-evaluate sequence, which it skips when no request is queued and
-  the disposition releases or moves no lock of the node's tree (it
-  would change nothing).  Under the GIL, splitting the table by object
-  would buy no parallelism, only more lock acquisitions per action.
-  Deadlock detection is the virtual-time kernel's: the table feeds the
-  incremental waits-for graph through its ``on_waits_changed`` hook.
+Two pieces, over the plain indexed :class:`~repro.txn.locks.LockTable`
+(built without a clock: nothing here reads hold or wait times):
 
 * :class:`WallClockScheduler` — a scheduler facade satisfying the
   kernel's scheduler seam (:class:`~repro.runtime.scheduler.SchedulerAPI`)
@@ -29,17 +19,19 @@ Three pieces:
   (:meth:`WallClockScheduler.drive`) — the thread that waits for the
   answer computes it, and on a served scheduler it is the only kind.
   Coroutine steps (the synchronous code between two awaits) take no
-  step-level lock, so steps of different transactions interleave; the
-  shared kernel structures they touch protect themselves (the lock
-  table and, under its lock, the waits-for graph; the locked sequence
-  counter / id generator / undo log), and object-state mutation is
-  serialised by the lock table's :meth:`~ConcurrentLockTable.guard`.
-  Multi-structure kernel phases — commit and abort processing, lock
-  re-evaluation, deadlock detection, lock-wait timeouts — run under
-  the scheduler's *coordinator* lock
-  (:meth:`WallClockScheduler.coordination`), which a
-  :class:`ThreadedKernel` hands to its lock table as the kernel lock,
-  so the lock order
+  step-level lock, so steps of different transactions interleave.
+  The scheduler's *coordinator* lock
+  (:meth:`WallClockScheduler.coordination`) is the *kernel lock*: the
+  kernel takes it around every lock-table call — a lock request (the
+  conflict test, then a grant or a queue entry and deadlock
+  resolution) is one hold, and so is a node completion — around every
+  generic operation's body, which serialises object-state mutation,
+  and around its other multi-structure phases (commit and abort
+  processing, re-evaluation, lock-wait timeouts).  The waits-for graph
+  is used only under it; the sequence counter, id generator and undo
+  log lock themselves.  The lock is reentrant because a conflict test
+  run under it consults the protocol, whose state views read the
+  table.  The lock order
 
       kernel lock  ->  scheduler lock
 
@@ -65,8 +57,8 @@ Three pieces:
 
 * :class:`ThreadedKernel` — the
   :class:`~repro.core.kernel.TransactionManager` subclass constructed
-  over the two classes above, with the metrics registry armed for
-  concurrent access.
+  over the scheduler above and that table, with the metrics registry
+  armed for concurrent access.
 
 Determinism is *not* provided here — that is the point.  The threaded
 tests assert outcome invariants (serializability, state equivalence
@@ -88,10 +80,9 @@ from repro.core.kernel import TransactionManager
 from repro.errors import AggregateWorkerError, RuntimeEngineError
 from repro.obs.registry import TIMER_BUCKETS, MetricsRegistry
 from repro.runtime.scheduler import Pause, Signal, Task
-from repro.txn.locks import Disposition, Lock, LockTable, PendingRequest
+from repro.txn.locks import LockTable
 
 __all__ = [
-    "ConcurrentLockTable",
     "WallClockScheduler",
     "ThreadedKernel",
     "run_threaded_transactions",
@@ -110,156 +101,6 @@ _yield_thread = _pick_yield()
 
 
 # ----------------------------------------------------------------------
-# Lock table under the kernel lock
-# ----------------------------------------------------------------------
-class ConcurrentLockTable:
-    """The indexed :class:`~repro.txn.locks.LockTable` under one
-    reentrant lock.
-
-    Provides :class:`~repro.txn.locks.LockTableAPI` (the kernel takes it
-    through the same ``lock_table_cls`` seam as the reference table).
-    Thread safety contract: every call runs the plain table's method in
-    one hold of *lock*, and nothing above the table serialises calls
-    for it: coroutine steps of different transactions call in
-    concurrently.  A :class:`ThreadedKernel` passes the scheduler's
-    coordinator lock, so the table, the object state it guards and the
-    kernel's coordinated phases share one kernel lock; the lock is
-    reentrant because a conflict test run under it consults the
-    protocol, whose state views call :meth:`locks_on`.
-    """
-
-    def __init__(
-        self,
-        metrics=None,
-        clock: Optional[Callable[[], float]] = None,
-        lock: Optional[threading.RLock] = None,
-    ) -> None:
-        self._table = LockTable(clock=clock)
-        self._lock = lock if lock is not None else threading.RLock()
-        if metrics is not None:
-            # The plain table's collector, read without the lock (each
-            # figure is a whole int the table held); no hold/wait-time
-            # histogram is pushed.
-            metrics.add_collector(self._table._collect, self._table._restart_peaks)
-
-    @property
-    def on_waits_changed(self) -> Optional[Callable[[PendingRequest], None]]:
-        return self._table.on_waits_changed
-
-    @on_waits_changed.setter
-    def on_waits_changed(self, hook: Optional[Callable[[PendingRequest], None]]) -> None:
-        self._table.on_waits_changed = hook
-
-    # ------------------------------------------------------------------
-    # Inspection
-    # ------------------------------------------------------------------
-    def locks_on(self, target) -> tuple[Lock, ...]:
-        with self._lock:
-            return self._table.locks_on(target)
-
-    def queue_on(self, target) -> tuple[PendingRequest, ...]:
-        with self._lock:
-            return self._table.queue_on(target)
-
-    def pending_of_tree(self, root) -> list[PendingRequest]:
-        with self._lock:
-            return self._table.pending_of_tree(root)
-
-    def locks_held_by_tree(self, root) -> list[Lock]:
-        with self._lock:
-            return self._table.locks_held_by_tree(root)
-
-    @property
-    def lock_count(self) -> int:
-        return self._table.lock_count
-
-    @property
-    def pending_count(self) -> int:
-        return self._table.pending_count
-
-    @property
-    def total_grants(self) -> int:
-        return self._table.total_grants
-
-    # ------------------------------------------------------------------
-    # Acquisition and release
-    # ------------------------------------------------------------------
-    def try_acquire(self, node, target, invocation, tester) -> set:
-        """Conflict-test and, if clear, grant, in one hold, so no
-        competing request can slip between the test and the grant."""
-        with self._lock:
-            return self._table.try_acquire(node, target, invocation, tester)
-
-    def enqueue_if_blocked(self, node, target, invocation, signal, blockers, tester):
-        """Re-test and either grant or enqueue, in one hold.
-
-        *blockers* was computed by the caller's :meth:`try_acquire` and
-        may be stale (holders complete concurrently here), so the
-        request is tested afresh.  Returns ``(None, set())`` when it
-        was granted after all, otherwise the enqueued request with its
-        fresh blockers already registered: the waits-for hook has fired
-        before any blocker can complete unseen, and a holder completing
-        right after this call re-tests the queue under
-        :meth:`complete_node`.
-        """
-        with self._lock:
-            table = self._table
-            fresh = table.try_acquire(node, target, invocation, tester)
-            if not fresh:
-                return None, fresh
-            return table.enqueue_if_blocked(node, target, invocation, signal, fresh, tester)
-
-    def guard(self, target) -> threading.RLock:
-        """The kernel lock, as the context manager guarding *target*.
-
-        The kernel runs a generic operation's body under its target's
-        guard: two granted-and-commuting operations on the same object
-        (stepping on different threads) must still serialise their
-        physical state mutation.
-        """
-        return self._lock
-
-    def cancel(self, pending: PendingRequest) -> None:
-        with self._lock:
-            self._table.cancel(pending)
-
-    def release_lock(self, lock: Lock) -> None:
-        with self._lock:
-            self._table.release_lock(lock)
-
-    def complete_node(self, node, disposition, tester) -> tuple[list[Lock], list[PendingRequest]]:
-        """The whole completion step in one hold.  When
-        :meth:`~repro.txn.locks.LockTable.completion_has_work` says it
-        would change nothing (no request is queued, and no lock of the
-        node's tree is released or moved), dispose and re-evaluation
-        are skipped, and only the pass and the release are counted."""
-        with self._lock:
-            table = self._table
-            if table.completion_has_work(node, disposition):
-                return table.complete_node(node, disposition, tester)
-            table.reeval_passes += 1
-            if disposition is not Disposition.RETAIN:
-                table.total_release_ops += 1
-            return [], []
-
-    def reevaluate(self, tester) -> list[PendingRequest]:
-        with self._lock:
-            return self._table.reevaluate(tester)
-
-    def release_tree(self, root) -> list[Lock]:
-        with self._lock:
-            return self._table.release_tree(root)
-
-    def release_subtree(self, node) -> list[Lock]:
-        with self._lock:
-            return self._table.release_subtree(node)
-
-    def check_invariants(self) -> None:
-        with self._lock:
-            self._table.check_invariants()
-
-
-# ----------------------------------------------------------------------
 # Wall-clock scheduler (worker pool)
 # ----------------------------------------------------------------------
 class _WallTimer:
@@ -268,8 +109,7 @@ class _WallTimer:
     Armed, then *fired* XOR *cancelled* — mirroring the virtual-time
     :class:`~repro.runtime.scheduler.TimerHandle`.  ``fired`` and
     ``cancelled`` are distinct so callers can tell a timer that ran its
-    callback from one they deactivated (historically a fired wall timer
-    was marked ``cancelled = True``, making the two indistinguishable).
+    callback from one they deactivated.
     The fire/cancel race is arbitrated by *guard* (the scheduler's
     coordinator lock, which the fire path holds while deciding).
     """
@@ -307,9 +147,9 @@ class _Coordinator:
     deadlock resolution, lock-wait timeouts, lock re-evaluation).
 
     A reentrant lock plus an epoch counter (``shard.coordinations``,
-    one tick per coordinated phase); used as a context manager.  A
-    :class:`ThreadedKernel`'s lock table takes the same lock (the
-    kernel lock), and the scheduler lock is taken inside it.
+    one tick per coordinated phase); used as a context manager.  It is
+    the kernel lock: a :class:`ThreadedKernel` calls its lock table
+    only under it, and the scheduler lock is taken inside it.
     """
 
     __slots__ = ("lock", "epoch")
@@ -1038,9 +878,10 @@ class ThreadedKernel(TransactionManager):
     """The :class:`TransactionManager` on real threads.
 
     The same kernel, constructed over a :class:`WallClockScheduler`
-    (``self.scheduler``) and a :class:`ConcurrentLockTable`
-    (``self.locks``) guarded by the scheduler's coordinator lock, with
-    the metrics registry armed for concurrent access.  What it adds is
+    (``self.scheduler``) and a plain :class:`~repro.txn.locks.LockTable`
+    (``self.locks``), which the kernel calls only under the scheduler's
+    coordinator lock, with the metrics registry armed for concurrent
+    access.  What it adds is
     the serve-mode lifecycle (:meth:`start` / :meth:`stop` /
     :meth:`reap`).
 
@@ -1076,9 +917,9 @@ class ThreadedKernel(TransactionManager):
             scheduler=scheduler,
             cost_model=cost_model,
             obs=obs,
-            lock_table_cls=functools.partial(
-                ConcurrentLockTable, lock=scheduler.coordination().lock
-            ),
+            # No clock: the wall-clock registry has no hold/wait-time
+            # histogram for the table's stamps to feed.
+            lock_table_cls=lambda metrics, clock: LockTable(metrics=metrics),
             lock_timeout=lock_timeout,
             faults=faults,
             wal=wal,

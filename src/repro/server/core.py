@@ -568,7 +568,8 @@ class TransactionServer:
         report.wedged_workers = self.tk.stop()
         report.leaked_locks = self.tk.locks.lock_count
         try:
-            self.tk.locks.check_invariants()
+            with self.tk.scheduler.coordination():
+                self.tk.locks.check_invariants()
         except AssertionError:
             report.invariants_ok = False
         report.elapsed = time.monotonic() - started

@@ -43,8 +43,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from contextlib import nullcontext
-from typing import Callable, ContextManager, Optional, Protocol, TYPE_CHECKING
+from typing import Callable, Optional, Protocol, TYPE_CHECKING
 
 from repro.errors import ProtocolViolation
 from repro.objects.oid import Oid
@@ -144,12 +143,12 @@ class Disposition(enum.Enum):
 class LockTableAPI(Protocol):
     """The lock-table seam: what the kernel and the CC protocols call.
 
-    :class:`LockTable` (virtual time), the scan-based reference table of
-    the differential tests, and the threaded runtime's
-    ``ConcurrentLockTable`` all provide exactly this surface.  Lock
-    acquisition goes through :meth:`try_acquire` /
-    :meth:`enqueue_if_blocked` only, so a table that needs the test and
-    the grant (or enqueue) to be one atomic step can make them so.
+    :class:`LockTable` (both runtimes) and the scan-based reference
+    table of the differential tests provide exactly this surface.  A
+    table takes no lock of its own: on the threaded runtime the kernel
+    makes every call under its kernel lock
+    (:meth:`~repro.runtime.scheduler.SchedulerAPI.coordination`), so a
+    lock request's test and its grant or enqueue are one step.
     """
 
     on_waits_changed: Optional[Callable[["PendingRequest"], None]]
@@ -165,10 +164,7 @@ class LockTableAPI(Protocol):
         invocation: Invocation,
         signal: "Signal",
         blockers: set[TransactionNode],
-        tester: ConflictTester,
-    ) -> tuple[Optional["PendingRequest"], set[TransactionNode]]: ...
-
-    def guard(self, target: Oid) -> ContextManager: ...
+    ) -> "PendingRequest": ...
 
     def cancel(self, pending: "PendingRequest") -> None: ...
 
@@ -193,10 +189,6 @@ class LockTableAPI(Protocol):
     def pending_count(self) -> int: ...
 
     def check_invariants(self) -> None: ...
-
-
-# One task steps at a time under virtual time: nothing to guard against.
-_NO_GUARD = nullcontext()
 
 
 class LockTable:
@@ -251,7 +243,9 @@ class LockTable:
         self._pending_peak = 0
         self._owners_peak = 0
         self._blockers_peak = 0
-        self._clock: Callable[[], float] = clock if clock is not None else (lambda: 0.0)
+        # Stamps grants and blocks for the hold/wait-time histograms;
+        # a table built without one stamps nothing and has neither.
+        self._clock = clock
         # Fired whenever a pending request's recorded blocker set changes
         # (block, re-test, grant, cancel) — the kernel maintains the
         # waits-for graph incrementally from these events.
@@ -265,14 +259,16 @@ class LockTable:
         """Attach a :class:`~repro.obs.MetricsRegistry` (and a clock).
 
         The clock (typically the scheduler's virtual clock) stamps
-        grants so releases can feed the ``lock.hold_time`` histogram.
-        The counts and levels are read by a collector (:meth:`_collect`);
-        only the two histograms are pushed.
+        grants and blocks so releases and wake-ups can feed the
+        ``lock.hold_time`` / ``lock.wait_time`` histograms, which only a
+        table with a clock binds.  The counts and levels are read by a
+        collector (:meth:`_collect`); only the two histograms are pushed.
         """
         if clock is not None:
             self._clock = clock
-        self._hold_hist = registry.histogram("lock.hold_time", self.HOLD_TIME_BUCKETS)
-        self._wait_hist = registry.histogram("lock.wait_time", self.HOLD_TIME_BUCKETS)
+        if self._clock is not None:
+            self._hold_hist = registry.histogram("lock.hold_time", self.HOLD_TIME_BUCKETS)
+            self._wait_hist = registry.histogram("lock.wait_time", self.HOLD_TIME_BUCKETS)
         registry.add_collector(self._collect, self._restart_peaks)
 
     def _collect(self) -> dict:
@@ -391,10 +387,11 @@ class LockTable:
         self._dirty_targets.add(target)
         self.total_grants += 1
         self._n_granted += 1
-        # Always stamp the grant time: a lock granted before bind_metrics
-        # must not poison the hold-time histogram with a zero grant clock
-        # once metrics are attached mid-run.
-        lock.grant_clock = self._clock()
+        # Stamp the grant time even before bind_metrics: a lock granted
+        # then must not poison the hold-time histogram with a zero grant
+        # clock once metrics are attached mid-run.
+        if self._clock is not None:
+            lock.grant_clock = self._clock()
         if self._n_granted > self._held_peak:
             self._held_peak = self._n_granted
         if len(self._locks_by_node) > self._owners_peak:
@@ -411,7 +408,8 @@ class LockTable:
         """Queue a blocked request (FCFS position = enqueue order)."""
         self._next_enqueue_seq += 1
         pending = PendingRequest(node, target, invocation, signal, self._next_enqueue_seq)
-        pending.enqueue_clock = self._clock()
+        if self._clock is not None:
+            pending.enqueue_clock = self._clock()
         self._queues[target].append(pending)
         self._pending_by_root[pending.node.root()][pending.enqueue_seq] = pending
         # A fresh request must be re-tested on the next pass even if
@@ -465,30 +463,29 @@ class LockTable:
         invocation: Invocation,
         signal: "Signal",
         blockers: set[TransactionNode],
-        tester: ConflictTester,
-    ) -> tuple[Optional[PendingRequest], set[TransactionNode]]:
-        """Queue a request that :meth:`try_acquire` found blocked.
-
-        Returns ``(pending, blockers)`` with the blocker set registered
-        (reverse index, waits-for hook).  Nothing can have changed since
-        the caller's test here, so *blockers* is taken as is and
-        *tester* goes unused; a table shared between threads re-tests
-        and may answer ``(None, set())`` — granted after all.
-        """
+    ) -> PendingRequest:
+        """Queue a request that :meth:`try_acquire` found blocked, with
+        *blockers* (that call's answer, taken as is: the caller made
+        both calls in one step) registered in the reverse index and
+        reported to the waits-for hook."""
         pending = self.enqueue(node, target, invocation, signal)
         self.set_blockers(pending, blockers)
-        return pending, blockers
-
-    def guard(self, target: Oid) -> ContextManager:
-        """Context manager serialising physical access to *target*'s state."""
-        return _NO_GUARD
+        return pending
 
     def complete_node(
         self, node: TransactionNode, disposition: Disposition, tester: ConflictTester
     ) -> tuple[list[Lock], list[PendingRequest]]:
         """One node completion: note the commit, dispose of the node's
         locks as *disposition* says, re-evaluate the queues.  Returns
-        ``(locks released or moved, requests granted)``."""
+        ``(locks released or moved, requests granted)``.  When
+        :meth:`completion_has_work` says the pass can change nothing,
+        dispose and re-evaluation are skipped and only the pass and the
+        release are counted, as they would have been."""
+        if not self.completion_has_work(node, disposition):
+            self.reeval_passes += 1
+            if disposition is not Disposition.RETAIN:
+                self.total_release_ops += 1
+            return [], []
         return self.dispose(node, disposition), self.reevaluate(tester)
 
     def completion_has_work(self, node: TransactionNode, disposition: Disposition) -> bool:
@@ -497,7 +494,7 @@ class LockTable:
         *disposition* releases or moves locks and *node*'s tree holds
         one here.  Otherwise the pass would grant nothing and only drop
         dirty marks, which matter to a queue alone (and every later
-        queue marks its own target), so the threaded table skips it."""
+        queue marks its own target)."""
         return bool(self._n_pending) or (
             disposition is not Disposition.RETAIN and node.root() in self._locks_by_root
         )

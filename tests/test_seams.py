@@ -37,7 +37,7 @@ from repro.objects.database import Database
 from repro.objects.oid import Oid
 from repro.protocols import CCProtocol, protocols_by_name
 from repro.runtime.scheduler import Scheduler, SchedulerAPI
-from repro.runtime.threaded import ConcurrentLockTable, ThreadedKernel, WallClockScheduler
+from repro.runtime.threaded import ThreadedKernel, WallClockScheduler
 from repro.semantics.invocation import Invocation
 from repro.txn.locks import Disposition, LockTable, LockTableAPI
 from repro.txn.transaction import TransactionNode
@@ -50,21 +50,35 @@ X = Oid("Atom", 1)
 Y = Oid("Atom", 2)
 Z = Oid("Atom", 3)
 
-def served_table(n_stripes: int):
-    """The table a server built with *n_stripes* hands its kernel: the
-    argument is still accepted and changes nothing."""
+def served_kernel(n_stripes: int):
+    """The kernel of a server built with *n_stripes*: the argument is
+    still accepted and changes nothing."""
     from repro.server.core import TransactionServer
 
-    return TransactionServer(n_stripes=n_stripes).tk.locks
+    return TransactionServer(n_stripes=n_stripes).tk
 
 
+#: Every kernel the seam tests build, by the kind of its lock table:
+#: the virtual-time kernel over the indexed and the reference table,
+#: the threaded kernel, and the served threaded kernel.
+KERNELS = {
+    "indexed": lambda: TransactionManager(Database()),
+    "reference": lambda: TransactionManager(Database(), lock_table_cls=ReferenceLockTable),
+    "concurrent": lambda: ThreadedKernel(Database()),
+    "striped-1": lambda: served_kernel(1),
+    "striped-4": lambda: served_kernel(4),
+    "striped-8": lambda: served_kernel(8),
+}
+
+#: The tables alone.  A threaded kernel's table is a plain ``LockTable``
+#: built without a clock.
 TABLES = {
     "indexed": LockTable,
     "reference": ReferenceLockTable,
-    "concurrent": ConcurrentLockTable,
-    "striped-1": lambda: served_table(1),
-    "striped-4": lambda: served_table(4),
-    "striped-8": lambda: served_table(8),
+    "concurrent": lambda: ThreadedKernel(Database()).locks,
+    "striped-1": lambda: served_kernel(1).locks,
+    "striped-4": lambda: served_kernel(4).locks,
+    "striped-8": lambda: served_kernel(8).locks,
 }
 
 
@@ -127,10 +141,8 @@ class Driver:
         blockers = self.table.try_acquire(node, target, node.invocation, rw_tester)
         if blockers:
             signal = self.scheduler.create_signal(node.node_id)
-            pending, blockers = self.table.enqueue_if_blocked(
-                node, target, node.invocation, signal, blockers, rw_tester
-            )
-            assert pending is not None and pending.blockers == blockers
+            pending = self.table.enqueue_if_blocked(node, target, node.invocation, signal, blockers)
+            assert pending.blockers == blockers
             self.pending[node.node_id] = pending
         self.log.append(("acquire", node.node_id, sorted(b.node_id for b in blockers)))
         self.observe()
@@ -352,10 +364,13 @@ def test_tables_agree_through_the_acquire_seam(scenario, kind):
 
 @pytest.mark.parametrize("kind", TABLES)
 def test_guard_is_a_reentrant_context_manager(kind):
-    table = TABLES[kind]()
-    with table.guard(X):
-        with table.guard(X):
-            assert table.locks_on(X) == ()
+    """What guards a kernel's table calls is its scheduler's
+    ``coordination()`` (the table has no guard of its own), and it is
+    reentrant: a conflict test run under it reads the table again."""
+    kernel = KERNELS[kind]()
+    with kernel.scheduler.coordination():
+        with kernel.scheduler.coordination():
+            assert kernel.locks.locks_on(X) == ()
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +407,7 @@ def test_tables_provide_the_lock_table_seam(kind):
 
 
 def test_seam_protocols_name_the_acquire_path():
-    assert {"try_acquire", "enqueue_if_blocked", "guard"} <= set(protocol_members(LockTableAPI))
+    assert {"try_acquire", "enqueue_if_blocked"} <= set(protocol_members(LockTableAPI))
     assert "coordination" in protocol_members(SchedulerAPI)
 
 
@@ -426,7 +441,7 @@ def test_threaded_kernel_is_a_transaction_manager():
     kernel = ThreadedKernel(Database())
     assert not hasattr(kernel, "kernel") and not hasattr(kernel, "runtime")
     assert isinstance(kernel.scheduler, WallClockScheduler)
-    assert isinstance(kernel.locks, ConcurrentLockTable)
+    assert type(kernel.locks) is LockTable
 
 
 def test_nothing_reaches_through_a_kernel_or_runtime_attribute():
@@ -690,9 +705,23 @@ def test_lock_table_has_no_stripes():
         assert "n_stripes" not in inspect.signature(entry).parameters, entry.__name__
     parameters = inspect.signature(LockTable).parameters
     assert "id_offset" not in parameters and "id_stride" not in parameters
-    assert not hasattr(ConcurrentLockTable(), "_stripes")
+    assert not hasattr(ThreadedKernel(Database()).locks, "_stripes")
     removed = ("stripe.ops", "stripe.cross_ops", "stripe.count")
     assert _src_literals(lambda value: value in removed) == []
+
+
+def test_lock_table_has_no_wrapper():
+    """Both runtimes hand the kernel the plain table: the threaded
+    kernel takes its own lock around every table call, so no wrapper
+    table takes it again, and no table offers a guard."""
+    assert type(ThreadedKernel(Database()).locks) is LockTable
+    assert not hasattr(LockTableAPI, "guard") and not hasattr(LockTable, "guard")
+    offenders = [
+        str(path.relative_to(SRC_REPRO))
+        for path in sorted(SRC_REPRO.rglob("*.py"))
+        if "ConcurrentLockTable" in path.read_text()
+    ]
+    assert offenders == []
 
 
 def test_reap_drops_each_transaction_directly():

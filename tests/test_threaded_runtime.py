@@ -10,6 +10,7 @@ stress sweep is marked ``slow`` (run by the nightly workflow).
 
 from __future__ import annotations
 
+import inspect
 import os
 import sys
 import threading
@@ -19,10 +20,10 @@ import types
 import pytest
 
 from repro.cluster.participant import ClusterParticipant
-from repro.core.kernel import CostModel
+from repro.core.kernel import CostModel, TransactionManager
 from repro.core.protocol import SemanticLockingProtocol
 from repro.core.serializability import is_semantically_serializable
-from repro.errors import RuntimeEngineError
+from repro.errors import LockTimeout, RuntimeEngineError
 from repro.objects.database import Database
 from repro.objects.encapsulated import TypeSpec
 from repro.objects.oid import Oid
@@ -40,7 +41,6 @@ from repro.recovery import WriteAheadLog
 from repro.runtime import threaded
 from repro.runtime.scheduler import Pause, Scheduler, Task
 from repro.runtime.threaded import (
-    ConcurrentLockTable,
     ThreadedKernel,
     WallClockScheduler,
     run_threaded_transactions,
@@ -53,7 +53,7 @@ from repro.server.wire import TCPClient, WireServer
 from repro.txn.locks import Disposition, LockTable
 from repro.txn.transaction import TransactionNode
 from repro.util.tracelog import TraceEvent, TraceLog
-from tests.helpers import record_thread_starts, wait_until
+from tests.helpers import ReferenceLockTable, record_thread_starts, wait_until
 
 
 def make_counter_db(n_counters: int = 1):
@@ -79,9 +79,10 @@ def make_counter_db(n_counters: int = 1):
     return db, counters
 
 
-class TestConcurrentLockTable:
+class TestThreadedLockTable:
     def test_empty_table_invariants(self):
-        table = ConcurrentLockTable()
+        table = ThreadedKernel(Database()).locks
+        assert type(table) is LockTable
         table.check_invariants()
         assert table.lock_count == 0
         assert table.pending_count == 0
@@ -99,8 +100,10 @@ class TestConcurrentLockTable:
 
 
 class TestRegistryMirror:
-    """The threaded table reports the same ``lock.*`` figures the plain
-    table keeps, read at snapshot time."""
+    """The threaded kernel's table — a ``LockTable`` built without a
+    clock — reports the same ``lock.*`` figures as a clocked one, read
+    at snapshot time, and no hold/wait-time histogram; under threads
+    the kernel lock keeps every count exact."""
 
     @staticmethod
     def _scenario(table):
@@ -122,10 +125,9 @@ class TestRegistryMirror:
         assert not table.try_acquire(a, x, a.invocation, conflicts_on_x)
         assert not table.try_acquire(c, y, c.invocation, conflicts_on_x)
         blockers = table.try_acquire(b, x, b.invocation, conflicts_on_x)
-        pending, __ = table.enqueue_if_blocked(
-            b, x, b.invocation, Scheduler().create_signal(), blockers, conflicts_on_x
-        )
-        assert pending is not None
+        signal = Scheduler().create_signal()
+        pending = table.enqueue_if_blocked(b, x, b.invocation, signal, blockers)
+        assert pending.blockers == blockers
         assert table.reevaluate(conflicts_on_x) == []  # A still holds x
         table.release_tree(a.root())
         assert table.reevaluate(conflicts_on_x) == [pending]
@@ -134,74 +136,71 @@ class TestRegistryMirror:
         assert table.release_tree(b.root()) == []
 
     def test_counters_and_gauges_match_plain_table(self):
-        plain_obs, concurrent_obs = MetricsRegistry(), MetricsRegistry(thread_safe=True)
-        self._scenario(LockTable(metrics=plain_obs))
-        concurrent = ConcurrentLockTable(metrics=concurrent_obs)
-        self._scenario(concurrent)
-        plain, mirrored = plain_obs.snapshot(), concurrent_obs.snapshot()
-        assert plain.counter("lock.reeval_passes") == 3
-        assert plain.counter("lock.release_ops") == 3  # per operation
+        clocked_obs = MetricsRegistry()
+        self._scenario(LockTable(metrics=clocked_obs, clock=lambda: 0.0))
+        threaded_obs = MetricsRegistry(thread_safe=True)
+        table = ThreadedKernel(Database(), obs=threaded_obs).locks
+        self._scenario(table)
+        clocked, threaded = clocked_obs.snapshot(), threaded_obs.snapshot()
+        assert clocked.counter("lock.reeval_passes") == 3
+        assert clocked.counter("lock.release_ops") == 3  # per operation
         for name in ("lock.reeval_passes", "lock.release_ops", "lock.grants", "lock.blocks"):
-            assert mirrored.counter(name) == plain.counter(name), name
+            assert threaded.counter(name) == clocked.counter(name), name
         for name in ("lock.held", "lock.queue_depth"):
-            assert mirrored.gauges[name] == plain.gauges[name], name
-        assert mirrored.gauges["lock.held"] == {"value": 1, "hwm": 2}  # C's lock on y
-        assert concurrent.lock_count == 1 and concurrent.pending_count == 0
+            assert threaded.gauges[name] == clocked.gauges[name], name
+        assert threaded.gauges["lock.held"] == {"value": 1, "hwm": 2}  # C's lock on y
+        assert table.lock_count == 1 and table.pending_count == 0
+        assert {"lock.hold_time", "lock.wait_time"} <= set(clocked.histograms)
+        assert not {"lock.hold_time", "lock.wait_time"} & set(threaded.histograms)
 
-    def test_no_update_lost_under_threads(self):
-        """Six threads (more than cores, with a shortened switch
-        interval) grant and release at once: every count is exact, the
-        held level returns to zero, and its peak never exceeds the
-        locks that can be held at once."""
-        obs = MetricsRegistry(thread_safe=True)
-        table = ConcurrentLockTable(metrics=obs)
-        n_threads, rounds = 6, 4000
+    def test_no_update_lost_under_threads(self, monkeypatch):
+        """Six client threads (more than cores, with a shortened switch
+        interval) drive a served burst: the table's grant count is
+        exact and the held level returns to zero, because the kernel
+        makes every table call under its lock."""
+        server = burst_server()
+        grants = []
+        original = LockTable.grant
 
-        def never_conflicts(holder, h_inv, requester, r_inv, target):
-            return None
+        def counted(table, *args):
+            grants.append(1)  # list.append is atomic
+            return original(table, *args)
 
-        def worker(k):
-            for i in range(rounds):
-                root = TransactionNode(
-                    f"W{k}.{i}", None, Oid("Database", 0), Invocation("Transaction")
-                )
-                target = Oid("Atom", (k * rounds + i) % 50)
-                node = TransactionNode(f"W{k}.{i}.1", root, target, Invocation("Op"))
-                assert not table.try_acquire(node, target, node.invocation, never_conflicts)
-                table.release_tree(root)
-
+        monkeypatch.setattr(LockTable, "grant", counted)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        server.start()
         try:
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-            assert not any(thread.is_alive() for thread in threads)
+            responses = served_burst(server, clients=6, requests=50)
         finally:
             sys.setswitchinterval(interval)
-        snapshot = obs.snapshot()
-        total = n_threads * rounds
-        assert snapshot.counter("lock.grants") == total
-        assert snapshot.counter("lock.release_ops") == total
-        assert snapshot.gauges["lock.held"]["value"] == 0 == table.lock_count
-        assert 1 <= snapshot.gauges["lock.held"]["hwm"] <= n_threads
+            assert server.shutdown().clean
+        assert sum(response.ok for response in responses) == 300
+        snapshot = server.tk.obs.snapshot()
+        assert snapshot.counter("lock.grants") == len(grants) > 300
+        assert snapshot.gauges["lock.held"]["value"] == 0 == server.tk.locks.lock_count
 
 
 class _CountingLock:
     """A reentrant lock that counts its acquisitions (reentrant ones
-    too), under itself, so the count is exact."""
+    too), in all and per thread, under itself, so the counts are exact."""
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self.acquisitions = 0
+        self._by_thread: dict[int, int] = {}
 
     def acquire(self, *args) -> bool:
         acquired = self._lock.acquire(*args)
         if acquired:
             self.acquisitions += 1
+            me = threading.get_ident()
+            self._by_thread[me] = self._by_thread.get(me, 0) + 1
         return acquired
+
+    def mine(self) -> int:
+        """Acquisitions made so far by the calling thread."""
+        return self._by_thread.get(threading.get_ident(), 0)
 
     def release(self) -> None:
         self._lock.release()
@@ -266,12 +265,51 @@ def crossing(holding: set, name: str, first, second):
     return program
 
 
+#: The ``LockTable`` methods the kernel calls, and the server's drain
+#: check (the protocol's state views add ``locks_on``, from inside a
+#: conflict test).
+KERNEL_TABLE_CALLS = (
+    "try_acquire",
+    "enqueue_if_blocked",
+    "cancel",
+    "complete_node",
+    "reevaluate",
+    "release_tree",
+    "release_subtree",
+    "pending_of_tree",
+    "check_invariants",
+)
+
+
+def checked_table_calls(monkeypatch, kernel):
+    """Patch every public ``LockTable`` method to note, for each call on
+    *kernel*'s table, whether the calling thread holds the kernel lock.
+    Returns ``(calls seen per method, names of calls made without it)``."""
+    lock = kernel.scheduler.coordination().lock
+    seen: dict[str, int] = {}
+    unlocked: list[str] = []
+    for name, member in list(vars(LockTable).items()):
+        if name.startswith("_") or not inspect.isfunction(member):
+            continue
+
+        def checked(table, *args, _original=member, _name=name, **kwargs):
+            if table is kernel.locks:
+                seen[_name] = seen.get(_name, 0) + 1
+                if not lock._is_owned():
+                    unlocked.append(_name)
+            return _original(table, *args, **kwargs)
+
+        monkeypatch.setattr(LockTable, name, checked)
+    return seen, unlocked
+
+
 class TestOneKernelLock:
-    """The threaded lock table is one plain table under the kernel lock,
-    which is the scheduler's coordinator lock: a table operation is one
-    hold of it, and a completion runs ``dispose`` / ``reevaluate`` only
-    when ``completion_has_work`` says they can change something.
-    Counts, not timings."""
+    """The threaded kernel calls its plain ``LockTable`` only under the
+    kernel lock, which is the scheduler's coordinator lock: a node
+    completion takes it once, a blocked lock request is one hold, and a
+    completion runs ``dispose`` / ``reevaluate`` only when
+    ``completion_has_work`` says they can change something.  Counts,
+    not timings."""
 
     @staticmethod
     def _spy(monkeypatch):
@@ -288,16 +326,23 @@ class TestOneKernelLock:
         return calls
 
     def test_kernel_lock_is_the_coordinator_lock(self):
+        """The threaded kernel's table is the plain one and holds no lock
+        of its own; the kernel lock is reentrant, because a conflict test
+        run under it reads the table through the protocol."""
         kernel = ThreadedKernel(Database())
+        assert type(kernel.locks) is LockTable
+        lock_types = (type(threading.Lock()), type(threading.RLock()))
+        assert not [v for v in vars(kernel.locks).values() if isinstance(v, lock_types)]
         lock = kernel.scheduler.coordination().lock
-        assert kernel.locks.guard(Oid("Atom", 1)) is lock
-        assert kernel.locks.guard(Oid("Atom", 2)) is lock
-        assert not hasattr(kernel.locks, "_stripes")
+        with kernel.scheduler.coordination():
+            with kernel.scheduler.coordination():
+                assert lock._is_owned()
+                assert kernel.locks.locks_on(Oid("Atom", 1)) == ()
+        assert not lock._is_owned()
 
-    def test_completion_takes_the_kernel_lock_once(self, monkeypatch):
-        lock = _CountingLock()
-        obs = MetricsRegistry(thread_safe=True)
-        table = ConcurrentLockTable(metrics=obs, lock=lock)
+    def _check_completion_skips(self, monkeypatch, table_cls):
+        obs = MetricsRegistry()
+        table = table_cls(metrics=obs)
         x, y, z = Oid("Atom", 1), Oid("Atom", 2), Oid("Atom", 3)
         roots = {
             name: TransactionNode(
@@ -316,21 +361,17 @@ class TestOneKernelLock:
             blockers = table.try_acquire(node, node.target, node.invocation, other_trees_conflict)
             if not blockers:
                 return None
-            pending, __ = table.enqueue_if_blocked(
-                node, node.target, node.invocation, Scheduler().create_signal(),
-                blockers, other_trees_conflict,
-            )
-            return pending
+            signal = Scheduler().create_signal()
+            return table.enqueue_if_blocked(node, node.target, node.invocation, signal, blockers)
 
         calls = self._spy(monkeypatch)
 
         def complete(node, disposition):
             for name in calls:
                 calls[name] = 0
-            has_work = table._table.completion_has_work(node, disposition)
-            before, counted = lock.acquisitions, obs.snapshot().counters
+            has_work = table.completion_has_work(node, disposition)
+            counted = obs.snapshot().counters
             moved, granted = table.complete_node(node, disposition, other_trees_conflict)
-            assert lock.acquisitions - before == 1
             after = obs.snapshot().counters
             assert after["lock.reeval_passes"] - counted.get("lock.reeval_passes", 0) == 1
             releases = after["lock.release_ops"] - counted.get("lock.release_ops", 0)
@@ -355,36 +396,185 @@ class TestOneKernelLock:
         assert granted == [waiter]
         table.check_invariants()
 
+    def test_completion_takes_the_kernel_lock_once(self, monkeypatch):
+        """Both tables skip a completion that can change nothing, with
+        the counters a full pass would leave; on the threaded kernel
+        every node completion takes the kernel lock exactly once."""
+        for table_cls in (LockTable, ReferenceLockTable):
+            with monkeypatch.context() as patched:
+                self._check_completion_skips(patched, table_cls)
+
+        db, (counter,) = make_counter_db()
+        kernel = ThreadedKernel(db, n_threads=1)
+        lock = _CountingLock()
+        kernel.scheduler._coordinator.lock = lock
+        takes: list[int] = []
+        original = TransactionManager._complete_node
+
+        def counted(manager, node):
+            before = lock.mine()
+            original(manager, node)
+            takes.append(lock.mine() - before)
+
+        monkeypatch.setattr(TransactionManager, "_complete_node", counted)
+
+        async def program(tx):
+            await tx.call(counter, "Add", 1)
+
+        kernel.spawn("A", program)
+        kernel.spawn("B", program)
+        kernel.run()
+        # Each transaction: Get, Put, Add and the root complete.
+        assert takes == [1] * 8
+
+    def test_blocked_acquire_is_one_hold(self, monkeypatch):
+        """A request that blocks enters the kernel lock once for its
+        conflict test, enqueue and deadlock check, and is conflict-tested
+        once before it waits."""
+        db, x, __ = two_atoms()
+        kernel = ThreadedKernel(db, n_threads=2)
+        lock = _CountingLock()
+        kernel.scheduler._coordinator.lock = lock
+        first_tests: list[str] = []
+        compute_blockers = LockTable.compute_blockers
+
+        def counted(table, node, target, invocation, tester, before_seq=None):
+            if before_seq is None:  # not a re-evaluation's re-test
+                first_tests.append(node.node_id)
+            return compute_blockers(table, node, target, invocation, tester, before_seq)
+
+        monkeypatch.setattr(LockTable, "compute_blockers", counted)
+        at_request: dict[str, int] = {}
+        blocked: list[str] = []
+        takes: list[int] = []
+        trace = kernel._trace
+
+        def watched(node, kind, **detail):
+            if kind == "request":
+                at_request[node.node_id] = lock.mine()
+            elif kind == "block":
+                blocked.append(node.node_id)
+            elif kind == "wake":
+                takes.append(lock.mine() - at_request[node.node_id])
+            trace(node, kind, **detail)
+
+        kernel._trace = watched
+        holding: set = set()
+
+        async def holder(tx):
+            await tx.put(x, "H")
+            holding.add("H")
+            give_up = time.monotonic() + 2.0
+            while not blocked and time.monotonic() < give_up:
+                await tx.pause()
+
+        async def waiter(tx):
+            give_up = time.monotonic() + 2.0
+            while not holding and time.monotonic() < give_up:
+                await tx.pause()
+            await tx.put(x, "W")
+
+        kernel.spawn("H", holder)
+        kernel.spawn("W", waiter)
+        kernel.run()
+        assert all(handle.committed for handle in kernel.handles.values())
+        assert len(blocked) == 1 and takes == [1]
+        assert first_tests.count(blocked[0]) == 1
+
+    @pytest.mark.parametrize("scenario", ["deadlock", "lock-timeout", "served-burst"])
+    def test_every_table_call_holds_the_kernel_lock(self, monkeypatch, scenario):
+        """Whatever thread makes it — a driver, a timer's callback, the
+        server's drain — every call on the threaded kernel's table holds
+        the kernel lock: the table needs no lock of its own."""
+        if scenario == "served-burst":
+            server = burst_server()
+            seen, unlocked = checked_table_calls(monkeypatch, server.tk)
+            server.start()
+            try:
+                responses = served_burst(server, requests=100)
+            finally:
+                assert server.shutdown().clean
+            assert sum(response.ok for response in responses) == 200
+        else:
+            db, x, y = two_atoms()
+            budget = 0.1 if scenario == "lock-timeout" else None
+            kernel = ThreadedKernel(db, n_threads=2, lock_timeout=budget)
+            seen, unlocked = checked_table_calls(monkeypatch, kernel)
+            holding: set = set()
+            if scenario == "deadlock":
+                kernel.spawn("A", crossing(holding, "A", x, y))
+                kernel.spawn("B", crossing(holding, "B", y, x))
+            else:
+
+                async def holder(tx):
+                    await tx.put(x, "H")
+                    holding.add("H")
+                    give_up = time.monotonic() + 2.0
+                    while not kernel.handles["W"].aborted and time.monotonic() < give_up:
+                        await tx.pause()
+
+                async def waiter(tx):
+                    give_up = time.monotonic() + 2.0
+                    while not holding and time.monotonic() < give_up:
+                        await tx.pause()
+                    await tx.put(x, "W")
+
+                kernel.spawn("H", holder)
+                kernel.spawn("W", waiter)
+            kernel.run()
+            snapshot = kernel.obs.snapshot()
+            if scenario == "deadlock":
+                assert kernel.metrics.deadlocks >= 1
+            else:
+                assert snapshot.counter("timeout.fired") == 1
+                assert isinstance(kernel.handles["W"].error, LockTimeout)
+        assert unlocked == []
+        assert {"try_acquire", "complete_node"} <= set(seen), seen
+        if scenario != "served-burst":
+            assert {"enqueue_if_blocked", "cancel", "pending_of_tree"} <= set(seen), seen
+
     def test_served_burst_takes_the_kernel_lock_once_per_table_call(self, monkeypatch):
-        """2 x 300 uniform requests: at most two kernel-lock acquisitions
-        per lock-table call (one for the call, one for the coordinated
-        phase around it, if any); eight stripes and the coordinator
-        made about nine per completion."""
+        """2 x 300 uniform requests: every kernel-lock take is a
+        coordinated phase (``coordination()``) or a lock-wait timer's
+        cancel or fire, and besides generic-operation bodies, which call
+        no table method, there is at most one phase per table call."""
         server = burst_server()
         lock = _CountingLock()
-        server.tk.scheduler._coordinator.lock = lock
-        server.tk.locks._lock = lock
-        table_calls = [0]
-        for name in (
-            "try_acquire", "enqueue_if_blocked", "guard", "cancel", "release_lock",
-            "complete_node", "reevaluate", "release_tree", "release_subtree",
-            "locks_on", "queue_on", "pending_of_tree", "locks_held_by_tree",
-        ):
-            original = getattr(ConcurrentLockTable, name)
+        coordinator = server.tk.scheduler._coordinator
+        coordinator.lock = lock
+        counts = {"table": 0, "generic": 0}
 
-            def counted(table, *args, _original=original):
-                table_calls[0] += 1
-                return _original(table, *args)
+        def count(cls, name, key):
+            original = getattr(cls, name)
 
-            monkeypatch.setattr(ConcurrentLockTable, name, counted)
+            def counted(*args, _original=original):
+                counts[key] += 1  # the table and generic calls hold the lock
+                return _original(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        for name in KERNEL_TABLE_CALLS:
+            count(LockTable, name, "table")
+        count(TransactionManager, "_execute_generic", "generic")
+        timers_armed = []
+        call_later = WallClockScheduler.call_later
+
+        def armed(scheduler, delay, callback):
+            timers_armed.append(1)
+            return call_later(scheduler, delay, callback)
+
+        monkeypatch.setattr(WallClockScheduler, "call_later", armed)
+        entries_before = coordinator.epoch
         server.start()
         try:
             responses = served_burst(server)
         finally:
             assert server.shutdown().clean
         assert sum(response.ok for response in responses) == 600
-        assert table_calls[0] > 600
-        assert lock.acquisitions <= 2 * table_calls[0], (lock.acquisitions, table_calls[0])
+        entries = coordinator.epoch - entries_before
+        assert counts["table"] > 600
+        assert entries <= counts["table"] + counts["generic"], (entries, counts)
+        assert lock.acquisitions - entries <= 2 * len(timers_armed), (lock.acquisitions, entries)
 
     def test_waits_graph_is_used_under_the_kernel_lock(self, monkeypatch):
         """Every call the threaded kernel makes on its waits-for graph
