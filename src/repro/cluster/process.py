@@ -47,6 +47,8 @@ class ShardProcess:
         self.config_path = os.path.join(data_dir, "shard-config.json")
         self.proc: Optional[subprocess.Popen] = None
         self.address: Optional[tuple[str, int]] = None
+        #: Set when :meth:`terminate` had to SIGKILL the shard.
+        self.killed_on_timeout = False
 
     def start(self) -> "ShardProcess":
         os.makedirs(self.data_dir, exist_ok=True)
@@ -55,6 +57,7 @@ class ShardProcess:
             os.remove(ready)
         with open(self.config_path, "w", encoding="utf-8") as fh:
             json.dump(self.config, fh, indent=2)
+        self.killed_on_timeout = False
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
         self.proc = subprocess.Popen(
@@ -94,6 +97,8 @@ class ShardProcess:
         return self.proc.wait(timeout=timeout)
 
     def terminate(self, timeout: float = 15.0) -> int:
+        """SIGTERM the shard and wait; SIGKILL it after *timeout* seconds
+        (``killed_on_timeout`` then says so)."""
         assert self.proc is not None
         if self.proc.poll() is None:
             self.proc.send_signal(signal.SIGTERM)
@@ -101,6 +106,7 @@ class ShardProcess:
             return self.proc.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
             self.proc.kill()
+            self.killed_on_timeout = True
             return self.proc.wait()
 
     @property
@@ -200,6 +206,13 @@ class LocalCluster:
         for shard in self.shards:
             if shard.proc is not None and shard.proc.poll() is None:
                 shard.terminate()
+                if shard.killed_on_timeout:
+                    print(
+                        f"cluster: shard {shard.shard_id} (pid {shard.proc.pid}) did not "
+                        "exit within the terminate timeout; SIGKILLed",
+                        file=sys.stderr,
+                        flush=True,
+                    )
         if self.router is not None:
             self.router.close()
         if self.wire is not None:

@@ -253,9 +253,20 @@ def run_shard(config: dict[str, Any]) -> int:
             stop.wait(0.05)
     finally:
         wire.stop()
-        server.shutdown()
+        report_unclean_drain(int(config.get("shard_id", 0)), server.shutdown())
         wal.close()
     return 0
+
+
+def report_unclean_drain(shard_id: int, report) -> None:
+    """Print an unclean :class:`~repro.server.core.DrainReport` to
+    stderr; the exit code stays 0 either way."""
+    if not report.clean:
+        print(
+            f"shard {shard_id}: drain was not clean: {json.dumps(report.to_dict())}",
+            file=sys.stderr,
+            flush=True,
+        )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -382,7 +382,6 @@ class TransactionManager:
             parent=None,
             target=self.db.oid,
             invocation=Invocation(TRANSACTION, (name,)),
-            completion_signal=self.scheduler.create_signal(f"done-{name}"),
         )
         handle = TxnHandle(name=name, root=root)
         self.handles[name] = handle
@@ -393,8 +392,10 @@ class TransactionManager:
         self.scheduler.run()
 
     def history(self) -> History:
-        """The execution so far, read from the transaction trees."""
-        return history_of(handle.root for handle in list(self.handles.values()))
+        """The execution so far, read from the transaction trees under
+        the kernel lock (a threaded kernel's reap unlinks a tree under it)."""
+        with self.scheduler.coordination():
+            return history_of(handle.root for handle in list(self.handles.values()))
 
     def interrupt_transaction(self, name: str, exc: TransactionAborted) -> bool:
         """Abort the named in-flight transaction with *exc* (deadline
@@ -489,7 +490,6 @@ class TransactionManager:
             parent=parent,
             target=target.oid,
             invocation=invocation,
-            completion_signal=self.scheduler.create_signal(),
         )
         node.readonly = self._is_readonly(target, operation)
         node.is_compensation = is_compensation or parent.is_compensation

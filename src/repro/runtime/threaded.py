@@ -128,7 +128,7 @@ class _WallTimer:
             if self.fired:
                 return
             self.cancelled = True
-            timer = self._timer
+            timer, self._timer = self._timer, None
         if timer is not None:
             timer.cancel()
 
@@ -408,6 +408,7 @@ class WallClockScheduler:
                 if handle.cancelled or handle.fired:
                     return
                 handle.fired = True
+                handle._timer = None  # it holds this closure: no cycle
                 try:
                     callback()
                 except BaseException as error:  # noqa: BLE001 - surfaced in run()
@@ -957,17 +958,28 @@ class ThreadedKernel(TransactionManager):
         Removes the scheduler task, the kernel handle with the tree its
         history is read from, and the transaction's undo entries and
         trace events: a served kernel keeps only what its in-flight
-        transactions left.
+        transactions left.  It unlinks the tree (under the kernel lock)
+        and drops its errors' tracebacks, so what the request allocated
+        holds no reference cycle; the handle's ``committed``, ``result``
+        and ``error`` stay readable.
         Returns the reaped task, or None if the task is still running.
         """
         task = self.scheduler.reap(name)
         if task is None:
             return None
-        handle = self.handles.pop(name, None)
-        if handle is not None and handle.root is not None:
-            for node in handle.root.descendants(include_self=True):
-                self.undo.discard(node.node_id)
+        with self.scheduler.coordination():
+            handle = self.handles.pop(name, None)
+            if handle is not None and handle.root is not None:
+                for node in list(handle.root.descendants(include_self=True)):
+                    self.undo.discard(node.node_id)
+                    node.children.clear()
         self.trace.discard(name)
+        for error in (task.exception, handle.error if handle is not None else None):
+            # A traceback holds the frame that holds the handle that
+            # holds the error.
+            while error is not None and error.__traceback__ is not None:
+                error.__traceback__ = None
+                error = error.__cause__ or error.__context__
         return task
 
 

@@ -573,7 +573,7 @@ class LockTable:
             self.reeval_queues_checked += 1
             self._retest_queue(target, queue, tester, granted_now)
         for pending in granted_now:
-            pending.signal.fire(pending)
+            pending.signal.fire()  # no value: the signal must not point back
         return granted_now
 
     def _queue_needs_retest(

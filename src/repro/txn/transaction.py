@@ -5,10 +5,6 @@ children of a node are the operations invoked to implement it (Section 3
 of the paper).  :class:`TransactionNode` is one such action: it knows its
 invocation, its place in the tree, its commit status, and — crucially for
 the Fig. 9 conflict test — its *ancestor chain* in bottom-up order.
-
-Nodes also own a completion signal (provided by the runtime) so blocked
-requesters can await exactly the event the conflict test names: "r may be
-resumed upon completion of h'".
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ from repro.semantics.invocation import Invocation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.objects.base import DatabaseObject
-    from repro.runtime.scheduler import Signal
 
 
 class NodeStatus(enum.Enum):
@@ -41,7 +36,6 @@ class TransactionNode:
         parent: Optional["TransactionNode"],
         target: Oid,
         invocation: Invocation,
-        completion_signal: Optional["Signal"] = None,
     ) -> None:
         self.node_id = node_id
         self.parent = parent
@@ -52,7 +46,6 @@ class TransactionNode:
         self.begin_seq: Optional[int] = None
         self.end_seq: Optional[int] = None
         self.result: Any = None
-        self.completion_signal = completion_signal
         self.readonly = False
         self.is_compensation = False
         # For a compensating action: the node id it compensates (used by
@@ -60,15 +53,17 @@ class TransactionNode:
         self.compensates: Optional[str] = None
         # No node is ever re-parented, so its root and the name of its
         # top-level transaction (the root invocation's argument) are
-        # fixed here, once.
+        # fixed here, once.  A root stores no reference to itself: a
+        # tree is freed by reference counting once its children lists
+        # are cleared (``ThreadedKernel.reap``).
         if parent is not None:
             parent.children.append(self)
             self.depth = parent.depth + 1
-            self._root: TransactionNode = parent._root
+            self._root: Optional[TransactionNode] = parent._root or parent
             self.top_level_name: str = parent.top_level_name
         else:
             self.depth = 0
-            self._root = self
+            self._root = None
             self.top_level_name = str(invocation.arg(0, node_id))
             # Root only: the composition parent of every object the
             # transaction touched and of its ancestors, as of the first
@@ -81,7 +76,7 @@ class TransactionNode:
     # ------------------------------------------------------------------
     def root(self) -> "TransactionNode":
         """The top-level transaction this action belongs to."""
-        return self._root
+        return self._root or self
 
     def ancestors(self, include_self: bool = False) -> Iterator["TransactionNode"]:
         """Ancestor chain in bottom-up order (Fig. 9's traversal order)."""
@@ -122,14 +117,10 @@ class TransactionNode:
     def mark_committed(self, end_seq: int) -> None:
         self.status = NodeStatus.COMMITTED
         self.end_seq = end_seq
-        if self.completion_signal is not None:
-            self.completion_signal.fire(self)
 
     def mark_aborted(self, end_seq: int) -> None:
         self.status = NodeStatus.ABORTED
         self.end_seq = end_seq
-        if self.completion_signal is not None:
-            self.completion_signal.fire(self)
 
     @property
     def label(self) -> str:

@@ -86,27 +86,29 @@ class WaitsForGraph:
         """
         if self._cycle_counter is not None:
             self._cycle_counter.inc()
+        # Iterative, with one sorted-neighbour iterator per path entry: a
+        # recursive closure would leave a function <-> cell reference
+        # cycle behind on every check.
         path: list[str] = [start]
         on_path = {start}
         visited: set[str] = set()
-
-        def dfs(node: str) -> Optional[list[str]]:
-            for neighbour in sorted(self._edges.get(node, ())):
+        frontier = [iter(sorted(self._edges.get(start, ())))]
+        while frontier:
+            for neighbour in frontier[-1]:
                 if neighbour == start:
                     return list(path)
                 if neighbour in on_path or neighbour in visited:
                     continue
                 path.append(neighbour)
                 on_path.add(neighbour)
-                found = dfs(neighbour)
-                if found is not None:
-                    return found
-                on_path.discard(neighbour)
-                path.pop()
-            visited.add(node)
-            return None
-
-        return dfs(start)
+                frontier.append(iter(sorted(self._edges.get(neighbour, ()))))
+                break
+            else:
+                frontier.pop()
+                node = path.pop()
+                on_path.discard(node)
+                visited.add(node)
+        return None
 
     def find_any_cycle(self) -> Optional[list[str]]:
         """Any cycle in the graph (used as a quiescence backstop)."""

@@ -13,11 +13,17 @@ from the decision record.
 
 from __future__ import annotations
 
+import json
 import os
+import signal
+import subprocess
+import sys
 from dataclasses import fields
 
 from repro.cluster.files import WAL_FILENAME
 from repro.cluster.hashring import HashRing
+from repro.cluster.process import LocalCluster, ShardProcess
+from repro.cluster.shard import report_unclean_drain
 from repro.faults.cluster import (
     CRASH_SITES,
     _audit_point,
@@ -28,6 +34,7 @@ from repro.faults.cluster import (
 from repro.faults.torture import CrashOutcome, TortureReport
 from repro.recovery import WriteAheadLog
 from repro.recovery.wal import TxnStatusRecord, UpdateRecord
+from repro.server.core import DrainReport
 from repro.storage.durable import load_wal_file
 
 from tests.helpers import page_store_files
@@ -176,3 +183,45 @@ def test_crash_sites_cover_the_whole_2pc_lifecycle():
         "2pc-compensated",
         "2pc-ack-logged",
     )
+
+
+def test_unclean_shard_drain_is_printed(capsys):
+    """A shard prints an unclean drain's report to stderr (its exit code
+    stays 0), so a cluster's unclean stop names what went wrong."""
+    unclean = DrainReport(leaked_locks=2, unresolved=1)
+    report_unclean_drain(3, unclean)
+    prefix, __, report = capsys.readouterr().err.partition(": drain was not clean: ")
+    assert prefix == "shard 3"
+    assert json.loads(report) == unclean.to_dict()
+    report_unclean_drain(3, DrainReport())
+    assert capsys.readouterr().err == ""
+
+
+def test_stop_reports_a_shard_it_had_to_sigkill(tmp_path, monkeypatch, capsys):
+    """A shard that outlives the terminate timeout is SIGKILLed and
+    named on stderr; one that exits on SIGTERM is not."""
+    cluster = LocalCluster(2, str(tmp_path))
+    for shard_id, handler in enumerate(("signal.SIG_IGN", "signal.SIG_DFL")):
+        shard = ShardProcess(shard_id, str(tmp_path / f"shard-{shard_id}"), {})
+        shard.proc = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                f"import signal, time; signal.signal(signal.SIGTERM, {handler}); "
+                "print(flush=True); time.sleep(60)",
+            ],
+            stdout=subprocess.PIPE,
+        )
+        shard.proc.stdout.readline()  # the handler is in place
+        shard.proc.stdout.close()
+        cluster.shards.append(shard)
+    terminate = ShardProcess.terminate
+    monkeypatch.setattr(ShardProcess, "terminate", lambda shard: terminate(shard, timeout=0.5))
+    cluster.stop()
+    ignored, stopped = cluster.shards
+    assert ignored.killed_on_timeout and ignored.returncode == -signal.SIGKILL
+    assert not stopped.killed_on_timeout and stopped.returncode == -signal.SIGTERM
+    assert capsys.readouterr().err.splitlines() == [
+        f"cluster: shard 0 (pid {ignored.proc.pid}) did not exit within the "
+        "terminate timeout; SIGKILLed"
+    ]

@@ -32,3 +32,15 @@ def test_sort_order(tmp_path, capsys, argv, title, order):
     assert text == capsys.readouterr().out
     assert title in text.splitlines()[0]
     assert order in text
+
+
+def test_served_prints_gc_collections(capsys):
+    """``--served`` prints, under the context switches, the collector's
+    runs per generation per 1 000 requests and the objects it freed per
+    request."""
+    assert profile_l0.main(["--served", "mem_uniform", "--requests", "30", "--top", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("context switches per request")
+    assert lines[-1].startswith("gc collections per 1 000 requests")
+    assert "gen0 " in lines[-1] and "gen2 " in lines[-1]
+    assert "objects collected per request" in lines[-1]

@@ -734,6 +734,19 @@ def test_reap_drops_each_transaction_directly():
     assert not hasattr(history_module, "HistoryRecorder")
 
 
+def test_no_node_owns_a_completion_signal():
+    """A blocked request waits on its own pending request's signal, so
+    a transaction node owns none (it tied each node into a reference
+    cycle with its signal, and nothing awaited it)."""
+    offenders = [
+        str(path.relative_to(SRC_REPRO))
+        for path in sorted(SRC_REPRO.rglob("*.py"))
+        if "completion_signal" in path.read_text()
+    ]
+    assert offenders == []
+    assert "completion_signal" not in inspect.signature(TransactionNode).parameters
+
+
 def _src_literals(match) -> list[str]:
     """Every string literal under ``src/repro`` that *match* accepts."""
     literals = []

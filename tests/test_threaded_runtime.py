@@ -10,6 +10,8 @@ stress sweep is marked ``slow`` (run by the nightly workflow).
 
 from __future__ import annotations
 
+import collections
+import gc
 import inspect
 import os
 import sys
@@ -19,6 +21,7 @@ import types
 
 import pytest
 
+import repro.core.kernel as kernel_module
 from repro.cluster.participant import ClusterParticipant
 from repro.core.kernel import CostModel, TransactionManager
 from repro.core.protocol import SemanticLockingProtocol
@@ -53,7 +56,7 @@ from repro.server.wire import TCPClient, WireServer
 from repro.txn.locks import Disposition, LockTable
 from repro.txn.transaction import TransactionNode
 from repro.util.tracelog import TraceEvent, TraceLog
-from tests.helpers import ReferenceLockTable, record_thread_starts, wait_until
+from tests.helpers import Caller, ReferenceLockTable, record_thread_starts, wait_until
 
 
 def make_counter_db(n_counters: int = 1):
@@ -1331,10 +1334,183 @@ class TestCommutingHolder:
         assert kernel.locks.lock_count == 0
 
 
+def cyclic_garbage(run):
+    """Call *run* with the cyclic collector off, then collect once under
+    ``gc.DEBUG_SAVEALL``: returns what only that collection could free
+    (reference cycles and what they held), and restores the collector."""
+    gc.collect()
+    enabled = gc.isenabled()
+    saved = len(gc.garbage)
+    gc.disable()
+    try:
+        result = run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        found = gc.garbage[saved:]
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[saved:]
+        if enabled:
+            gc.enable()
+    return result, found
+
+
 class TestBoundedRetention:
     """A served kernel keeps only its in-flight transactions' trace
     events and trees (its history): reaping a transaction drops its own.
     Counts, not timings."""
+
+    def test_served_burst_leaves_no_cycle(self):
+        """2 x 300 uniform requests leave nothing only the cyclic
+        collector can free: a reaped tree is unlinked, no node owns a
+        signal that points back at it, and a fired lock-wait timer drops
+        its closure.  (Before, each request left about 35 such objects.)"""
+        server = burst_server()
+        server.start()
+        try:
+            responses, garbage = cyclic_garbage(lambda: served_burst(server))
+        finally:
+            assert server.shutdown().clean
+        assert sum(response.ok for response in responses) == 600
+        assert garbage == [], collections.Counter(type(o).__name__ for o in garbage)
+
+    def test_reap_unlinks_under_the_kernel_lock(self, monkeypatch):
+        """Reap unlinks a tree, and ``history()`` walks the trees, under
+        the kernel lock: a reader running beside a served burst (switch
+        interval 1e-5) sees every finished transaction whole, with the
+        same record count in every snapshot that has it."""
+        server = burst_server()
+        kernel = server.tk
+        lock = kernel.scheduler.coordination().lock
+        unlocked: list[str] = []
+        discards: list[str] = []
+        history_of = kernel_module.history_of
+        discard = kernel.undo.discard
+
+        def checked_history_of(roots):
+            if not lock._is_owned():
+                unlocked.append("history")
+            return history_of(roots)
+
+        def checked_discard(node_id):  # called once per node reap unlinks
+            discards.append(node_id)
+            if not lock._is_owned():
+                unlocked.append("reap")
+            discard(node_id)
+
+        monkeypatch.setattr(kernel_module, "history_of", checked_history_of)
+        monkeypatch.setattr(kernel.undo, "discard", checked_discard)
+        sizes: dict[str, int] = {}
+        torn: list[str] = []
+        errors: list[Exception] = []
+        done = threading.Event()
+
+        def reader():
+            try:
+                while not done.is_set():
+                    records = kernel.history().records
+                    per_txn = collections.Counter(record.txn for record in records)
+                    for record in records:
+                        if record.parent_id is None:  # a finished transaction's root
+                            size = per_txn[record.txn]
+                            if sizes.setdefault(record.txn, size) != size:
+                                torn.append(record.txn)
+            except Exception as exc:  # noqa: BLE001 - asserted by the main thread
+                errors.append(exc)
+
+        watcher = threading.Thread(target=reader)
+        interval = sys.getswitchinterval()
+        server.start()
+        sys.setswitchinterval(1e-5)
+        try:
+            watcher.start()
+            responses = served_burst(server)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+            watcher.join(timeout=10.0)
+            assert server.shutdown().clean
+        assert not watcher.is_alive()
+        assert sum(response.ok for response in responses) == 600
+        assert errors == [] and unlocked == [] and torn == [], (errors, unlocked, torn)
+        assert discards
+
+    def test_aborted_requests_leave_no_cycle(self):
+        """An application-error abort, a deadline interrupt, a lock-wait
+        timeout and a certain deadlock leave no transaction node, handle,
+        invocation or frame for the cyclic collector: reap drops the
+        tracebacks that closed error -> frame -> handle -> error, and
+        the deadlock search keeps no recursive closure.  The error stays
+        readable on the handle after reap."""
+        server = TransactionServer(
+            build_order_entry_database(n_items=4, orders_per_item=4),
+            time_scale=0.002,
+            admission=AdmissionConfig(max_inflight=4, queue_cap=16),
+            default_deadline=10.0,
+        )
+        kernel = server.tk
+        counter = server.built.items[0].impl_component("NextOrderNo").oid
+        have_read: set = set()
+
+        def probe(node, phase):
+            if node.top_level_name == "app-error" and phase == "post":
+                raise ValueError("application error")
+            if node.target != counter or not node.top_level_name.startswith("cross"):
+                return None
+            if phase == "post" and node.invocation.operation == "Get":
+                have_read.add(node.top_level_name)
+            if phase != "pre" or node.invocation.operation != "Put":
+                return None
+
+            async def until_both_have_read():  # the read -> write cycle is certain
+                give_up = time.monotonic() + 2.0
+                while len(have_read) < 2 and time.monotonic() < give_up:
+                    await Pause(0.0)
+
+            return until_both_have_read()
+
+        async def failing(tx):
+            raise ValueError("driven directly")
+
+        def burst():
+            out = {"app-error": server.submit(Request(op="place", item=1), name="app-error")}
+            server.think_cost = 200.0  # 0.4 s of think time, past a 0.05 s deadline
+            out["deadline"] = server.submit(Request(op="place", item=0, deadline=0.05))
+            holder = Caller(server, Request(op="restock", item=2))
+            wait_until(lambda: kernel.locks.lock_count > 0)
+            server.think_cost = 0.0
+            kernel.lock_timeout_fn = lambda node: 0.05
+            out["lock-timeout"] = server.submit(Request(op="stock-check", item=2))
+            out["holder"] = holder.wait(10.0)
+            kernel.lock_timeout_fn = server._lock_wait_budget
+            crossing_places = [
+                Caller(server, Request(op="place", lines=lines, deadline=5.0), name=f"cross-{k}")
+                for k, lines in enumerate((((0, 1), (1, 1)), ((1, 1), (0, 1))))
+            ]
+            for k, caller in enumerate(crossing_places):
+                out[f"cross-{k}"] = caller.wait(5.0)
+            handle = kernel.drive("direct", failing)  # as a 2PC compensation is driven
+            kernel.reap("direct")
+            return out, handle
+
+        kernel.probe = probe
+        server.start()
+        try:
+            (responses, handle), garbage = cyclic_garbage(burst)
+            counters = server.obs.snapshot().counters
+        finally:
+            kernel.probe = None
+            assert server.shutdown().clean
+        assert responses["app-error"].error["type"] == "ValueError", responses["app-error"]
+        assert responses["deadline"].error["code"] == "deadline-exceeded"
+        assert responses["lock-timeout"].error["code"] == "lock-timeout"
+        assert all(responses[name].ok for name in ("holder", "cross-0", "cross-1")), responses
+        assert kernel.metrics.deadlocks >= 1
+        assert counters["server.deadline_interrupts"] >= 1
+        assert repr(handle.error) == "ValueError('driven directly')" and not handle.committed
+        kinds = collections.Counter(type(o).__name__ for o in garbage)
+        for kind in ("TransactionNode", "TxnHandle", "Invocation", "frame"):
+            assert kinds[kind] == 0, kinds
 
     def test_served_kernel_keeps_only_inflight_transactions(self):
         """2 000 requests from 2 clients: the trace never holds more

@@ -17,7 +17,10 @@ so the table is thread CPU time: lock waits, socket waits and fsyncs,
 which dominate a wall-clock profile of a served stack, count as nothing.
 Under the table it prints this process's voluntary and involuntary
 context switches per request over the replay (``resource.getrusage``
-deltas), which is where a lock convoy shows.
+deltas), which is where a lock convoy shows, and the cyclic garbage
+collector's collections per generation per 1 000 requests and objects
+freed per request (``gc.get_stats()`` deltas), which count what a
+request leaves in reference cycles.
 Both modes give each thread its own profiler; Python 3.12 made
 ``cProfile`` one process-wide profiler, so the tool needs Python 3.11 or
 older.
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import io
 import pstats
 import resource
@@ -124,7 +128,9 @@ def profile_served(workload: str, seed: int, n: int) -> tuple[pstats.Stats, str]
                 stack.start()
                 clients = [stack.client() for _ in range(CLIENTS)]
                 before = resource.getrusage(resource.RUSAGE_SELF)
+                gc_before = gc.get_stats()
                 samples = replay(clients, lists)
+                gc_after = gc.get_stats()
                 after = resource.getrusage(resource.RUSAGE_SELF)
             finally:
                 for client in clients:
@@ -141,7 +147,19 @@ def profile_served(workload: str, seed: int, n: int) -> tuple[pstats.Stats, str]
         f"{requests}): voluntary {(after.ru_nvcsw - before.ru_nvcsw) / requests:.2f}, "
         f"involuntary {(after.ru_nivcsw - before.ru_nivcsw) / requests:.2f}\n"
     )
-    return merged(profilers), switches
+    # What a request leaves in reference cycles only the cyclic
+    # collector frees: its collections and the objects it freed.
+    generations = list(enumerate(zip(gc_after, gc_before)))
+    collections = ", ".join(
+        f"gen{g} {(a['collections'] - b['collections']) * 1000 / requests:.1f}"
+        for g, (a, b) in generations
+    )
+    collected = sum(a["collected"] - b["collected"] for __, (a, b) in generations) / requests
+    cycles = (
+        f"gc collections per 1 000 requests (gc.get_stats() over the replay): "
+        f"{collections}; objects collected per request {collected:.2f}\n"
+    )
+    return merged(profilers), switches + cycles
 
 
 def main(argv: list[str] | None = None) -> int:
