@@ -33,6 +33,7 @@ torture harness's instrument.
 from __future__ import annotations
 
 import argparse
+import faulthandler
 import json
 import os
 import signal
@@ -62,6 +63,11 @@ from repro.server.wire import TCPClient, WireServer
 from repro.storage.durable import DurableWriteAheadLog
 
 __all__ = ["CrashSwitch", "run_shard", "main", "WAL_FILENAME"]
+
+#: Seconds after SIGTERM at which a shard still stopping prints every
+#: thread's stack to stderr: before ``ShardProcess.terminate`` SIGKILLs
+#: it (15 s), so a shard that hangs at stop names the frame it hangs in.
+STOP_DUMP_AFTER = 10.0
 
 
 def _write_json_durably(path: str, payload: dict[str, Any]) -> None:
@@ -236,7 +242,12 @@ def run_shard(config: dict[str, Any]) -> int:
     ).start()
 
     stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
+
+    def on_sigterm(signum, frame) -> None:
+        faulthandler.dump_traceback_later(STOP_DUMP_AFTER, file=sys.stderr)
+        stop.set()
+
+    signal.signal(signal.SIGTERM, on_sigterm)
     _write_json_durably(
         os.path.join(data_dir, READY_FILENAME),
         {
@@ -255,6 +266,7 @@ def run_shard(config: dict[str, Any]) -> int:
         wire.stop()
         report_unclean_drain(int(config.get("shard_id", 0)), server.shutdown())
         wal.close()
+        faulthandler.cancel_dump_traceback_later()
     return 0
 
 

@@ -16,7 +16,8 @@ The kernel also owns:
   subtransactions under the protocol; generic leaves are undone
   physically;
 * history recording for the semantic-serializability checker;
-* a structured trace log for the Fig. 8 conformance tests.
+* a structured trace log for the Fig. 8 conformance tests (a served
+  threaded kernel has none: ``trace`` is None there).
 
 Everything runs on a deterministic cooperative
 :class:`~repro.runtime.scheduler.Scheduler`; with a cost model the same
@@ -330,7 +331,7 @@ class TransactionManager:
             wal.bind_metrics(self.obs)
         self.waits = WaitsForGraph(self.obs)
         self.undo = UndoLog()
-        self.trace = TraceLog()
+        self.trace: Optional[TraceLog] = TraceLog()
         self.seq = SequenceCounter()
         self.metrics = KernelMetrics(self.obs)
         self.handles: dict[str, TxnHandle] = {}
@@ -418,7 +419,8 @@ class TransactionManager:
         root = handle.root
         handle.start_clock = self.scheduler.clock
         root.begin_seq = self.seq.tick()
-        self._trace(root, "begin")
+        if self.trace is not None:
+            self._trace(root, "begin")
         self._wal_txn_status(handle.name, "begin")
         ctx = TransactionContext(self, root)
         try:
@@ -817,11 +819,13 @@ class TransactionManager:
             await self._acquire(node, lock_spec)
 
     async def _acquire(self, node: TransactionNode, spec: LockSpec) -> None:
-        self._trace(node, "request", target=spec.target, mode=spec.invocation)
+        if self.trace is not None:
+            self._trace(node, "request", target=spec.target, mode=spec.invocation)
         with self.scheduler.coordination():
             pending, timeout = self._request_locked(node, spec)
         if pending is None:
-            self._trace(node, "grant", target=spec.target, mode=spec.invocation)
+            if self.trace is not None:
+                self._trace(node, "grant", target=spec.target, mode=spec.invocation)
             return
         # Armed outside the hold: a wall-clock timer starts a thread.
         # Its callback finds the request granted, or already cancelled.
@@ -1114,7 +1118,8 @@ class TransactionManager:
     def _complete_node(self, node: TransactionNode) -> None:
         with self.scheduler.coordination():
             node.mark_committed(self.seq.tick())
-            self._trace(node, "commit")
+            if self.trace is not None:
+                self._trace(node, "commit")
             self._wal_subtxn_commit(node)
             if self.faults is not None and not node.is_top_level:
                 # The recovery-critical window: the subtransaction's commit
@@ -1129,7 +1134,7 @@ class TransactionManager:
             else:
                 disposition = self.protocol.completion
             moved, granted = self.locks.complete_node(node, disposition, self._tester)
-            if node.is_top_level:
+            if node.is_top_level and self.trace is not None:
                 self._trace(node, "release", count=len(moved))
             self._after_reevaluation(granted)
 
@@ -1225,7 +1230,12 @@ class TransactionManager:
     # Tracing
     # ------------------------------------------------------------------
     def _trace(self, node: TransactionNode, kind: str, **detail: Any) -> None:
-        self.trace.record(self.seq.value, kind, node.node_id, node.top_level_name, detail)
+        """Record an event, unless this kernel keeps no trace.  Sites on
+        a request's non-blocking path test ``self.trace`` before the
+        call, so a served kernel builds no frame or detail there."""
+        trace = self.trace
+        if trace is not None:
+            trace.record(self.seq.value, kind, node.node_id, node.top_level_name, detail)
 
 
 def run_transactions(

@@ -20,9 +20,9 @@ Two pieces, over the plain indexed :class:`~repro.txn.locks.LockTable`
   answer computes it, and on a served scheduler it is the only kind.
   Coroutine steps (the synchronous code between two awaits) take no
   step-level lock, so steps of different transactions interleave.
-  The scheduler's *coordinator* lock
-  (:meth:`WallClockScheduler.coordination`) is the *kernel lock*: the
-  kernel takes it around every lock-table call — a lock request (the
+  The scheduler's *kernel lock*
+  (:meth:`WallClockScheduler.coordination`, a bare ``threading.RLock``):
+  the kernel takes it around every lock-table call — a lock request (the
   conflict test, then a grant or a queue entry and deadlock
   resolution) is one hold, and so is a node completion — around every
   generic operation's body, which serialises object-state mutation,
@@ -47,7 +47,7 @@ Two pieces, over the plain indexed :class:`~repro.txn.locks.LockTable`
   over at a transaction's end when another driver wants it and the
   current turn is up (:meth:`WallClockScheduler._end_turn`).  Timers
   are wall-clock ``threading.Timer``s whose callbacks run under the
-  coordinator; their handles have the same tri-state lifecycle as
+  kernel lock; their handles have the same tri-state lifecycle as
   virtual-time :class:`~repro.runtime.scheduler.TimerHandle` (armed,
   then fired XOR cancelled).  Worker failures are aggregated: when
   several workers fail in one run, ``run()`` raises
@@ -110,8 +110,8 @@ class _WallTimer:
     :class:`~repro.runtime.scheduler.TimerHandle`.  ``fired`` and
     ``cancelled`` are distinct so callers can tell a timer that ran its
     callback from one they deactivated.
-    The fire/cancel race is arbitrated by *guard* (the scheduler's
-    coordinator lock, which the fire path holds while deciding).
+    The fire/cancel race is arbitrated by *guard* (the kernel lock,
+    which the fire path holds while deciding).
     """
 
     __slots__ = ("cancelled", "fired", "_guard", "_timer")
@@ -140,32 +140,6 @@ class _WallTimer:
         else:
             state = "armed"
         return f"<WallTimer {state}>"
-
-
-class _Coordinator:
-    """Serialises multi-structure kernel phases (commit, abort,
-    deadlock resolution, lock-wait timeouts, lock re-evaluation).
-
-    A reentrant lock plus an epoch counter (``shard.coordinations``,
-    one tick per coordinated phase); used as a context manager.  It is
-    the kernel lock: a :class:`ThreadedKernel` calls its lock table
-    only under it, and the scheduler lock is taken inside it.
-    """
-
-    __slots__ = ("lock", "epoch")
-
-    def __init__(self) -> None:
-        self.lock = threading.RLock()
-        self.epoch = 0
-
-    def __enter__(self) -> "_Coordinator":
-        self.lock.acquire()
-        self.epoch += 1
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.lock.release()
-        return False
 
 
 class _LockedSignal(Signal):
@@ -259,7 +233,8 @@ class WallClockScheduler:
         # whose task is blocked waits on its own condition (task.wake),
         # which only that task's wake-up notifies.
         self._wakeup = threading.Condition(self._sched_lock)
-        self._coordinator = _Coordinator()
+        # The kernel lock (see coordination()).
+        self._kernel_lock = threading.RLock()
         self._step_lock = threading.Lock()  # guards the steps count
         self.tasks: dict[str, Task] = {}
         self._runnable: deque[Task] = deque()
@@ -306,20 +281,21 @@ class WallClockScheduler:
         """Wall-clock seconds since the scheduler was created."""
         return time.monotonic() - self._t0
 
-    def coordination(self) -> _Coordinator:
-        """The kernel-phase coordinator, as a reusable context manager.
+    def coordination(self) -> threading.RLock:
+        """The kernel lock: a bare reentrant lock, whose ``with`` runs in C.
 
-        The kernel wraps its multi-structure phases (commit, abort,
-        re-evaluation, deadlock resolution, timeouts) in
+        The kernel wraps every lock-table call, generic-operation body
+        and multi-structure phase (commit, abort, re-evaluation,
+        deadlock resolution, timeouts) in
         ``with scheduler.coordination():`` so they serialise with each
         other while coroutine stepping continues elsewhere.
         """
-        return self._coordinator
+        return self._kernel_lock
 
     def bind_metrics(self, registry) -> None:
-        """Expose ``thread.*`` instruments and ``shard.coordinations``;
-        see docs/OBSERVABILITY.md.  Steps, spawns and coordinations are
-        counted under locks taken anyway and collected at snapshot."""
+        """Expose ``thread.*`` instruments; see docs/OBSERVABILITY.md.
+        Steps and spawns are counted under locks taken anyway and
+        collected at snapshot."""
         self._stall_counter = registry.counter("thread.stall_checks")
         self._caller_counter = registry.counter("thread.caller_drives")
         self._blocked_gauge = registry.gauge("thread.blocked")
@@ -328,11 +304,7 @@ class WallClockScheduler:
         registry.add_collector(self._collect)
 
     def _collect(self) -> dict:
-        return {
-            "thread.steps": self.steps,
-            "thread.spawned": self.spawned,
-            "shard.coordinations": self._coordinator.epoch,
-        }
+        return {"thread.steps": self.steps, "thread.spawned": self.spawned}
 
     # ------------------------------------------------------------------
     # Kernel-facing surface
@@ -400,11 +372,11 @@ class WallClockScheduler:
                 task.wake.notify()
 
     def call_later(self, delay: float, callback: Callable[[], None]) -> _WallTimer:
-        """Run *callback* under the coordinator after *delay* seconds."""
-        handle = _WallTimer(self._coordinator.lock)
+        """Run *callback* under the kernel lock after *delay* seconds."""
+        handle = _WallTimer(self._kernel_lock)
 
         def fire() -> None:
-            with self._coordinator.lock:
+            with self._kernel_lock:
                 if handle.cancelled or handle.fired:
                     return
                 handle.fired = True
@@ -881,10 +853,11 @@ class ThreadedKernel(TransactionManager):
     The same kernel, constructed over a :class:`WallClockScheduler`
     (``self.scheduler``) and a plain :class:`~repro.txn.locks.LockTable`
     (``self.locks``), which the kernel calls only under the scheduler's
-    coordinator lock, with the metrics registry armed for concurrent
-    access.  What it adds is
-    the serve-mode lifecycle (:meth:`start` / :meth:`stop` /
-    :meth:`reap`).
+    kernel lock, with the metrics registry armed for concurrent access.
+    What it adds is the serve-mode lifecycle (:meth:`start` /
+    :meth:`stop` / :meth:`reap`).  A served kernel keeps no trace
+    (``self.trace`` is None): nothing reads a request's events, so none
+    is recorded; a batch :meth:`run` keeps the full trace.
 
     ``lock_timeout`` and ``lock_timeout_fn`` budgets are in *wall-clock
     seconds* here.
@@ -932,8 +905,10 @@ class ThreadedKernel(TransactionManager):
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Enter serve mode, where callers drive every transaction (see
-        :meth:`WallClockScheduler.start`); pair with :meth:`stop`."""
+        :meth:`WallClockScheduler.start`) and no trace is kept; pair
+        with :meth:`stop`."""
         self.scheduler.start()
+        self.trace = None
 
     def stop(self, timeout: Optional[float] = None) -> list[str]:
         """Stop serving; returns the names of tasks callers were still
@@ -956,12 +931,12 @@ class ThreadedKernel(TransactionManager):
         """Drop every trace of a finished transaction (server hygiene).
 
         Removes the scheduler task, the kernel handle with the tree its
-        history is read from, and the transaction's undo entries and
-        trace events: a served kernel keeps only what its in-flight
-        transactions left.  It unlinks the tree (under the kernel lock)
-        and drops its errors' tracebacks, so what the request allocated
-        holds no reference cycle; the handle's ``committed``, ``result``
-        and ``error`` stay readable.
+        history is read from, and the transaction's undo entries: a
+        served kernel keeps only what its in-flight transactions left,
+        and no trace events at all.  It unlinks the tree (under the
+        kernel lock) and drops its errors' tracebacks, so what the
+        request allocated holds no reference cycle; the handle's
+        ``committed``, ``result`` and ``error`` stay readable.
         Returns the reaped task, or None if the task is still running.
         """
         task = self.scheduler.reap(name)
@@ -973,7 +948,6 @@ class ThreadedKernel(TransactionManager):
                 for node in list(handle.root.descendants(include_self=True)):
                     self.undo.discard(node.node_id)
                     node.children.clear()
-        self.trace.discard(name)
         for error in (task.exception, handle.error if handle is not None else None):
             # A traceback holds the frame that holds the handle that
             # holds the error.

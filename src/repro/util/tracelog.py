@@ -8,14 +8,12 @@ examples pretty-print it.
 The kernel's hot path stores an event's raw fields (:meth:`TraceLog.record`);
 each :class:`TraceEvent` is built when the log is read, rendering the
 immutable ``Oid`` and ``Invocation`` detail values with ``str()`` then.
-Readers see the strings an eager render gave, and a served kernel never
-renders the events it drops unread.
+Readers see the strings an eager render gave.  A served threaded kernel
+keeps no trace log at all: nothing there reads a request's events.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, IO, Iterable, Iterator
@@ -73,37 +71,29 @@ class TraceEvent:
 
 
 class TraceLog:
-    """Kernel events in emission order, filed by top-level transaction.
+    """Kernel events in emission order.
 
-    A served kernel drops a transaction's events (:meth:`discard`) when
-    it reaps it; virtual and batch runs keep everything.  Safe while
-    workers emit, without a lock: ``record`` and ``discard`` are single
-    dict and list operations, which the interpreter performs atomically,
-    and readers iterate a copy of the dict, never the live one.
+    Virtual and batch runs keep every event.  Safe while workers emit,
+    without a lock: ``record`` is one list append, which the interpreter
+    performs atomically, and readers iterate a copy of the list, never
+    the live one.
     """
 
     def __init__(self) -> None:
-        # Per top-level transaction, its events as (emission number, seq,
-        # kind, node, txn, detail) tuples.
-        self._runs: dict[str, list[tuple[int, int, str, str, str, dict[str, Any]]]] = {}
-        self._emitted = itertools.count()
+        # Events as (seq, kind, node, txn, detail) tuples.
+        self._events: list[tuple[int, str, str, str, dict[str, Any]]] = []
 
     def record(self, seq: int, kind: str, node: str, txn: str, detail: dict[str, Any]) -> None:
         """Emit an event from its fields; *detail* must not change after."""
-        self._runs.setdefault(txn, []).append((next(self._emitted), seq, kind, node, txn, detail))
+        self._events.append((seq, kind, node, txn, detail))
 
     def emit(self, event: TraceEvent) -> None:
         self.record(event.seq, event.kind, event.node, event.txn, event.detail)
 
-    def discard(self, txn: str) -> None:
-        """Forget every event of top-level transaction *txn*."""
-        self._runs.pop(txn, None)
-
     def __len__(self) -> int:
-        return sum(map(len, self._runs.copy().values()))
+        return len(self._events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        runs = [list(run) for run in self._runs.copy().values()]
         return (
             TraceEvent(
                 seq,
@@ -112,7 +102,7 @@ class TraceLog:
                 txn,
                 {k: str(v) if isinstance(v, _RENDERED) else v for k, v in detail.items()},
             )
-            for _, seq, kind, node, txn, detail in heapq.merge(*runs)
+            for seq, kind, node, txn, detail in self._events.copy()
         )
 
     def of_kind(self, *kinds: str) -> list[TraceEvent]:

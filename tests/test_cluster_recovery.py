@@ -18,9 +18,11 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import fields
 
-from repro.cluster.files import WAL_FILENAME
+from repro.cluster.files import READY_FILENAME, WAL_FILENAME
 from repro.cluster.hashring import HashRing
 from repro.cluster.process import LocalCluster, ShardProcess
 from repro.cluster.shard import report_unclean_drain
@@ -195,6 +197,62 @@ def test_unclean_shard_drain_is_printed(capsys):
     assert json.loads(report) == unclean.to_dict()
     report_unclean_drain(3, DrainReport())
     assert capsys.readouterr().err == ""
+
+
+def test_sigterm_arms_a_stack_dump_until_the_wal_closes(tmp_path, monkeypatch):
+    """SIGTERM arms a delayed dump of every thread's stack, due before
+    ``ShardProcess.terminate`` would SIGKILL a shard that hangs at stop;
+    the shard cancels it once its WAL has closed, and exits 0."""
+    from repro.cluster import shard as shard_module
+
+    events: list = []
+    handlers: dict = {}
+
+    class FakeFaulthandler:
+        @staticmethod
+        def dump_traceback_later(timeout, file):
+            events.append(("arm", timeout, file))
+
+        @staticmethod
+        def cancel_dump_traceback_later():
+            events.append(("cancel",))
+
+    close = shard_module.DurableWriteAheadLog.close
+
+    def closed(wal):
+        close(wal)
+        events.append(("wal closed",))
+
+    monkeypatch.setattr(shard_module, "faulthandler", FakeFaulthandler)
+    monkeypatch.setattr(shard_module.DurableWriteAheadLog, "close", closed)
+    monkeypatch.setattr(
+        shard_module.signal, "signal", lambda signum, handler: handlers.setdefault(signum, handler)
+    )
+    data_dir = tmp_path / "shard-0"
+    ready = data_dir / READY_FILENAME
+
+    def terminate():
+        give_up = time.monotonic() + 30.0
+        while signal.SIGTERM not in handlers or not ready.exists():
+            assert time.monotonic() < give_up
+            time.sleep(0.01)
+        handlers[signal.SIGTERM](signal.SIGTERM, None)
+
+    sender = threading.Thread(target=terminate)
+    sender.start()
+    try:
+        code = shard_module.run_shard(
+            {"data_dir": str(data_dir), "n_items": 2, "orders_per_item": 2}
+        )
+    finally:
+        sender.join(timeout=30.0)
+    assert code == 0
+    assert events == [
+        ("arm", shard_module.STOP_DUMP_AFTER, sys.stderr),
+        ("wal closed",),
+        ("cancel",),
+    ]
+    assert shard_module.STOP_DUMP_AFTER < ShardProcess.terminate.__defaults__[0]
 
 
 def test_stop_reports_a_shard_it_had_to_sigkill(tmp_path, monkeypatch, capsys):

@@ -17,6 +17,7 @@ store.
 
 from __future__ import annotations
 
+import _thread
 import ast
 import importlib
 import inspect
@@ -724,10 +725,27 @@ def test_lock_table_has_no_wrapper():
     assert offenders == []
 
 
+def test_kernel_lock_is_a_bare_rlock():
+    """The threaded scheduler's ``coordination()`` is the C reentrant
+    lock itself, so ``with`` runs no Python frame, and it counts no
+    entries: no coordinator wrapper or ``shard.coordinations`` is left."""
+    scheduler = WallClockScheduler()
+    assert type(scheduler.coordination()) is _thread.RLock
+    assert scheduler.coordination() is scheduler.coordination()
+    offenders = [
+        str(path.relative_to(SRC_REPRO))
+        for path in sorted(SRC_REPRO.rglob("*.py"))
+        if "_Coordinator" in path.read_text()
+    ]
+    assert offenders == []
+    assert _src_literals(lambda value: value == "shard.coordinations") == []
+
+
 def test_reap_drops_each_transaction_directly():
     """Reaping drops the transaction's own handle (the tree its history
-    is read from) and trace events: no batch of reaped names, and no
-    recorder keeping copies of finished actions for reap to discard."""
+    is read from), and a served kernel keeps no trace: no batch of
+    reaped names, no recorder keeping copies of finished actions for
+    reap to discard, and no trace events to discard."""
     kernel = ThreadedKernel(Database())
     for attr in ("_reap_batch", "_reaped_txns", "recorder"):
         assert not hasattr(kernel, attr), attr

@@ -226,4 +226,5 @@ class TestRuntimeMetrics:
         kernel.run()
         snap = registry.snapshot()
         assert snap.counter("thread.steps") == kernel.scheduler.steps > 0
-        assert snap.counter("shard.coordinations") > 0
+        assert snap.counter("thread.spawned") == 8
+        assert "shard.coordinations" not in snap.counters

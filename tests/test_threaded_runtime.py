@@ -215,15 +215,17 @@ class _CountingLock:
         self.release()
 
 
-def served_burst(server, clients: int = 2, requests: int = 300) -> list:
+def served_burst(server, clients: int = 2, requests: int = 300, disjoint: bool = False) -> list:
     """*clients* threads each submit *requests* uniform order-entry
-    requests to a started server over 64 items; returns the responses."""
+    requests to a started server over 64 items (with *disjoint*, client
+    k only those congruent to k modulo *clients*, so no request can wait
+    for another); returns the responses."""
     ops = ("place", "pay", "ship", "restock", "stock-check", "total-payment")
     responses: list = []
 
     def client(k):
         for i in range(requests):
-            item = (37 * i + 11 * k) % 64
+            item = (clients * 37 * i + k if disjoint else 37 * i + 11 * k) % 64
             request = Request(op=ops[(i + k) % len(ops)], item=item, order_no=1 + i % 8)
             responses.append(server.submit(request))
 
@@ -288,7 +290,7 @@ def checked_table_calls(monkeypatch, kernel):
     """Patch every public ``LockTable`` method to note, for each call on
     *kernel*'s table, whether the calling thread holds the kernel lock.
     Returns ``(calls seen per method, names of calls made without it)``."""
-    lock = kernel.scheduler.coordination().lock
+    lock = kernel.scheduler.coordination()
     seen: dict[str, int] = {}
     unlocked: list[str] = []
     for name, member in list(vars(LockTable).items()):
@@ -308,7 +310,7 @@ def checked_table_calls(monkeypatch, kernel):
 
 class TestOneKernelLock:
     """The threaded kernel calls its plain ``LockTable`` only under the
-    kernel lock, which is the scheduler's coordinator lock: a node
+    kernel lock, which is the scheduler's ``coordination()`` lock: a node
     completion takes it once, a blocked lock request is one hold, and a
     completion runs ``dispose`` / ``reevaluate`` only when
     ``completion_has_work`` says they can change something.  Counts,
@@ -330,13 +332,15 @@ class TestOneKernelLock:
 
     def test_kernel_lock_is_the_coordinator_lock(self):
         """The threaded kernel's table is the plain one and holds no lock
-        of its own; the kernel lock is reentrant, because a conflict test
-        run under it reads the table through the protocol."""
+        of its own; the kernel lock is a bare reentrant lock, reentrant
+        because a conflict test run under it reads the table through the
+        protocol."""
         kernel = ThreadedKernel(Database())
         assert type(kernel.locks) is LockTable
         lock_types = (type(threading.Lock()), type(threading.RLock()))
         assert not [v for v in vars(kernel.locks).values() if isinstance(v, lock_types)]
-        lock = kernel.scheduler.coordination().lock
+        lock = kernel.scheduler.coordination()
+        assert type(lock) is type(threading.RLock())
         with kernel.scheduler.coordination():
             with kernel.scheduler.coordination():
                 assert lock._is_owned()
@@ -410,7 +414,7 @@ class TestOneKernelLock:
         db, (counter,) = make_counter_db()
         kernel = ThreadedKernel(db, n_threads=1)
         lock = _CountingLock()
-        kernel.scheduler._coordinator.lock = lock
+        kernel.scheduler._kernel_lock = lock
         takes: list[int] = []
         original = TransactionManager._complete_node
 
@@ -437,7 +441,7 @@ class TestOneKernelLock:
         db, x, __ = two_atoms()
         kernel = ThreadedKernel(db, n_threads=2)
         lock = _CountingLock()
-        kernel.scheduler._coordinator.lock = lock
+        kernel.scheduler._kernel_lock = lock
         first_tests: list[str] = []
         compute_blockers = LockTable.compute_blockers
 
@@ -543,8 +547,7 @@ class TestOneKernelLock:
         no table method, there is at most one phase per table call."""
         server = burst_server()
         lock = _CountingLock()
-        coordinator = server.tk.scheduler._coordinator
-        coordinator.lock = lock
+        server.tk.scheduler._kernel_lock = lock
         counts = {"table": 0, "generic": 0}
 
         def count(cls, name, key):
@@ -567,17 +570,15 @@ class TestOneKernelLock:
             return call_later(scheduler, delay, callback)
 
         monkeypatch.setattr(WallClockScheduler, "call_later", armed)
-        entries_before = coordinator.epoch
         server.start()
         try:
             responses = served_burst(server)
         finally:
             assert server.shutdown().clean
         assert sum(response.ok for response in responses) == 600
-        entries = coordinator.epoch - entries_before
         assert counts["table"] > 600
-        assert entries <= counts["table"] + counts["generic"], (entries, counts)
-        assert lock.acquisitions - entries <= 2 * len(timers_armed), (lock.acquisitions, entries)
+        bound = counts["table"] + counts["generic"] + 2 * len(timers_armed)
+        assert 0 < lock.acquisitions <= bound, (lock.acquisitions, counts, len(timers_armed))
 
     def test_waits_graph_is_used_under_the_kernel_lock(self, monkeypatch):
         """Every call the threaded kernel makes on its waits-for graph
@@ -587,7 +588,7 @@ class TestOneKernelLock:
 
         db, x, y = two_atoms()
         kernel = ThreadedKernel(db, n_threads=2)
-        lock = kernel.scheduler.coordination().lock
+        lock = kernel.scheduler.coordination()
         seen: dict[str, int] = {}
         unlocked: list[str] = []
         for name in (
@@ -1355,9 +1356,162 @@ def cyclic_garbage(run):
     return result, found
 
 
+def aborting_server() -> TransactionServer:
+    """A server whose probe fails the request named ``app-error`` and
+    makes the two ``cross-*`` places read the first item's order counter
+    before either writes it: a certain deadlock."""
+    server = TransactionServer(
+        build_order_entry_database(n_items=4, orders_per_item=4),
+        time_scale=0.002,
+        admission=AdmissionConfig(max_inflight=4, queue_cap=16),
+        default_deadline=10.0,
+    )
+    counter = server.built.items[0].impl_component("NextOrderNo").oid
+    have_read: set = set()
+
+    def probe(node, phase):
+        if node.top_level_name == "app-error" and phase == "post":
+            raise ValueError("application error")
+        if node.target != counter or not node.top_level_name.startswith("cross"):
+            return None
+        if phase == "post" and node.invocation.operation == "Get":
+            have_read.add(node.top_level_name)
+        if phase != "pre" or node.invocation.operation != "Put":
+            return None
+
+        async def until_both_have_read():  # the read -> write cycle is certain
+            give_up = time.monotonic() + 2.0
+            while len(have_read) < 2 and time.monotonic() < give_up:
+                await Pause(0.0)
+
+        return until_both_have_read()
+
+    server.tk.probe = probe
+    return server
+
+
+def aborting_burst(server):
+    """On a started :func:`aborting_server`: an application-error abort,
+    a deadline interrupt, a blocked request that times out, a certain
+    deadlock, and a transaction driven directly (as a 2PC compensation
+    is) that fails.  Returns the responses by name and the failed
+    handle."""
+    kernel = server.tk
+
+    async def failing(tx):
+        raise ValueError("driven directly")
+
+    out = {"app-error": server.submit(Request(op="place", item=1), name="app-error")}
+    server.think_cost = 200.0  # 0.4 s of think time, past a 0.05 s deadline
+    out["deadline"] = server.submit(Request(op="place", item=0, deadline=0.05))
+    holder = Caller(server, Request(op="restock", item=2))
+    wait_until(lambda: kernel.locks.lock_count > 0)
+    server.think_cost = 0.0
+    kernel.lock_timeout_fn = lambda node: 0.05
+    out["lock-timeout"] = server.submit(Request(op="stock-check", item=2))
+    out["holder"] = holder.wait(10.0)
+    kernel.lock_timeout_fn = server._lock_wait_budget
+    crossing_places = [
+        Caller(server, Request(op="place", lines=lines, deadline=5.0), name=f"cross-{k}")
+        for k, lines in enumerate((((0, 1), (1, 1)), ((1, 1), (0, 1))))
+    ]
+    for k, caller in enumerate(crossing_places):
+        out[f"cross-{k}"] = caller.wait(5.0)
+    handle = kernel.drive("direct", failing)
+    kernel.reap("direct")
+    return out, handle
+
+
+def check_aborting_outcomes(server, responses, counters) -> None:
+    """Each request of :func:`aborting_burst` ended as it was built to."""
+    assert responses["app-error"].error["type"] == "ValueError", responses["app-error"]
+    assert responses["deadline"].error["code"] == "deadline-exceeded"
+    assert responses["lock-timeout"].error["code"] == "lock-timeout"
+    assert all(responses[name].ok for name in ("holder", "cross-0", "cross-1")), responses
+    assert server.tk.metrics.deadlocks >= 1
+    assert counters["server.deadline_interrupts"] >= 1
+
+
+class TestNoServedTrace:
+    """A served kernel records no trace: nothing reads a request's
+    events, so none is written, and the sites on a request's
+    non-blocking path (begin, request, grant, commit, release) do not
+    even call ``_trace``.  A batch run keeps every event.  Counts, not
+    timings."""
+
+    @staticmethod
+    def _count(monkeypatch, cls, name) -> list[int]:
+        calls = [0]
+        original = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    def test_served_burst_makes_no_trace_call(self, monkeypatch):
+        """2 x 300 requests on disjoint items: no ``_trace`` call and no
+        ``TraceLog.record``, and the kernel has no trace to read."""
+        server = burst_server()
+        traced = self._count(monkeypatch, TransactionManager, "_trace")
+        recorded = self._count(monkeypatch, TraceLog, "record")
+        server.start()
+        try:
+            responses = served_burst(server, disjoint=True)
+        finally:
+            assert server.shutdown().clean
+        assert sum(response.ok for response in responses) == 600
+        assert server.tk.metrics.blocks == 0
+        assert traced == [0] and recorded == [0]
+        assert server.tk.trace is None
+
+    def test_blocked_and_aborted_requests_record_nothing(self, monkeypatch):
+        """A block, a lock-wait timeout, a certain deadlock, a deadline
+        interrupt and an application-error abort on a served kernel:
+        their events go nowhere, so ``TraceLog.record`` is never called."""
+        server = aborting_server()
+        recorded = self._count(monkeypatch, TraceLog, "record")
+        server.start()
+        try:
+            responses, __ = aborting_burst(server)
+            counters = server.obs.snapshot().counters
+        finally:
+            server.tk.probe = None
+            assert server.shutdown().clean
+        check_aborting_outcomes(server, responses, counters)
+        assert server.tk.metrics.blocks >= 1
+        assert counters["timeout.fired"] >= 1
+        assert recorded == [0]
+
+    def test_a_batch_run_records_every_kind(self):
+        """A batch run on the threaded kernel keeps its full trace: a
+        certain deadlock records every event kind it passes through,
+        begin to release; starting a kernel (serve mode) drops it."""
+        db, x, y = two_atoms()
+        holding: set = set()
+        kernel = run_threaded_transactions(
+            db,
+            {"A": crossing(holding, "A", x, y), "B": crossing(holding, "B", y, x)},
+            n_threads=2,
+        )
+        assert kernel.metrics.deadlocks >= 1
+        kinds = {event.kind for event in kernel.trace}
+        every = "begin request grant block deadlock abort undo release regrant wake commit"
+        assert set(every.split()) <= kinds, kinds
+        served = ThreadedKernel(Database())
+        assert isinstance(served.trace, TraceLog)
+        served.start()
+        try:
+            assert served.trace is None
+        finally:
+            served.stop()
+
+
 class TestBoundedRetention:
-    """A served kernel keeps only its in-flight transactions' trace
-    events and trees (its history): reaping a transaction drops its own.
+    """A served kernel keeps only its in-flight transactions' trees (its
+    history), and no trace: reaping a transaction drops its own tree.
     Counts, not timings."""
 
     def test_served_burst_leaves_no_cycle(self):
@@ -1381,7 +1535,7 @@ class TestBoundedRetention:
         same record count in every snapshot that has it."""
         server = burst_server()
         kernel = server.tk
-        lock = kernel.scheduler.coordination().lock
+        lock = kernel.scheduler.coordination()
         unlocked: list[str] = []
         discards: list[str] = []
         history_of = kernel_module.history_of
@@ -1442,81 +1596,25 @@ class TestBoundedRetention:
         tracebacks that closed error -> frame -> handle -> error, and
         the deadlock search keeps no recursive closure.  The error stays
         readable on the handle after reap."""
-        server = TransactionServer(
-            build_order_entry_database(n_items=4, orders_per_item=4),
-            time_scale=0.002,
-            admission=AdmissionConfig(max_inflight=4, queue_cap=16),
-            default_deadline=10.0,
-        )
-        kernel = server.tk
-        counter = server.built.items[0].impl_component("NextOrderNo").oid
-        have_read: set = set()
-
-        def probe(node, phase):
-            if node.top_level_name == "app-error" and phase == "post":
-                raise ValueError("application error")
-            if node.target != counter or not node.top_level_name.startswith("cross"):
-                return None
-            if phase == "post" and node.invocation.operation == "Get":
-                have_read.add(node.top_level_name)
-            if phase != "pre" or node.invocation.operation != "Put":
-                return None
-
-            async def until_both_have_read():  # the read -> write cycle is certain
-                give_up = time.monotonic() + 2.0
-                while len(have_read) < 2 and time.monotonic() < give_up:
-                    await Pause(0.0)
-
-            return until_both_have_read()
-
-        async def failing(tx):
-            raise ValueError("driven directly")
-
-        def burst():
-            out = {"app-error": server.submit(Request(op="place", item=1), name="app-error")}
-            server.think_cost = 200.0  # 0.4 s of think time, past a 0.05 s deadline
-            out["deadline"] = server.submit(Request(op="place", item=0, deadline=0.05))
-            holder = Caller(server, Request(op="restock", item=2))
-            wait_until(lambda: kernel.locks.lock_count > 0)
-            server.think_cost = 0.0
-            kernel.lock_timeout_fn = lambda node: 0.05
-            out["lock-timeout"] = server.submit(Request(op="stock-check", item=2))
-            out["holder"] = holder.wait(10.0)
-            kernel.lock_timeout_fn = server._lock_wait_budget
-            crossing_places = [
-                Caller(server, Request(op="place", lines=lines, deadline=5.0), name=f"cross-{k}")
-                for k, lines in enumerate((((0, 1), (1, 1)), ((1, 1), (0, 1))))
-            ]
-            for k, caller in enumerate(crossing_places):
-                out[f"cross-{k}"] = caller.wait(5.0)
-            handle = kernel.drive("direct", failing)  # as a 2PC compensation is driven
-            kernel.reap("direct")
-            return out, handle
-
-        kernel.probe = probe
+        server = aborting_server()
         server.start()
         try:
-            (responses, handle), garbage = cyclic_garbage(burst)
+            (responses, handle), garbage = cyclic_garbage(lambda: aborting_burst(server))
             counters = server.obs.snapshot().counters
         finally:
-            kernel.probe = None
+            server.tk.probe = None
             assert server.shutdown().clean
-        assert responses["app-error"].error["type"] == "ValueError", responses["app-error"]
-        assert responses["deadline"].error["code"] == "deadline-exceeded"
-        assert responses["lock-timeout"].error["code"] == "lock-timeout"
-        assert all(responses[name].ok for name in ("holder", "cross-0", "cross-1")), responses
-        assert kernel.metrics.deadlocks >= 1
-        assert counters["server.deadline_interrupts"] >= 1
+        check_aborting_outcomes(server, responses, counters)
         assert repr(handle.error) == "ValueError('driven directly')" and not handle.committed
         kinds = collections.Counter(type(o).__name__ for o in garbage)
         for kind in ("TransactionNode", "TxnHandle", "Invocation", "frame"):
             assert kinds[kind] == 0, kinds
 
     def test_served_kernel_keeps_only_inflight_transactions(self):
-        """2 000 requests from 2 clients: the trace never holds more
-        transactions than admission lets in, and a quiescent server
-        holds no trace event, no history record and no composition
-        chain."""
+        """2 000 requests from 2 clients: the kernel never holds more
+        transaction handles than admission lets in, and a quiescent
+        server holds no handle, no history record, no composition chain
+        and no trace."""
         max_inflight = 4
         server = TransactionServer(
             build_order_entry_database(n_items=4, orders_per_item=4),
@@ -1535,7 +1633,7 @@ class TestBoundedRetention:
 
         def sampler():
             while not served.is_set():
-                samples.append(len({event.txn for event in server.tk.trace}))
+                samples.append(len(server.tk.handles))
                 time.sleep(0.005)
 
         try:
@@ -1549,26 +1647,25 @@ class TestBoundedRetention:
             served.set()
             watcher.join(timeout=10.0)
             assert not any(thread.is_alive() for thread in clients + [watcher])
-            retained_events = len(server.tk.trace)
+            retained_handles = dict(server.tk.handles)
             retained = server.tk.history()
         finally:
             served.set()
             assert server.shutdown().clean
         assert len(responses) == 2000 and all(r.ok for r in responses)
         assert samples and max(samples) <= max_inflight, max(samples, default=None)
-        assert retained_events == 0
+        assert retained_handles == {}
+        assert server.tk.trace is None
         assert retained.records == []
         assert retained.composition_parent == {}
 
-    def test_discard_while_workers_emit(self):
-        """Four threads emit for transactions of their own while a fifth
-        iterates the log and discards a finished transaction: no event
-        is lost or reordered, exactly the discarded transaction's events
-        go, and iterating never trips over a concurrent emit."""
+    def test_iterate_while_workers_emit(self):
+        """Four threads emit for transactions of their own (as a batch
+        run's workers do) while a fifth iterates the log: no event is
+        lost or reordered, and iterating never trips over a concurrent
+        emit."""
         log = TraceLog()
         txns = {k: [f"T{k}.{j}" for j in range(500)] for k in range(4)}
-        for i in range(500):
-            log.emit(TraceEvent(seq=i, kind="grant", node="n", txn="done"))
         start = threading.Barrier(5)
         errors: list[Exception] = []
 
@@ -1590,8 +1687,6 @@ class TestBoundedRetention:
                             assert seen.get(event.txn, -1) < event.seq, event
                             seen[event.txn] = event.seq
                     rounds += 1
-                    if rounds == 5:
-                        log.discard("done")
             except Exception as exc:  # noqa: BLE001 - asserted by the main thread
                 errors.append(exc)
 
@@ -1679,7 +1774,7 @@ class TestMetricsUpdates:
             scheduler, locks = server.tk.scheduler, server.tk.locks
             assert snapshot.counter("thread.steps") == scheduler.steps
             assert snapshot.counter("thread.spawned") == 20
-            assert snapshot.counter("shard.coordinations") == scheduler.coordination().epoch
+            assert "shard.coordinations" not in snapshot.counters
             assert snapshot.counter("lock.grants") == locks.total_grants
             assert snapshot.counter("admission.admitted") == 20
             assert snapshot.gauges["admission.inflight"] == {"value": 0, "hwm": 1}

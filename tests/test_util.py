@@ -71,15 +71,6 @@ class TestTraceLog:
             log.emit(self.event(seq, "grant", txn=txn))
         assert [(e.txn, e.seq) for e in log] == emitted
 
-    def test_discard(self):
-        log = TraceLog()
-        for seq, txn in enumerate(["A", "B", "A", "B"]):
-            log.emit(self.event(seq, "grant", txn=txn))
-        log.discard("A")
-        log.discard("missing")
-        assert [(e.txn, e.seq) for e in log] == [("B", 1), ("B", 3)]
-        assert len(log) == 2
-
     def test_str(self):
         text = str(self.event(7, "block", target="Atom#3"))
         assert "block" in text and "T1" in text and "Atom#3" in text
