@@ -7,31 +7,46 @@ atomic rather than globally isolated: a branch **commits locally at
 PREPARE time** and releases its locks (exactly the paper's open-nested
 subtransaction rule lifted one level), and a global abort undoes the
 branch by running its registered inverse operations as a compensation
-transaction.  The durable ordering that makes this crash-safe:
+transaction.  Once the branch's own commit record is forced, every
+other force on this side is bookkeeping, so a write branch costs two
+forces and a read branch none.  The durable ordering that makes this
+crash-safe:
 
-1. ``2pc-prepare``: append + fsync a
+1. ``2pc-prepare`` of a write branch: append a
    :class:`~repro.cluster.records.ClusterPrepareRecord` **before** the
-   branch runs — a crash any later leaves durable evidence that the
-   gtid may have effects here, so recovery knows to ask the
-   coordinator.  Then execute the branch as an ordinary admitted
-   request (admission can shed it — the vote is then "no").  A failed
-   branch logs an abort decision durably before replying, so recovery
-   never needs the coordinator for it.
-2. ``2pc-commit``: append + fsync a ``commit``
-   :class:`~repro.cluster.records.ClusterDecisionRecord`.  The branch
-   data is already durable (it committed under the WAL at prepare).
-3. ``2pc-abort``: append + fsync an ``abort`` decision **first**, then
+   branch runs, then execute the branch as an ordinary admitted request
+   (admission can shed it — the vote is then "no").  The record is not
+   forced on its own: the log forces in append order and a force writes
+   the whole buffer, so whichever force first makes a branch effect
+   durable — the branch's commit, a vote-no abort decision, a
+   concurrent transaction's commit — makes the prepare record durable
+   with it.  No branch effect is ever durable without the evidence that
+   the gtid may own it.  A failed branch logs an abort decision durably
+   before replying, so recovery never needs the coordinator for it.
+2. ``2pc-prepare`` of a read branch (an op in
+   :data:`~repro.server.requests.READ_OPS`): the presumed-abort
+   read-only vote.  No prepare record; the branch runs as an ordinary
+   read, which forces nothing, and the reply carries ``"read_only":
+   true``, so the router leaves this shard out of phase 2.  A failed
+   read is a plain vote-no and logs nothing: it has nothing to
+   compensate.
+3. ``2pc-commit``: append a ``commit``
+   :class:`~repro.cluster.records.ClusterDecisionRecord` and then a
+   :class:`~repro.cluster.records.ClusterAckRecord` carrying the
+   coordinator's per-shard decision sequence number, and force both at
+   once.  The branch data is already durable (it committed under the
+   WAL at prepare).
+4. ``2pc-abort``: append + force an ``abort`` decision **first**, then
    compensate.  If the crash lands mid-compensation, the compensation
    transaction is a WAL loser — recovery physically undoes its partial
-   effects and re-runs it from the decision record.
-4. once the decision is fully applied (decision record fsynced; for
-   aborts, the compensation committed), append + fsync a
-   :class:`~repro.cluster.records.ClusterAckRecord` carrying the
-   coordinator's per-shard decision sequence number, and piggyback the
-   contiguous ack high-water mark (:class:`AckBook`) on the reply.  The
-   ack is what licenses the coordinator to truncate the decision from
-   its own log, so it must be durable *here* first — after truncation,
-   this WAL is the only place the decision exists.
+   effects and re-runs it from the decision record.  Once the
+   compensation committed, append + force the ack record.
+
+The ack is what licenses the coordinator to truncate the decision from
+its own log, so the seq joins the contiguous ack high-water mark
+(:class:`AckBook`) piggybacked on replies only after the force that
+holds both records returns — after truncation, this WAL is the only
+place the decision exists.
 
 In-doubt resolution (:func:`resolve_in_doubt`) runs at shard boot,
 after ordinary recovery, and settles both halves of the crash window:
@@ -57,7 +72,7 @@ from repro.errors import CompensationError, TransactionAborted, error_to_payload
 from repro.recovery.addresses import resolve_address
 from repro.recovery.wal import SubtxnCommitRecord, WriteAheadLog
 from repro.server.core import TransactionServer
-from repro.server.requests import Request
+from repro.server.requests import READ_OPS, Request
 
 __all__ = [
     "AckBook",
@@ -151,6 +166,7 @@ class ClusterParticipant:
         self._m_prepares = obs.counter("2pc.prepares")
         self._m_branch_commits = obs.counter("2pc.branch_commits")
         self._m_branch_failed = obs.counter("2pc.branch_failed")
+        self._m_read_only = obs.counter("2pc.read_only")
         self._m_commits = obs.counter("2pc.decisions_commit")
         self._m_aborts = obs.counter("2pc.decisions_abort")
         self._m_compensations = obs.counter("2pc.compensations")
@@ -178,10 +194,13 @@ class ClusterParticipant:
     def prepare(self, message: dict[str, Any]) -> dict[str, Any]:
         gtid = str(message["gtid"])
         branch_dict = dict(message["branch"])
+        request = Request.from_dict(branch_dict)
         self._m_prepares.inc()
         self._crash("2pc-prepare-received")
-        # Durable intent strictly before any branch effect: from here on
-        # a crash leaves evidence that this gtid may own effects here.
+        if request.op in READ_OPS:
+            return self._prepare_read_only(gtid, request)
+        # Intent strictly before any branch effect, in append order: any
+        # force that makes an effect durable makes this record durable.
         self.wal.append(
             ClusterPrepareRecord(
                 lsn=self.wal.next_lsn(),
@@ -191,9 +210,7 @@ class ClusterParticipant:
                 branch=branch_dict,
             )
         )
-        self.wal.sync()
         self._crash("2pc-prepare-logged")
-        request = Request.from_dict(branch_dict)
         response = self.server.submit(request, name=f"2pc-{gtid}")
         if response.ok:
             with self._lock:
@@ -210,15 +227,25 @@ class ClusterParticipant:
         self._log_decision(gtid, "abort")
         return response.to_dict()
 
+    def _prepare_read_only(self, gtid: str, request: Request) -> dict[str, Any]:
+        """The read-only vote: no record, no force, no phase 2."""
+        self._m_read_only.inc()
+        response = self.server.submit(request, name=f"2pc-{gtid}")
+        out = response.to_dict()
+        if response.ok:
+            out["status"] = "prepared"
+        out["read_only"] = True
+        return out
+
     def commit(self, message: dict[str, Any]) -> dict[str, Any]:
         gtid = str(message["gtid"])
         self._crash("2pc-commit-received")
-        self._log_decision(gtid, "commit")
+        # The branch data committed durably at prepare, so the decision
+        # is fully applied the moment it is durable: its ack shares the
+        # decision's force.
+        self._log_decision(gtid, "commit", message.get("seq"))
         self._crash("2pc-decision-logged")
         self._m_commits.inc()
-        # The branch data committed durably at prepare and the decision
-        # record is fsynced: the commit is fully applied here, so ack.
-        self._log_ack(gtid, message.get("seq"))
         self._crash("2pc-ack-logged")
         return self._decision_reply(gtid, "committed")
 
@@ -262,7 +289,11 @@ class ClusterParticipant:
                 out["ack_hwm"] = self.acks.hwm
         return out
 
-    def _log_decision(self, gtid: str, decision: str) -> None:
+    def _log_decision(self, gtid: str, decision: str, seq: Any = None) -> None:
+        """Durably log *gtid*'s decision, and with it the ack of *seq*
+        when one is given, in one force.  The seq joins the ack book and
+        the gtid counts as durably decided only once that force returns,
+        so no reply's ``ack_hwm`` covers a decision not yet durable."""
         with self._lock:
             if gtid in self._decided:
                 return
@@ -275,12 +306,17 @@ class ClusterParticipant:
                 decision=decision,
             )
         )
+        if seq is not None:
+            self._append_ack(gtid, seq)
         self.wal.sync()
         with self._lock:
             self._durably_decided.add(gtid)
+            acked = seq is not None and self.acks.record(int(seq))
+        if acked:
+            self._m_acks.inc()
 
     def _log_ack(self, gtid: str, seq: Any) -> None:
-        """Durably ack an applied decision by its coordinator seq.
+        """Durably ack an applied abort by its coordinator seq.
 
         Guarded on the decision being durable *from this thread's view*:
         a duplicate decision send races `_log_decision`'s idempotency
@@ -299,6 +335,11 @@ class ClusterParticipant:
             # torn ack record merely re-announces less at the next boot.
             if not self.acks.record(int(seq)):
                 return
+        self._append_ack(gtid, seq)
+        self.wal.sync()
+        self._m_acks.inc()
+
+    def _append_ack(self, gtid: str, seq: Any) -> None:
         self.wal.append(
             ClusterAckRecord(
                 lsn=self.wal.next_lsn(),
@@ -307,8 +348,6 @@ class ClusterParticipant:
                 shard_seq=int(seq),
             )
         )
-        self.wal.sync()
-        self._m_acks.inc()
 
     def _compensate(self, gtid: str) -> None:
         """Undo a locally-committed branch by running its inverses.

@@ -5,18 +5,21 @@ records (:mod:`repro.recovery.wal`), so a shard's vote and the outcome
 it learned survive a SIGKILL together with the branch's data records:
 
 * :class:`ClusterPrepareRecord` — the shard's durable *intent* to run a
-  cross-shard branch, written (and fsynced) **before** the branch
-  executes.  A prepare record with no matching decision record marks the
-  global transaction *in doubt*; on restart the shard resolves it by
-  asking the coordinator (presumed abort: an unknown gtid means abort).
+  cross-shard write branch, appended **before** the branch executes
+  and forced by the first force that makes any branch effect durable
+  (the log forces in append order).  A read branch writes none.  A
+  prepare record with no matching decision record marks the global
+  transaction *in doubt*; on restart the shard resolves it by asking
+  the coordinator (presumed abort: an unknown gtid means abort).
 * :class:`ClusterDecisionRecord` — the durably learned global outcome
   (``commit`` or ``abort``); once present the gtid is never in doubt
   again.
 * :class:`ClusterAckRecord` — the shard's durable acknowledgement that
-  a decision is *fully applied* here (decision record fsynced, and for
-  aborts the compensation committed).  The record carries the
-  coordinator's per-shard decision sequence number; at boot the shard
-  folds every ack record into its contiguous ack high-water mark
+  a decision is *fully applied* here (decision record fsynced — on
+  commit, in the same force as this record — and for aborts the
+  compensation committed).  The record carries the coordinator's
+  per-shard decision sequence number; at boot the shard folds every ack
+  record into its contiguous ack high-water mark
   (:class:`~repro.cluster.participant.AckBook`) and re-announces it to
   the coordinator, which may then truncate fully-acked decisions from
   its own log.

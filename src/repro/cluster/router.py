@@ -13,18 +13,20 @@ touch several shards — multi-line ``place``, multi-item
    semantic atomicity — locks are not held across the global decision)
    and replies ``prepared``.  The branches are independent precisely
    because they compensate instead of holding each other's locks, so
-   nothing orders them during the prepare phase.  The first failed vote
-   (or dead shard) triggers an **early durable abort** — the decision is
-   fsynced while slower prepares are still in flight, and branches whose
-   prepare has not been sent yet are skipped entirely (presumed abort
-   covers a shard that never heard of the gtid);
+   nothing orders them during the prepare phase.  A branch whose reply
+   says ``read_only`` wrote nothing and leaves the protocol with its
+   vote: it is not named in the decision and gets no decision send.  The
+   first failed vote (or dead shard) triggers an **early durable abort**
+   — the decision is fsynced while slower prepares are still in flight,
+   and branches whose prepare has not been sent yet are skipped entirely
+   (presumed abort covers a shard that never heard of the gtid);
 3. if **all** branches prepared: fsync ``commit`` into the
    :class:`CoordinatorLog`, then fan best-effort ``2pc-commit`` out to
-   the branches concurrently and merge their results;
+   the writing branches concurrently and merge the results;
 4. otherwise: fsync ``abort`` (if the early abort didn't already) and
-   fan ``2pc-abort`` out to every *contacted* shard (prepared branches
-   compensate), surfacing one response — a shed at any shard sheds the
-   whole request with a single ``retry_after``.
+   fan ``2pc-abort`` out to every *contacted* writing shard (prepared
+   branches compensate), surfacing one response — a shed at any shard
+   sheds the whole request with a single ``retry_after``.
 
 The coordinator log is the cluster's decision truth: a restarting shard
 resolves an in-doubt gtid by asking ``2pc-status`` here.  Unknown gtids
@@ -584,9 +586,11 @@ class ClusterRouter:
             votes, contacted, down = self._prepare_sequential(gtid, branches)
         prepared = [s for s, v in votes.items() if v.status == "prepared"]
         if not down and len(prepared) == len(branches):
-            seqs = self.log.decide(gtid, "commit", branches)
+            # Read-only voters left phase 2 with their vote: the decision
+            # names, and is sent to, the writing branches only.
+            seqs = self.log.decide(gtid, "commit", contacted)
             self._m_committed.inc()
-            acked = self._fan_out_decision(gtid, "2pc-commit", sorted(branches), seqs)
+            acked = self._fan_out_decision(gtid, "2pc-commit", sorted(contacted), seqs)
             self._record_acks(gtid, acked)
             return self._merge_commit(request, branches, votes)
         # Idempotent when the parallel path already decided early; the
@@ -619,6 +623,8 @@ class ClusterRouter:
                 break
             vote = Response.from_dict(payload)
             votes[shard] = vote
+            if payload.get("read_only"):
+                contacted.discard(shard)
             if vote.status != "prepared":
                 break
         return votes, contacted, down
@@ -636,28 +642,31 @@ class ClusterRouter:
         check-and-mark of ``contacted`` and the set-and-snapshot of the
         abort flag share one lock, so the contacted set is frozen at the
         moment the early abort decides and every shard that will ever
-        see the prepare is covered by the decision's shard list.
+        see the prepare is covered by the decision's shard list.  A
+        read-only voter leaves ``contacted`` (and so phase 2) with its
+        vote, unless an early abort already froze it into the decision.
         """
         assert self._fanout is not None
-        state = threading.Lock()
-        abort_now = threading.Event()
+        state = threading.Lock()  # guards the four below
+        aborted = False
         votes: dict[int, Response] = {}
         contacted: set[int] = set()
         down: list[int] = []
         self._m_fanout_waves.inc()
 
         def early_abort() -> None:
+            nonlocal aborted
             with state:
-                if abort_now.is_set():
+                if aborted:
                     return
-                abort_now.set()
+                aborted = True
                 shards = set(contacted)
             self.log.decide(gtid, "abort", shards)
             self._m_fanout_early.inc()
 
         def prepare_one(shard: int, sub: Request) -> None:
             with state:
-                if abort_now.is_set():
+                if aborted:
                     self._m_fanout_skipped.inc()
                     return
                 contacted.add(shard)
@@ -672,6 +681,8 @@ class ClusterRouter:
             vote = Response.from_dict(payload)
             with state:
                 votes[shard] = vote
+                if payload.get("read_only") and not aborted:
+                    contacted.discard(shard)
             if vote.status != "prepared":
                 early_abort()
 

@@ -64,9 +64,10 @@ from repro.storage.durable import DurableWriteAheadLog
 
 __all__ = ["CrashSwitch", "run_shard", "main", "WAL_FILENAME"]
 
-#: Seconds after SIGTERM at which a shard still stopping prints every
-#: thread's stack to stderr: before ``ShardProcess.terminate`` SIGKILLs
-#: it (15 s), so a shard that hangs at stop names the frame it hangs in.
+#: Seconds after its serving loop ends at which a shard still stopping
+#: prints every thread's stack to stderr: before ``ShardProcess.terminate``
+#: SIGKILLs it (15 s after SIGTERM), so a shard that hangs at stop names
+#: the frame it hangs in.
 STOP_DUMP_AFTER = 10.0
 
 
@@ -241,11 +242,14 @@ def run_shard(config: dict[str, Any]) -> int:
         extra_ops=participant.wire_ops(),
     ).start()
 
-    stop = threading.Event()
+    # A signal handler runs on the main thread between two bytecodes,
+    # possibly while that thread holds a lock — the one inside an
+    # Event.wait, say — so it takes none: it appends to a list, and the
+    # loop below polls the list between plain sleeps.
+    stop: list[int] = []
 
     def on_sigterm(signum, frame) -> None:
-        faulthandler.dump_traceback_later(STOP_DUMP_AFTER, file=sys.stderr)
-        stop.set()
+        stop.append(signum)
 
     signal.signal(signal.SIGTERM, on_sigterm)
     _write_json_durably(
@@ -259,9 +263,10 @@ def run_shard(config: dict[str, Any]) -> int:
         },
     )
     try:
-        while not stop.is_set():
+        while not stop:
             wal.flush_if_due()
-            stop.wait(0.05)
+            time.sleep(0.05)
+        faulthandler.dump_traceback_later(STOP_DUMP_AFTER, file=sys.stderr)
     finally:
         wire.stop()
         report_unclean_drain(int(config.get("shard_id", 0)), server.shutdown())

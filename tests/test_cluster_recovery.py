@@ -255,6 +255,86 @@ def test_sigterm_arms_a_stack_dump_until_the_wal_closes(tmp_path, monkeypatch):
     assert shard_module.STOP_DUMP_AFTER < ShardProcess.terminate.__defaults__[0]
 
 
+class _ModuleProxy:
+    """Stands in for a module in one other module's namespace: the named
+    attributes are replaced, every other one is the real module's."""
+
+    def __init__(self, module, **replaced) -> None:
+        self._module = module
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
+def test_sigterm_handler_takes_no_lock_the_stop_loop_holds(tmp_path, monkeypatch):
+    """A signal handler runs on the main thread between two bytecodes,
+    so it can run while that thread is inside the serving loop's wait and
+    holds whatever lock the wait holds.  The handler is delivered exactly
+    there — inside ``Event.wait`` with the event's lock held, or inside
+    ``time.sleep`` — and must return; a watchdog turns the self-deadlock
+    (``Event.set`` waiting on its own thread's lock) into a failure."""
+    from repro.cluster import shard as shard_module
+
+    handlers: dict = {}
+    delivered: list = []
+    held: list = []
+
+    def deliver(lock) -> None:
+        if signal.SIGTERM not in handlers or delivered:
+            return
+        delivered.append(lock)
+        if lock is not None:
+            lock.acquire()
+            held.append(lock)
+        handlers[signal.SIGTERM](signal.SIGTERM, None)
+        if held:
+            held.pop().release()
+
+    class HeldEvent(threading.Event):
+        def wait(self, timeout=None):
+            deliver(self._cond)
+            return super().wait(timeout)
+
+    def sleep(seconds) -> None:
+        deliver(None)
+        time.sleep(seconds)
+
+    class FakeFaulthandler:
+        @staticmethod
+        def dump_traceback_later(timeout, file):
+            pass
+
+        @staticmethod
+        def cancel_dump_traceback_later():
+            pass
+
+    monkeypatch.setattr(shard_module, "faulthandler", FakeFaulthandler)
+    monkeypatch.setattr(shard_module, "threading", _ModuleProxy(threading, Event=HeldEvent))
+    monkeypatch.setattr(shard_module, "time", _ModuleProxy(time, sleep=sleep))
+    monkeypatch.setattr(
+        shard_module.signal, "signal", lambda signum, handler: handlers.setdefault(signum, handler)
+    )
+    codes: list = []
+    shard = threading.Thread(
+        target=lambda: codes.append(
+            shard_module.run_shard(
+                {"data_dir": str(tmp_path / "shard-0"), "n_items": 2, "orders_per_item": 2}
+            )
+        ),
+        daemon=True,
+    )
+    shard.start()
+    shard.join(timeout=10.0)
+    wedged = shard.is_alive()
+    if wedged and held:
+        held.pop().release()  # let the shard finish, then fail
+        shard.join(timeout=10.0)
+    assert delivered, "the serving loop never waited after installing its handler"
+    assert not wedged, "the SIGTERM handler blocked on a lock its own thread held"
+    assert codes == [0]
+
+
 def test_stop_reports_a_shard_it_had_to_sigkill(tmp_path, monkeypatch, capsys):
     """A shard that outlives the terminate timeout is SIGKILLed and
     named on stderr; one that exits on SIGTERM is not."""

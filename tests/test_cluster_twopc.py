@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import Counter
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.orderentry.schema import build_order_entry_database
 from repro.recovery import WriteAheadLog
 from repro.server.core import TransactionServer
 from repro.server.requests import Request
+from repro.storage.durable import DurableWriteAheadLog
 
 from tests.helpers import page_store_files, record_thread_starts
 
@@ -173,6 +175,131 @@ class TestInProcessParticipant:
         assert drivers["comp-g1"] == threading.current_thread().name
         assert stock == 1000
         assert [name for name in started if name.startswith(("cc-serve-", "cc-worker-"))] == []
+
+
+class InProcessLink:
+    """A ShardLink that hands each message to a participant in this
+    process, and records which ops it carried."""
+
+    def __init__(self, participant: ClusterParticipant) -> None:
+        self.participant = participant
+        self.ops: list[str] = []
+
+    def request(self, message: dict) -> dict:
+        self.ops.append(message["op"])
+        return self.participant.wire_ops()[message["op"]](message)
+
+    def close(self) -> None:
+        return None
+
+
+@pytest.fixture
+def forcing_cluster(tmp_path, monkeypatch):
+    """A router over two in-process shards, each on its own durable WAL,
+    with every ``os.fsync`` counted by file descriptor."""
+    fsyncs: Counter = Counter()
+    fsync = os.fsync
+
+    def counting_fsync(fd: int) -> None:
+        fsyncs[fd] += 1
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    servers, wals, links = [], [], []
+    for shard in range(2):
+        wal = DurableWriteAheadLog(str(tmp_path / f"shard-{shard}.log"))
+        server = TransactionServer(
+            build_order_entry_database(n_items=8, orders_per_item=2), wal=wal
+        ).start()
+        servers.append(server)
+        wals.append(wal)
+        links.append(InProcessLink(ClusterParticipant(server, wal)))
+    log = CoordinatorLog(str(tmp_path / "coordinator.log"))
+    router = ClusterRouter([("127.0.0.1", 1), ("127.0.0.1", 2)], log)
+    for link in router.links:
+        link.close()
+    router.links = links  # type: ignore[assignment]
+
+    def forces() -> tuple[int, int, int]:
+        """(shard 0, shard 1, coordinator) fsyncs so far."""
+        return fsyncs[wals[0]._fd], fsyncs[wals[1]._fd], fsyncs[log._fh.fileno()]
+
+    yield router, links, forces
+    router.close()
+    log.close()
+    for server, wal in zip(servers, wals):
+        assert server.shutdown().clean
+        wal.close()
+
+
+class TestForceCounts:
+    """Forces per cross-shard commit, as counts: a write branch forces
+    twice (its commit carries the prepare record; decision and ack share
+    one force), a read branch never, and the coordinator once per gtid."""
+
+    def run(self, router, forces, request: Request) -> tuple[int, int, int]:
+        before = forces()
+        response = router.route_request(request)
+        assert response.ok, response.to_dict()
+        return tuple(after - start for after, start in zip(forces(), before))
+
+    def test_cross_shard_write_forces_twice_per_branch(self, forcing_cluster):
+        router, links, forces = forcing_cluster
+        for n in range(3):
+            request = Request(op="place", request_id=f"w{n}", lines=((CROSS[0], 1), (CROSS[1], 1)))
+            assert self.run(router, forces, request) == (2, 2, 1)
+        assert [link.ops.count("2pc-commit") for link in links] == [3, 3]
+
+    def test_cross_shard_read_forces_nothing_on_the_shards(self, forcing_cluster):
+        router, links, forces = forcing_cluster
+        for n in range(3):
+            request = Request(op="total-payment", request_id=f"r{n}", items=CROSS)
+            assert self.run(router, forces, request) == (0, 0, 1)
+        # Read-only voters leave phase 2: no decision is sent to them,
+        # and the decision names no shard, so it is compactable at once.
+        assert [link.ops for link in links] == [["2pc-prepare"] * 3] * 2
+        assert router.log.compactable == 3
+
+    def test_no_ack_hwm_before_the_decision_force_returns(self, tmp_path, monkeypatch):
+        """While the force holding a commit decision and its ack is held
+        at a gate, the ack book does not cover the seq and a duplicate
+        decision send's reply carries no ``ack_hwm``; once the force
+        returns, the reply acks seq 1."""
+        wal = DurableWriteAheadLog(str(tmp_path / "shard.log"))
+        server = TransactionServer(
+            build_order_entry_database(n_items=2, orders_per_item=2), wal=wal
+        ).start()
+        participant = ClusterParticipant(server, wal)
+        gate, entered = threading.Event(), threading.Event()
+        fsync = os.fsync
+
+        def gated_fsync(fd: int) -> None:
+            if fd == wal._fd and not gate.is_set():
+                entered.set()
+                assert gate.wait(10.0)
+            fsync(fd)
+
+        try:
+            branch = Request(op="restock", item=0, quantity=5).to_dict()
+            assert participant.prepare({"gtid": "g1", "branch": branch})["status"] == "prepared"
+            monkeypatch.setattr(os, "fsync", gated_fsync)
+            replies: list[dict] = []
+            sender = threading.Thread(
+                target=lambda: replies.append(participant.commit({"gtid": "g1", "seq": 1}))
+            )
+            sender.start()
+            assert entered.wait(10.0)
+            duplicate = participant.commit({"gtid": "g1", "seq": 1})
+            hwm_while_forcing = participant.acks.hwm
+            gate.set()
+            sender.join(10.0)
+        finally:
+            gate.set()
+            assert server.shutdown().clean
+            wal.close()
+        assert "ack_hwm" not in duplicate
+        assert hwm_while_forcing == 0
+        assert replies == [{"status": "ok", "result": "committed", "ack_hwm": 1}]
 
 
 class TestShardLink:

@@ -44,3 +44,21 @@ def test_served_prints_gc_collections(capsys):
     assert lines[-1].startswith("gc collections per 1 000 requests")
     assert "gen0 " in lines[-1] and "gen2 " in lines[-1]
     assert "objects collected per request" in lines[-1]
+
+
+def test_served_cluster_prints_each_shards_cpu_and_fsyncs(capsys):
+    """For a cluster, ``--served`` also prints each shard process's CPU
+    per request and its WAL fsyncs per request, under the gc line: the
+    profile covers the router's process only."""
+    assert profile_l0.main(["--served", "cluster_2pc", "--requests", "30", "--top", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3].startswith("gc collections per 1 000 requests")
+    cpu, syncs = lines[-2], lines[-1]
+    assert cpu.startswith("shard CPU per request (/proc/<pid>/stat utime + stime")
+    assert syncs.startswith("shard WAL fsyncs per request")
+    for line, unit in ((cpu, " ms"), (syncs, "")):
+        readings = line.split(": ", 1)[1].split(", ")
+        assert [r.split(" ")[:2] for r in readings] == [["shard", "0"], ["shard", "1"]]
+        assert all(float(r.split(" ")[2]) >= 0 and r.endswith(unit) for r in readings)
+    # Most cluster_2pc requests write, and a write forces at least once.
+    assert sum(float(r.split(" ")[2]) for r in syncs.split(": ", 1)[1].split(", ")) > 0.3

@@ -11,16 +11,21 @@ top functions by cumulative time as text.
 (``perfbench.stacks.make_stack``), has its clients replay *n* requests
 each (``perfbench.loop.replay``), and profiles every thread this
 process starts — server workers, admission, wire front-end and clients;
-a cluster's shard processes are not profiled.  Each thread gets its own
-``cProfile.Profile(time.thread_time)`` through ``threading.setprofile``,
-so the table is thread CPU time: lock waits, socket waits and fsyncs,
-which dominate a wall-clock profile of a served stack, count as nothing.
+a cluster's shard processes are counted, not profiled.  Each thread
+gets its own ``cProfile.Profile(time.thread_time)`` through
+``threading.setprofile``, so the table is thread CPU time: lock waits,
+socket waits and fsyncs, which dominate a wall-clock profile of a served
+stack, count as nothing.
 Under the table it prints this process's voluntary and involuntary
 context switches per request over the replay (``resource.getrusage``
 deltas), which is where a lock convoy shows, and the cyclic garbage
 collector's collections per generation per 1 000 requests and objects
 freed per request (``gc.get_stats()`` deltas), which count what a
-request leaves in reference cycles.
+request leaves in reference cycles.  For a cluster it then prints each
+shard process's CPU per request (``/proc/<pid>/stat`` utime + stime
+deltas over the replay) and its WAL fsyncs per request (the
+``wal.group_commit.syncs`` delta of the shard's ``stats``), so the share
+of the cluster's cost that the router's table cannot see still shows.
 Both modes give each thread its own profiler; Python 3.12 made
 ``cProfile`` one process-wide profiler, so the tool needs Python 3.11 or
 older.
@@ -51,6 +56,7 @@ import argparse
 import cProfile
 import gc
 import io
+import os
 import pstats
 import resource
 import sys
@@ -113,6 +119,25 @@ def profile_l0(seed: int, n: int) -> pstats.Stats:
     return merged(profilers)
 
 
+def shard_readings(stack) -> list[tuple[float, float]]:
+    """(CPU seconds, WAL fsyncs) of each shard process of a cluster
+    stack; ``[]`` for a stack without shard processes."""
+    from repro.server.wire import TCPClient
+
+    cluster = getattr(stack, "cluster", None)
+    tick = os.sysconf("SC_CLK_TCK")
+    readings = []
+    for shard in cluster.shards if cluster is not None else ():
+        with TCPClient(*shard.address) as tcp:
+            syncs = tcp.stats()["metrics"]["counters"].get("wal.group_commit.syncs", 0)
+        with open(f"/proc/{shard.proc.pid}/stat", encoding="ascii") as fh:
+            # Fields 14 and 15 (utime, stime); the command name in field
+            # 2 may hold spaces, so count from its closing parenthesis.
+            fields = fh.read().rpartition(")")[2].split()
+        readings.append(((int(fields[11]) + int(fields[12])) / tick, syncs))
+    return readings
+
+
 def profile_served(workload: str, seed: int, n: int) -> tuple[pstats.Stats, str]:
     from perfbench.loop import replay
     from perfbench.stacks import make_stack
@@ -127,11 +152,13 @@ def profile_served(workload: str, seed: int, n: int) -> tuple[pstats.Stats, str]
             try:
                 stack.start()
                 clients = [stack.client() for _ in range(CLIENTS)]
+                shards_before = shard_readings(stack)
                 before = resource.getrusage(resource.RUSAGE_SELF)
                 gc_before = gc.get_stats()
                 samples = replay(clients, lists)
                 gc_after = gc.get_stats()
                 after = resource.getrusage(resource.RUSAGE_SELF)
+                shards_after = shard_readings(stack)
             finally:
                 for client in clients:
                     client.close()
@@ -159,7 +186,20 @@ def profile_served(workload: str, seed: int, n: int) -> tuple[pstats.Stats, str]
         f"gc collections per 1 000 requests (gc.get_stats() over the replay): "
         f"{collections}; objects collected per request {collected:.2f}\n"
     )
-    return merged(profilers), switches + cycles
+    footer = switches + cycles
+    if shards_before:
+        # The table covers this process only: say what the shards cost.
+        pairs = list(enumerate(zip(shards_before, shards_after)))
+        cpu = ", ".join(
+            f"shard {i} {(a[0] - b[0]) * 1e3 / requests:.3f} ms" for i, (b, a) in pairs
+        )
+        syncs = ", ".join(f"shard {i} {(a[1] - b[1]) / requests:.3f}" for i, (b, a) in pairs)
+        footer += (
+            f"shard CPU per request (/proc/<pid>/stat utime + stime over the replay): {cpu}\n"
+            f"shard WAL fsyncs per request (wal.group_commit.syncs from each shard's stats): "
+            f"{syncs}\n"
+        )
+    return merged(profilers), footer
 
 
 def main(argv: list[str] | None = None) -> int:
