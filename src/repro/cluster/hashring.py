@@ -26,6 +26,10 @@ __all__ = ["HashRing", "DEFAULT_VNODES"]
 #: Virtual points per shard; 64 keeps the N=4 imbalance well under 2x.
 DEFAULT_VNODES = 64
 
+#: Keys whose shard a ring remembers; later keys are hashed each time,
+#: so arbitrary keys cannot grow the memo.
+MEMO_CAP = 4096
+
 
 def _hash64(data: str) -> int:
     """The first 8 bytes of SHA-256 as an unsigned 64-bit ring position."""
@@ -49,9 +53,17 @@ class HashRing:
         )
         self._positions = [position for position, _ in points]
         self._owners = [shard for _, shard in points]
+        # Hashed label -> shard; the ring is immutable, so never stale.
+        self._memo: dict[str, int] = {}
 
     def shard_for(self, key: object) -> int:
         """The shard owning *key* (any object with a stable ``str``)."""
-        position = _hash64(f"key-{key}")
-        index = bisect.bisect_right(self._positions, position) % len(self._positions)
-        return self._owners[index]
+        label = f"key-{key}"
+        shard = self._memo.get(label)
+        if shard is None:
+            position = _hash64(label)
+            index = bisect.bisect_right(self._positions, position) % len(self._positions)
+            shard = self._owners[index]
+            if len(self._memo) < MEMO_CAP:
+                self._memo[label] = shard
+        return shard

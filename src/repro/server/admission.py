@@ -6,7 +6,9 @@ not the kernel — must be the thing that absorbs overload, and it must
 do so *boundedly*:
 
 * a **concurrency limiter** caps transactions in flight at
-  ``max_inflight`` (the kernel's healthy multiprogramming level);
+  ``max_inflight`` (the kernel's healthy multiprogramming level); an
+  arrival takes a free slot at once when nobody waits, and queues
+  otherwise;
 * **bounded per-class queues** (read / write) cap waiting requests, so
   queue memory and queue delay cannot grow without bound;
 * **deadline-aware shedding**: a request whose estimated queue wait
@@ -30,7 +32,13 @@ from typing import Any, Callable, Optional
 from repro.errors import RequestShed
 from repro.obs.registry import TIMER_BUCKETS, MetricsRegistry
 
-__all__ = ["AdmissionConfig", "AdmissionController"]
+__all__ = ["AdmissionConfig", "AdmissionController", "QUEUED", "TOOK_SLOT"]
+
+#: :meth:`AdmissionController.admit` outcomes other than a shed: the
+#: ticket took a free in-flight slot (its caller runs it now and calls
+#: ``release`` at its end), or it queued for a later ``acquire_next``.
+TOOK_SLOT = "took-slot"
+QUEUED = "queued"
 
 #: Shed reasons counted as *overload pressure* by the degradation
 #: tracker.  ``degraded-writes`` and ``draining`` sheds are consequences
@@ -176,8 +184,8 @@ class AdmissionController:
         # Work ahead of a new arrival: everything queued (both classes
         # drain through the same slots) plus whatever is in flight,
         # spread over max_inflight service slots.
-        ahead = sum(len(q) for q in self._queues.values()) + self._inflight
-        return ahead * self._service_estimate / self.config.max_inflight
+        waiting = len(self._queues["read"]) + len(self._queues["write"])
+        return (waiting + self._inflight) * self._service_estimate / self.config.max_inflight
 
     def _retry_hint_locked(self, klass: str) -> float:
         return max(self.config.min_retry_after, self._estimated_wait_locked(klass))
@@ -205,34 +213,65 @@ class AdmissionController:
     # Admission
     # ------------------------------------------------------------------
     def admit(
-        self, ticket: Any, klass: str, deadline_at: float, degraded: bool = False
-    ) -> Optional[RequestShed]:
-        """Try to enqueue; returns None on success, else the shed error.
+        self,
+        ticket: Any,
+        klass: str,
+        deadline_at: float,
+        degraded: bool = False,
+        before_queue: Optional[Callable[[], None]] = None,
+    ) -> str | RequestShed:
+        """Admit the ticket (``TOOK_SLOT`` or ``QUEUED``) or return the
+        shed error.
 
         Decision order: draining beats everything; in *degraded* mode
         the write class is shed; a full class queue sheds; and a request
         whose estimated wait already overruns its deadline is refused
-        with ``retry_after`` equal to that estimate.
+        with ``retry_after`` equal to that estimate.  A request that
+        passes takes an in-flight slot at once when one is free and both
+        queues are empty (so it passes no waiting ticket); otherwise it
+        queues.  *before_queue*, if given, is called once, outside the
+        lock, before the ticket would first queue, so whatever a
+        dispatcher needs of a queued ticket exists before it can see it;
+        the whole decision is then taken again.
         """
         if klass not in self._queues:
             raise ValueError(f"unknown admission class {klass!r}")
-        with self._lock:
-            if self._closed:
-                return self._shed_locked(klass, "draining")
-            if degraded and klass == "write":
-                return self._shed_locked(klass, "degraded-writes")
-            queue = self._queues[klass]
-            if len(queue) >= self.config.queue_cap:
-                return self._shed_locked(klass, "queue-full")
-            est_wait = self._estimated_wait_locked(klass)
-            now = self._clock()
-            if now + est_wait > deadline_at:
-                return self._shed_locked(klass, "deadline-unmeetable")
-            queue.append((ticket, deadline_at, now))
-            self._admitted += 1
-            if len(queue) > self._depth_peaks[klass]:
-                self._depth_peaks[klass] = len(queue)
-            return None
+        while True:
+            with self._lock:
+                if self._closed:
+                    return self._shed_locked(klass, "draining")
+                if degraded and klass == "write":
+                    return self._shed_locked(klass, "degraded-writes")
+                queue = self._queues[klass]
+                if len(queue) >= self.config.queue_cap:
+                    return self._shed_locked(klass, "queue-full")
+                est_wait = self._estimated_wait_locked(klass)
+                now = self._clock()
+                if now + est_wait > deadline_at:
+                    return self._shed_locked(klass, "deadline-unmeetable")
+                if (
+                    self._inflight < self.config.max_inflight
+                    and not self._queues["read"]
+                    and not self._queues["write"]
+                ):
+                    self._take_slot_locked(0.0)
+                    self._admitted += 1
+                    return TOOK_SLOT
+                if before_queue is None:
+                    queue.append((ticket, deadline_at, now))
+                    self._admitted += 1
+                    if len(queue) > self._depth_peaks[klass]:
+                        self._depth_peaks[klass] = len(queue)
+                    return QUEUED
+            before_queue()
+            before_queue = None
+
+    def _take_slot_locked(self, queue_wait: float) -> None:
+        self._inflight += 1
+        if self._inflight > self._inflight_peak:
+            self._inflight_peak = self._inflight
+        if self._queue_wait_hist is not None:
+            self._queue_wait_hist.observe(queue_wait)
 
     def _shed_locked(self, klass: str, reason: str) -> RequestShed:
         if self._shed_counter is not None:
@@ -278,11 +317,7 @@ class AdmissionController:
                         if counter is not None:
                             counter.inc()
                     continue
-                self._inflight += 1
-                if self._inflight > self._inflight_peak:
-                    self._inflight_peak = self._inflight
-                if self._queue_wait_hist is not None:
-                    self._queue_wait_hist.observe(max(0.0, now - enqueued_at))
+                self._take_slot_locked(max(0.0, now - enqueued_at))
                 ticket = candidate
                 break
         return ticket, expired
@@ -304,17 +339,19 @@ class AdmissionController:
                 return queue.popleft()
         return None
 
-    def release(self, service_time: float) -> None:
-        """Return an in-flight slot; fold the service time into the EWMA."""
+    def release(self, service_time: float) -> bool:
+        """Return an in-flight slot; fold the service time into the EWMA.
+        Returns whether a ticket is queued (the caller then dispatches)."""
         with self._lock:
             if self._inflight <= 0:
-                raise ValueError("release() without a matching acquire_next()")
+                raise ValueError("release() without a matching slot")
             self._inflight -= 1
             if service_time > 0:
                 alpha = self.config.service_alpha
                 self._service_estimate = (
                     1 - alpha
                 ) * self._service_estimate + alpha * service_time
+            return bool(self._queues["read"] or self._queues["write"])
 
     def expired_retry_hint(self, klass: str) -> float:
         """A positive backoff hint for an ``expired-in-queue`` shed."""

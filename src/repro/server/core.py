@@ -50,7 +50,12 @@ from repro.errors import (
 from repro.obs.registry import TIMER_BUCKETS, MetricsRegistry
 from repro.orderentry.schema import OrderEntryDatabase, build_order_entry_database
 from repro.runtime.threaded import ThreadedKernel
-from repro.server.admission import OVERLOAD_REASONS, AdmissionConfig, AdmissionController
+from repro.server.admission import (
+    OVERLOAD_REASONS,
+    TOOK_SLOT,
+    AdmissionConfig,
+    AdmissionController,
+)
 from repro.server.degrade import DegradationController, DegradeConfig
 from repro.server.requests import Request, Response, build_program, op_class
 
@@ -142,13 +147,19 @@ class _Ticket:
         self.degraded_at_admit = degraded
         #: The answer, once the request is shed, fails to start or ends.
         self.response: Optional[Response] = None
-        #: Set when the ticket takes its slot (its caller then drives it)
-        #: or is answered without running.
+        #: A queued ticket's hand-off, made before it queues: set when a
+        #: dispatcher gives it its slot (its caller then drives it) or it
+        #: is answered without running.  None for a ticket that was shed
+        #: at admission or took a free slot there at the first try.
+        self.settled: Optional[threading.Event] = None
+
+    def prepare_wait(self) -> None:
         self.settled = threading.Event()
 
     def answer(self, response: Response) -> None:
         self.response = response
-        self.settled.set()
+        if self.settled is not None:
+            self.settled.set()
 
 
 class TransactionServer:
@@ -281,14 +292,15 @@ class TransactionServer:
 
         The path of in-process callers, the wire handler threads and the
         cluster participant.  Once admission gives the request a slot —
-        at once, or when another request's end takes it out of the queue
-        and hands it over — this thread runs the transaction through
-        :meth:`ThreadedKernel.drive`, so the thread that waits for the
-        answer computes it.  A caller waits for its slot at most its
-        deadline plus the stall backstop; by then any dequeue expires
-        the ticket, so it never runs.  ``name`` overrides the generated
-        transaction name — the cluster shard uses stable names so the
-        WAL records a request's identity durably.
+        a free one at once, or when another request's end takes it out
+        of the queue and hands it over — this thread runs the
+        transaction through :meth:`ThreadedKernel.drive`, so the thread
+        that waits for the answer computes it.  A queued caller waits
+        for its slot at most its deadline plus the stall backstop; by
+        then any dequeue expires the ticket, so it never runs.  ``name``
+        overrides the generated transaction name — the cluster shard
+        uses stable names so the WAL records a request's identity
+        durably.
         """
         self._requests.inc()
         try:
@@ -299,9 +311,10 @@ class TransactionServer:
                 status="failed", op=request.op, request_id=request.request_id,
                 error=error_to_payload(exc),
             )
-        ticket = self._admit(request, klass, name)
-        if (
-            ticket.settled.wait(ticket.budget + self.tk.scheduler.stall_timeout)
+        ticket, took_slot = self._admit(request, klass, name)
+        if took_slot or (
+            ticket.response is None  # queued: wait for the hand-off
+            and ticket.settled.wait(ticket.budget + self.tk.scheduler.stall_timeout)
             and ticket.response is None
         ):
             self._start(ticket)
@@ -316,9 +329,13 @@ class TransactionServer:
             )
         return ticket.response
 
-    def _admit(self, request: Request, klass: str, name: Optional[str]) -> _Ticket:
-        """Make the request's ticket, then shed it (answered) or queue it
-        and dispatch."""
+    def _admit(
+        self, request: Request, klass: str, name: Optional[str]
+    ) -> tuple[_Ticket, bool]:
+        """Make the request's ticket and admit it.  Returns it with True
+        when it took a free slot (the caller runs it now); a shed ticket
+        is answered, a queued one has its hand-off event and is
+        dispatched."""
         budget = min(
             self.MAX_DEADLINE,
             request.deadline if request.deadline is not None else self.default_deadline,
@@ -332,15 +349,21 @@ class TransactionServer:
         # cannot disagree.
         degraded = self.degrade.degraded
         ticket = _Ticket(request, name, klass, budget, now, degraded)
-        shed = self.admission.admit(ticket, klass, ticket.deadline_at, degraded)
-        if shed is not None:
-            self._resolve_shed(ticket, shed)
-            if shed.reason_code in OVERLOAD_REASONS:
+        outcome = self.admission.admit(
+            ticket, klass, ticket.deadline_at, degraded, ticket.prepare_wait
+        )
+        if isinstance(outcome, RequestShed):
+            self._resolve_shed(ticket, outcome)
+            if outcome.reason_code in OVERLOAD_REASONS:
                 self.degrade.observe(True)
-            return ticket
+            return ticket, False
         self.degrade.observe(False)
+        if outcome == TOOK_SLOT:
+            with self._lock:
+                self._inflight[name] = ticket
+            return ticket, True
         self._dispatch()
-        return ticket
+        return ticket, False
 
     # ------------------------------------------------------------------
     # Dispatch and completion
@@ -348,9 +371,10 @@ class TransactionServer:
     def _dispatch(self) -> None:
         """Pull queued tickets into the kernel while slots are free: each
         goes back to the caller waiting for it, to drive."""
+        degraded = self.degrade.degraded
         while True:
             now = time.monotonic()
-            ticket, expired = self.admission.acquire_next(now, self.degrade.degraded)
+            ticket, expired = self.admission.acquire_next(now, degraded)
             for doomed in expired:
                 self._shed.inc()
                 self.degrade.observe(True)
@@ -367,20 +391,20 @@ class TransactionServer:
             ticket.dequeued_at = now
             with self._lock:
                 self._inflight[ticket.name] = ticket
-            ticket.settled.set()
+            ticket.settled.set()  # a queued ticket has its event
 
     def _start(self, ticket: _Ticket) -> None:
         """Build the ticket's transaction and run it to its end on this
         thread."""
         try:
-            program = self._fence_crashes(
-                ticket.name, build_program(self.built, ticket.request, self.think_cost)
-            )
+            program = build_program(self.built, ticket.request, self.think_cost)
+            if self.tk.faults is not None:  # only a fault plan raises CrashPoint
+                program = self._fence_crashes(ticket.name, program)
             self.tk.drive(ticket.name, program)
         except Exception as exc:  # noqa: BLE001 - per-request failure
             with self._lock:
                 self._inflight.pop(ticket.name, None)
-            self.admission.release(0.0)
+            waiting = self.admission.release(0.0)
             self._failed.inc()
             ticket.answer(
                 Response(
@@ -392,7 +416,8 @@ class TransactionServer:
                     total_time=time.monotonic() - ticket.admitted_at,
                 )
             )
-            self._dispatch()  # the freed slot
+            if waiting:
+                self._dispatch()  # the freed slot
 
     @staticmethod
     def _fence_crashes(name: str, program: Callable) -> Callable:
@@ -426,10 +451,11 @@ class TransactionServer:
         handle = self.tk.handles.get(ticket.name)
         response = self._build_response(ticket, task, handle, now)
         self.tk.reap(ticket.name)
-        self.admission.release(service_time)
+        waiting = self.admission.release(service_time)
         self._latency.observe(response.total_time)
         ticket.answer(response)
-        self._dispatch()
+        if waiting:
+            self._dispatch()
 
     def _build_response(self, ticket: _Ticket, task, handle, now: float) -> Response:
         queue_wait = max(0.0, ticket.dequeued_at - ticket.admitted_at)

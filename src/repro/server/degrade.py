@@ -65,18 +65,30 @@ class DegradationController:
         self._entered_at = 0.0
         self.entered_count = 0
         self.exited_count = 0
+        # Peak of the EWMA since the last metrics reset (the gauge's hwm).
+        self._ewma_peak = 0.0
         self._degraded_gauge = None
-        self._ewma_gauge = None
         self._entered_counter = None
         self._exited_counter = None
         if metrics is not None:
             self.bind_metrics(metrics)
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
+        """``degrade.shed_ewma`` is kept under this controller's lock and
+        collected at snapshot; the mode gauge and the transition
+        counters are pushed when a transition happens."""
         self._degraded_gauge = registry.gauge("server.degraded")
-        self._ewma_gauge = registry.gauge("degrade.shed_ewma")
         self._entered_counter = registry.counter("degrade.entered")
         self._exited_counter = registry.counter("degrade.exited")
+        registry.add_collector(self._collect, self._restart_peak)
+
+    def _collect(self) -> dict:
+        with self._lock:
+            return {"degrade.shed_ewma": (self._ewma, self._ewma_peak)}
+
+    def _restart_peak(self) -> None:
+        with self._lock:
+            self._ewma_peak = self._ewma
 
     @property
     def degraded(self) -> bool:
@@ -98,8 +110,8 @@ class DegradationController:
         with self._lock:
             alpha = self.config.alpha
             self._ewma = (1 - alpha) * self._ewma + alpha * (1.0 if overloaded else 0.0)
-            if self._ewma_gauge is not None:
-                self._ewma_gauge.set(self._ewma)
+            if self._ewma > self._ewma_peak:
+                self._ewma_peak = self._ewma
             if not self._degraded:
                 if self._ewma >= self.config.enter_threshold:
                     self._degraded = True

@@ -11,10 +11,11 @@ from __future__ import annotations
 import os
 import threading
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
-from repro.cluster import LocalCluster
+from repro.cluster import LocalCluster, hashring
 from repro.cluster.files import WAL_FILENAME
 from repro.cluster.participant import ClusterParticipant
 from repro.cluster.router import ClusterRouter, CoordinatorLog, ShardLink
@@ -193,6 +194,34 @@ class InProcessLink:
         return None
 
 
+@contextmanager
+def in_process_cluster(tmp_path, make_wal):
+    """A router over two in-process shards, shard *i* on ``make_wal(i)``,
+    as ``(router, links, wals)``; on exit the router and the servers shut
+    down (the caller closes the WALs)."""
+    servers, wals, links = [], [], []
+    for shard in range(2):
+        wal = make_wal(shard)
+        server = TransactionServer(
+            build_order_entry_database(n_items=8, orders_per_item=2), wal=wal
+        ).start()
+        servers.append(server)
+        wals.append(wal)
+        links.append(InProcessLink(ClusterParticipant(server, wal)))
+    log = CoordinatorLog(str(tmp_path / "coordinator.log"))
+    router = ClusterRouter([("127.0.0.1", 1), ("127.0.0.1", 2)], log)
+    for link in router.links:
+        link.close()
+    router.links = links  # type: ignore[assignment]
+    try:
+        yield router, links, wals
+    finally:
+        router.close()
+        log.close()
+        for server in servers:
+            assert server.shutdown().clean
+
+
 @pytest.fixture
 def forcing_cluster(tmp_path, monkeypatch):
     """A router over two in-process shards, each on its own durable WAL,
@@ -205,30 +234,20 @@ def forcing_cluster(tmp_path, monkeypatch):
         fsync(fd)
 
     monkeypatch.setattr(os, "fsync", counting_fsync)
-    servers, wals, links = [], [], []
-    for shard in range(2):
-        wal = DurableWriteAheadLog(str(tmp_path / f"shard-{shard}.log"))
-        server = TransactionServer(
-            build_order_entry_database(n_items=8, orders_per_item=2), wal=wal
-        ).start()
-        servers.append(server)
-        wals.append(wal)
-        links.append(InProcessLink(ClusterParticipant(server, wal)))
-    log = CoordinatorLog(str(tmp_path / "coordinator.log"))
-    router = ClusterRouter([("127.0.0.1", 1), ("127.0.0.1", 2)], log)
-    for link in router.links:
-        link.close()
-    router.links = links  # type: ignore[assignment]
+    with in_process_cluster(
+        tmp_path, lambda shard: DurableWriteAheadLog(str(tmp_path / f"shard-{shard}.log"))
+    ) as (router, links, wals):
 
-    def forces() -> tuple[int, int, int]:
-        """(shard 0, shard 1, coordinator) fsyncs so far."""
-        return fsyncs[wals[0]._fd], fsyncs[wals[1]._fd], fsyncs[log._fh.fileno()]
+        def forces() -> tuple[int, int, int]:
+            """(shard 0, shard 1, coordinator) fsyncs so far."""
+            return (
+                fsyncs[wals[0]._fd],
+                fsyncs[wals[1]._fd],
+                fsyncs[router.log._fh.fileno()],
+            )
 
-    yield router, links, forces
-    router.close()
-    log.close()
-    for server, wal in zip(servers, wals):
-        assert server.shutdown().clean
+        yield router, links, forces
+    for wal in wals:
         wal.close()
 
 
@@ -300,6 +319,34 @@ class TestForceCounts:
         assert "ack_hwm" not in duplicate
         assert hwm_while_forcing == 0
         assert replies == [{"status": "ok", "result": "committed", "ack_hwm": 1}]
+
+
+class TestRingMemo:
+    def test_routing_hashes_each_item_once(self, tmp_path, monkeypatch):
+        """200 requests over 8 items, single- and cross-shard, make at most
+        8 ring hashes after the router is built: a lookup of a placed key
+        (``plan_request``, then ``_merge_commit`` per line) hashes nothing."""
+        with in_process_cluster(tmp_path, lambda shard: WriteAheadLog()) as (router, _, __):
+            hashes = []
+            real_hash64 = hashring._hash64
+
+            def counting_hash64(data: str) -> int:
+                hashes.append(data)
+                return real_hash64(data)
+
+            monkeypatch.setattr(hashring, "_hash64", counting_hash64)
+            for n in range(200):
+                a, b = n % 8, (n + 3) % 8
+                if n % 4 == 0:
+                    request = Request(op="stock-check", item=a)
+                elif n % 4 == 1:
+                    request = Request(op="total-payment", items=(a, b))
+                else:
+                    request = Request(op="place", lines=((a, 1), (b, 1)))
+                response = router.route_request(request)
+                assert response.ok, response.to_dict()
+            assert router.stats()["cross_shard"] > 0
+            assert len(hashes) <= 8, hashes
 
 
 class TestShardLink:

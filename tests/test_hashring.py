@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.hashring import DEFAULT_VNODES, HashRing
+from repro.cluster.hashring import DEFAULT_VNODES, MEMO_CAP, HashRing
 
 keys = st.one_of(
     st.integers(min_value=0, max_value=2**31),
@@ -40,6 +40,17 @@ class TestDeterminism:
         # orphan every durable partition.
         ring = HashRing(2)
         assert [ring.shard_for(i) for i in range(8)] == [1, 1, 1, 0, 0, 0, 0, 1]
+
+    def test_memo_is_capped_and_agrees_with_a_fresh_ring(self):
+        ring = HashRing(3)
+        keys = list(range(MEMO_CAP + 100))
+        owners = [ring.shard_for(key) for key in keys]
+        assert len(ring._memo) == MEMO_CAP
+        assert [ring.shard_for(key) for key in keys] == owners
+        fresh = HashRing(3)
+        assert [fresh.shard_for(key) for key in reversed(keys)] == owners[::-1]
+        # Keys are remembered by their str, which is what is hashed.
+        assert ring.shard_for(True) == fresh.shard_for("True")
 
     def test_rejects_degenerate_rings(self):
         with pytest.raises(ValueError):

@@ -464,6 +464,98 @@ class TestConcurrentClients:
         assert report.clean, report.to_dict()
 
 
+class TestAdmissionFastPath:
+    """A request that finds a free slot and nobody waiting runs at once:
+    no queue round trip and no hand-off event.  Counts, not timings."""
+
+    def test_free_slots_take_no_queue_round_trip_and_no_event(self, monkeypatch):
+        """One client, 300 requests, slots always free: admission never
+        dequeues, no ticket builds an Event, and every admit observes a
+        queue wait (of 0)."""
+        server = make_server(admission=AdmissionConfig(max_inflight=4))
+        acquires = []
+        acquire_next = server.admission.acquire_next
+
+        def counting_acquire_next(*args, **kwargs):
+            acquires.append(1)
+            return acquire_next(*args, **kwargs)
+
+        events = []
+
+        class CountingEvent(threading.Event):
+            def __init__(self) -> None:
+                events.append(1)
+                super().__init__()
+
+        monkeypatch.setattr(server.admission, "acquire_next", counting_acquire_next)
+        monkeypatch.setattr(threading, "Event", CountingEvent)
+        try:
+            responses = [
+                server.submit(Request(op=("place", "stock-check", "restock")[i % 3], item=i % 2))
+                for i in range(300)
+            ]
+            snapshot = server.obs.snapshot()
+        finally:
+            monkeypatch.undo()
+            report = server.shutdown()
+        assert report.clean, report.to_dict()
+        assert all(r.ok for r in responses)
+        assert acquires == []
+        assert events == []
+        assert all(r.queue_wait == 0.0 for r in responses)
+        admitted = snapshot.counters["admission.admitted"]
+        assert admitted == 300
+        assert snapshot.histograms["queue.wait"].count == admitted
+        assert snapshot.histograms["queue.wait"].sum == 0.0
+        assert snapshot.gauges["queue.depth.read"]["hwm"] == 0
+        assert snapshot.gauges["queue.depth.write"]["hwm"] == 0
+
+    def test_a_full_slot_queues_and_hands_over_at_the_holders_end(self):
+        server = make_server(
+            time_scale=0.002,
+            think_cost=150.0,  # ~300 ms holding the only slot
+            admission=AdmissionConfig(max_inflight=1, queue_cap=4),
+        )
+        try:
+            holder = Caller(server, Request(op="restock", item=0, deadline=5.0))
+            wait_until(lambda: server.inflight_count() == 1)
+            second = Caller(server, Request(op="stock-check", item=1, deadline=5.0))
+            wait_until(lambda: server.admission.depth("read") == 1)
+            held, handed = holder.wait(10.0), second.wait(10.0)
+            snapshot = server.obs.snapshot()
+        finally:
+            report = server.shutdown()
+        assert report.clean, report.to_dict()
+        assert held is not None and held.ok, held
+        assert handed is not None and handed.ok, handed
+        assert handed.queue_wait > 0
+        assert snapshot.counters["admission.admitted"] == 2
+        assert snapshot.histograms["queue.wait"].count == 2
+        assert snapshot.gauges["queue.depth.read"]["hwm"] == 1
+        assert snapshot.counters["thread.caller_drives"] == 2
+
+    def test_an_expired_queued_ticket_is_shed_expired_in_queue(self):
+        server = make_server(
+            time_scale=0.002,
+            think_cost=150.0,  # ~300 ms holding the only slot
+            admission=AdmissionConfig(max_inflight=1, queue_cap=4),
+        )
+        try:
+            holder = Caller(server, Request(op="restock", item=0, deadline=5.0))
+            wait_until(lambda: server.inflight_count() == 1)
+            late = Caller(server, Request(op="stock-check", item=1, deadline=0.05))
+            held, expired = holder.wait(10.0), late.wait(10.0)
+            counters = server.obs.snapshot().counters
+        finally:
+            report = server.shutdown()
+        assert report.clean, report.to_dict()
+        assert held is not None and held.ok, held
+        assert expired is not None and expired.shed, expired
+        assert expired.error["reason_code"] == "expired-in-queue"
+        assert counters["admission.shed.expired-in-queue"] == 1
+        assert counters["thread.spawned"] == 1
+
+
 class TestLifecycle:
     def test_double_start_rejected(self):
         server = make_server()
