@@ -65,7 +65,7 @@ def main() -> None:
     db, counter = build()  # virtual-time scheduler: the deterministic oracle
     report("virtual ", run_transactions(db, programs(counter)), db, counter)
 
-    db, counter = build()  # the same programs on real worker threads
+    db, counter = build()  # the same programs on real threads
     kernel = run_threaded_transactions(db, programs(counter), n_threads=2)
     report("threaded", kernel, db, counter)
 

@@ -463,11 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--runtime", choices=("virtual", "threaded"), default="virtual",
         help="execution engine: the deterministic virtual-time scheduler "
-        "(default) or the real-thread worker pool",
+        "(default) or real threads",
     )
     check.add_argument(
         "--threads", type=int, default=4,
-        help="worker threads for --runtime threaded (default: 4)",
+        help="driving threads for --runtime threaded (default: 4)",
     )
     check.set_defaults(fn=cmd_check)
 

@@ -372,12 +372,6 @@ class TransactionManager:
     # ------------------------------------------------------------------
     def spawn(self, name: str, program: TransactionProgram) -> TxnHandle:
         """Register a top-level transaction to run under this kernel."""
-        handle = self._register_top(name)
-        handle.task = self.scheduler.spawn(name, self._run_top(handle, program))
-        return handle
-
-    def _register_top(self, name: str) -> TxnHandle:
-        """The handle and root node of a new top-level transaction."""
         root = TransactionNode(
             node_id=name,
             parent=None,
@@ -386,6 +380,7 @@ class TransactionManager:
         )
         handle = TxnHandle(name=name, root=root)
         self.handles[name] = handle
+        handle.task = self.scheduler.spawn(name, self._run_top(handle, program))
         return handle
 
     def run(self) -> None:

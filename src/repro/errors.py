@@ -299,10 +299,10 @@ class RuntimeEngineError(ReproError):
 
 
 class AggregateWorkerError(RuntimeEngineError):
-    """Several worker threads failed (or wedged) in one threaded run.
+    """Several tasks failed (or threads wedged) in one threaded batch run.
 
-    The threaded runtimes collect every worker's error; when more than
-    one survives the drain — or when workers fail to join at all — the
+    The threaded runtime collects every task's primary error; when more
+    than one survives the drain — or when threads fail to join at all — the
     run raises this aggregate instead of silently reporting only the
     first error.  The individual causes are kept on :attr:`errors`
     (first error also chained as ``__cause__``); a run with exactly one

@@ -164,7 +164,7 @@ class SchedulerAPI(Protocol):
     """The scheduler seam: everything the kernel asks of its runtime.
 
     :class:`Scheduler` (virtual time, one step at a time) and the
-    threaded runtime's ``WallClockScheduler`` (worker pool) both provide
+    threaded runtime's ``WallClockScheduler`` (real threads) both provide
     exactly this surface; the kernel probes for nothing beyond it.
     """
 

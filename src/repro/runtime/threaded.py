@@ -1,4 +1,4 @@
-"""Real-concurrency execution: the kernel on a pool of OS threads.
+"""Real-concurrency execution: the kernel on OS threads.
 
 The virtual-time :class:`~repro.runtime.scheduler.Scheduler` is the
 primary runtime — deterministic, seedable, the oracle every figure and
@@ -13,13 +13,13 @@ Two pieces, over the plain indexed :class:`~repro.txn.locks.LockTable`
 
 * :class:`WallClockScheduler` — a scheduler facade satisfying the
   kernel's scheduler seam (:class:`~repro.runtime.scheduler.SchedulerAPI`)
-  with two kinds of driving thread: a bounded worker pool that a batch
-  :meth:`~WallClockScheduler.run` starts for queued tasks, and any
-  calling thread that drives a task of its own to the end
-  (:meth:`WallClockScheduler.drive`) — the thread that waits for the
-  answer computes it, and on a served scheduler it is the only kind.
-  Coroutine steps (the synchronous code between two awaits) take no
-  step-level lock, so steps of different transactions interleave.
+  on which one thread drives each task to its end
+  (:meth:`WallClockScheduler.drive`): on a served scheduler the thread
+  that waits for the answer, in a batch :meth:`~WallClockScheduler.run`
+  one of ``n_threads`` threads that each drive the next task nobody
+  drives yet.  Coroutine steps (the synchronous code between two
+  awaits) take no step-level lock, so steps of different transactions
+  interleave.
   The scheduler's *kernel lock*
   (:meth:`WallClockScheduler.coordination`, a bare ``threading.RLock``):
   the kernel takes it around every lock-table call — a lock request (the
@@ -38,22 +38,22 @@ Two pieces, over the plain indexed :class:`~repro.txn.locks.LockTable`
   is acyclic.  Wake-ups are targeted: each driving thread owns one
   condition variable on the scheduler lock, and awaiting a Signal
   blocks it on its own condition, which only the grant or interrupt
-  that readies its task (or shutdown) notifies; idle workers share one
-  condition, and a queued ``spawn`` wakes one of them.  Awaiting a
-  Pause sleeps ``cost * time_scale`` seconds — or, at zero cost, on a
-  worker, yields the processor and the GIL without arming a timer —
-  *outside every lock*: that is where real interleaving (and the
-  measured parallelism) comes from.  A caller instead hands the GIL
-  over at a transaction's end when another driver wants it and the
-  current turn is up (:meth:`WallClockScheduler._end_turn`).  Timers
-  are wall-clock ``threading.Timer``s whose callbacks run under the
-  kernel lock; their handles have the same tri-state lifecycle as
-  virtual-time :class:`~repro.runtime.scheduler.TimerHandle` (armed,
-  then fired XOR cancelled).  Worker failures are aggregated: when
-  several workers fail in one run, ``run()`` raises
+  that readies its task (or shutdown) notifies.  Awaiting a Pause
+  sleeps ``cost * time_scale`` seconds — or, at zero cost in a batch
+  run of several threads, yields the processor and the GIL without
+  arming a timer — *outside every lock*: that is where a batch run's
+  interleaving (and the measured parallelism) comes from.  A served
+  caller instead hands the GIL over at a transaction's end when
+  another driver wants it and the current turn is up
+  (:meth:`WallClockScheduler._end_turn`).  Timers are wall-clock
+  ``threading.Timer``s whose callbacks run under the kernel lock;
+  their handles have the same tri-state lifecycle as virtual-time
+  :class:`~repro.runtime.scheduler.TimerHandle` (armed, then fired XOR
+  cancelled).  Failures are aggregated: a batch run's first failure
+  shuts the run down (blocked waits drain, tasks not yet driven fail
+  unstepped), and ``run()`` raises it, or
   :class:`~repro.errors.AggregateWorkerError` carrying every primary
-  error, and wedged workers are asked to drain (blocked waits re-check
-  a shutdown flag) before the error surfaces.
+  error when several tasks failed.
 
 * :class:`ThreadedKernel` — the
   :class:`~repro.core.kernel.TransactionManager` subclass constructed
@@ -73,7 +73,6 @@ import os
 import sys
 import threading
 import time
-from collections import deque
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 from repro.core.kernel import TransactionManager
@@ -101,7 +100,7 @@ _yield_thread = _pick_yield()
 
 
 # ----------------------------------------------------------------------
-# Wall-clock scheduler (worker pool)
+# Wall-clock scheduler
 # ----------------------------------------------------------------------
 class _WallTimer:
     """A wall-clock timer handle with a tri-state lifecycle.
@@ -145,8 +144,8 @@ class _WallTimer:
 class _LockedSignal(Signal):
     """A :class:`Signal` whose transitions run under the scheduler lock.
 
-    ``fire`` / ``add_waiter`` / ``remove_waiter`` race between workers
-    (a grant fired from a completing holder's thread vs. the requester
+    ``fire`` / ``add_waiter`` / ``remove_waiter`` race between driving
+    threads (a grant fired from a completing holder's thread vs. the requester
     registering as a waiter), so the done flag, the value, and the
     waiter list flip atomically with task-state changes.
 
@@ -175,37 +174,32 @@ class _LockedSignal(Signal):
             super().remove_waiter(task)
 
 
-class _PooledTask(Task):
+class _DrivenTask(Task):
     """A :class:`Task` plus the condition of the thread that drives it."""
 
-    def __init__(self, name: str, coro, queued: bool) -> None:
+    def __init__(self, name: str, coro) -> None:
         super().__init__(name, coro)
-        #: Spawned for the batch pool; only a worker may take it.
-        self.queued = queued
-        #: Set when a worker or a caller takes the task; readying or
-        #: interrupting the task notifies it.
+        #: Set when a thread takes the task in :meth:`WallClockScheduler.drive`;
+        #: readying or interrupting the task notifies it.
         self.wake: Optional[threading.Condition] = None
-        #: The name of the calling thread that drives the task through
-        #: :meth:`WallClockScheduler.drive`; None for pool-driven tasks.
+        #: The name of that thread; None until one takes the task.
         self.driver: Optional[str] = None
 
 
 class WallClockScheduler:
-    """Kernel scheduler facade running coroutines on a worker pool and
-    on the threads that wait for them.
+    """Kernel scheduler facade running each coroutine on the thread that
+    drives it.
 
     Provides :class:`~repro.runtime.scheduler.SchedulerAPI` — the whole
     surface the kernel touches — with ``clock`` in wall seconds since
     construction, plus the serve-mode lifecycle (``start`` / ``stop`` /
     ``reap``) the transaction server drives, and :meth:`drive`, which
-    runs a task spawned with ``queued=False`` on the calling thread.
+    runs a spawned task on the calling thread.
 
-    ``n_threads`` sizes the batch pool of :meth:`run`: each worker
-    drives one queued transaction coroutine at a time to completion, so
-    at most ``n_threads`` queued transactions are in flight.  A started
-    (served) scheduler runs no pool: every task is driven by its
-    caller, and a queued ``spawn`` raises.  Caller-driven tasks are not
-    bounded here (the server's admission control bounds them).  The
+    ``n_threads`` is how many threads a batch :meth:`run` starts, so at
+    most ``n_threads`` of its transactions are in flight.  A started
+    (served) scheduler starts no thread: each caller drives its own
+    task, and the server's admission control bounds how many.  The
     stall backstop: a thread blocked on a signal periodically re-runs
     the kernel's ``on_stall`` hook (deadlock resolution) and raises
     :class:`RuntimeEngineError` after ``stall_timeout`` seconds without
@@ -225,22 +219,19 @@ class WallClockScheduler:
         self.time_scale = time_scale
         self.stall_timeout = stall_timeout
         self.stall_check = stall_check
-        # Scheduler lock: task states, the runnable queue, errors, the
-        # shutdown flag, and signal done/waiter transitions.  Taken
-        # last in the lock order, so it may be acquired from any path.
+        # Scheduler lock: task states, errors, the shutdown flag, and
+        # signal done/waiter transitions.  Taken last in the lock order,
+        # so it may be acquired from any path.  A thread whose task is
+        # blocked waits on its own condition on it (task.wake), which
+        # only that task's wake-up notifies.
         self._sched_lock = threading.RLock()
-        # Idle workers wait on _wakeup for the runnable queue; a worker
-        # whose task is blocked waits on its own condition (task.wake),
-        # which only that task's wake-up notifies.
-        self._wakeup = threading.Condition(self._sched_lock)
         # The kernel lock (see coordination()).
         self._kernel_lock = threading.RLock()
         self._step_lock = threading.Lock()  # guards the steps count
         self.tasks: dict[str, Task] = {}
-        self._runnable: deque[Task] = deque()
-        # Threads inside _drive (pool workers and callers), how many of
-        # their tasks are parked on a signal, and how many threads are
-        # inside a GIL hand-off: the hand-off rule reads all three.
+        # Threads inside drive(), how many of their tasks are parked on
+        # a signal, and how many threads are inside a GIL hand-off: the
+        # hand-off rule reads all three.
         self._driving = 0
         self._blocked = 0
         self._handoffs = 0
@@ -253,12 +244,12 @@ class WallClockScheduler:
         self._turn = sys.getswitchinterval() / 2
         # stop() waits on this for callers still inside drive().
         self._drivers_done = threading.Condition(self._sched_lock)
-        # A calling thread's own wake-up condition, made on its first drive.
+        # A driving thread's own wake-up condition, made on its first drive.
         self._local = threading.local()
         self._errors: list[BaseException] = []
         self._shutdown = False
-        # Serve mode (see :meth:`start`): callers drive every task, and
-        # one task's failure does not cascade into the others.
+        # Serve mode (see :meth:`start`): one task's failure does not
+        # cascade into the others.
         self._serve = False
         #: Fired (outside all scheduler locks) when a task reaches DONE
         #: or FAILED — the transaction server's completion signal.
@@ -312,33 +303,23 @@ class WallClockScheduler:
     def create_signal(self, name: str = "") -> Signal:
         return _LockedSignal(self, name)
 
-    def spawn(self, name: str, coro, queued: bool = True) -> Task:
-        """Register a task.  A *queued* task goes to the batch pool, which
-        wakes one idle worker for it; a served scheduler has no pool, so
-        it refuses one.  Any other task waits for the thread that calls
-        :meth:`drive` on it."""
+    def spawn(self, name: str, coro) -> Task:
+        """Register a task; it waits for the thread that calls
+        :meth:`drive` on it (a caller, or one of :meth:`run`'s)."""
         with self._sched_lock:
             if name in self.tasks:
                 raise RuntimeEngineError(f"task name {name!r} already in use")
-            if queued and self._serve:
-                coro.close()
-                raise RuntimeEngineError(
-                    f"task {name!r} queued on a served scheduler: only a caller drives"
-                )
-            task = _PooledTask(name, coro, queued)
+            task = _DrivenTask(name, coro)
             self.tasks[name] = task
             self.spawned += 1
-            if queued:
-                self._runnable.append(task)
-                self._wakeup.notify()
         return task
 
-    def _unblock(self, task: _PooledTask) -> None:
+    def _unblock(self, task: _DrivenTask) -> None:
         """Leave BLOCKED (caller holds the scheduler lock)."""
         if task.state == Task.BLOCKED:
             self._blocked -= 1
 
-    def _ready_task(self, task: _PooledTask, resume_value: Any = None) -> None:
+    def _ready_task(self, task: _DrivenTask, resume_value: Any = None) -> None:
         """Signal.fire lands here (caller holds the scheduler lock); only
         the thread driving the task is woken."""
         if task.finished:
@@ -354,10 +335,9 @@ class WallClockScheduler:
         """Deliver an exception to a (possibly blocked) task.
 
         Safe against every phase of the task's lifecycle: PENDING tasks
-        keep their single runnable-queue entry and raise on their first
-        step; RUNNING tasks pick the exception up at their next await;
-        BLOCKED tasks are woken exactly once (their driving thread owns
-        them, so the task is never re-enqueued or driven twice).
+        raise on their first step; RUNNING tasks pick the exception up at
+        their next await; BLOCKED tasks are woken exactly once (their
+        driving thread owns them, so the task is never driven twice).
         """
         with self._sched_lock:
             if task.finished:
@@ -394,57 +374,58 @@ class WallClockScheduler:
         return handle
 
     # ------------------------------------------------------------------
-    # Worker pool
+    # Batch mode
     # ------------------------------------------------------------------
     def run(self) -> None:
-        """Run every spawned task to completion on the worker pool.
+        """Drive every task spawned so far to its end on ``n_threads``
+        threads, each calling :meth:`drive` on the next task no thread
+        drives yet; a started scheduler raises, as its callers drive.
 
-        Error semantics: exactly one worker failure re-raises that
-        error; several concurrent failures raise
-        :class:`~repro.errors.AggregateWorkerError` carrying all of
-        them (chained from the first), so no worker's error is silently
-        dropped.  Workers that miss the join budget are asked to drain
-        — the shutdown flag makes blocked waits raise instead of
-        sleeping on — before the wedge is reported, so the process is
-        not left with live daemon threads still mutating kernel state.
+        The first failure shuts the run down: blocked waits drain, and
+        each task not yet driven fails unstepped with a drain error.  One
+        failure is re-raised; several raise
+        :class:`~repro.errors.AggregateWorkerError` carrying all of them
+        (chained from the first).  Threads that miss the join budget are
+        drained as :meth:`stop` drains a server's callers before the
+        wedge is reported, so no live thread is left mutating the kernel.
         """
-        workers = [
-            threading.Thread(target=self._worker, name=f"cc-worker-{i}", daemon=True)
+        with self._sched_lock:
+            if self._serve:
+                raise RuntimeEngineError("run() on a started scheduler: its callers drive")
+            undriven = iter(
+                [t for t in self.tasks.values() if t.wake is None and not t.finished]
+            )
+
+        def drive_each() -> None:
+            while True:
+                with self._sched_lock:
+                    task = next(undriven, None)
+                if task is None:
+                    return
+                self.drive(task)
+
+        threads = [
+            threading.Thread(target=drive_each, name=f"cc-worker-{i}", daemon=True)
             for i in range(self.n_threads)
         ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=self.stall_timeout * 4)
-        wedged = [worker for worker in workers if worker.is_alive()]
-        if wedged:
-            with self._sched_lock:
-                self._shutdown = True
-                self._wake_all()
-            for worker in wedged:
-                worker.join(timeout=max(1.0, self.stall_check * 20))
-            survivors = [worker.name for worker in wedged if worker.is_alive()]
-            errors = tuple(self._errors)
-            detail = (
-                f"; still alive after drain: {', '.join(survivors)}"
-                if survivors
-                else " (all drained after shutdown)"
-            )
-            wedge = AggregateWorkerError(
-                f"{len(wedged)} worker(s) missed the join budget{detail}", errors
-            )
-            if errors:
-                wedge.__cause__ = errors[0]
-            raise wedge
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=self.stall_timeout * 4)
+        if any(thread.is_alive() for thread in threads):
+            still = self.stop(max(1.0, self.stall_check * 20))
+            detail = f"still driving {', '.join(still)}" if still else "all drained"
+            message = f"a thread missed the join budget ({detail})"
+        elif len(self._errors) > 1:
+            message = f"{len(self._errors)} tasks failed concurrently"
+        elif self._errors:
+            raise self._errors[0]
+        else:
+            return
+        failure = AggregateWorkerError(message, tuple(self._errors))
         if self._errors:
-            if len(self._errors) == 1:
-                raise self._errors[0]
-            failure = AggregateWorkerError(
-                f"{len(self._errors)} workers failed concurrently",
-                tuple(self._errors),
-            )
             failure.__cause__ = self._errors[0]
-            raise failure
+        raise failure
 
     # ------------------------------------------------------------------
     # Serve mode (long-running server front-end)
@@ -452,13 +433,12 @@ class WallClockScheduler:
     def start(self) -> None:
         """Enter *serve* mode and return immediately.
 
-        Batch mode (:meth:`run`) treats an empty runnable queue as "the
-        workload is finished" and any worker error as "abort the run".
-        A server needs neither: each caller drives its own task
-        (:meth:`drive`), so no worker runs, and a failed task is an
-        ordinary per-request outcome (recorded on the task, reported
-        through :attr:`on_task_done`, kept in a bounded diagnostic ring)
-        rather than a run-wide abort.  Pair with :meth:`stop`.
+        A batch run (:meth:`run`) treats any failure as "abort the run".
+        A server does not: each caller drives its own task
+        (:meth:`drive`), and a failed task is an ordinary per-request
+        outcome (recorded on the task, reported through
+        :attr:`on_task_done`, kept in a bounded diagnostic ring) rather
+        than a run-wide abort.  Pair with :meth:`stop`.
         """
         with self._sched_lock:
             if self._serve:
@@ -521,20 +501,20 @@ class WallClockScheduler:
     def _record_error(self, error: BaseException) -> None:
         """Append to the error list (caller holds the scheduler lock).
 
-        In batch mode an error ends the run, so every worker is woken
-        to drain; in serve mode the list is a bounded diagnostic ring.
+        In batch mode an error shuts the run down, so every blocked
+        driver is woken to drain; in serve mode the list is a bounded
+        diagnostic ring.
         """
         self._errors.append(error)
         if not self._serve:
+            self._shutdown = True
             self._wake_all()
         elif len(self._errors) > self.max_kept_errors:
             del self._errors[: len(self._errors) - self.max_kept_errors]
 
     def _wake_all(self) -> None:
-        """Notify every idle worker and every blocked task's driver
-        (caller holds the scheduler lock): shutdown and batch-mode errors
-        concern them all."""
-        self._wakeup.notify_all()
+        """Notify every blocked task's driver (caller holds the scheduler
+        lock): shutdown concerns them all."""
         for task in self.tasks.values():
             if task.state == Task.BLOCKED:
                 task.wake.notify()
@@ -550,53 +530,21 @@ class WallClockScheduler:
             with self._sched_lock:
                 self._record_error(error)
 
-    def _worker(self) -> None:
-        # This worker's own wake-up: each task it takes records it, and
-        # only that task's ready or interrupt (or _wake_all) notifies it.
-        wake = threading.Condition(self._sched_lock)
-        while True:
-            with self._wakeup:
-                while (
-                    not self._runnable
-                    and not self._shutdown
-                    and self._driving > 0
-                    and not self._errors
-                ):
-                    self._wakeup.wait(self.stall_check)
-                if self._shutdown or self._errors or not self._runnable:
-                    return
-                task = self._runnable.popleft()
-                if task.state not in (Task.PENDING, Task.READY):
-                    continue
-                task.wake = wake
-                self._driving += 1
-            try:
-                self._drive(task)
-            finally:
-                with self._sched_lock:
-                    self._driving -= 1
-                    if not self._driving:
-                        # The idle workers' exit test reads _driving.
-                        self._wakeup.notify_all()
-
     def drive(self, task: Task) -> None:
-        """Run a task spawned with ``queued=False`` to its end on the
-        calling thread, through the loop a batch worker runs (:meth:`_drive`).
+        """Run a spawned task to its end on the calling thread (a served
+        caller, or one of a batch :meth:`run`'s threads) through :meth:`_drive`.
 
-        The caller waits on a condition of its own while the task is
-        blocked, so a grant or an interrupt wakes it exactly as it wakes
-        a worker; the task finishes DONE or FAILED and fires
-        :attr:`on_task_done` on this thread before ``drive`` returns.
-        After a shutdown the task fails with a drain error without being
-        stepped.  On its way out the caller may hand the GIL over
-        (:meth:`_end_turn`).
+        The thread waits on a condition of its own while the task is
+        blocked, which a grant or an interrupt of this task notifies;
+        the task finishes DONE or FAILED and fires :attr:`on_task_done`
+        on this thread before ``drive`` returns.  After a shutdown the
+        task fails with a drain error without being stepped.  On its way
+        out the thread may hand the GIL over (:meth:`_end_turn`).
         """
         wake = getattr(self._local, "wake", None)
         if wake is None:
             wake = self._local.wake = threading.Condition(self._sched_lock)
         with self._sched_lock:
-            if task.queued:
-                raise RuntimeEngineError(f"task {task.name} is queued for the pool")
             if task.finished or task.wake is not None:
                 raise RuntimeEngineError(f"task {task.name} already has a driver")
             refused = self._shutdown
@@ -671,14 +619,13 @@ class WallClockScheduler:
                 self._turn_started -= self._turn
 
     def _drive(self, task: Task) -> None:
-        """Run one coroutine to completion (the unit of work of a worker
-        and of a caller in :meth:`drive`).
+        """Run one coroutine to completion on the thread in :meth:`drive`.
 
-        One thread owns the task for its whole life — the task is never
-        re-enqueued, so ``coro.send`` is single-threaded per task.  Steps
-        take no step-level lock; awaitable dispatch runs under the
-        scheduler lock (atomically with concurrent ``fire``/``interrupt``);
-        Pause sleeps and yields happen outside every lock.
+        One thread owns the task for its whole life, so ``coro.send`` is
+        single-threaded per task.  Steps take no step-level lock;
+        awaitable dispatch runs under the scheduler lock (atomically with
+        concurrent ``fire``/``interrupt``); Pause sleeps and yields
+        happen outside every lock.
         """
         value: Any = None
         exc: Optional[BaseException] = None
@@ -733,11 +680,12 @@ class WallClockScheduler:
                         f"thread {task.name} awaited unsupported {yielded!r}"
                     )
                 # Pause: outside every lock so other threads interleave.
-                # A zero-cost Pause yields only on a pool worker; a caller
+                # A zero-cost Pause yields only in a batch run of several
+                # threads, which is what interleaves it; a served caller
                 # hands the GIL over at its transaction's end instead.
                 if self.time_scale > 0 and cost > 0:
                     time.sleep(cost * self.time_scale)
-                elif task.driver is None:
+                elif self.n_threads > 1 and not self._serve:
                     _yield_thread()
                 value = None
         except BaseException as error:  # noqa: BLE001 - surfaced in run()
@@ -745,24 +693,24 @@ class WallClockScheduler:
                 self._unblock(task)
                 task.state = Task.FAILED
                 task.exception = error
-                # Drain errors (raised because *another* worker already
-                # failed or the run is shutting down) are secondary; the
-                # error list keeps primary causes only.
+                # Drain errors (raised because the run is shutting down,
+                # after another task failed or at stop) are secondary;
+                # the error list keeps primary causes only.
                 if not getattr(error, "_secondary_drain", False):
                     self._record_error(error)
             self._notify_task_done(task)
 
-    def _await_signal(self, task: _PooledTask, signal: Signal):
+    def _await_signal(self, task: _DrivenTask, signal: Signal):
         """Block until the signal fires, an interrupt lands, or the
         stall backstop gives up.  Caller holds **no** locks.
 
         Returns ``(resume_value, pending_exception)``.  The driver waits
         on its own condition (``task.wake``), which only this task's
-        ready or interrupt notifies — or shutdown, or a batch-mode
-        error.  No wake-up is lost: the task's state is tested under
-        the scheduler lock and ``Condition.wait`` releases that lock
-        atomically, so a ready either comes before the test or finds
-        the driver waiting.  Every ``stall_check`` seconds of blocked
+        ready or interrupt notifies — or shutdown, which a batch run's
+        first failure sets.  No wake-up is lost: the task's state is
+        tested under the scheduler lock and ``Condition.wait`` releases
+        that lock atomically, so a ready either comes before the test or
+        finds the driver waiting.  Every ``stall_check`` seconds of blocked
         time the kernel's stall hook gets the blocked task set — under
         wall clock there is no global "all tasks blocked" moment, so
         this poll is the backstop for a cycle formed while everyone was
@@ -789,15 +737,6 @@ class WallClockScheduler:
                         )
                         drain._secondary_drain = True
                         raise drain
-                    # In serve mode another request's failure is not this
-                    # request's problem — only shutdown drains waiters.
-                    if self._errors and not self._serve:
-                        drain = RuntimeEngineError(
-                            f"runtime aborted while {task.name} waited for "
-                            f"{signal.name or 'a signal'}"
-                        )
-                        drain._secondary_drain = True
-                        raise drain from self._errors[0]
                     wake.wait(self.stall_check)
                     if task.state != Task.BLOCKED:
                         break
@@ -916,14 +855,10 @@ class ThreadedKernel(TransactionManager):
         return self.scheduler.stop(timeout)
 
     def drive(self, name: str, program):
-        """Run a top-level transaction to its end on the calling thread.
-
-        The task is registered as :meth:`spawn` registers it but never
-        queued for a pool; the caller steps it (see
-        :meth:`WallClockScheduler.drive`).  Returns the handle.
-        """
-        handle = self._register_top(name)
-        handle.task = self.scheduler.spawn(name, self._run_top(handle, program), queued=False)
+        """Run a top-level transaction to its end on the calling thread
+        (:meth:`spawn`, then :meth:`WallClockScheduler.drive`).  Returns
+        the handle."""
+        handle = self.spawn(name, program)
         self.scheduler.drive(handle.task)
         return handle
 
@@ -969,8 +904,9 @@ def run_threaded_transactions(
     lock_timeout: Optional[float] = None,
 ) -> ThreadedKernel:
     """Convenience mirror of :func:`repro.core.kernel.run_transactions`
-    for the threaded runtime: spawn every program, run the pool, return
-    the kernel.  ``n_stripes`` has no effect: the lock table is one
+    for the threaded runtime: spawn every program, drive them on
+    ``n_threads`` threads (:meth:`WallClockScheduler.run`), return the
+    kernel.  ``n_stripes`` has no effect: the lock table is one
     table under the kernel lock; the argument stays so that callers
     passing it (the benchmark's L0 rung) need no change."""
     kernel = ThreadedKernel(

@@ -171,7 +171,8 @@ class TransactionServer:
     cost units sleeps ``think_cost * time_scale`` real seconds).  Every
     request runs on the thread that submitted it, so ``n_threads``
     sizes nothing on a served kernel; it is still accepted, as the
-    kernel's batch-pool size.  ``n_stripes`` has no effect: the lock
+    number of threads a batch ``run()`` of the kernel would start.
+    ``n_stripes`` has no effect: the lock
     table is one table under the kernel lock; the argument stays so
     that callers passing it (the benchmark stacks) need no change.
     The kernel resolves waits-for cycles when the closing edge is

@@ -11,7 +11,8 @@ WAL file each have one reader, the external interrupt primitive under
 both runtimes, that the Fig. 9 conflict test has one path, with no
 decision cache in front of it, that a blocked wait is resolved one
 way, that coroutine steps run under no execution-shard partition and the
-lock table under no stripes, and that no code path but the page store's own module reaches the page
+lock table under no stripes, that a threaded task is driven one way,
+and that no code path but the page store's own module reaches the page
 store.
 """
 
@@ -560,7 +561,8 @@ class ThreadedRun(ThreadedKernel):
         self.callers: list[threading.Thread] = []
 
     def spawn(self, name, program) -> None:
-        caller = threading.Thread(target=self.drive, args=(name, program), daemon=True)
+        task = super().spawn(name, program).task
+        caller = threading.Thread(target=self.scheduler.drive, args=(task,), daemon=True)
         self.callers.append(caller)
         caller.start()
 
@@ -739,6 +741,17 @@ def test_kernel_lock_is_a_bare_rlock():
     ]
     assert offenders == []
     assert _src_literals(lambda value: value == "shard.coordinations") == []
+
+
+def test_one_way_to_drive():
+    """Every threaded task is driven to its end by one thread through
+    ``WallClockScheduler.drive``, a batch run's threads included: no
+    worker loop, runnable queue or idle-worker condition is left, and
+    ``spawn`` takes no ``queued`` flag."""
+    for attr in ("_worker", "_runnable", "_wakeup"):
+        assert not hasattr(WallClockScheduler(), attr), attr
+        assert not hasattr(WallClockScheduler, attr), attr
+    assert "queued" not in inspect.signature(WallClockScheduler.spawn).parameters
 
 
 def test_reap_drops_each_transaction_directly():

@@ -10,6 +10,7 @@ concurrent steps must keep closed.
 
 from __future__ import annotations
 
+import inspect
 import threading
 import time
 
@@ -76,6 +77,31 @@ class TestErrorAggregation:
         sched.spawn("boom", boom())
         with pytest.raises(RuntimeError, match="primary failure"):
             sched.run()
+
+    def test_a_failed_run_fails_the_tasks_it_never_ran(self):
+        # One thread, so the three tasks behind the failing one are not
+        # yet driven when it fails.  The failure shuts the run down: each
+        # of them fails with a secondary drain error, unstepped, and its
+        # coroutine is closed (no "never awaited" warning at GC).
+        sched = WallClockScheduler(n_threads=1)
+        stepped = []
+
+        async def boom():
+            raise ValueError("first failure")
+
+        async def later(i):
+            stepped.append(i)
+
+        sched.spawn("boom", boom())
+        later_tasks = [sched.spawn(f"later-{i}", later(i)) for i in range(3)]
+        with pytest.raises(ValueError, match="first failure"):
+            sched.run()
+        assert sched.all_finished and stepped == []
+        for task in later_tasks:
+            assert task.state == Task.FAILED
+            assert isinstance(task.exception, RuntimeEngineError)
+            assert task.exception._secondary_drain
+            assert inspect.getcoroutinestate(task.coro) == inspect.CORO_CLOSED
 
 
 class TestInterruptRaces:

@@ -919,6 +919,55 @@ class TestTargetedWakeups:
         assert all(handle.task.finished for handle in kernel.handles.values())
 
 
+class TestYieldRule:
+    """Counts, not timings: a zero-cost Pause yields the processor only
+    in a batch run of several threads, which is what makes a batch run
+    interleave.  A lone batch thread runs like a lone caller, and a
+    served caller never yields (it hands the GIL over at a transaction's
+    end instead).  Every batch task is driven through ``drive``."""
+
+    @staticmethod
+    def _count_yields(monkeypatch) -> list:
+        yields = []
+        monkeypatch.setattr(threaded, "_yield_thread", lambda: yields.append(1))
+        return yields
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_a_batch_run_yields_only_on_several_threads(self, monkeypatch, n_threads):
+        yields = self._count_yields(monkeypatch)
+        workload = OrderEntryWorkload(WorkloadConfig(n_items=2, orders_per_item=2, seed=5))
+        kernel = run_threaded_transactions(
+            workload.db, dict(workload.take(8)), n_threads=n_threads
+        )
+        counters = kernel.obs.snapshot().counters
+        assert counters["thread.steps"] > 8  # the transactions did pause
+        assert (len(yields) > 0) == (n_threads > 1), len(yields)
+        assert counters["thread.caller_drives"] == counters["thread.spawned"] == 8
+
+    def test_a_served_burst_never_yields(self, monkeypatch):
+        yields = self._count_yields(monkeypatch)
+        server = TransactionServer(
+            build_order_entry_database(n_items=2, orders_per_item=2), n_threads=4
+        ).start()
+        responses = []
+
+        def client(offset):
+            for i in range(30):
+                op = ("place", "stock-check", "restock")[i % 3]
+                responses.append(server.submit(Request(op=op, item=(offset + i) % 2)))
+
+        clients = [threading.Thread(target=client, args=(k,)) for k in range(2)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=30.0)
+        assert server.shutdown().clean
+        counters = server.obs.snapshot().counters
+        assert len(responses) == 60 and all(r.ok for r in responses)
+        assert counters["thread.steps"] > 60 and yields == []
+        assert counters["thread.caller_drives"] == counters["thread.spawned"] == 60
+
+
 class TestCallerDrives:
     """A blocking submit runs its transaction on the calling thread, and
     every wake-up of a caller-driven task reaches that caller by notify.
@@ -993,9 +1042,10 @@ class TestCallerDrives:
         assert workers == [], workers
         assert "cc-deadline-reaper" in started  # the recorder saw the server's own thread
 
-    def test_a_served_scheduler_refuses_a_queued_spawn(self):
-        """Nothing would run a queued task on a served scheduler, so
-        spawning one raises and leaves no task behind."""
+    def test_run_on_a_started_scheduler_raises_and_steps_nothing(self):
+        """A started scheduler's callers drive its tasks, so a batch run
+        on it raises before any step, and the task it found still waits
+        for a caller."""
         kernel = ThreadedKernel(Database(), n_threads=2)
         kernel.start()
 
@@ -1003,24 +1053,15 @@ class TestCallerDrives:
             pass
 
         try:
-            with pytest.raises(RuntimeEngineError, match="only a caller drives"):
-                kernel.scheduler.spawn("queued", program(None))
-            assert kernel.scheduler.tasks == {}
-            assert kernel.drive("driven", program).committed
+            handle = kernel.spawn("undriven", program)
+            with pytest.raises(RuntimeEngineError, match="started scheduler"):
+                kernel.run()
+            assert kernel.scheduler.steps == 0
+            assert handle.task.state == Task.PENDING and handle.task.driver is None
+            kernel.scheduler.drive(handle.task)
+            assert handle.committed
         finally:
             assert kernel.stop() == []
-
-    def test_drive_refuses_a_task_queued_for_the_pool(self):
-        scheduler = WallClockScheduler(n_threads=1)
-
-        async def program():
-            pass
-
-        task = scheduler.spawn("queued", program())
-        with pytest.raises(RuntimeEngineError, match="queued for the pool"):
-            scheduler.drive(task)
-        assert task.state == Task.PENDING and task.wake is None
-        task.coro.close()
 
     def test_caller_drives_are_readable_over_the_wire(self):
         """The wire handler thread drives each request it reads, and the

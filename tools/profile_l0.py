@@ -4,7 +4,7 @@
 By default it runs the same input the ladder's L0 rung times —
 ``request_list("mem_uniform", seed, 0, n)`` → ``build_program`` →
 ``run_threaded_transactions(n_threads=1)`` — under ``cProfile`` *on the
-worker threads* (the calling thread only joins them), and prints the
+threads ``run()`` starts* (the calling thread only joins them), and prints the
 top functions by cumulative time as text.
 
 ``--served WORKLOAD`` instead starts the workload's perfbench stack
@@ -222,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
         stats = profile_l0(args.seed, args.requests)
         title = (
             f"L0 profile: mem_uniform seed={args.seed} requests={args.requests} "
-            f"(cProfile on the worker threads, top {args.top} by {label} time)"
+            f"(cProfile on the batch threads, top {args.top} by {label} time)"
         )
     else:
         stats, footer = profile_served(args.served, args.seed, args.requests)
