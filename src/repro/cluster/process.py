@@ -115,7 +115,12 @@ class ShardProcess:
 
 
 class LocalCluster:
-    """N shard processes + router + coordinator, under one base dir."""
+    """N shard processes + router + coordinator, under one base dir.
+
+    ``parallel_prepare`` has no effect: the router sends every prepare
+    from the calling thread, then reads every vote; the argument stays
+    so that callers passing it (the benchmark stacks) need no change.
+    """
 
     def __init__(
         self,
@@ -128,7 +133,6 @@ class LocalCluster:
         router_host: str = "127.0.0.1",
         router_port: int = 0,
         parallel_prepare: bool = True,
-        max_fanout: int = 8,
         compact_threshold: int = 256,
     ) -> None:
         if n_shards < 1:
@@ -141,8 +145,6 @@ class LocalCluster:
         self.pool_size = pool_size
         self.router_host = router_host
         self.router_port = router_port
-        self.parallel_prepare = parallel_prepare
-        self.max_fanout = max_fanout
         self.compact_threshold = compact_threshold
         self.shards: list[ShardProcess] = []
         self.router: Optional[ClusterRouter] = None
@@ -180,8 +182,6 @@ class LocalCluster:
             pool_size=self.pool_size,
             obs=self.obs,
             status_address="%s:%d" % self.wire.address,
-            parallel_prepare=self.parallel_prepare,
-            max_fanout=self.max_fanout,
             compact_threshold=self.compact_threshold,
         )
         self.wire.attach_router(self.router)

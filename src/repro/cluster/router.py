@@ -8,25 +8,24 @@ touch several shards — multi-line ``place``, multi-item
 ``total-payment`` — become presumed-abort two-phase commits:
 
 1. split the request into per-shard branch requests;
-2. fan ``2pc-prepare`` out to every branch shard **concurrently** over a
-   bounded worker pool; a branch commits locally on success (open-nested
+2. on the calling thread, write ``2pc-prepare`` to every branch shard in
+   ascending shard order, then read every vote; the shards work on their
+   branches at once.  A branch commits locally on success (open-nested
    semantic atomicity — locks are not held across the global decision)
    and replies ``prepared``.  The branches are independent precisely
    because they compensate instead of holding each other's locks, so
    nothing orders them during the prepare phase.  A branch whose reply
    says ``read_only`` wrote nothing and leaves the protocol with its
-   vote: it is not named in the decision and gets no decision send.  The
-   first failed vote (or dead shard) triggers an **early durable abort**
-   — the decision is fsynced while slower prepares are still in flight,
-   and branches whose prepare has not been sent yet are skipped entirely
-   (presumed abort covers a shard that never heard of the gtid);
+   vote: it is not named in the decision and gets no decision send.  A
+   shard that cannot be sent to ends the sends; the shards after it
+   never hear of the gtid (presumed abort covers them);
 3. if **all** branches prepared: fsync ``commit`` into the
-   :class:`CoordinatorLog`, then fan best-effort ``2pc-commit`` out to
-   the writing branches concurrently and merge the results;
-4. otherwise: fsync ``abort`` (if the early abort didn't already) and
-   fan ``2pc-abort`` out to every *contacted* writing shard (prepared
-   branches compensate), surfacing one response — a shed at any shard
-   sheds the whole request with a single ``retry_after``.
+   :class:`CoordinatorLog`, then write best-effort ``2pc-commit`` to
+   every writing branch before reading any reply, and merge the votes;
+4. otherwise: fsync ``abort`` and send ``2pc-abort`` the same way to
+   every *contacted* writing shard (prepared branches compensate),
+   surfacing one response — a shed at any shard sheds the whole request
+   with a single ``retry_after``.
 
 The coordinator log is the cluster's decision truth: a restarting shard
 resolves an in-doubt gtid by asking ``2pc-status`` here.  Unknown gtids
@@ -53,8 +52,7 @@ import os
 import queue
 import threading
 import uuid
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.cluster.hashring import DEFAULT_VNODES, HashRing
 from repro.errors import ReproError, RequestShed, error_to_payload
@@ -390,6 +388,13 @@ class ShardLink:
     in-flight request; the pool creates connections on demand up to
     ``capacity`` and recycles them LIFO, so concurrent router threads
     drive the shard at its admission-controlled parallelism.
+
+    A request is split in two phases so that one thread can have a
+    request in flight at several shards at once: :meth:`send` borrows a
+    connection and writes the message, and returns that connection as
+    the pending reply; :meth:`receive` reads the reply and pools the
+    connection again.  A connection whose send or read failed is
+    dropped, never pooled, so a later borrow reconnects.
     """
 
     def __init__(
@@ -427,21 +432,37 @@ class ShardLink:
                 f"({self.capacity} in flight for {self.timeout}s)"
             ) from None
 
-    def request(self, message: dict[str, Any]) -> dict[str, Any]:
+    def _drop(self, client: TCPClient) -> None:
+        with self._lock:
+            self._created -= 1
+        client.close()
+
+    def send(self, message: dict[str, Any]) -> TCPClient:
+        """Write *message* on a borrowed connection; returns the pending
+        reply for :meth:`receive`."""
         client = self._borrow()
+        try:
+            client.send(message)
+        except Exception:
+            self._drop(client)
+            raise
+        return client
+
+    def receive(self, pending: TCPClient) -> dict[str, Any]:
+        """Read the reply to :meth:`send` and pool its connection."""
         try:
             # The reply is parsed before pooling: a connection whose
             # response didn't decode is out of sync and must be
             # discarded, not reused.
-            payload = client.request(message)
+            payload = pending.receive()
         except Exception:
-            # Broken connection: drop it so a later borrow reconnects.
-            with self._lock:
-                self._created -= 1
-            client.close()
+            self._drop(pending)
             raise
-        self._pool.put(client)
+        self._pool.put(pending)
         return payload
+
+    def request(self, message: dict[str, Any]) -> dict[str, Any]:
+        return self.receive(self.send(message))
 
     def close(self) -> None:
         while True:
@@ -463,8 +484,6 @@ class ClusterRouter:
         obs: Optional[MetricsRegistry] = None,
         status_address: str = "",
         shard_timeout: float = 30.0,
-        parallel_prepare: bool = True,
-        max_fanout: int = 8,
         compact_threshold: int = 256,
     ) -> None:
         if not shard_addresses:
@@ -485,19 +504,7 @@ class ClusterRouter:
         # still what follows the first dash.
         self._gtid_epoch = uuid.uuid4().hex[:12]
         self._gtids = itertools.count()
-        self.parallel_prepare = parallel_prepare
         self.compact_threshold = max(1, int(compact_threshold))
-        # One shared bounded pool for both prepare and decision fan-out:
-        # branch work is pure socket I/O, so a small pool covers many
-        # concurrent global transactions without thread explosion.
-        self._fanout: Optional[ThreadPoolExecutor] = (
-            ThreadPoolExecutor(
-                max_workers=max(1, int(max_fanout)),
-                thread_name_prefix="cc-2pc-fanout",
-            )
-            if parallel_prepare
-            else None
-        )
         self._m_requests = self.obs.counter("cluster.requests")
         self._m_single = self.obs.counter("cluster.single_shard")
         self._m_cross = self.obs.counter("cluster.cross_shard")
@@ -508,9 +515,6 @@ class ClusterRouter:
         self._m_committed = self.obs.counter("2pc.committed")
         self._m_aborted = self.obs.counter("2pc.aborted")
         self._m_status = self.obs.counter("2pc.status_queries")
-        self._m_fanout_waves = self.obs.counter("2pc.prepare.fanout.waves")
-        self._m_fanout_skipped = self.obs.counter("2pc.prepare.fanout.skipped")
-        self._m_fanout_early = self.obs.counter("2pc.prepare.fanout.early_aborts")
         self._m_ack_inline = self.obs.counter("2pc.ack.inline")
         self._m_ack_wire = self.obs.counter("2pc.ack.wire")
         self._m_ack_full = self.obs.counter("2pc.ack.full")
@@ -580,119 +584,77 @@ class ClusterRouter:
         gtid = self._next_gtid(request)
         self.log.begin(gtid)
         self._m_begun.inc()
-        if self._fanout is not None and len(branches) > 1:
-            votes, contacted, down = self._prepare_parallel(gtid, branches)
-        else:
-            votes, contacted, down = self._prepare_sequential(gtid, branches)
+        votes, contacted, down = self._prepare(gtid, branches)
         prepared = [s for s, v in votes.items() if v.status == "prepared"]
         if not down and len(prepared) == len(branches):
             # Read-only voters left phase 2 with their vote: the decision
             # names, and is sent to, the writing branches only.
             seqs = self.log.decide(gtid, "commit", contacted)
             self._m_committed.inc()
-            acked = self._fan_out_decision(gtid, "2pc-commit", sorted(contacted), seqs)
-            self._record_acks(gtid, acked)
+            self._record_acks(gtid, self._fan_out_decision(gtid, "2pc-commit", seqs))
             return self._merge_commit(request, branches, votes)
-        # Idempotent when the parallel path already decided early; the
-        # contacted set is frozen once the early abort fires, so both
-        # calls see the same shards.
         seqs = self.log.decide(gtid, "abort", contacted)
         self._m_aborted.inc()
         self._m_prepare_failed.inc()
         # Every contacted shard learns the abort: prepared branches
         # compensate, failed branches already logged their own abort,
         # and a down shard that durably prepared resolves on restart.
-        acked = self._fan_out_decision(gtid, "2pc-abort", sorted(contacted), seqs)
-        self._record_acks(gtid, acked)
+        self._record_acks(gtid, self._fan_out_decision(gtid, "2pc-abort", seqs))
         return self._merge_abort(request, branches, votes, down)
 
-    def _prepare_sequential(
-        self, gtid: str, branches: dict[int, Request]
-    ) -> tuple[dict[int, Response], set[int], list[int]]:
-        """One prepare at a time, stopping at the first failure."""
-        votes: dict[int, Response] = {}
-        contacted: set[int] = set()
-        down: list[int] = []
-        for shard, sub in branches.items():
-            contacted.add(shard)
-            try:
-                payload = self.links[shard].request(self._prepare_message(gtid, sub))
-            except (OSError, ConnectionError):
-                self._m_shard_down.inc()
-                down.append(shard)
-                break
-            vote = Response.from_dict(payload)
-            votes[shard] = vote
-            if payload.get("read_only"):
-                contacted.discard(shard)
-            if vote.status != "prepared":
-                break
-        return votes, contacted, down
+    def _exchange(
+        self, messages: Iterable[tuple[int, dict[str, Any]]], stop_at_down: bool
+    ) -> tuple[dict[int, dict[str, Any]], list[int]]:
+        """Write every ``(shard, message)``, then read every reply, in order.
 
-    def _prepare_parallel(
-        self, gtid: str, branches: dict[int, Request]
-    ) -> tuple[dict[int, Response], set[int], list[int]]:
-        """Fan every branch prepare out concurrently; abort early.
-
-        The first failed vote (or dead shard) durably decides ``abort``
-        *before* slower prepares settle — the client's latency is the
-        slowest branch, not the sum — and branches whose prepare has not
-        been submitted to a socket yet are skipped entirely: presumed
-        abort answers for a shard that never heard the gtid.  The
-        check-and-mark of ``contacted`` and the set-and-snapshot of the
-        abort flag share one lock, so the contacted set is frozen at the
-        moment the early abort decides and every shard that will ever
-        see the prepare is covered by the decision's shard list.  A
-        read-only voter leaves ``contacted`` (and so phase 2) with its
-        vote, unless an early abort already froze it into the decision.
+        Returns the replies by shard and the shards that could not be
+        reached (a failed send or read).  With *stop_at_down* the first
+        failed send ends the sends, and later shards never see theirs.
         """
-        assert self._fanout is not None
-        state = threading.Lock()  # guards the four below
-        aborted = False
-        votes: dict[int, Response] = {}
-        contacted: set[int] = set()
+        pending: list[tuple[int, Any]] = []
         down: list[int] = []
-        self._m_fanout_waves.inc()
-
-        def early_abort() -> None:
-            nonlocal aborted
-            with state:
-                if aborted:
-                    return
-                aborted = True
-                shards = set(contacted)
-            self.log.decide(gtid, "abort", shards)
-            self._m_fanout_early.inc()
-
-        def prepare_one(shard: int, sub: Request) -> None:
-            with state:
-                if aborted:
-                    self._m_fanout_skipped.inc()
-                    return
-                contacted.add(shard)
+        for shard, message in messages:
             try:
-                payload = self.links[shard].request(self._prepare_message(gtid, sub))
+                pending.append((shard, self.links[shard].send(message)))
             except (OSError, ConnectionError):
-                self._m_shard_down.inc()
-                with state:
-                    down.append(shard)
-                early_abort()
-                return
-            vote = Response.from_dict(payload)
-            with state:
-                votes[shard] = vote
-                if payload.get("read_only") and not aborted:
-                    contacted.discard(shard)
-            if vote.status != "prepared":
-                early_abort()
+                down.append(shard)
+                if stop_at_down:
+                    break
+        replies: dict[int, dict[str, Any]] = {}
+        for shard, reply in pending:
+            try:
+                replies[shard] = self.links[shard].receive(reply)
+            except (OSError, ConnectionError):
+                down.append(shard)
+        if down:
+            self._m_shard_down.inc(len(down))
+        return replies, down
 
-        futures = [
-            self._fanout.submit(prepare_one, shard, sub)
-            for shard, sub in branches.items()
-        ]
-        for future in futures:
-            future.result()
-        return votes, contacted, down
+    def _prepare(
+        self, gtid: str, branches: dict[int, Request]
+    ) -> tuple[dict[int, Response], set[int], list[int]]:
+        """Send every branch's prepare, then read every vote.
+
+        Sends go in ascending shard order.  Each send holds its
+        connection until the vote is read, so two coordinators whose
+        requests name the same shards in opposite orders could otherwise
+        each hold the connection the other waits to borrow.  The first
+        shard that cannot be sent to ends the sends: it is down and
+        contacted (it may have read the prepare), and the shards after
+        it never hear of the gtid, which presumed abort covers.  A
+        read-only voter leaves ``contacted``, and so phase 2, with its
+        vote.
+        """
+        replies, down = self._exchange(
+            (
+                (shard, self._prepare_message(gtid, branches[shard]))
+                for shard in sorted(branches)
+            ),
+            stop_at_down=True,
+        )
+        votes = {shard: Response.from_dict(payload) for shard, payload in replies.items()}
+        contacted = {shard for shard, payload in replies.items() if not payload.get("read_only")}
+        return votes, contacted | set(down), down
 
     def _prepare_message(self, gtid: str, sub: Request) -> dict[str, Any]:
         return {
@@ -702,10 +664,9 @@ class ClusterRouter:
             "branch": sub.to_dict(),
         }
 
-    def _fan_out_decision(
-        self, gtid: str, op: str, shards: list[int], seqs: dict[int, int]
-    ) -> list[int]:
-        """Best-effort decision sends, concurrent when pooled.
+    def _fan_out_decision(self, gtid: str, op: str, seqs: dict[int, int]) -> list[int]:
+        """Best-effort decision sends to the decision's shards, in
+        ascending order; every send goes out before any reply is read.
 
         Returns the shards whose reply confirmed durable application —
         their inline acks.  A failed send is fine: the decision is
@@ -713,23 +674,18 @@ class ClusterRouter:
         resolution on restart, and the un-acked seq keeps the log entry
         alive until the shard's boot-time ack announcement covers it.
         """
-
-        def send(shard: int) -> bool:
-            message: dict[str, Any] = {"op": op, "gtid": gtid}
-            if shard in seqs:
-                message["seq"] = seqs[shard]
-            try:
-                payload = self.links[shard].request(message)
-            except (OSError, ConnectionError):
-                self._m_shard_down.inc()
-                return False
-            return bool(payload.get("status") == "ok" and payload.get("ack_hwm") is not None)
-
-        if self._fanout is not None and len(shards) > 1:
-            results = list(self._fanout.map(send, shards))
-        else:
-            results = [send(shard) for shard in shards]
-        return [shard for shard, ok in zip(shards, results) if ok]
+        replies, _ = self._exchange(
+            (
+                (shard, {"op": op, "gtid": gtid, "seq": seq})
+                for shard, seq in sorted(seqs.items())
+            ),
+            stop_at_down=False,
+        )
+        return [
+            shard
+            for shard, payload in replies.items()
+            if payload.get("status") == "ok" and payload.get("ack_hwm") is not None
+        ]
 
     def _record_acks(self, gtid: str, shards: list[int]) -> None:
         for shard in shards:
@@ -859,8 +815,6 @@ class ClusterRouter:
         }
 
     def close(self) -> None:
-        if self._fanout is not None:
-            self._fanout.shutdown(wait=False)
         for link in self.links:
             link.close()
 

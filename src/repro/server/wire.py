@@ -156,13 +156,21 @@ class TCPClient:
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._file = self._sock.makefile("rwb")
 
-    def request(self, message: dict[str, Any]) -> dict[str, Any]:
+    def send(self, message: dict[str, Any]) -> None:
+        """Write one request line and flush it; the reply is left unread."""
         self._file.write(json.dumps(message).encode("utf-8") + b"\n")
         self._file.flush()
+
+    def receive(self) -> dict[str, Any]:
+        """Read and parse the next reply line."""
         line = self._file.readline()
         if not line:
             raise ConnectionError("server closed the connection")
         return json.loads(line)
+
+    def request(self, message: dict[str, Any]) -> dict[str, Any]:
+        self.send(message)
+        return self.receive()
 
     def ping(self) -> bool:
         return self.request({"op": "ping"}).get("result") == "pong"

@@ -9,6 +9,7 @@ processes over durable partitions) serves every test; with
 from __future__ import annotations
 
 import os
+import socket
 import threading
 from collections import Counter
 from contextlib import contextmanager
@@ -23,6 +24,7 @@ from repro.orderentry.schema import build_order_entry_database
 from repro.recovery import WriteAheadLog
 from repro.server.core import TransactionServer
 from repro.server.requests import Request
+from repro.server.wire import LineServer
 from repro.storage.durable import DurableWriteAheadLog
 
 from tests.helpers import page_store_files, record_thread_starts
@@ -186,9 +188,15 @@ class InProcessLink:
         self.participant = participant
         self.ops: list[str] = []
 
-    def request(self, message: dict) -> dict:
+    def send(self, message: dict) -> dict:
         self.ops.append(message["op"])
         return self.participant.wire_ops()[message["op"]](message)
+
+    def receive(self, reply: dict) -> dict:
+        return reply
+
+    def request(self, message: dict) -> dict:
+        return self.receive(self.send(message))
 
     def close(self) -> None:
         return None
@@ -357,6 +365,46 @@ class TestShardLink:
         link = ShardLink("127.0.0.1", 1, capacity=0, timeout=0.05)
         with pytest.raises(ConnectionError, match="pool exhausted"):
             link._borrow()
+
+    def test_a_connection_is_reused_and_a_broken_one_dropped(self, monkeypatch):
+        """Two requests in turn share one connection.  A connection the
+        shard closes mid-reply raises ``ConnectionError`` from
+        ``receive`` and leaves the pool, and the next request connects
+        afresh."""
+        accepted: list[socket.socket] = []
+
+        def dispatch(message: dict) -> dict:
+            if message["op"] == "hang-up":
+                # The shard side of the connection goes before the reply.
+                accepted[-1].shutdown(socket.SHUT_RDWR)
+            return {"status": "ok", "result": message["op"]}
+
+        server = LineServer(dispatch)
+        process_request = server._tcp.process_request
+
+        def recording_process_request(connection, address) -> None:
+            accepted.append(connection)
+            process_request(connection, address)
+
+        monkeypatch.setattr(server._tcp, "process_request", recording_process_request)
+        # The handler's reply then meets a broken pipe; keep its traceback quiet.
+        monkeypatch.setattr(server._tcp, "handle_error", lambda request, address: None)
+        server.start()
+        link = ShardLink(*server.address, capacity=2, timeout=5.0)
+        try:
+            assert link.request({"op": "a"})["result"] == "a"
+            assert link.request({"op": "b"})["result"] == "b"
+            assert link._created == 1
+            pending = link.send({"op": "hang-up"})
+            with pytest.raises(ConnectionError):
+                link.receive(pending)
+            assert link._created == 0
+            assert link.request({"op": "c"})["result"] == "c"
+            assert link._created == 1
+            assert len(accepted) == 2
+        finally:
+            link.close()
+            server.stop()
 
 
 class TestGtidUniqueness:

@@ -1,19 +1,21 @@
-"""Deterministic interleavings of the router's parallel prepare fan-out.
+"""Deterministic interleavings of the router's split-phase 2PC sends.
 
 No real shards: the router's per-shard :class:`ShardLink` objects are
 replaced with in-process fakes whose prepare replies are orchestrated by
 events, so the interleavings under test — a slow shard still preparing
-while a failing shard triggers the early abort, a bounded pool skipping
-a branch the abort beat to the socket — happen on every run instead of
-once in a thousand.  The fakes record every message, which is how the
-tests assert *wire-visible* behavior: who was prepared, who got the
-abort, and what the coordinator log said while prepares were still in
-flight.
+while another shard votes no, a shard that cannot be reached stopping
+the sends after it — happen on every run instead of once in a thousand.
+A fake's ``send`` records the message (in its own list and in one log
+shared by every fake) and ``receive`` produces the reply, so the tests
+assert *wire-visible* behavior: who was prepared, who got the decision,
+and in what order the messages went out.
 """
 
 from __future__ import annotations
 
 import threading
+
+import pytest
 
 from repro.cluster.router import ClusterRouter, CoordinatorLog
 from repro.server.requests import Request
@@ -22,24 +24,29 @@ from repro.server.requests import Request
 class FakeLink:
     """Stands in for one shard's ShardLink; scripted per-op behavior."""
 
-    def __init__(self, shard: int, log: CoordinatorLog) -> None:
+    def __init__(self, shard: int, sends: list[tuple[int, str]]) -> None:
         self.shard = shard
-        self.log = log
+        self.sends = sends  # (shard, op) of every send, shared by all fakes
         self.sent: list[dict] = []
         self.lock = threading.Lock()
-        self.prepare_gate: threading.Event | None = None  # block prepare until set
+        self.prepare_gate: threading.Event | None = None  # hold the vote until set
         self.prepare_entered = threading.Event()
         self.fail_prepare = False
         self.down = False
 
-    def request(self, message: dict) -> dict:
+    def send(self, message: dict) -> dict:
         with self.lock:
             self.sent.append(dict(message))
+            self.sends.append((self.shard, message["op"]))
         if self.down:
             raise ConnectionError(f"fake shard {self.shard} is down")
+        if message["op"] == "2pc-prepare":
+            self.prepare_entered.set()
+        return message
+
+    def receive(self, message: dict) -> dict:
         op = message["op"]
         if op == "2pc-prepare":
-            self.prepare_entered.set()
             if self.prepare_gate is not None:
                 assert self.prepare_gate.wait(10.0), "prepare gate never opened"
             if self.fail_prepare:
@@ -72,7 +79,8 @@ def make_router(tmp_path, n_shards: int = 3, **kwargs) -> tuple[ClusterRouter, l
         log,
         **kwargs,
     )
-    fakes = [FakeLink(i, log) for i in range(n_shards)]
+    sends: list[tuple[int, str]] = []
+    fakes = [FakeLink(i, sends) for i in range(n_shards)]
     for link in router.links:
         link.close()
     router.links = fakes  # type: ignore[assignment]
@@ -98,34 +106,23 @@ def branch_map(fakes, shards) -> dict:
 
 
 class TestEarlyAbortInterleaving:
-    def test_slow_prepared_branch_is_compensated_after_early_abort(self, tmp_path):
-        """Slow shard + failing shard: the early abort is durable before
-        the slow prepare settles, and the slow (prepared) branch still
-        gets its 2pc-abort."""
-        router, fakes = make_router(tmp_path, n_shards=3, max_fanout=4)
-        slow, failing = fakes[0], fakes[1]
+    @pytest.mark.parametrize("slow_shard", [0, 1, 2])
+    def test_slow_prepared_branch_is_compensated_after_early_abort(self, tmp_path, slow_shard):
+        """Slow shard + failing shard, the slow one before or after the
+        failing one in send order: the slow (prepared) branch gets
+        exactly one 2pc-abort and no commit."""
+        router, fakes = make_router(tmp_path, n_shards=3)
+        slow, failing = fakes[slow_shard], fakes[(slow_shard + 1) % 3]
         slow.prepare_gate = threading.Event()
         failing.fail_prepare = True
         failing.prepare_gate = threading.Event()
 
-        observed_while_slow_inflight: dict[str, str] = {}
-
         def unblock() -> None:
             # Wait until both the slow and failing prepares are on the
-            # wire, let the failure land first, then observe the log
-            # *while the slow prepare is still in flight*, then release it.
+            # wire, let the failure land first, then release the slow one.
             assert slow.prepare_entered.wait(10.0)
             assert failing.prepare_entered.wait(10.0)
             failing.prepare_gate.set()
-            deadline = threading.Event()
-            for _ in range(2000):
-                gtids = [g for g in router.log.decisions()]
-                if gtids:
-                    observed_while_slow_inflight[gtids[0]] = router.log.decisions()[
-                        gtids[0]
-                    ]
-                    break
-                deadline.wait(0.005)
             slow.prepare_gate.set()
 
         orchestrator = threading.Thread(target=unblock)
@@ -135,8 +132,6 @@ class TestEarlyAbortInterleaving:
         finally:
             orchestrator.join(timeout=10.0)
         assert response.status == "aborted"
-        # The abort was fsynced while the slow prepare was still blocked.
-        assert list(observed_while_slow_inflight.values()) == ["abort"]
         # Every contacted shard got the abort — including the slow one
         # whose branch had locally committed and must compensate.
         assert len(slow.ops("2pc-abort")) == 1
@@ -146,7 +141,7 @@ class TestEarlyAbortInterleaving:
         router.log.close()
 
     def test_dead_shard_triggers_early_abort_of_prepared_branches(self, tmp_path):
-        router, fakes = make_router(tmp_path, n_shards=2, max_fanout=4)
+        router, fakes = make_router(tmp_path, n_shards=2)
         fakes[1].down = True
         response = run_branches(router, branch_map(fakes, [0, 1]))
         assert response.status == "failed"
@@ -160,48 +155,66 @@ class TestEarlyAbortInterleaving:
         router.close()
         router.log.close()
 
-    def test_bounded_pool_skips_unsent_branches_after_abort(self, tmp_path):
-        """With one worker, a first-branch failure decides abort before
-        the other branches' prepares are ever submitted — they are
-        skipped entirely (presumed abort covers them) and excluded from
-        the decision's shard list."""
-        router, fakes = make_router(tmp_path, n_shards=3, max_fanout=1)
-        fakes[0].fail_prepare = True
+    def test_unreachable_shard_stops_the_later_sends(self, tmp_path):
+        """Shard 1 cannot be sent to: the sends stop there, so shard 2
+        never hears of the gtid (presumed abort covers it) and is left
+        out of the decision's shard list, while shard 1, which may have
+        read its prepare, stays in it beside shard 0."""
+        router, fakes = make_router(tmp_path, n_shards=3)
+        fakes[1].down = True
         response = run_branches(router, branch_map(fakes, [0, 1, 2]))
-        assert response.status == "aborted"
-        # Exactly one prepare hit a socket; shards 1 and 2 never heard
-        # of the gtid and get no abort either.
-        assert len(fakes[0].ops("2pc-prepare")) == 1
-        assert fakes[1].sent == []
+        assert response.status == "failed"
+        assert response.error["code"] == "shard-down"
         assert fakes[2].sent == []
-        skipped = router.obs.counter("2pc.prepare.fanout.skipped").value
-        assert skipped == 2
-        # The decision's shard list covers only the contacted shard, so
-        # the single inline ack from its abort already made the entry
-        # compactable.
         gtid = next(iter(router.log.decisions()))
-        assert router.log.ack(gtid, 0) is False  # duplicate of the inline ack
-        assert router.log.compactable == 1
+        # decide() on a decided gtid returns its stored shard seqs.
+        assert set(router.log.decide(gtid, "abort")) == {0, 1}
+        assert len(fakes[0].ops("2pc-abort")) == 1
+        assert fakes[0].ops("2pc-commit") == []
         router.close()
         router.log.close()
 
     def test_early_abort_is_decided_once(self, tmp_path):
-        # Two failing branches race to decide; the log must end up with
-        # one abort decision and the early-abort metric must not double.
-        router, fakes = make_router(tmp_path, n_shards=2, max_fanout=4)
+        # Two failing branches: the log must end up with one abort
+        # decision.
+        router, fakes = make_router(tmp_path, n_shards=2)
         fakes[0].fail_prepare = True
         fakes[1].fail_prepare = True
         response = run_branches(router, branch_map(fakes, [0, 1]))
         assert response.status == "aborted"
         assert len(router.log.decisions()) == 1
-        assert router.obs.counter("2pc.prepare.fanout.early_aborts").value == 1
+        router.close()
+        router.log.close()
+
+
+class TestSendOrder:
+    @pytest.mark.parametrize("fail_shard", [None, 2])
+    def test_sends_go_out_in_ascending_shard_order(self, tmp_path, fail_shard):
+        """A branch dict built as {2, 0, 1} still sends its prepares,
+        then its decision (commit, or abort after shard 2 votes no), to
+        shards 0, 1, 2 in that order.  A sent prepare holds its
+        connection until its vote is read, so two coordinators that sent
+        in their dicts' orders — one {0, 1}, the other {1, 0} — could
+        each hold the connection the other waits to borrow: a
+        hold-and-wait cycle that only the link pool's 30 s exhaustion
+        timeout would end.  One global order rules that cycle out."""
+        router, fakes = make_router(tmp_path, n_shards=3)
+        if fail_shard is not None:
+            fakes[fail_shard].fail_prepare = True
+        response = run_branches(router, branch_map(fakes, [2, 0, 1]))
+        assert response.status == ("ok" if fail_shard is None else "aborted")
+        decision = "2pc-commit" if fail_shard is None else "2pc-abort"
+        assert fakes[0].sends == [
+            (0, "2pc-prepare"), (1, "2pc-prepare"), (2, "2pc-prepare"),
+            (0, decision), (1, decision), (2, decision),
+        ]
         router.close()
         router.log.close()
 
 
 class TestCommitFanOut:
     def test_all_prepared_commits_and_acks_inline(self, tmp_path):
-        router, fakes = make_router(tmp_path, n_shards=3, max_fanout=4)
+        router, fakes = make_router(tmp_path, n_shards=3)
         response = run_branches(router, branch_map(fakes, [0, 1, 2]))
         assert response.status == "ok"
         for fake in fakes:
@@ -217,7 +230,7 @@ class TestCommitFanOut:
 
     def test_threshold_compaction_runs_inline(self, tmp_path):
         router, fakes = make_router(
-            tmp_path, n_shards=2, max_fanout=4, compact_threshold=3
+            tmp_path, n_shards=2, compact_threshold=3
         )
         for i in range(4):
             request = Request(
@@ -231,18 +244,6 @@ class TestCommitFanOut:
         # the in-memory decision map stays complete.
         assert router.log.file_entries() <= 1
         assert len(router.log.decisions()) == 4
-        router.close()
-        router.log.close()
-
-    def test_sequential_mode_still_commits(self, tmp_path):
-        router, fakes = make_router(
-            tmp_path, n_shards=2, max_fanout=4, parallel_prepare=False
-        )
-        assert router._fanout is None
-        response = run_branches(router, branch_map(fakes, [0, 1]))
-        assert response.status == "ok"
-        assert router.obs.counter("2pc.prepare.fanout.waves").value == 0
-        assert router.log.compactable == 1
         router.close()
         router.log.close()
 

@@ -754,6 +754,40 @@ def test_one_way_to_drive():
     assert "queued" not in inspect.signature(WallClockScheduler.spawn).parameters
 
 
+def test_router_has_one_prepare_path(tmp_path, monkeypatch):
+    """The 2PC coordinator sends on the router's calling thread: the
+    router imports no executor, takes no fan-out knob, has one prepare
+    path and no ``2pc.prepare.fanout.*`` counter, and a cross-shard
+    burst starts no ``cc-2pc-fanout`` thread."""
+    import repro.cluster.router as router_module
+    from repro.recovery import WriteAheadLog
+    from repro.server.requests import Request
+    from tests.helpers import record_thread_starts
+    from tests.test_cluster_twopc import CROSS, in_process_cluster
+
+    imported = [
+        node.module if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(ast.parse(Path(router_module.__file__).read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert not [name for name in imported if (name or "").startswith("concurrent")]
+    parameters = inspect.signature(router_module.ClusterRouter.__init__).parameters
+    assert not {"max_fanout", "parallel_prepare"} & set(parameters)
+    for attr in ("_prepare_parallel", "_prepare_sequential"):
+        assert not hasattr(router_module.ClusterRouter, attr), attr
+    started = record_thread_starts(monkeypatch)
+    with in_process_cluster(tmp_path, lambda shard: WriteAheadLog()) as (router, _, __):
+        for n in range(10):
+            place = Request(op="place", lines=((CROSS[0], 1), (CROSS[1], 1)))
+            assert router.route_request(place).ok
+            assert router.route_request(Request(op="total-payment", items=CROSS)).ok
+        assert router.stats()["cross_shard"] == 20
+        counters = router.obs.snapshot().counters
+    assert not [name for name in counters if name.startswith("2pc.prepare.fanout")]
+    assert not [name for name in started if name.startswith("cc-2pc-fanout")]
+
+
 def test_reap_drops_each_transaction_directly():
     """Reaping drops the transaction's own handle (the tree its history
     is read from), and a served kernel keeps no trace: no batch of

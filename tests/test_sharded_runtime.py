@@ -106,8 +106,9 @@ class TestErrorAggregation:
 
 class TestInterruptRaces:
     def test_interrupt_pending_task_not_dropped(self):
-        # Interrupt delivered before run(): the task is still PENDING in
-        # the runnable queue.  It must be driven exactly once and raise.
+        # Interrupt delivered before run(): the task is still PENDING and
+        # no thread has driven it yet.  It must be driven exactly once and
+        # raise.
         sched = WallClockScheduler(n_threads=2)
         steps = []
 
