@@ -495,8 +495,10 @@ class TransactionManager:
         self.metrics.inc("actions")
 
         cost = self.cost_model.cost_of(operation)
-        await Pause(cost)  # scheduling point (+ virtual CPU time)
-        await self._run_probe(node, "pre")
+        if cost or self._pause_matters(node):
+            await Pause(cost)  # scheduling point (+ virtual CPU time)
+        if self.probe is not None:
+            await self._run_probe(node, "pre")
 
         while True:
             try:
@@ -528,8 +530,23 @@ class TransactionManager:
         node.result = result
         self._attach_inverse(node, target, operation, args, result)
         self._complete_node(node)
-        await self._run_probe(node, "post")
+        if self.probe is not None:
+            await self._run_probe(node, "post")
         return result
+
+    def _pause_matters(self, node: TransactionNode) -> bool:
+        """Whether a zero-cost Pause before *node* does anything: the
+        runtime interleaves tasks there, a step hook (a fault plan's
+        crash-at-step sweep) counts the steps it separates, or an
+        interrupt of *node*'s transaction waits for its next await
+        (without one, a transaction that never blocks would run on to
+        its commit past a deadline or drain abort)."""
+        scheduler = self.scheduler
+        return (
+            scheduler.pauses_interleave
+            or scheduler.on_step is not None
+            or self.handles[node.top_level_name].task.pending_exception is not None
+        )
 
     async def _rollback_subtransaction(self, node: TransactionNode) -> None:
         """Undo a not-yet-committed subtransaction so it can retry.
@@ -564,8 +581,6 @@ class TransactionManager:
             self._after_lock_change()
 
     async def _run_probe(self, node: TransactionNode, phase: str) -> None:
-        if self.probe is None:
-            return
         awaitable = self.probe(node, phase)
         if awaitable is not None:
             await awaitable
@@ -969,7 +984,10 @@ class TransactionManager:
         """Caller holds coordination and has just re-evaluated the queues."""
         for pending in granted:
             self._trace(pending.node, "regrant", target=pending.target)
-        self._resolve_deadlocks_locked()
+        # Every waits-for edge is a queued request's blocker, so with
+        # nothing queued there is no cycle to look for.
+        if self.locks.pending_count:
+            self._resolve_deadlocks_locked()
 
     def _on_waits_changed(self, pending: PendingRequest) -> None:
         """Lock-table hook: mirror a request's blocker set into the graph.

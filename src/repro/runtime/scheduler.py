@@ -171,6 +171,10 @@ class SchedulerAPI(Protocol):
     clock: float
     on_stall: Optional[Callable[[list[Task]], bool]]
     on_step: Optional[Callable[[int], None]]
+    #: Whether a zero-cost :class:`Pause` can let another task run.
+    #: Where it cannot, the kernel awaits one only when its step number
+    #: (``on_step``) or the task's pending interrupt needs the await.
+    pauses_interleave: bool
 
     def bind_metrics(self, registry) -> None: ...
 
@@ -193,6 +197,9 @@ _NO_COORDINATION = nullcontext()
 
 class Scheduler:
     """Drives tasks deterministically; see module docstring."""
+
+    #: Every Pause is a point where the policy picks the next task.
+    pauses_interleave = True
 
     def __init__(
         self,

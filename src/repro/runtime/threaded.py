@@ -42,7 +42,9 @@ Two pieces, over the plain indexed :class:`~repro.txn.locks.LockTable`
   sleeps ``cost * time_scale`` seconds — or, at zero cost in a batch
   run of several threads, yields the processor and the GIL without
   arming a timer — *outside every lock*: that is where a batch run's
-  interleaving (and the measured parallelism) comes from.  A served
+  interleaving (and the measured parallelism) comes from.  Elsewhere
+  (:attr:`WallClockScheduler.pauses_interleave` is False) the kernel
+  does not await a zero-cost Pause at all, and a served
   caller instead hands the GIL over at a transaction's end when
   another driver wants it and the current turn is up
   (:meth:`WallClockScheduler._end_turn`).  Timers are wall-clock
@@ -271,6 +273,14 @@ class WallClockScheduler:
     def clock(self) -> float:
         """Wall-clock seconds since the scheduler was created."""
         return time.monotonic() - self._t0
+
+    @property
+    def pauses_interleave(self) -> bool:
+        """A zero-cost Pause yields the processor only in a batch run of
+        several threads, which is what interleaves it; a served caller
+        hands the GIL over at its transaction's end instead
+        (:meth:`_end_turn`), and a lone batch thread has nobody to yield to."""
+        return self.n_threads > 1 and not self._serve
 
     def coordination(self) -> threading.RLock:
         """The kernel lock: a bare reentrant lock, whose ``with`` runs in C.
@@ -680,12 +690,9 @@ class WallClockScheduler:
                         f"thread {task.name} awaited unsupported {yielded!r}"
                     )
                 # Pause: outside every lock so other threads interleave.
-                # A zero-cost Pause yields only in a batch run of several
-                # threads, which is what interleaves it; a served caller
-                # hands the GIL over at its transaction's end instead.
                 if self.time_scale > 0 and cost > 0:
                     time.sleep(cost * self.time_scale)
-                elif self.n_threads > 1 and not self._serve:
+                elif self.pauses_interleave:
                     _yield_thread()
                 value = None
         except BaseException as error:  # noqa: BLE001 - surfaced in run()

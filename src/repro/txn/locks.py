@@ -31,7 +31,9 @@ not O(table size):
 The skip condition is sound because a conflict test's outcome is a
 function of (a) the granted locks and earlier queue entries on the
 request's target and (b) the commit status of nodes in the holders'
-trees: (a) changes mark the target dirty at the mutation site, and (b)
+trees: (a) changes mark the target dirty at the mutation site
+(:meth:`LockTable._touch`, a no-op on a target without a queue, whose
+first enqueue marks it), and (b)
 changes are delivered through :meth:`LockTable.complete_node` (which
 first re-dirties the completed node's own lock targets, covering
 state-dependent compatibility cells that read the object's state).
@@ -384,7 +386,7 @@ class LockTable:
         self._granted[target].append(lock)
         self._locks_by_node[node][lock.lock_id] = lock
         self._locks_by_root[lock.tree_root][lock.lock_id] = lock
-        self._dirty_targets.add(target)
+        self._touch(target)
         self.total_grants += 1
         self._n_granted += 1
         # Stamp the grant time even before bind_metrics: a lock granted
@@ -397,6 +399,14 @@ class LockTable:
         if len(self._locks_by_node) > self._owners_peak:
             self._owners_peak = len(self._locks_by_node)
         return lock
+
+    def _touch(self, target: Oid) -> None:
+        """Mark *target* for re-test on the next pass, if a request is
+        queued on it.  A mark on a target without a queue would be
+        dropped unread by that pass, and :meth:`enqueue` marks the
+        target it makes a queue on."""
+        if self._queues and target in self._queues:
+            self._dirty_targets.add(target)
 
     def enqueue(
         self,
@@ -502,14 +512,14 @@ class LockTable:
     def dispose(self, node: TransactionNode, disposition: Disposition) -> list[Lock]:
         """:meth:`complete_node` before its re-evaluation.  First flags
         the requests recorded as waiting on *node* (case-2 waits its
-        commit relieves) and re-dirties the targets of its own locks
-        (state-dependent compatibility cells may read state it changed)
-        — before a release drops its owner-index entry."""
+        commit relieves) and re-dirties the queued targets of its own
+        locks (state-dependent compatibility cells may read state it
+        changed) — before a release drops its owner-index entry."""
         entry = self._blocker_index.get(node)
         if entry is not None:
             self._retest.update(entry)
         for lock in self._locks_by_node.get(node, {}).values():
-            self._dirty_targets.add(lock.target)
+            self._touch(lock.target)
         if disposition is Disposition.RETAIN:
             return []
         if disposition is Disposition.RELEASE_TREE:
@@ -543,7 +553,7 @@ class LockTable:
             self._forget_pending(pending)
             # Later entries of this queue were tested against the
             # cancelled one; their outcome may have changed.
-            self._dirty_targets.add(pending.target)
+            self._touch(pending.target)
             self.set_blockers(pending, set())
 
     def reevaluate(self, tester: ConflictTester) -> list[PendingRequest]:
@@ -637,32 +647,30 @@ class LockTable:
         self.total_release_ops += 1
 
     def _drop_locks(self, locks: list[Lock]) -> None:
-        """Remove already-collected locks from every structure.
-
-        Cost is O(len(locks) + locks held on the affected objects): the
-        per-object granted lists are rewritten once per affected target.
+        """Remove already-collected locks from every structure, one lock
+        at a time: its node's entry, its tree's root entry (unless
+        :meth:`release_tree` popped that entry whole) and its target's
+        granted list.
         """
-        if not locks:
-            self._released(locks)
-            return
-        dropped_ids = {lock.lock_id for lock in locks}
+        by_node = self._locks_by_node
+        by_root = self._locks_by_root
+        granted = self._granted
         for lock in locks:
-            node_entry = self._locks_by_node.get(lock.node)
-            if node_entry is not None:
-                node_entry.pop(lock.lock_id, None)
-                if not node_entry:
-                    del self._locks_by_node[lock.node]
-            root_entry = self._locks_by_root.get(lock.tree_root)
+            node_entry = by_node[lock.node]
+            del node_entry[lock.lock_id]
+            if not node_entry:
+                del by_node[lock.node]
+            root_entry = by_root.get(lock.tree_root)
             if root_entry is not None:
-                root_entry.pop(lock.lock_id, None)
+                del root_entry[lock.lock_id]
                 if not root_entry:
-                    del self._locks_by_root[lock.tree_root]
-            self._dirty_targets.add(lock.target)
-        for target in {lock.target for lock in locks}:
-            held = self._granted[target]
-            held[:] = [l for l in held if l.lock_id not in dropped_ids]
+                    del by_root[lock.tree_root]
+            target = lock.target
+            held = granted[target]
+            held.remove(lock)
             if not held:
-                del self._granted[target]
+                del granted[target]
+            self._touch(target)
         self._released(locks)
 
     def release_lock(self, lock: Lock) -> None:
@@ -679,7 +687,10 @@ class LockTable:
         Returns the released locks (for tracing).
         """
         self._count_release_op()
-        released = list(self._locks_by_root.get(root, {}).values())
+        entry = self._locks_by_root.pop(root, None)
+        if entry is None:
+            return []
+        released = list(entry.values())
         self._drop_locks(released)
         return released
 
@@ -737,7 +748,7 @@ class LockTable:
             parent_entry[lock.lock_id] = lock
             # The holder changed, so recorded conflict outcomes on this
             # object may have changed with it.
-            self._dirty_targets.add(lock.target)
+            self._touch(lock.target)
         if not parent_entry:
             # defaultdict access created an empty entry for a node
             # without locks; do not let it linger in the index.

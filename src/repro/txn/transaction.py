@@ -93,10 +93,13 @@ class TransactionNode:
         return self.root() is other.root()
 
     def descendants(self, include_self: bool = False) -> Iterator["TransactionNode"]:
-        if include_self:
-            yield self
-        for child in self.children:
-            yield from child.descendants(include_self=True)
+        """The subtree in pre-order, walked with one explicit stack: one
+        generator frame per walk, and no recursion limit on depth."""
+        stack = [self] if include_self else self.children[::-1]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     # ------------------------------------------------------------------
     # Status

@@ -24,6 +24,8 @@ from repro.core.serializability import is_semantically_serializable
 from repro.faults import FaultPlan, FaultSpec
 from repro.objects.database import Database
 from repro.objects.encapsulated import TypeSpec
+from repro.objects.oid import Oid
+from repro.semantics.invocation import Invocation
 from repro.txn.transaction import TransactionNode
 
 from tests.helpers import run_programs
@@ -335,3 +337,39 @@ class TestNodeIdentity:
         assert len([n for n in created if n.parent is restarted]) > len(restarted.children) > 0
         assert max(node.depth for node in restarted.descendants()) >= 3
         self.assert_identity(created)
+
+
+class TestDescendantsWalk:
+    """``descendants`` walks a subtree with one explicit stack: it yields
+    the pre-order of the recursive walk it replaced, and a chain deeper
+    than the interpreter's recursion limit walks too."""
+
+    @staticmethod
+    def node(name, parent=None):
+        return TransactionNode(name, parent, Oid("Atom", 0), Invocation("Op", (name,)))
+
+    @classmethod
+    def recursive(cls, node, include_self):
+        if include_self:
+            yield node
+        for child in node.children:
+            yield from cls.recursive(child, True)
+
+    def test_the_recursive_pre_order_on_a_mixed_width_tree(self):
+        widths = {"T": 3, "T.1": 2, "T.2": 1, "T.1.0": 3, "T.2.0": 2, "T.1.0.2": 1}
+        nodes = [self.node("T")]
+        for parent in nodes:  # grows while it is walked: breadth-first build
+            for i in range(widths.get(parent.node_id, 0)):
+                nodes.append(self.node(f"{parent.node_id}.{i}", parent))
+        for start in nodes:
+            for include_self in (False, True):
+                walked = list(start.descendants(include_self))
+                assert walked == list(self.recursive(start, include_self)), start
+        assert len(list(nodes[0].descendants(True))) == len(nodes) == 13
+
+    def test_a_3000_deep_chain(self):
+        chain = [self.node("T")]
+        for depth in range(1, 3000):
+            chain.append(self.node(f"T.{depth}", chain[-1]))
+        assert list(chain[0].descendants(include_self=True)) == chain
+        assert list(chain[0].descendants()) == chain[1:]

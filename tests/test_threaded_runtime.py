@@ -26,7 +26,7 @@ from repro.cluster.participant import ClusterParticipant
 from repro.core.kernel import CostModel, TransactionManager
 from repro.core.protocol import SemanticLockingProtocol
 from repro.core.serializability import is_semantically_serializable
-from repro.errors import LockTimeout, RuntimeEngineError
+from repro.errors import LockTimeout, RuntimeEngineError, TransactionAborted
 from repro.objects.database import Database
 from repro.objects.encapsulated import TypeSpec
 from repro.objects.oid import Oid
@@ -703,16 +703,16 @@ class TestZeroCostPause:
 
     @staticmethod
     def _ship_and_pay(**kwargs):
+        """T1 and T2 on two batch threads whose turn never runs out, so
+        no transaction end hands the GIL over with a ``time.sleep(0)``
+        (a loaded machine reaches a half-interval turn): every sleep
+        left is a Pause's."""
         built = build_order_entry_database(n_items=2, orders_per_item=2)
-        kernel = run_threaded_transactions(
-            built.db,
-            {
-                "T1": make_t1(built.item(0), 1, built.item(1), 2),
-                "T2": make_t2(built.item(0), 1, built.item(1), 2),
-            },
-            n_threads=2,
-            **kwargs,
-        )
+        kernel = ThreadedKernel(built.db, n_threads=2, **kwargs)
+        kernel.scheduler._turn = float("inf")
+        kernel.spawn("T1", make_t1(built.item(0), 1, built.item(1), 2))
+        kernel.spawn("T2", make_t2(built.item(0), 1, built.item(1), 2))
+        kernel.run()
         assert kernel.handles["T1"].committed and kernel.handles["T2"].committed
         return kernel
 
@@ -922,9 +922,11 @@ class TestTargetedWakeups:
 class TestYieldRule:
     """Counts, not timings: a zero-cost Pause yields the processor only
     in a batch run of several threads, which is what makes a batch run
-    interleave.  A lone batch thread runs like a lone caller, and a
-    served caller never yields (it hands the GIL over at a transaction's
-    end instead).  Every batch task is driven through ``drive``."""
+    interleave.  Elsewhere the kernel does not await it at all, so a
+    transaction that never blocks is one scheduler step: a lone batch
+    thread runs like a lone caller, and a served caller hands the GIL
+    over at a transaction's end instead.  Every batch task is driven
+    through ``drive``."""
 
     @staticmethod
     def _count_yields(monkeypatch) -> list:
@@ -940,11 +942,21 @@ class TestYieldRule:
             workload.db, dict(workload.take(8)), n_threads=n_threads
         )
         counters = kernel.obs.snapshot().counters
-        assert counters["thread.steps"] > 8  # the transactions did pause
+        if n_threads > 1:
+            assert counters["thread.steps"] > 8  # the transactions did pause
+        else:
+            # One thread runs each transaction alone: nothing blocks, and
+            # no Pause is awaited, so each one is a single step.
+            assert counters["thread.steps"] == 8
         assert (len(yields) > 0) == (n_threads > 1), len(yields)
         assert counters["thread.caller_drives"] == counters["thread.spawned"] == 8
 
     def test_a_served_burst_never_yields(self, monkeypatch):
+        """Two concurrent clients alternate over two items, so a request
+        may wait for a lock.  Each request is one step, plus one for
+        each lock wait it parks on (a request granted between its
+        enqueue and its await does not park: ``Signal.__await__`` does
+        not yield a fired signal)."""
         yields = self._count_yields(monkeypatch)
         server = TransactionServer(
             build_order_entry_database(n_items=2, orders_per_item=2), n_threads=4
@@ -964,7 +976,8 @@ class TestYieldRule:
         assert server.shutdown().clean
         counters = server.obs.snapshot().counters
         assert len(responses) == 60 and all(r.ok for r in responses)
-        assert counters["thread.steps"] > 60 and yields == []
+        assert 60 <= counters["thread.steps"] <= 60 + counters["lock.blocks"]
+        assert yields == []
         assert counters["thread.caller_drives"] == counters["thread.spawned"] == 60
 
 
@@ -1139,7 +1152,39 @@ class TestCallerDrives:
         monkeypatch.setattr(threaded, "_yield_thread", lambda: calls.append("yield"))
         handle = kernel.drive("T1", make_t1(built.item(0), 1, built.item(1), 2))
         assert handle.committed and calls == []
-        assert kernel.obs.snapshot().counters["thread.steps"] > 2  # it did pause
+        counters = kernel.obs.snapshot().counters
+        # Several actions, and no Pause awaited: one step.
+        assert counters["kernel.actions"] > 2 and counters["thread.steps"] == 1
+
+    def test_an_interrupt_lands_at_the_next_action(self):
+        """A served transaction that never blocks awaits no zero-cost
+        Pause, except when an interrupt is pending: it interrupts itself
+        after its first action, and its second action must not run."""
+        db = Database()
+        first, second = db.new_atom("first", 0), db.new_atom("second", 0)
+        db.attach_child(first)
+        db.attach_child(second)
+        kernel = ThreadedKernel(db, n_threads=1)
+        kernel.start()
+        reason = TransactionAborted("T", "interrupted")
+        interrupted = []
+
+        async def program(tx):
+            await tx.put(first, 1)
+            interrupted.append(kernel.interrupt_transaction("T", reason))
+            await tx.put(second, 1)
+
+        try:
+            handle = kernel.drive("T", program)
+        finally:
+            assert kernel.stop() == []
+        assert interrupted == [True]
+        assert handle.aborted and not handle.committed, handle
+        assert handle.error is reason
+        # The transaction's own lock and the first Put's: the second Put
+        # never reached its lock request.
+        assert kernel.obs.snapshot().counters["lock.grants"] == 2
+        assert first.raw_get() == 0 and second.raw_get() == 0
 
     def test_the_hand_off_rule(self, monkeypatch):
         """A caller hands the GIL over at a transaction's end only when
