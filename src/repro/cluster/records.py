@@ -27,31 +27,34 @@ it learned survive a SIGKILL together with the branch's data records:
 All three carry a ``txn`` field naming the branch transaction
 (``2pc-<gtid>``) so generic log consumers can group them, and all are
 invisible to recovery's analysis/redo/undo passes (which act only on
-the kernel's own record types).
+the kernel's own record types).  Like those, each is a
+:class:`typing.NamedTuple` framed as ``(KIND, *fields)``; the cluster's
+frame tags are 3-5, after the kernel's 0-2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple, Optional
 
 __all__ = ["ClusterPrepareRecord", "ClusterDecisionRecord", "ClusterAckRecord"]
 
 
-@dataclass(frozen=True)
-class ClusterPrepareRecord:
+class ClusterPrepareRecord(NamedTuple):
     """Durable intent to execute one branch of a global transaction."""
+
+    KIND = 3  # frame tag
 
     lsn: int
     txn: str  # the branch transaction name: "2pc-<gtid>"
     gtid: str
     coordinator: str = ""  # "host:port" of the coordinator's status endpoint
-    branch: dict[str, Any] = field(default_factory=dict)  # the branch request
+    branch: Optional[dict[str, Any]] = None  # the branch request
 
 
-@dataclass(frozen=True)
-class ClusterDecisionRecord:
+class ClusterDecisionRecord(NamedTuple):
     """The durably learned global outcome for one gtid."""
+
+    KIND = 4  # frame tag
 
     lsn: int
     txn: str
@@ -59,8 +62,7 @@ class ClusterDecisionRecord:
     decision: str  # "commit" | "abort"
 
 
-@dataclass(frozen=True)
-class ClusterAckRecord:
+class ClusterAckRecord(NamedTuple):
     """Durable proof that a decision is fully applied on this shard.
 
     ``shard_seq`` is the coordinator's per-shard decision sequence
@@ -69,6 +71,8 @@ class ClusterAckRecord:
     received (a lost ``2pc-commit`` send) can never be falsely acked by
     a later one.
     """
+
+    KIND = 5  # frame tag
 
     lsn: int
     txn: str

@@ -15,6 +15,12 @@ Record kinds:
   action it compensates;
 * :class:`TxnStatusRecord` — transaction begin / commit / abort.
 
+Each kind is a :class:`typing.NamedTuple`: immutable, built at tuple
+cost, and framed on disk as the plain tuple ``(KIND, *fields)``
+(:func:`repro.storage.walformat.encode_record`), where ``KIND`` is the
+class's frame tag.  The kernel's kinds take tags 0-2; the cluster's
+2PC records (:mod:`repro.cluster.records`) take 3-5.
+
 The log is in-memory (this is a simulation of durable storage); it can
 be saved to a file in the durable frame format to simulate surviving the
 crash, and its list of records is treated as the durable truth during
@@ -24,14 +30,15 @@ recovery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Iterator, NamedTuple, Optional, Union
 
 from repro.recovery.addresses import Address
 
 
-@dataclass(frozen=True)
-class UpdateRecord:
+class UpdateRecord(NamedTuple):
     """A physical change to the database state."""
+
+    KIND = 0  # frame tag
 
     lsn: int
     txn: str
@@ -46,9 +53,10 @@ class UpdateRecord:
     member_snapshot: Optional[dict] = None
 
 
-@dataclass(frozen=True)
-class SubtxnCommitRecord:
+class SubtxnCommitRecord(NamedTuple):
     """A committed method subtransaction (non-read-only)."""
+
+    KIND = 1  # frame tag
 
     lsn: int
     txn: str
@@ -62,9 +70,10 @@ class SubtxnCommitRecord:
     compensates: Optional[str] = None  # node id this compensation undoes
 
 
-@dataclass(frozen=True)
-class TxnStatusRecord:
+class TxnStatusRecord(NamedTuple):
     """Transaction lifecycle: begin / commit / abort."""
+
+    KIND = 2  # frame tag
 
     lsn: int
     txn: str

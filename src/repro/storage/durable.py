@@ -13,7 +13,9 @@ nothing else.
   window/batch the commits arriving close together share one sync (the
   classical throughput trade), and a commit whose frames a concurrent
   force already covered shares that one.  The ``wal.group_commit.*``
-  metrics family counts syncs, batched commits, and bytes.
+  metrics family counts syncs, batched commits, and bytes; the append
+  counts (``wal.appends``, ``wal.bytes_written``) are plain integers
+  under the append lock, read by a registry collector at snapshot.
 * :class:`DurableStorageManager` — the existing
   :class:`~repro.storage.manager.StorageManager` interface backed by a
   real page file through a :class:`~repro.storage.bufferpool.BufferPool`
@@ -90,8 +92,9 @@ class DurableWriteAheadLog(WriteAheadLog):
 
     Args:
         path: The log file.  An existing durable file is *continued*
-            (its records are loaded and appends resume after them);
-            anything else is truncated and started fresh.
+            (its records are loaded and appends resume after them); a
+            log of another format version raises ``ValueError`` and is
+            left as it is; anything else is truncated and started fresh.
         group_commit_window: Seconds a commit may wait for companions
             before forcing its fsync.  ``0.0`` (default) forces every
             writer's commit/abort record before its append returns — the
@@ -136,8 +139,9 @@ class DurableWriteAheadLog(WriteAheadLog):
         self._window_opened = 0.0
         # Transactions with an update or subcommit record and no outcome yet.
         self._writers: set[str] = set()
-        self._appends = _NULL
-        self._bytes_written = _NULL
+        # Frames and their bytes appended; collected at snapshot.
+        self._appends = 0
+        self._bytes_written = 0
         self._gc_syncs = _NULL
         self._gc_commits = _NULL
         self._gc_deferred = _NULL
@@ -169,14 +173,18 @@ class DurableWriteAheadLog(WriteAheadLog):
         return True
 
     def bind_metrics(self, registry) -> None:
-        """Record WAL activity into *registry* (``wal.*`` instruments)."""
-        self._appends = registry.counter("wal.appends")
-        self._bytes_written = registry.counter("wal.bytes_written")
+        """Record WAL activity into *registry* (``wal.*`` instruments):
+        the append counts are collected, the group-commit ones pushed."""
+        registry.add_collector(self._collect)
         self._gc_syncs = registry.counter("wal.group_commit.syncs")
         self._gc_commits = registry.counter("wal.group_commit.commits")
         self._gc_deferred = registry.counter("wal.group_commit.deferred")
         self._gc_bytes_synced = registry.counter("wal.group_commit.bytes_synced")
         self._gc_batch = registry.histogram("wal.group_commit.batch_size", _BATCH_BUCKETS)
+
+    def _collect(self) -> dict:
+        with self._wal_lock:
+            return {"wal.appends": self._appends, "wal.bytes_written": self._bytes_written}
 
     # ------------------------------------------------------------------
     # Appending
@@ -194,8 +202,8 @@ class DurableWriteAheadLog(WriteAheadLog):
                 self._appended_lsn = record.lsn
             self._buffer.append(frame)
             self._appended_seq += 1
-            self._appends.inc()
-            self._bytes_written.inc(len(frame))
+            self._appends += 1
+            self._bytes_written += len(frame)
             if isinstance(record, (UpdateRecord, SubtxnCommitRecord)):
                 self._writers.add(record.txn)
             elif (
@@ -314,19 +322,44 @@ def load_wal_file(path: str) -> WalFileScan:
     :class:`DurableWriteAheadLog` call: every complete, checksum-valid
     record frame becomes a log record; the first incomplete or corrupt
     frame ends the scan.  Never raises on torn input; ``ValueError`` if
-    *path* is not a WAL file at all.
+    *path* is not a WAL file at all, is one of another format version
+    (:func:`~repro.storage.walformat.is_wal_file`), or holds a
+    checksummed frame of an unknown record kind.
     """
+    # The cluster's record kinds are imported when a log is read: the
+    # cluster package sits above storage and loads the server with it.
+    from repro.cluster.records import (
+        ClusterAckRecord,
+        ClusterDecisionRecord,
+        ClusterPrepareRecord,
+    )
+
     with open(path, "rb") as fh:
         data = fh.read()
     if not is_wal_file(data):
         raise ValueError(f"{path} is not a durable WAL file")
     scan = iter_frames(data)
+    kinds = {
+        cls.KIND: cls
+        for cls in (
+            UpdateRecord,
+            SubtxnCommitRecord,
+            TxnStatusRecord,
+            ClusterPrepareRecord,
+            ClusterDecisionRecord,
+            ClusterAckRecord,
+        )
+    }
+    records = []
+    for payload in scan.payloads:
+        kind, *fields = pickle.loads(payload)
+        if kind not in kinds:
+            raise ValueError(f"{path}: a checksummed frame has unknown record kind {kind!r}")
+        records.append(kinds[kind]._make(fields))
     # Frames can land on disk out of LSN order under threaded appenders
     # (LSN draw and file write are separate steps); LSN order is the
     # true update order.
-    records = sorted(
-        (pickle.loads(payload) for payload in scan.payloads), key=lambda r: r.lsn
-    )
+    records.sort(key=lambda r: r.lsn)
     log = WriteAheadLog(records=records)
     log._next_lsn = max((r.lsn for r in records), default=0)
     return WalFileScan(

@@ -13,11 +13,19 @@ where each record frame is::
     +---------------+---------------+------------------+
 
 little-endian, with ``crc32`` covering exactly the payload bytes.  The
-payload is the pickled in-memory record dataclass (:func:`encode_record`
-is the one place that says so for writers; the one reader is
-:func:`repro.storage.durable.load_wal_file`), but nothing here imports
-:mod:`repro.recovery.wal` — the two can therefore use each other without
-a cycle.
+payload is the pickled plain tuple ``(kind, *fields)`` of one log
+record: ``kind`` is the record class's ``KIND`` frame tag and the fields
+follow in declaration order (:func:`encode_record` is the one place that
+says so for writers; the one reader is
+:func:`repro.storage.durable.load_wal_file`, which rebuilds each record
+from its kind table).  Nothing here imports :mod:`repro.recovery.wal` —
+the two can therefore use each other without a cycle.
+
+The magic names the frame format's version.  A file that carries the
+magic of another version (``RWALv<n>``) is refused with ``ValueError``
+by every reader and by a writer asked to continue it, and its bytes are
+left as they are: version 1 framed pickled record dataclasses, which
+this version does not decode, and truncating such a log would lose it.
 
 Crash behaviour is the whole point of the framing: a process killed
 mid-append leaves either a short header, a short payload, or a payload
@@ -31,12 +39,16 @@ indistinguishable from a torn write and handled the same way.
 from __future__ import annotations
 
 import pickle
+import re
 import struct
 import zlib
 from dataclasses import dataclass
 
-#: File magic: identifies a durable WAL file (versioned).
-WAL_MAGIC = b"RWALv1\n\0"
+#: File magic: identifies a durable WAL file and its frame format version.
+WAL_MAGIC = b"RWALv2\n\0"
+
+#: The magic of any version of the format; group 1 names the version.
+_ANY_MAGIC = re.compile(rb"(RWALv\d+)\n")
 
 #: Per-record frame header: payload length, payload crc32.
 FRAME_HEADER = struct.Struct("<II")
@@ -54,9 +66,12 @@ def encode_frame(payload: bytes) -> bytes:
     return FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def encode_record(record: object) -> bytes:
-    """The frame a log *record* occupies in a durable WAL file."""
-    return encode_frame(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+def encode_record(record: tuple) -> bytes:
+    """The frame a log *record* (a ``NamedTuple`` with a ``KIND`` tag)
+    occupies in a durable WAL file."""
+    return encode_frame(
+        pickle.dumps((record.KIND,) + record, protocol=pickle.HIGHEST_PROTOCOL)
+    )
 
 
 @dataclass
@@ -113,5 +128,17 @@ def iter_frames(data: bytes) -> ScanResult:
 
 
 def is_wal_file(header: bytes) -> bool:
-    """True if *header* (the file's first bytes) carries the WAL magic."""
-    return header.startswith(WAL_MAGIC)
+    """True if *header* (the file's first bytes) carries the WAL magic.
+
+    ``ValueError`` if it carries the magic of another format version:
+    such a file is a log, but not one this version can read or extend.
+    """
+    if header.startswith(WAL_MAGIC):
+        return True
+    found = _ANY_MAGIC.match(header)
+    if found:
+        raise ValueError(
+            f"WAL file of format {found[1].decode()}, but this version reads and "
+            f"writes {_ANY_MAGIC.match(WAL_MAGIC)[1].decode()}; the file is left as it is"
+        )
+    return False

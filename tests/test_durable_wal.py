@@ -18,12 +18,13 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.recovery.wal import TxnStatusRecord, UpdateRecord, WriteAheadLog
+from repro.recovery.wal import SubtxnCommitRecord, TxnStatusRecord, UpdateRecord, WriteAheadLog
 from repro.storage.durable import DurableWriteAheadLog, load_wal_file
 from repro.storage.walformat import (
     FRAME_HEADER,
     WAL_MAGIC,
     encode_frame,
+    encode_record,
     is_wal_file,
     iter_frames,
 )
@@ -72,6 +73,100 @@ class TestFrameCodec:
         assert not is_wal_file(b"definitely not")
         with pytest.raises(AssertionError):
             iter_frames(b"definitely not a wal file")
+
+
+class TestRecordCodec:
+    """A record is framed as the tuple ``(KIND, *fields)`` and read back
+    from one kind table as an equal record of its own class."""
+
+    @staticmethod
+    def _one_of_each() -> list:
+        from repro.cluster.records import (
+            ClusterAckRecord,
+            ClusterDecisionRecord,
+            ClusterPrepareRecord,
+        )
+        from repro.orderentry.schema import EventMultiset, build_order_entry_database
+        from repro.recovery.addresses import address_of, snapshot
+
+        built = build_order_entry_database(n_items=1, orders_per_item=1)
+        order = built.order(0, 0)
+        status_atom = address_of(order) + (("impl",), ("component", "status"))
+        return [
+            TxnStatusRecord(lsn=1, txn="T1", status="begin"),
+            UpdateRecord(
+                lsn=2,
+                txn="T1",
+                node_path=("T1", "T1.0", "T1.0.0"),
+                operation="Put",
+                target=status_atom,
+                before=EventMultiset.of("paid"),
+                after=EventMultiset.of("paid", "shipped"),
+            ),
+            UpdateRecord(
+                lsn=3,
+                txn="T1",
+                node_path=("T1", "T1.1"),
+                operation="Insert",
+                target=address_of(order.parent),
+                key=built.order_no(0, 0),
+                member_snapshot=snapshot(order),
+            ),
+            SubtxnCommitRecord(
+                lsn=4,
+                txn="T1",
+                node_id="T1.0",
+                subtree_ids=("T1.0", "T1.0.0"),
+                target=address_of(order),
+                operation="ChangeStatus",
+                args=("shipped",),
+                inverse_operation="RemoveStatus",
+                inverse_args=("shipped",),
+            ),
+            ClusterPrepareRecord(
+                lsn=5,
+                txn="2pc-g1",
+                gtid="g1",
+                coordinator="127.0.0.1:7000",
+                branch={"op": "place", "item": 0, "lines": [[0, 2]], "deadline": None},
+            ),
+            ClusterDecisionRecord(lsn=6, txn="2pc-g1", gtid="g1", decision="commit"),
+            ClusterAckRecord(lsn=7, txn="2pc-g1", gtid="g1", shard_seq=1),
+        ]
+
+    def test_every_kind_round_trips(self, tmp_path):
+        records = self._one_of_each()
+        kinds = {type(record) for record in records}
+        assert len(kinds) == 6 and len({kind.KIND for kind in kinds}) == 6
+        data = WAL_MAGIC + b"".join(encode_record(record) for record in records)
+        scan = iter_frames(data)
+        assert len(scan.payloads) == len(records) and not scan.torn
+        assert [pickle.loads(p)[0] for p in scan.payloads] == [r.KIND for r in records]
+        path = tmp_path / "wal.log"
+        path.write_bytes(data)
+        loaded = list(load_wal_file(str(path)).log)
+        # A NamedTuple compares as a tuple: check the classes as well.
+        assert loaded == records
+        assert [type(record) for record in loaded] == [type(record) for record in records]
+        assert loaded[1].before.counts == (("paid", 1),)
+        assert loaded[2].member_snapshot == records[2].member_snapshot
+        assert loaded[3].inverse_args == ("shipped",)
+        assert loaded[4].branch["lines"] == [[0, 2]]
+
+    def test_a_frame_of_unknown_kind_is_refused(self, tmp_path):
+        path = tmp_path / "wal.log"
+        unknown = pickle.dumps((99, 1, "T1", "begin"))
+        good = encode_record(status(1, "T1", "begin"))
+        path.write_bytes(WAL_MAGIC + good + encode_frame(unknown))
+        with pytest.raises(ValueError, match="unknown record kind 99"):
+            load_wal_file(str(path))
+
+    def test_records_are_immutable(self):
+        for record in self._one_of_each():
+            with pytest.raises(AttributeError):
+                record.lsn = 0
+            with pytest.raises(AttributeError):
+                record.txn = "other"
 
 
 class TestTornTailProperty:
@@ -333,6 +428,46 @@ class TestLogBuffer:
         assert calls == {"write": 1, "fsync": 1}
         assert load_wal_file(wal.path).log.outcomes() == {"R": "commit"}
 
+    def test_append_counts_are_read_at_snapshot(self, tmp_path, monkeypatch):
+        """An append pushes no registry instrument (a writer's outcome
+        pushes the group-commit ones); ``wal.appends`` and
+        ``wal.bytes_written`` are the log's own counts, read at snapshot."""
+        from repro.obs import MetricsRegistry
+        from repro.obs import registry as instruments
+
+        registry = MetricsRegistry()
+        wal = DurableWriteAheadLog(str(tmp_path / "wal.log"))
+        wal.bind_metrics(registry)
+        pushed: list[str] = []
+        for cls, names in (
+            (instruments.Counter, ("inc",)),
+            (instruments.Gauge, ("set", "inc", "dec")),
+            (instruments.Histogram, ("observe",)),
+        ):
+            for name in names:
+                original = getattr(cls, name)
+
+                def counted(instrument, *args, _original=original):
+                    pushed.append(instrument.name)
+                    return _original(instrument, *args)
+
+                monkeypatch.setattr(cls, name, counted)
+        wal.append(status(1, "R", "begin"))
+        wal.append(status(2, "R", "commit"))
+        wal.append(status(3, "W", "begin"))
+        wal.append(update(4, "W"))
+        assert pushed == []
+        wal.append(status(5, "W", "commit"))
+        assert pushed and all(name.startswith("wal.group_commit.") for name in pushed)
+        wal.append(status(6, "R2", "begin"))
+        wal.sync()
+        monkeypatch.undo()
+        snapshot = registry.snapshot()
+        assert snapshot.counter("wal.appends") == 6
+        file_bytes = os.path.getsize(wal.path) - len(WAL_MAGIC)
+        assert snapshot.counter("wal.bytes_written") == file_bytes
+        wal.close()
+
     def test_append_returns_while_a_force_is_in_fsync(self, tmp_path, monkeypatch):
         wal = DurableWriteAheadLog(str(tmp_path / "wal.log"))
         entered, gate = self._gate_first_fsync(wal, monkeypatch)
@@ -566,6 +701,18 @@ class TestResumeAndInterop:
         with DurableWriteAheadLog(path) as resumed:
             assert [r.lsn for r in resumed] == [1, 2, 3]
             assert resumed.next_lsn() == 4
+
+    @pytest.mark.parametrize("open_log", [load_wal_file, DurableWriteAheadLog])
+    def test_another_format_version_is_refused_and_kept(self, tmp_path, open_log):
+        """A log of another frame format version is neither read nor
+        started fresh: the reader and the writer both raise, naming both
+        versions, and the file's bytes stay as they were."""
+        path = tmp_path / "old.log"
+        old = b"RWALv1\n\0" + encode_frame(pickle.dumps({"lsn": 1, "txn": "T1"}))
+        path.write_bytes(old)
+        with pytest.raises(ValueError, match="RWALv1.*RWALv2"):
+            open_log(str(path))
+        assert path.read_bytes() == old
 
     def test_load_wal_file_rejects_pickles(self, tmp_path):
         path = str(tmp_path / "pickled.wal")

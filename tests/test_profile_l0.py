@@ -37,9 +37,12 @@ def test_sort_order(tmp_path, capsys, argv, title, order):
 def test_served_prints_gc_collections(capsys):
     """``--served`` prints, under the context switches, the collector's
     runs per generation per 1 000 requests and the objects it freed per
-    request."""
+    request; above them, the mean orders per item the replay left."""
     assert profile_l0.main(["--served", "mem_uniform", "--requests", "30", "--top", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
+    assert lines[-3].startswith("mean orders per item at the end")
+    mean = float(lines[-3].split(": ", 1)[1].split(" ")[0])
+    assert 8.0 < mean < 8.0 + 60 / 64  # 8 built per item; at most 60 places over 64 items
     assert lines[-2].startswith("context switches per request")
     assert lines[-1].startswith("gc collections per 1 000 requests")
     assert "gen0 " in lines[-1] and "gen2 " in lines[-1]
@@ -62,3 +65,27 @@ def test_served_cluster_prints_each_shards_cpu_and_fsyncs(capsys):
         assert all(float(r.split(" ")[2]) >= 0 and r.endswith(unit) for r in readings)
     # Most cluster_2pc requests write, and a write forces at least once.
     assert sum(float(r.split(" ")[2]) for r in syncs.split(": ", 1)[1].split(", ")) > 0.3
+
+
+@pytest.mark.parametrize("workload", ["mem_uniform", "mem_hot", "wire_durable", "cluster_2pc"])
+def test_served_defaults_to_the_workloads_size(monkeypatch, workload):
+    """Without ``--requests``, ``--served`` replays the workload's own
+    size per client: its ``ops_per_rep`` over its clients."""
+    from perfbench.workloads import CLIENTS, WORKLOADS
+
+    asked: list[int] = []
+
+    class Asked(Exception):
+        pass
+
+    def record(name, seed, n):
+        asked.append(n)
+        raise Asked
+
+    monkeypatch.setattr(profile_l0, "profile_served", record)
+    with pytest.raises(Asked):
+        profile_l0.main(["--served", workload])
+    with pytest.raises(Asked):
+        profile_l0.main(["--served", workload, "--requests", "30"])
+    assert asked == [WORKLOADS[workload].ops_per_rep // CLIENTS, 30]
+    assert asked[0] == (700 if workload == "mem_uniform" else 520)

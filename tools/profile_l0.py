@@ -42,10 +42,16 @@ Usage::
     python tools/profile_l0.py [--served WORKLOAD] [--seed N] [--requests N]
         [--top N] [--sort {cumulative,tottime}] [--out FILE] [--absent NAME]
 
-``--requests`` is the L0 request count, or the count per client with
-``--served``.  ``--sort tottime`` ranks by self time (time in the
-function's own body, callees excluded) instead of cumulative time; a
-cost spread thin over many callers shows only there.  ``--absent time.sleep`` exits 1 if any function so named
+``--requests`` is the L0 request count (default 600), or the count per
+client with ``--served``, where it defaults to the workload's own size:
+its ``ops_per_rep`` split over its clients (700 for ``mem_uniform``,
+520 for the rest), so the order sets grow to what a bench run sees.
+``--served`` prints, first under the table, the mean orders per item at
+the end of the replay: every ``place`` adds one, and ``total-payment``
+reads every order of its item, so its share grows with the run.
+``--sort tottime`` ranks by self time (time in the function's own body,
+callees excluded) instead of cumulative time; a cost spread thin over
+many callers shows only there.  ``--absent time.sleep`` exits 1 if any function so named
 was called at all — a count, not a timing: a zero-cost ``Pause`` must
 yield, and a ``time.sleep`` row means the timer-slack sleep is back.
 """
@@ -141,7 +147,7 @@ def shard_readings(stack) -> list[tuple[float, float]]:
 def profile_served(workload: str, seed: int, n: int) -> tuple[pstats.Stats, str]:
     from perfbench.loop import replay
     from perfbench.stacks import make_stack
-    from perfbench.workloads import CLIENTS, WORKLOADS, request_list
+    from perfbench.workloads import CLIENTS, ORDERS_PER_ITEM, WORKLOADS, request_list
 
     spec = WORKLOADS[workload]
     lists = [request_list(workload, seed, c, n) for c in range(CLIENTS)]
@@ -166,9 +172,20 @@ def profile_served(workload: str, seed: int, n: int) -> tuple[pstats.Stats, str]
     failed = [s for s in samples if not s.response.ok]
     if failed:
         raise RuntimeError(f"profile {workload}: {len(failed)} requests failed")
+    requests = len(samples)
+    # Each placed line is one more order its item's total-payment reads.
+    placed = sum(
+        len(s.request.lines) if s.request.lines else 1
+        for s in samples
+        if s.request.op == "place"
+    )
+    orders = (
+        f"mean orders per item at the end (replay only, no warm-up): "
+        f"{ORDERS_PER_ITEM + placed / spec.n_items:.1f} ({ORDERS_PER_ITEM} built, "
+        f"{placed} placed over {spec.n_items} items)\n"
+    )
     # Lock convoys and GIL hand-offs cost context switches, which no
     # thread-CPU profile shows: count them over the replay.
-    requests = len(samples)
     switches = (
         f"context switches per request (this process, getrusage over the replay of "
         f"{requests}): voluntary {(after.ru_nvcsw - before.ru_nvcsw) / requests:.2f}, "
@@ -186,7 +203,7 @@ def profile_served(workload: str, seed: int, n: int) -> tuple[pstats.Stats, str]
         f"gc collections per 1 000 requests (gc.get_stats() over the replay): "
         f"{collections}; objects collected per request {collected:.2f}\n"
     )
-    footer = switches + cycles
+    footer = orders + switches + cycles
     if shards_before:
         # The table covers this process only: say what the shards cost.
         pairs = list(enumerate(zip(shards_before, shards_after)))
@@ -206,7 +223,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--served", metavar="WORKLOAD", help="profile this perfbench workload")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--requests", type=int, default=600)
+    parser.add_argument("--requests", type=int, default=None,
+                        help="L0: 600 by default; --served: per client, the "
+                        "workload's ops_per_rep // CLIENTS by default")
     parser.add_argument("--top", type=int, default=25)
     parser.add_argument("--sort", choices=SORT_LABELS, default="cumulative",
                         help="rank by cumulative time (default) or self time")
@@ -219,15 +238,21 @@ def main(argv: list[str] | None = None) -> int:
     footer = ""
     label = SORT_LABELS[args.sort]
     if args.served is None:
-        stats = profile_l0(args.seed, args.requests)
+        requests = 600 if args.requests is None else args.requests
+        stats = profile_l0(args.seed, requests)
         title = (
-            f"L0 profile: mem_uniform seed={args.seed} requests={args.requests} "
+            f"L0 profile: mem_uniform seed={args.seed} requests={requests} "
             f"(cProfile on the batch threads, top {args.top} by {label} time)"
         )
     else:
-        stats, footer = profile_served(args.served, args.seed, args.requests)
+        from perfbench.workloads import CLIENTS, WORKLOADS
+
+        requests = args.requests
+        if requests is None:
+            requests = WORKLOADS[args.served].ops_per_rep // CLIENTS
+        stats, footer = profile_served(args.served, args.seed, requests)
         title = (
-            f"Served profile: {args.served} seed={args.seed} requests={args.requests} per "
+            f"Served profile: {args.served} seed={args.seed} requests={requests} per "
             f"client (cProfile with time.thread_time on every thread, top {args.top} by "
             f"{label} CPU time; async def frames count each resume as a call)"
         )
