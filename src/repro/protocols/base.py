@@ -16,13 +16,16 @@ an action's life:
 
 Top-level commit is protocol-independent: the kernel releases every lock
 of the transaction tree.
+
+Every action asks for its locks, so a :class:`LockSpec` is a
+:class:`typing.NamedTuple`: immutable, its fields read through C-level
+getters, its equality and hash the tuple's.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.errors import ProtocolViolation
 from repro.objects.database import Database
@@ -37,8 +40,7 @@ READ_MODE = Invocation("R")
 WRITE_MODE = Invocation("W")
 
 
-@dataclass(frozen=True)
-class LockSpec:
+class LockSpec(NamedTuple):
     """One lock an action must acquire: a target and a lock invocation."""
 
     target: Oid

@@ -5,17 +5,28 @@ the invoked operation plus its actual input parameters.  The paper's
 conflict test is defined over invocations ("taking into account the
 actual input parameters of operations"), so compatibility-matrix entries
 receive both invocations and may inspect the arguments.
+
+Every action builds one and the lock table hashes it, so an invocation
+is a ``tuple`` subclass ``(operation, frozen args)``: its hash and
+equality are the tuple's, computed in C, and its two fields are read
+through C-level item getters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from operator import itemgetter
+from typing import Any, Iterable
 
 
 def _freeze(value: Any) -> Any:
-    """Make an argument hashable for use inside a frozen invocation."""
-    if isinstance(value, (list, tuple)):
+    """Make an argument hashable for use inside a frozen invocation.
+
+    Lists and plain tuples become tuples of frozen items, sets become
+    frozensets and dicts sorted item tuples; a tuple subclass (an
+    :class:`~repro.objects.oid.Oid`, an :class:`Invocation`) is already
+    an immutable value and is kept as it is.
+    """
+    if type(value) is tuple or isinstance(value, list):
         return tuple(_freeze(v) for v in value)
     if isinstance(value, set):
         return frozenset(_freeze(v) for v in value)
@@ -24,8 +35,7 @@ def _freeze(value: Any) -> Any:
     return value
 
 
-@dataclass(frozen=True)
-class Invocation:
+class Invocation(tuple):
     """An operation name bound to its actual parameters.
 
     Attributes:
@@ -34,36 +44,27 @@ class Invocation:
         args: The actual input parameters, frozen to hashable form.
     """
 
-    operation: str
-    args: tuple[Any, ...] = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        args = tuple(_freeze(a) for a in self.args)
-        object.__setattr__(self, "args", args)
-        # Precomputing the hash once makes invocations cheap dict and
-        # set keys.
-        object.__setattr__(self, "_hash", hash((self.operation, args)))
+    def __new__(cls, operation: str, args: Iterable[Any] = ()) -> "Invocation":
+        return tuple.__new__(cls, (operation, tuple(_freeze(a) for a in args)))
 
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    operation = property(itemgetter(0), doc="The operation name.")
+    args = property(itemgetter(1), doc="The frozen actual parameters.")
 
-    def __getstate__(self) -> tuple[str, tuple]:
-        # Hashes are per-process (string hashing is randomised); never
-        # let a cached one survive pickling.
-        return (self.operation, self.args)
-
-    def __setstate__(self, state: tuple[str, tuple]) -> None:
-        operation, args = state
-        object.__setattr__(self, "operation", operation)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "_hash", hash((operation, args)))
+    def __getnewargs__(self) -> tuple[str, tuple[Any, ...]]:
+        return (self[0], self[1])
 
     def arg(self, index: int, default: Any = None) -> Any:
         """The *index*-th actual parameter, or *default* if absent."""
-        if 0 <= index < len(self.args):
-            return self.args[index]
+        args = self[1]
+        if 0 <= index < len(args):
+            return args[index]
         return default
 
+    def __repr__(self) -> str:
+        return f"Invocation(operation={self[0]!r}, args={self[1]!r})"
+
     def __str__(self) -> str:
-        rendered = ", ".join(repr(a) for a in self.args)
-        return f"{self.operation}({rendered})"
+        rendered = ", ".join(repr(a) for a in self[1])
+        return f"{self[0]}({rendered})"

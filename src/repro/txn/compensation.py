@@ -21,19 +21,21 @@ On abort the kernel walks the transaction tree in reverse execution
 order: committed methods are compensated logically, everything else is
 undone physically (recursing structurally into methods without a
 registered inverse).
+
+An :class:`UndoEntry` is built for most actions and never changed
+after, so it is a :class:`typing.NamedTuple`: immutable, its fields
+read through C-level getters.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.objects.oid import Oid
 
 
-@dataclass
-class UndoEntry:
+class UndoEntry(NamedTuple):
     """Undo information attached to one action node."""
 
     kind: str  # "physical" or "inverse"

@@ -51,11 +51,12 @@ class TransactionNode:
         # For a compensating action: the node id it compensates (used by
         # the recovery log to mark the original as logically undone).
         self.compensates: Optional[str] = None
-        # No node is ever re-parented, so its root and the name of its
-        # top-level transaction (the root invocation's argument) are
-        # fixed here, once.  A root stores no reference to itself: a
+        # No node is ever re-parented, so whether it is top-level, its
+        # root and the name of its top-level transaction (the root
+        # invocation's argument) are fixed here, once.  A root stores no reference to itself: a
         # tree is freed by reference counting once its children lists
         # are cleared (``ThreadedKernel.reap``).
+        self.is_top_level = parent is None
         if parent is not None:
             parent.children.append(self)
             self.depth = parent.depth + 1
@@ -104,10 +105,6 @@ class TransactionNode:
     # ------------------------------------------------------------------
     # Status
     # ------------------------------------------------------------------
-    @property
-    def is_top_level(self) -> bool:
-        return self.parent is None
-
     @property
     def completed(self) -> bool:
         """"Completed" in the paper's sense: committed (effects exposed)."""

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import io
+import json
+import pickle
+
 import pytest
 
 from repro.errors import SchemaError
 from repro.objects.base import DatabaseObject
 from repro.objects.oid import Oid
+from repro.semantics.invocation import Invocation
+from repro.util.tracelog import TraceLog
 
 
 def make(name: str, number: int = 0) -> DatabaseObject:
@@ -26,6 +32,35 @@ class TestOid:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             Oid("Item", 1).number = 2  # type: ignore[misc]
+
+    def test_repr(self):
+        assert repr(Oid("Item", 3)) == "Oid(Item#3)"
+
+    def test_keyword_construction(self):
+        oid = Oid(type_name="Item", number=3)
+        assert oid == Oid("Item", 3)
+        assert (oid.type_name, oid.number) == ("Item", 3)
+
+    def test_pickle_round_trip_keeps_equality_and_hash(self):
+        oid = Oid("Item", 3)
+        again = pickle.loads(pickle.dumps(oid))
+        assert again == oid and hash(again) == hash(oid)
+        assert type(again) is Oid and repr(again) == "Oid(Item#3)"
+
+    def test_equals_a_plain_tuple_of_its_fields(self):
+        """An Oid is a tuple: it equals, and hashes like, the plain
+        tuple of its fields.  No kernel map mixes the two kinds of key."""
+        assert Oid("Item", 3) == ("Item", 3)
+        assert hash(Oid("Item", 3)) == hash(("Item", 3))
+        assert Oid("Item", 3) != ("Item", 4)
+
+    def test_trace_jsonl_renders_an_oid_as_type_and_number(self):
+        trace = TraceLog()
+        trace.record(1, "grant", "n1", "T1", {"target": Oid("Item", 3), "mode": Invocation("R")})
+        out = io.StringIO()
+        assert trace.write_jsonl(out) == 1
+        detail = json.loads(out.getvalue())["detail"]
+        assert detail == {"target": "Item#3", "mode": "R()"}
 
 
 class TestCompositionTree:

@@ -34,6 +34,15 @@ def test_sort_order(tmp_path, capsys, argv, title, order):
     assert order in text
 
 
+def test_absent_may_be_given_more_than_once(capsys):
+    """``--absent`` fails if any of the names it was given was called."""
+    absent = ["--absent", "no_such_function", "--absent", "also_not_called"]
+    assert profile_l0.main(["--requests", "5", "--top", "1", *absent]) == 0
+    assert capsys.readouterr().err == ""
+    assert profile_l0.main(["--requests", "5", "--top", "1", *absent, "--absent", "drive"]) == 1
+    assert capsys.readouterr().err.startswith("profile L0: drive was called ")
+
+
 def test_served_prints_gc_collections(capsys):
     """``--served`` prints, under the context switches, the collector's
     runs per generation per 1 000 requests and the objects it freed per
@@ -50,11 +59,21 @@ def test_served_prints_gc_collections(capsys):
 
 
 def test_served_cluster_prints_each_shards_cpu_and_fsyncs(capsys):
-    """For a cluster, ``--served`` also prints each shard process's CPU
-    per request and its WAL fsyncs per request, under the gc line: the
-    profile covers the router's process only."""
+    """For a cluster, ``--served`` prints one profile table per shard
+    process under the router process's table, and each shard process's
+    CPU per request and its WAL fsyncs per request under the gc line."""
     assert profile_l0.main(["--served", "cluster_2pc", "--requests", "30", "--top", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
+    titles = [i for i, line in enumerate(lines) if line.startswith("Shard ")]
+    assert [lines[i].split(" ")[:3] for i in titles] == [
+        ["Shard", "0", "process"],
+        ["Shard", "1", "process"],
+    ]
+    # Each shard's table counts the calls its threads made and their CPU time.
+    for start, end in zip(titles, titles[1:] + [len(lines)]):
+        calls = next(line for line in lines[start:end] if "function calls" in line)
+        assert int(calls.split()[0]) > 0 and float(calls.split()[-2]) > 0
+    assert titles[0] > 0 and lines[0].startswith("Served profile: cluster_2pc")
     assert lines[-3].startswith("gc collections per 1 000 requests")
     cpu, syncs = lines[-2], lines[-1]
     assert cpu.startswith("shard CPU per request (/proc/<pid>/stat utime + stime")

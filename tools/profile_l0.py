@@ -10,12 +10,16 @@ top functions by cumulative time as text.
 ``--served WORKLOAD`` instead starts the workload's perfbench stack
 (``perfbench.stacks.make_stack``), has its clients replay *n* requests
 each (``perfbench.loop.replay``), and profiles every thread this
-process starts — server workers, admission, wire front-end and clients;
-a cluster's shard processes are counted, not profiled.  Each thread
-gets its own ``cProfile.Profile(time.thread_time)`` through
+process starts — server workers, admission, wire front-end and clients.
+Each thread gets its own ``cProfile.Profile(time.thread_time)`` through
 ``threading.setprofile``, so the table is thread CPU time: lock waits,
 socket waits and fsyncs, which dominate a wall-clock profile of a served
-stack, count as nothing.
+stack, count as nothing.  A cluster's shard processes get the same
+per-thread profile: the tool starts each shard child as
+:func:`profiled_shard` (this file, run by path) in place of ``python -m
+repro.cluster.shard``, which profiles every thread the shard starts and
+writes the merged stats when SIGTERM ends it, and it prints one table per
+shard under the router process's table.
 Under the table it prints this process's voluntary and involuntary
 context switches per request over the replay (``resource.getrusage``
 deltas), which is where a lock convoy shows, and the cyclic garbage
@@ -33,14 +37,19 @@ older.
 Both modes read ``perfbench`` and change nothing in it.  ``cProfile``
 charges every Python call and nothing inside native code, so the shares
 find candidates; whether a change paid off is measured with profiling
-off, through ``perfbench/run.py``.  ``cProfile`` also counts each resume
+off, through ``perfbench/run.py``.  It inflates call-heavy code most: on
+a ``cluster_2pc`` shard, ``attached_address`` (a walk up the object's
+parents) reads 7 % of the shard's profiled CPU, cumulative, but about
+1 % of a shard transaction timed alone.  The shard CPU per request
+printed under the tables is read while the shards run under the
+profiler, so it is that inflated too.  ``cProfile`` also counts each resume
 of a coroutine as a call, so the call counts and cumulative times of
 ``async def`` frames cannot be compared with those of plain functions.
 
 Usage::
 
     python tools/profile_l0.py [--served WORKLOAD] [--seed N] [--requests N]
-        [--top N] [--sort {cumulative,tottime}] [--out FILE] [--absent NAME]
+        [--top N] [--sort {cumulative,tottime}] [--out FILE] [--absent NAME ...]
 
 ``--requests`` is the L0 request count (default 600), or the count per
 client with ``--served``, where it defaults to the workload's own size:
@@ -52,8 +61,9 @@ reads every order of its item, so its share grows with the run.
 ``--sort tottime`` ranks by self time (time in the function's own body,
 callees excluded) instead of cumulative time; a cost spread thin over
 many callers shows only there.  ``--absent time.sleep`` exits 1 if any function so named
-was called at all — a count, not a timing: a zero-cost ``Pause`` must
-yield, and a ``time.sleep`` row means the timer-slack sleep is back.
+was called at all, in any table — a count, not a timing: a zero-cost
+``Pause`` must yield, and a ``time.sleep`` row means the timer-slack
+sleep is back.  ``--absent`` may be given more than once.
 """
 
 from __future__ import annotations
@@ -62,15 +72,18 @@ import argparse
 import cProfile
 import gc
 import io
+import json
 import os
 import pstats
 import resource
+import subprocess
 import sys
 import tempfile
 import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: ``--sort`` keys (pstats sort keys) and how the table title names them.
@@ -100,11 +113,67 @@ def thread_profiles(timer=None):
         threading.setprofile(None)
 
 
+class Completed:
+    """A profile's completed calls, read without disabling it.
+
+    ``pstats.Stats(profiler)`` disables the profiler first, and that
+    closes each frame still open on its thread (a handler blocked in
+    ``recv_into`` when the shard stops, say) with the *merging* thread's
+    ``thread_time``, which charges that thread's CPU to the open frame.
+    Left open, such a frame counts only its completed callees."""
+
+    def __init__(self, profiler: cProfile.Profile) -> None:
+        profiler.snapshot_stats()
+        self.stats = profiler.stats
+
+    def create_stats(self) -> None:
+        """Already done in ``__init__`` (``pstats.Stats`` calls it)."""
+
+
 def merged(profilers: list[cProfile.Profile]) -> pstats.Stats:
-    stats = pstats.Stats(profilers[0])
-    for profiler in profilers[1:]:
-        stats.add(profiler)
-    return stats
+    return pstats.Stats(*(Completed(profiler) for profiler in profilers))
+
+
+#: What a profiled shard child runs: this file's :func:`profiled_shard`,
+#: loaded by path (``sys.argv[1]``) on the shard's own arguments.
+SHARD_CHILD = (
+    "import runpy, sys; "
+    "sys.exit(runpy.run_path(sys.argv[1])['profiled_shard'](*sys.argv[2:]))"
+)
+
+
+def profiled_shard(config_path: str, out_dir: str) -> int:
+    """Run one shard process as ``python -m repro.cluster.shard --config
+    CONFIG`` does, with a ``thread_time`` profile on every thread it
+    starts; when SIGTERM ends it, write their merged stats to
+    ``out_dir/shard-<id>.prof``."""
+    from repro.cluster.shard import main as shard_main
+
+    with open(config_path, encoding="utf-8") as fh:
+        shard_id = json.load(fh)["shard_id"]
+    with thread_profiles(time.thread_time) as profilers:
+        code = shard_main(["--config", config_path])
+    if profilers:
+        merged(profilers).dump_stats(os.path.join(out_dir, f"shard-{shard_id}.prof"))
+    return code
+
+
+@contextmanager
+def profiled_shards(out_dir: str):
+    """Start each shard child launched inside the block as
+    :func:`profiled_shard` writing to *out_dir*: ``ShardProcess.start``
+    runs ``python -m repro.cluster.shard --config CONFIG``, and this
+    swaps that command for :data:`SHARD_CHILD` over the same config."""
+    popen = subprocess.Popen
+    tool = str(Path(__file__).resolve())
+
+    def start(args, *rest, **kwargs):
+        if list(args[1:3]) == ["-m", "repro.cluster.shard"]:
+            args = [args[0], "-c", SHARD_CHILD, tool, args[-1], out_dir]
+        return popen(args, *rest, **kwargs)
+
+    with mock.patch.object(subprocess, "Popen", start):
+        yield
 
 
 def profile_l0(seed: int, n: int) -> pstats.Stats:
@@ -144,15 +213,21 @@ def shard_readings(stack) -> list[tuple[float, float]]:
     return readings
 
 
-def profile_served(workload: str, seed: int, n: int) -> tuple[pstats.Stats, str]:
+def profile_served(
+    workload: str, seed: int, n: int
+) -> tuple[pstats.Stats, list[pstats.Stats], str]:
+    """The stack's process profile, one profile per shard process (none
+    without shards) and the lines printed under the tables."""
     from perfbench.loop import replay
     from perfbench.stacks import make_stack
     from perfbench.workloads import CLIENTS, ORDERS_PER_ITEM, WORKLOADS, request_list
 
     spec = WORKLOADS[workload]
     lists = [request_list(workload, seed, c, n) for c in range(CLIENTS)]
-    with tempfile.TemporaryDirectory() as workdir:
-        with thread_profiles(time.thread_time) as profilers:
+    # The shards' profiles go outside the stack's workdir, which
+    # stack.stop() deletes.
+    with tempfile.TemporaryDirectory() as workdir, tempfile.TemporaryDirectory() as shard_dir:
+        with thread_profiles(time.thread_time) as profilers, profiled_shards(shard_dir):
             stack = make_stack(spec.stack, spec.n_items, workdir)
             clients = []
             try:
@@ -169,6 +244,10 @@ def profile_served(workload: str, seed: int, n: int) -> tuple[pstats.Stats, str]
                 for client in clients:
                     client.close()
                 stack.stop()
+        shard_stats = [
+            pstats.Stats(os.path.join(shard_dir, f"shard-{i}.prof"))
+            for i in range(len(shards_before))
+        ]
     failed = [s for s in samples if not s.response.ok]
     if failed:
         raise RuntimeError(f"profile {workload}: {len(failed)} requests failed")
@@ -212,11 +291,12 @@ def profile_served(workload: str, seed: int, n: int) -> tuple[pstats.Stats, str]
         )
         syncs = ", ".join(f"shard {i} {(a[1] - b[1]) / requests:.3f}" for i, (b, a) in pairs)
         footer += (
-            f"shard CPU per request (/proc/<pid>/stat utime + stime over the replay): {cpu}\n"
+            f"shard CPU per request (/proc/<pid>/stat utime + stime over the replay, "
+            f"profiled): {cpu}\n"
             f"shard WAL fsyncs per request (wal.group_commit.syncs from each shard's stats): "
             f"{syncs}\n"
         )
-    return merged(profilers), footer
+    return merged(profilers), shard_stats, footer
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -230,12 +310,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sort", choices=SORT_LABELS, default="cumulative",
                         help="rank by cumulative time (default) or self time")
     parser.add_argument("--out", help="also write the table to this file")
-    parser.add_argument("--absent", metavar="NAME", help="fail if a function so named was called")
+    parser.add_argument("--absent", metavar="NAME", action="append", default=[],
+                        help="fail if a function so named was called (repeatable)")
     args = parser.parse_args(argv)
 
     if sys.version_info >= (3, 12):
         parser.error("one cProfile per thread needs Python 3.11 or older")
     footer = ""
+    shard_stats: list[pstats.Stats] = []
     label = SORT_LABELS[args.sort]
     if args.served is None:
         requests = 600 if args.requests is None else args.requests
@@ -250,25 +332,41 @@ def main(argv: list[str] | None = None) -> int:
         requests = args.requests
         if requests is None:
             requests = WORKLOADS[args.served].ops_per_rep // CLIENTS
-        stats, footer = profile_served(args.served, args.seed, requests)
+        stats, shard_stats, footer = profile_served(args.served, args.seed, requests)
         title = (
             f"Served profile: {args.served} seed={args.seed} requests={requests} per "
             f"client (cProfile with time.thread_time on every thread, top {args.top} by "
             f"{label} CPU time; async def frames count each resume as a call)"
         )
+    titled = [(title, stats)] + [
+        (
+            f"Shard {i} process profile (cProfile with time.thread_time on every thread "
+            f"the shard starts, top {args.top} by {label} CPU time)",
+            shard,
+        )
+        for i, shard in enumerate(shard_stats)
+    ]
     table = io.StringIO()
-    stats.stream = table
-    stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
-    text = title + "\n" + table.getvalue() + footer
+    for heading, table_stats in titled:
+        table.write(heading + "\n")
+        table_stats.stream = table
+        table_stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
+    text = table.getvalue() + footer
     sys.stdout.write(text)
     if args.out:
         Path(args.out).write_text(text)
-    if args.absent:
-        calls = sum(row[1] for func, row in stats.stats.items() if args.absent in func[2])
+    present = False
+    for name in args.absent:
+        calls = sum(
+            row[1]
+            for __, table_stats in titled
+            for func, row in table_stats.stats.items()
+            if name in func[2]
+        )
         if calls:
-            print(f"profile L0: {args.absent} was called {calls} times", file=sys.stderr)
-            return 1
-    return 0
+            print(f"profile L0: {name} was called {calls} times", file=sys.stderr)
+            present = True
+    return 1 if present else 0
 
 
 if __name__ == "__main__":
