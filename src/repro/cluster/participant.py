@@ -282,7 +282,7 @@ class ClusterParticipant:
         to treat the reply as an ack, so it is only present when the
         decision is durable from this call's point of view — a duplicate
         send that raced `_log_decision`'s idempotency check ahead of the
-        first sender's fsync must not trigger truncation."""
+        first sender's force must not trigger truncation."""
         out: dict[str, Any] = {"status": "ok", "result": result}
         with self._lock:
             if gtid in self._durably_decided:
@@ -320,7 +320,7 @@ class ClusterParticipant:
 
         Guarded on the decision being durable *from this thread's view*:
         a duplicate decision send races `_log_decision`'s idempotency
-        check ahead of the first sender's fsync, and acking then would
+        check ahead of the first sender's force, and acking then would
         let the coordinator truncate a decision that is not yet anywhere
         durable.  The skipped ack is re-announced at the next boot.
         """
@@ -419,7 +419,7 @@ def unfinished_compensations(wal: WriteAheadLog) -> list[str]:
     """Abort-decided gtids whose compensation never durably committed.
 
     These are *not* in doubt — the decision record exists — but a crash
-    between the fsynced abort decision and the compensation commit
+    between the forced abort decision and the compensation commit
     leaves the locally-committed branch standing while recovery
     physically undoes the partial compensation as a WAL loser.  Boot
     must re-run the compensation for each of these, in log order.

@@ -15,7 +15,7 @@ it learned survive a SIGKILL together with the branch's data records:
   (``commit`` or ``abort``); once present the gtid is never in doubt
   again.
 * :class:`ClusterAckRecord` — the shard's durable acknowledgement that
-  a decision is *fully applied* here (decision record fsynced — on
+  a decision is *fully applied* here (decision record forced — on
   commit, in the same force as this record — and for aborts the
   compensation committed).  The record carries the coordinator's
   per-shard decision sequence number; at boot the shard folds every ack

@@ -5,7 +5,7 @@ The in-process sweep (:mod:`repro.faults.torture`) proves the recovery
 pickle written after the fact by the surviving process).  This module
 closes the loop: for every crash point a **child process** runs the same
 seeded scenario against a real file-backed WAL
-(:class:`~repro.storage.durable.DurableWriteAheadLog`, fsync-per-commit
+(:class:`~repro.storage.durable.DurableWriteAheadLog`, a force per commit
 by default) over the in-memory database, and when the injected
 :class:`~repro.errors.CrashPoint` fires the child writes a tiny verdict
 file (the two checks only its own memory can answer: lock hygiene and

@@ -12,15 +12,17 @@ line, over a plain TCP connection.  Three message kinds:
   "result": "pong"}``;
 * ``{"op": "stats"}`` — answered with the server's operational summary.
 
-Every non-blank line gets exactly one reply.  A line that is not JSON,
-not an object, nested too deep, names no known operation or makes its
-handler raise is answered ``{"status": "failed", "error": <repro.errors
-payload>}`` and the connection stays usable.  This module is the only
-one that knows the framing: :class:`LineServer` is the server loop under
-both the shard front (:class:`WireServer`) and the router front
-(:class:`repro.cluster.router.RouterWireServer`), and :class:`TCPClient`
-is the client under the router's shard links and a booting shard's
-coordinator calls.
+Every non-blank line, a last one half-closed without its newline too,
+gets exactly one reply.  A line that is not JSON, not an object, nested
+too deep, longer than :data:`MAX_LINE`, names no known operation or
+makes its handler raise is answered ``{"status": "failed", "error":
+<repro.errors payload>}`` and the connection stays usable.  This module
+is the only one that knows the framing: :class:`LineServer` is the
+server loop under both the shard front (:class:`WireServer`) and the
+router front (:class:`repro.cluster.router.RouterWireServer`), and
+:class:`TCPClient` is the client under the router's shard links and a
+booting shard's coordinator calls.  Each side reads into its own line
+buffer, one ``recv`` per segment, and writes a line with one ``sendall``.
 
 Connections are handled by a thread-per-connection
 :class:`socketserver.ThreadingTCPServer`; each line is submitted
@@ -36,6 +38,7 @@ import errno
 import json
 import socket
 import socketserver
+import struct
 import threading
 from typing import Any, Callable, Optional, TypeVar
 
@@ -49,27 +52,40 @@ __all__ = ["LineServer", "WireServer", "TCPClient"]
 Dispatch = Callable[[dict[str, Any]], dict[str, Any]]
 _Server = TypeVar("_Server", bound="LineServer")
 
+#: The longest request line a server reads; the bytes of a longer one
+#: past this are dropped, and the line is answered ``failed``.
+MAX_LINE = 1 << 20
+_RECV_BYTES = 1 << 16
 
-class _LineHandler(socketserver.StreamRequestHandler):
+
+class _LineHandler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
-        dispatch: Dispatch = self.server.dispatch  # type: ignore[attr-defined]
-        for raw in self.rfile:
-            line = raw.strip()
-            if not line:
-                continue
-            # Bytes from outside the process: whatever decoding or
-            # dispatching them raises (RecursionError from a deeply
-            # nested line included) is answered, never propagated — one
-            # reply per non-blank line, and the connection lives on.
-            try:
-                message = json.loads(line)
-                if not isinstance(message, dict):
-                    raise ValueError("request must be a JSON object")
-                reply = json.dumps(dispatch(message))
-            except Exception as exc:  # noqa: BLE001 - surfaced to the peer
-                reply = json.dumps({"status": "failed", "error": error_to_payload(exc)})
-            self.wfile.write(reply.encode("utf-8") + b"\n")
-            self.wfile.flush()
+        head = b""  # the start of a line whose newline has not come
+        while chunk := self.request.recv(_RECV_BYTES):
+            *lines, rest = chunk.split(b"\n")
+            for line in lines:
+                self._answer(head + line)
+                head = b""
+            if len(head) <= MAX_LINE:
+                head = (head + rest)[: MAX_LINE + 1]
+        self._answer(head)  # a last line the peer half-closed after
+
+    def _answer(self, line: bytes) -> None:
+        if not line.strip():
+            return
+        # Bytes from outside the process: whatever decoding or dispatching
+        # them raises (RecursionError from a deeply nested line included)
+        # is answered, never propagated, and the connection lives on.
+        try:
+            if len(line) > MAX_LINE:
+                raise ValueError(f"request line longer than {MAX_LINE} bytes")
+            message = json.loads(line)
+            if not isinstance(message, dict):
+                raise ValueError("request must be a JSON object")
+            reply = json.dumps(self.server.dispatch(message))  # type: ignore[attr-defined]
+        except Exception as exc:  # noqa: BLE001 - surfaced to the peer
+            reply = json.dumps({"status": "failed", "error": error_to_payload(exc)})
+        self.request.sendall(reply.encode("utf-8") + b"\n")
 
 
 class _LineTCPServer(socketserver.ThreadingTCPServer):
@@ -154,18 +170,26 @@ class TCPClient:
 
     def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._file = self._sock.makefile("rwb")
+        # Blocking, with the timeout in the kernel: a call is one system
+        # call, no poll first; one that runs out raises an OSError.
+        self._sock.settimeout(None)
+        limit = struct.pack("ll", int(timeout), int(timeout % 1 * 1_000_000))
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, limit)
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, limit)
+        self._buffer = b""  # reply bytes past the last newline read
 
     def send(self, message: dict[str, Any]) -> None:
-        """Write one request line and flush it; the reply is left unread."""
-        self._file.write(json.dumps(message).encode("utf-8") + b"\n")
-        self._file.flush()
+        """Write one request line; the reply is left unread."""
+        self._sock.sendall(json.dumps(message).encode("utf-8") + b"\n")
 
     def receive(self) -> dict[str, Any]:
         """Read and parse the next reply line."""
-        line = self._file.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
+        while (end := self._buffer.find(b"\n")) < 0:
+            chunk = self._sock.recv(_RECV_BYTES)
+            if not chunk:
+                raise ConnectionError("server closed the connection")
+            self._buffer += chunk
+        line, self._buffer = self._buffer[:end], self._buffer[end + 1 :]
         return json.loads(line)
 
     def request(self, message: dict[str, Any]) -> dict[str, Any]:
@@ -179,12 +203,7 @@ class TCPClient:
         return self.request({"op": "stats"})["result"]
 
     def close(self) -> None:
-        try:
-            self._file.close()
-        except OSError:
-            pass  # a broken connection has nothing left to flush
-        finally:
-            self._sock.close()
+        self._sock.close()
 
     def __enter__(self) -> "TCPClient":
         return self

@@ -7,12 +7,13 @@ nothing else.
 * :class:`DurableWriteAheadLog` — a drop-in :class:`~repro.recovery.wal.
   WriteAheadLog` that additionally frames every record in the
   checksummed format of :mod:`repro.storage.walformat` into an
-  in-memory buffer, and writes the buffer to an append-only file with
-  one write and one ``fsync`` per force.  A writer's commit forces by
-  default (a read-only transaction forces nothing); with a configurable
-  window/batch the commits arriving close together share one sync (the
-  classical throughput trade), and a commit whose frames a concurrent
-  force already covered shares that one.  The ``wal.group_commit.*``
+  in-memory buffer, and writes the buffer with one ``O_DSYNC``
+  ``pwrite`` per force into zeros written ahead of the last frame, so
+  a force neither grows the file nor needs an ``fsync``.  A writer's
+  commit forces by default (a read-only transaction forces nothing);
+  with a configurable window/batch the commits arriving close together
+  share one force (the classical throughput trade), and a commit whose
+  frames a concurrent force already covered shares that one.  The ``wal.group_commit.*``
   metrics family counts syncs, batched commits, and bytes; the append
   counts (``wal.appends``, ``wal.bytes_written``) are plain integers
   under the append lock, read by a registry collector at snapshot.
@@ -49,10 +50,17 @@ from repro.storage.bufferpool import BufferPool
 from repro.storage.manager import StorageManager
 from repro.storage.page import Page
 from repro.storage.pagefile import PageFile
-from repro.storage.walformat import WAL_MAGIC, encode_record, is_wal_file, iter_frames
+from repro.storage.walformat import FRAME_HEADER, WAL_MAGIC, encode_record, is_wal_file, iter_frames
 
-#: Histogram bounds for commits-per-fsync batch sizes.
+#: Histogram bounds for commits-per-force batch sizes.
 _BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
+
+#: Zero bytes a log keeps written ahead of its last frame.  A force
+#: overwrites them in place, so an ``O_DSYNC`` write flushes its data
+#: and no file size: no journal commit.  They are written, never
+#: ``fallocate``d: an unwritten extent is converted on its first write,
+#: which is a journal commit again.
+PREALLOCATE = 256 * 1024
 
 
 class _NullInstrument:
@@ -72,38 +80,44 @@ _NULL = _NullInstrument()
 
 
 class DurableWriteAheadLog(WriteAheadLog):
-    """A write-ahead log that is also an append-only checksummed file.
+    """A write-ahead log that is also a checksummed file.
 
     An append encodes its frame into an in-memory log buffer and makes
-    no system call.  A *force* writes the whole buffer with one OS write
-    and fsyncs it: a writer's commit/abort record forces (subject to the
-    group-commit window), and so do :meth:`sync`, :meth:`sync_to`,
-    :meth:`flush_if_due` and :meth:`close`.  Until a force, frames live
-    only in this process; a SIGKILL loses them.
+    no system call.  A *force* writes the whole buffer at the log's end
+    with one ``pwrite`` on a file opened ``O_DSYNC``, which returns once
+    the bytes are on disk: a writer's commit/abort record forces
+    (subject to the group-commit window), and so do :meth:`sync`,
+    :meth:`sync_to`, :meth:`flush_if_due` and :meth:`close`.  Until a
+    force, frames live only in this process; a SIGKILL loses them.
+    The file keeps :data:`PREALLOCATE` zero bytes past its last frame
+    (the force that would eat into them writes the next segment's
+    zeros after its frames, in the same ``pwrite``), and :meth:`close`
+    truncates them.
 
     Two locks, taken in this order when both are held: ``_io_lock``
     serialises forces, and ``_wal_lock`` guards the LSN counter, the
     record list, the buffer and the force bookkeeping.  ``_wal_lock`` is
     never held across a system call, so an append never waits on a
-    force's write or fsync.  A force that a concurrent one already
-    covered returns without its own fsync; coverage is judged by append
+    force's write.  A force that a concurrent one already
+    covered returns without its own write; coverage is judged by append
     order, never by LSN, because an LSN is drawn before its append and a
     lower one can be appended after a higher one was forced.
 
     Args:
         path: The log file.  An existing durable file is *continued*
-            (its records are loaded and appends resume after them); a
-            log of another format version raises ``ValueError`` and is
-            left as it is; anything else is truncated and started fresh.
+            (its records are loaded, a torn tail is cut, and appends
+            resume after them); a log of another format version raises
+            ``ValueError`` and is left as it is; anything else is
+            truncated and started fresh.
         group_commit_window: Seconds a commit may wait for companions
-            before forcing its fsync.  ``0.0`` (default) forces every
+            before forcing.  ``0.0`` (default) forces every
             writer's commit/abort record before its append returns — the
             no-surprises mode the crash harness uses.  Only a transaction
             that appended an update or subcommit record forces its
             outcome; a read-only one's is buffered, and becomes durable
             with the next force.
         group_commit_max: Batch cap: once this many forced commit/abort records
-            are pending, sync regardless of the window.
+            are pending, force regardless of the window.
         clock: Injectable time source for the window (tests).
         buffering: Has no effect.  Frames wait in the log's own buffer
             and reach the OS only at a force, in one write; the argument
@@ -131,7 +145,7 @@ class DurableWriteAheadLog(WriteAheadLog):
         self._durable_lsn = 0
         self._appended_lsn = 0
         # Append order: frames appended so far, and how many of them the
-        # last completed fsync covers.
+        # last completed force covers.
         self._appended_seq = 0
         self._synced_seq = 0
         self._buffer: list[bytes] = []
@@ -149,28 +163,28 @@ class DurableWriteAheadLog(WriteAheadLog):
         self._gc_batch = _NULL
         self._io_lock = threading.Lock()
         self._wal_lock = threading.Lock()
-        resume = self._try_resume(path)
-        flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND | (0 if resume else os.O_TRUNC)
+        # The end of the last frame, where the next force writes.
+        self._end = self._resume(path)
+        flags = os.O_WRONLY | os.O_CREAT | os.O_DSYNC | (0 if self._end else os.O_TRUNC)
         self._fd: Optional[int] = os.open(path, flags, 0o666)
-        if not resume:
-            self._write(WAL_MAGIC)
-            os.fsync(self._fd)
+        # Cut a torn tail and old zeros; the first write lays new ones.
+        os.ftruncate(self._fd, self._end)
+        self._allocated = self._end  # the file's size
+        self._write(b"" if self._end else WAL_MAGIC)
 
-    def _try_resume(self, path: str) -> bool:
+    def _resume(self, path: str) -> int:
+        """Load an existing log's records; its valid length, or 0 to
+        start the file fresh."""
         if not os.path.exists(path):
-            return False
+            return 0
         with open(path, "rb") as fh:
             if not is_wal_file(fh.read(len(WAL_MAGIC))):
-                return False
+                return 0
         scan = load_wal_file(path)
         self.records = scan.log.records
         self._next_lsn = scan.log.last_lsn
         self._durable_lsn = self._appended_lsn = self._next_lsn
-        if scan.torn:
-            # Truncate the torn tail so appends continue from clean state.
-            with open(path, "r+b") as fh:
-                fh.truncate(scan.valid_bytes)
-        return True
+        return scan.valid_bytes
 
     def bind_metrics(self, registry) -> None:
         """Record WAL activity into *registry* (``wal.*`` instruments):
@@ -250,7 +264,7 @@ class DurableWriteAheadLog(WriteAheadLog):
         return self._durable_lsn
 
     def sync(self) -> None:
-        """Write and fsync the buffer; everything appended is durable."""
+        """Force the buffer; everything appended is durable."""
         self._force(self._appended_seq)
 
     def sync_to(self, lsn: int) -> None:
@@ -265,14 +279,13 @@ class DurableWriteAheadLog(WriteAheadLog):
                 self._write_buffer()
 
     def _write_buffer(self) -> None:
-        """One write + fsync of everything buffered (holding ``_io_lock``)."""
+        """One durable write of everything buffered (holding ``_io_lock``)."""
         with self._wal_lock:
             frames, self._buffer = self._buffer, []
             seq, lsn = self._appended_seq, self._appended_lsn
             batch, self._pending_commits = self._pending_commits, 0
         data = b"".join(frames)
         self._write(data)
-        os.fsync(self._fd)
         self._synced_seq = seq
         self._durable_lsn = lsn
         self._gc_syncs.inc()
@@ -281,15 +294,26 @@ class DurableWriteAheadLog(WriteAheadLog):
         self._gc_bytes_synced.inc(len(data))
 
     def _write(self, data: bytes) -> None:
-        view = memoryview(data)
+        """Write *data* at the valid end, durably.  If it would leave less
+        than a frame header of zeros after it, write the next segment's
+        zeros after it in the same call: the scan must meet a whole zero
+        header where the frames end."""
+        end = self._end + len(data)
+        if end + FRAME_HEADER.size > self._allocated:
+            data += bytes(PREALLOCATE)
+            self._allocated = end + PREALLOCATE
+        view, offset = memoryview(data), self._end
         while view:
-            view = view[os.write(self._fd, view) :]
+            written = os.pwrite(self._fd, view, offset)
+            view, offset = view[written:], offset + written
+        self._end = end
 
     def close(self) -> None:
         with self._io_lock:
             if self._fd is not None:
                 if self._synced_seq < self._appended_seq:
                     self._write_buffer()
+                os.ftruncate(self._fd, self._end)
                 os.close(self._fd)
                 self._fd = None
 

@@ -233,25 +233,30 @@ def in_process_cluster(tmp_path, make_wal):
 @pytest.fixture
 def forcing_cluster(tmp_path, monkeypatch):
     """A router over two in-process shards, each on its own durable WAL,
-    with every ``os.fsync`` counted by file descriptor."""
-    fsyncs: Counter = Counter()
-    fsync = os.fsync
+    with every force counted by file descriptor: a shard WAL's is one
+    ``os.pwrite`` on its ``O_DSYNC`` file, the coordinator log's one
+    ``os.fsync``, and both calls are counted on every file."""
+    forced: Counter = Counter()
 
-    def counting_fsync(fd: int) -> None:
-        fsyncs[fd] += 1
-        fsync(fd)
+    def counting(real):
+        def call(fd: int, *args):
+            forced[fd] += 1
+            return real(fd, *args)
 
-    monkeypatch.setattr(os, "fsync", counting_fsync)
+        return call
+
+    monkeypatch.setattr(os, "fsync", counting(os.fsync))
+    monkeypatch.setattr(os, "pwrite", counting(os.pwrite))
     with in_process_cluster(
         tmp_path, lambda shard: DurableWriteAheadLog(str(tmp_path / f"shard-{shard}.log"))
     ) as (router, links, wals):
 
         def forces() -> tuple[int, int, int]:
-            """(shard 0, shard 1, coordinator) fsyncs so far."""
+            """(shard 0, shard 1, coordinator) forces so far."""
             return (
-                fsyncs[wals[0]._fd],
-                fsyncs[wals[1]._fd],
-                fsyncs[router.log._fh.fileno()],
+                forced[wals[0]._fd],
+                forced[wals[1]._fd],
+                forced[router.log._fh.fileno()],
             )
 
         yield router, links, forces
@@ -298,18 +303,18 @@ class TestForceCounts:
         ).start()
         participant = ClusterParticipant(server, wal)
         gate, entered = threading.Event(), threading.Event()
-        fsync = os.fsync
+        pwrite = os.pwrite
 
-        def gated_fsync(fd: int) -> None:
+        def gated_pwrite(fd: int, data, offset: int) -> int:
             if fd == wal._fd and not gate.is_set():
                 entered.set()
                 assert gate.wait(10.0)
-            fsync(fd)
+            return pwrite(fd, data, offset)
 
         try:
             branch = Request(op="restock", item=0, quantity=5).to_dict()
             assert participant.prepare({"gtid": "g1", "branch": branch})["status"] == "prepared"
-            monkeypatch.setattr(os, "fsync", gated_fsync)
+            monkeypatch.setattr(os, "pwrite", gated_pwrite)
             replies: list[dict] = []
             sender = threading.Thread(
                 target=lambda: replies.append(participant.commit({"gtid": "g1", "seq": 1}))

@@ -14,12 +14,14 @@ import os
 import pickle
 import sys
 import threading
+import zlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.recovery.wal import SubtxnCommitRecord, TxnStatusRecord, UpdateRecord, WriteAheadLog
-from repro.storage.durable import DurableWriteAheadLog, load_wal_file
+from repro.storage.durable import PREALLOCATE, DurableWriteAheadLog, load_wal_file
 from repro.storage.walformat import (
     FRAME_HEADER,
     WAL_MAGIC,
@@ -29,6 +31,9 @@ from repro.storage.walformat import (
     iter_frames,
 )
 from tests.helpers import examples
+
+#: Every ``os`` call that writes a file or syncs it.
+WRITE_AND_SYNC_CALLS = ("write", "pwrite", "fsync", "fdatasync")
 
 
 def status(lsn: int, txn: str, what: str) -> TxnStatusRecord:
@@ -233,6 +238,50 @@ class TestTornTailProperty:
             assert survived == records[: len(survived)]
             assert scan.valid_bytes <= cut
 
+    def test_crash_image_with_preallocated_zeros_is_not_torn(self, tmp_path):
+        """A copy of an open log — its frames, then the zeros written
+        ahead of them — is what a SIGKILL leaves: every forced record
+        reads back and nothing is torn.  A frame cut short inside the
+        zeros is still a torn tail, and resuming the image cuts the
+        zeros and writes on after its last frame."""
+        path, image = str(tmp_path / "wal.log"), tmp_path / "image.log"
+        wal = DurableWriteAheadLog(path)
+        for n in range(3):
+            write_and_commit(wal, 2 * n + 1, f"T{n}")
+        with open(path, "rb") as fh:
+            image.write_bytes(fh.read())
+        wal.close()
+        frames_end = os.path.getsize(path)
+        assert image.stat().st_size == len(WAL_MAGIC) + PREALLOCATE > frames_end
+        scan = load_wal_file(str(image))
+        assert not scan.torn and scan.torn_reason == ""
+        assert scan.valid_bytes == frames_end
+        assert list(scan.log) == list(load_wal_file(path).log) and len(scan.log) == 6
+
+        blob = bytearray(image.read_bytes())
+        blob[frames_end - 3 : frames_end] = bytes(3)  # the last frame's tail never landed
+        cut = tmp_path / "cut.log"
+        cut.write_bytes(bytes(blob))
+        torn = load_wal_file(str(cut))
+        assert torn.torn and torn.torn_reason == "bad-checksum" and len(torn.log) == 5
+
+        with DurableWriteAheadLog(str(image)) as resumed:
+            assert len(resumed) == 6
+            write_and_commit(resumed, 7, "T3")
+        scan = load_wal_file(str(image))
+        assert [r.lsn for r in scan.log] == list(range(1, 9))
+        assert scan.valid_bytes == image.stat().st_size  # close cut the zeros
+
+    def test_an_empty_payload_frame_is_not_a_zero_header(self):
+        """The crc32 covers the length, so no frame's header is all zeros:
+        an empty payload is a frame, and a zero header ends the log."""
+        data = WAL_MAGIC + encode_frame(b"") + encode_frame(b"x")
+        assert encode_frame(b"") != bytes(FRAME_HEADER.size)
+        assert iter_frames(data).payloads == [b"", b"x"]
+        scan = iter_frames(data + bytes(FRAME_HEADER.size) + encode_frame(b"stale"))
+        assert scan.payloads == [b"", b"x"] and not scan.torn
+        assert scan.valid_bytes == len(data)
+
     def test_header_only_file_is_empty_log(self, tmp_path):
         path = str(tmp_path / "wal.log")
         DurableWriteAheadLog(path).close()
@@ -273,7 +322,7 @@ class TestGroupCommit:
             write_and_commit(wal, i * 2 + 1, f"T{i}")
         assert registry.counter("wal.group_commit.syncs").value == 0
         assert registry.counter("wal.group_commit.deferred").value == 3
-        assert wal.durable_lsn == 0  # nothing fsynced yet
+        assert wal.durable_lsn == 0  # nothing forced yet
 
         write_and_commit(wal, 7, "T3")  # 4th: batch cap forces the sync
         assert registry.counter("wal.group_commit.syncs").value == 1
@@ -362,43 +411,40 @@ class TestForceRule:
 
 class TestLogBuffer:
     """An append buffers its frame and makes no system call; a force
-    writes the buffer once and fsyncs it, outside the append lock, and
-    a force judges what is covered by append order, not by LSN."""
+    writes the buffer with one ``pwrite`` on the ``O_DSYNC`` file, outside
+    the append lock, and no ``write`` or ``fsync``; a force judges what
+    is covered by append order, not by LSN."""
 
     @staticmethod
     def _open(tmp_path, monkeypatch):
-        """A log whose OS writes and fsyncs are counted."""
+        """A log whose writing and syncing system calls on its file are
+        counted, by name, once it is open."""
         wal = DurableWriteAheadLog(str(tmp_path / "wal.log"))
-        calls = {"write": 0, "fsync": 0}
-        real_write, real_fsync = os.write, os.fsync
+        calls: Counter = Counter()
+        for name in WRITE_AND_SYNC_CALLS:
+            real = getattr(os, name)
 
-        def write(fd, data):
-            if fd == wal._fd:
-                calls["write"] += 1
-            return real_write(fd, data)
+            def counted(fd, *args, _name=name, _real=real):
+                if fd == wal._fd:
+                    calls[_name] += 1
+                return _real(fd, *args)
 
-        def fsync(fd):
-            if fd == wal._fd:
-                calls["fsync"] += 1
-            real_fsync(fd)
-
-        monkeypatch.setattr(os, "write", write)
-        monkeypatch.setattr(os, "fsync", fsync)
+            monkeypatch.setattr(os, name, counted)
         return wal, calls
 
     @staticmethod
-    def _gate_first_fsync(wal, monkeypatch):
-        """Park the first fsync on *wal*'s file until the gate opens."""
+    def _gate_first_force(wal, monkeypatch):
+        """Park the first force's ``pwrite`` on *wal*'s file until the gate opens."""
         entered, gate = threading.Event(), threading.Event()
-        real_fsync = os.fsync
+        real_pwrite = os.pwrite
 
-        def fsync(fd):
+        def pwrite(fd, data, offset):
             if fd == wal._fd and not entered.is_set():
                 entered.set()
                 gate.wait(10)
-            real_fsync(fd)
+            return real_pwrite(fd, data, offset)
 
-        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "pwrite", pwrite)
         return entered, gate
 
     def test_read_only_transaction_leaves_the_file_alone(self, tmp_path, monkeypatch):
@@ -407,17 +453,20 @@ class TestLogBuffer:
         wal.append(status(1, "R", "begin"))
         wal.append(status(2, "R", "commit"))
         assert os.path.getsize(wal.path) == size
-        assert calls == {"write": 0, "fsync": 0}
+        assert calls == {}
         wal.close()
 
-    def test_forced_commit_is_one_write_and_one_fsync(self, tmp_path, monkeypatch):
+    def test_forced_commit_is_one_pwrite(self, tmp_path, monkeypatch):
         wal, calls = self._open(tmp_path, monkeypatch)
+        size = os.path.getsize(wal.path)
         wal.append(status(1, "W", "begin"))
         wal.append(update(2, "W"))
-        assert calls == {"write": 0, "fsync": 0}
+        assert calls == {}
         wal.append(status(3, "W", "commit"))
-        assert calls == {"write": 1, "fsync": 1}
-        assert [r.lsn for r in load_wal_file(wal.path).log] == [1, 2, 3]
+        assert calls == {"pwrite": 1}
+        assert os.path.getsize(wal.path) == size  # written into the preallocated zeros
+        scan = load_wal_file(wal.path)
+        assert [r.lsn for r in scan.log] == [1, 2, 3] and not scan.torn
         wal.close()
 
     def test_close_writes_what_is_buffered(self, tmp_path, monkeypatch):
@@ -425,7 +474,7 @@ class TestLogBuffer:
         wal.append(status(1, "R", "begin"))
         wal.append(status(2, "R", "commit"))
         wal.close()
-        assert calls == {"write": 1, "fsync": 1}
+        assert calls == {"pwrite": 1}
         assert load_wal_file(wal.path).log.outcomes() == {"R": "commit"}
 
     def test_append_counts_are_read_at_snapshot(self, tmp_path, monkeypatch):
@@ -462,15 +511,15 @@ class TestLogBuffer:
         wal.append(status(6, "R2", "begin"))
         wal.sync()
         monkeypatch.undo()
+        wal.close()  # writes nothing more; cuts the preallocated zeros
         snapshot = registry.snapshot()
         assert snapshot.counter("wal.appends") == 6
         file_bytes = os.path.getsize(wal.path) - len(WAL_MAGIC)
         assert snapshot.counter("wal.bytes_written") == file_bytes
-        wal.close()
 
     def test_append_returns_while_a_force_is_in_fsync(self, tmp_path, monkeypatch):
         wal = DurableWriteAheadLog(str(tmp_path / "wal.log"))
-        entered, gate = self._gate_first_fsync(wal, monkeypatch)
+        entered, gate = self._gate_first_force(wal, monkeypatch)
         wal.append(update(1, "W"))
         forcer = threading.Thread(target=wal.append, args=(status(2, "W", "commit"),))
         appender = threading.Thread(target=wal.append, args=(status(3, "R", "begin"),))
@@ -479,7 +528,7 @@ class TestLogBuffer:
             assert entered.wait(10)
             appender.start()
             appender.join(5)
-            assert not appender.is_alive()  # not queued behind the fsync
+            assert not appender.is_alive()  # not queued behind the force
             assert len(wal) == 3 and wal.durable_lsn == 0
         finally:
             gate.set()
@@ -495,13 +544,13 @@ class TestLogBuffer:
         registry = MetricsRegistry()
         wal = DurableWriteAheadLog(str(tmp_path / "wal.log"))
         wal.bind_metrics(registry)
-        entered, gate = self._gate_first_fsync(wal, monkeypatch)
+        entered, gate = self._gate_first_force(wal, monkeypatch)
         wal.append(update(1, "W1"))
         threads = [threading.Thread(target=wal.append, args=(status(2, "W1", "commit"),))]
         threads[0].start()
         try:
             assert entered.wait(10)
-            # Two more writers commit while the first force is in fsync;
+            # Two more writers commit while the first force is in its write;
             # the next force writes both, and the other finds itself covered.
             for lsn, txn in ((3, "W2"), (5, "W3")):
                 wal.append(update(lsn, txn))
@@ -564,7 +613,7 @@ class TestLogBuffer:
 
     def test_aborting_writer_forces_outside_the_coordinator(self, tmp_path, monkeypatch):
         """A writer that aborts forces its abort record before it takes
-        the coordinator: while that force sits in fsync, another
+        the coordinator: while that force sits in its write, another
         transaction's completion finishes."""
         from repro.objects.database import Database
         from repro.runtime.threaded import ThreadedKernel
@@ -576,7 +625,7 @@ class TestLogBuffer:
         wal = DurableWriteAheadLog(str(tmp_path / "wal.log"))
         kernel = ThreadedKernel(db, wal=wal)
         kernel.start()
-        entered, gate = self._gate_first_fsync(wal, monkeypatch)
+        entered, gate = self._gate_first_force(wal, monkeypatch)
 
         async def writer(tx):
             await tx.put(x, 1)
@@ -592,7 +641,7 @@ class TestLogBuffer:
             assert entered.wait(10)
             other.start()
             other.join(5)
-            assert not other.is_alive()  # not queued behind the fsync
+            assert not other.is_alive()  # not queued behind the force
             assert kernel.handles["R"].committed
             assert not kernel.handles["W"].aborted
         finally:
@@ -611,9 +660,9 @@ class TestLogBuffer:
         wal.append(update(wal.next_lsn(), "B"))
         a, b = wal.next_lsn(), wal.next_lsn()  # drawn in this order ...
         wal.append(status(b, "B", "commit"))  # ... appended and forced in the other
-        assert calls["fsync"] == 1 and wal.durable_lsn == b
+        assert calls == {"pwrite": 1} and wal.durable_lsn == b
         wal.append(status(a, "A", "commit"))  # a < durable_lsn, yet not on disk
-        assert calls["fsync"] == 2
+        assert calls == {"pwrite": 2}
         assert load_wal_file(wal.path).log.outcomes() == {"B": "commit", "A": "commit"}
         wal.close()
 
@@ -706,13 +755,22 @@ class TestResumeAndInterop:
     def test_another_format_version_is_refused_and_kept(self, tmp_path, open_log):
         """A log of another frame format version is neither read nor
         started fresh: the reader and the writer both raise, naming both
-        versions, and the file's bytes stay as they were."""
-        path = tmp_path / "old.log"
-        old = b"RWALv1\n\0" + encode_frame(pickle.dumps({"lsn": 1, "txn": "T1"}))
-        path.write_bytes(old)
-        with pytest.raises(ValueError, match="RWALv1.*RWALv2"):
-            open_log(str(path))
-        assert path.read_bytes() == old
+        versions, and the file's bytes stay as they were.  Version 1
+        pickled record objects; version 2's crc32 left out the length."""
+
+        def old_frame(payload: bytes) -> bytes:
+            return FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+        olds = {
+            "RWALv1": b"RWALv1\n\0" + old_frame(pickle.dumps({"lsn": 1, "txn": "T1"})),
+            "RWALv2": b"RWALv2\n\0" + old_frame(pickle.dumps((2, 1, "T1", "begin"))),
+        }
+        for version, old in olds.items():
+            path = tmp_path / f"{version}.log"
+            path.write_bytes(old)
+            with pytest.raises(ValueError, match=f"{version}.*RWALv3"):
+                open_log(str(path))
+            assert path.read_bytes() == old
 
     def test_load_wal_file_rejects_pickles(self, tmp_path):
         path = str(tmp_path / "pickled.wal")

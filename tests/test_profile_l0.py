@@ -61,7 +61,7 @@ def test_served_prints_gc_collections(capsys):
 def test_served_cluster_prints_each_shards_cpu_and_fsyncs(capsys):
     """For a cluster, ``--served`` prints one profile table per shard
     process under the router process's table, and each shard process's
-    CPU per request and its WAL fsyncs per request under the gc line."""
+    CPU per request and its WAL forces per request under the gc line."""
     assert profile_l0.main(["--served", "cluster_2pc", "--requests", "30", "--top", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     titles = [i for i, line in enumerate(lines) if line.startswith("Shard ")]
@@ -77,7 +77,7 @@ def test_served_cluster_prints_each_shards_cpu_and_fsyncs(capsys):
     assert lines[-3].startswith("gc collections per 1 000 requests")
     cpu, syncs = lines[-2], lines[-1]
     assert cpu.startswith("shard CPU per request (/proc/<pid>/stat utime + stime")
-    assert syncs.startswith("shard WAL fsyncs per request")
+    assert syncs.startswith("shard WAL forces per request")
     for line, unit in ((cpu, " ms"), (syncs, "")):
         readings = line.split(": ", 1)[1].split(", ")
         assert [r.split(" ")[:2] for r in readings] == [["shard", "0"], ["shard", "1"]]

@@ -507,9 +507,10 @@ def _calls(node: ast.AST, function: str = "<module>"):
 
 def test_each_framing_is_spelled_out_once():
     """Newline-JSON over TCP lives in ``server/wire.py`` alone (one
-    handler, one TCP server, one connect, one ``makefile``) and nothing
-    in ``server/`` imports ``cluster/``; a WAL file is scanned and its
-    payloads unpickled by ``load_wal_file`` alone, the one
+    handler, one TCP server, one connect, and one ``recv`` loop on each
+    side into its own line buffer, with no ``makefile`` file object) and
+    nothing in ``server/`` imports ``cluster/``; a WAL file is scanned
+    and its payloads unpickled by ``load_wal_file`` alone, the one
     ``pickle.loads`` under ``src/repro``."""
     bases: list[tuple[str, str]] = []
     calls: list[tuple[str, str]] = []
@@ -526,10 +527,12 @@ def test_each_framing_is_spelled_out_once():
     def homes(pairs, name):
         return [where for found, where in pairs if found.rpartition(".")[2] == name]
 
-    assert homes(bases, "StreamRequestHandler") == ["server/wire.py"]
+    assert homes(bases, "BaseRequestHandler") == ["server/wire.py"]
+    assert homes(bases, "StreamRequestHandler") == []
     assert homes(bases, "ThreadingTCPServer") == ["server/wire.py"]
     assert homes(calls, "create_connection") == ["server/wire.py:__init__"]
-    assert homes(calls, "makefile") == ["server/wire.py:__init__"]
+    assert homes(calls, "recv") == ["server/wire.py:handle", "server/wire.py:receive"]
+    assert homes(calls, "makefile") == []
     assert homes(calls, "iter_frames") == ["storage/durable.py:load_wal_file"]
     assert [where for found, where in calls if found == "pickle.loads"] == [
         "storage/durable.py:load_wal_file",

@@ -16,15 +16,20 @@ log — and run every input against both.
 from __future__ import annotations
 
 import json
+import os
 import socket
 import threading
+import time
+from collections import Counter
 
 import pytest
 
-from repro.cluster.router import CoordinatorLog, RouterWireServer
+from repro.cluster.router import CoordinatorLog, RouterWireServer, ShardLink
 from repro.errors import AddressInUseError, RequestShed, error_from_payload
 from repro.orderentry.schema import build_order_entry_database
 from repro.server import Request, TCPClient, TransactionServer, WireServer
+from repro.server.wire import MAX_LINE
+from repro.storage.durable import DurableWriteAheadLog
 from tests.helpers import Caller, wait_until
 
 
@@ -260,6 +265,173 @@ class TestWireErrors:
             wire.stop()
             report = server.shutdown()
             assert report.clean, report.to_dict()
+
+
+class TestFraming:
+    """Where a line's bytes fall in TCP segments does not change what is
+    answered: one reply per line, in order, however the lines arrive."""
+
+    @staticmethod
+    def _connect(wire) -> socket.socket:
+        sock = socket.create_connection(wire.address, timeout=10.0)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
+
+    @staticmethod
+    def _replies(sock: socket.socket, n: int) -> list[dict]:
+        data = b""
+        while data.count(b"\n") < n:
+            chunk = sock.recv(1 << 16)
+            assert chunk, "server dropped the connection"
+            data += chunk
+        return [json.loads(line) for line in data.splitlines()]
+
+    def test_two_lines_in_one_segment(self, served):
+        _, wire = served
+        with self._connect(wire) as sock:
+            sock.sendall(b'{"op": "ping"}\n{"op": "stock-check", "item": 1}\n')
+            pong, stock = self._replies(sock, 2)
+        assert pong["result"] == "pong" and stock["result"] == 1000
+
+    def test_one_line_split_across_segments(self, served):
+        _, wire = served
+        with self._connect(wire) as sock:
+            for piece in (b'{"op": "st', b'ock-check", "it', b'em": 0}\n'):
+                sock.sendall(piece)
+                time.sleep(0.02)  # each piece its own segment and its own read
+            (stock,) = self._replies(sock, 1)
+        assert stock["status"] == "ok" and stock["result"] == 1000
+
+    def test_a_last_line_without_newline_is_answered_at_half_close(self, fronts):
+        for wire, _ in fronts.values():
+            with self._connect(wire) as sock:
+                sock.sendall(b'{"op": "ping"}\n{"op": "ping"}')
+                sock.shutdown(socket.SHUT_WR)
+                replies = self._replies(sock, 2)
+                assert sock.recv(1) == b""  # then the server closes
+            assert [reply["result"] for reply in replies] == ["pong", "pong"]
+
+    def test_an_oversized_line_is_answered_failed_and_the_connection_lives(self, fronts):
+        """A line longer than ``MAX_LINE`` is answered ``failed`` when its
+        newline arrives (the bytes past the cap are dropped, not held);
+        a line of exactly ``MAX_LINE`` bytes is served."""
+        longest = b'{"op": "ping"}'.ljust(MAX_LINE)
+        for wire, _ in fronts.values():
+            # The longest line's pong ends the exchange: it drew no failure.
+            (oversized,) = raw_exchange(wire, b"x" * (2 * MAX_LINE), longest)
+            failed = json.loads(oversized)
+            assert failed["status"] == "failed"
+            assert f"longer than {MAX_LINE} bytes" in failed["error"]["message"]
+
+
+class TestTimeouts:
+    """A client's timeout is enforced by the kernel on a blocking socket:
+    a peer that accepts and never answers makes ``request`` raise an
+    ``OSError`` after about the timeout, and a shard link drops that
+    connection instead of pooling it."""
+
+    @pytest.fixture()
+    def silent_peer(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        try:
+            yield listener.getsockname()[:2]  # connections queue, unread, unanswered
+        finally:
+            listener.close()
+
+    def test_client_request_times_out(self, silent_peer):
+        with TCPClient(*silent_peer, timeout=0.2) as client:
+            assert client._sock.gettimeout() is None
+            started = time.monotonic()
+            with pytest.raises(OSError):
+                client.request({"op": "ping"})
+            assert time.monotonic() - started < 1.0
+
+    def test_shard_link_drops_a_timed_out_connection(self, silent_peer):
+        link = ShardLink(*silent_peer, capacity=2, timeout=0.2)
+        try:
+            started = time.monotonic()
+            with pytest.raises(OSError):
+                link.request({"op": "ping"})
+            assert time.monotonic() - started < 1.0
+            assert link._created == 0 and link._pool.empty()
+        finally:
+            link.close()
+
+
+class TestOneCallPerCrossing:
+    """One durable write request over the wire, counted in Python-level
+    calls: the server reads it with one ``recv`` and answers with one
+    ``sendall``; the client writes it with one ``sendall`` and reads
+    the reply with one ``recv`` on a blocking socket (no ``poll`` first);
+    and the WAL forces the commit with one ``os.pwrite`` and no
+    ``os.write``, ``os.fsync`` or ``os.fdatasync``."""
+
+    READS = ("recv", "recv_into", "recvfrom")
+    SOCKET_CALLS = READS + ("send", "sendall", "sendmsg")
+    OS_CALLS = ("write", "pwrite", "fsync", "fdatasync")
+
+    def test_a_durable_write_request(self, tmp_path, monkeypatch):
+        wal = DurableWriteAheadLog(str(tmp_path / "wal.log"))
+        server = TransactionServer(
+            built=build_order_entry_database(n_items=2, orders_per_item=4), wal=wal
+        ).start()
+        wire = WireServer(server).start()
+        client = client_for(wire)
+        calls: Counter = Counter()
+        returned: Counter = Counter()
+
+        def counted(owner, name, side_of):
+            real = getattr(owner, name)
+
+            def call(first, *args):
+                calls[side_of(first), name] += 1
+                try:
+                    return real(first, *args)
+                finally:
+                    returned[side_of(first), name] += 1
+
+            monkeypatch.setattr(owner, name, call)
+
+        def server_reads(counter: Counter) -> int:
+            return sum(counter["server", name] for name in self.READS)
+
+        def server_parked(after_reads: int) -> bool:
+            """The handler has returned from *after_reads* counted reads
+            and sits in the next one."""
+            done = server_reads(returned)
+            return done == after_reads and server_reads(calls) == done + 1
+
+        def side(sock: socket.socket) -> str:
+            return "client" if sock is client._sock else "server"
+
+        for name in self.SOCKET_CALLS:
+            counted(socket.socket, name, side)
+        for name in self.OS_CALLS:
+            counted(os, name, lambda fd: "wal" if fd == wal._fd else "other")
+        try:
+            assert client._sock.gettimeout() is None
+            # A first write warms every path up and leaves the server's
+            # handler in its next recv; whether the recv that read it was
+            # counted depends on when the handler thread started.
+            assert client.request({"op": "place", "item": 0})["status"] == "ok"
+            wait_until(lambda: server_parked(server_reads(returned)))
+            before, reads = Counter(calls), server_reads(returned)
+            assert client.request({"op": "place", "item": 1})["status"] == "ok"
+            wait_until(lambda: server_parked(reads + 1))
+            counts = Counter(calls)
+            counts.subtract(before)
+        finally:
+            client.close()
+            wire.stop()
+            assert server.shutdown().clean
+            wal.close()
+        assert +counts == {
+            ("server", "recv"): 1,
+            ("server", "sendall"): 1,
+            ("client", "sendall"): 1,
+            ("client", "recv"): 1,
+            ("wal", "pwrite"): 1,
+        }
 
 
 class TestWireErrorsBinding:

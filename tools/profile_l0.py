@@ -13,7 +13,7 @@ each (``perfbench.loop.replay``), and profiles every thread this
 process starts — server workers, admission, wire front-end and clients.
 Each thread gets its own ``cProfile.Profile(time.thread_time)`` through
 ``threading.setprofile``, so the table is thread CPU time: lock waits,
-socket waits and fsyncs, which dominate a wall-clock profile of a served
+socket waits and WAL forces, which dominate a wall-clock profile of a served
 stack, count as nothing.  A cluster's shard processes get the same
 per-thread profile: the tool starts each shard child as
 :func:`profiled_shard` (this file, run by path) in place of ``python -m
@@ -27,7 +27,7 @@ collector's collections per generation per 1 000 requests and objects
 freed per request (``gc.get_stats()`` deltas), which count what a
 request leaves in reference cycles.  For a cluster it then prints each
 shard process's CPU per request (``/proc/<pid>/stat`` utime + stime
-deltas over the replay) and its WAL fsyncs per request (the
+deltas over the replay) and its WAL forces per request (the
 ``wal.group_commit.syncs`` delta of the shard's ``stats``), so the share
 of the cluster's cost that the router's table cannot see still shows.
 Both modes give each thread its own profiler; Python 3.12 made
@@ -195,7 +195,7 @@ def profile_l0(seed: int, n: int) -> pstats.Stats:
 
 
 def shard_readings(stack) -> list[tuple[float, float]]:
-    """(CPU seconds, WAL fsyncs) of each shard process of a cluster
+    """(CPU seconds, WAL forces) of each shard process of a cluster
     stack; ``[]`` for a stack without shard processes."""
     from repro.server.wire import TCPClient
 
@@ -293,7 +293,7 @@ def profile_served(
         footer += (
             f"shard CPU per request (/proc/<pid>/stat utime + stime over the replay, "
             f"profiled): {cpu}\n"
-            f"shard WAL fsyncs per request (wal.group_commit.syncs from each shard's stats): "
+            f"shard WAL forces per request (wal.group_commit.syncs from each shard's stats): "
             f"{syncs}\n"
         )
     return merged(profilers), shard_stats, footer
